@@ -14,15 +14,15 @@ the semidirect product C x <complex conjugation>, never numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from mpmath.ctx_mp import MPContext
+from math import prod
 
 from . import classgroup, k3, orders
 from .classgroup import ClassGroup
-from .errors import NotNearInteger, PrecisionExhausted, ResolventDegenerate
+from .errors import InputError, K3ModuliError, NotNearInteger, PrecisionExhausted
+from .errors import ResolventDegenerate
 from .k3 import TranscLattice
 from .numerics import BigComplex, CMPoint, j_invariant, poly_from_roots, recognize_integer
-from .qforms import FormClass
+from .numerics import conjugate, working_context
 
 MAX_DOUBLINGS = 8
 
@@ -140,12 +140,13 @@ def mq_is_galois(lattice: TranscLattice) -> bool:
 # polynomial constructions
 
 
-def _cm_point(cls: FormClass) -> CMPoint:
-    return CMPoint(cls.rep.a, cls.rep.b, cls.disc)
-
-
 def _j_values(group: ClassGroup, digits: int) -> list[BigComplex]:
-    return [j_invariant(_cm_point(cls), digits) for cls in group.classes]
+    """j at every class; (a, -b, c) takes the exact conjugate of j at (a, b, c)."""
+    reps = [cls.rep for cls in group.classes]
+    upper = {
+        (r.a, r.b): j_invariant(CMPoint(r.a, r.b, group.disc), digits) for r in reps if r.b >= 0
+    }
+    return [upper[r.a, r.b] if r.b >= 0 else conjugate(upper[r.a, -r.b]) for r in reps]
 
 
 def _torsion_cosets(group: ClassGroup) -> tuple[tuple[int, ...], ...]:
@@ -179,8 +180,7 @@ def _separated_roots(
     Starts from plain traces; on collision walks the resolvent ladder and
     flags the fallback in the returned warnings.
     """
-    ctx = MPContext()
-    ctx.dps = digits + 10
+    ctx = working_context(digits + 10)
     threshold = ctx.mpf(10) ** -(digits // 2)
     values = [ctx.mpc(j.re, j.im) for j in js]
     for name, fn in _resolvent_ladder():
@@ -209,8 +209,7 @@ def _recognize_k_poly(
     coeffs: list[BigComplex], digits: int, d_k: int
 ) -> tuple[KElement, ...]:
     """Write each coefficient as (u2 + v2*sqrt(d_k))/2 with integer u2, v2."""
-    ctx = MPContext()
-    ctx.dps = digits + 10
+    ctx = working_context(digits + 10)
     sqrt_abs = ctx.sqrt(-d_k)
     tol = _int_tol(digits)
     out = []
@@ -240,10 +239,13 @@ def _attempt_polynomials(group: ClassGroup, d_k: int, digits: int) -> _Polynomia
     return _Polynomials(class_poly, mk, mq, digits, warnings)
 
 
-def _escalate(digits: int, attempt):
-    """Run attempt(digits), doubling the precision on failed recognition."""
-    from .errors import NotNearInteger
-
+def _escalate(group: ClassGroup, digits: int | None, attempt):
+    """Run attempt(digits), from default_digits(h) unless given, doubling the
+    precision on failed recognition."""
+    if digits is None:
+        digits = default_digits(group.h)
+    elif digits <= 0:
+        raise InputError(f"digits must be positive, got {digits}")
     for _ in range(MAX_DOUBLINGS + 1):
         try:
             return attempt(digits)
@@ -263,13 +265,11 @@ def class_polynomial_with_precision(
     d: int, digits: int | None = None
 ) -> tuple[tuple[int, ...], int]:
     group = classgroup.class_group(d)
-    if digits is None:
-        digits = default_digits(group.h)
 
     def attempt(dg):
         return _recognize_int_poly(poly_from_roots(_j_values(group, dg)), dg), dg
 
-    return _escalate(digits, attempt)
+    return _escalate(group, digits, attempt)
 
 
 def field_of_K_moduli(
@@ -280,39 +280,33 @@ def field_of_K_moduli(
     conjugation)."""
     group = classgroup.class_group(lattice.disc0)
     d_k = orders.order_of_disc(lattice.disc0).d_k
-    if digits is None:
-        digits = default_digits(group.h)
 
     def attempt(dg):
         js = _j_values(group, dg)
         roots, _ = _separated_roots(js, _torsion_cosets(group), dg)
         return _recognize_k_poly(poly_from_roots(roots), dg, d_k)
 
-    return _escalate(digits, attempt)
+    return _escalate(group, digits, attempt)
 
 
 def field_of_Q_moduli(lattice: TranscLattice, digits: int | None = None) -> tuple[int, ...]:
     """Degree-g integer polynomial whose root field is the absolute field of
     moduli."""
     group = classgroup.class_group(lattice.disc0)
-    if digits is None:
-        digits = default_digits(group.h)
 
     def attempt(dg):
         js = _j_values(group, dg)
         roots, _ = _separated_roots(js, _torsion_cosets(group), dg)
         return _recognize_int_poly(poly_from_roots(roots), dg)
 
-    return _escalate(digits, attempt)
+    return _escalate(group, digits, attempt)
 
 
 def moduli_report(lattice: TranscLattice, digits: int | None = None) -> ModuliReport:
     """Assemble degrees, orbit, Galois data and all minimal polynomials."""
     group = classgroup.class_group(lattice.disc0)
     d_k = orders.order_of_disc(lattice.disc0).d_k
-    if digits is None:
-        digits = default_digits(group.h)
-    polys = _escalate(digits, lambda dg: _attempt_polynomials(group, d_k, dg))
+    polys = _escalate(group, digits, lambda dg: _attempt_polynomials(group, d_k, dg))
     g = classgroup.genus_order(group)
     model = _model(group)
     report = ModuliReport(
@@ -338,15 +332,15 @@ def moduli_report(lattice: TranscLattice, digits: int | None = None) -> ModuliRe
 
 def _check_report(report: ModuliReport, group: ClassGroup) -> None:
     # consistency guaranteed by the theory; re-checked before emission
-    assert report.degree_mk_over_k == report.degree_mq_over_q == report.g
-    assert len(report.class_polynomial) == report.h + 1
-    assert report.class_polynomial[-1] == 1
-    assert len(report.mk_min_poly) == report.g + 1
-    assert len(report.mq_min_poly) == report.g + 1
-    assert report.mq_min_poly[-1] == 1
-    assert len(report.orbit) == report.g
-    divisors = group.elementary_divisors
-    prod = 1
-    for d in divisors:
-        prod *= d
-    assert prod == report.h
+    g, h, cp, mq = report.g, report.h, report.class_polynomial, report.mq_min_poly
+    checks = {
+        "degrees": report.degree_mk_over_k == report.degree_mq_over_q == g,
+        "class polynomial": len(cp) == h + 1 and cp[-1] == 1,
+        "M_K polynomial": len(report.mk_min_poly) == g + 1,
+        "M_Q polynomial": len(mq) == g + 1 and mq[-1] == 1,
+        "orbit": len(report.orbit) == g,
+        "elementary divisors": prod(group.elementary_divisors) == h,
+    }
+    failed = [name for name, ok in checks.items() if not ok]
+    if failed:
+        raise K3ModuliError(f"inconsistent report for {report.disc}: {', '.join(failed)}")

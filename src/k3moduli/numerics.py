@@ -1,26 +1,41 @@
 """Arbitrary-precision evaluation of the modular j-function at CM points.
 
-j is evaluated by its q-expansion j = 1/q + 744 + sum c_n q^n with
-q = exp(2*pi*i*tau), truncated where the classical envelope c_n < exp(4*pi*sqrt(n))
-certifies the tail below the accuracy target.  Integer series coefficients are
-generated once from the Fourier development of E4^3 / Delta and cached
-process-wide (concurrent readers, lock-guarded growth).
+j is evaluated through the eta quotient h = q * (E(q^2) / E(q))^24, with
+E(q) = prod(1 - q^n) and q = exp(2*pi*i*tau), as j = (1 + 256h)^3 / h.  Both
+Euler products are summed by the pentagonal number theorem, so a truncation
+order N costs O(sqrt N) terms; the tail beyond N is certified below the
+working precision.  The arithmetic is fixed point on Python integers.
+
+mpmath objects are made in one context per thread (`working_context`).  Its
+precision is reset by each consumer, so every consumer converts its inputs
+into the context on entry instead of computing on values it was handed.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from collections import Counter
 from dataclasses import dataclass
-from math import exp, log, pi, sqrt
+from math import ceil, exp, expm1, log, pi, sqrt
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import from_man_exp, from_str, mpf_neg, round_down, to_fixed, to_rational
 
 from .errors import NotNearInteger, NotPositiveDefinite, PrecisionUnsupported
 
 DEFAULT_SERIES_CAP = 10000
-LN10 = log(10)
+LOG2_10 = log(10, 2)
+LN2 = log(2)
 _GUARD_DIGITS = 15
+# rounding of O(N) fixed-point products and the constants of the error
+# propagation through E(q^2)/E(q), its 24th power and (1 + 256h)^3 / h
+_GUARD_BITS = 64
+# extra bits per unit of s = |q| / (1 - |q|)^2: |log E(q)| and |log(E(q^2)/E(q))|
+# are at most s, and the error bound grows like exp(145 s)
+_SPREAD_BITS = 210
+
+_LOCAL = threading.local()
 
 
 @dataclass(frozen=True)
@@ -41,11 +56,23 @@ class BigComplex:
     digits: int
 
 
-def _context(dps: int) -> MPContext:
-    # private context per call: evaluations stay independent across threads
-    ctx = MPContext()
+def working_context(dps: int) -> MPContext:
+    """This thread's mpmath context, set to dps digits; threads stay independent."""
+    ctx = getattr(_LOCAL, "ctx", None)
+    if ctx is None:
+        ctx = _LOCAL.ctx = MPContext()
     ctx.dps = dps
     return ctx
+
+
+def _big_complex(ctx: MPContext, re: int, im: int, bits: int, digits: int) -> BigComplex:
+    """BigComplex holding (re + i*im) * 2^-bits exactly."""
+    return BigComplex(*(ctx.make_mpf(from_man_exp(v, -bits)) for v in (re, im)), digits)
+
+
+def conjugate(z: BigComplex) -> BigComplex:
+    """Exact complex conjugate."""
+    return BigComplex(z.re, z.im.context.make_mpf(mpf_neg(z.im._mpf_)), z.digits)
 
 
 def series_cap() -> int:
@@ -53,158 +80,137 @@ def series_cap() -> int:
     return int(value) if value else DEFAULT_SERIES_CAP
 
 
-def _sigma3(m: int) -> list[int]:
-    s = [0] * (m + 1)
-    for d in range(1, m + 1):
-        cube = d * d * d
-        for k in range(d, m + 1, d):
-            s[k] += cube
-    return s
+def _mul(x, y, bits):
+    (xr, xi), (yr, yi) = x, y
+    # three products instead of four
+    k1 = yr * (xr + xi)
+    return (k1 - xi * (yr + yi)) >> bits, (k1 + xr * (yi - yr)) >> bits
 
 
-def _mul_trunc(u: list[int], v: list[int], m: int) -> list[int]:
-    out = [0] * (m + 1)
-    for i, ui in enumerate(u):
-        if ui:
-            top = min(len(v), m - i + 1)
-            for k in range(top):
-                out[i + k] += ui * v[k]
-    return out
+def _sqr(x, bits):
+    xr, xi = x
+    return (xr + xi) * (xr - xi) >> bits, 2 * xr * xi >> bits
 
 
-def _eta_like(m: int) -> list[int]:
-    """Coefficients of prod(1 - q^n) via the pentagonal number theorem."""
-    p = [0] * (m + 1)
-    p[0] = 1
-    k = 1
-    while k * (3 * k - 1) // 2 <= m:
-        sign = -1 if k % 2 else 1
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        p[g1] += sign
-        if g2 <= m:
-            p[g2] += sign
-        k += 1
-    return p
+def _div(x, y, bits):
+    (xr, xi), (yr, yi) = x, y
+    den = yr * yr + yi * yi
+    return ((xr * yr + xi * yi) << bits) // den, ((xi * yr - xr * yi) << bits) // den
 
 
-def _j_coefficients(count: int) -> list[int]:
-    """First `count` coefficients of j: entry k multiplies q^(k-1)."""
-    m = max(count - 1, 1)
-    sig = _sigma3(m)
-    e4 = [1] + [240 * sig[n] for n in range(1, m + 1)]
-    num = _mul_trunc(_mul_trunc(e4, e4, m), e4, m)
-    p = _eta_like(m)
-    p2 = _mul_trunc(p, p, m)
-    p4 = _mul_trunc(p2, p2, m)
-    p8 = _mul_trunc(p4, p4, m)
-    p16 = _mul_trunc(p8, p8, m)
-    dlt = _mul_trunc(p16, p8, m)  # Delta / q
-    coeffs = [0] * (m + 1)
-    for n in range(m + 1):
-        acc = num[n]
-        for k in range(1, n + 1):
-            acc -= dlt[k] * coeffs[n - k]
-        coeffs[n] = acc
-    return coeffs[:count]
+def _euler(q, order: int, bits: int):
+    """prod(1 - q^n) = 1 + sum_k (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2)) in fixed
+    point, up to at least the power q^order."""
+    q2 = _sqr(q, bits)
+    power, q_k, q_step = q, q, _mul(q2, q, bits)  # q^(k(3k-1)/2), q^k, q^(2k+1)
+    re, im, sign, k, g = 1 << bits, 0, -1, 1, 1
+    while g <= order:
+        upper = _mul(power, q_k, bits)  # q^(k(3k+1)/2)
+        re += sign * (power[0] + upper[0])
+        im += sign * (power[1] + upper[1])
+        power = _mul(upper, q_step, bits)
+        q_k, q_step = _mul(q_k, q, bits), _mul(q_step, q2, bits)
+        sign, g, k = -sign, g + 3 * k + 1, k + 1
+    return re, im
 
 
-class _SeriesCache:
-    """Grow-once-then-read cache of the j-expansion coefficients."""
-
-    # known leading terms double as a self-check against regeneration
-    _LEADING = [1, 744, 196884, 21493760, 864299970, 20245856256]
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._coeffs = list(self._LEADING)
-
-    def prefix(self, count: int) -> list[int]:
-        coeffs = self._coeffs
-        if len(coeffs) >= count:
-            return coeffs
-        with self._lock:
-            if len(self._coeffs) < count:
-                fresh = _j_coefficients(max(count, 2 * len(self._coeffs)))
-                assert fresh[: len(self._LEADING)] == self._LEADING
-                self._coeffs = fresh
-            return self._coeffs
-
-
-_CACHE = _SeriesCache()
-
-
-def _terms_needed(log_abs_q: float, digits: int) -> int:
-    """Least N with sum_{n > N} exp(4*pi*sqrt(n)) |q|^n below 10^-(digits+5).
-
-    Beyond index m the envelope terms shrink by at least
-    exp(2*pi/sqrt(m)) * |q| per step, so the tail is majorized geometrically.
-    """
-    target = -(digits + 5) * LN10
-    n = 1
-    while True:
-        m = n + 1
-        ratio_log = 2 * pi / sqrt(m) + log_abs_q
-        if ratio_log < -0.05:
-            tail_log = 4 * pi * sqrt(m) + m * log_abs_q - log(1 - exp(ratio_log))
-            if tail_log < target:
-                return n
-        n += 1
+def _series_order(log_abs_q: float, bits: int) -> int:
+    """Least N with sum_{n > N} |q|^n below 2^-bits: the Euler products stop at q^N."""
+    return int((bits * LN2 - log(-expm1(log_abs_q))) / -log_abs_q)
 
 
 def j_invariant(point: CMPoint, digits: int) -> BigComplex:
-    """j((-b + sqrt(disc)) / (2a)) to an absolute accuracy of 10^-digits."""
+    """j((-b + sqrt(disc)) / (2a)) to an absolute accuracy of 10^-digits.
+
+    j(a, -b) is the exact complex conjugate of j(a, b); j is exactly real
+    when a | b or |tau| = 1.
+    """
     if point.a <= 0 or point.disc >= 0:
         raise NotPositiveDefinite("CM point needs a > 0 and disc < 0")
-    log_abs_q = -pi * sqrt(-point.disc) / point.a
-    n_terms = _terms_needed(log_abs_q, digits)
+    a, b, disc = point.a, abs(point.b), point.disc
+    log_abs_q = -pi * sqrt(-disc) / a
+    # the result is q^-1 times O(1) factors: absolute accuracy needs the
+    # bits of |q|^-1 on top of the digits
+    magnitude = int(-log_abs_q / LN2) + 1
+    spread = ceil(_SPREAD_BITS * exp(log_abs_q) / expm1(log_abs_q) ** 2)
+    bits = ceil(digits * LOG2_10) + magnitude + _GUARD_BITS + spread
+    order = _series_order(log_abs_q, bits)
     cap = series_cap()
-    if n_terms + 2 > cap:
+    if order > cap:
         raise PrecisionUnsupported(
-            f"{n_terms} series terms needed, cap is {cap} (K3MODULI_SERIES_CAP)"
+            f"{order} series terms needed, cap is {cap} (K3MODULI_SERIES_CAP)"
         )
-    if log_abs_q <= -pi * sqrt(3) * 0.999:
-        # reduced CM points: |q| <= exp(-pi*sqrt(3)), so N stays desk-scale
-        assert n_terms <= (digits + 10) / 2.3 + 4 * sqrt(digits + 10) + 32
-    coeffs = _CACHE.prefix(n_terms + 2)
-    # the leading 1/q term has magnitude |q|^-1; cover it to keep the
-    # accuracy absolute, not just relative
-    magnitude = int(-log_abs_q / LN10) + 1
-    ctx = _context(digits + magnitude + _GUARD_DIGITS)
-    im_tau = ctx.sqrt(-point.disc) / (2 * point.a)
-    re_tau = ctx.mpf(-point.b) / (2 * point.a)
-    q = ctx.expjpi(2 * re_tau) * ctx.exp(-2 * ctx.pi * im_tau)
-    acc = ctx.mpc(0)
-    for k in range(n_terms, 0, -1):
-        acc = acc * q + coeffs[k + 1]
-    value = 1 / q + 744 + acc * q
-    return BigComplex(value.real, value.imag, digits)
+    ctx = working_context(ceil((bits + magnitude) / LOG2_10) + 10)
+    grow = ctx.exp(ctx.pi * ctx.sqrt(-disc) / a)  # |q|^-1
+    turn = ctx.expjpi(ctx.mpf(-b) / a)  # q / |q|
+    q = (turn.real / grow).to_fixed(bits), (turn.imag / grow).to_fixed(bits)
+    q_inv = (turn.real * grow).to_fixed(bits), -(turn.imag * grow).to_fixed(bits)
+    ratio = _div(_euler(_sqr(q, bits), order // 2, bits), _euler(q, order, bits), bits)
+    r8 = _sqr(_sqr(_sqr(ratio, bits), bits), bits)
+    w = _mul(_sqr(r8, bits), r8, bits)  # (E(q^2)/E(q))^24 = h/q
+    hq = _mul(q, w, bits)
+    t = (1 << bits) + 256 * hq[0], 256 * hq[1]
+    re, im = _div(_mul(_mul(_sqr(t, bits), t, bits), q_inv, bits), w, bits)
+    if b * b - disc == 4 * a * a:
+        im = 0
+    return _big_complex(ctx, re, -im if point.b < 0 else im, bits, digits)
 
 
 def recognize_integer(z: BigComplex, tol) -> int:
-    """Nearest integer when both |Re z - round(Re z)| and |Im z| are below tol."""
-    ctx = _context(z.digits + _GUARD_DIGITS)
-    tol = ctx.mpf(tol)
-    nearest = ctx.nint(ctx.mpf(z.re))
-    if abs(z.re - nearest) < tol and abs(ctx.mpf(z.im)) < tol:
-        return int(nearest)
-    raise NotNearInteger(f"{z.re} + {z.im}i is not within {tol} of an integer")
+    """Nearest integer when |Re z - round(Re z)|, |Im z| and |Re z| / 10^(digits + 15)
+    are below tol: the last condition refuses a value that leaves tol no room
+    in its working precision.  Exact on z; tol is read as a decimal, rounded down.
+    """
+    tol_p, tol_q = to_rational(from_str(str(tol), 64, round_down))
+    re_p, re_q = to_rational(z.re._mpf_)
+    im_p, im_q = to_rational(z.im._mpf_)
+    nearest = (2 * re_p + re_q) // (2 * re_q)
+    scaled = re_q * 10 ** (z.digits + _GUARD_DIGITS)
+    checks = ((re_p - nearest * re_q, re_q), (im_p, im_q), (re_p, scaled))  # (p, q): |p/q| < tol
+    if all(abs(p) * tol_q < tol_p * q for p, q in checks):
+        return nearest
+    raise NotNearInteger(f"value is not within {tol} of an integer")
 
 
 def poly_from_roots(roots: list[BigComplex]) -> list[BigComplex]:
-    """Coefficients of the monic prod (x - r), lowest degree first."""
+    """Coefficients of the monic prod (x - r), lowest degree first.
+
+    A root and its exact conjugate enter as one real quadratic
+    x^2 - 2 Re(z) x + |z|^2, a real root as a real linear factor, any other
+    root as a complex linear factor.  Fixed point: the absolute error grows by
+    at most the factor (1 + |r|) per root, which the precision covers.
+    """
     digits = max((r.digits for r in roots), default=15)
-    probe = _context(digits)
-    zs = [probe.mpc(r.re, r.im) for r in roots]
-    # coefficient magnitudes reach the product of the large roots
-    extra_bits = sum(max(0, int(probe.mag(z))) for z in zs if z)
-    ctx = _context(digits + _GUARD_DIGITS + int(extra_bits * 0.30103) + len(roots))
-    coeffs = [ctx.mpc(1)]
-    for r in roots:
-        z = ctx.mpc(r.re, r.im)
-        nxt = [-z * coeffs[0]]
-        for k in range(1, len(coeffs)):
-            nxt.append(coeffs[k - 1] - z * coeffs[k])
-        nxt.append(coeffs[-1])
-        coeffs = nxt
-    return [BigComplex(c.real, c.imag, digits) for c in coeffs]
+    raw = [(r.re._mpf_, r.im._mpf_) for r in roots]
+    # bounds log2(1 + |r|) by the binary exponents
+    growth = sum(max(0, re[2] + re[3], im[2] + im[3]) + 2 for re, im in raw)
+    bits = ceil((digits + _GUARD_DIGITS) * LOG2_10) + growth + len(roots).bit_length()
+    factors = []
+    waiting = Counter()  # roots still without their conjugate
+    for re, im in raw:
+        partner = (re, mpf_neg(im))
+        if not im[1]:
+            factors.append([-to_fixed(re, bits)])
+        elif waiting[partner]:
+            waiting[partner] -= 1
+            zr, zi = to_fixed(re, bits), to_fixed(im, bits)
+            factors.append([(zr * zr + zi * zi) >> bits, -2 * zr])
+        else:
+            waiting[re, im] += 1
+    coeffs = [1 << bits]
+    for low in factors:  # coeffs * (x^len(low) + ... + low[0])
+        out = [0] * len(low) + coeffs
+        for i, f in enumerate(low):
+            for k, c in enumerate(coeffs):
+                out[k + i] += f * c >> bits
+        coeffs = out
+    imag = [0] * len(coeffs)
+    for re, im in waiting.elements():  # (coeffs + i*imag) * (x - z)
+        zr, zi = to_fixed(re, bits), to_fixed(im, bits)
+        coeffs, imag = [0] + coeffs, [0] + imag
+        for k in range(len(coeffs) - 1):
+            cr, ci = coeffs[k + 1], imag[k + 1]
+            coeffs[k] -= (zr * cr - zi * ci) >> bits
+            imag[k] -= (zr * ci + zi * cr) >> bits
+    ctx = working_context(digits)
+    return [_big_complex(ctx, c, i, bits, digits) for c, i in zip(coeffs, imag)]

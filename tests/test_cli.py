@@ -112,6 +112,16 @@ def test_classpoly_series_cap(monkeypatch):
     assert code == EXIT_PRECISION
 
 
+def test_nonpositive_digits_rejected(capsys):
+    for digits in ("0", "-5"):
+        code, out = run_cli(["classpoly", "--digits", digits, "--", "-23"])
+        assert code == EXIT_INPUT and out == ""
+        assert "digits must be positive" in capsys.readouterr().err
+        code, out = run_cli(["analyze", "--digits", digits, "2", "1", "1", "12"])
+        assert code == EXIT_INPUT and out == ""
+        assert "digits must be positive" in capsys.readouterr().err
+
+
 def test_enumerate_small():
     env = run_json(["enumerate", "--max-disc", "4"])
     rows = env["result"]["strata"]

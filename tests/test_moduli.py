@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from mpmath.ctx_mp import MPContext
 
@@ -14,7 +18,8 @@ from k3moduli.moduli import (
     moduli_report,
     mq_is_galois,
 )
-from k3moduli.numerics import CMPoint, j_invariant
+from k3moduli.errors import InputError
+from k3moduli.numerics import CMPoint, conjugate, j_invariant
 from k3moduli.qforms import form_class
 
 from conftest import valid_discs
@@ -104,6 +109,55 @@ def test_real_roots_exactly_at_ambiguous_classes():
             value = j_invariant(CMPoint(rep.a, rep.b, d), 60)
             ambiguous = rep.b == 0 or rep.a == rep.b or rep.a == rep.c
             assert (abs(ctx.mpf(value.im)) < ctx.mpf("1e-50")) == ambiguous
+
+
+def test_j_values_conjugate_pairs_exactly():
+    for d in (-71, -231, -479):
+        group = classgroup.class_group(d)
+        js = dict(zip((c.rep.coefficients() for c in group.classes), moduli._j_values(group, 60)))
+        negative = [(a, b, c) for a, b, c in js if b < 0]
+        assert negative
+        for a, b, c in negative:
+            assert js[a, b, c] == conjugate(js[a, -b, c])
+
+
+def test_nonpositive_digits_rejected():
+    for digits in (0, -5):
+        with pytest.raises(InputError):
+            class_polynomial(-23, digits)
+        with pytest.raises(InputError):
+            moduli_report(LATTICE_23, digits)
+        with pytest.raises(InputError):
+            field_of_K_moduli(LATTICE_23, digits)
+        with pytest.raises(InputError):
+            field_of_Q_moduli(LATTICE_23, digits)
+
+
+def test_doctored_report_raises_under_optimize():
+    # the consistency checks must survive python -O, which strips asserts
+    script = """
+import dataclasses
+from k3moduli import classgroup, moduli
+from k3moduli.errors import K3ModuliError
+report = moduli.moduli_report(moduli.k3.from_gram(((2, 1), (1, 12))))
+group = classgroup.class_group(report.disc0)
+moduli._check_report(report, group)
+bad = dataclasses.replace(report, class_polynomial=report.class_polynomial[:-1])
+try:
+    moduli._check_report(bad, group)
+except K3ModuliError as exc:
+    print("raised:", exc)
+"""
+    src = Path(moduli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised:") and "class polynomial" in done.stdout
 
 
 def test_field_polynomials_minus_23():
@@ -206,6 +260,17 @@ def test_precision_ladder_escalates():
     assert report.precision_used > 5
     assert report.disc0 == -479
     assert report.class_polynomial == class_polynomial(-479)
+
+
+def test_low_digits_give_the_right_polynomial():
+    # tiny --digits that printed a wrong polynomial with exit 0: coarse_j when
+    # j was accurate only to its digits, no_room when recognition accepted
+    # values that left the tolerance no room in the working precision
+    coarse_j = [(-23, 1), (-23, 2), (-23, 3), (-31, 1), (-31, 2), (-31, 3), (-31, 4), (-52, 1)]
+    coarse_j += [(-52, 2), (-52, 3), (-64, 1), (-64, 2), (-64, 4), (-64, 5), (-75, 1), (-75, 2)]
+    no_room = [(-47, 1), (-68, 3), (-128, 8), (-136, 10), (-235, 4), (-307, 11), (-379, 4)]
+    for d, digits in coarse_j + no_room:
+        assert class_polynomial(d, digits) == class_polynomial(d), (d, digits)
 
 
 def test_kelement_str():

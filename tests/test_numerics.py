@@ -1,10 +1,11 @@
+import sys
 import threading
-from math import pi, sqrt
+from math import ceil, exp, log, pi, sqrt
 
 import pytest
 from mpmath.ctx_mp import MPContext
 
-from k3moduli import numerics
+from k3moduli import moduli, numerics
 from k3moduli.classgroup import class_group
 from k3moduli.errors import NotNearInteger, NotPositiveDefinite, PrecisionUnsupported
 from k3moduli.numerics import (
@@ -14,6 +15,8 @@ from k3moduli.numerics import (
     poly_from_roots,
     recognize_integer,
 )
+
+from conftest import valid_discs
 
 
 def as_mpc(ctx, z):
@@ -109,6 +112,17 @@ def test_poly_from_roots_conjugate_pair_real():
         assert abs(ctx.mpf(c.im)) < ctx.mpf(10) ** -25
 
 
+def test_poly_from_roots_unpaired_complex():
+    # (x - (1 + 2i)) (x - (3 - i)) = x^2 - (4 + i) x + (5 + 5i): no exact
+    # conjugate partners, so both enter as complex linear factors
+    ctx = MPContext()
+    ctx.dps = 40
+    roots = [BigComplex(ctx.mpf(1), ctx.mpf(2), 30), BigComplex(ctx.mpf(3), ctx.mpf(-1), 30)]
+    coeffs = [as_mpc(ctx, c) for c in poly_from_roots(roots)]
+    for got, want in zip(coeffs, [ctx.mpc(5, 5), ctx.mpc(-4, -1), ctx.mpc(1)]):
+        assert abs(got - want) < ctx.mpf(10) ** -25
+
+
 def test_class_cubic_stable_across_precision():
     group = class_group(-23)
     results = []
@@ -121,10 +135,18 @@ def test_class_cubic_stable_across_precision():
 
 
 def test_terms_needed_respects_cap_bound():
-    # reduced points have |q| <= exp(-pi*sqrt(3))
+    # reduced points have |q| <= exp(-pi*sqrt(3)); the truncation order N is
+    # the least one whose tail sum_{n > N} |q|^n = |q|^(N+1) / (1 - |q|) is
+    # below 2^-bits, and it stays linear in the digits
     log_q = -pi * sqrt(3)
+
+    def tail_log2(m):
+        return ((m + 1) * log_q - log(1 - exp(log_q))) / log(2)
+
     for digits in (15, 40, 100, 500, 2000, 10000):
-        n = numerics._terms_needed(log_q, digits)
+        bits = ceil(digits * log(10, 2)) + 80
+        n = numerics._series_order(log_q, bits)
+        assert tail_log2(n) < -bits <= tail_log2(n - 1)
         assert n <= (digits + 10) / 2.3 + 4 * sqrt(digits + 10) + 32
 
 
@@ -147,27 +169,86 @@ def test_series_cap_env(monkeypatch):
     assert numerics.series_cap() == 100000
 
 
-def test_coefficient_cache_matches_known_leading_terms():
-    coeffs = numerics._j_coefficients(8)
-    assert coeffs[:6] == [1, 744, 196884, 21493760, 864299970, 20245856256]
-    assert coeffs[6] == 333202640600
-    assert coeffs[7] == 4252023300096
+def test_j_expansion_coefficients():
+    # j = 1/q + 744 + 196884 q + ...: at tau = 11i, |q| = exp(-22 pi) ~ 1e-30,
+    # peel the coefficients off one power of q at a time
+    ctx = MPContext()
+    ctx.dps = 260
+    value = as_mpc(ctx, j_invariant(CMPoint(1, 0, -484), 240))
+    q = ctx.exp(-22 * ctx.pi)
+    known = [1, 744, 196884, 21493760, 864299970, 20245856256, 333202640600, 4252023300096]
+    found = []
+    rest = value.real
+    for k in range(-1, len(known) - 1):
+        coeff = int(ctx.nint(rest / q**k))
+        found.append(coeff)
+        rest -= coeff * q**k
+    assert found == known
+    assert value.imag == 0
 
 
-def test_cache_concurrent_reads():
-    fresh = numerics._SeriesCache()
-    results = []
+def test_threads_at_different_digits_match_serial():
+    # each thread resets its own working context; results must not depend on
+    # what the other threads do to theirs
+    plan = [(d, digits) for d in (-23, -56, -84) for digits in (30, 90, 270)]
 
-    def worker():
-        results.append(fresh.prefix(40)[:40])
+    def compute(d, digits):
+        group = class_group(d)
+        js = moduli._j_values(group, digits)
+        roots, _ = moduli._separated_roots(js, moduli._torsion_cosets(group), digits)
+        values = js + roots + poly_from_roots(js) + poly_from_roots(roots)
+        return [(z.re, z.im) for z in values]
 
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(r == results[0] for r in results)
-    assert results[0] == numerics._j_coefficients(40)
+    expected = [compute(d, dg) for d, dg in plan]
+    out = {idx: [] for idx in range(len(plan))}
+
+    def worker(i):
+        for _ in range(3):
+            for k in range(len(plan)):
+                idx = (k + i) % len(plan)
+                out[idx].append(compute(*plan[idx]))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for idx, values in enumerate(expected):
+        assert out[idx] == [values] * 18
+
+
+def test_j_conjugate_for_negative_b():
+    for a, b, d in [(2, 1, -23), (3, 2, -56), (4, 3, -71)]:
+        z = j_invariant(CMPoint(a, b, d), 60)
+        assert j_invariant(CMPoint(a, -b, d), 60) == numerics.conjugate(z)
+        assert z.im != 0
+
+
+def test_real_product_matches_complex_product():
+    # reference: the plain complex product prod (x - r) at high precision
+    ctx = MPContext()
+    for d in valid_discs(500):
+        group = class_group(d)
+        digits = moduli.default_digits(group.h)
+        js = moduli._j_values(group, digits)
+        fast = [recognize_integer(c, "1e-10") for c in poly_from_roots(js)]
+        ctx.dps = 2 * digits + 40 * group.h
+        coeffs = [ctx.mpc(1)]
+        for z in js:
+            r = as_mpc(ctx, z)
+            coeffs = [-r * coeffs[0]] + [
+                coeffs[k - 1] - r * coeffs[k] for k in range(1, len(coeffs))
+            ] + [coeffs[-1]]
+        slow = [
+            recognize_integer(BigComplex(c.real, c.imag, digits), "1e-10") for c in coeffs
+        ]
+        assert fast == slow, d
 
 
 def test_parallel_j_matches_serial():
