@@ -305,6 +305,7 @@ def run(args: argparse.Namespace) -> int:
     elif args.command == "enumerate":
         if args.max_disc <= 0 or (args.max_h is not None and args.max_h <= 0):
             raise InputError("bounds must be positive")
+        classgroup.check_size(args.max_disc)
         payload = {
             "max_abs_disc": args.max_disc,
             "max_class_number": args.max_h,

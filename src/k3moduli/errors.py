@@ -21,6 +21,10 @@ class BadDiscriminant(InputError):
     pass
 
 
+class DiscriminantTooLarge(InputError):
+    """|D| beyond classgroup.MAX_ABS_DISC."""
+
+
 class DiscriminantMismatch(InputError):
     pass
 

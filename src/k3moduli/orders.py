@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from . import qforms
-from .errors import BadConductor, BadDiscriminant, DegenerateLattice, FieldMismatch
+from .errors import BadConductor, BadDiscriminant, DegenerateLattice, FieldMismatch, K3ModuliError
 from .qforms import FormClass, QuadForm, check_discriminant
 
 Gens = tuple[tuple[int, int], tuple[int, int]]
@@ -172,7 +172,8 @@ def form_to_ideal(cls: FormClass) -> IdealLattice:
     order = order_of_disc(cls.disc)
     a, b = cls.rep.a, cls.rep.b
     lattice = ideal_lattice(order.d_k, ((2 * a, 0), (-b, order.f)), 2)
-    assert lattice.order == order, "form class is not proper for its order"
+    if lattice.order != order:
+        raise K3ModuliError(f"{cls} gives an ideal that is not proper for its order")
     return lattice
 
 
@@ -198,7 +199,8 @@ def ideal_to_form(lattice: IdealLattice) -> FormClass:
     a = num_a // (2 * det)
     b = -(num_b // det)
     c = num_c // (2 * det)
-    assert b * b - 4 * a * c == lattice.order.disc
+    if b * b - 4 * a * c != lattice.order.disc:
+        raise K3ModuliError(f"norm form ({a},{b},{c}) has the wrong discriminant")
     return qforms.reduce(QuadForm(a, b, c))[0]
 
 

@@ -2,17 +2,20 @@ from collections import Counter
 
 import pytest
 
+from k3moduli import classgroup, qforms
 from k3moduli.classgroup import (
+    MAX_ABS_DISC,
     class_group,
     genus_of,
     genus_order,
     genus_partition,
     principal_genus,
+    reduced_representatives,
     structure,
     two_torsion,
 )
-from k3moduli.errors import BadDiscriminant, ClassNotInGroup
-from k3moduli.qforms import compose, form_class, inverse
+from k3moduli.errors import BadDiscriminant, ClassNotInGroup, DiscriminantTooLarge, K3ModuliError
+from k3moduli.qforms import FormClass, compose, form_class, inverse, principal_class
 
 from conftest import valid_discs
 
@@ -160,7 +163,8 @@ def test_two_torsion_is_ambiguous_forms():
             for i, cls in enumerate(group.classes)
             if cls.rep.b == 0 or cls.rep.a == cls.rep.b or cls.rep.a == cls.rep.c
         }
-        assert two_torsion(group) == ambiguous
+        squares_to_one = {i for i in range(group.h) if group.cayley[i][i] == group.principal_index}
+        assert two_torsion(group) == ambiguous == squares_to_one
 
 
 def test_cayley_is_latin_square():
@@ -171,3 +175,104 @@ def test_cayley_is_latin_square():
             assert sorted(row) == full
         for col in zip(*group.cayley):
             assert sorted(col) == full
+
+
+# ---------------------------------------------------------------------------
+# oracle: the table of all h^2 compositions, and invariant factors peeled off
+# it one maximal cyclic subgroup at a time
+
+
+def _quotient_invariant_factors(table, identity):
+    n = len(table)
+    if n == 1:
+        return []
+
+    def order(i):
+        k, j = 1, i
+        while j != identity:
+            j = table[j][i]
+            k += 1
+        return k
+
+    best = max(range(n), key=order)
+    d = order(best)
+    sub = [identity]
+    j = best
+    while j != identity:
+        sub.append(j)
+        j = table[j][best]
+    coset_id, reps = {}, []
+    for i in range(n):
+        if i in coset_id:
+            continue
+        cid = len(reps)
+        reps.append(i)
+        for s in sub:
+            coset_id[table[i][s]] = cid
+    quotient = [[coset_id[table[a][b]] for b in reps] for a in reps]
+    return _quotient_invariant_factors(quotient, coset_id[identity]) + [d]
+
+
+def _oracle(d):
+    classes = [FormClass(rep, d) for rep in reduced_representatives(d)]
+    index = {cls: i for i, cls in enumerate(classes)}
+    cayley = tuple(tuple(index[compose(x, y)] for y in classes) for x in classes)
+    identity = index[principal_class(d)]
+    return cayley, tuple(_quotient_invariant_factors([list(r) for r in cayley], identity))
+
+
+def test_matches_composition_table_oracle():
+    for d in valid_discs(1500):
+        group = class_group(d)
+        assert (group.cayley, group.elementary_divisors) == _oracle(d), d
+
+
+@pytest.mark.parametrize(
+    "d, divisors",
+    [(-84, (2, 2)), (-4620, (2, 2, 6)), (-60060, (2, 2, 2, 12)), (-3299, (3, 9))],
+)
+def test_non_cyclic_groups_match_oracle(d, divisors):
+    group = class_group(d)
+    assert group.elementary_divisors == divisors
+    assert (group.cayley, group.elementary_divisors) == _oracle(d)
+
+
+def test_about_h_compositions(monkeypatch):
+    expected = class_group(-40004)
+    calls = 0
+
+    def counting(x, y):
+        nonlocal calls
+        calls += 1
+        return compose(x, y)
+
+    monkeypatch.setattr(qforms, "compose", counting)
+    group = class_group.__wrapped__(-40004)
+    assert group == expected
+    # h - 1 products extend the subgroup, sum(e_k - 1) find the relative orders
+    assert group.h == 160 and calls <= 2 * group.h
+
+
+def test_inverse_index_is_the_inverse_class():
+    for d in SMALL_DISCS:
+        group = class_group(d)
+        for i, cls in enumerate(group.classes):
+            assert group.inverse_index(i) == group.index_of(inverse(cls))
+
+
+def test_genus_check_raises_on_disagreement(monkeypatch):
+    genus_count = classgroup._genus_count
+    monkeypatch.setattr(classgroup, "_genus_count", lambda d: 2 * genus_count(d))
+    for d in (-23, -84, -3299):
+        with pytest.raises(K3ModuliError, match="genus check"):
+            class_group.__wrapped__(d)
+
+
+def test_oversized_discriminant_refused():
+    assert MAX_ABS_DISC >= 60000  # every |D| of the tests and the benchmark
+    too_big = -(MAX_ABS_DISC // 4 + 1) * 4
+    with pytest.raises(DiscriminantTooLarge):
+        class_group(too_big)
+    with pytest.raises(DiscriminantTooLarge):
+        reduced_representatives(too_big)
+    assert reduced_representatives(-4 * (MAX_ABS_DISC // 4))

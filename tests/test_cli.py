@@ -1,4 +1,5 @@
 import json
+import time
 
 import jsonschema
 
@@ -90,6 +91,24 @@ def test_classgroup_minus_23():
 def test_classgroup_rejects_bad_disc():
     code, _ = run_cli(["classgroup", "--", "-5"])
     assert code == EXIT_INPUT
+
+
+def test_oversized_discriminant_refused_fast(capsys):
+    # |D| = 4000000004 (Gram 2 1 1 2000000002: |D| = 4000000003), beyond MAX_ABS_DISC
+    for argv in (
+        ["classgroup", "--", "-4000000004"],
+        ["classpoly", "--", "-4000000004"],
+        ["analyze", "2", "1", "1", "2000000002"],
+        ["orbit", "2", "1", "1", "2000000002"],
+        ["enumerate", "--max-disc", "4000000004"],
+    ):
+        start = time.perf_counter()
+        code, out = run_cli(argv)
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT and out == "", argv
+        assert elapsed < 0.25, (argv, elapsed)
+        assert err.count("\n") == 1 and "exceeds 1000000" in err, err
 
 
 def test_orbit_scaled():
