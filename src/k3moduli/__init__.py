@@ -33,7 +33,6 @@ from .k3 import (
 )
 from .moduli import (
     GaloisModel,
-    KElement,
     ModuliReport,
     class_polynomial,
     field_of_K_moduli,
@@ -78,7 +77,6 @@ __all__ = [
     "GaloisModel",
     "GenusPartition",
     "IdealLattice",
-    "KElement",
     "ModuliReport",
     "QuadForm",
     "QuadOrder",

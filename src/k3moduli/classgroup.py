@@ -158,6 +158,14 @@ def _genus_count(d: int) -> int:
     return 2 ** (mu - 1)
 
 
+def class_number_and_genera(d: int) -> tuple[int, int]:
+    """(h, number of genera) of C(d), read off the reduced forms without
+    building the group: the genera are the cosets of C^2, as many as the
+    ambiguous forms (|C/C^2| = |C[2]|)."""
+    reps = reduced_representatives(d)
+    return len(reps), _genus_check(d, reps)
+
+
 def _generators(
     classes: tuple[FormClass, ...], index: dict[FormClass, int], identity: int
 ) -> tuple[list[int], list[list[int]], list[int]]:
@@ -275,15 +283,18 @@ def _smith_diagonal(matrix: list[list[int]]) -> list[int]:
     return diagonal
 
 
-def _genus_check(d: int, classes: tuple[FormClass, ...], divisors: tuple[int, ...]) -> None:
-    ambiguous = sum(_is_ambiguous(cls.rep) for cls in classes)
-    two_rank = 2 ** sum(n % 2 == 0 for n in divisors)
+def _genus_check(d: int, reps: list[QuadForm], divisors: tuple[int, ...] | None = None) -> int:
+    """|C[2]|: the ambiguous reduced forms, which must number 2^(mu - 1) and,
+    when the invariant factors are given, 2^(number of even ones)."""
+    ambiguous = sum(map(_is_ambiguous, reps))
     genera = _genus_count(d)
+    two_rank = genera if divisors is None else 2 ** sum(n % 2 == 0 for n in divisors)
     if not ambiguous == two_rank == genera:
         raise K3ModuliError(
             f"C({d}) fails its genus check: {ambiguous} ambiguous forms, "
             f"2-rank gives {two_rank}, {genera} genera"
         )
+    return ambiguous
 
 
 @lru_cache(maxsize=None)
@@ -292,7 +303,8 @@ def class_group(d: int) -> ClassGroup:
 
     Refuses |d| > MAX_ABS_DISC with DiscriminantTooLarge.
     """
-    classes = tuple(FormClass(rep, d) for rep in reduced_representatives(d))
+    reps = reduced_representatives(d)
+    classes = tuple(FormClass(rep, d) for rep in reps)
     index = {cls: i for i, cls in enumerate(classes)}
     identity = index[qforms.principal_class(d)]
     orders, relations, members = _generators(classes, index, identity)
@@ -301,7 +313,7 @@ def class_group(d: int) -> ClassGroup:
         for k, (e, rel) in enumerate(zip(orders, relations))
     ]
     divisors = tuple(n for n in _smith_diagonal(matrix) if n > 1)
-    _genus_check(d, classes, divisors)
+    _genus_check(d, reps, divisors)
     return ClassGroup(d, classes, _cayley(members, orders, relations), divisors)
 
 

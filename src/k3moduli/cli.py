@@ -167,18 +167,17 @@ def _enumerate_rows(max_disc: int, max_h: int | None, primitive_only: bool) -> l
             d0 = d // (m * m)
             if d0 % 4 not in (0, 1):
                 continue
-            group = classgroup.class_group(d0)
-            if max_h is not None and group.h > max_h:
+            h, genera = classgroup.class_number_and_genera(d0)
+            if max_h is not None and h > max_h:
                 continue
-            partition = classgroup.genus_partition(group)
             rows.append(
                 {
                     "disc": d,
                     "m": m,
                     "disc0": d0,
-                    "h": group.h,
-                    "genus_count": len(partition.cosets),
-                    "genus_order": classgroup.genus_order(group),
+                    "h": h,
+                    "genus_count": genera,
+                    "genus_order": h // genera,
                 }
             )
     return rows
@@ -192,21 +191,17 @@ def _poly_text(coeffs) -> str:
     """Human form, highest degree first."""
     parts: list[str] = []
     for k in range(len(coeffs) - 1, -1, -1):
-        c = str(coeffs[k])
-        if c == "0":
+        c = int(coeffs[k])
+        if c == 0:
             continue
-        plain = c.lstrip("-").isdigit()
-        neg = plain and c.startswith("-")
-        mag = c.lstrip("-") if plain else f"({c})"
-        if k == 0:
-            term = mag
-        else:
+        term = str(abs(c))
+        if k:
             x = "x" if k == 1 else f"x^{k}"
-            term = x if mag == "1" else f"{mag}*{x}"
+            term = x if term == "1" else f"{term}*{x}"
         if not parts:
-            parts.append(f"-{term}" if neg else term)
+            parts.append(f"-{term}" if c < 0 else term)
         else:
-            parts.append(f"- {term}" if neg else f"+ {term}")
+            parts.append(f"- {term}" if c < 0 else f"+ {term}")
     return " ".join(parts) if parts else "0"
 
 

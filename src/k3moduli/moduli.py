@@ -1,11 +1,14 @@
 """Fields of moduli of singular K3 surfaces.
 
 Everything is driven by the class group C of disc0 (the primitive part's
-discriminant) and the ring class field H it cuts out: the field of K-moduli is
-the subfield of H fixed by the 2-torsion C[2], the absolute field of moduli is
-additionally fixed by complex conjugation.  Both have degree g (the genus
-order); explicit minimal polynomials are built from traces of j-values over
-the cosets of C[2], recognized exactly via certified rounding.
+discriminant) and the ring class field H it cuts out: the field of K-moduli M_K
+is the subfield of H fixed by the 2-torsion C[2], the absolute field of moduli
+M_Q is additionally fixed by complex conjugation.  Both are generated by the
+trace of j over C[2].  That trace is real, and complex conjugation only
+permutes its conjugates (the traces over the other cosets of C[2]), so
+[M_K : K] = [M_Q : Q] = g (the genus order) and the minimal polynomial of the
+generator over K lies in Z[x] and is the one over Q.  One integer polynomial,
+recognized exactly via certified rounding, serves both fields.
 
 Galois-ness of the absolute field is decided purely group-theoretically inside
 the semidirect product C x <complex conjugation>, never numerically.
@@ -31,32 +34,6 @@ Element = tuple[int, int]  # (class index, conjugation bit)
 
 def default_digits(h: int) -> int:
     return 30 + 10 * h
-
-
-@dataclass(frozen=True)
-class KElement:
-    """Algebraic integer (u2 + v2*sqrt(d_k)) / 2 in the maximal order of K."""
-
-    u2: int
-    v2: int
-    d_k: int
-
-    @property
-    def is_rational_integer(self) -> bool:
-        return self.v2 == 0 and self.u2 % 2 == 0
-
-    def __str__(self) -> str:
-        if self.v2 == 0:
-            return _half(self.u2)
-        root = f"{_half(abs(self.v2))}*sqrt({self.d_k})"
-        if self.u2 == 0:
-            return f"-{root}" if self.v2 < 0 else root
-        sign = "-" if self.v2 < 0 else "+"
-        return f"{_half(self.u2)} {sign} {root}"
-
-
-def _half(n: int) -> str:
-    return str(n // 2) if n % 2 == 0 else f"{n}/2"
 
 
 @dataclass(frozen=True)
@@ -102,15 +79,25 @@ class ModuliReport:
     d_k: int
     h: int
     g: int
-    degree_mk_over_k: int
-    degree_mq_over_q: int
     orbit: tuple[TranscLattice, ...]
     mq_is_galois: bool
     class_polynomial: tuple[int, ...]
-    mk_min_poly: tuple[KElement, ...]
     mq_min_poly: tuple[int, ...]
     precision_used: int
     warnings: tuple[str, ...]
+
+    @property
+    def degree_mk_over_k(self) -> int:
+        return self.g
+
+    @property
+    def degree_mq_over_q(self) -> int:
+        return self.g
+
+    @property
+    def mk_min_poly(self) -> tuple[int, ...]:
+        """The minimal polynomial of M_K over K: the one over Q (see the module docstring)."""
+        return self.mq_min_poly
 
 
 def _model(group: ClassGroup) -> GaloisModel:
@@ -131,7 +118,13 @@ def moduli_degree(lattice: TranscLattice) -> int:
 
 
 def mq_is_galois(lattice: TranscLattice) -> bool:
-    """Whether M_Q / Q is Galois: normality of <C[2], conjugation> in the model."""
+    """Whether M_Q / Q is Galois: normality of <C[2], conjugation> in the model.
+
+    Conjugating complex conjugation by a class x gives (x^2, conjugation), so
+    the subgroup is normal exactly when every square lies in C[2], that is,
+    when every invariant factor of C divides 4.  The model decides it by brute
+    force.
+    """
     model = galois_model(lattice)
     return model.is_normal(model.subgroup_mq)
 
@@ -196,47 +189,25 @@ def _separated_roots(
     raise ResolventDegenerate("all resolvents collide across the 2-torsion cosets")
 
 
-def _int_tol(digits: int) -> str:
-    return f"1e-{max(digits // 4, 1)}"
-
-
 def _recognize_int_poly(coeffs: list[BigComplex], digits: int) -> tuple[int, ...]:
-    tol = _int_tol(digits)
+    tol = f"1e-{max(digits // 4, 1)}"
     return tuple(recognize_integer(c, tol) for c in coeffs)
-
-
-def _recognize_k_poly(
-    coeffs: list[BigComplex], digits: int, d_k: int
-) -> tuple[KElement, ...]:
-    """Write each coefficient as (u2 + v2*sqrt(d_k))/2 with integer u2, v2."""
-    ctx = working_context(digits + 10)
-    sqrt_abs = ctx.sqrt(-d_k)
-    tol = _int_tol(digits)
-    out = []
-    for c in coeffs:
-        u2 = BigComplex(2 * ctx.mpf(c.re), ctx.mpf(0), digits)
-        v2 = BigComplex(2 * ctx.mpf(c.im) / sqrt_abs, ctx.mpf(0), digits)
-        out.append(KElement(recognize_integer(u2, tol), recognize_integer(v2, tol), d_k))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
 class _Polynomials:
     class_poly: tuple[int, ...]
-    mk: tuple[KElement, ...]
     mq: tuple[int, ...]
     digits: int
     warnings: tuple[str, ...]
 
 
-def _attempt_polynomials(group: ClassGroup, d_k: int, digits: int) -> _Polynomials:
+def _attempt_polynomials(group: ClassGroup, digits: int) -> _Polynomials:
     js = _j_values(group, digits)
     class_poly = _recognize_int_poly(poly_from_roots(js), digits)
     roots, warnings = _separated_roots(js, _torsion_cosets(group), digits)
-    field_coeffs = poly_from_roots(roots)
-    mk = _recognize_k_poly(field_coeffs, digits, d_k)
-    mq = _recognize_int_poly(field_coeffs, digits)
-    return _Polynomials(class_poly, mk, mq, digits, warnings)
+    mq = _recognize_int_poly(poly_from_roots(roots), digits)
+    return _Polynomials(class_poly, mq, digits, warnings)
 
 
 def _escalate(group: ClassGroup, digits: int | None, attempt):
@@ -272,56 +243,37 @@ def class_polynomial_with_precision(
     return _escalate(group, digits, attempt)
 
 
-def field_of_K_moduli(
-    lattice: TranscLattice, digits: int | None = None
-) -> tuple[KElement, ...]:
-    """Degree-g minimal polynomial of M_K over K, coefficients in the maximal
-    order of K (here always rational: the coset-trace multiset is closed under
-    conjugation)."""
-    group = classgroup.class_group(lattice.disc0)
-    d_k = orders.order_of_disc(lattice.disc0).d_k
+def field_of_K_moduli(lattice: TranscLattice, digits: int | None = None) -> tuple[int, ...]:
+    """Degree-g minimal polynomial of the coset-trace generator of M_K over K.
 
-    def attempt(dg):
-        js = _j_values(group, dg)
-        roots, _ = _separated_roots(js, _torsion_cosets(group), dg)
-        return _recognize_k_poly(poly_from_roots(roots), dg, d_k)
-
-    return _escalate(group, digits, attempt)
+    The generator is real and complex conjugation permutes its conjugates, so
+    this polynomial has integer coefficients and is field_of_Q_moduli's.
+    """
+    return field_of_Q_moduli(lattice, digits)
 
 
 def field_of_Q_moduli(lattice: TranscLattice, digits: int | None = None) -> tuple[int, ...]:
     """Degree-g integer polynomial whose root field is the absolute field of
     moduli."""
     group = classgroup.class_group(lattice.disc0)
-
-    def attempt(dg):
-        js = _j_values(group, dg)
-        roots, _ = _separated_roots(js, _torsion_cosets(group), dg)
-        return _recognize_int_poly(poly_from_roots(roots), dg)
-
-    return _escalate(group, digits, attempt)
+    return _escalate(group, digits, lambda dg: _attempt_polynomials(group, dg)).mq
 
 
 def moduli_report(lattice: TranscLattice, digits: int | None = None) -> ModuliReport:
     """Assemble degrees, orbit, Galois data and all minimal polynomials."""
     group = classgroup.class_group(lattice.disc0)
-    d_k = orders.order_of_disc(lattice.disc0).d_k
-    polys = _escalate(group, digits, lambda dg: _attempt_polynomials(group, d_k, dg))
-    g = classgroup.genus_order(group)
+    polys = _escalate(group, digits, lambda dg: _attempt_polynomials(group, dg))
     model = _model(group)
     report = ModuliReport(
         disc=lattice.disc,
         disc0=lattice.disc0,
         m=lattice.m,
-        d_k=d_k,
+        d_k=orders.order_of_disc(lattice.disc0).d_k,
         h=group.h,
-        g=g,
-        degree_mk_over_k=g,
-        degree_mq_over_q=g,
+        g=classgroup.genus_order(group),
         orbit=k3.galois_orbit(lattice),
         mq_is_galois=model.is_normal(model.subgroup_mq),
         class_polynomial=polys.class_poly,
-        mk_min_poly=polys.mk,
         mq_min_poly=polys.mq,
         precision_used=polys.digits,
         warnings=polys.warnings,
@@ -334,9 +286,7 @@ def _check_report(report: ModuliReport, group: ClassGroup) -> None:
     # consistency guaranteed by the theory; re-checked before emission
     g, h, cp, mq = report.g, report.h, report.class_polynomial, report.mq_min_poly
     checks = {
-        "degrees": report.degree_mk_over_k == report.degree_mq_over_q == g,
         "class polynomial": len(cp) == h + 1 and cp[-1] == 1,
-        "M_K polynomial": len(report.mk_min_poly) == g + 1,
         "M_Q polynomial": len(mq) == g + 1 and mq[-1] == 1,
         "orbit": len(report.orbit) == g,
         "elementary divisors": prod(group.elementary_divisors) == h,

@@ -266,6 +266,16 @@ def test_genus_check_raises_on_disagreement(monkeypatch):
     for d in (-23, -84, -3299):
         with pytest.raises(K3ModuliError, match="genus check"):
             class_group.__wrapped__(d)
+        with pytest.raises(K3ModuliError, match="genus check"):
+            classgroup.class_number_and_genera(d)
+
+
+def test_class_number_and_genera_match_the_group():
+    for d in valid_discs(1000):
+        group = class_group(d)
+        genera = len(genus_partition(group).cosets)
+        assert classgroup.class_number_and_genera(d) == (group.h, genera), d
+        assert group.h // genera == genus_order(group)
 
 
 def test_oversized_discriminant_refused():

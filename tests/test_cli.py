@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -197,3 +198,16 @@ def test_explicit_digits_flag():
     env = run_json(["analyze", "2", "1", "1", "12", "--digits", "80"])
     assert env["result"]["precision_used"] == 80
     assert env["input"]["digits"] == 80
+
+
+def test_analyze_json_bytes_are_frozen():
+    # sha256 of the full stdout; h = 3, 3 (m = 2) and 8 (D0 = -95)
+    digests = {
+        "2 1 1 12": "a957657d3d4354069477c920500bdacb40990875de880b843ebc0e8cf81313a1",
+        "4 1 1 6": "abdc06961715d7f2c638027fae753017936a2a3f46e14ce39142be2debcc4b68",
+        "2 1 1 48": "4621bcf1bcb366bfe5836b8f87eafa29de0600efcece7997886c172ecab54212",
+    }
+    for gram, digest in digests.items():
+        code, out = run_cli(["analyze", "--format", "json", *gram.split()])
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, gram

@@ -8,7 +8,6 @@ from mpmath.ctx_mp import MPContext
 from k3moduli import classgroup, moduli
 from k3moduli.k3 import from_gram, lattice_from_class, scale
 from k3moduli.moduli import (
-    KElement,
     class_polynomial,
     default_digits,
     field_of_K_moduli,
@@ -161,11 +160,9 @@ except K3ModuliError as exc:
 
 
 def test_field_polynomials_minus_23():
-    mk = field_of_K_moduli(LATTICE_23)
-    assert [str(c) for c in mk] == [str(c) for c in H23]
-    assert all(c.is_rational_integer for c in mk)
     mq = field_of_Q_moduli(LATTICE_23)
     assert mq == H23
+    assert field_of_K_moduli(LATTICE_23) == mq
     # irreducible over Q: a rational root of a monic integer cubic would be an
     # integer, necessarily the single real root (cubic discriminant < 0);
     # bracket that root exactly and see that it falls strictly between
@@ -191,16 +188,13 @@ def _poly_eval(coeffs, x):
 
 def test_field_polynomials_minus_4():
     assert field_of_Q_moduli(LATTICE_4) == (-1728, 1)
-    mk = field_of_K_moduli(LATTICE_4)
-    assert len(mk) == 2 and str(mk[1]) == "1"
+    assert field_of_K_moduli(LATTICE_4) == (-1728, 1)
 
 
 def test_field_polynomials_minus_56():
     mq = field_of_Q_moduli(LATTICE_56)
     assert len(mq) == 3 and mq[-1] == 1
-    mk = field_of_K_moduli(LATTICE_56)
-    assert all(c.is_rational_integer for c in mk)
-    assert [int(c.u2 / 2) for c in mk] == list(mq)
+    assert field_of_K_moduli(LATTICE_56) == mq
     # roots are the two-torsion coset traces; their sum is the full trace
     assert mq[1] == H56_TRACE
 
@@ -273,14 +267,28 @@ def test_low_digits_give_the_right_polynomial():
         assert class_polynomial(d, digits) == class_polynomial(d), (d, digits)
 
 
-def test_kelement_str():
-    assert str(KElement(4, 0, -23)) == "2"
-    assert str(KElement(3, 0, -23)) == "3/2"
-    assert str(KElement(0, 2, -23)) == "1*sqrt(-23)"
-    assert str(KElement(-4, -3, -23)) == "-2 - 3/2*sqrt(-23)"
-    assert str(KElement(0, -2, -23)) == "-1*sqrt(-23)"
-    assert KElement(4, 0, -23).is_rational_integer
-    assert not KElement(3, 0, -23).is_rational_integer
+def test_minus_2083_settles_at_default_digits():
+    # h = 7: the first attempt runs at 100 digits, where the class and the
+    # field polynomial are both recognized
+    lattice = from_gram(((2, 1), (1, 1042)))
+    report = moduli_report(lattice)
+    assert (report.disc0, report.h, report.precision_used) == (-2083, 7, 100)
+    assert report.class_polynomial == class_polynomial(-2083, 200)
+    assert report.mq_min_poly == field_of_Q_moduli(lattice, 200)
+    assert report.mk_min_poly == report.mq_min_poly
+
+
+def test_mq_galois_exactly_when_invariant_factors_divide_4():
+    # conjugating complex conjugation by x gives (x^2, conjugation), so
+    # <C[2], conjugation> is normal iff C^2 lies in C[2]
+    galois = 0
+    for d in valid_discs(1500):
+        group = classgroup.class_group(d)
+        model = moduli._model(group)
+        expected = all(4 % n == 0 for n in group.elementary_divisors)
+        assert model.is_normal(model.subgroup_mq) == expected, d
+        galois += expected
+    assert 0 < galois < len(valid_discs(1500))
 
 
 def test_coefficient_stability_small_sweep():

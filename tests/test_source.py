@@ -1,11 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import k3moduli
 
 SOURCES = sorted(Path(k3moduli.__file__).parent.glob("*.py"))
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def test_no_assert_statements():
@@ -18,3 +20,19 @@ def test_no_assert_statements():
     ]
     assert len(SOURCES) >= 8
     assert found == []
+
+
+def test_traced_names_resolve():
+    # the benchmark tracer replaces these attributes by name; a rename would
+    # break only the traced benchmark run, which this suite does not collect
+    tree = ast.parse(SPANS.read_text(), str(SPANS))
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]
+    )
+    sites = [site for pairs in traced.values() for site in pairs]
+    assert len(sites) >= 18
+    for owner, attr in sites:
+        holder = getattr(k3moduli, owner, None) or importlib.import_module(f"k3moduli.{owner}")
+        assert callable(getattr(holder, attr, None)), (owner, attr)
