@@ -76,17 +76,6 @@ class ClassGroup:
     def inverse_index(self, i: int) -> int:
         return self._inverses[i]
 
-    def power_index(self, i: int, n: int) -> int:
-        if n < 0:
-            return self.power_index(self.inverse_index(i), -n)
-        acc = self.principal_index
-        while n:
-            if n & 1:
-                acc = self.cayley[acc][i]
-            i = self.cayley[i][i]
-            n >>= 1
-        return acc
-
     def order_of(self, i: int) -> int:
         e = self.principal_index
         n, j = 1, i

@@ -24,8 +24,8 @@ from .classgroup import ClassGroup
 from .errors import InputError, K3ModuliError, NotNearInteger, PrecisionExhausted
 from .errors import ResolventDegenerate
 from .k3 import TranscLattice
-from .numerics import BigComplex, CMPoint, j_invariant, poly_from_roots, recognize_integer
-from .numerics import conjugate, working_context
+from .numerics import BigComplex, CMPoint, _mul, _sqr, conjugate, j_invariant
+from .numerics import poly_from_roots, recognize_integer
 
 MAX_DOUBLINGS = 8
 
@@ -157,12 +157,15 @@ def _torsion_cosets(group: ClassGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(cosets)
 
 
-def _resolvent_ladder():
-    yield "trace", lambda z: z
-    yield "square sum", lambda z: z * z
-    yield "cube sum", lambda z: z * z * z
+def _resolvent_ladder(one: int):
+    """(name, power, f): f maps z at scale 2^-bits, with one = 2^bits, to its
+    resolvent at scale 2^-(power * bits) without rounding, so conjugates map
+    to exact conjugates."""
+    yield "trace", 1, lambda z: z
+    yield "square sum", 2, lambda z: _sqr(z, 0)
+    yield "cube sum", 3, lambda z: _mul(_sqr(z, 0), z, 0)
     for k in range(1, 7):
-        yield f"shift-{k} square sum", lambda z, k=k: (z + k) * (z + k)
+        yield f"shift-{k} square sum", 2, lambda z, k=k: _sqr((z[0] + k * one, z[1]), 0)
 
 
 def _separated_roots(
@@ -171,21 +174,30 @@ def _separated_roots(
     """Coset invariants distinct at the 10^-(digits/2) threshold.
 
     Starts from plain traces; on collision walks the resolvent ladder and
-    flags the fallback in the returned warnings.
+    flags the fallback in the returned warnings.  Exact integer sums: a
+    conjugate coset gives the exact conjugate, a self-conjugate one an
+    exactly real value.
     """
-    ctx = working_context(digits + 10)
-    threshold = ctx.mpf(10) ** -(digits // 2)
-    values = [ctx.mpc(j.re, j.im) for j in js]
-    for name, fn in _resolvent_ladder():
-        roots = [sum(fn(values[i]) for i in coset) for coset in cosets]
+    bits = max(j.bits for j in js)
+    values = [(j.re << bits - j.bits, j.im << bits - j.bits) for j in js]
+    tens = 100 ** (digits // 2)
+    for name, power, fn in _resolvent_ladder(1 << bits):
+        resolved = [fn(v) for v in values]
+        roots = [
+            (sum(resolved[i][0] for i in coset), sum(resolved[i][1] for i in coset))
+            for coset in cosets
+        ]
+        # |x - y| >= 10^-(digits // 2) for roots x, y at scale 2^-scale, squared
+        scale = power * bits
+        limit = 1 << 2 * scale
         separated = all(
-            abs(roots[i] - roots[j]) >= threshold
-            for i in range(len(roots))
-            for j in range(i + 1, len(roots))
+            ((xr - yr) ** 2 + (xi - yi) ** 2) * tens >= limit
+            for i, (xr, xi) in enumerate(roots)
+            for yr, yi in roots[i + 1 :]
         )
         if separated:
             warnings = () if name == "trace" else (f"resolvent fallback used: {name}",)
-            return [BigComplex(r.real, r.imag, digits) for r in roots], warnings
+            return [BigComplex(re, im, scale, digits) for re, im in roots], warnings
     raise ResolventDegenerate("all resolvents collide across the 2-torsion cosets")
 
 

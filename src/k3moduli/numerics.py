@@ -4,25 +4,28 @@ j is evaluated through the eta quotient h = q * (E(q^2) / E(q))^24, with
 E(q) = prod(1 - q^n) and q = exp(2*pi*i*tau), as j = (1 + 256h)^3 / h.  Both
 Euler products are summed by the pentagonal number theorem, so a truncation
 order N costs O(sqrt N) terms; the tail beyond N is certified below the
-working precision.  The arithmetic is fixed point on Python integers.
+working precision.
 
-mpmath objects are made in one context per thread (`working_context`).  Its
-precision is reset by each consumer, so every consumer converts its inputs
-into the context on entry instead of computing on values it was handed.
+One number format carries every value from j to recognition: `BigComplex`,
+the exact fixed-point value (re + i*im) * 2^-bits on Python integers.  Only
+the three constants of q (pi*sqrt|disc|/a, its exp, and cos/sin of pi*b/a)
+come from mpmath, through its context-free `libmp` functions; there is no
+mpmath context and no state shared between calls or threads.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from math import ceil, exp, expm1, log, pi, sqrt
 
-from mpmath.ctx_mp import MPContext
-from mpmath.libmp import from_man_exp, from_str, mpf_neg, round_down, to_fixed, to_rational
+from mpmath.libmp import dps_to_prec, from_int, mpf_cos_sin_pi, mpf_div, mpf_exp, mpf_mul
+from mpmath.libmp import mpf_pi, mpf_sqrt, round_nearest, to_fixed
 
-from .errors import NotNearInteger, NotPositiveDefinite, PrecisionUnsupported
+from .errors import InputError, K3ModuliError, NotNearInteger, NotPositiveDefinite
+from .errors import PrecisionUnsupported
 
 DEFAULT_SERIES_CAP = 10000
 LOG2_10 = log(10, 2)
@@ -34,8 +37,6 @@ _GUARD_BITS = 64
 # extra bits per unit of s = |q| / (1 - |q|)^2: |log E(q)| and |log(E(q^2)/E(q))|
 # are at most s, and the error bound grows like exp(145 s)
 _SPREAD_BITS = 210
-
-_LOCAL = threading.local()
 
 
 @dataclass(frozen=True)
@@ -49,35 +50,36 @@ class CMPoint:
 
 @dataclass(frozen=True)
 class BigComplex:
-    """Complex value carried at >= digits decimal digits of working precision."""
+    """(re + i*im) * 2^-bits exactly, carried at >= digits decimal digits of
+    working precision."""
 
-    re: object
-    im: object
+    re: int
+    im: int
+    bits: int
     digits: int
-
-
-def working_context(dps: int) -> MPContext:
-    """This thread's mpmath context, set to dps digits; threads stay independent."""
-    ctx = getattr(_LOCAL, "ctx", None)
-    if ctx is None:
-        ctx = _LOCAL.ctx = MPContext()
-    ctx.dps = dps
-    return ctx
-
-
-def _big_complex(ctx: MPContext, re: int, im: int, bits: int, digits: int) -> BigComplex:
-    """BigComplex holding (re + i*im) * 2^-bits exactly."""
-    return BigComplex(*(ctx.make_mpf(from_man_exp(v, -bits)) for v in (re, im)), digits)
 
 
 def conjugate(z: BigComplex) -> BigComplex:
     """Exact complex conjugate."""
-    return BigComplex(z.re, z.im.context.make_mpf(mpf_neg(z.im._mpf_)), z.digits)
+    return BigComplex(z.re, -z.im, z.bits, z.digits)
 
 
 def series_cap() -> int:
     value = os.environ.get("K3MODULI_SERIES_CAP")
-    return int(value) if value else DEFAULT_SERIES_CAP
+    if not value:
+        return DEFAULT_SERIES_CAP
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap <= 0:
+        raise InputError(f"K3MODULI_SERIES_CAP must be a positive integer, got {value!r}")
+    return cap
+
+
+def _shift(v: int, by: int) -> int:
+    """v * 2^by, rounded down."""
+    return v << by if by >= 0 else v >> -by
 
 
 def _mul(x, y, bits):
@@ -140,11 +142,14 @@ def j_invariant(point: CMPoint, digits: int) -> BigComplex:
         raise PrecisionUnsupported(
             f"{order} series terms needed, cap is {cap} (K3MODULI_SERIES_CAP)"
         )
-    ctx = working_context(ceil((bits + magnitude) / LOG2_10) + 10)
-    grow = ctx.exp(ctx.pi * ctx.sqrt(-disc) / a)  # |q|^-1
-    turn = ctx.expjpi(ctx.mpf(-b) / a)  # q / |q|
-    q = (turn.real / grow).to_fixed(bits), (turn.imag / grow).to_fixed(bits)
-    q_inv = (turn.real * grow).to_fixed(bits), -(turn.imag * grow).to_fixed(bits)
+    # the constants of q, each step rounded to nearest at the same precision
+    prec, near = dps_to_prec(ceil((bits + magnitude) / LOG2_10) + 10), round_nearest
+    root = mpf_mul(mpf_pi(prec, near), mpf_sqrt(from_int(-disc), prec, near), prec, near)
+    grow = mpf_exp(mpf_div(root, from_int(a), prec, near), prec, near)  # |q|^-1
+    turn = mpf_cos_sin_pi(mpf_div(from_int(-b), from_int(a), prec, near), prec, near)  # q / |q|
+    q = tuple(to_fixed(mpf_div(t, grow, prec, near), bits) for t in turn)
+    cos_grow, sin_grow = (to_fixed(mpf_mul(t, grow, prec, near), bits) for t in turn)
+    q_inv = cos_grow, -sin_grow
     ratio = _div(_euler(_sqr(q, bits), order // 2, bits), _euler(q, order, bits), bits)
     r8 = _sqr(_sqr(_sqr(ratio, bits), bits), bits)
     w = _mul(_sqr(r8, bits), r8, bits)  # (E(q^2)/E(q))^24 = h/q
@@ -153,21 +158,20 @@ def j_invariant(point: CMPoint, digits: int) -> BigComplex:
     re, im = _div(_mul(_mul(_sqr(t, bits), t, bits), q_inv, bits), w, bits)
     if b * b - disc == 4 * a * a:
         im = 0
-    return _big_complex(ctx, re, -im if point.b < 0 else im, bits, digits)
+    return BigComplex(re, -im if point.b < 0 else im, bits, digits)
 
 
 def recognize_integer(z: BigComplex, tol) -> int:
     """Nearest integer when |Re z - round(Re z)|, |Im z| and |Re z| / 10^(digits + 15)
     are below tol: the last condition refuses a value that leaves tol no room
-    in its working precision.  Exact on z; tol is read as a decimal, rounded down.
+    in its working precision.  Exact on z and on tol, which is read as a decimal.
     """
-    tol_p, tol_q = to_rational(from_str(str(tol), 64, round_down))
-    re_p, re_q = to_rational(z.re._mpf_)
-    im_p, im_q = to_rational(z.im._mpf_)
-    nearest = (2 * re_p + re_q) // (2 * re_q)
-    scaled = re_q * 10 ** (z.digits + _GUARD_DIGITS)
-    checks = ((re_p - nearest * re_q, re_q), (im_p, im_q), (re_p, scaled))  # (p, q): |p/q| < tol
-    if all(abs(p) * tol_q < tol_p * q for p, q in checks):
+    tol = Fraction(str(tol))
+    nearest = (2 * z.re + (1 << z.bits)) >> (z.bits + 1)
+    bound = tol.numerator << z.bits
+    # |p| / (q * 2^bits) < tol
+    checks = ((z.re - (nearest << z.bits), 1), (z.im, 1), (z.re, 10 ** (z.digits + _GUARD_DIGITS)))
+    if all(abs(p) * tol.denominator < bound * q for p, q in checks):
         return nearest
     raise NotNearInteger(f"value is not within {tol} of an integer")
 
@@ -175,28 +179,30 @@ def recognize_integer(z: BigComplex, tol) -> int:
 def poly_from_roots(roots: list[BigComplex]) -> list[BigComplex]:
     """Coefficients of the monic prod (x - r), lowest degree first.
 
-    A root and its exact conjugate enter as one real quadratic
-    x^2 - 2 Re(z) x + |z|^2, a real root as a real linear factor, any other
-    root as a complex linear factor.  Fixed point: the absolute error grows by
-    at most the factor (1 + |r|) per root, which the precision covers.
+    A real root enters as a real linear factor, a root and its exact
+    conjugate (same bits) as one real quadratic x^2 - 2 Re(z) x + |z|^2.  A
+    complex root without its conjugate raises K3ModuliError: the product
+    would not be real.  Fixed point: the absolute error grows by at most the
+    factor (1 + |r|) per root, which the precision covers.
     """
     digits = max((r.digits for r in roots), default=15)
-    raw = [(r.re._mpf_, r.im._mpf_) for r in roots]
-    # bounds log2(1 + |r|) by the binary exponents
-    growth = sum(max(0, re[2] + re[3], im[2] + im[3]) + 2 for re, im in raw)
+    # bounds log2(1 + |r|) by the bit lengths
+    growth = sum(max(0, r.re.bit_length() - r.bits, r.im.bit_length() - r.bits) + 2 for r in roots)
     bits = ceil((digits + _GUARD_DIGITS) * LOG2_10) + growth + len(roots).bit_length()
     factors = []
     waiting = Counter()  # roots still without their conjugate
-    for re, im in raw:
-        partner = (re, mpf_neg(im))
-        if not im[1]:
-            factors.append([-to_fixed(re, bits)])
-        elif waiting[partner]:
-            waiting[partner] -= 1
-            zr, zi = to_fixed(re, bits), to_fixed(im, bits)
+    for r in roots:
+        zr = _shift(r.re, bits - r.bits)
+        if not r.im:
+            factors.append([-zr])
+        elif waiting[r.re, -r.im, r.bits]:
+            waiting[r.re, -r.im, r.bits] -= 1
+            zi = _shift(r.im, bits - r.bits)
             factors.append([(zr * zr + zi * zi) >> bits, -2 * zr])
         else:
-            waiting[re, im] += 1
+            waiting[r.re, r.im, r.bits] += 1
+    if any(waiting.values()):
+        raise K3ModuliError("a complex root has no exact conjugate: the product is not real")
     coeffs = [1 << bits]
     for low in factors:  # coeffs * (x^len(low) + ... + low[0])
         out = [0] * len(low) + coeffs
@@ -204,13 +210,4 @@ def poly_from_roots(roots: list[BigComplex]) -> list[BigComplex]:
             for k, c in enumerate(coeffs):
                 out[k + i] += f * c >> bits
         coeffs = out
-    imag = [0] * len(coeffs)
-    for re, im in waiting.elements():  # (coeffs + i*imag) * (x - z)
-        zr, zi = to_fixed(re, bits), to_fixed(im, bits)
-        coeffs, imag = [0] + coeffs, [0] + imag
-        for k in range(len(coeffs) - 1):
-            cr, ci = coeffs[k + 1], imag[k + 1]
-            coeffs[k] -= (zr * cr - zi * ci) >> bits
-            imag[k] -= (zr * ci + zi * cr) >> bits
-    ctx = working_context(digits)
-    return [_big_complex(ctx, c, i, bits, digits) for c, i in zip(coeffs, imag)]
+    return [BigComplex(c, 0, bits, digits) for c in coeffs]

@@ -126,10 +126,19 @@ def test_classpoly_json():
     assert env["result"]["degree"] == 1
 
 
-def test_classpoly_series_cap(monkeypatch):
+def test_classpoly_series_cap(monkeypatch, capsys):
     monkeypatch.setenv("K3MODULI_SERIES_CAP", "2")
     code, _ = run_cli(["classpoly", "--", "-23"])
     assert code == EXIT_PRECISION
+    capsys.readouterr()
+    # a cap that is not a positive integer is refused in one line
+    for value in ("abc", "1.5", "0", "-5"):
+        monkeypatch.setenv("K3MODULI_SERIES_CAP", value)
+        for argv in (["classpoly", "--", "-23"], ["analyze", "2", "1", "1", "12"]):
+            code, out = run_cli(argv)
+            err = capsys.readouterr().err
+            assert code == EXIT_INPUT and out == ""
+            assert err.count("\n") == 1 and "K3MODULI_SERIES_CAP" in err, err
 
 
 def test_nonpositive_digits_rejected(capsys):

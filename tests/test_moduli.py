@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,11 +18,11 @@ from k3moduli.moduli import (
     moduli_report,
     mq_is_galois,
 )
-from k3moduli.errors import InputError
-from k3moduli.numerics import CMPoint, conjugate, j_invariant
+from k3moduli.errors import InputError, ResolventDegenerate
+from k3moduli.numerics import BigComplex, CMPoint, conjugate, j_invariant
 from k3moduli.qforms import form_class
 
-from conftest import valid_discs
+from conftest import as_mpc, valid_discs
 
 LATTICE_23 = from_gram(((2, 1), (1, 12)))
 LATTICE_4 = from_gram(((2, 0), (0, 2)))
@@ -107,7 +108,7 @@ def test_real_roots_exactly_at_ambiguous_classes():
             rep = cls.rep
             value = j_invariant(CMPoint(rep.a, rep.b, d), 60)
             ambiguous = rep.b == 0 or rep.a == rep.b or rep.a == rep.c
-            assert (abs(ctx.mpf(value.im)) < ctx.mpf("1e-50")) == ambiguous
+            assert (abs(as_mpc(ctx, value).imag) < ctx.mpf("1e-50")) == ambiguous
 
 
 def test_j_values_conjugate_pairs_exactly():
@@ -308,14 +309,29 @@ def test_model_index_bookkeeping_sweep():
 
 
 def test_field_roots_closed_under_conjugation():
-    # the coset-trace root multiset is conjugation-closed, so both field
-    # polynomials have real (here integer) coefficients
-    ctx = MPContext()
-    ctx.dps = 80
+    # the coset-trace root multiset equals its conjugate bit for bit, so both
+    # field polynomials have real (here integer) coefficients and
+    # poly_from_roots pairs every complex root
     for d in (-23, -56, -84, -119):
         group = classgroup.class_group(d)
         js = moduli._j_values(group, 60)
         roots, _ = moduli._separated_roots(js, moduli._torsion_cosets(group), 60)
-        values = [ctx.mpc(r.re, r.im) for r in roots]
-        for v in values:
-            assert any(abs(v.conjugate() - w) < ctx.mpf("1e-40") * (1 + abs(w)) for w in values)
+        assert Counter(roots) == Counter(conjugate(r) for r in roots)
+
+
+def _reals(*values: int) -> list[BigComplex]:
+    return [BigComplex(v << 80, 0, 80, 30) for v in values]
+
+
+def test_resolvent_ladder_falls_back_to_square_sum():
+    # traces 1 + 4 = 2 + 3 collide, square sums 17 and 13 do not
+    roots, warnings = moduli._separated_roots(_reals(1, 4, 2, 3), ((0, 1), (2, 3)), 30)
+    assert warnings == ("resolvent fallback used: square sum",)
+    assert [(r.re, r.im) for r in roots] == [(17 << 160, 0), (13 << 160, 0)]
+    assert all(r.bits == 160 for r in roots)
+
+
+def test_resolvent_ladder_degenerate_when_every_rung_collides():
+    # equal multisets on both cosets: every symmetric resolvent collides
+    with pytest.raises(ResolventDegenerate):
+        moduli._separated_roots(_reals(1, 4, 4, 1), ((0, 1), (2, 3)), 30)

@@ -7,7 +7,8 @@ from mpmath.ctx_mp import MPContext
 
 from k3moduli import moduli, numerics
 from k3moduli.classgroup import class_group
-from k3moduli.errors import NotNearInteger, NotPositiveDefinite, PrecisionUnsupported
+from k3moduli.errors import InputError, K3ModuliError, NotNearInteger, NotPositiveDefinite
+from k3moduli.errors import PrecisionUnsupported
 from k3moduli.numerics import (
     BigComplex,
     CMPoint,
@@ -16,11 +17,7 @@ from k3moduli.numerics import (
     recognize_integer,
 )
 
-from conftest import valid_discs
-
-
-def as_mpc(ctx, z):
-    return ctx.mpc(z.re, z.im)
+from conftest import as_mpc, from_mpc, valid_discs
 
 
 def test_j_at_i_is_1728():
@@ -71,12 +68,12 @@ def test_j_rejects_lower_half_plane():
 def test_recognize_integer_examples():
     ctx = MPContext()
     ctx.dps = 60
-    near = BigComplex(ctx.mpf("1727.9999999999999999999999") , ctx.mpf("1e-50"), 40)
+    near = from_mpc(ctx, ctx.mpc("1727.9999999999999999999999", "1e-50"), 40)
     assert recognize_integer(near, "1e-20") == 1728
-    half = BigComplex(ctx.mpf("0.5"), ctx.mpf(0), 40)
+    half = from_mpc(ctx, ctx.mpf("0.5"), 40)
     with pytest.raises(NotNearInteger):
         recognize_integer(half, "1e-20")
-    imag = BigComplex(ctx.mpf(3), ctx.mpf("0.25"), 40)
+    imag = from_mpc(ctx, ctx.mpc(3, "0.25"), 40)
     with pytest.raises(NotNearInteger):
         recognize_integer(imag, "1e-20")
 
@@ -91,36 +88,41 @@ def test_trace_of_minus_23_roots_is_integer():
             for c in group.classes
         ]
         total = sum(js, ctx.mpc(0))
-        trace = recognize_integer(BigComplex(total.real, total.imag, digits), "1e-20")
+        trace = recognize_integer(from_mpc(ctx, total, digits), "1e-20")
         assert trace == -3491750  # frozen from the doubled-precision run
 
 
 def test_poly_from_roots_single():
     ctx = MPContext()
     ctx.dps = 30
-    coeffs = poly_from_roots([BigComplex(ctx.mpf(1728), ctx.mpf(0), 25)])
+    coeffs = poly_from_roots([from_mpc(ctx, ctx.mpf(1728), 25)])
     assert [recognize_integer(c, "1e-10") for c in coeffs] == [-1728, 1]
 
 
 def test_poly_from_roots_conjugate_pair_real():
     ctx = MPContext()
     ctx.dps = 40
-    r = BigComplex(ctx.mpf("2.5"), ctx.mpf("3.25"), 30)
-    rbar = BigComplex(ctx.mpf("2.5"), ctx.mpf("-3.25"), 30)
+    r = from_mpc(ctx, ctx.mpc("2.5", "3.25"), 30)
+    rbar = from_mpc(ctx, ctx.mpc("2.5", "-3.25"), 30)
     coeffs = poly_from_roots([r, rbar])
     for c in coeffs:
-        assert abs(ctx.mpf(c.im)) < ctx.mpf(10) ** -25
+        assert abs(as_mpc(ctx, c).imag) < ctx.mpf(10) ** -25
 
 
-def test_poly_from_roots_unpaired_complex():
-    # (x - (1 + 2i)) (x - (3 - i)) = x^2 - (4 + i) x + (5 + 5i): no exact
-    # conjugate partners, so both enter as complex linear factors
-    ctx = MPContext()
-    ctx.dps = 40
-    roots = [BigComplex(ctx.mpf(1), ctx.mpf(2), 30), BigComplex(ctx.mpf(3), ctx.mpf(-1), 30)]
-    coeffs = [as_mpc(ctx, c) for c in poly_from_roots(roots)]
-    for got, want in zip(coeffs, [ctx.mpc(5, 5), ctx.mpc(-4, -1), ctx.mpc(1)]):
-        assert abs(got - want) < ctx.mpf(10) ** -25
+def test_poly_from_roots_refuses_unpaired_complex():
+    # (x - (1 + 2i)) (x - (3 - i)) is not real, and neither is a product with
+    # a conjugate that is off in the last bit
+    one_plus_2i = BigComplex(1 << 100, 2 << 100, 100, 30)
+    for partner in (
+        BigComplex(3 << 100, -1 << 100, 100, 30),
+        BigComplex(1 << 100, (-2 << 100) + 1, 100, 30),
+    ):
+        with pytest.raises(K3ModuliError, match="no exact conjugate"):
+            poly_from_roots([one_plus_2i, partner])
+    with pytest.raises(K3ModuliError, match="no exact conjugate"):
+        poly_from_roots([BigComplex(5, 0, 0, 30), one_plus_2i])
+    exact = poly_from_roots([one_plus_2i, numerics.conjugate(one_plus_2i)])
+    assert [recognize_integer(c, "1e-20") for c in exact] == [5, -2, 1]
 
 
 def test_class_cubic_stable_across_precision():
@@ -167,6 +169,10 @@ def test_series_cap_env(monkeypatch):
         j_invariant(CMPoint(1, 0, -4), 50)
     monkeypatch.setenv("K3MODULI_SERIES_CAP", "100000")
     assert numerics.series_cap() == 100000
+    for value in ("abc", "1.5", "0", "-5"):
+        monkeypatch.setenv("K3MODULI_SERIES_CAP", value)
+        with pytest.raises(InputError, match="K3MODULI_SERIES_CAP"):
+            j_invariant(CMPoint(1, 0, -4), 50)
 
 
 def test_j_expansion_coefficients():
@@ -188,8 +194,8 @@ def test_j_expansion_coefficients():
 
 
 def test_threads_at_different_digits_match_serial():
-    # each thread resets its own working context; results must not depend on
-    # what the other threads do to theirs
+    # nothing is shared between calls: results must not depend on what the
+    # other threads compute at the same time
     plan = [(d, digits) for d in (-23, -56, -84) for digits in (30, 90, 270)]
 
     def compute(d, digits):
@@ -245,9 +251,7 @@ def test_real_product_matches_complex_product():
             coeffs = [-r * coeffs[0]] + [
                 coeffs[k - 1] - r * coeffs[k] for k in range(1, len(coeffs))
             ] + [coeffs[-1]]
-        slow = [
-            recognize_integer(BigComplex(c.real, c.imag, digits), "1e-10") for c in coeffs
-        ]
+        slow = [recognize_integer(from_mpc(ctx, c, digits), "1e-10") for c in coeffs]
         assert fast == slow, d
 
 

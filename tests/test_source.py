@@ -22,6 +22,24 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _imported_modules(path: Path) -> set[str]:
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_one_number_format():
+    # numerics alone touches mpmath, and there is no per-thread state
+    imports = {path.name: _imported_modules(path) for path in SOURCES}
+    assert "mpmath" in imports["numerics.py"]
+    assert [name for name, mods in imports.items() if "mpmath" in mods] == ["numerics.py"]
+    assert [name for name, mods in imports.items() if "threading" in mods] == []
+
+
 def test_traced_names_resolve():
     # the benchmark tracer replaces these attributes by name; a rename would
     # break only the traced benchmark run, which this suite does not collect
