@@ -329,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     except PrecisionError as exc:
         print(f"precision failure: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except K3ModuliError as exc:  # pragma: no cover - defensive
+    except K3ModuliError as exc:  # a broken invariant or a failed exact check
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

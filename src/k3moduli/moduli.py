@@ -10,6 +10,17 @@ permutes its conjugates (the traces over the other cosets of C[2]), so
 generator over K lies in Z[x] and is the one over Q.  One integer polynomial,
 recognized exactly via certified rounding, serves both fields.
 
+Each polynomial is computed once, at a precision floor derived from its
+height (Enge, Math. Comp. 78, 2009): with |j(tau)| about exp(pi*sqrt|D|/a),
+log10 of its largest coefficient is at most
+sum over roots of pi*sqrt|D|/a / ln 10 plus log10 of the largest binomial
+coefficient, and GUARD_DIGITS more digits leave the propagated error bound
+below 1/2.  Recognition is a certificate (see numerics.recognize_integer);
+the precision is doubled only when it fails.  The class polynomial is then
+checked exactly against Gross-Zagier (J. reine angew. Math. 355, 1985): the
+norm of j is a cube when 3 does not divide D, and for fundamental D its
+primes are at most 3|D|/4.  A floor above MAX_DIGITS is refused.
+
 Galois-ness of the absolute field is decided purely group-theoretically inside
 the semidirect product C x <complex conjugation>, never numerically.
 """
@@ -17,22 +28,31 @@ the semidirect product C x <complex conjugation>, never numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import ceil, comb, log, log10, pi, prod, sqrt
 
 from . import classgroup, k3, orders
 from .classgroup import ClassGroup
 from .errors import InputError, K3ModuliError, NotNearInteger, PrecisionExhausted
 from .errors import ResolventDegenerate
 from .k3 import TranscLattice
-from .numerics import BigComplex, CMPoint, _mul, _sqr, conjugate, j_invariant
+from .numerics import BigComplex, CMPoint, _mul, conjugate, j_invariant, pi_root
 from .numerics import poly_from_roots, recognize_integer
 
 MAX_DOUBLINGS = 8
+# digits beyond the height estimate: at the floor, the error bound of every
+# class and field polynomial with |D| <= 3000 is then at least 10^7 times
+# below 1/2 (10^2.4 times with no guard digits)
+GUARD_DIGITS = 5
+# the largest precision refused as too slow: the floor grows about like
+# sqrt|D| log|D|, 1995 digits at D = -40004 and 4060 at D = -10^6
+MAX_DIGITS = 3000
 
 Element = tuple[int, int]  # (class index, conjugation bit)
 
 
 def default_digits(h: int) -> int:
+    """A reference precision linear in h, 30 + 10h digits; the library
+    starts from precision_floor instead."""
     return 30 + 10 * h
 
 
@@ -136,8 +156,11 @@ def mq_is_galois(lattice: TranscLattice) -> bool:
 def _j_values(group: ClassGroup, digits: int) -> list[BigComplex]:
     """j at every class; (a, -b, c) takes the exact conjugate of j at (a, b, c)."""
     reps = [cls.rep for cls in group.classes]
+    root = pi_root(group.disc, digits)
     upper = {
-        (r.a, r.b): j_invariant(CMPoint(r.a, r.b, group.disc), digits) for r in reps if r.b >= 0
+        (r.a, r.b): j_invariant(CMPoint(r.a, r.b, group.disc), digits, root)
+        for r in reps
+        if r.b >= 0
     }
     return [upper[r.a, r.b] if r.b >= 0 else conjugate(upper[r.a, -r.b]) for r in reps]
 
@@ -157,15 +180,10 @@ def _torsion_cosets(group: ClassGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(cosets)
 
 
-def _resolvent_ladder(one: int):
-    """(name, power, f): f maps z at scale 2^-bits, with one = 2^bits, to its
-    resolvent at scale 2^-(power * bits) without rounding, so conjugates map
-    to exact conjugates."""
-    yield "trace", 1, lambda z: z
-    yield "square sum", 2, lambda z: _sqr(z, 0)
-    yield "cube sum", 3, lambda z: _mul(_sqr(z, 0), z, 0)
-    for k in range(1, 7):
-        yield f"shift-{k} square sum", 2, lambda z, k=k: _sqr((z[0] + k * one, z[1]), 0)
+# (name, power, shift): the invariant of a coset is the sum of (j + shift)^power
+_RESOLVENT_LADDER = (("trace", 1, 0), ("square sum", 2, 0), ("cube sum", 3, 0)) + tuple(
+    (f"shift-{k} square sum", 2, k) for k in range(1, 7)
+)
 
 
 def _separated_roots(
@@ -174,36 +192,99 @@ def _separated_roots(
     """Coset invariants distinct at the 10^-(digits/2) threshold.
 
     Starts from plain traces; on collision walks the resolvent ladder and
-    flags the fallback in the returned warnings.  Exact integer sums: a
-    conjugate coset gives the exact conjugate, a self-conjugate one an
-    exactly real value.
+    flags the fallback in the returned warnings.  Exact integer powers and
+    sums: a conjugate coset gives the exact conjugate, a self-conjugate one an
+    exactly real value.  Error bounds: |(z + d)^p - z^p| <= (|z| + |d|)^p - |z|^p
+    per class, summed over the coset.
     """
     bits = max(j.bits for j in js)
-    values = [(j.re << bits - j.bits, j.im << bits - j.bits) for j in js]
+    values = [(j.re << bits - j.bits, j.im << bits - j.bits, j.err << bits - j.bits) for j in js]
     tens = 100 ** (digits // 2)
-    for name, power, fn in _resolvent_ladder(1 << bits):
-        resolved = [fn(v) for v in values]
+    for name, power, shift in _RESOLVENT_LADDER:
+        resolved = []
+        for re, im, err in values:
+            z = base = (re + (shift << bits), im)
+            for _ in range(power - 1):
+                z = _mul(z, base, 0)
+            size = abs(base[0]) + abs(base[1])
+            resolved.append((z[0], z[1], (size + err) ** power - size**power))
         roots = [
-            (sum(resolved[i][0] for i in coset), sum(resolved[i][1] for i in coset))
-            for coset in cosets
+            tuple(sum(resolved[i][part] for i in coset) for part in range(3)) for coset in cosets
         ]
         # |x - y| >= 10^-(digits // 2) for roots x, y at scale 2^-scale, squared
         scale = power * bits
         limit = 1 << 2 * scale
         separated = all(
             ((xr - yr) ** 2 + (xi - yi) ** 2) * tens >= limit
-            for i, (xr, xi) in enumerate(roots)
-            for yr, yi in roots[i + 1 :]
+            for i, (xr, xi, _) in enumerate(roots)
+            for yr, yi, _ in roots[i + 1 :]
         )
         if separated:
             warnings = () if name == "trace" else (f"resolvent fallback used: {name}",)
-            return [BigComplex(re, im, scale, digits) for re, im in roots], warnings
+            return [BigComplex(re, im, scale, digits, err) for re, im, err in roots], warnings
     raise ResolventDegenerate("all resolvents collide across the 2-torsion cosets")
 
 
-def _recognize_int_poly(coeffs: list[BigComplex], digits: int) -> tuple[int, ...]:
-    tol = f"1e-{max(digits // 4, 1)}"
-    return tuple(recognize_integer(c, tol) for c in coeffs)
+def _recognize_int_poly(coeffs: list[BigComplex]) -> tuple[int, ...]:
+    return tuple(recognize_integer(c) for c in coeffs)
+
+
+def _check_gross_zagier(d: int, class_poly: tuple[int, ...]) -> None:
+    """Exact checks on the norm H_D(0) of j (Gross-Zagier): a cube when 3 does
+    not divide D, and for fundamental D free of primes above 3|D|/4."""
+    norm = abs(class_poly[0])
+    if d % 3:
+        root = _icbrt(norm)
+        if root**3 != norm:
+            raise K3ModuliError(f"H_D(0) of the class polynomial of {d} is not a cube")
+    if norm and orders.is_fundamental(d):
+        for p in range(2, 3 * -d // 4 + 1):
+            while norm % p == 0:
+                norm //= p
+            if norm == 1:
+                break
+        if norm != 1:
+            raise K3ModuliError(
+                f"H_D(0) of the class polynomial of {d} has a prime factor above 3|D|/4"
+            )
+
+
+def _icbrt(n: int) -> int:
+    """floor(n^(1/3)) for n >= 0, by Newton's method on integers."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // 3)  # above the root
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
+def _height(group: ClassGroup, cosets) -> float:
+    """log10 bound on the coefficients of prod over cosets of (x - sum of j over
+    the coset): each root is at most |coset| * max exp(pi*sqrt|D|/a), and the
+    coefficients are elementary symmetric functions of the roots."""
+    scale = pi * sqrt(-group.disc) / log(10)
+    a = [cls.rep.a for cls in group.classes]
+    n = len(cosets)
+    return sum(scale / min(a[i] for i in c) + log10(len(c)) for c in cosets) + log10(
+        comb(n, n // 2)
+    )
+
+
+def precision_floor(group: ClassGroup, cosets=None) -> int:
+    """Digits at which the polynomial over the cosets (one class each, the
+    class polynomial, by default) is expected to be certified at once."""
+    if cosets is None:
+        cosets = [(i,) for i in range(group.h)]
+    return ceil(_height(group, cosets)) + GUARD_DIGITS
+
+
+def _class_poly(group: ClassGroup, js: list[BigComplex]) -> tuple[int, ...]:
+    class_poly = _recognize_int_poly(poly_from_roots(js))
+    _check_gross_zagier(group.disc, class_poly)
+    return class_poly
 
 
 @dataclass(frozen=True)
@@ -214,27 +295,40 @@ class _Polynomials:
     warnings: tuple[str, ...]
 
 
-def _attempt_polynomials(group: ClassGroup, digits: int) -> _Polynomials:
+def _attempt_polynomials(group: ClassGroup, cosets, digits: int) -> _Polynomials:
     js = _j_values(group, digits)
-    class_poly = _recognize_int_poly(poly_from_roots(js), digits)
-    roots, warnings = _separated_roots(js, _torsion_cosets(group), digits)
-    mq = _recognize_int_poly(poly_from_roots(roots), digits)
+    class_poly = _class_poly(group, js)
+    if len(cosets) == group.h:  # C[2] trivial (h odd): each coset is one class
+        return _Polynomials(class_poly, class_poly, digits, ())
+    roots, warnings = _separated_roots(js, cosets, digits)
+    mq = _recognize_int_poly(poly_from_roots(roots))
     return _Polynomials(class_poly, mq, digits, warnings)
 
 
-def _escalate(group: ClassGroup, digits: int | None, attempt):
-    """Run attempt(digits), from default_digits(h) unless given, doubling the
-    precision on failed recognition."""
-    if digits is None:
-        digits = default_digits(group.h)
-    elif digits <= 0:
+def _escalate(disc: int, floor: int, digits: int | None, attempt):
+    """Run attempt(digits) from the floor, or from digits when higher,
+    doubling the precision while recognition is not certified."""
+    if digits is not None and digits <= 0:
         raise InputError(f"digits must be positive, got {digits}")
+    if floor > MAX_DIGITS:
+        raise InputError(f"D = {disc} needs {floor} digits, above the ceiling of {MAX_DIGITS}")
+    if digits is not None and digits > MAX_DIGITS:
+        raise InputError(f"digits must be at most {MAX_DIGITS}, got {digits}")
+    digits = max(floor, digits or 0)
     for _ in range(MAX_DOUBLINGS + 1):
         try:
             return attempt(digits)
         except NotNearInteger:
             digits *= 2
     raise PrecisionExhausted(f"recognition failed up to {digits} digits")
+
+
+def _field_polynomials(group: ClassGroup, digits: int | None) -> _Polynomials:
+    cosets = _torsion_cosets(group)
+    floor = max(precision_floor(group), precision_floor(group, cosets))
+    return _escalate(
+        group.disc, floor, digits, lambda dg: _attempt_polynomials(group, cosets, dg)
+    )
 
 
 def class_polynomial(d: int, digits: int | None = None) -> tuple[int, ...]:
@@ -247,12 +341,11 @@ def class_polynomial(d: int, digits: int | None = None) -> tuple[int, ...]:
 def class_polynomial_with_precision(
     d: int, digits: int | None = None
 ) -> tuple[tuple[int, ...], int]:
+    """The class polynomial and the digits it was certified at."""
     group = classgroup.class_group(d)
-
-    def attempt(dg):
-        return _recognize_int_poly(poly_from_roots(_j_values(group, dg)), dg), dg
-
-    return _escalate(group, digits, attempt)
+    return _escalate(
+        d, precision_floor(group), digits, lambda dg: (_class_poly(group, _j_values(group, dg)), dg)
+    )
 
 
 def field_of_K_moduli(lattice: TranscLattice, digits: int | None = None) -> tuple[int, ...]:
@@ -267,14 +360,13 @@ def field_of_K_moduli(lattice: TranscLattice, digits: int | None = None) -> tupl
 def field_of_Q_moduli(lattice: TranscLattice, digits: int | None = None) -> tuple[int, ...]:
     """Degree-g integer polynomial whose root field is the absolute field of
     moduli."""
-    group = classgroup.class_group(lattice.disc0)
-    return _escalate(group, digits, lambda dg: _attempt_polynomials(group, dg)).mq
+    return _field_polynomials(classgroup.class_group(lattice.disc0), digits).mq
 
 
 def moduli_report(lattice: TranscLattice, digits: int | None = None) -> ModuliReport:
     """Assemble degrees, orbit, Galois data and all minimal polynomials."""
     group = classgroup.class_group(lattice.disc0)
-    polys = _escalate(group, digits, lambda dg: _attempt_polynomials(group, dg))
+    polys = _field_polynomials(group, digits)
     model = _model(group)
     report = ModuliReport(
         disc=lattice.disc,

@@ -7,10 +7,15 @@ order N costs O(sqrt N) terms; the tail beyond N is certified below the
 working precision.
 
 One number format carries every value from j to recognition: `BigComplex`,
-the exact fixed-point value (re + i*im) * 2^-bits on Python integers.  Only
-the three constants of q (pi*sqrt|disc|/a, its exp, and cos/sin of pi*b/a)
-come from mpmath, through its context-free `libmp` functions; there is no
-mpmath context and no state shared between calls or threads.
+the exact fixed-point value (re + i*im) * 2^-bits on Python integers, with a
+rigorous bound `err` on its distance to the true value, in the same units.
+`j_invariant` states the error budget it certifies, `poly_from_roots`
+propagates the bounds of its roots through the product, and
+`recognize_integer` returns an integer only when the bound proves it is the
+true value.  Only the constants of q (pi*sqrt|disc|, exp of it over a, and
+cos/sin of pi*b/a) come from mpmath, through its context-free `libmp`
+functions; there is no mpmath context and no state shared between calls or
+threads.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, exp, expm1, log, pi, sqrt
 
-from mpmath.libmp import dps_to_prec, from_int, mpf_cos_sin_pi, mpf_div, mpf_exp, mpf_mul
+from mpmath.libmp import dps_to_prec, fone, from_int, mpf_cos_sin_pi, mpf_div, mpf_exp, mpf_mul
 from mpmath.libmp import mpf_pi, mpf_sqrt, round_nearest, to_fixed
 
 from .errors import InputError, K3ModuliError, NotNearInteger, NotPositiveDefinite
@@ -30,13 +35,15 @@ from .errors import PrecisionUnsupported
 DEFAULT_SERIES_CAP = 10000
 LOG2_10 = log(10, 2)
 LN2 = log(2)
-_GUARD_DIGITS = 15
 # rounding of O(N) fixed-point products and the constants of the error
 # propagation through E(q^2)/E(q), its 24th power and (1 + 256h)^3 / h
 _GUARD_BITS = 64
 # extra bits per unit of s = |q| / (1 - |q|)^2: |log E(q)| and |log(E(q^2)/E(q))|
 # are at most s, and the error bound grows like exp(145 s)
 _SPREAD_BITS = 210
+# the product rounds each of its O(h^2) terms by one unit; a few bits beyond
+# the roots' accuracy and log2 h keep that below the propagated root errors
+_PRODUCT_GUARD_BITS = 4
 
 
 @dataclass(frozen=True)
@@ -51,17 +58,19 @@ class CMPoint:
 @dataclass(frozen=True)
 class BigComplex:
     """(re + i*im) * 2^-bits exactly, carried at >= digits decimal digits of
-    working precision."""
+    working precision.  The value it stands for lies within err * 2^-bits of
+    it (complex modulus); err = 0 means the value is exact."""
 
     re: int
     im: int
     bits: int
     digits: int
+    err: int = 0
 
 
 def conjugate(z: BigComplex) -> BigComplex:
-    """Exact complex conjugate."""
-    return BigComplex(z.re, -z.im, z.bits, z.digits)
+    """Exact complex conjugate, with the same error bound."""
+    return BigComplex(z.re, -z.im, z.bits, z.digits, z.err)
 
 
 def series_cap() -> int:
@@ -75,11 +84,6 @@ def series_cap() -> int:
     if cap <= 0:
         raise InputError(f"K3MODULI_SERIES_CAP must be a positive integer, got {value!r}")
     return cap
-
-
-def _shift(v: int, by: int) -> int:
-    """v * 2^by, rounded down."""
-    return v << by if by >= 0 else v >> -by
 
 
 def _mul(x, y, bits):
@@ -121,8 +125,43 @@ def _series_order(log_abs_q: float, bits: int) -> int:
     return int((bits * LN2 - log(-expm1(log_abs_q))) / -log_abs_q)
 
 
-def j_invariant(point: CMPoint, digits: int) -> BigComplex:
-    """j((-b + sqrt(disc)) / (2a)) to an absolute accuracy of 10^-digits.
+def _magnitude(disc: int, a: int) -> int:
+    """Bits of |q|^-1 = exp(pi*sqrt|disc| / a), rounded up."""
+    return int(pi * sqrt(-disc) / a / LN2) + 1
+
+
+def _constants_prec(bits: int, magnitude: int) -> int:
+    """Binary precision of the constants of q: enough for q and q^-1 at scale 2^-bits."""
+    return dps_to_prec(ceil((bits + magnitude) / LOG2_10) + 10)
+
+
+def _working_bits(digits: int, magnitude: int, spread: int) -> int:
+    return ceil(digits * LOG2_10) + magnitude + _GUARD_BITS + spread
+
+
+def _pi_root(disc: int, prec: int) -> tuple[int, int, tuple]:
+    near = round_nearest
+    root = mpf_mul(mpf_pi(prec, near), mpf_sqrt(from_int(-disc), prec, near), prec, near)
+    return disc, prec, root
+
+
+def pi_root(disc: int, digits: int) -> tuple[int, int, tuple]:
+    """(disc, prec, pi*sqrt|disc|), rounded to nearest at a binary precision
+    prec that j_invariant needs at digits for every reduced CM point of disc
+    (the most at a = 1, where |q| is smallest and the spread term is 1)."""
+    magnitude = _magnitude(disc, 1)
+    return _pi_root(disc, _constants_prec(_working_bits(digits, magnitude, 1), magnitude))
+
+
+def j_invariant(point: CMPoint, digits: int, root: tuple | None = None) -> BigComplex:
+    """j((-b + sqrt(disc)) / (2a)) to an absolute accuracy of about 10^-digits.
+
+    The result carries its certified error bound: 2^-(bits - magnitude -
+    guard - spread), the series tail and the rounding of the O(N)
+    fixed-point products under the guard-bit budget, plus the rounding of the
+    constants of q (see below).  root, from pi_root(disc, digits), shares
+    pi*sqrt|disc| between the points of one discriminant; without it (or when
+    it is for another disc or too coarse) it is computed here.
 
     j(a, -b) is the exact complex conjugate of j(a, b); j is exactly real
     when a | b or |tau| = 1.
@@ -133,9 +172,9 @@ def j_invariant(point: CMPoint, digits: int) -> BigComplex:
     log_abs_q = -pi * sqrt(-disc) / a
     # the result is q^-1 times O(1) factors: absolute accuracy needs the
     # bits of |q|^-1 on top of the digits
-    magnitude = int(-log_abs_q / LN2) + 1
+    magnitude = _magnitude(disc, a)
     spread = ceil(_SPREAD_BITS * exp(log_abs_q) / expm1(log_abs_q) ** 2)
-    bits = ceil(digits * LOG2_10) + magnitude + _GUARD_BITS + spread
+    bits = _working_bits(digits, magnitude, spread)
     order = _series_order(log_abs_q, bits)
     cap = series_cap()
     if order > cap:
@@ -143,13 +182,19 @@ def j_invariant(point: CMPoint, digits: int) -> BigComplex:
             f"{order} series terms needed, cap is {cap} (K3MODULI_SERIES_CAP)"
         )
     # the constants of q, each step rounded to nearest at the same precision
-    prec, near = dps_to_prec(ceil((bits + magnitude) / LOG2_10) + 10), round_nearest
-    root = mpf_mul(mpf_pi(prec, near), mpf_sqrt(from_int(-disc), prec, near), prec, near)
-    grow = mpf_exp(mpf_div(root, from_int(a), prec, near), prec, near)  # |q|^-1
-    turn = mpf_cos_sin_pi(mpf_div(from_int(-b), from_int(a), prec, near), prec, near)  # q / |q|
-    q = tuple(to_fixed(mpf_div(t, grow, prec, near), bits) for t in turn)
-    cos_grow, sin_grow = (to_fixed(mpf_mul(t, grow, prec, near), bits) for t in turn)
-    q_inv = cos_grow, -sin_grow
+    prec, near = _constants_prec(bits, magnitude), round_nearest
+    if root is None or root[0] != disc or root[1] < prec:
+        root = _pi_root(disc, prec)
+    grow = mpf_exp(mpf_div(root[2], from_int(a), prec, near), prec, near)  # |q|^-1
+    if b == 0 or b == a:  # q / |q| = exp(-i*pi*b/a) = +-1 exactly: q is real
+        sign = 1 if b == 0 else -1
+        q = sign * to_fixed(mpf_div(fone, grow, prec, near), bits), 0
+        q_inv = sign * to_fixed(grow, bits), 0
+    else:
+        turn = mpf_cos_sin_pi(mpf_div(from_int(-b), from_int(a), prec, near), prec, near)
+        q = tuple(to_fixed(mpf_div(t, grow, prec, near), bits) for t in turn)
+        cos_grow, sin_grow = (to_fixed(mpf_mul(t, grow, prec, near), bits) for t in turn)
+        q_inv = cos_grow, -sin_grow
     ratio = _div(_euler(_sqr(q, bits), order // 2, bits), _euler(q, order, bits), bits)
     r8 = _sqr(_sqr(_sqr(ratio, bits), bits), bits)
     w = _mul(_sqr(r8, bits), r8, bits)  # (E(q^2)/E(q))^24 = h/q
@@ -158,22 +203,42 @@ def j_invariant(point: CMPoint, digits: int) -> BigComplex:
     re, im = _div(_mul(_mul(_sqr(t, bits), t, bits), q_inv, bits), w, bits)
     if b * b - disc == 4 * a * a:
         im = 0
-    return BigComplex(re, -im if point.b < 0 else im, bits, digits)
+    # q and q^-1 are within 2 units of 2^-bits in each part (the rounding to
+    # nearest at prec > bits + magnitude + 30 bits, then to_fixed).  At a
+    # reduced point, |q| <= exp(-pi*sqrt 3), |t^3 / w| < 2^4 and |dj/dq| <
+    # 2^(magnitude + 13) at fixed q^-1, so together they move j by less than
+    # 2^(magnitude + 16); 2^spread covers the growth of both with |q| elsewhere
+    err = (1 << magnitude + _GUARD_BITS + spread) + (1 << magnitude + 16 + spread)
+    return BigComplex(re, -im if point.b < 0 else im, bits, digits, err)
 
 
-def recognize_integer(z: BigComplex, tol) -> int:
-    """Nearest integer when |Re z - round(Re z)|, |Im z| and |Re z| / 10^(digits + 15)
-    are below tol: the last condition refuses a value that leaves tol no room
-    in its working precision.  Exact on z and on tol, which is read as a decimal.
+def recognize_integer(z: BigComplex, tol=None) -> int:
+    """The integer n nearest Re z, certified: |Re z - n| + err < 1/2 and
+    |Im z| + err < 1/2, so when z approximates an integer within its error
+    bound, n is that integer.  A given tol (read exactly as a decimal) also
+    demands |Re z - n| < tol and |Im z| < tol.
     """
-    tol = Fraction(str(tol))
     nearest = (2 * z.re + (1 << z.bits)) >> (z.bits + 1)
-    bound = tol.numerator << z.bits
-    # |p| / (q * 2^bits) < tol
-    checks = ((z.re - (nearest << z.bits), 1), (z.im, 1), (z.re, 10 ** (z.digits + _GUARD_DIGITS)))
-    if all(abs(p) * tol.denominator < bound * q for p, q in checks):
-        return nearest
-    raise NotNearInteger(f"value is not within {tol} of an integer")
+    off = z.re - (nearest << z.bits)
+    one = 1 << z.bits
+    if 2 * (abs(off) + z.err) >= one or 2 * (abs(z.im) + z.err) >= one:
+        bound = z.err.bit_length() - z.bits
+        raise NotNearInteger(f"value is not certified near an integer (error bound < 2^{bound})")
+    if tol is not None:
+        tol = Fraction(str(tol))
+        bound = tol.numerator << z.bits
+        # |p| / 2^bits < tol
+        if not all(abs(p) * tol.denominator < bound for p in (off, z.im)):
+            raise NotNearInteger(f"value is not within {tol} of an integer")
+    return nearest
+
+
+def _rescale(v: int, err: int, by: int) -> tuple[int, int]:
+    """v * 2^by rounded down, and err * 2^by rounded up plus the rounding of
+    both parts of a complex value (under sqrt 2 units)."""
+    if by >= 0:
+        return v << by, err << by
+    return v >> -by, (err >> -by) + 3
 
 
 def poly_from_roots(roots: list[BigComplex]) -> list[BigComplex]:
@@ -182,32 +247,37 @@ def poly_from_roots(roots: list[BigComplex]) -> list[BigComplex]:
     A real root enters as a real linear factor, a root and its exact
     conjugate (same bits) as one real quadratic x^2 - 2 Re(z) x + |z|^2.  A
     complex root without its conjugate raises K3ModuliError: the product
-    would not be real.  Fixed point: the absolute error grows by at most the
-    factor (1 + |r|) per root, which the precision covers.
+    would not be real.  Fixed point at a little more than the roots'
+    accuracy: each factor multiplies the error bound E of the partial product
+    by (1 + |factor coefficients|) and adds the factor's own error times the
+    largest partial coefficient, plus one unit per rounded term.  Every
+    coefficient carries the final bound.
     """
     digits = max((r.digits for r in roots), default=15)
-    # bounds log2(1 + |r|) by the bit lengths
-    growth = sum(max(0, r.re.bit_length() - r.bits, r.im.bit_length() - r.bits) + 2 for r in roots)
-    bits = ceil((digits + _GUARD_DIGITS) * LOG2_10) + growth + len(roots).bit_length()
-    factors = []
+    bits = ceil(digits * LOG2_10) + len(roots).bit_length() + _PRODUCT_GUARD_BITS
+    factors = []  # (low coefficients, their error bound)
     waiting = Counter()  # roots still without their conjugate
     for r in roots:
-        zr = _shift(r.re, bits - r.bits)
+        zr, e = _rescale(r.re, r.err, bits - r.bits)
         if not r.im:
-            factors.append([-zr])
+            factors.append(([-zr], e))
         elif waiting[r.re, -r.im, r.bits]:
             waiting[r.re, -r.im, r.bits] -= 1
-            zi = _shift(r.im, bits - r.bits)
-            factors.append([(zr * zr + zi * zi) >> bits, -2 * zr])
+            zi, _ = _rescale(r.im, 0, bits - r.bits)
+            # ||z + d|^2 - |z|^2| <= (2|z| + |d|) |d|, |z| <= |zr| + |zi|
+            e2 = ((2 * (abs(zr) + abs(zi)) + e) * e >> bits) + 2
+            factors.append(([(zr * zr + zi * zi) >> bits, -2 * zr], max(e2, 2 * e)))
         else:
             waiting[r.re, r.im, r.bits] += 1
     if any(waiting.values()):
         raise K3ModuliError("a complex root has no exact conjugate: the product is not real")
-    coeffs = [1 << bits]
-    for low in factors:  # coeffs * (x^len(low) + ... + low[0])
+    coeffs, err = [1 << bits], 0
+    for low, e in factors:  # coeffs * (x^len(low) + ... + low[0])
+        top = max(map(abs, coeffs))
+        err += sum(((abs(f) * err + e * (top + err)) >> bits) + 2 for f in low)
         out = [0] * len(low) + coeffs
         for i, f in enumerate(low):
             for k, c in enumerate(coeffs):
                 out[k + i] += f * c >> bits
         coeffs = out
-    return [BigComplex(c, 0, bits, digits) for c in coeffs]
+    return [BigComplex(c, 0, bits, digits, err) for c in coeffs]

@@ -4,6 +4,7 @@ import time
 
 import jsonschema
 
+from k3moduli import classgroup, moduli
 from k3moduli.cli import ENVELOPE_SCHEMA, EXIT_INPUT, EXIT_OK, EXIT_PRECISION
 
 from conftest import run_cli
@@ -110,6 +111,23 @@ def test_oversized_discriminant_refused_fast(capsys):
         assert code == EXIT_INPUT and out == "", argv
         assert elapsed < 0.25, (argv, elapsed)
         assert err.count("\n") == 1 and "exceeds 1000000" in err, err
+
+
+def test_precision_ceiling_refused_fast(capsys):
+    # D = -10^6 needs about 4060 digits, beyond moduli.MAX_DIGITS
+    for argv in (["analyze", "2", "0", "0", "500000"], ["classpoly", "--", "-1000000"]):
+        start = time.perf_counter()
+        code, out = run_cli(argv)
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT and out == "", argv
+        assert elapsed < 1.0, (argv, elapsed)
+        assert err.count("\n") == 1 and f"ceiling of {moduli.MAX_DIGITS}" in err, err
+    code, out = run_cli(["classpoly", "--digits", str(moduli.MAX_DIGITS + 1), "--", "-23"])
+    assert code == EXIT_INPUT and out == ""
+    assert f"at most {moduli.MAX_DIGITS}" in capsys.readouterr().err
+    # while D = -40004 (h = 160) stays below the ceiling
+    assert moduli.precision_floor(classgroup.class_group(-40004)) <= moduli.MAX_DIGITS
 
 
 def test_orbit_scaled():

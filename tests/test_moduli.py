@@ -18,8 +18,8 @@ from k3moduli.moduli import (
     moduli_report,
     mq_is_galois,
 )
-from k3moduli.errors import InputError, ResolventDegenerate
-from k3moduli.numerics import BigComplex, CMPoint, conjugate, j_invariant
+from k3moduli.errors import InputError, K3ModuliError, ResolventDegenerate
+from k3moduli.numerics import BigComplex, CMPoint, conjugate, j_invariant, poly_from_roots
 from k3moduli.qforms import form_class
 
 from conftest import as_mpc, valid_discs
@@ -277,6 +277,49 @@ def test_minus_2083_settles_at_default_digits():
     assert report.class_polynomial == class_polynomial(-2083, 200)
     assert report.mq_min_poly == field_of_Q_moduli(lattice, 200)
     assert report.mk_min_poly == report.mq_min_poly
+
+
+def test_every_polynomial_settles_at_its_floor():
+    # one certified attempt: a failed one would double the precision
+    for d in valid_discs(1000):
+        group = classgroup.class_group(d)
+        floor = moduli.precision_floor(group)
+        assert moduli.class_polynomial_with_precision(d)[1] == floor, d
+        field_floor = max(floor, moduli.precision_floor(group, moduli._torsion_cosets(group)))
+        assert moduli._field_polynomials(group, None).digits == field_floor, d
+
+
+def test_odd_class_number_field_polynomial_is_class_polynomial():
+    # C[2] is trivial: every coset is one class, so the coset path, skipped
+    # by moduli_report, would give the class polynomial without warnings
+    odd = 0
+    for d in valid_discs(1500):
+        group = classgroup.class_group(d)
+        if group.h % 2 == 0:
+            continue
+        odd += 1
+        report = moduli_report(lattice_from_class(1, group.classes[0]))
+        assert report.mq_min_poly == report.class_polynomial and report.warnings == (), d
+        js = moduli._j_values(group, report.precision_used)
+        cosets = moduli._torsion_cosets(group)
+        roots, warnings = moduli._separated_roots(js, cosets, report.precision_used)
+        assert warnings == (), d
+        assert moduli._recognize_int_poly(poly_from_roots(roots)) == report.class_polynomial, d
+    assert odd > 50
+
+
+def test_gross_zagier_checks_refuse_doctored_constant_terms():
+    # H_-23(0) = (5^3 * 11 * 17)^3: a cube with no prime above 3 * 23 / 4
+    moduli._check_gross_zagier(-23, H23)
+    with pytest.raises(K3ModuliError, match="not a cube"):
+        moduli._check_gross_zagier(-23, (2 * H23[0],) + H23[1:])
+    with pytest.raises(K3ModuliError, match="prime factor above"):
+        moduli._check_gross_zagier(-23, (19**3 * H23[0],) + H23[1:])
+    # 3 | D: only the prime bound applies; D = -15 is fundamental
+    h15 = class_polynomial(-15)
+    moduli._check_gross_zagier(-15, (2 * h15[0],) + h15[1:])
+    with pytest.raises(K3ModuliError, match="prime factor above"):
+        moduli._check_gross_zagier(-15, (13 * h15[0],) + h15[1:])
 
 
 def test_mq_galois_exactly_when_invariant_factors_divide_4():

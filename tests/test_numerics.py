@@ -78,6 +78,40 @@ def test_recognize_integer_examples():
         recognize_integer(imag, "1e-20")
 
 
+def test_recognize_integer_refuses_straddling_error_bound():
+    # 1728 + 10^-31, but the error bound reaches past 1/2: not a certificate
+    bits = 200
+    tiny = (1 << bits) // 10**31
+    for err in (1 << bits - 1, (1 << bits - 1) - tiny // 2):
+        for z in (
+            BigComplex((1728 << bits) + tiny, 0, bits, 60, err),
+            BigComplex(1728 << bits, tiny, bits, 60, err),
+        ):
+            with pytest.raises(NotNearInteger):
+                recognize_integer(z)
+            with pytest.raises(NotNearInteger):
+                recognize_integer(z, "1e-20")
+    certified = BigComplex((1728 << bits) + tiny, tiny, bits, 60, 1 << bits - 2)
+    assert recognize_integer(certified) == 1728
+
+
+def test_error_bounds_cover_the_true_values():
+    # a value at twice the digits stands in for the true one: the carried
+    # bound of each j and each product coefficient must reach it
+    def covered(low, high):
+        up = high.bits - low.bits
+        diff_re, diff_im = (low.re << up) - high.re, (low.im << up) - high.im
+        return diff_re**2 + diff_im**2 <= ((low.err << up) + high.err) ** 2
+
+    for d in (-23, -56, -71, -231, -420):
+        group = class_group(d)
+        digits = moduli.precision_floor(group)
+        low, high = moduli._j_values(group, digits), moduli._j_values(group, 2 * digits)
+        assert all(x.err > 0 and covered(x, y) for x, y in zip(low, high)), d
+        pairs = zip(poly_from_roots(low), poly_from_roots(high))
+        assert all(covered(x, y) and 2 * x.err < 1 << x.bits for x, y in pairs), d
+
+
 def test_trace_of_minus_23_roots_is_integer():
     group = class_group(-23)
     for digits in (60, 120):
