@@ -230,9 +230,9 @@ def test_explicit_digits_flag():
 def test_analyze_json_bytes_are_frozen():
     # sha256 of the full stdout; h = 3, 3 (m = 2) and 8 (D0 = -95)
     digests = {
-        "2 1 1 12": "a957657d3d4354069477c920500bdacb40990875de880b843ebc0e8cf81313a1",
-        "4 1 1 6": "abdc06961715d7f2c638027fae753017936a2a3f46e14ce39142be2debcc4b68",
-        "2 1 1 48": "4621bcf1bcb366bfe5836b8f87eafa29de0600efcece7997886c172ecab54212",
+        "2 1 1 12": "24b1bfb77d8ffbf0e4369df0ab92a386e696c7accefaff9d5c49a763e02fd8ce",
+        "4 1 1 6": "cd2b7e9470de3eac13891534359aef2c1f0c3ec08fd71b21996224a798836e18",
+        "2 1 1 48": "ebc457b20a929b0411c41168ad4710d3f201ea7b33a230240bc79b38778bb0bc",
     }
     for gram, digest in digests.items():
         code, out = run_cli(["analyze", "--format", "json", *gram.split()])

@@ -210,7 +210,7 @@ def test_report_minus_23():
     assert report.mq_is_galois is False
     assert report.class_polynomial == H23
     assert report.mq_min_poly == H23
-    assert report.precision_used == default_digits(3) == 60
+    assert report.precision_used == 19  # the precision floor of D = -23
     assert report.warnings == ()
     assert len(report.orbit) == 3
 
@@ -269,11 +269,11 @@ def test_low_digits_give_the_right_polynomial():
 
 
 def test_minus_2083_settles_at_default_digits():
-    # h = 7: the first attempt runs at 100 digits, where the class and the
-    # field polynomial are both recognized
+    # h = 7: the first attempt runs at the floor, 93 digits, where the class
+    # and the field polynomial are both recognized
     lattice = from_gram(((2, 1), (1, 1042)))
     report = moduli_report(lattice)
-    assert (report.disc0, report.h, report.precision_used) == (-2083, 7, 100)
+    assert (report.disc0, report.h, report.precision_used) == (-2083, 7, 93)
     assert report.class_polynomial == class_polynomial(-2083, 200)
     assert report.mq_min_poly == field_of_Q_moduli(lattice, 200)
     assert report.mk_min_poly == report.mq_min_poly
