@@ -51,8 +51,8 @@ Element = tuple[int, int]  # (class index, conjugation bit)
 
 
 def default_digits(h: int) -> int:
-    """A reference precision linear in h, 30 + 10h digits; the library
-    starts from precision_floor instead."""
+    """A fixed precision linear in h, 30 + 10h digits, for reference runs;
+    computations start at precision_floor."""
     return 30 + 10 * h
 
 
@@ -310,11 +310,11 @@ def _escalate(disc: int, floor: int, digits: int | None, attempt):
     doubling the precision while recognition is not certified."""
     if digits is not None and digits <= 0:
         raise InputError(f"digits must be positive, got {digits}")
-    if floor > MAX_DIGITS:
-        raise InputError(f"D = {disc} needs {floor} digits, above the ceiling of {MAX_DIGITS}")
-    if digits is not None and digits > MAX_DIGITS:
-        raise InputError(f"digits must be at most {MAX_DIGITS}, got {digits}")
     digits = max(floor, digits or 0)
+    if digits > MAX_DIGITS:
+        raise InputError(
+            f"D = {disc} would run at {digits} digits, above the ceiling of {MAX_DIGITS}"
+        )
     for _ in range(MAX_DOUBLINGS + 1):
         try:
             return attempt(digits)
@@ -343,9 +343,11 @@ def class_polynomial_with_precision(
 ) -> tuple[tuple[int, ...], int]:
     """The class polynomial and the digits it was certified at."""
     group = classgroup.class_group(d)
-    return _escalate(
-        d, precision_floor(group), digits, lambda dg: (_class_poly(group, _j_values(group, dg)), dg)
-    )
+
+    def attempt(dg):
+        return _class_poly(group, _j_values(group, dg)), dg
+
+    return _escalate(d, precision_floor(group), digits, attempt)
 
 
 def field_of_K_moduli(lattice: TranscLattice, digits: int | None = None) -> tuple[int, ...]:
