@@ -286,7 +286,10 @@ def _genus_check(d: int, reps: list[QuadForm], divisors: tuple[int, ...] | None 
     return ambiguous
 
 
-@lru_cache(maxsize=None)
+# bounded, because C(-999999) alone holds 12 MB and a process that walks many
+# discriminants would otherwise keep every group; 32 still serves the queries
+# that repeat a few recent discriminants, as analyze does for one lattice's orbit
+@lru_cache(maxsize=32)
 def class_group(d: int) -> ClassGroup:
     """Enumerate C(d) with its Cayley table and invariant factors.
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from math import isqrt
 
 from . import __version__, classgroup, k3, moduli
@@ -62,7 +63,9 @@ ENVELOPE_SCHEMA = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: main reuses it on every call."""
     parser = argparse.ArgumentParser(
         prog="k3moduli",
         description="Class-group invariants and fields of moduli of singular K3 surfaces.",

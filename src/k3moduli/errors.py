@@ -61,9 +61,5 @@ class PrecisionExhausted(PrecisionError):
     pass
 
 
-class PrecisionUnsupported(PrecisionError):
-    pass
-
-
 class ResolventDegenerate(PrecisionError):
     pass

@@ -16,10 +16,11 @@ log10 of its largest coefficient is at most
 sum over roots of pi*sqrt|D|/a / ln 10 plus log10 of the largest binomial
 coefficient, and GUARD_DIGITS more digits leave the propagated error bound
 below 1/2.  Recognition is a certificate (see numerics.recognize_integer);
-the precision is doubled only when it fails.  The class polynomial is then
-checked exactly against Gross-Zagier (J. reine angew. Math. 355, 1985): the
-norm of j is a cube when 3 does not divide D, and for fundamental D its
-primes are at most 3|D|/4.  A floor above MAX_DIGITS is refused.
+the precision is doubled only when it fails, and never past MAX_DIGITS.  The
+class polynomial is then checked exactly against Gross-Zagier (J. reine
+angew. Math. 355, 1985): the norm of j is a cube when 3 does not divide D,
+and for fundamental D its primes are at most 3|D|/4.  A floor above
+MAX_DIGITS is refused.
 
 Galois-ness of the absolute field is decided purely group-theoretically inside
 the semidirect product C x <complex conjugation>, never numerically.
@@ -35,17 +36,13 @@ from .classgroup import ClassGroup
 from .errors import InputError, K3ModuliError, NotNearInteger, PrecisionExhausted
 from .errors import ResolventDegenerate
 from .k3 import TranscLattice
-from .numerics import BigComplex, CMPoint, _mul, conjugate, j_invariant, pi_root
+from .numerics import MAX_DIGITS, BigComplex, CMPoint, _mul, conjugate, j_invariant, pi_root
 from .numerics import poly_from_roots, recognize_integer
 
-MAX_DOUBLINGS = 8
 # digits beyond the height estimate: at the floor, the error bound of every
 # class and field polynomial with |D| <= 3000 is then at least 10^7 times
 # below 1/2 (10^2.4 times with no guard digits)
 GUARD_DIGITS = 5
-# the largest precision refused as too slow: the floor grows about like
-# sqrt|D| log|D|, 1995 digits at D = -40004 and 4060 at D = -10^6
-MAX_DIGITS = 3000
 
 Element = tuple[int, int]  # (class index, conjugation bit)
 
@@ -307,7 +304,8 @@ def _attempt_polynomials(group: ClassGroup, cosets, digits: int) -> _Polynomials
 
 def _escalate(disc: int, floor: int, digits: int | None, attempt):
     """Run attempt(digits) from the floor, or from digits when higher,
-    doubling the precision while recognition is not certified."""
+    doubling the precision while recognition is not certified and the
+    doubled precision stays within MAX_DIGITS."""
     if digits is not None and digits <= 0:
         raise InputError(f"digits must be positive, got {digits}")
     digits = max(floor, digits or 0)
@@ -315,12 +313,16 @@ def _escalate(disc: int, floor: int, digits: int | None, attempt):
         raise InputError(
             f"D = {disc} would run at {digits} digits, above the ceiling of {MAX_DIGITS}"
         )
-    for _ in range(MAX_DOUBLINGS + 1):
+    while True:
         try:
             return attempt(digits)
         except NotNearInteger:
+            if 2 * digits > MAX_DIGITS:
+                raise PrecisionExhausted(
+                    f"recognition failed at {digits} digits, and doubling would pass "
+                    f"the ceiling of {MAX_DIGITS}"
+                ) from None
             digits *= 2
-    raise PrecisionExhausted(f"recognition failed up to {digits} digits")
 
 
 def _field_polynomials(group: ClassGroup, digits: int | None) -> _Polynomials:

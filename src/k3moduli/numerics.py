@@ -15,12 +15,12 @@ propagates the bounds of its roots through the product, and
 true value.  Only the constants of q (pi*sqrt|disc|, exp of it over a, and
 cos/sin of pi*b/a) come from mpmath, through its context-free `libmp`
 functions; there is no mpmath context and no state shared between calls or
-threads.
+threads.  One constant, MAX_DIGITS, bounds the precision of every evaluation,
+and with it the length of the series.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,9 +30,14 @@ from mpmath.libmp import dps_to_prec, fone, from_int, mpf_cos_sin_pi, mpf_div, m
 from mpmath.libmp import mpf_pi, mpf_sqrt, round_nearest, to_fixed
 
 from .errors import InputError, K3ModuliError, NotNearInteger, NotPositiveDefinite
-from .errors import PrecisionUnsupported
 
-DEFAULT_SERIES_CAP = 10000
+# the largest precision any evaluation runs at.  moduli refuses a floor above
+# it: the floor grows about like sqrt|D| log|D|, 1995 digits at D = -40004 and
+# 4060 at D = -10^6.  It also bounds the series: the order N is about
+# (digits*ln 10 + (guard + spread)*ln 2) / -ln|q| (the bits of |q|^-1 in the
+# working precision cancel), largest where |q| is, at exp(-pi*sqrt 3) at a
+# reduced point, so 3000 digits need at most 1278 q-terms
+MAX_DIGITS = 3000
 LOG2_10 = log(10, 2)
 LN2 = log(2)
 # rounding of O(N) fixed-point products and the constants of the error
@@ -71,19 +76,6 @@ class BigComplex:
 def conjugate(z: BigComplex) -> BigComplex:
     """Exact complex conjugate, with the same error bound."""
     return BigComplex(z.re, -z.im, z.bits, z.digits, z.err)
-
-
-def series_cap() -> int:
-    value = os.environ.get("K3MODULI_SERIES_CAP")
-    if not value:
-        return DEFAULT_SERIES_CAP
-    try:
-        cap = int(value)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        raise InputError(f"K3MODULI_SERIES_CAP must be a positive integer, got {value!r}")
-    return cap
 
 
 def _mul(x, y, bits):
@@ -164,10 +156,13 @@ def j_invariant(point: CMPoint, digits: int, root: tuple | None = None) -> BigCo
     it is for another disc or too coarse) it is computed here.
 
     j(a, -b) is the exact complex conjugate of j(a, b); j is exactly real
-    when a | b or |tau| = 1.
+    when a | b or |tau| = 1.  digits above MAX_DIGITS are refused with
+    InputError before any work.
     """
     if point.a <= 0 or point.disc >= 0:
         raise NotPositiveDefinite("CM point needs a > 0 and disc < 0")
+    if digits > MAX_DIGITS:
+        raise InputError(f"{digits} digits are above the ceiling of {MAX_DIGITS}")
     a, b, disc = point.a, abs(point.b), point.disc
     log_abs_q = -pi * sqrt(-disc) / a
     # the result is q^-1 times O(1) factors: absolute accuracy needs the
@@ -176,11 +171,6 @@ def j_invariant(point: CMPoint, digits: int, root: tuple | None = None) -> BigCo
     spread = ceil(_SPREAD_BITS * exp(log_abs_q) / expm1(log_abs_q) ** 2)
     bits = _working_bits(digits, magnitude, spread)
     order = _series_order(log_abs_q, bits)
-    cap = series_cap()
-    if order > cap:
-        raise PrecisionUnsupported(
-            f"{order} series terms needed, cap is {cap} (K3MODULI_SERIES_CAP)"
-        )
     # the constants of q, each step rounded to nearest at the same precision
     prec, near = _constants_prec(bits, magnitude), round_nearest
     if root is None or root[0] != disc or root[1] < prec:

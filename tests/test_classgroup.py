@@ -286,3 +286,13 @@ def test_oversized_discriminant_refused():
     with pytest.raises(DiscriminantTooLarge):
         reduced_representatives(too_big)
     assert reduced_representatives(-4 * (MAX_ABS_DISC // 4))
+
+
+def test_class_group_cache_is_bounded():
+    # one lru_cache (the benchmark reads its cache_info), holding at most 32 groups
+    bound = class_group.cache_info().maxsize
+    assert bound == 32
+    for d in SMALL_DISCS[: bound + 8]:
+        class_group(d)
+        assert class_group.cache_info().currsize <= bound
+    assert class_group.cache_info().currsize == bound

@@ -6,6 +6,7 @@ import jsonschema
 
 from k3moduli import classgroup, moduli
 from k3moduli.cli import ENVELOPE_SCHEMA, EXIT_INPUT, EXIT_OK, EXIT_PRECISION
+from k3moduli.errors import NotNearInteger
 
 from conftest import run_cli
 
@@ -144,19 +145,15 @@ def test_classpoly_json():
     assert env["result"]["degree"] == 1
 
 
-def test_classpoly_series_cap(monkeypatch, capsys):
-    monkeypatch.setenv("K3MODULI_SERIES_CAP", "2")
-    code, _ = run_cli(["classpoly", "--", "-23"])
-    assert code == EXIT_PRECISION
-    capsys.readouterr()
-    # a cap that is not a positive integer is refused in one line
-    for value in ("abc", "1.5", "0", "-5"):
-        monkeypatch.setenv("K3MODULI_SERIES_CAP", value)
-        for argv in (["classpoly", "--", "-23"], ["analyze", "2", "1", "1", "12"]):
-            code, out = run_cli(argv)
-            err = capsys.readouterr().err
-            assert code == EXIT_INPUT and out == ""
-            assert err.count("\n") == 1 and "K3MODULI_SERIES_CAP" in err, err
+def test_classpoly_precision_failure_exits_3(monkeypatch, capsys):
+    def never_certified(z, tol=None):
+        raise NotNearInteger("forced")
+
+    monkeypatch.setattr(moduli, "recognize_integer", never_certified)
+    code, out = run_cli(["classpoly", "--", "-23"])
+    err = capsys.readouterr().err
+    assert code == EXIT_PRECISION and out == ""
+    assert err.count("\n") == 1 and err.startswith("precision failure:"), err
 
 
 def test_nonpositive_digits_rejected(capsys):

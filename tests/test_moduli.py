@@ -18,7 +18,8 @@ from k3moduli.moduli import (
     moduli_report,
     mq_is_galois,
 )
-from k3moduli.errors import InputError, K3ModuliError, ResolventDegenerate
+from k3moduli.errors import InputError, K3ModuliError, NotNearInteger, PrecisionExhausted
+from k3moduli.errors import ResolventDegenerate
 from k3moduli.numerics import BigComplex, CMPoint, conjugate, j_invariant, poly_from_roots
 from k3moduli.qforms import form_class
 
@@ -245,8 +246,9 @@ def test_class_group_mates_share_field_data():
 
 
 def test_precision_ladder_escalates():
-    # starting absurdly low forces doublings until recognition certifies;
-    # the result matches the default-policy run
+    # --digits is only a minimum: a run asked to start absurdly low starts at
+    # the floor, so nothing escalates, and the result matches the
+    # default-policy run
     coeffs, used = moduli.class_polynomial_with_precision(-479, 5)
     assert used > 5
     assert coeffs == class_polynomial(-479)
@@ -255,6 +257,50 @@ def test_precision_ladder_escalates():
     assert report.precision_used > 5
     assert report.disc0 == -479
     assert report.class_polynomial == class_polynomial(-479)
+
+
+def _recognition_failing(monkeypatch, fails):
+    """Make moduli's recognition fail at every precision where fails(digits)
+    holds; returns the list it fills with the digits of each attempt."""
+    attempts = []
+    certify = moduli.recognize_integer
+
+    def recognize(z, tol=None):
+        if not attempts or attempts[-1] != z.digits:
+            attempts.append(z.digits)
+        if fails(z.digits):
+            raise NotNearInteger("forced")
+        return certify(z, tol)
+
+    monkeypatch.setattr(moduli, "recognize_integer", recognize)
+    return attempts
+
+
+def test_failed_certificate_doubles_the_precision(monkeypatch):
+    floor = moduli.precision_floor(classgroup.class_group(-23))
+    attempts = _recognition_failing(monkeypatch, lambda digits: digits == floor)
+    assert moduli.class_polynomial_with_precision(-23) == (H23, 2 * floor)
+    assert attempts == [floor, 2 * floor]
+
+    attempts.clear()
+    report = moduli_report(LATTICE_23)
+    assert (report.class_polynomial, report.precision_used) == (H23, 2 * floor)
+    assert attempts == [floor, 2 * floor]
+
+
+def test_doubling_stops_at_the_ceiling(monkeypatch):
+    attempts = _recognition_failing(monkeypatch, lambda digits: True)
+    with pytest.raises(PrecisionExhausted, match="failed at 2432 digits") as exc:
+        class_polynomial(-23)
+    assert attempts == [19 << k for k in range(8)]  # 19, 38, ..., 2432
+    assert max(attempts) <= moduli.MAX_DIGITS < 2 * attempts[-1]
+    assert f"ceiling of {moduli.MAX_DIGITS}" in str(exc.value)
+    # a floor above half the ceiling gets one attempt
+    attempts.clear()
+    floor = moduli.precision_floor(classgroup.class_group(-40004))
+    with pytest.raises(PrecisionExhausted, match=f"failed at {floor} digits"):
+        class_polynomial(-40004)
+    assert attempts == [floor]
 
 
 def test_low_digits_give_the_right_polynomial():

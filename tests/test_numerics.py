@@ -8,7 +8,6 @@ from mpmath.ctx_mp import MPContext
 from k3moduli import moduli, numerics
 from k3moduli.classgroup import class_group
 from k3moduli.errors import InputError, K3ModuliError, NotNearInteger, NotPositiveDefinite
-from k3moduli.errors import PrecisionUnsupported
 from k3moduli.numerics import (
     BigComplex,
     CMPoint,
@@ -197,16 +196,20 @@ def test_tail_bound_is_sound():
     assert abs(as_mpc(ctx, full) - as_mpc(ctx, tighter)) < ctx.mpf(10) ** -digits
 
 
-def test_series_cap_env(monkeypatch):
-    monkeypatch.setenv("K3MODULI_SERIES_CAP", "3")
-    with pytest.raises(PrecisionUnsupported):
-        j_invariant(CMPoint(1, 0, -4), 50)
-    monkeypatch.setenv("K3MODULI_SERIES_CAP", "100000")
-    assert numerics.series_cap() == 100000
-    for value in ("abc", "1.5", "0", "-5"):
-        monkeypatch.setenv("K3MODULI_SERIES_CAP", value)
-        with pytest.raises(InputError, match="K3MODULI_SERIES_CAP"):
-            j_invariant(CMPoint(1, 0, -4), 50)
+def test_series_order_bounded_at_the_ceiling():
+    # the order is largest where |q| is, at exp(-pi*sqrt 3) (D = -3, a = 1,
+    # where the spread term is 1): MAX_DIGITS bounds every series
+    bits = numerics._working_bits(numerics.MAX_DIGITS, numerics._magnitude(-3, 1), 1)
+    assert numerics._series_order(-pi * sqrt(3), bits) < 1300
+
+
+def test_j_refuses_digits_above_the_ceiling():
+    assert moduli.MAX_DIGITS is numerics.MAX_DIGITS
+    # 10^9 digits would run for hours: refused before any work
+    for digits in (numerics.MAX_DIGITS + 1, 10**9):
+        with pytest.raises(InputError, match=f"ceiling of {numerics.MAX_DIGITS}"):
+            j_invariant(CMPoint(1, 0, -4), digits)
+    assert recognize_integer(j_invariant(CMPoint(1, 0, -4), numerics.MAX_DIGITS)) == 1728
 
 
 def test_j_expansion_coefficients():

@@ -22,6 +22,28 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_environment_knobs():
+    # arguments and constants alone configure the program
+    knobs = {"environ", "environb", "getenv", "getenvb"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in knobs
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "os"
+            and any(alias.name in knobs for alias in node.names)
+        )
+    ]
+    assert found == []
+
+
 def _imported_modules(path: Path) -> set[str]:
     found = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
