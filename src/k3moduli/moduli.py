@@ -19,8 +19,18 @@ below 1/2.  Recognition is a certificate (see numerics.recognize_integer);
 the precision is doubled only when it fails, and never past MAX_DIGITS.  The
 class polynomial is then checked exactly against Gross-Zagier (J. reine
 angew. Math. 355, 1985): the norm of j is a cube when 3 does not divide D,
-and for fundamental D its primes are at most 3|D|/4.  A floor above
-MAX_DIGITS is refused.
+and for fundamental D its primes are at most 3|D|/4.  An input whose H_D
+floor is above MAX_DIGITS is refused.
+
+When 3 does not divide D, class_polynomial takes the cube root gamma_2 of j
+instead (Enge & Morain, ANTS V, 2002): at forms (A, B, C) with 3 not dividing
+A and 3 | B, the values of gamma_2 are the roots of an integer polynomial W
+whose height, and so whose floor, is about a third of H_D's.  W is certified
+like any other polynomial, and H_D follows from it exactly by the norm
+identity H_D(y) = A^3 + y B^3 + y^2 C^3 - 3y ABC for W(x) = A(x^3) +
+x B(x^3) + x^2 C(x^3).  moduli_report keeps j: its field polynomial is
+built from sums of j over the cosets of C[2], at a floor of 60-100% of
+H_D's, so the j values that serve it give H_D as well.
 
 Galois-ness of the absolute field is decided purely group-theoretically inside
 the semidirect product C x <complex conjugation>, never numerically.
@@ -36,8 +46,8 @@ from .classgroup import ClassGroup
 from .errors import InputError, K3ModuliError, NotNearInteger, PrecisionExhausted
 from .errors import ResolventDegenerate
 from .k3 import TranscLattice
-from .numerics import MAX_DIGITS, BigComplex, CMPoint, _mul, conjugate, j_invariant, pi_root
-from .numerics import poly_from_roots, recognize_integer
+from .numerics import MAX_DIGITS, BigComplex, CMPoint, _mul, conjugate, gamma2, j_invariant
+from .numerics import pi_root, poly_from_roots, recognize_integer
 
 # digits beyond the height estimate: at the floor, the error bound of every
 # class and field polynomial with |D| <= 3000 is then at least 10^7 times
@@ -150,16 +160,56 @@ def mq_is_galois(lattice: TranscLattice) -> bool:
 # polynomial constructions
 
 
-def _j_values(group: ClassGroup, digits: int) -> list[BigComplex]:
-    """j at every class; (a, -b, c) takes the exact conjugate of j at (a, b, c)."""
+def _at_classes(group: ClassGroup, digits: int, evaluate) -> list[BigComplex]:
+    """evaluate(rep, root) at every class with b >= 0; (a, -b, c) takes the
+    exact conjugate of the value at (a, b, c)."""
     reps = [cls.rep for cls in group.classes]
     root = pi_root(group.disc, digits)
-    upper = {
-        (r.a, r.b): j_invariant(CMPoint(r.a, r.b, group.disc), digits, root)
-        for r in reps
-        if r.b >= 0
-    }
+    upper = {(r.a, r.b): evaluate(r, root) for r in reps if r.b >= 0}
     return [upper[r.a, r.b] if r.b >= 0 else conjugate(upper[r.a, -r.b]) for r in reps]
+
+
+def _j_values(group: ClassGroup, digits: int) -> list[BigComplex]:
+    """j at every class, conjugate classes exactly conjugate."""
+    return _at_classes(
+        group, digits, lambda r, root: j_invariant(CMPoint(r.a, r.b, group.disc), digits, root)
+    )
+
+
+def _gamma2_point(a: int, b: int, c: int, disc: int) -> CMPoint:
+    """The point (a, e) of the reduced form (a, b, c), b >= 0, at which gamma_2
+    is gamma_2 at a form (A, B, C) of its class with 3 not dividing A and 3
+    dividing B, for 3 not dividing disc.
+
+    e = b + 2ak, so the point is tau - k, with the reduced point's q, and
+    gamma_2(tau - k) = zeta^k gamma_2(tau) for zeta = exp(2 pi i / 3).  The
+    forms, with k chosen so that 3 | B:
+    - 3 not dividing a: (a, b + 2ak, .), k = ab mod 3, at tau - k;
+    - 3 | a, 3 not dividing c: (c, -b + 2ck, .), k = -bc mod 3, at
+      -1/tau - k, where gamma_2 is gamma_2(tau - k) as gamma_2(-1/tau) =
+      gamma_2(tau);
+    - 3 | a and 3 | c: (a + b + c, 2a + 3b + 4c, .), at tau/(1 - tau) - 1 =
+      -1/(1 - 1/tau) - 1, where gamma_2 is gamma_2(tau): k = 0.
+    e is taken mod 6a (tau - 3 has the same gamma_2), so e >= 0.
+    """
+    if a % 3:
+        k = a * b % 3
+    elif c % 3:
+        k = -b * c % 3
+    else:
+        k = 0
+    return CMPoint(a, (b + 2 * a * k) % (6 * a), disc)
+
+
+def _gamma2_values(group: ClassGroup, digits: int) -> list[BigComplex]:
+    """gamma_2 at every class, at the forms of _gamma2_point; conjugate classes
+    take mirrored forms, (A, -B, C) for (A, B, C), so their values are exactly
+    conjugate."""
+    return _at_classes(
+        group,
+        digits,
+        lambda r, root: gamma2(_gamma2_point(r.a, r.b, r.c, group.disc), digits, root),
+    )
 
 
 def _torsion_cosets(group: ClassGroup) -> tuple[tuple[int, ...], ...]:
@@ -226,9 +276,10 @@ def _recognize_int_poly(coeffs: list[BigComplex]) -> tuple[int, ...]:
     return tuple(recognize_integer(c) for c in coeffs)
 
 
-def _check_gross_zagier(d: int, class_poly: tuple[int, ...]) -> None:
+def _check_gross_zagier(d: int, class_poly: tuple[int, ...]) -> tuple[int, ...]:
     """Exact checks on the norm H_D(0) of j (Gross-Zagier): a cube when 3 does
-    not divide D, and for fundamental D free of primes above 3|D|/4."""
+    not divide D, and for fundamental D free of primes above 3|D|/4.  Returns
+    the polynomial when it passes."""
     norm = abs(class_poly[0])
     if d % 3:
         root = _icbrt(norm)
@@ -244,6 +295,7 @@ def _check_gross_zagier(d: int, class_poly: tuple[int, ...]) -> None:
             raise K3ModuliError(
                 f"H_D(0) of the class polynomial of {d} has a prime factor above 3|D|/4"
             )
+    return class_poly
 
 
 def _icbrt(n: int) -> int:
@@ -258,15 +310,15 @@ def _icbrt(n: int) -> int:
         x = y
 
 
-def _height(group: ClassGroup, cosets) -> float:
-    """log10 bound on the coefficients of prod over cosets of (x - sum of j over
-    the coset): each root is at most |coset| * max exp(pi*sqrt|D|/a), and the
-    coefficients are elementary symmetric functions of the roots."""
-    scale = pi * sqrt(-group.disc) / log(10)
+def _height(group: ClassGroup, cosets, n: int = 1) -> float:
+    """log10 bound on the coefficients of prod over cosets of (x - sum of j^(1/n)
+    over the coset): each root is at most |coset| * max exp(pi*sqrt|D|/(na)),
+    and the coefficients are elementary symmetric functions of the roots."""
+    scale = pi * sqrt(-group.disc) / log(10) / n
     a = [cls.rep.a for cls in group.classes]
-    n = len(cosets)
+    m = len(cosets)
     return sum(scale / min(a[i] for i in c) + log10(len(c)) for c in cosets) + log10(
-        comb(n, n // 2)
+        comb(m, m // 2)
     )
 
 
@@ -278,10 +330,49 @@ def precision_floor(group: ClassGroup, cosets=None) -> int:
     return ceil(_height(group, cosets)) + GUARD_DIGITS
 
 
+def class_polynomial_floor(group: ClassGroup) -> int:
+    """Digits at which class_polynomial_with_precision starts: the floor of
+    the gamma_2 polynomial W, a third of the height of H_D, when 3 does not
+    divide D, and H_D's own otherwise."""
+    if group.disc % 3 == 0:
+        return precision_floor(group)
+    return ceil(_height(group, [(i,) for i in range(group.h)], 3)) + GUARD_DIGITS
+
+
 def _class_poly(group: ClassGroup, js: list[BigComplex]) -> tuple[int, ...]:
-    class_poly = _recognize_int_poly(poly_from_roots(js))
-    _check_gross_zagier(group.disc, class_poly)
-    return class_poly
+    return _check_gross_zagier(group.disc, _recognize_int_poly(poly_from_roots(js)))
+
+
+def _norm_from_gamma2(w: tuple[int, ...]) -> tuple[int, ...]:
+    """H_D from the gamma_2 class polynomial W, exactly.
+
+    The roots of H_D are the cubes of those of W, so H_D(x^3) is the product
+    of W(zeta^k x) over the cube roots of unity zeta^k.  With W(x) = A(x^3) +
+    x B(x^3) + x^2 C(x^3) that product is the norm A^3 + y B^3 + y^2 C^3 -
+    3y ABC at y = x^3.  It is evaluated at y = 2^s in one integer expression
+    (Kronecker substitution): with n = len(W) and |W_i| < 2^size, each
+    coefficient of H_D is below 6 n^2 2^(3 size) < 2^(s - 1) in size, so the
+    signed base-2^s digits of the value are the coefficients.
+    """
+    s = 3 * max(map(abs, w)).bit_length() + 2 * len(w).bit_length() + 4
+    a, b, c = (_pack(w[i::3], s) for i in range(3))
+    value = a**3 + (b**3 << s) + (c**3 << 2 * s) - (3 * a * b * c << s)
+    coeffs = []
+    for _ in w:
+        digit = value & (1 << s) - 1
+        if digit >> s - 1:
+            digit -= 1 << s
+        coeffs.append(digit)
+        value = (value - digit) >> s
+    return tuple(coeffs)
+
+
+def _pack(poly, s: int) -> int:
+    """The integer polynomial (lowest degree first) at 2^s."""
+    value = 0
+    for x in reversed(poly):
+        value = (value << s) + x
+    return value
 
 
 @dataclass(frozen=True)
@@ -302,6 +393,11 @@ def _attempt_polynomials(group: ClassGroup, cosets, digits: int) -> _Polynomials
     return _Polynomials(class_poly, mq, digits, warnings)
 
 
+def _check_ceiling(disc: int, digits: int) -> None:
+    if digits > MAX_DIGITS:
+        raise InputError(f"D = {disc} needs {digits} digits, above the ceiling of {MAX_DIGITS}")
+
+
 def _escalate(disc: int, floor: int, digits: int | None, attempt):
     """Run attempt(digits) from the floor, or from digits when higher,
     doubling the precision while recognition is not certified and the
@@ -309,10 +405,7 @@ def _escalate(disc: int, floor: int, digits: int | None, attempt):
     if digits is not None and digits <= 0:
         raise InputError(f"digits must be positive, got {digits}")
     digits = max(floor, digits or 0)
-    if digits > MAX_DIGITS:
-        raise InputError(
-            f"D = {disc} would run at {digits} digits, above the ceiling of {MAX_DIGITS}"
-        )
+    _check_ceiling(disc, digits)
     while True:
         try:
             return attempt(digits)
@@ -343,13 +436,24 @@ def class_polynomial(d: int, digits: int | None = None) -> tuple[int, ...]:
 def class_polynomial_with_precision(
     d: int, digits: int | None = None
 ) -> tuple[tuple[int, ...], int]:
-    """The class polynomial and the digits it was certified at."""
+    """The class polynomial and the digits it was certified at: those of the
+    gamma_2 polynomial W when 3 does not divide d (H_D follows from W exactly),
+    of H_D itself otherwise.  Either way an input whose H_D floor is above
+    MAX_DIGITS is refused."""
     group = classgroup.class_group(d)
+    _check_ceiling(d, precision_floor(group))  # keyed on H_D's height on either path
+    if d % 3:
 
-    def attempt(dg):
-        return _class_poly(group, _j_values(group, dg)), dg
+        def attempt(dg):
+            w = _recognize_int_poly(poly_from_roots(_gamma2_values(group, dg)))
+            return _check_gross_zagier(d, _norm_from_gamma2(w)), dg
 
-    return _escalate(d, precision_floor(group), digits, attempt)
+    else:
+
+        def attempt(dg):
+            return _class_poly(group, _j_values(group, dg)), dg
+
+    return _escalate(d, class_polynomial_floor(group), digits, attempt)
 
 
 def field_of_K_moduli(lattice: TranscLattice, digits: int | None = None) -> tuple[int, ...]:

@@ -4,7 +4,11 @@ j is evaluated through the eta quotient h = q * (E(q^2) / E(q))^24, with
 E(q) = prod(1 - q^n) and q = exp(2*pi*i*tau), as j = (1 + 256h)^3 / h.  Both
 Euler products are summed by the pentagonal number theorem, so a truncation
 order N costs O(sqrt N) terms; the tail beyond N is certified below the
-working precision.
+working precision.  The same kernel gives gamma_2 = j^(1/3) = (1 + 256h) /
+h^(1/3), with h^(1/3) = q^(1/3) (E(q^2) / E(q))^8: it is about |q|^(-1/3) in
+size, so it runs at a third of the extra bits j needs, and its class
+polynomial (used when 3 does not divide the discriminant) has a third of
+the digits.
 
 One number format carries every value from j to recognition: `BigComplex`,
 the exact fixed-point value (re + i*im) * 2^-bits on Python integers, with a
@@ -151,53 +155,82 @@ def j_invariant(point: CMPoint, digits: int, root: tuple | None = None) -> BigCo
     The result carries its certified error bound: 2^-(bits - magnitude -
     guard - spread), the series tail and the rounding of the O(N)
     fixed-point products under the guard-bit budget, plus the rounding of the
-    constants of q (see below).  root, from pi_root(disc, digits), shares
-    pi*sqrt|disc| between the points of one discriminant; without it (or when
-    it is for another disc or too coarse) it is computed here.
+    constants of q (see _eta_quotient).  root, from pi_root(disc, digits),
+    shares pi*sqrt|disc| between the points of one discriminant; without it
+    (or when it is for another disc or too coarse) it is computed here.
 
     j(a, -b) is the exact complex conjugate of j(a, b); j is exactly real
     when a | b or |tau| = 1.  digits above MAX_DIGITS are refused with
     InputError before any work.
     """
+    return _eta_quotient(point, digits, root, 1)
+
+
+def gamma2(point: CMPoint, digits: int, root: tuple | None = None) -> BigComplex:
+    """gamma_2((-b + sqrt(disc)) / (2a)) = (1 + 256 r^3) / r to an absolute
+    accuracy of about 10^-digits, with r = (eta(2 tau) / eta(tau))^8 =
+    q^(1/3) (E(q^2)/E(q))^8 and q^(1/3) = exp(2 pi i tau / 3).
+
+    gamma_2 = E_4 / eta^8 is the cube root of j: gamma_2^3 = j,
+    gamma_2(tau + 1) = exp(-2 pi i / 3) gamma_2(tau) and gamma_2(-1/tau) =
+    gamma_2(tau).  It is about |q|^(-1/3) in size, so it needs a third of the
+    bits of |q|^-1 that j needs on top of the digits.  Same kernel, error
+    bound, conjugate symmetry (gamma_2(a, -b) is the exact conjugate of
+    gamma_2(a, b)), exactly real values at |tau| = 1 and at 3a | b, root and
+    ceiling as j_invariant.
+    """
+    return _eta_quotient(point, digits, root, 3)
+
+
+def _eta_quotient(point: CMPoint, digits: int, root: tuple | None, n: int) -> BigComplex:
+    """j (n = 1) or gamma_2 (n = 3): q^(-1/n) ((1 + 256 q w) / r8)^(3/n), with
+    r8 = (E(q^2)/E(q))^8 and w = r8^3."""
     if point.a <= 0 or point.disc >= 0:
         raise NotPositiveDefinite("CM point needs a > 0 and disc < 0")
     if digits > MAX_DIGITS:
         raise InputError(f"{digits} digits are above the ceiling of {MAX_DIGITS}")
     a, b, disc = point.a, abs(point.b), point.disc
     log_abs_q = -pi * sqrt(-disc) / a
-    # the result is q^-1 times O(1) factors: absolute accuracy needs the
-    # bits of |q|^-1 on top of the digits
-    magnitude = _magnitude(disc, a)
+    # the result is q^(-1/n) times O(1) factors: absolute accuracy needs the
+    # bits of |q|^(-1/n) on top of the digits
+    magnitude = -(-_magnitude(disc, a) // n)
     spread = ceil(_SPREAD_BITS * exp(log_abs_q) / expm1(log_abs_q) ** 2)
     bits = _working_bits(digits, magnitude, spread)
     order = _series_order(log_abs_q, bits)
-    # the constants of q, each step rounded to nearest at the same precision
+    # the constants of q^(1/n), each step rounded to nearest at the same precision
     prec, near = _constants_prec(bits, magnitude), round_nearest
     if root is None or root[0] != disc or root[1] < prec:
         root = _pi_root(disc, prec)
-    grow = mpf_exp(mpf_div(root[2], from_int(a), prec, near), prec, near)  # |q|^-1
-    if b == 0 or b == a:  # q / |q| = exp(-i*pi*b/a) = +-1 exactly: q is real
-        sign = 1 if b == 0 else -1
+    grow = mpf_exp(mpf_div(root[2], from_int(n * a), prec, near), prec, near)  # |q|^(-1/n)
+    if b % (n * a) == 0:  # q^(1/n) / |q|^(1/n) = exp(-i*pi*b/(na)) = +-1 exactly
+        sign = -1 if b // (n * a) % 2 else 1
         q = sign * to_fixed(mpf_div(fone, grow, prec, near), bits), 0
         q_inv = sign * to_fixed(grow, bits), 0
     else:
-        turn = mpf_cos_sin_pi(mpf_div(from_int(-b), from_int(a), prec, near), prec, near)
+        turn = mpf_cos_sin_pi(mpf_div(from_int(-b), from_int(n * a), prec, near), prec, near)
         q = tuple(to_fixed(mpf_div(t, grow, prec, near), bits) for t in turn)
         cos_grow, sin_grow = (to_fixed(mpf_mul(t, grow, prec, near), bits) for t in turn)
         q_inv = cos_grow, -sin_grow
+    if n == 3:
+        q = _mul(_sqr(q, bits), q, bits)
     ratio = _div(_euler(_sqr(q, bits), order // 2, bits), _euler(q, order, bits), bits)
     r8 = _sqr(_sqr(_sqr(ratio, bits), bits), bits)
     w = _mul(_sqr(r8, bits), r8, bits)  # (E(q^2)/E(q))^24 = h/q
     hq = _mul(q, w, bits)
     t = (1 << bits) + 256 * hq[0], 256 * hq[1]
-    re, im = _div(_mul(_mul(_sqr(t, bits), t, bits), q_inv, bits), w, bits)
+    if n == 3:
+        re, im = _div(_mul(t, q_inv, bits), r8, bits)
+    else:
+        re, im = _div(_mul(_mul(_sqr(t, bits), t, bits), q_inv, bits), w, bits)
     if b * b - disc == 4 * a * a:
         im = 0
-    # q and q^-1 are within 2 units of 2^-bits in each part (the rounding to
-    # nearest at prec > bits + magnitude + 30 bits, then to_fixed).  At a
-    # reduced point, |q| <= exp(-pi*sqrt 3), |t^3 / w| < 2^4 and |dj/dq| <
-    # 2^(magnitude + 13) at fixed q^-1, so together they move j by less than
-    # 2^(magnitude + 16); 2^spread covers the growth of both with |q| elsewhere
+    # q^(1/n) and q^(-1/n) are within 2 units of 2^-bits in each part (the
+    # rounding to nearest at prec > bits + magnitude + 30 bits, then
+    # to_fixed), and q = (q^(1/3))^3 within 4 units.  At a reduced point,
+    # |q| <= exp(-pi*sqrt 3), |t^3 / w| < 2^4, |t / r8| < 2^2, and at fixed
+    # q^(-1/n) the result moves by less than 2^(magnitude + 13) |dq|, so
+    # together they move it by less than 2^(magnitude + 16); 2^spread covers
+    # the growth of both with |q| elsewhere
     err = (1 << magnitude + _GUARD_BITS + spread) + (1 << magnitude + 16 + spread)
     return BigComplex(re, -im if point.b < 0 else im, bits, digits, err)
 

@@ -110,6 +110,16 @@ def test_real_roots_exactly_at_ambiguous_classes():
             value = j_invariant(CMPoint(rep.a, rep.b, d), 60)
             ambiguous = rep.b == 0 or rep.a == rep.b or rep.a == rep.c
             assert (abs(as_mpc(ctx, value).imag) < ctx.mpf("1e-50")) == ambiguous
+    # gamma_2 at the forms of the class polynomial W: (3, 1, 3) of -35 and
+    # (6, 1, 6) of -143 are ambiguous with 3 | a; (3, +-1, 6) of -71 and
+    # (3, +-2, 5) of -56 are not
+    for d in (-23, -35, -56, -71, -143):
+        group = classgroup.class_group(d)
+        for cls, value in zip(group.classes, moduli._gamma2_values(group, 60)):
+            rep = cls.rep
+            ambiguous = rep.b == 0 or rep.a == rep.b or rep.a == rep.c
+            assert (abs(as_mpc(ctx, value).imag) < ctx.mpf("1e-50")) == ambiguous, (d, rep)
+            assert (value.im == 0) == ambiguous, (d, rep)
 
 
 def test_j_values_conjugate_pairs_exactly():
@@ -120,6 +130,43 @@ def test_j_values_conjugate_pairs_exactly():
         assert negative
         for a, b, c in negative:
             assert js[a, b, c] == conjugate(js[a, -b, c])
+    # gamma_2 at mirrored forms; -71 has (3, +-1, 6) and -56 (3, +-2, 5), where 3 | a
+    for d in (-56, -71, -479):
+        group = classgroup.class_group(d)
+        reps = [c.rep.coefficients() for c in group.classes]
+        values = dict(zip(reps, moduli._gamma2_values(group, 60)))
+        negative = [(a, b, c) for a, b, c in values if b < 0]
+        for a, b, c in negative:
+            assert values[a, b, c] == conjugate(values[a, -b, c])
+            assert values[a, b, c].im != 0
+
+
+def test_gamma2_class_polynomial_rebuilds_h():
+    # for 3 not dividing D, W is monic and integral at its floor, and the
+    # norm identity gives the class polynomial of the j path exactly
+    count = 0
+    for d in valid_discs(1000):
+        if d % 3 == 0:
+            continue
+        group = classgroup.class_group(d)
+        digits = moduli.class_polynomial_floor(group)
+        w = moduli._recognize_int_poly(poly_from_roots(moduli._gamma2_values(group, digits)))
+        assert len(w) == group.h + 1 and w[-1] == 1, d
+        oracle = moduli._class_poly(group, moduli._j_values(group, moduli.precision_floor(group)))
+        assert moduli._norm_from_gamma2(w) == oracle, d
+        assert class_polynomial(d) == oracle, d
+        count += 1
+    assert count == 333
+
+
+def test_norm_from_gamma2_small_cases():
+    # W = x - 12 (D = -4), x - 66 (D = -16) and the product of (x - g) over
+    # g = 2, -1 + i, -1 - i, whose cubes are 8, 2 + 2i, 2 - 2i
+    assert moduli._norm_from_gamma2((-12, 1)) == (-1728, 1)
+    assert moduli._norm_from_gamma2((-66, 1)) == (-287496, 1)
+    assert moduli._norm_from_gamma2((-4, 0, 0, 1)) == (-64, 48, -12, 1)
+    w = (-4, -2, 0, 1)  # (x - 2)(x^2 + 2x + 2)
+    assert moduli._norm_from_gamma2(w) == (-64, 40, -12, 1)  # (y - 8)(y^2 - 4y + 8)
 
 
 def test_nonpositive_digits_rejected():

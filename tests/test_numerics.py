@@ -110,6 +110,55 @@ def test_error_bounds_cover_the_true_values():
         pairs = zip(poly_from_roots(low), poly_from_roots(high))
         assert all(covered(x, y) and 2 * x.err < 1 << x.bits for x, y in pairs), d
 
+    # gamma_2 at its floor, against (1 + 256 r^3) / r with r = (eta(2 tau) /
+    # eta(tau))^8 from mpmath at the forms (A, B, C) with 3 not dividing A
+    # and 3 | B; -71 has the classes (3, +-1, 6), where 3 | a and 3 | c, and
+    # -56 the classes (3, +-2, 5), where 3 | a only
+    ctx = MPContext()
+    for d in (-23, -56, -71, -95, -1555):
+        group = class_group(d)
+        digits = moduli.class_polynomial_floor(group)
+        ctx.dps = 2 * digits + 20
+        low, high = moduli._gamma2_values(group, digits), moduli._gamma2_values(group, 2 * digits)
+        assert all(x.err > 0 and covered(x, y) for x, y in zip(low, high)), d
+        for cls, x in zip(group.classes, low):
+            form = _gamma2_form(*cls.rep.coefficients())
+            error = abs(as_mpc(ctx, x) - _gamma2_by_eta(ctx, d, *form))
+            assert error < ctx.ldexp(x.err, -x.bits), (d, cls.rep)
+        pairs = zip(poly_from_roots(low), poly_from_roots(high))
+        assert all(covered(x, y) and 2 * x.err < 1 << x.bits for x, y in pairs), d
+
+
+def _gamma2_form(a, b, c):
+    """A form (A, B) of the class of (a, b, c) with 3 not dividing A and 3 | B,
+    for 3 not dividing b^2 - 4ac."""
+    if a % 3 == 0:
+        a, b, c = (c, -b, a) if c % 3 else (a + b + c, b + 2 * c, c)
+    k = next(k for k in range(3) if (b + 2 * a * k) % 3 == 0)
+    return a, b + 2 * a * k
+
+
+def _gamma2_by_eta(ctx, d, a, b):
+    tau = ctx.mpc(-b, ctx.sqrt(-d)) / (2 * a)
+    r = (ctx.eta(2 * tau) / ctx.eta(tau)) ** 8
+    return (1 + 256 * r**3) / r
+
+
+def test_gamma2_cubes_to_j():
+    # gamma_2^3 = j at any point, and gamma_2(tau - 1) = exp(2 pi i / 3) gamma_2(tau)
+    ctx = MPContext()
+    ctx.dps = 70
+    zeta = ctx.expjpi(ctx.mpf(2) / 3)
+    for a, b, d in [(1, 0, -4), (1, 1, -23), (2, 1, -23), (3, 2, -56), (4, 3, -71), (6, 1, -143)]:
+        g = as_mpc(ctx, numerics.gamma2(CMPoint(a, b, d), 60))
+        j = as_mpc(ctx, j_invariant(CMPoint(a, b, d), 60))
+        assert abs(g**3 - j) < ctx.mpf(10) ** -50 * (1 + abs(j)), (a, b, d)
+        shifted = as_mpc(ctx, numerics.gamma2(CMPoint(a, b + 2 * a, d), 60))
+        assert abs(shifted - zeta * g) < ctx.mpf(10) ** -55 * (1 + abs(g)), (a, b, d)
+    assert recognize_integer(numerics.gamma2(CMPoint(1, 0, -4), 40)) == 12
+    assert recognize_integer(numerics.gamma2(CMPoint(1, 0, -16), 40)) == 66
+    assert recognize_integer(numerics.gamma2(CMPoint(1, 3, -7), 40)) == -15
+
 
 def test_trace_of_minus_23_roots_is_integer():
     group = class_group(-23)
@@ -209,6 +258,8 @@ def test_j_refuses_digits_above_the_ceiling():
     for digits in (numerics.MAX_DIGITS + 1, 10**9):
         with pytest.raises(InputError, match=f"ceiling of {numerics.MAX_DIGITS}"):
             j_invariant(CMPoint(1, 0, -4), digits)
+        with pytest.raises(InputError, match=f"ceiling of {numerics.MAX_DIGITS}"):
+            numerics.gamma2(CMPoint(1, 0, -4), digits)
     assert recognize_integer(j_invariant(CMPoint(1, 0, -4), numerics.MAX_DIGITS)) == 1728
 
 

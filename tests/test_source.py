@@ -2,12 +2,16 @@
 
 import ast
 import importlib
+import sys
 from pathlib import Path
+
+import pytest
 
 import k3moduli
 
 SOURCES = sorted(Path(k3moduli.__file__).parent.glob("*.py"))
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def test_no_assert_statements():
@@ -76,3 +80,13 @@ def test_traced_names_resolve():
     for owner, attr in sites:
         holder = getattr(k3moduli, owner, None) or importlib.import_module(f"k3moduli.{owner}")
         assert callable(getattr(holder, attr, None)), (owner, attr)
+
+
+def test_no_new_dependency():
+    # mpmath is the one dependency; everything else comes from the standard library
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == ["mpmath>=1.3"]
+    allowed = set(sys.stdlib_module_names) | {"mpmath"}
+    found = {path.name: sorted(_imported_modules(path) - allowed) for path in SOURCES}
+    assert {name: mods for name, mods in found.items() if mods} == {}
