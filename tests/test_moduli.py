@@ -324,10 +324,14 @@ def _recognition_failing(monkeypatch, fails):
 
 
 def test_failed_certificate_doubles_the_precision(monkeypatch):
-    floor = moduli.precision_floor(classgroup.class_group(-23))
-    attempts = _recognition_failing(monkeypatch, lambda digits: digits == floor)
-    assert moduli.class_polynomial_with_precision(-23) == (H23, 2 * floor)
-    assert attempts == [floor, 2 * floor]
+    # classpoly certifies the gamma_2 polynomial W at its floor, 10 digits at
+    # -23; analyze certifies j's polynomials at H_D's floor, 19 digits
+    group = classgroup.class_group(-23)
+    cp_floor, floor = moduli.class_polynomial_floor(group), moduli.precision_floor(group)
+    assert (cp_floor, floor) == (10, 19)
+    attempts = _recognition_failing(monkeypatch, lambda digits: digits in (cp_floor, floor))
+    assert moduli.class_polynomial_with_precision(-23) == (H23, 2 * cp_floor)
+    assert attempts == [cp_floor, 2 * cp_floor]
 
     attempts.clear()
     report = moduli_report(LATTICE_23)
@@ -337,16 +341,20 @@ def test_failed_certificate_doubles_the_precision(monkeypatch):
 
 def test_doubling_stops_at_the_ceiling(monkeypatch):
     attempts = _recognition_failing(monkeypatch, lambda digits: True)
-    with pytest.raises(PrecisionExhausted, match="failed at 2432 digits") as exc:
+    with pytest.raises(PrecisionExhausted, match="failed at 2560 digits") as exc:
         class_polynomial(-23)
-    assert attempts == [19 << k for k in range(8)]  # 19, 38, ..., 2432
+    # 10, 20, ..., 2560: the floor of the gamma_2 polynomial of -23, doubled
+    assert attempts == [10 << k for k in range(9)]
+    assert attempts[0] == moduli.class_polynomial_floor(classgroup.class_group(-23))
     assert max(attempts) <= moduli.MAX_DIGITS < 2 * attempts[-1]
     assert f"ceiling of {moduli.MAX_DIGITS}" in str(exc.value)
-    # a floor above half the ceiling gets one attempt
+    # a floor above half the ceiling gets one attempt; 3 | D = -92376, so
+    # this is H_D's own floor
     attempts.clear()
-    floor = moduli.precision_floor(classgroup.class_group(-40004))
+    floor = moduli.class_polynomial_floor(classgroup.class_group(-92376))
+    assert floor == moduli.precision_floor(classgroup.class_group(-92376)) > 1500
     with pytest.raises(PrecisionExhausted, match=f"failed at {floor} digits"):
-        class_polynomial(-40004)
+        class_polynomial(-92376)
     assert attempts == [floor]
 
 
@@ -376,8 +384,9 @@ def test_every_polynomial_settles_at_its_floor():
     # one certified attempt: a failed one would double the precision
     for d in valid_discs(1000):
         group = classgroup.class_group(d)
+        cp_floor = moduli.class_polynomial_floor(group)
+        assert moduli.class_polynomial_with_precision(d)[1] == cp_floor, d
         floor = moduli.precision_floor(group)
-        assert moduli.class_polynomial_with_precision(d)[1] == floor, d
         field_floor = max(floor, moduli.precision_floor(group, moduli._torsion_cosets(group)))
         assert moduli._field_polynomials(group, None).digits == field_floor, d
 
