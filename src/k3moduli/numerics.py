@@ -17,10 +17,10 @@ rigorous bound `err` on its distance to the true value, in the same units.
 propagates the bounds of its roots through the product, and
 `recognize_integer` returns an integer only when the bound proves it is the
 true value.  Only the constants of q (pi*sqrt|disc|, exp of it over a, and
-cos/sin of pi*b/a) come from mpmath, through its context-free `libmp`
-functions; there is no mpmath context and no state shared between calls or
-threads.  One constant, MAX_DIGITS, bounds the precision of every evaluation,
-and with it the length of the series.
+cos/sin of pi*b/a; over 3a for gamma_2) come from mpmath, through its
+context-free `libmp` functions; there is no mpmath context and no state
+shared between calls or threads.  One constant, MAX_DIGITS, bounds the
+precision of every evaluation, and with it the length of the series.
 """
 
 from __future__ import annotations

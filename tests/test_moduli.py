@@ -159,16 +159,6 @@ def test_gamma2_class_polynomial_rebuilds_h():
     assert count == 333
 
 
-def test_norm_from_gamma2_small_cases():
-    # W = x - 12 (D = -4), x - 66 (D = -16) and the product of (x - g) over
-    # g = 2, -1 + i, -1 - i, whose cubes are 8, 2 + 2i, 2 - 2i
-    assert moduli._norm_from_gamma2((-12, 1)) == (-1728, 1)
-    assert moduli._norm_from_gamma2((-66, 1)) == (-287496, 1)
-    assert moduli._norm_from_gamma2((-4, 0, 0, 1)) == (-64, 48, -12, 1)
-    w = (-4, -2, 0, 1)  # (x - 2)(x^2 + 2x + 2)
-    assert moduli._norm_from_gamma2(w) == (-64, 40, -12, 1)  # (y - 8)(y^2 - 4y + 8)
-
-
 def test_nonpositive_digits_rejected():
     for digits in (0, -5):
         with pytest.raises(InputError):
