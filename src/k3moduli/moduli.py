@@ -334,9 +334,8 @@ def class_polynomial_floor(group: ClassGroup) -> int:
     """Digits at which class_polynomial_with_precision starts: the floor of
     the gamma_2 polynomial W, a third of the height of H_D, when 3 does not
     divide D, and H_D's own otherwise."""
-    if group.disc % 3 == 0:
-        return precision_floor(group)
-    return ceil(_height(group, [(i,) for i in range(group.h)], 3)) + GUARD_DIGITS
+    classes = [(i,) for i in range(group.h)]
+    return ceil(_height(group, classes, 3 if group.disc % 3 else 1)) + GUARD_DIGITS
 
 
 def _class_poly(group: ClassGroup, js: list[BigComplex]) -> tuple[int, ...]:
