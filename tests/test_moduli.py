@@ -136,6 +136,7 @@ def test_j_values_conjugate_pairs_exactly():
         reps = [c.rep.coefficients() for c in group.classes]
         values = dict(zip(reps, moduli._gamma2_values(group, 60)))
         negative = [(a, b, c) for a, b, c in values if b < 0]
+        assert negative
         for a, b, c in negative:
             assert values[a, b, c] == conjugate(values[a, -b, c])
             assert values[a, b, c].im != 0
