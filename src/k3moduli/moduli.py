@@ -213,18 +213,8 @@ def _gamma2_values(group: ClassGroup, digits: int) -> list[BigComplex]:
 
 
 def _torsion_cosets(group: ClassGroup) -> tuple[tuple[int, ...], ...]:
-    """Cosets of C[2] in C, g of them, each listed and ordered deterministically."""
-    torsion = sorted(classgroup.two_torsion(group))
-    seen: set[int] = set()
-    cosets = []
-    for i in range(group.h):
-        if i in seen:
-            continue
-        coset = tuple(sorted(group.cayley[i][t] for t in torsion))
-        seen.update(coset)
-        cosets.append(coset)
-    cosets.sort()
-    return tuple(cosets)
+    """Cosets of C[2] in C, g of them, each sorted, ordered by smallest member."""
+    return classgroup.cosets(group, classgroup.two_torsion(group))
 
 
 # (name, power, shift): the invariant of a coset is the sum of (j + shift)^power
@@ -403,8 +393,10 @@ def _escalate(disc: int, floor: int, digits: int | None, attempt):
     doubled precision stays within MAX_DIGITS."""
     if digits is not None and digits <= 0:
         raise InputError(f"digits must be positive, got {digits}")
+    _check_ceiling(disc, floor)
     digits = max(floor, digits or 0)
-    _check_ceiling(disc, digits)
+    if digits > MAX_DIGITS:  # the floor is within the ceiling: the request is not
+        raise InputError(f"{digits} digits are above the ceiling of {MAX_DIGITS}")
     while True:
         try:
             return attempt(digits)

@@ -154,59 +154,28 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, t0
 
 
-def _crt(r1: int, m1: int, r2: int, m2: int) -> int:
-    """Solve x = r1 (mod m1), x = r2 (mod m2); needs gcd(m1,m2) | r2 - r1."""
-    g, s, _ = _xgcd(m1, m2)
-    diff = r2 - r1
-    if diff % g:
-        raise ValueError("incompatible congruences")
-    lcm = m1 // g * m2
-    return (r1 + diff // g * s % (m2 // g) * m1) % lcm
-
-
-def _coprime_representative(q: QuadForm, n: int) -> QuadForm:
-    """Properly equivalent form whose leading coefficient is coprime to n.
-
-    Searches represented values q(x, y) with gcd(x, y) = 1 over |x|, |y| <= bound,
-    doubling the bound until a hit; a primitive form always represents integers
-    coprime to any fixed modulus, so this terminates.
-    """
-    bound = 1
-    while True:
-        for x in range(-bound, bound + 1):
-            for y in range(-bound, bound + 1):
-                if gcd(x, y) != 1:
-                    continue
-                v = q(x, y)
-                if v != 0 and gcd(v, n) == 1:
-                    # complete the column (x, y) to an SL2(Z) matrix
-                    _, s, t = _xgcd(x, y)
-                    return transform(q, ((x, -t), (y, s)))
-        bound *= 2
-
-
 def compose(x: FormClass, y: FormClass) -> FormClass:
-    """Reduced Dirichlet composition of two primitive classes of one discriminant.
+    """Reduced composition of two primitive classes of one discriminant.
 
-    Uses the congruence system B = b (mod 2a), B = b' (mod 2a'), B^2 = D
-    (mod 4aa'), unique modulo 2aa'.  When the leading coefficients are not
-    coprime, y is first replaced by an equivalent form whose leading
-    coefficient is coprime to 2*a*D; the two linear congruences then determine
-    B and the quadratic one holds automatically.
+    Shanks' formula (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 5.4.7): with s = (b1 + b2)/2, d = gcd(a1, a2) = u*a2 + (.)*a1 and
+    d1 = gcd(s, d) = v*s + w*d, the product is (a1*a2/d1^2, b2 + 2*(a2/d1)*r, .)
+    for r = -(u*w*(b2 - s) + v*c2) mod a1/d1.  Any Bezout cofactors serve, so
+    a1 | a2 and d | s need no case of their own.
     """
     if x.disc != y.disc:
         raise DiscriminantMismatch(f"discriminants {x.disc} and {y.disc} differ")
     if not (is_primitive(x.rep) and is_primitive(y.rep)):
         raise NotPrimitive("composition needs primitive classes")
-    d = x.disc
-    f1, f2 = x.rep, y.rep
-    if gcd(f1.a, f2.a) != 1:
-        f2 = _coprime_representative(f2, 2 * f1.a * d)
-    a1, b1 = f1.a, f1.b
-    a2, b2 = f2.a, f2.b
-    bb = _crt(b1, 2 * a1, b2, 2 * a2)
-    aa = a1 * a2
-    cc = (bb * bb - d) // (4 * aa)
+    a1, b1 = x.rep.a, x.rep.b
+    a2, b2, c2 = y.rep.a, y.rep.b, y.rep.c
+    s = (b1 + b2) // 2
+    d, u, _ = _xgcd(a2, a1)
+    d1, v, w = _xgcd(s, d)
+    r = -(u * w * (b2 - s) + v * c2) % (a1 // d1)
+    aa = a1 // d1 * (a2 // d1)
+    bb = b2 + 2 * (a2 // d1) * r
+    cc = (bb * bb - x.disc) // (4 * aa)
     return reduce(QuadForm(aa, bb, cc))[0]
 
 

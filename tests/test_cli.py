@@ -124,9 +124,23 @@ def test_precision_ceiling_refused_fast(capsys):
         assert code == EXIT_INPUT and out == "", argv
         assert elapsed < 1.0, (argv, elapsed)
         assert err.count("\n") == 1 and f"ceiling of {moduli.MAX_DIGITS}" in err, err
-    code, out = run_cli(["classpoly", "--digits", str(moduli.MAX_DIGITS + 1), "--", "-23"])
+        assert "D = -1000000 needs 4060 digits" in err, err
+    # a floor above the ceiling is named before a requested precision is
+    code, out = run_cli(["classpoly", "--digits", "5000", "--", "-1000000"])
     assert code == EXIT_INPUT and out == ""
-    assert f"ceiling of {moduli.MAX_DIGITS}" in capsys.readouterr().err
+    assert "D = -1000000 needs 4060 digits" in capsys.readouterr().err
+    # D = -23 needs 10 digits (19 for H_D): a refused --digits names itself
+    over = str(moduli.MAX_DIGITS + 1)
+    for argv in (
+        ["classpoly", "--digits", over, "--", "-23"],
+        ["analyze", "--digits", over, "2", "1", "1", "12"],
+    ):
+        code, out = run_cli(argv)
+        assert code == EXIT_INPUT and out == "", argv
+        err = capsys.readouterr().err
+        assert f"ceiling of {moduli.MAX_DIGITS}" in err
+        assert f"{over} digits are above the ceiling of {moduli.MAX_DIGITS}" in err, err
+        assert "D =" not in err, err
     # while D = -40004 (h = 160) stays below the ceiling
     assert moduli.precision_floor(classgroup.class_group(-40004)) <= moduli.MAX_DIGITS
 

@@ -1,11 +1,13 @@
 import itertools
+import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3moduli import orders
-from k3moduli.classgroup import class_group
+from k3moduli.classgroup import class_group, reduced_representatives
 from k3moduli.errors import BadConductor, BadDiscriminant, DegenerateLattice, FieldMismatch
 from k3moduli.orders import (
     QuadOrder,
@@ -18,7 +20,7 @@ from k3moduli.orders import (
     order_of_disc,
     reduction_map,
 )
-from k3moduli.qforms import compose, form_class, inverse, principal_class
+from k3moduli.qforms import FormClass, compose, form_class, inverse, principal_class
 
 from conftest import valid_discs
 
@@ -135,6 +137,22 @@ def test_compose_general_matches_compose():
         for x in classes:
             for y in classes:
                 assert compose_general(x, y) == compose(x, y)
+
+
+@pytest.mark.parametrize("d", [-40004, -60060, -255255, -999999, -999479])
+def test_compose_matches_compose_general_at_large_discriminants(d):
+    # the oracles above stop at |D| <= 2000, where a <= 25; here a reaches 577
+    # (-999479 has h = 1644, the largest h in [999000, 10^6])
+    classes = [FormClass(q, d) for q in reduced_representatives(d)]
+    rng = random.Random(d)
+    pairs = []
+    for x in rng.sample(classes[1:], 40):  # classes[0] = (1, ., .) shares no factor
+        shared = [y for y in classes if gcd(x.rep.a, y.rep.a) > 1]
+        pairs += [(x, x), (x, inverse(x)), (x, rng.choice(classes)), (x, rng.choice(shared))]
+    for x, y in pairs:
+        assert compose(x, y) == compose_general(x, y), (x, y)
+    # some pairs need d1 = gcd(a1, a2, (b1 + b2)/2) > 1, the united case
+    assert any(gcd(x.rep.a, y.rep.a, (x.rep.b + y.rep.b) // 2) > 1 for x, y in pairs)
 
 
 def test_compose_general_cross_conductor():
