@@ -141,7 +141,7 @@ def test_compose_general_matches_compose():
 
 @pytest.mark.parametrize("d", [-40004, -60060, -255255, -999999, -999479])
 def test_compose_matches_compose_general_at_large_discriminants(d):
-    # the oracles above stop at |D| <= 2000, where a <= 25; here a reaches 577
+    # the other oracles stop at |D| <= 2000, where a <= 25; here a reaches 562
     # (-999479 has h = 1644, the largest h in [999000, 10^6])
     classes = [FormClass(q, d) for q in reduced_representatives(d)]
     rng = random.Random(d)
