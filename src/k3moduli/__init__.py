@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from .classgroup import (
     ClassGroup,
     GenusPartition,
+    cayley,
     class_group,
     genus_of,
     genus_order,
@@ -83,6 +84,7 @@ __all__ = [
     "SMDecomposition",
     "TranscLattice",
     "__version__",
+    "cayley",
     "class_group",
     "class_polynomial",
     "cm_field",

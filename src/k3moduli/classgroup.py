@@ -1,16 +1,19 @@
-"""Form class groups C(D): enumeration, Cayley table, genus structure.
+"""Form class groups C(D): enumeration, coordinates, genus structure.
 
 C(D) is built from generators.  The reduced classes are walked in order, and
 each class not yet reached becomes a generator g_k: its powers are composed
 until one lands in the subgroup H generated so far, which gives its relative
 order e_k and a relation g_k^e_k = (exponents of g_1 .. g_(k-1)); H is then
 extended by composing with g_k.  That is about h + sum(e_k) Dirichlet
-compositions in all.  Every class gets a mixed-radix exponent vector, so
-multiplication by g_k is a permutation of the class indices computed by vector
-arithmetic, and each Cayley row is the row of its parent (the class divided by
-its last generator) sent through one such permutation: h^2 list lookups and no
-further composition.  The invariant factors are the Smith normal form of the
-r x r relation matrix.
+compositions in all.  The Smith normal form U M V = diag(d_1, .., d_r) of the
+r x r relation matrix M gives the invariant factors, and V sends a class's
+exponent vector e to its coordinates e V mod (d_1, .., d_r), so C(D) is
+Z/d_1 x .. x Z/d_r with each class a point of it.  Products, inverses and
+orders are coordinate arithmetic; the principal genus C^2 is the classes with
+even coordinates at every even d_k, the genera are the classes grouped by
+those coordinates mod 2, and the cosets of C[2] are the fibres of squaring.
+No Cayley table is stored: cayley() builds one on request, each row its
+parent's row sent through "add 1 in one coordinate", h^2 list lookups.
 
 Before a group is returned, three counts of C[2] must agree: the ambiguous
 reduced forms, 2^(number of even invariant factors) and the genus count
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from . import qforms
 from .errors import ClassNotInGroup, DiscriminantTooLarge, K3ModuliError
@@ -37,15 +40,16 @@ MAX_ABS_DISC = 10**6
 
 @dataclass(frozen=True)
 class ClassGroup:
-    """All reduced primitive classes of one discriminant, with composition table.
+    """All reduced primitive classes of one discriminant, as points of
+    Z/d_1 x .. x Z/d_r.
 
-    cayley[i][j] is the index of classes[i] * classes[j]; elementary_divisors
-    are the invariant factors of the group, each dividing the next.
+    elementary_divisors are the invariant factors d_1 | d_2 | .. | d_r, and
+    coords[i] the coordinates of classes[i]; the principal class sits at 0.
     """
 
     disc: int
     classes: tuple[FormClass, ...]
-    cayley: tuple[tuple[int, ...], ...]
+    coords: tuple[tuple[int, ...], ...]
     elementary_divisors: tuple[int, ...]
 
     @property
@@ -57,13 +61,12 @@ class ClassGroup:
         return {cls: i for i, cls in enumerate(self.classes)}
 
     @cached_property
-    def principal_index(self) -> int:
-        return self._index[qforms.principal_class(self.disc)]
+    def _at(self) -> dict[tuple[int, ...], int]:
+        return {c: i for i, c in enumerate(self.coords)}
 
     @cached_property
-    def _inverses(self) -> tuple[int, ...]:
-        e = self.principal_index
-        return tuple(row.index(e) for row in self.cayley)
+    def principal_index(self) -> int:
+        return self._index[qforms.principal_class(self.disc)]
 
     def index_of(self, cls: FormClass) -> int:
         try:
@@ -72,18 +75,14 @@ class ClassGroup:
             raise ClassNotInGroup(f"{cls} is not a class of discriminant {self.disc}") from None
 
     def mul(self, i: int, j: int) -> int:
-        return self.cayley[i][j]
+        x, y, n = self.coords[i], self.coords[j], self.elementary_divisors
+        return self._at[tuple((a + b) % m for a, b, m in zip(x, y, n))]
 
     def inverse_index(self, i: int) -> int:
-        return self._inverses[i]
+        return self._at[tuple(-a % m for a, m in zip(self.coords[i], self.elementary_divisors))]
 
     def order_of(self, i: int) -> int:
-        e = self.principal_index
-        n, j = 1, i
-        while j != e:
-            j = self.cayley[j][i]
-            n += 1
-        return n
+        return lcm(*(m // gcd(a, m) for a, m in zip(self.coords[i], self.elementary_divisors)))
 
 
 @dataclass(frozen=True)
@@ -198,54 +197,12 @@ def _digits(key: int, orders: list[int]) -> list[int]:
     return digits
 
 
-def _product_key(x: int, y: int, orders: list[int], relations: list[list[int]]) -> int:
-    """Key of the product of the classes with keys x and y: add the exponent
-    vectors and carry each overflow of digit k through relation k."""
-    digits = [a + b for a, b in zip(_digits(x, orders), _digits(y, orders))]
-    for k in range(len(orders) - 1, -1, -1):
-        carry, digits[k] = divmod(digits[k], orders[k])
-        for i, v in enumerate(relations[k]):
-            digits[i] += carry * v
-    key = 0
-    for digit, e in zip(reversed(digits), reversed(orders)):
-        key = key * e + digit
-    return key
-
-
-def _cayley(
-    members: list[int], orders: list[int], relations: list[list[int]]
-) -> tuple[tuple[int, ...], ...]:
-    """Rows of the Cayley table.  The class with key x > 0 is g_t times the
-    class with key x - stride[t], t its last nonzero digit; its row is that
-    parent's row sent through the permutation of multiplying by g_t."""
-    h = len(members)
-    strides = [1]
-    for e in orders[:-1]:
-        strides.append(strides[-1] * e)
-    perms = []
-    for stride, e in zip(strides, orders):
-        perm = [0] * h
-        for key in range(h):
-            if key % (stride * e) < (e - 1) * stride:  # digit below e - 1: no carry
-                perm[members[key]] = members[key + stride]
-            else:
-                perm[members[key]] = members[_product_key(key, stride, orders, relations)]
-        perms.append(perm)
-    rows: list[tuple[int, ...]] = [()] * h
-    rows[members[0]] = tuple(range(h))
-    t = 0
-    for key in range(1, h):
-        while t + 1 < len(strides) and strides[t + 1] <= key:
-            t += 1
-        rows[members[key]] = tuple(map(perms[t].__getitem__, rows[members[key - strides[t]]]))
-    return tuple(rows)
-
-
-def _smith_diagonal(matrix: list[list[int]]) -> list[int]:
-    """Diagonal of the Smith normal form of a nonsingular square integer matrix,
-    each entry dividing the next."""
-    a = [row[:] for row in matrix]
-    n = len(a)
+def _smith_diagonal(matrix: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Diagonal of the Smith normal form U M V of a nonsingular square integer
+    matrix M, each entry dividing the next, and the column transform V."""
+    n = len(matrix)
+    # the identity rows below M go through every column operation, and end as V
+    a = [row[:] for row in matrix] + [[int(i == j) for j in range(n)] for i in range(n)]
     diagonal = []
     for k in range(n):
         while True:
@@ -268,7 +225,7 @@ def _smith_diagonal(matrix: list[list[int]]) -> list[int]:
                 break
             a[k] = [x + y for x, y in zip(a[k], a[bad])]
         diagonal.append(abs(a[k][k]))
-    return diagonal
+    return diagonal, a[n:]
 
 
 def _genus_check(d: int, reps: list[QuadForm], divisors: tuple[int, ...] | None = None) -> int:
@@ -285,12 +242,13 @@ def _genus_check(d: int, reps: list[QuadForm], divisors: tuple[int, ...] | None 
     return ambiguous
 
 
-# bounded, because C(-999999) alone holds 12 MB and a process that walks many
-# discriminants would otherwise keep every group; 32 still serves the queries
-# that repeat a few recent discriminants, as analyze does for one lattice's orbit
+# bounded, because a process that walks many discriminants would otherwise keep
+# every group; a group holds its classes and their coordinates, 0.5 MiB at
+# -999479 (h = 1644, tracemalloc), and 32 still serve the queries that repeat a
+# few recent discriminants, as analyze does for one lattice's orbit
 @lru_cache(maxsize=32)
 def class_group(d: int) -> ClassGroup:
-    """Enumerate C(d) with its Cayley table and invariant factors.
+    """Enumerate C(d) with its invariant factors and each class's coordinates.
 
     Refuses |d| > MAX_ABS_DISC with DiscriminantTooLarge.
     """
@@ -303,9 +261,59 @@ def class_group(d: int) -> ClassGroup:
         [-v for v in rel] + [e] + [0] * (len(orders) - k - 1)
         for k, (e, rel) in enumerate(zip(orders, relations))
     ]
-    divisors = tuple(n for n in _smith_diagonal(matrix) if n > 1)
+    diagonal, transform = _smith_diagonal(matrix)  # V
+    # e is a relation exactly when e V lies in diag(d_1, .., d_r) Z^r; the
+    # coordinates at d_k = 1 are always 0 and are dropped
+    kept = [k for k, n in enumerate(diagonal) if n > 1]
+    divisors = tuple(diagonal[k] for k in kept)
     _genus_check(d, reps, divisors)
-    return ClassGroup(d, classes, _cayley(members, orders, relations), divisors)
+    # columns[k][key]: coordinate k of members[key].  The coordinates of g_t
+    # are row t of V, and members[m * size + y] is g_t^m members[y] for the
+    # keys of g_t's block, size the keys before it
+    columns: list[list[int]] = [[0] for _ in kept]
+    for row, e in zip(transform, orders):
+        for column, k in zip(columns, kept):
+            n, step = diagonal[k], row[k]
+            column += [(x + m * step) % n for m in range(1, e) for x in column]
+    coords: list[tuple[int, ...]] = [()] * len(classes)  # C trivial: no columns
+    for i, point in zip(members, zip(*columns)):
+        coords[i] = point
+    return ClassGroup(d, classes, tuple(coords), divisors)
+
+
+def cayley(group: ClassGroup) -> tuple[tuple[int, ...], ...]:
+    """The Cayley table: cayley(group)[i][j] is the index of classes[i] *
+    classes[j].  Built on each call, h^2 entries.
+
+    Each class is keyed by its coordinates read in the mixed radix (d_1, d_2,
+    ..), least significant first.  The class with key x > 0 is g_t times the
+    class with key x - strides[t], t its most significant nonzero coordinate
+    and g_t the unit vector at t; its row is that parent's row sent through
+    the permutation of adding 1 at coordinate t.
+    """
+    h, divisors = group.h, group.elementary_divisors
+    columns = list(zip(*group.coords))  # columns[t][i]: coordinate t of class i
+    strides = [1]
+    for n in divisors[:-1]:
+        strides.append(strides[-1] * n)
+    keys = [0] * h
+    for column, s in zip(columns, strides):
+        keys = [key + a * s for key, a in zip(keys, column)]
+    at = [0] * h
+    for i, key in enumerate(keys):
+        at[key] = i
+    perms = [  # perms[t][i]: the class i plus 1 at coordinate t
+        [at[key + s if a < n - 1 else key - (n - 1) * s] for key, a in zip(keys, column)]
+        for column, n, s in zip(columns, divisors, strides)
+    ]
+    rows: list[tuple[int, ...]] = [()] * h
+    rows[at[0]] = tuple(range(h))
+    t = 0
+    for key in range(1, h):
+        while t + 1 < len(strides) and strides[t + 1] <= key:
+            t += 1
+        rows[at[key]] = tuple(map(perms[t].__getitem__, rows[at[key - strides[t]]]))
+    return tuple(rows)
 
 
 def two_torsion(group: ClassGroup) -> frozenset[int]:
@@ -313,39 +321,42 @@ def two_torsion(group: ClassGroup) -> frozenset[int]:
     return frozenset(i for i, cls in enumerate(group.classes) if _is_ambiguous(cls.rep))
 
 
+def _genera(group: ClassGroup) -> list[tuple[int, ...]]:
+    """The genus of each class: its coordinates mod 2 at the even invariant
+    factors, which come last in the divisibility chain."""
+    odd = sum(n % 2 for n in group.elementary_divisors)
+    return [tuple(a % 2 for a in c[odd:]) for c in group.coords]
+
+
+def fibres(group: ClassGroup, key) -> tuple[tuple[int, ...], ...]:
+    """The class indices grouped by key(i), each group ascending; groups come
+    in order of their smallest member."""
+    found: dict = {}
+    for i in range(group.h):
+        found.setdefault(key(i), []).append(i)
+    return tuple(map(tuple, found.values()))
+
+
 def principal_genus(group: ClassGroup) -> frozenset[int]:
-    """The subgroup of squares C(D)^2."""
-    return frozenset(group.cayley[i][i] for i in range(group.h))
-
-
-def cosets(group: ClassGroup, subgroup: frozenset[int]) -> tuple[tuple[int, ...], ...]:
-    """Cosets i * subgroup of a subgroup given by its indices, each sorted;
-    walking i upwards meets every coset first at its smallest member, so they
-    come ordered by it."""
-    seen: set[int] = set()
-    found = []
-    for i, row in enumerate(group.cayley):
-        if i not in seen:
-            coset = tuple(sorted(row[s] for s in subgroup))
-            seen.update(coset)
-            found.append(coset)
-    return tuple(found)
+    """The subgroup of squares C(D)^2: even coordinates at every even invariant factor."""
+    return frozenset(i for i, genus in enumerate(_genera(group)) if not any(genus))
 
 
 def genus_partition(group: ClassGroup) -> GenusPartition:
-    squares = principal_genus(group)
-    return GenusPartition(squares, tuple(map(frozenset, cosets(group, squares))))
+    genera = tuple(map(frozenset, fibres(group, _genera(group).__getitem__)))
+    return GenusPartition(next(g for g in genera if group.principal_index in g), genera)
 
 
 def genus_of(group: ClassGroup, cls: FormClass) -> frozenset[int]:
     """The coset cls * C(D)^2, i.e. the genus containing cls."""
-    i = group.index_of(cls)
-    return frozenset(group.cayley[i][s] for s in principal_genus(group))
+    genera = _genera(group)
+    genus = genera[group.index_of(cls)]
+    return frozenset(i for i, other in enumerate(genera) if other == genus)
 
 
 def genus_order(group: ClassGroup) -> int:
-    """g = |C(D)^2| = h / |C(D)[2]|."""
-    return len(principal_genus(group))
+    """g = |C(D)^2| = h / |C(D)[2]|, halving h once per even invariant factor."""
+    return group.h >> sum(n % 2 == 0 for n in group.elementary_divisors)
 
 
 def structure(group: ClassGroup) -> tuple[int, ...]:

@@ -147,7 +147,7 @@ def _classgroup_payload(group: classgroup.ClassGroup) -> dict:
         "disc": group.disc,
         "h": group.h,
         "classes": [list(c.rep.coefficients()) for c in group.classes],
-        "cayley": [list(row) for row in group.cayley],
+        "cayley": [list(row) for row in classgroup.cayley(group)],
         "elementary_divisors": list(group.elementary_divisors),
         "two_torsion": sorted(classgroup.two_torsion(group)),
         "principal_genus": sorted(partition.principal_genus),

@@ -33,7 +33,8 @@ built from sums of j over the cosets of C[2], at a floor of 60-100% of
 H_D's, so the j values that serve it give H_D as well.
 
 Galois-ness of the absolute field is decided purely group-theoretically inside
-the semidirect product C x <complex conjugation>, never numerically.
+the semidirect product C x <complex conjugation>, never numerically: from the
+invariant factors of C (see mq_is_galois).
 """
 
 from __future__ import annotations
@@ -57,19 +58,14 @@ GUARD_DIGITS = 5
 Element = tuple[int, int]  # (class index, conjugation bit)
 
 
-def default_digits(h: int) -> int:
-    """A fixed precision linear in h, 30 + 10h digits, for reference runs;
-    computations start at precision_floor."""
-    return 30 + 10 * h
-
-
 @dataclass(frozen=True)
 class GaloisModel:
     """Gal(H/Q) as C(disc0) extended by class inversion.
 
     Elements are (class index, bit); the bit marks the complex-conjugation
     coset.  subgroup_mk (= C[2]) fixes the field of K-moduli, subgroup_mq
-    (= <C[2], conjugation>) fixes the absolute field of moduli.
+    (= <C[2], conjugation>) fixes the absolute field of moduli.  is_normal
+    is brute force over every element, the reference for mq_is_galois.
     """
 
     cg: ClassGroup
@@ -145,15 +141,14 @@ def moduli_degree(lattice: TranscLattice) -> int:
 
 
 def mq_is_galois(lattice: TranscLattice) -> bool:
-    """Whether M_Q / Q is Galois: normality of <C[2], conjugation> in the model.
+    """Whether M_Q / Q is Galois: normality of <C[2], conjugation> in Gal(H/Q).
 
     Conjugating complex conjugation by a class x gives (x^2, conjugation), so
     the subgroup is normal exactly when every square lies in C[2], that is,
-    when every invariant factor of C divides 4.  The model decides it by brute
-    force.
+    when every invariant factor of C divides 4.  GaloisModel.is_normal
+    decides the same by brute force.
     """
-    model = galois_model(lattice)
-    return model.is_normal(model.subgroup_mq)
+    return all(4 % n == 0 for n in classgroup.class_group(lattice.disc0).elementary_divisors)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +208,9 @@ def _gamma2_values(group: ClassGroup, digits: int) -> list[BigComplex]:
 
 
 def _torsion_cosets(group: ClassGroup) -> tuple[tuple[int, ...], ...]:
-    """Cosets of C[2] in C, g of them, each sorted, ordered by smallest member."""
-    return classgroup.cosets(group, classgroup.two_torsion(group))
+    """Cosets of C[2] in C, g of them, each sorted, ordered by smallest member:
+    the fibres of squaring."""
+    return classgroup.fibres(group, lambda i: group.mul(i, i))
 
 
 # (name, power, shift): the invariant of a coset is the sum of (j + shift)^power
@@ -466,7 +462,6 @@ def moduli_report(lattice: TranscLattice, digits: int | None = None) -> ModuliRe
     """Assemble degrees, orbit, Galois data and all minimal polynomials."""
     group = classgroup.class_group(lattice.disc0)
     polys = _field_polynomials(group, digits)
-    model = _model(group)
     report = ModuliReport(
         disc=lattice.disc,
         disc0=lattice.disc0,
@@ -475,7 +470,7 @@ def moduli_report(lattice: TranscLattice, digits: int | None = None) -> ModuliRe
         h=group.h,
         g=classgroup.genus_order(group),
         orbit=k3.galois_orbit(lattice),
-        mq_is_galois=model.is_normal(model.subgroup_mq),
+        mq_is_galois=mq_is_galois(lattice),
         class_polynomial=polys.class_poly,
         mq_min_poly=polys.mq,
         precision_used=polys.digits,

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import ceil, exp, expm1, log, pi, sqrt
 
 from mpmath.libmp import dps_to_prec, fone, from_int, mpf_cos_sin_pi, mpf_div, mpf_exp, mpf_mul
@@ -235,11 +234,10 @@ def _eta_quotient(point: CMPoint, digits: int, root: tuple | None, n: int) -> Bi
     return BigComplex(re, -im if point.b < 0 else im, bits, digits, err)
 
 
-def recognize_integer(z: BigComplex, tol=None) -> int:
+def recognize_integer(z: BigComplex) -> int:
     """The integer n nearest Re z, certified: |Re z - n| + err < 1/2 and
     |Im z| + err < 1/2, so when z approximates an integer within its error
-    bound, n is that integer.  A given tol (read exactly as a decimal) also
-    demands |Re z - n| < tol and |Im z| < tol.
+    bound, n is that integer.
     """
     nearest = (2 * z.re + (1 << z.bits)) >> (z.bits + 1)
     off = z.re - (nearest << z.bits)
@@ -247,12 +245,6 @@ def recognize_integer(z: BigComplex, tol=None) -> int:
     if 2 * (abs(off) + z.err) >= one or 2 * (abs(z.im) + z.err) >= one:
         bound = z.err.bit_length() - z.bits
         raise NotNearInteger(f"value is not certified near an integer (error bound < 2^{bound})")
-    if tol is not None:
-        tol = Fraction(str(tol))
-        bound = tol.numerator << z.bits
-        # |p| / 2^bits < tol
-        if not all(abs(p) * tol.denominator < bound for p in (off, z.im)):
-            raise NotNearInteger(f"value is not within {tol} of an integer")
     return nearest
 
 

@@ -4,14 +4,33 @@ from __future__ import annotations
 
 import contextlib
 import io
+from fractions import Fraction
 
 from k3moduli import cli
-from k3moduli.numerics import BigComplex
+from k3moduli.errors import NotNearInteger
+from k3moduli.numerics import BigComplex, recognize_integer
 
 
 def valid_discs(bound: int) -> list[int]:
     """Negative discriminants d with |d| <= bound, descending from -3."""
     return [d for d in range(-3, -bound - 1, -1) if d % 4 in (0, 1)]
+
+
+def default_digits(h: int) -> int:
+    """A fixed precision linear in h, 30 + 10h digits, for reference runs;
+    the library starts at its precision floor instead."""
+    return 30 + 10 * h
+
+
+def certified_integer(z: BigComplex, tol: str) -> int:
+    """recognize_integer(z), which must also lie within tol (read exactly as a
+    decimal) of z in both parts: |Re z - n| < tol and |Im z| < tol, else
+    NotNearInteger."""
+    n = recognize_integer(z)
+    bound = Fraction(tol) * (1 << z.bits)  # tol in units of 2^-bits
+    if not (abs(z.re - (n << z.bits)) < bound and abs(z.im) < bound):
+        raise NotNearInteger(f"value is not within {tol} of {n}")
+    return n
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:

@@ -9,13 +9,13 @@ import time
 from contextlib import contextmanager
 
 from k3moduli import moduli
-from k3moduli.classgroup import class_group, genus_partition, principal_genus, two_torsion
+from k3moduli.classgroup import cayley, class_group, genus_partition, principal_genus, two_torsion
 from k3moduli.k3 import from_gram, scale
-from k3moduli.numerics import CMPoint, j_invariant, poly_from_roots, recognize_integer
+from k3moduli.numerics import CMPoint, j_invariant, poly_from_roots
 from k3moduli.orders import compose_general, form_to_ideal, ideal_to_form, multiply, reduction_map
 from k3moduli.qforms import compose, inverse
 
-from conftest import run_cli, valid_discs
+from conftest import certified_integer, default_digits, run_cli, valid_discs
 
 _GROUPS = {}
 
@@ -117,10 +117,11 @@ def test_criterion_5_orbit_genus_identity():
         failures = 0
         for d, group in groups_up_to(2000).items():
             squares = principal_genus(group)
-            inverse_squares = {group.inverse_index(group.cayley[g][g]) for g in range(group.h)}
+            table = cayley(group)
+            inverse_squares = {group.inverse_index(table[g][g]) for g in range(group.h)}
             for q0 in range(group.h):
-                orbit = {group.cayley[q0][t] for t in inverse_squares}
-                coset = {group.cayley[q0][s] for s in squares}
+                orbit = {table[q0][t] for t in inverse_squares}
+                coset = {table[q0][s] for s in squares}
                 if orbit != coset:
                     failures += 1
         assert failures == 0
@@ -130,7 +131,7 @@ def test_criterion_6_class_polynomial_integrality_and_stability():
     with criterion(6, 600.0, "class polynomials integral and precision-stable, |D| <= 500"):
         for d in valid_discs(500):
             group = class_group(d)
-            digits = moduli.default_digits(group.h)
+            digits = default_digits(group.h)
             recognized = []
             for dg in (digits, 2 * digits):
                 js = [
@@ -138,7 +139,7 @@ def test_criterion_6_class_polynomial_integrality_and_stability():
                 ]
                 coeffs = poly_from_roots(js)
                 # residual below 1e-10 of the unit rounding gap
-                recognized.append([recognize_integer(c, "1e-10") for c in coeffs])
+                recognized.append([certified_integer(c, "1e-10") for c in coeffs])
             assert recognized[0] == recognized[1], d
             assert len(recognized[0]) == group.h + 1, d
             assert recognized[0][-1] == 1, d
@@ -147,9 +148,9 @@ def test_criterion_6_class_polynomial_integrality_and_stability():
 def test_criterion_7_j_sanity():
     with criterion(7, 5.0, "j(i) = 1728 and j((1+sqrt(-3))/2) = 0 at 40+ digits"):
         at_i = j_invariant(CMPoint(1, 0, -4), 45)
-        assert recognize_integer(at_i, "1e-40") == 1728
+        assert certified_integer(at_i, "1e-40") == 1728
         at_rho = j_invariant(CMPoint(1, -1, -3), 45)
-        assert recognize_integer(at_rho, "1e-40") == 0
+        assert certified_integer(at_rho, "1e-40") == 0
 
 
 def test_criterion_8_reduction_map_homomorphism_and_compatibility():

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from k3moduli import classgroup, qforms
 from k3moduli.classgroup import (
     MAX_ABS_DISC,
+    cayley,
     class_group,
     genus_of,
     genus_order,
@@ -163,7 +165,8 @@ def test_two_torsion_is_ambiguous_forms():
             for i, cls in enumerate(group.classes)
             if cls.rep.b == 0 or cls.rep.a == cls.rep.b or cls.rep.a == cls.rep.c
         }
-        squares_to_one = {i for i in range(group.h) if group.cayley[i][i] == group.principal_index}
+        table = cayley(group)
+        squares_to_one = {i for i in range(group.h) if table[i][i] == group.principal_index}
         assert two_torsion(group) == ambiguous == squares_to_one
 
 
@@ -171,9 +174,10 @@ def test_cayley_is_latin_square():
     for d in SMALL_DISCS[:60]:
         group = class_group(d)
         full = list(range(group.h))
-        for row in group.cayley:
+        table = cayley(group)
+        for row in table:
             assert sorted(row) == full
-        for col in zip(*group.cayley):
+        for col in zip(*table):
             assert sorted(col) == full
 
 
@@ -221,10 +225,23 @@ def _oracle(d):
     return cayley, tuple(_quotient_invariant_factors([list(r) for r in cayley], identity))
 
 
+def _order_by_composition(cls):
+    n, power = 1, cls
+    while power != principal_class(cls.disc):
+        power = compose(power, cls)
+        n += 1
+    return n
+
+
 def test_matches_composition_table_oracle():
     for d in valid_discs(1500):
         group = class_group(d)
-        assert (group.cayley, group.elementary_divisors) == _oracle(d), d
+        table, divisors = _oracle(d)
+        assert (cayley(group), group.elementary_divisors) == (table, divisors), d
+        classes = range(group.h)
+        assert all(group.mul(i, j) == table[i][j] for i in classes for j in classes), d
+        orders = [_order_by_composition(x) for x in group.classes]
+        assert [group.order_of(i) for i in classes] == orders, d
 
 
 @pytest.mark.parametrize(
@@ -234,7 +251,7 @@ def test_matches_composition_table_oracle():
 def test_non_cyclic_groups_match_oracle(d, divisors):
     group = class_group(d)
     assert group.elementary_divisors == divisors
-    assert (group.cayley, group.elementary_divisors) == _oracle(d)
+    assert (cayley(group), group.elementary_divisors) == _oracle(d)
 
 
 def test_about_h_compositions(monkeypatch):
@@ -286,6 +303,18 @@ def test_oversized_discriminant_refused():
     with pytest.raises(DiscriminantTooLarge):
         reduced_representatives(too_big)
     assert reduced_representatives(-4 * (MAX_ABS_DISC // 4))
+
+
+def test_group_holds_under_1_kib_per_class():
+    # coordinates, not an h x h table, which alone took about 0.4 MB here
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        group = class_group.__wrapped__(-99999)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert group.h == 224 and held < 1024 * group.h, held
 
 
 def test_class_group_cache_is_bounded():

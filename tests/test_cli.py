@@ -160,7 +160,7 @@ def test_classpoly_json():
 
 
 def test_classpoly_precision_failure_exits_3(monkeypatch, capsys):
-    def never_certified(z, tol=None):
+    def never_certified(z):
         raise NotNearInteger("forced")
 
     monkeypatch.setattr(moduli, "recognize_integer", never_certified)

@@ -10,7 +10,6 @@ from k3moduli import classgroup, moduli
 from k3moduli.k3 import from_gram, lattice_from_class, scale
 from k3moduli.moduli import (
     class_polynomial,
-    default_digits,
     field_of_K_moduli,
     field_of_Q_moduli,
     galois_model,
@@ -23,7 +22,7 @@ from k3moduli.errors import ResolventDegenerate
 from k3moduli.numerics import BigComplex, CMPoint, conjugate, j_invariant, poly_from_roots
 from k3moduli.qforms import form_class
 
-from conftest import as_mpc, valid_discs
+from conftest import as_mpc, default_digits, valid_discs
 
 LATTICE_23 = from_gram(((2, 1), (1, 12)))
 LATTICE_4 = from_gram(((2, 0), (0, 2)))
@@ -303,12 +302,12 @@ def _recognition_failing(monkeypatch, fails):
     attempts = []
     certify = moduli.recognize_integer
 
-    def recognize(z, tol=None):
+    def recognize(z):
         if not attempts or attempts[-1] != z.digits:
             attempts.append(z.digits)
         if fails(z.digits):
             raise NotNearInteger("forced")
-        return certify(z, tol)
+        return certify(z)
 
     monkeypatch.setattr(moduli, "recognize_integer", recognize)
     return attempts
@@ -424,8 +423,18 @@ def test_mq_galois_exactly_when_invariant_factors_divide_4():
         model = moduli._model(group)
         expected = all(4 % n == 0 for n in group.elementary_divisors)
         assert model.is_normal(model.subgroup_mq) == expected, d
+        lattice = lattice_from_class(1, group.classes[-1])
+        assert mq_is_galois(lattice) == expected, d
+        assert moduli_report(lattice).mq_is_galois == expected, d
         galois += expected
     assert 0 < galois < len(valid_discs(1500))
+
+
+def test_galois_answer_builds_no_model(monkeypatch):
+    # the brute-force GaloisModel is only the tests' reference
+    monkeypatch.setattr(moduli, "GaloisModel", None)
+    assert mq_is_galois(LATTICE_56) and moduli_report(LATTICE_56).mq_is_galois
+    assert not mq_is_galois(LATTICE_23) and not moduli_report(LATTICE_23).mq_is_galois
 
 
 def test_coefficient_stability_small_sweep():

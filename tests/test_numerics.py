@@ -16,24 +16,24 @@ from k3moduli.numerics import (
     recognize_integer,
 )
 
-from conftest import as_mpc, from_mpc, valid_discs
+from conftest import as_mpc, certified_integer, default_digits, from_mpc, valid_discs
 
 
 def test_j_at_i_is_1728():
     value = j_invariant(CMPoint(1, 0, -4), 50)
-    assert recognize_integer(value, "1e-45") == 1728
+    assert certified_integer(value, "1e-45") == 1728
 
 
 def test_j_at_rho_is_0():
     value = j_invariant(CMPoint(1, -1, -3), 50)
-    assert recognize_integer(value, "1e-45") == 0
+    assert certified_integer(value, "1e-45") == 0
 
 
 def test_j_at_2i_is_66_cubed():
     # independent classical value, re-checked at two precisions
     for digits in (40, 80):
         value = j_invariant(CMPoint(1, 0, -16), digits)
-        assert recognize_integer(value, f"1e-{digits - 5}") == 287496
+        assert certified_integer(value, f"1e-{digits - 5}") == 287496
 
 
 def test_j_periodic_under_translation():
@@ -68,13 +68,14 @@ def test_recognize_integer_examples():
     ctx = MPContext()
     ctx.dps = 60
     near = from_mpc(ctx, ctx.mpc("1727.9999999999999999999999", "1e-50"), 40)
-    assert recognize_integer(near, "1e-20") == 1728
+    assert certified_integer(near, "1e-20") == 1728
     half = from_mpc(ctx, ctx.mpf("0.5"), 40)
     with pytest.raises(NotNearInteger):
-        recognize_integer(half, "1e-20")
+        certified_integer(half, "1e-20")
     imag = from_mpc(ctx, ctx.mpc(3, "0.25"), 40)
     with pytest.raises(NotNearInteger):
-        recognize_integer(imag, "1e-20")
+        certified_integer(imag, "1e-20")
+    assert recognize_integer(imag) == 3  # the certificate alone: |Im z| + err < 1/2
 
 
 def test_recognize_integer_refuses_straddling_error_bound():
@@ -89,7 +90,7 @@ def test_recognize_integer_refuses_straddling_error_bound():
             with pytest.raises(NotNearInteger):
                 recognize_integer(z)
             with pytest.raises(NotNearInteger):
-                recognize_integer(z, "1e-20")
+                certified_integer(z, "1e-20")
     certified = BigComplex((1728 << bits) + tiny, tiny, bits, 60, 1 << bits - 2)
     assert recognize_integer(certified) == 1728
 
@@ -160,7 +161,7 @@ def test_trace_of_minus_23_roots_is_integer():
             for c in group.classes
         ]
         total = sum(js, ctx.mpc(0))
-        trace = recognize_integer(from_mpc(ctx, total, digits), "1e-20")
+        trace = certified_integer(from_mpc(ctx, total, digits), "1e-20")
         assert trace == -3491750  # frozen from the doubled-precision run
 
 
@@ -168,7 +169,7 @@ def test_poly_from_roots_single():
     ctx = MPContext()
     ctx.dps = 30
     coeffs = poly_from_roots([from_mpc(ctx, ctx.mpf(1728), 25)])
-    assert [recognize_integer(c, "1e-10") for c in coeffs] == [-1728, 1]
+    assert [certified_integer(c, "1e-10") for c in coeffs] == [-1728, 1]
 
 
 def test_poly_from_roots_conjugate_pair_real():
@@ -194,7 +195,7 @@ def test_poly_from_roots_refuses_unpaired_complex():
     with pytest.raises(K3ModuliError, match="no exact conjugate"):
         poly_from_roots([BigComplex(5, 0, 0, 30), one_plus_2i])
     exact = poly_from_roots([one_plus_2i, numerics.conjugate(one_plus_2i)])
-    assert [recognize_integer(c, "1e-20") for c in exact] == [5, -2, 1]
+    assert [certified_integer(c, "1e-20") for c in exact] == [5, -2, 1]
 
 
 def test_class_cubic_stable_across_precision():
@@ -203,7 +204,7 @@ def test_class_cubic_stable_across_precision():
     for digits in (60, 120):
         js = [j_invariant(CMPoint(c.rep.a, c.rep.b, -23), digits) for c in group.classes]
         coeffs = poly_from_roots(js)
-        results.append([recognize_integer(c, "1e-12") for c in coeffs])
+        results.append([certified_integer(c, "1e-12") for c in coeffs])
     assert results[0] == results[1]
     assert results[0][-1] == 1
 
@@ -319,9 +320,9 @@ def test_real_product_matches_complex_product():
     ctx = MPContext()
     for d in valid_discs(500):
         group = class_group(d)
-        digits = moduli.default_digits(group.h)
+        digits = default_digits(group.h)
         js = moduli._j_values(group, digits)
-        fast = [recognize_integer(c, "1e-10") for c in poly_from_roots(js)]
+        fast = [certified_integer(c, "1e-10") for c in poly_from_roots(js)]
         ctx.dps = 2 * digits + 40 * group.h
         coeffs = [ctx.mpc(1)]
         for z in js:
@@ -329,7 +330,7 @@ def test_real_product_matches_complex_product():
             coeffs = [-r * coeffs[0]] + [
                 coeffs[k - 1] - r * coeffs[k] for k in range(1, len(coeffs))
             ] + [coeffs[-1]]
-        slow = [recognize_integer(from_mpc(ctx, c, digits), "1e-10") for c in coeffs]
+        slow = [certified_integer(from_mpc(ctx, c, digits), "1e-10") for c in coeffs]
         assert fast == slow, d
 
 
