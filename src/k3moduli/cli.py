@@ -9,9 +9,9 @@ strings for polynomial coefficients (lowest degree first), Gram matrices as
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from math import isqrt
 
 from . import __version__, classgroup, k3, moduli
@@ -258,6 +258,39 @@ def _text_lines(command: str, payload: dict, warnings: list[str]) -> list[str]:
     return lines
 
 
+def _json(value, newline: str = "\n") -> str:
+    """json.dumps(value, sort_keys=True, indent=2) for str, int, bool, None,
+    lists and dicts, byte for byte; a list of ints (a Cayley table row) is
+    joined in one go.  Any other type raises TypeError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        if all(type(x) is int for x in value):
+            items = map(str, value)
+        else:
+            items = (_json(x, inner) for x in value)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (
+            encode_basestring_ascii(key) + ": " + _json(value[key], inner) for key in sorted(value)
+        )
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"{type(value).__name__} is not emitted as JSON")
+
+
 def _emit(command: str, input_echo: dict, payload: dict, warnings: list[str], fmt: str) -> None:
     if fmt == "json":
         envelope = {
@@ -267,7 +300,7 @@ def _emit(command: str, input_echo: dict, payload: dict, warnings: list[str], fm
             "result": payload,
             "warnings": warnings,
         }
-        print(json.dumps(envelope, sort_keys=True, indent=2))
+        print(_json(envelope))
     else:
         print("\n".join(_text_lines(command, payload, warnings)))
 

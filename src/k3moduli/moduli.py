@@ -30,7 +30,9 @@ like any other polynomial, and H_D follows from it exactly by the norm
 identity H_D(y) = A^3 + y B^3 + y^2 C^3 - 3y ABC for W(x) = A(x^3) +
 x B(x^3) + x^2 C(x^3).  moduli_report keeps j: its field polynomial is
 built from sums of j over the cosets of C[2], at a floor of 60-100% of
-H_D's, so the j values that serve it give H_D as well.
+H_D's, so the j values that serve it give H_D as well.  Both polynomials
+depend on disc0 alone, so they are computed once per (disc0, digits) and
+shared by every lattice of that primitive discriminant.
 
 Galois-ness of the absolute field is decided purely group-theoretically inside
 the semidirect product C x <complex conjugation>, never numerically: from the
@@ -40,6 +42,7 @@ invariant factors of C (see mq_is_galois).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import ceil, comb, log, log10, pi, prod, sqrt
 
 from . import classgroup, k3, orders
@@ -405,12 +408,17 @@ def _escalate(disc: int, floor: int, digits: int | None, attempt):
             digits *= 2
 
 
-def _field_polynomials(group: ClassGroup, digits: int | None) -> _Polynomials:
+# shared by every lattice of disc0 (the analyze queries of an orbit, or of
+# rescalings, repeat it); only certified, Gross-Zagier-checked results are
+# stored, as lru_cache keeps no exception.  Bounded like class_group: an entry
+# holds h + g + 2 integers of up to the floor in digits, 0.13 MiB at -40004
+# (h = 160, tracemalloc).
+@lru_cache(maxsize=32)
+def _field_polynomials(disc0: int, digits: int | None) -> _Polynomials:
+    group = classgroup.class_group(disc0)
     cosets = _torsion_cosets(group)
     floor = max(precision_floor(group), precision_floor(group, cosets))
-    return _escalate(
-        group.disc, floor, digits, lambda dg: _attempt_polynomials(group, cosets, dg)
-    )
+    return _escalate(disc0, floor, digits, lambda dg: _attempt_polynomials(group, cosets, dg))
 
 
 def class_polynomial(d: int, digits: int | None = None) -> tuple[int, ...]:
@@ -455,13 +463,13 @@ def field_of_K_moduli(lattice: TranscLattice, digits: int | None = None) -> tupl
 def field_of_Q_moduli(lattice: TranscLattice, digits: int | None = None) -> tuple[int, ...]:
     """Degree-g integer polynomial whose root field is the absolute field of
     moduli."""
-    return _field_polynomials(classgroup.class_group(lattice.disc0), digits).mq
+    return _field_polynomials(lattice.disc0, digits).mq
 
 
 def moduli_report(lattice: TranscLattice, digits: int | None = None) -> ModuliReport:
     """Assemble degrees, orbit, Galois data and all minimal polynomials."""
     group = classgroup.class_group(lattice.disc0)
-    polys = _field_polynomials(group, digits)
+    polys = _field_polynomials(lattice.disc0, digits)
     report = ModuliReport(
         disc=lattice.disc,
         disc0=lattice.disc0,

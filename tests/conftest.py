@@ -5,8 +5,9 @@ from __future__ import annotations
 import contextlib
 import io
 from fractions import Fraction
+from functools import lru_cache
 
-from k3moduli import cli
+from k3moduli import cli, moduli
 from k3moduli.errors import NotNearInteger
 from k3moduli.numerics import BigComplex, recognize_integer
 
@@ -31,6 +32,15 @@ def certified_integer(z: BigComplex, tol: str) -> int:
     if not (abs(z.re - (n << z.bits)) < bound and abs(z.im) < bound):
         raise NotNearInteger(f"value is not within {tol} of {n}")
     return n
+
+
+def empty_field_cache(monkeypatch) -> None:
+    """Give moduli an empty polynomial cache for the rest of the test: no
+    polynomials cached earlier skip a patched step, and none computed under a
+    patch outlive the test."""
+    cached = moduli._field_polynomials
+    fresh = lru_cache(maxsize=cached.cache_info().maxsize)(cached.__wrapped__)
+    monkeypatch.setattr(moduli, "_field_polynomials", fresh)
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:

@@ -3,12 +3,15 @@ import json
 import time
 
 import jsonschema
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3moduli import classgroup, moduli
-from k3moduli.cli import ENVELOPE_SCHEMA, EXIT_INPUT, EXIT_OK, EXIT_PRECISION
+from k3moduli.cli import ENVELOPE_SCHEMA, EXIT_INPUT, EXIT_OK, EXIT_PRECISION, _json
 from k3moduli.errors import NotNearInteger
 
-from conftest import run_cli
+from conftest import empty_field_cache, run_cli
 
 
 def with_json_format(argv):
@@ -163,6 +166,7 @@ def test_classpoly_precision_failure_exits_3(monkeypatch, capsys):
     def never_certified(z):
         raise NotNearInteger("forced")
 
+    empty_field_cache(monkeypatch)  # no cached polynomial may skip recognition
     monkeypatch.setattr(moduli, "recognize_integer", never_certified)
     code, out = run_cli(["classpoly", "--", "-23"])
     err = capsys.readouterr().err
@@ -236,6 +240,44 @@ def test_explicit_digits_flag():
     env = run_json(["analyze", "2", "1", "1", "12", "--digits", "80"])
     assert env["result"]["precision_used"] == 80
     assert env["input"]["digits"] == 80
+
+
+def test_digits_and_default_runs_are_cached_apart(monkeypatch):
+    # the polynomial cache is keyed on (disc0, digits): an explicit --digits
+    # and the default run each keep their own precision_used
+    empty_field_cache(monkeypatch)
+    argv = ["analyze", "2", "1", "1", "12"]
+    for _ in range(2):
+        assert run_json(argv + ["--digits", "80"])["result"]["precision_used"] == 80
+        assert run_json(argv)["result"]["precision_used"] == 19
+    assert moduli._field_polynomials.cache_info().currsize == 2
+
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**200), max_value=10**200)
+    | st.text()
+    | st.text(st.characters(max_codepoint=0x1F))
+)
+VALUES = st.recursive(
+    SCALARS | st.lists(st.integers()),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(VALUES)
+def test_json_emitter_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_json_emitter_refuses_other_types():
+    for value in (1.5, {"x": [1, 2.0]}, (1, 2), {"x": {1, 2}}):
+        with pytest.raises(TypeError):
+            _json(value)
 
 
 def test_analyze_json_bytes_are_frozen():

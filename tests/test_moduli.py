@@ -22,7 +22,7 @@ from k3moduli.errors import ResolventDegenerate
 from k3moduli.numerics import BigComplex, CMPoint, conjugate, j_invariant, poly_from_roots
 from k3moduli.qforms import form_class
 
-from conftest import as_mpc, default_digits, valid_discs
+from conftest import as_mpc, default_digits, empty_field_cache, valid_discs
 
 LATTICE_23 = from_gram(((2, 1), (1, 12)))
 LATTICE_4 = from_gram(((2, 0), (0, 2)))
@@ -282,6 +282,30 @@ def test_class_group_mates_share_field_data():
     assert a.mq_min_poly == b.mq_min_poly
 
 
+def test_lattices_of_one_disc0_share_their_polynomials(monkeypatch):
+    # the second lattice of D0 = -56, and a rescaling of it, evaluate no j;
+    # their reports equal ones computed from an empty cache
+    empty_field_cache(monkeypatch)
+    calls = []
+    evaluate = moduli.j_invariant
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(moduli, "j_invariant", counting)
+    first = moduli_report(LATTICE_56)
+    assert calls
+    lattices = (lattice_from_class(1, form_class(1, 0, 14)), scale(LATTICE_56, 3))
+    calls.clear()
+    reports = [moduli_report(lattice) for lattice in lattices]
+    assert calls == [] and {r.disc0 for r in reports} == {first.disc0}
+    for lattice, report in zip(lattices, reports):
+        moduli._field_polynomials.cache_clear()
+        assert moduli_report(lattice) == report
+    assert calls
+
+
 def test_precision_ladder_escalates():
     # --digits is only a minimum: a run asked to start absurdly low starts at
     # the floor, so nothing escalates, and the result matches the
@@ -301,6 +325,7 @@ def _recognition_failing(monkeypatch, fails):
     holds; returns the list it fills with the digits of each attempt."""
     attempts = []
     certify = moduli.recognize_integer
+    empty_field_cache(monkeypatch)  # a cached report would skip recognition
 
     def recognize(z):
         if not attempts or attempts[-1] != z.digits:
@@ -348,6 +373,17 @@ def test_doubling_stops_at_the_ceiling(monkeypatch):
     assert attempts == [floor]
 
 
+def test_precision_failure_is_not_cached(monkeypatch):
+    failing = True
+    _recognition_failing(monkeypatch, lambda digits: failing)
+    with pytest.raises(PrecisionExhausted):
+        moduli_report(LATTICE_23)
+    assert moduli._field_polynomials.cache_info().currsize == 0
+    failing = False
+    report = moduli_report(LATTICE_23)
+    assert (report.class_polynomial, report.precision_used) == (H23, 19)
+
+
 def test_low_digits_give_the_right_polynomial():
     # tiny --digits that printed a wrong polynomial with exit 0: coarse_j when
     # j was accurate only to its digits, no_room when recognition accepted
@@ -378,7 +414,7 @@ def test_every_polynomial_settles_at_its_floor():
         assert moduli.class_polynomial_with_precision(d)[1] == cp_floor, d
         floor = moduli.precision_floor(group)
         field_floor = max(floor, moduli.precision_floor(group, moduli._torsion_cosets(group)))
-        assert moduli._field_polynomials(group, None).digits == field_floor, d
+        assert moduli._field_polynomials(d, None).digits == field_floor, d
 
 
 def test_odd_class_number_field_polynomial_is_class_polynomial():

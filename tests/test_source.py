@@ -90,3 +90,53 @@ def test_no_new_dependency():
     allowed = set(sys.stdlib_module_names) | {"mpmath"}
     found = {path.name: sorted(_imported_modules(path) - allowed) for path in SOURCES}
     assert {name: mods for name, mods in found.items() if mods} == {}
+
+
+MEMOS = {"cache", "lru_cache"}
+
+
+def _unbounded_caches(source: str, name: str) -> tuple[int, list[str]]:
+    """The number of functools.cache / lru_cache uses in source, and those
+    without an integer maxsize, bar the zero-argument cli.build_parser."""
+    tree = ast.parse(source, name)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    uses, unbounded = 0, []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Name)
+            and node.id in MEMOS
+            or isinstance(node, ast.Attribute)
+            and node.attr in MEMOS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        ):
+            continue
+        uses += 1
+        parent = parents[node]
+        if isinstance(parent, ast.Call) and parent.func is node:
+            sizes = parent.args[:1] + [k.value for k in parent.keywords if k.arg == "maxsize"]
+            if sizes and isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int:
+                continue
+        elif (
+            name == "cli.py"
+            and isinstance(parent, ast.FunctionDef)
+            and parent.name == "build_parser"
+            and ast.unparse(parent.args) == ""
+        ):
+            continue
+        unbounded.append(f"{name}:{node.lineno}")
+    return uses, unbounded
+
+
+def test_library_caches_are_bounded():
+    # a process that walks many discriminants must not keep every result
+    uses = 0
+    for path in SOURCES:
+        count, unbounded = _unbounded_caches(path.read_text(), path.name)
+        assert unbounded == []
+        uses += count
+    assert uses >= 3  # class_group, the field polynomials, build_parser
+    for memo in ("cache", "lru_cache", "lru_cache(maxsize=None)", "functools.lru_cache(None)"):
+        assert _unbounded_caches(f"@{memo}\ndef build_parser(d): pass", "cli.py") == (1, ["cli.py:1"])
+    assert _unbounded_caches("@cache\ndef build_parser(): pass", "moduli.py")[1] == ["moduli.py:1"]
+    assert _unbounded_caches("f = functools.lru_cache(maxsize=8)(g)", "moduli.py") == (1, [])
