@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full moduli report for a transcendental lattice")
     p.add_argument("gram", type=int, nargs=4, metavar="G", help="Gram entries 2a b b 2c (row-major)")
-    p.add_argument("--digits", type=int, default=None)
     add_common(p)
 
     p = sub.add_parser("classgroup", help="classes, Cayley table and genus data of C(D)")
@@ -91,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classpoly", help="class polynomial of a discriminant")
     p.add_argument("disc", type=int)
-    p.add_argument("--digits", type=int, default=None)
     add_common(p)
 
     p = sub.add_parser("enumerate", help="strata of lattices by |disc| and class number")
@@ -309,10 +307,10 @@ def run(args: argparse.Namespace) -> int:
     warnings: list[str] = []
     if args.command == "analyze":
         lattice = k3.from_gram(_gram_matrix(args.gram))
-        report = moduli.moduli_report(lattice, args.digits)
+        report = moduli.moduli_report(lattice)
         warnings = list(report.warnings)
         payload = _report_payload(report)
-        echo = {"gram": [list(r) for r in _gram_matrix(args.gram)], "digits": args.digits}
+        echo = {"gram": [list(r) for r in _gram_matrix(args.gram)]}
     elif args.command == "classgroup":
         group = classgroup.class_group(args.disc)
         payload = _classgroup_payload(group)
@@ -325,14 +323,14 @@ def run(args: argparse.Namespace) -> int:
         }
         echo = {"gram": [list(r) for r in _gram_matrix(args.gram)]}
     elif args.command == "classpoly":
-        coeffs, used = moduli.class_polynomial_with_precision(args.disc, args.digits)
+        coeffs, used = moduli.class_polynomial_with_precision(args.disc)
         payload = {
             "disc": args.disc,
             "degree": len(coeffs) - 1,
             "coefficients": _poly_strings(coeffs),
             "precision_used": used,
         }
-        echo = {"disc": args.disc, "digits": args.digits}
+        echo = {"disc": args.disc}
     elif args.command == "enumerate":
         if args.max_disc <= 0 or (args.max_h is not None and args.max_h <= 0):
             raise InputError("bounds must be positive")
@@ -359,13 +357,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return run(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except PrecisionError as exc:
         print(f"precision failure: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except K3ModuliError as exc:  # a broken invariant or a failed exact check
+    except K3ModuliError as exc:  # invalid input, a broken invariant or a failed exact check
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -29,9 +29,9 @@ whose height, and so whose floor, is about a third of H_D's.  W is certified
 like any other polynomial, and H_D follows from it exactly by the norm
 identity H_D(y) = A^3 + y B^3 + y^2 C^3 - 3y ABC for W(x) = A(x^3) +
 x B(x^3) + x^2 C(x^3).  moduli_report keeps j: its field polynomial is
-built from sums of j over the cosets of C[2], at a floor of 60-100% of
-H_D's, so the j values that serve it give H_D as well.  Both polynomials
-depend on disc0 alone, so they are computed once per (disc0, digits) and
+built from sums of j over the cosets of C[2], whose height never exceeds
+H_D's (see precision_floor), so the j values at H_D's floor give both.  Both
+polynomials depend on disc0 alone, so they are computed once per disc0 and
 shared by every lattice of that primitive discriminant.
 
 Galois-ness of the absolute field is decided purely group-theoretically inside
@@ -42,7 +42,7 @@ invariant factors of C (see mq_is_galois).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import ceil, comb, log, log10, pi, prod, sqrt
 
 from . import classgroup, k3, orders
@@ -299,32 +299,32 @@ def _icbrt(n: int) -> int:
         x = y
 
 
-def _height(group: ClassGroup, cosets, n: int = 1) -> float:
-    """log10 bound on the coefficients of prod over cosets of (x - sum of j^(1/n)
-    over the coset): each root is at most |coset| * max exp(pi*sqrt|D|/(na)),
-    and the coefficients are elementary symmetric functions of the roots."""
+def _height(group: ClassGroup, n: int = 1) -> float:
+    """log10 bound on the coefficients of prod over classes of (x - j^(1/n)):
+    each root is at most exp(pi*sqrt|D|/(na)), and the coefficients are
+    elementary symmetric functions of the roots."""
     scale = pi * sqrt(-group.disc) / log(10) / n
-    a = [cls.rep.a for cls in group.classes]
-    m = len(cosets)
-    return sum(scale / min(a[i] for i in c) + log10(len(c)) for c in cosets) + log10(
-        comb(m, m // 2)
-    )
+    return sum(scale / cls.rep.a for cls in group.classes) + log10(comb(group.h, group.h // 2))
 
 
-def precision_floor(group: ClassGroup, cosets=None) -> int:
-    """Digits at which the polynomial over the cosets (one class each, the
-    class polynomial, by default) is expected to be certified at once."""
-    if cosets is None:
-        cosets = [(i,) for i in range(group.h)]
-    return ceil(_height(group, cosets)) + GUARD_DIGITS
+def precision_floor(group: ClassGroup) -> int:
+    """Digits at which the class polynomial H_D is expected to be certified
+    at once, and the field polynomial with it.
+
+    The field polynomial's roots are sums of j over the g cosets of C[2], k
+    classes each, so its height is at most the sum over cosets of the largest
+    term plus log10 k, plus log10 C(g, g/2).  H_D's height counts every term
+    of a coset instead: as a <= sqrt(|D|/3), the k - 1 smaller ones are each
+    at least pi*sqrt(3)/ln 10 > 2.36, and 2.36 (k - 1) >= log10 k.  With
+    C(g, g/2) <= C(h, h/2), H_D's floor is never below the field's."""
+    return ceil(_height(group)) + GUARD_DIGITS
 
 
 def class_polynomial_floor(group: ClassGroup) -> int:
     """Digits at which class_polynomial_with_precision starts: the floor of
     the gamma_2 polynomial W, a third of the height of H_D, when 3 does not
     divide D, and H_D's own otherwise."""
-    classes = [(i,) for i in range(group.h)]
-    return ceil(_height(group, classes, 3 if group.disc % 3 else 1)) + GUARD_DIGITS
+    return ceil(_height(group, 3 if group.disc % 3 else 1)) + GUARD_DIGITS
 
 
 def _class_poly(group: ClassGroup, js: list[BigComplex]) -> tuple[int, ...]:
@@ -367,7 +367,6 @@ def _pack(poly, s: int) -> int:
 class _Polynomials:
     class_poly: tuple[int, ...]
     mq: tuple[int, ...]
-    digits: int
     warnings: tuple[str, ...]
 
 
@@ -375,30 +374,35 @@ def _attempt_polynomials(group: ClassGroup, cosets, digits: int) -> _Polynomials
     js = _j_values(group, digits)
     class_poly = _class_poly(group, js)
     if len(cosets) == group.h:  # C[2] trivial (h odd): each coset is one class
-        return _Polynomials(class_poly, class_poly, digits, ())
+        return _Polynomials(class_poly, class_poly, ())
     roots, warnings = _separated_roots(js, cosets, digits)
     mq = _recognize_int_poly(poly_from_roots(roots))
-    return _Polynomials(class_poly, mq, digits, warnings)
+    return _Polynomials(class_poly, mq, warnings)
 
 
-def _check_ceiling(disc: int, digits: int) -> None:
-    if digits > MAX_DIGITS:
-        raise InputError(f"D = {disc} needs {digits} digits, above the ceiling of {MAX_DIGITS}")
+def _class_polynomial_at(group: ClassGroup, digits: int) -> tuple[int, ...]:
+    """H_D certified at digits: from the gamma_2 polynomial W when 3 does not
+    divide D (H_D follows from W exactly), from j otherwise."""
+    if group.disc % 3:
+        w = _recognize_int_poly(poly_from_roots(_gamma2_values(group, digits)))
+        return _check_gross_zagier(group.disc, _norm_from_gamma2(w))
+    return _class_poly(group, _j_values(group, digits))
 
 
-def _escalate(disc: int, floor: int, digits: int | None, attempt):
-    """Run attempt(digits) from the floor, or from digits when higher,
-    doubling the precision while recognition is not certified and the
-    doubled precision stays within MAX_DIGITS."""
-    if digits is not None and digits <= 0:
-        raise InputError(f"digits must be positive, got {digits}")
-    _check_ceiling(disc, floor)
-    digits = max(floor, digits or 0)
-    if digits > MAX_DIGITS:  # the floor is within the ceiling: the request is not
-        raise InputError(f"{digits} digits are above the ceiling of {MAX_DIGITS}")
+def _escalate(group: ClassGroup, floor: int, attempt):
+    """(attempt(digits), digits) for the first certified attempt from the
+    floor, doubling the precision while recognition fails and the doubled
+    precision stays within MAX_DIGITS.  An input whose H_D floor is above
+    MAX_DIGITS is refused before any work."""
+    needed = precision_floor(group)
+    if needed > MAX_DIGITS:
+        raise InputError(
+            f"D = {group.disc} needs {needed} digits, above the ceiling of {MAX_DIGITS}"
+        )
+    digits = floor
     while True:
         try:
-            return attempt(digits)
+            return attempt(digits), digits
         except NotNearInteger:
             if 2 * digits > MAX_DIGITS:
                 raise PrecisionExhausted(
@@ -414,62 +418,45 @@ def _escalate(disc: int, floor: int, digits: int | None, attempt):
 # holds h + g + 2 integers of up to the floor in digits, 0.13 MiB at -40004
 # (h = 160, tracemalloc).
 @lru_cache(maxsize=32)
-def _field_polynomials(disc0: int, digits: int | None) -> _Polynomials:
+def _field_polynomials(disc0: int) -> tuple[_Polynomials, int]:
     group = classgroup.class_group(disc0)
     cosets = _torsion_cosets(group)
-    floor = max(precision_floor(group), precision_floor(group, cosets))
-    return _escalate(disc0, floor, digits, lambda dg: _attempt_polynomials(group, cosets, dg))
+    return _escalate(group, precision_floor(group), partial(_attempt_polynomials, group, cosets))
 
 
-def class_polynomial(d: int, digits: int | None = None) -> tuple[int, ...]:
+def class_polynomial(d: int) -> tuple[int, ...]:
     """Monic integer polynomial with roots j(tau(Q)) over the classes of C(d),
     lowest-degree coefficient first."""
-    coeffs, _ = class_polynomial_with_precision(d, digits)
+    coeffs, _ = class_polynomial_with_precision(d)
     return coeffs
 
 
-def class_polynomial_with_precision(
-    d: int, digits: int | None = None
-) -> tuple[tuple[int, ...], int]:
+def class_polynomial_with_precision(d: int) -> tuple[tuple[int, ...], int]:
     """The class polynomial and the digits it was certified at: those of the
-    gamma_2 polynomial W when 3 does not divide d (H_D follows from W exactly),
-    of H_D itself otherwise.  Either way an input whose H_D floor is above
-    MAX_DIGITS is refused."""
+    gamma_2 polynomial W when 3 does not divide d, of H_D itself otherwise."""
     group = classgroup.class_group(d)
-    _check_ceiling(d, precision_floor(group))  # keyed on H_D's height on either path
-    if d % 3:
-
-        def attempt(dg):
-            w = _recognize_int_poly(poly_from_roots(_gamma2_values(group, dg)))
-            return _check_gross_zagier(d, _norm_from_gamma2(w)), dg
-
-    else:
-
-        def attempt(dg):
-            return _class_poly(group, _j_values(group, dg)), dg
-
-    return _escalate(d, class_polynomial_floor(group), digits, attempt)
+    return _escalate(group, class_polynomial_floor(group), partial(_class_polynomial_at, group))
 
 
-def field_of_K_moduli(lattice: TranscLattice, digits: int | None = None) -> tuple[int, ...]:
+def field_of_K_moduli(lattice: TranscLattice) -> tuple[int, ...]:
     """Degree-g minimal polynomial of the coset-trace generator of M_K over K.
 
     The generator is real and complex conjugation permutes its conjugates, so
     this polynomial has integer coefficients and is field_of_Q_moduli's.
     """
-    return field_of_Q_moduli(lattice, digits)
+    return field_of_Q_moduli(lattice)
 
 
-def field_of_Q_moduli(lattice: TranscLattice, digits: int | None = None) -> tuple[int, ...]:
+def field_of_Q_moduli(lattice: TranscLattice) -> tuple[int, ...]:
     """Degree-g integer polynomial whose root field is the absolute field of
     moduli."""
-    return _field_polynomials(lattice.disc0, digits).mq
+    return _field_polynomials(lattice.disc0)[0].mq
 
 
-def moduli_report(lattice: TranscLattice, digits: int | None = None) -> ModuliReport:
+def moduli_report(lattice: TranscLattice) -> ModuliReport:
     """Assemble degrees, orbit, Galois data and all minimal polynomials."""
     group = classgroup.class_group(lattice.disc0)
-    polys = _field_polynomials(lattice.disc0, digits)
+    polys, digits = _field_polynomials(lattice.disc0)
     report = ModuliReport(
         disc=lattice.disc,
         disc0=lattice.disc0,
@@ -481,7 +468,7 @@ def moduli_report(lattice: TranscLattice, digits: int | None = None) -> ModuliRe
         mq_is_galois=mq_is_galois(lattice),
         class_polynomial=polys.class_poly,
         mq_min_poly=polys.mq,
-        precision_used=polys.digits,
+        precision_used=digits,
         warnings=polys.warnings,
     )
     _check_report(report, group)

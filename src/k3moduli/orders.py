@@ -48,25 +48,8 @@ class IdealLattice:
 
 
 def is_fundamental(d: int) -> bool:
-    if d >= 0:
-        return False
-    if d % 4 == 1:
-        return _is_squarefree(-d)
-    if d % 4 == 0:
-        m = d // 4
-        return m % 4 in (2, 3) and _is_squarefree(-m)
-    return False
-
-
-def _is_squarefree(n: int) -> bool:
-    p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        while n % p == 0:
-            n //= p
-        p += 1 if p == 2 else 2
-    return True
+    """Whether d is the discriminant of a maximal order: conductor 1."""
+    return d < 0 and d % 4 in (0, 1) and order_of_disc(d).f == 1
 
 
 def order_of_disc(d: int) -> QuadOrder:

@@ -128,22 +128,6 @@ def test_precision_ceiling_refused_fast(capsys):
         assert elapsed < 1.0, (argv, elapsed)
         assert err.count("\n") == 1 and f"ceiling of {moduli.MAX_DIGITS}" in err, err
         assert "D = -1000000 needs 4060 digits" in err, err
-    # a floor above the ceiling is named before a requested precision is
-    code, out = run_cli(["classpoly", "--digits", "5000", "--", "-1000000"])
-    assert code == EXIT_INPUT and out == ""
-    assert "D = -1000000 needs 4060 digits" in capsys.readouterr().err
-    # D = -23 needs 10 digits (19 for H_D): a refused --digits names itself
-    over = str(moduli.MAX_DIGITS + 1)
-    for argv in (
-        ["classpoly", "--digits", over, "--", "-23"],
-        ["analyze", "--digits", over, "2", "1", "1", "12"],
-    ):
-        code, out = run_cli(argv)
-        assert code == EXIT_INPUT and out == "", argv
-        err = capsys.readouterr().err
-        assert f"ceiling of {moduli.MAX_DIGITS}" in err
-        assert f"{over} digits are above the ceiling of {moduli.MAX_DIGITS}" in err, err
-        assert "D =" not in err, err
     # while D = -40004 (h = 160) stays below the ceiling
     assert moduli.precision_floor(classgroup.class_group(-40004)) <= moduli.MAX_DIGITS
 
@@ -172,16 +156,6 @@ def test_classpoly_precision_failure_exits_3(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_PRECISION and out == ""
     assert err.count("\n") == 1 and err.startswith("precision failure:"), err
-
-
-def test_nonpositive_digits_rejected(capsys):
-    for digits in ("0", "-5"):
-        code, out = run_cli(["classpoly", "--digits", digits, "--", "-23"])
-        assert code == EXIT_INPUT and out == ""
-        assert "digits must be positive" in capsys.readouterr().err
-        code, out = run_cli(["analyze", "--digits", digits, "2", "1", "1", "12"])
-        assert code == EXIT_INPUT and out == ""
-        assert "digits must be positive" in capsys.readouterr().err
 
 
 def test_enumerate_small():
@@ -234,23 +208,6 @@ def test_text_format():
     assert "x^3 + 3491750*x^2 - 5151296875*x + 12771880859375" in out
     code, out = run_cli(["classpoly", "--", "-23"])
     assert "precision used" in out
-
-
-def test_explicit_digits_flag():
-    env = run_json(["analyze", "2", "1", "1", "12", "--digits", "80"])
-    assert env["result"]["precision_used"] == 80
-    assert env["input"]["digits"] == 80
-
-
-def test_digits_and_default_runs_are_cached_apart(monkeypatch):
-    # the polynomial cache is keyed on (disc0, digits): an explicit --digits
-    # and the default run each keep their own precision_used
-    empty_field_cache(monkeypatch)
-    argv = ["analyze", "2", "1", "1", "12"]
-    for _ in range(2):
-        assert run_json(argv + ["--digits", "80"])["result"]["precision_used"] == 80
-        assert run_json(argv)["result"]["precision_used"] == 19
-    assert moduli._field_polynomials.cache_info().currsize == 2
 
 
 SCALARS = (

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 from collections import Counter
+from math import comb, log, log10, pi, sqrt
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from k3moduli.moduli import (
     moduli_report,
     mq_is_galois,
 )
-from k3moduli.errors import InputError, K3ModuliError, NotNearInteger, PrecisionExhausted
+from k3moduli.errors import K3ModuliError, NotNearInteger, PrecisionExhausted
 from k3moduli.errors import ResolventDegenerate
 from k3moduli.numerics import BigComplex, CMPoint, conjugate, j_invariant, poly_from_roots
 from k3moduli.qforms import form_class
@@ -93,8 +94,9 @@ def test_class_polynomial_minus_23_root_pattern():
 
 
 def test_class_polynomial_minus_56_stable():
-    first = class_polynomial(-56, 70)
-    second = class_polynomial(-56, 140)
+    group = classgroup.class_group(-56)
+    first = moduli._class_polynomial_at(group, 70)
+    second = moduli._class_polynomial_at(group, 140)
     assert first == second
     assert len(first) == 5 and first[-1] == 1
 
@@ -157,18 +159,6 @@ def test_gamma2_class_polynomial_rebuilds_h():
         assert class_polynomial(d) == oracle, d
         count += 1
     assert count == 333
-
-
-def test_nonpositive_digits_rejected():
-    for digits in (0, -5):
-        with pytest.raises(InputError):
-            class_polynomial(-23, digits)
-        with pytest.raises(InputError):
-            moduli_report(LATTICE_23, digits)
-        with pytest.raises(InputError):
-            field_of_K_moduli(LATTICE_23, digits)
-        with pytest.raises(InputError):
-            field_of_Q_moduli(LATTICE_23, digits)
 
 
 def test_doctored_report_raises_under_optimize():
@@ -306,20 +296,6 @@ def test_lattices_of_one_disc0_share_their_polynomials(monkeypatch):
     assert calls
 
 
-def test_precision_ladder_escalates():
-    # --digits is only a minimum: a run asked to start absurdly low starts at
-    # the floor, so nothing escalates, and the result matches the
-    # default-policy run
-    coeffs, used = moduli.class_polynomial_with_precision(-479, 5)
-    assert used > 5
-    assert coeffs == class_polynomial(-479)
-
-    report = moduli_report(lattice_from_class(1, form_class(5, 1, 24)), digits=5)
-    assert report.precision_used > 5
-    assert report.disc0 == -479
-    assert report.class_polynomial == class_polynomial(-479)
-
-
 def _recognition_failing(monkeypatch, fails):
     """Make moduli's recognition fail at every precision where fails(digits)
     holds; returns the list it fills with the digits of each attempt."""
@@ -384,15 +360,51 @@ def test_precision_failure_is_not_cached(monkeypatch):
     assert (report.class_polynomial, report.precision_used) == (H23, 19)
 
 
+def _right_or_refused(attempt, expected, label) -> bool:
+    """Whether attempt() certifies expected; a refusal must be NotNearInteger,
+    and any other polynomial fails the test."""
+    try:
+        got = attempt()
+    except NotNearInteger:
+        return False
+    assert got == expected, label
+    return True
+
+
 def test_low_digits_give_the_right_polynomial():
-    # tiny --digits that printed a wrong polynomial with exit 0: coarse_j when
-    # j was accurate only to its digits, no_room when recognition accepted
+    # precisions far below the floor that once gave a wrong polynomial: coarse_j
+    # when j was accurate only to its digits, no_room when recognition accepted
     # values that left the tolerance no room in the working precision
     coarse_j = [(-23, 1), (-23, 2), (-23, 3), (-31, 1), (-31, 2), (-31, 3), (-31, 4), (-52, 1)]
     coarse_j += [(-52, 2), (-52, 3), (-64, 1), (-64, 2), (-64, 4), (-64, 5), (-75, 1), (-75, 2)]
     no_room = [(-47, 1), (-68, 3), (-128, 8), (-136, 10), (-235, 4), (-307, 11), (-379, 4)]
     for d, digits in coarse_j + no_room:
-        assert class_polynomial(d, digits) == class_polynomial(d), (d, digits)
+        group = classgroup.class_group(d)
+        assert digits < moduli.class_polynomial_floor(group), (d, digits)
+        attempt = lambda: moduli._class_polynomial_at(group, digits)  # noqa: E731
+        _right_or_refused(attempt, class_polynomial(d), (d, digits))
+
+
+def test_sub_floor_sweep_never_gives_a_wrong_polynomial():
+    # every precision from 1 to 39 digits, mostly below the floor: the
+    # certificate either holds or refuses
+    outcomes = Counter()
+    for d in valid_discs(399):
+        group = classgroup.class_group(d)
+        cosets = moduli._torsion_cosets(group)
+        class_poly, mq = class_polynomial(d), moduli._field_polynomials(d)[0].mq
+        cp_floor, floor = moduli.class_polynomial_floor(group), moduli.precision_floor(group)
+        for digits in range(1, 40):
+            attempt = lambda: moduli._class_polynomial_at(group, digits)  # noqa: E731
+            ok = _right_or_refused(attempt, class_poly, (d, digits))
+            outcomes["class", digits < cp_floor, ok] += 1
+            attempt = lambda: moduli._attempt_polynomials(group, cosets, digits).mq  # noqa: E731
+            ok = _right_or_refused(attempt, mq, (d, digits))
+            outcomes["field", digits < floor, ok] += 1
+    # no refusal at or above the floor; below it, both outcomes on both paths
+    assert outcomes["class", False, False] == outcomes["field", False, False] == 0
+    for path in ("class", "field"):
+        assert outcomes[path, True, True] > 500 and outcomes[path, True, False] > 500, path
 
 
 def test_minus_2083_settles_at_default_digits():
@@ -401,8 +413,10 @@ def test_minus_2083_settles_at_default_digits():
     lattice = from_gram(((2, 1), (1, 1042)))
     report = moduli_report(lattice)
     assert (report.disc0, report.h, report.precision_used) == (-2083, 7, 93)
-    assert report.class_polynomial == class_polynomial(-2083, 200)
-    assert report.mq_min_poly == field_of_Q_moduli(lattice, 200)
+    group = classgroup.class_group(-2083)
+    assert report.class_polynomial == moduli._class_polynomial_at(group, 200)
+    cosets = moduli._torsion_cosets(group)
+    assert report.mq_min_poly == moduli._attempt_polynomials(group, cosets, 200).mq
     assert report.mk_min_poly == report.mq_min_poly
 
 
@@ -412,9 +426,27 @@ def test_every_polynomial_settles_at_its_floor():
         group = classgroup.class_group(d)
         cp_floor = moduli.class_polynomial_floor(group)
         assert moduli.class_polynomial_with_precision(d)[1] == cp_floor, d
-        floor = moduli.precision_floor(group)
-        field_floor = max(floor, moduli.precision_floor(group, moduli._torsion_cosets(group)))
-        assert moduli._field_polynomials(d, None).digits == field_floor, d
+
+
+def _coset_height(group, cosets) -> float:
+    """log10 bound on the coefficients of the field polynomial, whose roots
+    are sums of j over the cosets: each root is at most |coset| times the
+    largest exp(pi*sqrt|D|/a) in its coset."""
+    scale = pi * sqrt(-group.disc) / log(10)
+    a = [cls.rep.a for cls in group.classes]
+    m = len(cosets)
+    return sum(scale / min(a[i] for i in c) + log10(len(c)) for c in cosets) + log10(
+        comb(m, m // 2)
+    )
+
+
+def test_field_polynomial_needs_no_floor_of_its_own():
+    # the coset height never exceeds H_D's, so the field polynomial is
+    # certified at H_D's floor
+    for d in valid_discs(3000):
+        group = classgroup.class_group(d)
+        assert _coset_height(group, moduli._torsion_cosets(group)) <= moduli._height(group), d
+        assert moduli._field_polynomials(d)[1] == moduli.precision_floor(group), d
 
 
 def test_odd_class_number_field_polynomial_is_class_polynomial():
@@ -475,7 +507,9 @@ def test_galois_answer_builds_no_model(monkeypatch):
 
 def test_coefficient_stability_small_sweep():
     for d in valid_discs(100):
-        assert class_polynomial(d) == class_polynomial(d, 2 * default_digits(classgroup.class_group(d).h))
+        group = classgroup.class_group(d)
+        digits = 2 * default_digits(group.h)
+        assert class_polynomial(d) == moduli._class_polynomial_at(group, digits)
 
 
 def test_model_index_bookkeeping_sweep():

@@ -36,6 +36,24 @@ def test_order_of_disc(d, d_k, f):
     assert orders.is_fundamental(order.d_k)
 
 
+def test_is_fundamental_matches_the_definition():
+    # d = 1 (mod 4) squarefree, or d = 4m with m = 2, 3 (mod 4) squarefree
+    bound = 10**5
+    squarefree = [True] * (bound + 1)
+    for p in range(2, 317):
+        for k in range(p * p, bound + 1, p * p):
+            squarefree[k] = False
+    for d in range(-bound, 0):
+        if d % 4 == 1:
+            expected = squarefree[-d]
+        elif d % 4 == 0:
+            expected = (d // 4) % 4 in (2, 3) and squarefree[-d // 4]
+        else:
+            expected = False
+        assert orders.is_fundamental(d) == expected, d
+    assert not orders.is_fundamental(0) and not orders.is_fundamental(5)
+
+
 @pytest.mark.parametrize("d", [-5, -6, 0, 9])
 def test_order_of_disc_rejects(d):
     with pytest.raises(BadDiscriminant):

@@ -1,13 +1,16 @@
 """Checks on the package source itself."""
 
+import argparse
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
 
 import k3moduli
+from k3moduli import cli, moduli
 
 SOURCES = sorted(Path(k3moduli.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,6 +49,22 @@ def test_no_environment_knobs():
         )
     ]
     assert found == []
+
+
+def test_precision_is_not_a_knob():
+    # the height-derived floor alone sets the precision: no CLI flag, and no
+    # public moduli function takes digits
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {o for p in commands.choices.values() for a in p._actions for o in a.option_strings}
+    assert "--format" in options and "--digits" not in options
+    public = [
+        f
+        for name, f in vars(moduli).items()
+        if inspect.isfunction(f) and f.__module__ == moduli.__name__ and not name.startswith("_")
+    ]
+    assert {f.__name__ for f in public} >= {"class_polynomial", "moduli_report", "precision_floor"}
+    assert [f.__name__ for f in public if "digits" in inspect.signature(f).parameters] == []
 
 
 def _imported_modules(path: Path) -> set[str]:
