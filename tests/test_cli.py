@@ -240,9 +240,9 @@ def test_json_emitter_refuses_other_types():
 def test_analyze_json_bytes_are_frozen():
     # sha256 of the full stdout; h = 3, 3 (m = 2) and 8 (D0 = -95)
     digests = {
-        "2 1 1 12": "24b1bfb77d8ffbf0e4369df0ab92a386e696c7accefaff9d5c49a763e02fd8ce",
-        "4 1 1 6": "cd2b7e9470de3eac13891534359aef2c1f0c3ec08fd71b21996224a798836e18",
-        "2 1 1 48": "ebc457b20a929b0411c41168ad4710d3f201ea7b33a230240bc79b38778bb0bc",
+        "2 1 1 12": "c13374f0d6ba92e84eb397619499b03ce2d9406ddac866206656daec20c89b4b",
+        "4 1 1 6": "d42af402ed85ecef9e737a874e08a5633eb7e7c51565f03ef06f756f7e3d8178",
+        "2 1 1 48": "1a26df43fe6c6ea059befb0bb3d458f73ebe5d3b832863f136d9edc31075a096",
     }
     for gram, digest in digests.items():
         code, out = run_cli(["analyze", "--format", "json", *gram.split()])
