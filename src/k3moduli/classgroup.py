@@ -32,7 +32,7 @@ from . import qforms
 from .errors import ClassNotInGroup, DiscriminantTooLarge, K3ModuliError
 from .qforms import FormClass, QuadForm, check_discriminant
 
-# Largest |D| accepted.  C(D) itself takes 0.2 s at this size (-999479, h = 1644,
+# Largest |D| accepted.  C(D) itself takes 0.05 s at this size (-999479, h = 1644,
 # on a 2-vCPU VM), but the classgroup command's JSON of its h^2 Cayley table takes
 # seconds; an input of 10^9 would spend hours enumerating reduced forms.
 MAX_ABS_DISC = 10**6

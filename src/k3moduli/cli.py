@@ -9,6 +9,7 @@ strings for polynomial coefficients (lowest degree first), Gram matrices as
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
@@ -19,6 +20,7 @@ from .errors import InputError, K3ModuliError, PrecisionError
 from .k3 import TranscLattice
 
 EXIT_OK = 0
+EXIT_CLOSED_OUTPUT = 1  # stdout was closed before the output was written
 EXIT_INPUT = 2
 EXIT_PRECISION = 3
 
@@ -145,7 +147,6 @@ def _classgroup_payload(group: classgroup.ClassGroup) -> dict:
         "disc": group.disc,
         "h": group.h,
         "classes": [list(c.rep.coefficients()) for c in group.classes],
-        "cayley": [list(row) for row in classgroup.cayley(group)],
         "elementary_divisors": list(group.elementary_divisors),
         "two_torsion": sorted(classgroup.two_torsion(group)),
         "principal_genus": sorted(partition.principal_genus),
@@ -314,6 +315,8 @@ def run(args: argparse.Namespace) -> int:
     elif args.command == "classgroup":
         group = classgroup.class_group(args.disc)
         payload = _classgroup_payload(group)
+        if args.format == "json":  # the text form prints no Cayley table
+            payload["cayley"] = [list(row) for row in classgroup.cayley(group)]
         echo = {"disc": args.disc}
     elif args.command == "orbit":
         lattice = k3.from_gram(_gram_matrix(args.gram))
@@ -356,7 +359,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return run(args)
+        code = run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`): point stdout at devnull, so
+        # that the interpreter's own flush at exit raises nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_OUTPUT
     except PrecisionError as exc:
         print(f"precision failure: {exc}", file=sys.stderr)
         return EXIT_PRECISION

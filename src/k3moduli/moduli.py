@@ -15,8 +15,10 @@ height (Enge, Math. Comp. 78, 2009): with |j(tau)| about exp(pi*sqrt|D|/a),
 log10 of its largest coefficient is at most
 sum over roots of pi*sqrt|D|/a / ln 10 plus log10 of the largest binomial
 coefficient, and GUARD_DIGITS more digits leave the propagated error bound
-below 1/2.  Recognition is a certificate (see numerics.recognize_integer);
-the precision is doubled only when it fails, and never past MAX_DIGITS.  The
+below 1/2.  Recognition is a certificate (see numerics.recognize_integer),
+and so is the distinctness of the coset invariants the field polynomial is
+built from (see _separated_roots); the precision is doubled only when
+recognition fails, and never past MAX_DIGITS.  The
 class polynomial is then checked exactly against Gross-Zagier (J. reine
 angew. Math. 355, 1985): the norm of j is a cube when 3 does not divide D,
 and for fundamental D its primes are at most 3|D|/4.  An input whose H_D
@@ -222,20 +224,20 @@ _RESOLVENT_LADDER = (("trace", 1, 0), ("square sum", 2, 0), ("cube sum", 3, 0)) 
 )
 
 
-def _separated_roots(
-    js: list[BigComplex], cosets, digits: int
-) -> tuple[list[BigComplex], tuple[str, ...]]:
-    """Coset invariants distinct at the 10^-(digits/2) threshold.
+def _separated_roots(js: list[BigComplex], cosets) -> tuple[list[BigComplex], tuple[str, ...]]:
+    """Coset invariants certified distinct.
 
-    Starts from plain traces; on collision walks the resolvent ladder and
-    flags the fallback in the returned warnings.  Exact integer powers and
-    sums: a conjugate coset gives the exact conjugate, a self-conjugate one an
-    exactly real value.  Error bounds: |(z + d)^p - z^p| <= (|z| + |d|)^p - |z|^p
-    per class, summed over the coset.
+    Starts from plain traces; while two invariants x, y are not farther
+    apart than their error bounds (|x - y| <= ex + ey), walks the resolvent
+    ladder and flags the fallback in the returned warnings.  A rung is taken only when every pair
+    is apart by more than its bounds: the true values then differ, so the
+    product over the cosets is the minimal polynomial.  Exact integer powers
+    and sums: a conjugate coset gives the exact conjugate, a self-conjugate
+    one an exactly real value.  Error bounds: |(z + d)^p - z^p| <= (|z| +
+    |d|)^p - |z|^p per class, summed over the coset.
     """
     bits = max(j.bits for j in js)
     values = [(j.re << bits - j.bits, j.im << bits - j.bits, j.err << bits - j.bits) for j in js]
-    tens = 100 ** (digits // 2)
     for name, power, shift in _RESOLVENT_LADDER:
         resolved = []
         for re, im, err in values:
@@ -247,17 +249,15 @@ def _separated_roots(
         roots = [
             tuple(sum(resolved[i][part] for i in coset) for part in range(3)) for coset in cosets
         ]
-        # |x - y| >= 10^-(digits // 2) for roots x, y at scale 2^-scale, squared
-        scale = power * bits
-        limit = 1 << 2 * scale
+        # every part at scale 2^-(power * bits)
         separated = all(
-            ((xr - yr) ** 2 + (xi - yi) ** 2) * tens >= limit
-            for i, (xr, xi, _) in enumerate(roots)
-            for yr, yi, _ in roots[i + 1 :]
+            (xr - yr) ** 2 + (xi - yi) ** 2 > (ex + ey) ** 2
+            for i, (xr, xi, ex) in enumerate(roots)
+            for yr, yi, ey in roots[i + 1 :]
         )
         if separated:
             warnings = () if name == "trace" else (f"resolvent fallback used: {name}",)
-            return [BigComplex(re, im, scale, digits, err) for re, im, err in roots], warnings
+            return [BigComplex(re, im, power * bits, err) for re, im, err in roots], warnings
     raise ResolventDegenerate("all resolvents collide across the 2-torsion cosets")
 
 
@@ -375,7 +375,7 @@ def _attempt_polynomials(group: ClassGroup, cosets, digits: int) -> _Polynomials
     class_poly = _class_poly(group, js)
     if len(cosets) == group.h:  # C[2] trivial (h odd): each coset is one class
         return _Polynomials(class_poly, class_poly, ())
-    roots, warnings = _separated_roots(js, cosets, digits)
+    roots, warnings = _separated_roots(js, cosets)
     mq = _recognize_int_poly(poly_from_roots(roots))
     return _Polynomials(class_poly, mq, warnings)
 

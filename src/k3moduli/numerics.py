@@ -13,10 +13,11 @@ the digits.
 One number format carries every value from j to recognition: `BigComplex`,
 the exact fixed-point value (re + i*im) * 2^-bits on Python integers, with a
 rigorous bound `err` on its distance to the true value, in the same units.
-`j_invariant` states the error budget it certifies, `poly_from_roots`
-propagates the bounds of its roots through the product, and
-`recognize_integer` returns an integer only when the bound proves it is the
-true value.  Only the constants of q (pi*sqrt|disc|, exp of it over a, and
+That bound is the only statement of a value's accuracy.  `j_invariant`
+states the error budget it certifies, `poly_from_roots` takes its working
+bits from the bounds of its roots and propagates them through the product,
+and `recognize_integer` returns an integer only when the bound proves it is
+the true value.  Only the constants of q (pi*sqrt|disc|, exp of it over a, and
 cos/sin of pi*b/a; over 3a for gamma_2) come from mpmath, through its
 context-free `libmp` functions; there is no mpmath context and no state
 shared between calls or threads.  One constant, MAX_DIGITS, bounds the
@@ -65,20 +66,18 @@ class CMPoint:
 
 @dataclass(frozen=True)
 class BigComplex:
-    """(re + i*im) * 2^-bits exactly, carried at >= digits decimal digits of
-    working precision.  The value it stands for lies within err * 2^-bits of
-    it (complex modulus); err = 0 means the value is exact."""
+    """(re + i*im) * 2^-bits exactly.  The value it stands for lies within
+    err * 2^-bits of it (complex modulus); err = 0 means the value is exact."""
 
     re: int
     im: int
     bits: int
-    digits: int
     err: int = 0
 
 
 def conjugate(z: BigComplex) -> BigComplex:
     """Exact complex conjugate, with the same error bound."""
-    return BigComplex(z.re, -z.im, z.bits, z.digits, z.err)
+    return BigComplex(z.re, -z.im, z.bits, z.err)
 
 
 def _mul(x, y, bits):
@@ -231,7 +230,7 @@ def _eta_quotient(point: CMPoint, digits: int, root: tuple | None, n: int) -> Bi
     # together they move it by less than 2^(magnitude + 16); 2^spread covers
     # the growth of both with |q| elsewhere
     err = (1 << magnitude + _GUARD_BITS + spread) + (1 << magnitude + 16 + spread)
-    return BigComplex(re, -im if point.b < 0 else im, bits, digits, err)
+    return BigComplex(re, -im if point.b < 0 else im, bits, err)
 
 
 def recognize_integer(z: BigComplex) -> int:
@@ -263,13 +262,14 @@ def poly_from_roots(roots: list[BigComplex]) -> list[BigComplex]:
     conjugate (same bits) as one real quadratic x^2 - 2 Re(z) x + |z|^2.  A
     complex root without its conjugate raises K3ModuliError: the product
     would not be real.  Fixed point at a little more than the roots'
-    accuracy: each factor multiplies the error bound E of the partial product
+    certified accuracy, the most bits any root holds below its error bound:
+    each factor multiplies the error bound E of the partial product
     by (1 + |factor coefficients|) and adds the factor's own error times the
     largest partial coefficient, plus one unit per rounded term.  Every
     coefficient carries the final bound.
     """
-    digits = max((r.digits for r in roots), default=15)
-    bits = ceil(digits * LOG2_10) + len(roots).bit_length() + _PRODUCT_GUARD_BITS
+    accurate = max(r.bits - r.err.bit_length() for r in roots)
+    bits = accurate + len(roots).bit_length() + _PRODUCT_GUARD_BITS
     factors = []  # (low coefficients, their error bound)
     waiting = Counter()  # roots still without their conjugate
     for r in roots:
@@ -295,4 +295,4 @@ def poly_from_roots(roots: list[BigComplex]) -> list[BigComplex]:
             for k, c in enumerate(coeffs):
                 out[k + i] += f * c >> bits
         coeffs = out
-    return [BigComplex(c, 0, bits, digits, err) for c in coeffs]
+    return [BigComplex(c, 0, bits, err) for c in coeffs]

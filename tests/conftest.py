@@ -56,8 +56,8 @@ def as_mpc(ctx, z: BigComplex):
     return ctx.mpc(ctx.ldexp(z.re, -z.bits), ctx.ldexp(z.im, -z.bits))
 
 
-def from_mpc(ctx, value, digits: int) -> BigComplex:
+def from_mpc(ctx, value) -> BigComplex:
     """value (an mpf or mpc of ctx) rounded to a multiple of 2^-bits, bits = ctx.prec."""
     value = ctx.mpc(value)
     re, im = (int(ctx.nint(ctx.ldexp(part, ctx.prec))) for part in (value.real, value.imag))
-    return BigComplex(re, im, ctx.prec, digits)
+    return BigComplex(re, im, ctx.prec)

@@ -1,14 +1,18 @@
 import hashlib
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3moduli import classgroup, moduli
-from k3moduli.cli import ENVELOPE_SCHEMA, EXIT_INPUT, EXIT_OK, EXIT_PRECISION, _json
+from k3moduli import classgroup, cli, moduli
+from k3moduli.cli import ENVELOPE_SCHEMA, EXIT_CLOSED_OUTPUT, EXIT_INPUT, EXIT_OK, EXIT_PRECISION
+from k3moduli.cli import _json
 from k3moduli.errors import NotNearInteger
 
 from conftest import empty_field_cache, run_cli
@@ -94,6 +98,35 @@ def test_classgroup_minus_23():
     assert result["elementary_divisors"] == [3]
 
 
+CLASSGROUP_56_TEXT = """\
+k3moduli classgroup
+  disc               -56
+  class number h     4
+  classes            (1, 0, 14) (2, 0, 7) (3, -2, 5) (3, 2, 5)
+  divisors           [4]
+  two torsion        [0, 1]
+  principal genus    [0, 1]
+  genus count        2
+  genus order g      2
+"""
+
+
+def test_classgroup_builds_the_cayley_table_only_for_json(monkeypatch):
+    calls = []
+    build = classgroup.cayley
+
+    def cayley(group):
+        calls.append(group.disc)
+        return build(group)
+
+    monkeypatch.setattr(classgroup, "cayley", cayley)
+    code, out = run_cli(["classgroup", "--", "-56"])
+    assert (code, out, calls) == (EXIT_OK, CLASSGROUP_56_TEXT, [])
+    table = run_json(["classgroup", "--", "-56"])["result"]["cayley"]
+    assert calls == [-56]
+    assert table == [list(row) for row in build(classgroup.class_group(-56))]
+
+
 def test_classgroup_rejects_bad_disc():
     code, _ = run_cli(["classgroup", "--", "-5"])
     assert code == EXIT_INPUT
@@ -144,6 +177,53 @@ def test_classpoly_json():
     env = run_json(["classpoly", "--", "-4"])
     assert env["result"]["coefficients"] == ["-1728", "1"]
     assert env["result"]["degree"] == 1
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the JSON of -40004 (h = 160) is about 330 kB, far above a pipe's
+    # 64 KiB buffer: the writer is still printing when the reader goes away
+    src = Path(cli.__file__).resolve().parents[1]
+    argv = ["classgroup", "--format", "json", "--", "-40004"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "k3moduli.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert proc.stdout.read(10) == b'{\n  "comma'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_CLOSED_OUTPUT
+    assert err == "", err
+
+
+def _part(name):
+    """The schema of one $defs entry of the envelope, with the $defs it refers to."""
+    return {"$defs": ENVELOPE_SCHEMA["$defs"], "$ref": f"#/$defs/{name}"}
+
+
+def test_result_parts_match_the_schema_definitions():
+    polynomial, lattice, form = _part("polynomial"), _part("lattice"), _part("class")
+    analyze = run_json(["analyze", "2", "1", "1", "48"])["result"]
+    for key in ("class_polynomial", "mk_min_poly", "mq_min_poly"):
+        jsonschema.validate(analyze[key], polynomial)
+    for member in analyze["orbit"]:
+        jsonschema.validate(member, lattice)
+    orbit = run_json(["orbit", "2", "1", "1", "12"])["result"]
+    for member in orbit["lattices"]:
+        jsonschema.validate(member, lattice)
+    for c in run_json(["classgroup", "--", "-56"])["result"]["classes"]:
+        jsonschema.validate(c, form)
+    jsonschema.validate(run_json(["classpoly", "--", "-23"])["result"]["coefficients"], polynomial)
+    # the definitions are not vacuous
+    broken = {k: v for k, v in orbit["lattices"][0].items() if k != "primitive_class"}
+    with pytest.raises(jsonschema.ValidationError, match="primitive_class"):
+        jsonschema.validate(broken, lattice)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate([1, 0], polynomial)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate([1, 0], form)
 
 
 def test_classpoly_precision_failure_exits_3(monkeypatch, capsys):

@@ -298,18 +298,22 @@ def test_lattices_of_one_disc0_share_their_polynomials(monkeypatch):
 
 def _recognition_failing(monkeypatch, fails):
     """Make moduli's recognition fail at every precision where fails(digits)
-    holds; returns the list it fills with the digits of each attempt."""
+    holds; returns the list it fills with the digits of each attempt, read
+    from moduli.pi_root, which every attempt calls once."""
     attempts = []
-    certify = moduli.recognize_integer
+    certify, root = moduli.recognize_integer, moduli.pi_root
     empty_field_cache(monkeypatch)  # a cached report would skip recognition
 
+    def pi_root(disc, digits):
+        attempts.append(digits)
+        return root(disc, digits)
+
     def recognize(z):
-        if not attempts or attempts[-1] != z.digits:
-            attempts.append(z.digits)
-        if fails(z.digits):
+        if fails(attempts[-1]):
             raise NotNearInteger("forced")
         return certify(z)
 
+    monkeypatch.setattr(moduli, "pi_root", pi_root)
     monkeypatch.setattr(moduli, "recognize_integer", recognize)
     return attempts
 
@@ -462,7 +466,7 @@ def test_odd_class_number_field_polynomial_is_class_polynomial():
         assert report.mq_min_poly == report.class_polynomial and report.warnings == (), d
         js = moduli._j_values(group, report.precision_used)
         cosets = moduli._torsion_cosets(group)
-        roots, warnings = moduli._separated_roots(js, cosets, report.precision_used)
+        roots, warnings = moduli._separated_roots(js, cosets)
         assert warnings == (), d
         assert moduli._recognize_int_poly(poly_from_roots(roots)) == report.class_polynomial, d
     assert odd > 50
@@ -530,23 +534,40 @@ def test_field_roots_closed_under_conjugation():
     for d in (-23, -56, -84, -119):
         group = classgroup.class_group(d)
         js = moduli._j_values(group, 60)
-        roots, _ = moduli._separated_roots(js, moduli._torsion_cosets(group), 60)
+        roots, _ = moduli._separated_roots(js, moduli._torsion_cosets(group))
         assert Counter(roots) == Counter(conjugate(r) for r in roots)
 
 
 def _reals(*values: int) -> list[BigComplex]:
-    return [BigComplex(v << 80, 0, 80, 30) for v in values]
+    return [BigComplex(v << 80, 0, 80) for v in values]
 
 
 def test_resolvent_ladder_falls_back_to_square_sum():
     # traces 1 + 4 = 2 + 3 collide, square sums 17 and 13 do not
-    roots, warnings = moduli._separated_roots(_reals(1, 4, 2, 3), ((0, 1), (2, 3)), 30)
+    roots, warnings = moduli._separated_roots(_reals(1, 4, 2, 3), ((0, 1), (2, 3)))
     assert warnings == ("resolvent fallback used: square sum",)
     assert [(r.re, r.im) for r in roots] == [(17 << 160, 0), (13 << 160, 0)]
     assert all(r.bits == 160 for r in roots)
 
 
+def test_resolvent_ladder_needs_certified_separation():
+    # traces 5 and 5 + delta lie within their error bounds, 2 eps each, of
+    # one another: the true traces could be equal, so the square sums
+    # (17 and 13 + 6 delta + delta^2) are taken, although delta is far above
+    # 10^-15, the old fixed threshold at 30 digits
+    eps, delta = 1 << 40, 1 << 41  # units of 2^-80: eps ~ 9.1e-13, delta ~ 1.8e-12
+    values = [BigComplex(v << 80, 0, 80, eps) for v in (1, 4, 2)]
+    values.append(BigComplex((3 << 80) + delta, 0, 80, eps))
+    roots, warnings = moduli._separated_roots(values, ((0, 1), (2, 3)))
+    assert warnings == ("resolvent fallback used: square sum",)
+    assert [r.re >> 160 for r in roots] == [17, 13]
+    # apart by more than the bounds: the traces are certified distinct
+    values[3] = BigComplex((3 << 80) + 4 * eps + 1, 0, 80, eps)
+    roots, warnings = moduli._separated_roots(values, ((0, 1), (2, 3)))
+    assert warnings == () and [r.err for r in roots] == [2 * eps, 2 * eps]
+
+
 def test_resolvent_ladder_degenerate_when_every_rung_collides():
     # equal multisets on both cosets: every symmetric resolvent collides
     with pytest.raises(ResolventDegenerate):
-        moduli._separated_roots(_reals(1, 4, 4, 1), ((0, 1), (2, 3)), 30)
+        moduli._separated_roots(_reals(1, 4, 4, 1), ((0, 1), (2, 3)))

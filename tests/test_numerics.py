@@ -67,12 +67,12 @@ def test_j_rejects_lower_half_plane():
 def test_recognize_integer_examples():
     ctx = MPContext()
     ctx.dps = 60
-    near = from_mpc(ctx, ctx.mpc("1727.9999999999999999999999", "1e-50"), 40)
+    near = from_mpc(ctx, ctx.mpc("1727.9999999999999999999999", "1e-50"))
     assert certified_integer(near, "1e-20") == 1728
-    half = from_mpc(ctx, ctx.mpf("0.5"), 40)
+    half = from_mpc(ctx, ctx.mpf("0.5"))
     with pytest.raises(NotNearInteger):
         certified_integer(half, "1e-20")
-    imag = from_mpc(ctx, ctx.mpc(3, "0.25"), 40)
+    imag = from_mpc(ctx, ctx.mpc(3, "0.25"))
     with pytest.raises(NotNearInteger):
         certified_integer(imag, "1e-20")
     assert recognize_integer(imag) == 3  # the certificate alone: |Im z| + err < 1/2
@@ -84,14 +84,14 @@ def test_recognize_integer_refuses_straddling_error_bound():
     tiny = (1 << bits) // 10**31
     for err in (1 << bits - 1, (1 << bits - 1) - tiny // 2):
         for z in (
-            BigComplex((1728 << bits) + tiny, 0, bits, 60, err),
-            BigComplex(1728 << bits, tiny, bits, 60, err),
+            BigComplex((1728 << bits) + tiny, 0, bits, err),
+            BigComplex(1728 << bits, tiny, bits, err),
         ):
             with pytest.raises(NotNearInteger):
                 recognize_integer(z)
             with pytest.raises(NotNearInteger):
                 certified_integer(z, "1e-20")
-    certified = BigComplex((1728 << bits) + tiny, tiny, bits, 60, 1 << bits - 2)
+    certified = BigComplex((1728 << bits) + tiny, tiny, bits, 1 << bits - 2)
     assert recognize_integer(certified) == 1728
 
 
@@ -161,22 +161,22 @@ def test_trace_of_minus_23_roots_is_integer():
             for c in group.classes
         ]
         total = sum(js, ctx.mpc(0))
-        trace = certified_integer(from_mpc(ctx, total, digits), "1e-20")
+        trace = certified_integer(from_mpc(ctx, total), "1e-20")
         assert trace == -3491750  # frozen from the doubled-precision run
 
 
 def test_poly_from_roots_single():
     ctx = MPContext()
     ctx.dps = 30
-    coeffs = poly_from_roots([from_mpc(ctx, ctx.mpf(1728), 25)])
+    coeffs = poly_from_roots([from_mpc(ctx, ctx.mpf(1728))])
     assert [certified_integer(c, "1e-10") for c in coeffs] == [-1728, 1]
 
 
 def test_poly_from_roots_conjugate_pair_real():
     ctx = MPContext()
     ctx.dps = 40
-    r = from_mpc(ctx, ctx.mpc("2.5", "3.25"), 30)
-    rbar = from_mpc(ctx, ctx.mpc("2.5", "-3.25"), 30)
+    r = from_mpc(ctx, ctx.mpc("2.5", "3.25"))
+    rbar = from_mpc(ctx, ctx.mpc("2.5", "-3.25"))
     coeffs = poly_from_roots([r, rbar])
     for c in coeffs:
         assert abs(as_mpc(ctx, c).imag) < ctx.mpf(10) ** -25
@@ -185,15 +185,15 @@ def test_poly_from_roots_conjugate_pair_real():
 def test_poly_from_roots_refuses_unpaired_complex():
     # (x - (1 + 2i)) (x - (3 - i)) is not real, and neither is a product with
     # a conjugate that is off in the last bit
-    one_plus_2i = BigComplex(1 << 100, 2 << 100, 100, 30)
+    one_plus_2i = BigComplex(1 << 100, 2 << 100, 100)
     for partner in (
-        BigComplex(3 << 100, -1 << 100, 100, 30),
-        BigComplex(1 << 100, (-2 << 100) + 1, 100, 30),
+        BigComplex(3 << 100, -1 << 100, 100),
+        BigComplex(1 << 100, (-2 << 100) + 1, 100),
     ):
         with pytest.raises(K3ModuliError, match="no exact conjugate"):
             poly_from_roots([one_plus_2i, partner])
     with pytest.raises(K3ModuliError, match="no exact conjugate"):
-        poly_from_roots([BigComplex(5, 0, 0, 30), one_plus_2i])
+        poly_from_roots([BigComplex(5, 0, 0), one_plus_2i])
     exact = poly_from_roots([one_plus_2i, numerics.conjugate(one_plus_2i)])
     assert [certified_integer(c, "1e-20") for c in exact] == [5, -2, 1]
 
@@ -280,7 +280,7 @@ def test_threads_at_different_digits_match_serial():
     def compute(d, digits):
         group = class_group(d)
         js = moduli._j_values(group, digits)
-        roots, _ = moduli._separated_roots(js, moduli._torsion_cosets(group), digits)
+        roots, _ = moduli._separated_roots(js, moduli._torsion_cosets(group))
         values = js + roots + poly_from_roots(js) + poly_from_roots(roots)
         return [(z.re, z.im) for z in values]
 
@@ -330,7 +330,7 @@ def test_real_product_matches_complex_product():
             coeffs = [-r * coeffs[0]] + [
                 coeffs[k - 1] - r * coeffs[k] for k in range(1, len(coeffs))
             ] + [coeffs[-1]]
-        slow = [certified_integer(from_mpc(ctx, c, digits), "1e-10") for c in coeffs]
+        slow = [certified_integer(from_mpc(ctx, c), "1e-10") for c in coeffs]
         assert fast == slow, d
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import dataclasses
 import importlib
 import inspect
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import k3moduli
-from k3moduli import cli, moduli
+from k3moduli import cli, moduli, numerics
 
 SOURCES = sorted(Path(k3moduli.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parents[1]
@@ -78,7 +79,10 @@ def _imported_modules(path: Path) -> set[str]:
 
 
 def test_one_number_format():
-    # numerics alone touches mpmath, and there is no per-thread state
+    # numerics alone touches mpmath, and there is no per-thread state; a
+    # value's accuracy is its error bound, with no second statement of it
+    fields = tuple(f.name for f in dataclasses.fields(numerics.BigComplex))
+    assert fields == ("re", "im", "bits", "err")
     imports = {path.name: _imported_modules(path) for path in SOURCES}
     assert "mpmath" in imports["numerics.py"]
     assert [name for name, mods in imports.items() if "mpmath" in mods] == ["numerics.py"]
