@@ -184,17 +184,16 @@ def test_closed_stdout_exits_1_without_a_traceback():
     # 64 KiB buffer: the writer is still printing when the reader goes away
     src = Path(cli.__file__).resolve().parents[1]
     argv = ["classgroup", "--format", "json", "--", "-40004"]
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "k3moduli.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env={"PYTHONPATH": str(src)},
-    )
-    assert proc.stdout.read(10) == b'{\n  "comma'
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    proc.stderr.close()
-    assert proc.wait(timeout=120) == EXIT_CLOSED_OUTPUT
+    ) as proc:
+        assert proc.stdout.read(10) == b'{\n  "comma'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == EXIT_CLOSED_OUTPUT
     assert err == "", err
 
 
