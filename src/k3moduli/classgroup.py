@@ -18,8 +18,8 @@ parent's row sent through "add 1 in one coordinate", h^2 list lookups.
 Before a group is returned, three counts of C[2] must agree: the ambiguous
 reduced forms, 2^(number of even invariant factors) and the genus count
 2^(mu - 1) from the factorisation of D (Cox, Primes of the form x^2 + ny^2,
-Thm 3.15).  |D| is bounded by MAX_ABS_DISC, beyond which enumerating the
-reduced forms alone would not finish in reasonable time.
+Thm 3.15).  |D| is bounded by MAX_ABS_DISC, beyond which the h^2 Cayley
+table of the classgroup command would not finish in reasonable time.
 """
 
 from __future__ import annotations
@@ -32,9 +32,10 @@ from . import qforms
 from .errors import ClassNotInGroup, DiscriminantTooLarge, K3ModuliError
 from .qforms import FormClass, QuadForm, check_discriminant
 
-# Largest |D| accepted.  C(D) itself takes 0.05 s at this size (-999479, h = 1644,
-# on a 2-vCPU VM), but the classgroup command's JSON of its h^2 Cayley table takes
-# seconds; an input of 10^9 would spend hours enumerating reduced forms.
+# Largest |D| accepted.  C(D) itself takes about 0.05 s at this size (-999479,
+# h = 1644, on a 2-vCPU VM) and the classgroup command's JSON of its h^2 Cayley
+# table under 1 s; listing the reduced forms costs O(|D|) divisions and h grows
+# about like sqrt|D|, so at 10^9 the table alone would hold some 10^9 entries.
 MAX_ABS_DISC = 10**6
 
 
@@ -100,22 +101,26 @@ def check_size(d: int) -> None:
 
 
 def reduced_representatives(d: int) -> list[QuadForm]:
-    """All reduced primitive forms of discriminant d, sorted by (a, b)."""
+    """All reduced primitive forms of discriminant d, sorted by (a, b).
+
+    b runs first (Cohen, A Course in Computational Algebraic Number Theory,
+    5.3): 0 <= b <= sqrt(|d|/3), b = d (mod 2), and the reduced forms (a, +-b, c)
+    are the divisors b <= a <= sqrt(n) of n = (b^2 - d)/4 = ac, with -b also
+    reduced when 0 < b < a < c.
+    """
     check_discriminant(d)
     check_size(d)
-    reps = []
-    for a in range(1, isqrt(-d // 3) + 1):
-        for b in range(1 - a + (a + 1 + d) % 2, a + 1, 2):  # b = d (mod 2), -a < b <= a
-            num = b * b - d
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a or (a == c and b < 0):
-                continue
-            if gcd(a, b, c) != 1:
-                continue
-            reps.append(QuadForm(a, b, c))
-    return reps
+    found = []
+    for b in range(d % 2, isqrt(-d // 3) + 1, 2):
+        n = (b * b - d) // 4
+        for a in [a for a in range(max(b, 1), isqrt(n) + 1) if not n % a]:
+            c = n // a
+            if gcd(a, b, c) == 1:
+                found.append((a, b, c))
+                if 0 < b < a < c:
+                    found.append((a, -b, c))
+    found.sort()
+    return [QuadForm(a, b, c) for a, b, c in found]
 
 
 def _is_ambiguous(q: QuadForm) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import dataclass
 from functools import cache
 from json.encoder import encode_basestring_ascii
 from math import isqrt
@@ -245,7 +246,9 @@ def _text_lines(command: str, payload: dict, warnings: list[str]) -> list[str]:
         row("polynomial", _poly_text(payload["coefficients"]))
         row("precision used", f"{payload['precision_used']} digits")
     elif command == "enumerate":
-        row("bounds", f"|disc| <= {payload['max_abs_disc']}, h <= {payload['max_class_number']}")
+        max_h = payload["max_class_number"]
+        h_bound = "no bound on h" if max_h is None else f"h <= {max_h}"
+        row("bounds", f"|disc| <= {payload['max_abs_disc']}, {h_bound}")
         for r in payload["strata"]:
             row(
                 "stratum",
@@ -257,10 +260,19 @@ def _text_lines(command: str, payload: dict, warnings: list[str]) -> list[str]:
     return lines
 
 
+@dataclass(frozen=True)
+class _CayleyTable:
+    """classgroup.cayley(group): h rows of h class indices below h, which
+    _json writes as lists from h decimal strings made once."""
+
+    rows: tuple[tuple[int, ...], ...]
+
+
 def _json(value, newline: str = "\n") -> str:
     """json.dumps(value, sort_keys=True, indent=2) for str, int, bool, None,
-    lists and dicts, byte for byte; a list of ints (a Cayley table row) is
-    joined in one go.  Any other type raises TypeError."""
+    lists and dicts, byte for byte, and for a _CayleyTable as its rows in
+    lists; a list of ints is joined in one go.  Any other type raises
+    TypeError."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -272,6 +284,13 @@ def _json(value, newline: str = "\n") -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     inner = newline + "  "
+    if isinstance(value, _CayleyTable):
+        names, entry = [str(i) for i in range(len(value.rows))], inner + "  "
+        rows = (
+            "[" + entry + ("," + entry).join(map(names.__getitem__, row)) + inner + "]"
+            for row in value.rows
+        )
+        return "[" + inner + ("," + inner).join(rows) + newline + "]"
     if isinstance(value, list):
         if not value:
             return "[]"
@@ -316,7 +335,7 @@ def run(args: argparse.Namespace) -> int:
         group = classgroup.class_group(args.disc)
         payload = _classgroup_payload(group)
         if args.format == "json":  # the text form prints no Cayley table
-            payload["cayley"] = [list(row) for row in classgroup.cayley(group)]
+            payload["cayley"] = _CayleyTable(classgroup.cayley(group))
         echo = {"disc": args.disc}
     elif args.command == "orbit":
         lattice = k3.from_gram(_gram_matrix(args.gram))

@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from math import gcd, isqrt
 
 import pytest
 
@@ -17,7 +18,7 @@ from k3moduli.classgroup import (
     two_torsion,
 )
 from k3moduli.errors import BadDiscriminant, ClassNotInGroup, DiscriminantTooLarge, K3ModuliError
-from k3moduli.qforms import FormClass, compose, form_class, inverse, principal_class
+from k3moduli.qforms import FormClass, QuadForm, compose, form_class, inverse, principal_class
 
 from conftest import valid_discs
 
@@ -293,6 +294,28 @@ def test_class_number_and_genera_match_the_group():
         genera = len(genus_partition(group).cosets)
         assert classgroup.class_number_and_genera(d) == (group.h, genera), d
         assert group.h // genera == genus_order(group)
+
+
+def reduced_forms_by_a(d):
+    """Oracle: every (a, b) with a <= sqrt(|d|/3) and |b| <= a, in order, kept
+    when 4a | b^2 - d and the form is reduced and primitive."""
+    forms = []
+    for a in range(1, isqrt(-d // 3) + 1):
+        for b in range(-a, a + 1):
+            c, rest = divmod(b * b - d, 4 * a)
+            if not rest and qforms.is_reduced(QuadForm(a, b, c)) and gcd(a, b, c) == 1:
+                forms.append(QuadForm(a, b, c))
+    return forms
+
+
+def test_reduced_representatives_match_the_a_first_scan():
+    for d in valid_discs(3000):
+        assert reduced_representatives(d) == reduced_forms_by_a(d), d
+
+
+@pytest.mark.parametrize("d", [-999479, -999999, -(10**6), -4 * (MAX_ABS_DISC // 4)])
+def test_reduced_representatives_match_the_a_first_scan_near_the_bound(d):
+    assert reduced_representatives(d) == reduced_forms_by_a(d)
 
 
 def test_oversized_discriminant_refused():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from k3moduli import classgroup, cli, moduli
 from k3moduli.cli import ENVELOPE_SCHEMA, EXIT_CLOSED_OUTPUT, EXIT_INPUT, EXIT_OK, EXIT_PRECISION
-from k3moduli.cli import _json
+from k3moduli.cli import _CayleyTable, _json
 from k3moduli.errors import NotNearInteger
 
 from conftest import empty_field_cache, run_cli
@@ -262,6 +262,14 @@ def test_enumerate_max_h_filter():
     assert discs == sorted(discs)
 
 
+def test_enumerate_text_names_the_h_bound_only_when_given():
+    _, out = run_cli(["enumerate", "--max-disc", "8"])
+    assert out.splitlines()[1] == "  bounds             |disc| <= 8, no bound on h"
+    _, out = run_cli(["enumerate", "--max-disc", "8", "--max-h", "1"])
+    assert out.splitlines()[1] == "  bounds             |disc| <= 8, h <= 1"
+    assert run_json(["enumerate", "--max-disc", "8"])["result"]["max_class_number"] is None
+
+
 def test_enumerate_rejects_bad_bounds():
     code, _ = run_cli(["enumerate", "--max-disc", "0"])
     assert code == EXIT_INPUT
@@ -310,6 +318,21 @@ def test_json_emitter_matches_json_dumps(value):
     assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
+@st.composite
+def cayley_tables(draw):
+    """h rows of h indices below h, as lists; not checked to be a group."""
+    h = draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, h - 1), min_size=h, max_size=h)
+    return draw(st.lists(row, min_size=h, max_size=h))
+
+
+@settings(deadline=None, max_examples=100)
+@given(cayley_tables())
+def test_json_emitter_writes_cayley_tables_as_lists(rows):
+    value = {"t": _CayleyTable(tuple(map(tuple, rows))), "u": [[1, 2]]}
+    assert _json(value) == json.dumps({"t": rows, "u": [[1, 2]]}, sort_keys=True, indent=2)
+
+
 def test_json_emitter_refuses_other_types():
     for value in (1.5, {"x": [1, 2.0]}, (1, 2), {"x": {1, 2}}):
         with pytest.raises(TypeError):
@@ -327,3 +350,20 @@ def test_analyze_json_bytes_are_frozen():
         code, out = run_cli(["analyze", "--format", "json", *gram.split()])
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest, gram
+
+
+def test_classgroup_json_bytes_are_frozen():
+    # sha256 of the full stdout; C(-420) is C(2)^3, h(-99999) = 224
+    digests = {
+        "-3": "1cb4c4f91a5b44377ce6a3d3d49ab412fb32d41f9ff1da4bc30a64629de1689d",
+        "-4": "13d236114a2d117ea9cd1dfe791c3094f7fc2eadce2177e7d2b54f642d1f9c8c",
+        "-56": "db07560752f63a64e7a702005f726249ec30da710bfab72cec78a948f35d3dd0",
+        "-420": "b979b8b0332318e6d7a3f7c7cc21d86e0538a2e2fc844ae84462398e5dd7a43a",
+        "-99999": "cf690aefd3dbf0eab0bf89db323dec093cfb3c7c5f74055da4d20b2b9c2b3664",
+    }
+    for disc, digest in digests.items():
+        code, out = run_cli(["classgroup", "--format", "json", "--", disc])
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, disc
+        table = json.loads(out)["result"]["cayley"]
+        assert table == [list(row) for row in classgroup.cayley(classgroup.class_group(int(disc)))]
