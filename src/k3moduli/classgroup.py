@@ -5,15 +5,18 @@ each class not yet reached becomes a generator g_k: its powers are composed
 until one lands in the subgroup H generated so far, which gives its relative
 order e_k and a relation g_k^e_k = (exponents of g_1 .. g_(k-1)); H is then
 extended by composing with g_k.  That is about h + sum(e_k) Dirichlet
-compositions in all.  The Smith normal form U M V = diag(d_1, .., d_r) of the
-r x r relation matrix M gives the invariant factors, and V sends a class's
-exponent vector e to its coordinates e V mod (d_1, .., d_r), so C(D) is
-Z/d_1 x .. x Z/d_r with each class a point of it.  Products, inverses and
-orders are coordinate arithmetic; the principal genus C^2 is the classes with
-even coordinates at every even d_k, the genera are the classes grouped by
-those coordinates mod 2, and the cosets of C[2] are the fibres of squaring.
-No Cayley table is stored: cayley() builds one on request, each row its
-parent's row sent through "add 1 in one coordinate", h^2 list lookups.
+compositions in all, made on coefficient triples (a, b, c) by qforms._compose,
+each product looked up by its (a, b), which fixes c at one discriminant; the
+FormClass objects are made once, for ClassGroup.classes.  The Smith normal
+form U M V = diag(d_1, .., d_r) of the r x r relation matrix M gives the
+invariant factors, and V sends a class's exponent vector e to its coordinates
+e V mod (d_1, .., d_r), so C(D) is Z/d_1 x .. x Z/d_r with each class a point
+of it.  Products, inverses and orders are coordinate arithmetic; the
+principal genus C^2 is the classes with even coordinates at every even d_k,
+the genera are the classes grouped by those coordinates mod 2, and the cosets
+of C[2] are the fibres of squaring.  No Cayley table is stored: cayley()
+builds one on request, each row its parent's row sent through "add 1 in one
+coordinate", h^2 list lookups.
 
 Before a group is returned, three counts of C[2] must agree: the ambiguous
 reduced forms, 2^(number of even invariant factors) and the genus count
@@ -32,7 +35,7 @@ from . import qforms
 from .errors import ClassNotInGroup, DiscriminantTooLarge, K3ModuliError
 from .qforms import FormClass, QuadForm, check_discriminant
 
-# Largest |D| accepted.  C(D) itself takes about 0.05 s at this size (-999479,
+# Largest |D| accepted.  C(D) itself takes about 0.01 s at this size (-999479,
 # h = 1644, on a 2-vCPU VM) and the classgroup command's JSON of its h^2 Cayley
 # table under 1 s; listing the reduced forms costs O(|D|) divisions and h grows
 # about like sqrt|D|, so at 10^9 the table alone would hold some 10^9 entries.
@@ -58,8 +61,9 @@ class ClassGroup:
         return len(self.classes)
 
     @cached_property
-    def _index(self) -> dict[FormClass, int]:
-        return {cls: i for i, cls in enumerate(self.classes)}
+    def _index(self) -> dict[tuple[int, int], int]:
+        # (a, b) fixes c at one discriminant; index_of checks the rest
+        return {(cls.rep.a, cls.rep.b): i for i, cls in enumerate(self.classes)}
 
     @cached_property
     def _at(self) -> dict[tuple[int, ...], int]:
@@ -67,13 +71,13 @@ class ClassGroup:
 
     @cached_property
     def principal_index(self) -> int:
-        return self._index[qforms.principal_class(self.disc)]
+        return self._index[1, self.disc % 2]
 
     def index_of(self, cls: FormClass) -> int:
-        try:
-            return self._index[cls]
-        except KeyError:
-            raise ClassNotInGroup(f"{cls} is not a class of discriminant {self.disc}") from None
+        i = self._index.get((cls.rep.a, cls.rep.b))
+        if i is None or self.classes[i] != cls:  # a class compares its disc too
+            raise ClassNotInGroup(f"{cls} is not a class of discriminant {self.disc}")
+        return i
 
     def mul(self, i: int, j: int) -> int:
         x, y, n = self.coords[i], self.coords[j], self.elementary_divisors
@@ -159,9 +163,10 @@ def class_number_and_genera(d: int) -> tuple[int, int]:
 
 
 def _generators(
-    classes: tuple[FormClass, ...], index: dict[FormClass, int], identity: int
+    reps: list[tuple[int, int, int]], index: dict[tuple[int, int], int], identity: int, d: int
 ) -> tuple[list[int], list[list[int]], list[int]]:
-    """Generators by subgroup extension, walking the classes in order.
+    """Generators by subgroup extension, walking the reduced forms (a, b, c) of
+    discriminant d in order, each looked up by its (a, b).
 
     Returns (orders, relations, members): g_k has relative order orders[k],
     relations[k] holds the exponents of g_0 .. g_(k-1) in g_k^orders[k], and
@@ -169,26 +174,28 @@ def _generators(
     read in the mixed radix (orders[0], orders[1], ...), least significant
     first.
     """
-    reached = [False] * len(classes)
+    compose = qforms._compose
+    reached = [False] * len(reps)
     reached[identity] = True
     members = [identity]
     orders: list[int] = []
     relations: list[list[int]] = []
-    for i, g in enumerate(classes):
+    for i, (a, b, c) in enumerate(reps):
         if reached[i]:
             continue
-        size, power, e = len(members), g, 1
+        size, pa, pb, e = len(members), a, b, 1
         while True:
-            power = qforms.compose(power, g)
+            pa, pb, _ = compose(pa, pb, a, b, c, d)
             e += 1
-            j = index[power]
+            j = index[pa, pb]
             if reached[j]:
                 break
         relations.append(_digits(members.index(j), orders))
         orders.append(e)
         for start in range(0, (e - 1) * size, size):
             for y in members[start : start + size]:
-                j = index[qforms.compose(g, classes[y])]
+                pa, pb, _ = compose(a, b, *reps[y], d)
+                j = index[pa, pb]
                 reached[j] = True
                 members.append(j)
     return orders, relations, members
@@ -258,10 +265,9 @@ def class_group(d: int) -> ClassGroup:
     Refuses |d| > MAX_ABS_DISC with DiscriminantTooLarge.
     """
     reps = reduced_representatives(d)
-    classes = tuple(FormClass(rep, d) for rep in reps)
-    index = {cls: i for i, cls in enumerate(classes)}
-    identity = index[qforms.principal_class(d)]
-    orders, relations, members = _generators(classes, index, identity)
+    triples = [(q.a, q.b, q.c) for q in reps]
+    index = {(a, b): i for i, (a, b, _) in enumerate(triples)}
+    orders, relations, members = _generators(triples, index, index[1, d % 2], d)
     matrix = [
         [-v for v in rel] + [e] + [0] * (len(orders) - k - 1)
         for k, (e, rel) in enumerate(zip(orders, relations))
@@ -280,10 +286,10 @@ def class_group(d: int) -> ClassGroup:
         for column, k in zip(columns, kept):
             n, step = diagonal[k], row[k]
             column += [(x + m * step) % n for m in range(1, e) for x in column]
-    coords: list[tuple[int, ...]] = [()] * len(classes)  # C trivial: no columns
+    coords: list[tuple[int, ...]] = [()] * len(reps)  # C trivial: no columns
     for i, point in zip(members, zip(*columns)):
         coords[i] = point
-    return ClassGroup(d, classes, tuple(coords), divisors)
+    return ClassGroup(d, tuple(FormClass(q, d) for q in reps), tuple(coords), divisors)
 
 
 def cayley(group: ClassGroup) -> tuple[tuple[int, ...], ...]:

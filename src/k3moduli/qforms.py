@@ -86,11 +86,9 @@ def transform(q: QuadForm, m: Matrix) -> QuadForm:
     return QuadForm(a2, b2, c2)
 
 
-def reduce(q: QuadForm) -> tuple[FormClass, Matrix]:
-    """Gauss-reduce q; return its class and the SL2(Z) matrix carrying q to the
-    reduced representative (so transform(q, matrix) == class.rep)."""
-    _require_positive_definite(q)
-    a, b, c = q.a, q.b, q.c
+def _reduce(a: int, b: int, c: int) -> tuple[int, int, int, Matrix]:
+    """Gauss reduction of the positive definite (a, b, c): the reduced (a, b, c)
+    and the SL2(Z) matrix carrying the input to it."""
     p, u, r, s = 1, 0, 0, 1
     while True:
         if not -a < b <= a:
@@ -103,9 +101,16 @@ def reduce(q: QuadForm) -> tuple[FormClass, Matrix]:
             a, b, c = c, -b, a
             p, u, r, s = u, -p, s, -r
         else:
-            break
+            return a, b, c, ((p, u), (r, s))
+
+
+def reduce(q: QuadForm) -> tuple[FormClass, Matrix]:
+    """Gauss-reduce q; return its class and the SL2(Z) matrix carrying q to the
+    reduced representative (so transform(q, matrix) == class.rep)."""
+    _require_positive_definite(q)
+    a, b, c, matrix = _reduce(q.a, q.b, q.c)
     rep = QuadForm(a, b, c)
-    return FormClass(rep, discriminant(rep)), ((p, u), (r, s))
+    return FormClass(rep, discriminant(rep)), matrix
 
 
 def form_class(a: int, b: int, c: int) -> FormClass:
@@ -154,29 +159,37 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, t0
 
 
-def compose(x: FormClass, y: FormClass) -> FormClass:
-    """Reduced composition of two primitive classes of one discriminant.
+def _compose(a1: int, b1: int, a2: int, b2: int, c2: int, disc: int) -> tuple[int, int, int]:
+    """Reduced product of the primitive forms (a1, b1, .) and (a2, b2, c2) of
+    discriminant disc, as coefficients.
 
     Shanks' formula (Cohen, A Course in Computational Algebraic Number Theory,
     Alg. 5.4.7): with s = (b1 + b2)/2, d = gcd(a1, a2) = u*a2 + (.)*a1 and
     d1 = gcd(s, d) = v*s + w*d, the product is (a1*a2/d1^2, b2 + 2*(a2/d1)*r, .)
     for r = -(u*w*(b2 - s) + v*c2) mod a1/d1.  Any Bezout cofactors serve, so
-    a1 | a2 and d | s need no case of their own.
+    a1 | a2 and d | s need no case of their own, and d = 1 takes d1, v, w =
+    1, 0, 1 without a second extended gcd.  No form, class or matrix is built;
+    the class-group walk calls this directly.
     """
+    s = (b1 + b2) // 2
+    d, u, _ = _xgcd(a2, a1)
+    d1, v, w = (1, 0, 1) if d == 1 else _xgcd(s, d)
+    r = -(u * w * (b2 - s) + v * c2) % (a1 // d1)
+    a = a1 // d1 * (a2 // d1)
+    b = b2 + 2 * (a2 // d1) * r
+    return _reduce(a, b, (b * b - disc) // (4 * a))[:3]
+
+
+def compose(x: FormClass, y: FormClass) -> FormClass:
+    """Reduced composition of two primitive classes of one discriminant:
+    _compose on their representatives.  The product needs no positivity check,
+    since a1*a2/d1^2 > 0 and disc < 0."""
     if x.disc != y.disc:
         raise DiscriminantMismatch(f"discriminants {x.disc} and {y.disc} differ")
     if not (is_primitive(x.rep) and is_primitive(y.rep)):
         raise NotPrimitive("composition needs primitive classes")
-    a1, b1 = x.rep.a, x.rep.b
-    a2, b2, c2 = y.rep.a, y.rep.b, y.rep.c
-    s = (b1 + b2) // 2
-    d, u, _ = _xgcd(a2, a1)
-    d1, v, w = _xgcd(s, d)
-    r = -(u * w * (b2 - s) + v * c2) % (a1 // d1)
-    aa = a1 // d1 * (a2 // d1)
-    bb = b2 + 2 * (a2 // d1) * r
-    cc = (bb * bb - x.disc) // (4 * aa)
-    return reduce(QuadForm(aa, bb, cc))[0]
+    rep = _compose(x.rep.a, x.rep.b, y.rep.a, y.rep.b, y.rep.c, x.disc)
+    return FormClass(QuadForm(*rep), x.disc)
 
 
 def power(x: FormClass, n: int) -> FormClass:

@@ -259,16 +259,34 @@ def test_about_h_compositions(monkeypatch):
     expected = class_group(-40004)
     calls = 0
 
-    def counting(x, y):
+    kernel = qforms._compose
+
+    def counting(*args):
         nonlocal calls
         calls += 1
-        return compose(x, y)
+        return kernel(*args)
 
-    monkeypatch.setattr(qforms, "compose", counting)
+    monkeypatch.setattr(qforms, "_compose", counting)
     group = class_group.__wrapped__(-40004)
     assert group == expected
     # h - 1 products extend the subgroup, sum(e_k - 1) find the relative orders
-    assert group.h == 160 and calls <= 2 * group.h
+    assert group.h == 160 and group.h - 1 <= calls <= 2 * group.h
+
+
+def test_index_of_refuses_a_class_of_another_discriminant_with_the_same_a_b():
+    group = class_group(-23)
+    stranger = FormClass(QuadForm(1, 1, 2), -7)  # (1, 1, 6) in C(-23)
+    assert group.classes[group.principal_index] == FormClass(QuadForm(1, 1, 6), -23)
+    with pytest.raises(ClassNotInGroup):
+        group.index_of(stranger)
+    with pytest.raises(ClassNotInGroup):
+        genus_of(group, stranger)
+
+
+def test_principal_index_is_the_principal_class():
+    for d in valid_discs(1000):
+        group = class_group.__wrapped__(d)
+        assert group.principal_index == group.index_of(principal_class(d))
 
 
 def test_inverse_index_is_the_inverse_class():

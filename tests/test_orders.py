@@ -169,6 +169,9 @@ def test_compose_matches_compose_general_at_large_discriminants(d):
         pairs += [(x, x), (x, inverse(x)), (x, rng.choice(classes)), (x, rng.choice(shared))]
     for x, y in pairs:
         assert compose(x, y) == compose_general(x, y), (x, y)
+    # both branches of the kernel: gcd(a1, a2) = 1 and gcd(a1, a2) > 1
+    assert any(gcd(x.rep.a, y.rep.a) == 1 for x, y in pairs)
+    assert any(gcd(x.rep.a, y.rep.a) > 1 for x, y in pairs)
     # some pairs need d1 = gcd(a1, a2, (b1 + b2)/2) > 1, the united case
     assert any(gcd(x.rep.a, y.rep.a, (x.rep.b + y.rep.b) // 2) > 1 for x, y in pairs)
 
