@@ -66,7 +66,7 @@ def from_gram(matrix: Gram) -> TranscLattice:
     if not qforms.is_positive_definite(form):
         raise NotPositiveDefinite(f"{matrix} is not positive definite")
     m = gcd(a, b, c)
-    q0 = qforms.reduce(QuadForm(a // m, b // m, c // m))[0]
+    q0 = qforms.reduce(QuadForm(a // m, b // m, c // m))
     return TranscLattice(matrix, m, q0, qforms.discriminant(form), q0.disc)
 
 
@@ -106,9 +106,7 @@ def complex_conjugate(lattice: TranscLattice) -> TranscLattice:
 
 
 def galois_orbit(lattice: TranscLattice) -> tuple[TranscLattice, ...]:
-    """All conjugate lattices up to isomorphism: m times the genus of q0."""
+    """All conjugate lattices up to isomorphism: m times the genus of q0, in (a, b) order."""
     group = classgroup.class_group(lattice.disc0)
     genus = classgroup.genus_of(group, lattice.q0)
-    members = [lattice_from_class(lattice.m, group.classes[i]) for i in sorted(genus)]
-    members.sort(key=lambda t: t.q0.rep.coefficients())
-    return tuple(members)
+    return tuple(lattice_from_class(lattice.m, group.classes[i]) for i in sorted(genus))

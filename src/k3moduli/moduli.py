@@ -17,12 +17,12 @@ sum over roots of pi*sqrt|D|/a / ln 10 plus log10 of the largest binomial
 coefficient, and GUARD_DIGITS more digits leave the propagated error bound
 below 1/2.  Recognition is a certificate (see numerics.recognize_integer),
 and so is the distinctness of the coset invariants the field polynomial is
-built from (see _separated_roots); the precision is doubled only when
-recognition fails, and never past MAX_DIGITS.  The
-class polynomial is then checked exactly against Gross-Zagier (J. reine
-angew. Math. 355, 1985): the norm of j is a cube when 3 does not divide D,
-and for fundamental D its primes are at most 3|D|/4.  An input whose H_D
-floor is above MAX_DIGITS is refused.
+built from (see _separated_roots); the precision is doubled only when a
+certificate fails, and never past MAX_DIGITS.  The class polynomial is then
+checked exactly against Gross-Zagier (J. reine angew. Math. 355, 1985): the
+norm of j is a cube when 3 does not divide D, and for fundamental D its
+primes are at most 3|D|/4; the field polynomial against H_D (see
+_check_power_sum).  An input whose H_D floor is above MAX_DIGITS is refused.
 
 When 3 does not divide D, class_polynomial takes the cube root gamma_2 of j
 instead (Enge & Morain, ANTS V, 2002): at forms (A, B, C) with 3 not dividing
@@ -30,11 +30,13 @@ A and 3 | B, the values of gamma_2 are the roots of an integer polynomial W
 whose height, and so whose floor, is about a third of H_D's.  W is certified
 like any other polynomial, and H_D follows from it exactly by the norm
 identity H_D(y) = A^3 + y B^3 + y^2 C^3 - 3y ABC for W(x) = A(x^3) +
-x B(x^3) + x^2 C(x^3).  moduli_report keeps j: its field polynomial is
-built from sums of j over the cosets of C[2], whose height never exceeds
-H_D's (see precision_floor), so the j values at H_D's floor give both.  Both
-polynomials depend on disc0 alone, so they are computed once per disc0 and
-shared by every lattice of that primitive discriminant.
+x B(x^3) + x^2 C(x^3).  So H_D(0) = W(0)^3 is a cube by construction, and
+the prime bound is checked on W(0), which has the same primes.
+moduli_report keeps j: its field polynomial is built from sums of j over
+the cosets of C[2], whose height never exceeds H_D's (see precision_floor),
+so the j values at H_D's floor give both.  Both polynomials depend on disc0
+alone, so they are computed once per disc0 and shared by every lattice of
+that primitive discriminant.
 
 Galois-ness of the absolute field is decided purely group-theoretically inside
 the semidirect product C x <complex conjugation>, never numerically: from the
@@ -224,21 +226,22 @@ _RESOLVENT_LADDER = (("trace", 1, 0), ("square sum", 2, 0), ("cube sum", 3, 0)) 
 )
 
 
-def _separated_roots(js: list[BigComplex], cosets) -> tuple[list[BigComplex], tuple[str, ...]]:
-    """Coset invariants certified distinct.
+def _separated_roots(js: list[BigComplex], cosets) -> tuple[list[BigComplex], tuple[str, int, int]]:
+    """Coset invariants certified distinct, and the ladder rung they are from.
 
     Starts from plain traces; while two invariants x, y are not farther
     apart than their error bounds (|x - y| <= ex + ey), walks the resolvent
-    ladder and flags the fallback in the returned warnings.  A rung is taken only when every pair
-    is apart by more than its bounds: the true values then differ, so the
-    product over the cosets is the minimal polynomial.  Exact integer powers
-    and sums: a conjugate coset gives the exact conjugate, a self-conjugate
-    one an exactly real value.  Error bounds: |(z + d)^p - z^p| <= (|z| +
-    |d|)^p - |z|^p per class, summed over the coset.
+    ladder.  A rung is taken only when every pair is apart by more than its
+    bounds: the true values then differ, so the product over the cosets is
+    the minimal polynomial.  Exact integer powers and sums: a conjugate coset
+    gives the exact conjugate, a self-conjugate one an exactly real value.
+    Error bounds: |(z + d)^p - z^p| <= (|z| + |d|)^p - |z|^p per class,
+    summed over the coset.
     """
     bits = max(j.bits for j in js)
     values = [(j.re << bits - j.bits, j.im << bits - j.bits, j.err << bits - j.bits) for j in js]
-    for name, power, shift in _RESOLVENT_LADDER:
+    for rung in _RESOLVENT_LADDER:
+        _, power, shift = rung
         resolved = []
         for re, im, err in values:
             z = base = (re + (shift << bits), im)
@@ -256,8 +259,7 @@ def _separated_roots(js: list[BigComplex], cosets) -> tuple[list[BigComplex], tu
             for yr, yi, ey in roots[i + 1 :]
         )
         if separated:
-            warnings = () if name == "trace" else (f"resolvent fallback used: {name}",)
-            return [BigComplex(re, im, power * bits, err) for re, im, err in roots], warnings
+            return [BigComplex(re, im, power * bits, err) for re, im, err in roots], rung
     raise ResolventDegenerate("all resolvents collide across the 2-torsion cosets")
 
 
@@ -265,12 +267,29 @@ def _recognize_int_poly(coeffs: list[BigComplex]) -> tuple[int, ...]:
     return tuple(recognize_integer(c) for c in coeffs)
 
 
-def _check_gross_zagier(d: int, class_poly: tuple[int, ...]) -> tuple[int, ...]:
-    """Exact checks on the norm H_D(0) of j (Gross-Zagier): a cube when 3 does
-    not divide D, and for fundamental D free of primes above 3|D|/4.  Returns
-    the polynomial when it passes."""
-    norm = abs(class_poly[0])
-    if d % 3:
+def _check_power_sum(class_poly: tuple[int, ...], mq: tuple[int, ...], rung) -> tuple[int, ...]:
+    """mq, once the sum -mq[g - 1] of its roots, the coset invariants, is the
+    sum of the rung's (j + shift)^power over all h classes.  Newton's
+    identities give the power sums p_k of the roots of H_D from c_k =
+    class_poly[h - k]: p_k = -k c_k - sum over 0 < i < k of c_i p_(k - i).
+    On the trace rung this is mq[g - 1] == class_poly[h - 1]."""
+    name, power, shift = rung
+    c, sums = class_poly[::-1] + (0,) * power, [len(class_poly) - 1]  # p_0 = h
+    for k in range(1, power + 1):
+        sums.append(-k * c[k] - sum(c[i] * sums[k - i] for i in range(1, k)))
+    expected = sum(comb(power, k) * shift ** (power - k) * sums[k] for k in range(power + 1))
+    if -mq[-2] != expected:
+        raise K3ModuliError(f"the field polynomial's roots do not sum to the {name} of H_D")
+    return mq
+
+
+def _check_gross_zagier(d: int, poly: tuple[int, ...], cube: bool = True) -> tuple[int, ...]:
+    """poly, once its norm poly(0) passes Gross-Zagier: a cube when 3 does not
+    divide D, and for fundamental D free of primes above 3|D|/4.  The gamma_2
+    polynomial W takes cube=False: H_D(0) = W(0)^3 by the norm identity, and
+    W(0) has the same primes in a third of the digits."""
+    norm = abs(poly[0])
+    if cube and d % 3:
         root = _icbrt(norm)
         if root**3 != norm:
             raise K3ModuliError(f"H_D(0) of the class polynomial of {d} is not a cube")
@@ -281,10 +300,8 @@ def _check_gross_zagier(d: int, class_poly: tuple[int, ...]) -> tuple[int, ...]:
             if norm == 1:
                 break
         if norm != 1:
-            raise K3ModuliError(
-                f"H_D(0) of the class polynomial of {d} has a prime factor above 3|D|/4"
-            )
-    return class_poly
+            raise K3ModuliError(f"{d}: the class polynomial's norm has a prime factor above 3|D|/4")
+    return poly
 
 
 def _icbrt(n: int) -> int:
@@ -375,8 +392,9 @@ def _attempt_polynomials(group: ClassGroup, cosets, digits: int) -> _Polynomials
     class_poly = _class_poly(group, js)
     if len(cosets) == group.h:  # C[2] trivial (h odd): each coset is one class
         return _Polynomials(class_poly, class_poly, ())
-    roots, warnings = _separated_roots(js, cosets)
-    mq = _recognize_int_poly(poly_from_roots(roots))
+    roots, rung = _separated_roots(js, cosets)
+    mq = _check_power_sum(class_poly, _recognize_int_poly(poly_from_roots(roots)), rung)
+    warnings = () if rung[0] == "trace" else (f"resolvent fallback used: {rung[0]}",)
     return _Polynomials(class_poly, mq, warnings)
 
 
@@ -385,15 +403,15 @@ def _class_polynomial_at(group: ClassGroup, digits: int) -> tuple[int, ...]:
     divide D (H_D follows from W exactly), from j otherwise."""
     if group.disc % 3:
         w = _recognize_int_poly(poly_from_roots(_gamma2_values(group, digits)))
-        return _check_gross_zagier(group.disc, _norm_from_gamma2(w))
+        return _norm_from_gamma2(_check_gross_zagier(group.disc, w, cube=False))
     return _class_poly(group, _j_values(group, digits))
 
 
 def _escalate(group: ClassGroup, floor: int, attempt):
     """(attempt(digits), digits) for the first certified attempt from the
-    floor, doubling the precision while recognition fails and the doubled
-    precision stays within MAX_DIGITS.  An input whose H_D floor is above
-    MAX_DIGITS is refused before any work."""
+    floor, doubling the precision while a certificate fails (recognition or
+    coset separation) and the doubled precision stays within MAX_DIGITS.  An
+    input whose H_D floor is above MAX_DIGITS is refused before any work."""
     needed = precision_floor(group)
     if needed > MAX_DIGITS:
         raise InputError(
@@ -403,10 +421,10 @@ def _escalate(group: ClassGroup, floor: int, attempt):
     while True:
         try:
             return attempt(digits), digits
-        except NotNearInteger:
+        except (NotNearInteger, ResolventDegenerate) as exc:
             if 2 * digits > MAX_DIGITS:
                 raise PrecisionExhausted(
-                    f"recognition failed at {digits} digits, and doubling would pass "
+                    f"{exc}: failed at {digits} digits, and doubling would pass "
                     f"the ceiling of {MAX_DIGITS}"
                 ) from None
             digits *= 2

@@ -9,6 +9,7 @@ Dirichlet composition of form classes across conductors.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -74,7 +75,7 @@ def order_of_disc(d: int) -> QuadOrder:
     return QuadOrder(4 * d0, s // 2)
 
 
-def _hnf_rank2(rows: list[tuple[int, int]]) -> Gens:
+def _hnf_rank2(rows: Sequence[tuple[int, int]]) -> Gens:
     """Hermite-form basis ((a, 0), (b, g)) of the row lattice, a, g > 0, 0 <= b < a."""
     rows = [list(r) for r in rows if r != (0, 0)]
     while True:
@@ -100,8 +101,8 @@ def _hnf_rank2(rows: list[tuple[int, int]]) -> Gens:
     return ((a, 0), (b, g))
 
 
-def _normalize(d_k: int, rows: list[tuple[int, int]], den: int) -> tuple[Gens, int]:
-    (a, z), (b, g) = _hnf_rank2(rows)
+def _normalize(rows: Sequence[tuple[int, int]], den: int) -> tuple[Gens, int]:
+    (a, _), (b, g) = _hnf_rank2(rows)
     common = gcd(a, b, g, den)
     return ((a // common, 0), (b // common, g // common)), den // common
 
@@ -127,13 +128,13 @@ def _conductor(d_k: int, gens: Gens, den: int) -> int:
     return f
 
 
-def ideal_lattice(d_k: int, gens: Gens, den: int = 1) -> IdealLattice:
-    """Lattice spanned by the given generators, with its multiplier ring computed."""
+def ideal_lattice(d_k: int, gens: Sequence[tuple[int, int]], den: int = 1) -> IdealLattice:
+    """Lattice spanned by any number of generators, with its multiplier ring."""
     if not is_fundamental(d_k):
         raise BadDiscriminant(f"{d_k} is not a fundamental discriminant")
     if den <= 0:
         raise DegenerateLattice("denominator must be positive")
-    basis, den = _normalize(d_k, list(gens), den)
+    basis, den = _normalize(gens, den)
     f = _conductor(d_k, basis, den)
     return IdealLattice(QuadOrder(d_k, f), den, basis)
 
@@ -184,7 +185,7 @@ def ideal_to_form(lattice: IdealLattice) -> FormClass:
     c = num_c // (2 * det)
     if b * b - 4 * a * c != lattice.order.disc:
         raise K3ModuliError(f"norm form ({a},{b},{c}) has the wrong discriminant")
-    return qforms.reduce(QuadForm(a, b, c))[0]
+    return qforms.reduce(QuadForm(a, b, c))
 
 
 def multiply(l1: IdealLattice, l2: IdealLattice) -> IdealLattice:
@@ -197,7 +198,7 @@ def multiply(l1: IdealLattice, l2: IdealLattice) -> IdealLattice:
         for x1, y1 in l1.gens
         for x2, y2 in l2.gens
     ]
-    return ideal_lattice(d, _hnf_rank2(rows), l1.den * l2.den)
+    return ideal_lattice(d, rows, l1.den * l2.den)
 
 
 def compose_general(x: FormClass, y: FormClass) -> FormClass:

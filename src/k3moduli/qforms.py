@@ -15,8 +15,6 @@ from .errors import BadDiscriminant, DiscriminantMismatch, NotPositiveDefinite, 
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
 
-IDENTITY: Matrix = ((1, 0), (0, 1))
-
 
 @dataclass(frozen=True)
 class QuadForm:
@@ -86,36 +84,31 @@ def transform(q: QuadForm, m: Matrix) -> QuadForm:
     return QuadForm(a2, b2, c2)
 
 
-def _reduce(a: int, b: int, c: int) -> tuple[int, int, int, Matrix]:
-    """Gauss reduction of the positive definite (a, b, c): the reduced (a, b, c)
-    and the SL2(Z) matrix carrying the input to it."""
-    p, u, r, s = 1, 0, 0, 1
+def _reduce(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """Gauss reduction of the positive definite (a, b, c) (Cohen, A Course in
+    Computational Algebraic Number Theory, 5.4): the reduced (a, b, c)."""
     while True:
         if not -a < b <= a:
             # translate: b -> b + 2ka lands in (-a, a]
             k = (a - b) // (2 * a)
             b, c = b + 2 * k * a, (a * k + b) * k + c
-            u, s = u + k * p, s + k * r
         if a > c or (a == c and b < 0):
             # swap generators: (a, b, c) -> (c, -b, a)
             a, b, c = c, -b, a
-            p, u, r, s = u, -p, s, -r
         else:
-            return a, b, c, ((p, u), (r, s))
+            return a, b, c
 
 
-def reduce(q: QuadForm) -> tuple[FormClass, Matrix]:
-    """Gauss-reduce q; return its class and the SL2(Z) matrix carrying q to the
-    reduced representative (so transform(q, matrix) == class.rep)."""
+def reduce(q: QuadForm) -> FormClass:
+    """The class of q, named by its Gauss-reduced representative."""
     _require_positive_definite(q)
-    a, b, c, matrix = _reduce(q.a, q.b, q.c)
-    rep = QuadForm(a, b, c)
-    return FormClass(rep, discriminant(rep)), matrix
+    rep = QuadForm(*_reduce(q.a, q.b, q.c))
+    return FormClass(rep, discriminant(rep))
 
 
 def form_class(a: int, b: int, c: int) -> FormClass:
     """Class of the form (a, b, c)."""
-    return reduce(QuadForm(a, b, c))[0]
+    return reduce(QuadForm(a, b, c))
 
 
 def is_primitive(q: QuadForm) -> bool:
@@ -138,13 +131,13 @@ def principal_form(d: int) -> QuadForm:
 
 
 def principal_class(d: int) -> FormClass:
-    return reduce(principal_form(d))[0]
+    return reduce(principal_form(d))
 
 
 def inverse(cls: FormClass) -> FormClass:
     """Class of (a, -b, c); inverse for composition."""
     rep = cls.rep
-    return reduce(QuadForm(rep.a, -rep.b, rep.c))[0]
+    return reduce(QuadForm(rep.a, -rep.b, rep.c))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -168,7 +161,7 @@ def _compose(a1: int, b1: int, a2: int, b2: int, c2: int, disc: int) -> tuple[in
     d1 = gcd(s, d) = v*s + w*d, the product is (a1*a2/d1^2, b2 + 2*(a2/d1)*r, .)
     for r = -(u*w*(b2 - s) + v*c2) mod a1/d1.  Any Bezout cofactors serve, so
     a1 | a2 and d | s need no case of their own, and d = 1 takes d1, v, w =
-    1, 0, 1 without a second extended gcd.  No form, class or matrix is built;
+    1, 0, 1 without a second extended gcd.  No form or class is built;
     the class-group walk calls this directly.
     """
     s = (b1 + b2) // 2
@@ -177,7 +170,7 @@ def _compose(a1: int, b1: int, a2: int, b2: int, c2: int, disc: int) -> tuple[in
     r = -(u * w * (b2 - s) + v * c2) % (a1 // d1)
     a = a1 // d1 * (a2 // d1)
     b = b2 + 2 * (a2 // d1) * r
-    return _reduce(a, b, (b * b - disc) // (4 * a))[:3]
+    return _reduce(a, b, (b * b - disc) // (4 * a))
 
 
 def compose(x: FormClass, y: FormClass) -> FormClass:
@@ -191,16 +184,3 @@ def compose(x: FormClass, y: FormClass) -> FormClass:
     rep = _compose(x.rep.a, x.rep.b, y.rep.a, y.rep.b, y.rep.c, x.disc)
     return FormClass(QuadForm(*rep), x.disc)
 
-
-def power(x: FormClass, n: int) -> FormClass:
-    """n-th composition power (n may be negative)."""
-    if n < 0:
-        return power(inverse(x), -n)
-    acc = principal_class(x.disc)
-    base = x
-    while n:
-        if n & 1:
-            acc = compose(acc, base)
-        base = compose(base, base)
-        n >>= 1
-    return acc

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from k3moduli import classgroup, cli, moduli
 from k3moduli.cli import ENVELOPE_SCHEMA, EXIT_CLOSED_OUTPUT, EXIT_INPUT, EXIT_OK, EXIT_PRECISION
 from k3moduli.cli import _CayleyTable, _json
-from k3moduli.errors import NotNearInteger
+from k3moduli.errors import NotNearInteger, ResolventDegenerate
 
 from conftest import empty_field_cache, run_cli
 
@@ -235,6 +235,18 @@ def test_classpoly_precision_failure_exits_3(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_PRECISION and out == ""
     assert err.count("\n") == 1 and err.startswith("precision failure:"), err
+
+
+def test_analyze_coset_collision_at_every_precision_exits_3(monkeypatch, capsys):
+    def colliding(js, cosets):
+        raise ResolventDegenerate("forced")
+
+    empty_field_cache(monkeypatch)
+    monkeypatch.setattr(moduli, "_separated_roots", colliding)
+    code, out = run_cli(["analyze", "6", "2", "2", "10"])  # D = -56, h = 4
+    err = capsys.readouterr().err
+    assert code == EXIT_PRECISION and out == ""
+    assert err.count("\n") == 1 and err.startswith("precision failure: forced"), err
 
 
 def test_enumerate_small():

@@ -364,6 +364,34 @@ def test_precision_failure_is_not_cached(monkeypatch):
     assert (report.class_polynomial, report.precision_used) == (H23, 19)
 
 
+def test_coset_collision_at_the_floor_doubles_the_precision(monkeypatch):
+    # coset invariants whose bounds are too wide at the floor are retried at
+    # twice the digits, like a failed recognition; a collision at every
+    # precision ends in PrecisionExhausted
+    expected = moduli_report(LATTICE_56)
+    floor = moduli.precision_floor(classgroup.class_group(-56))
+    attempts = _recognition_failing(monkeypatch, lambda digits: False)
+    separate = moduli._separated_roots
+
+    def colliding(js, cosets):
+        if attempts[-1] in collides_at:
+            raise ResolventDegenerate("forced")
+        return separate(js, cosets)
+
+    monkeypatch.setattr(moduli, "_separated_roots", colliding)
+    collides_at = {floor}
+    report = moduli_report(LATTICE_56)
+    assert (report.precision_used, attempts) == (2 * floor, [floor, 2 * floor])
+    assert (report.class_polynomial, report.mq_min_poly) == (
+        expected.class_polynomial,
+        expected.mq_min_poly,
+    )
+    collides_at = range(moduli.MAX_DIGITS + 1)
+    moduli._field_polynomials.cache_clear()
+    with pytest.raises(PrecisionExhausted, match="forced: failed at"):
+        moduli_report(LATTICE_56)
+
+
 def _right_or_refused(attempt, expected, label) -> bool:
     """Whether attempt() certifies expected; a refusal must be NotNearInteger,
     and any other polynomial fails the test."""
@@ -466,8 +494,8 @@ def test_odd_class_number_field_polynomial_is_class_polynomial():
         assert report.mq_min_poly == report.class_polynomial and report.warnings == (), d
         js = moduli._j_values(group, report.precision_used)
         cosets = moduli._torsion_cosets(group)
-        roots, warnings = moduli._separated_roots(js, cosets)
-        assert warnings == (), d
+        roots, rung = moduli._separated_roots(js, cosets)
+        assert rung == moduli._RESOLVENT_LADDER[0] == ("trace", 1, 0), d
         assert moduli._recognize_int_poly(poly_from_roots(roots)) == report.class_polynomial, d
     assert odd > 50
 
@@ -484,6 +512,67 @@ def test_gross_zagier_checks_refuse_doctored_constant_terms():
     moduli._check_gross_zagier(-15, (2 * h15[0],) + h15[1:])
     with pytest.raises(K3ModuliError, match="prime factor above"):
         moduli._check_gross_zagier(-15, (13 * h15[0],) + h15[1:])
+
+
+def test_gamma2_path_checks_the_prime_bound_on_w0(monkeypatch):
+    # H_D(0) = W(0)^3 by the norm identity, so only the prime bound can fail
+    # on the gamma_2 path; it runs on W(0), which has the primes of H_D(0)
+    group = classgroup.class_group(-23)
+    digits = moduli.class_polynomial_floor(group)
+    w = moduli._recognize_int_poly(poly_from_roots(moduli._gamma2_values(group, digits)))
+    assert moduli._norm_from_gamma2(w)[0] == w[0] ** 3 and abs(w[0]) == 5**3 * 11 * 17
+    assert moduli._check_gross_zagier(-23, w, cube=False) == w
+    recognize = moduli._recognize_int_poly
+
+    def doctored(coeffs):
+        poly = recognize(coeffs)
+        return (19 * poly[0],) + poly[1:]  # 19 > 3 * 23 / 4
+
+    monkeypatch.setattr(moduli, "_recognize_int_poly", doctored)
+    with pytest.raises(K3ModuliError, match="prime factor above"):
+        moduli._class_polynomial_at(group, digits)
+
+
+def test_field_polynomial_roots_sum_to_the_class_polynomials_power_sum(monkeypatch):
+    # roots 1, 2, 3, 4 of H in the cosets {1, 4} and {2, 3}: on every rung the
+    # two coset invariants sum to the power sum over all four roots
+    cp = (24, -50, 35, -10, 1)
+    for rung in moduli._RESOLVENT_LADDER:
+        _, power, shift = rung
+        x = (1 + shift) ** power + (4 + shift) ** power
+        y = (2 + shift) ** power + (3 + shift) ** power
+        assert moduli._check_power_sum(cp, (x * y, -x - y, 1), rung) == (x * y, -x - y, 1)
+        with pytest.raises(K3ModuliError, match=rung[0]):
+            moduli._check_power_sum(cp, (x * y, 1 - x - y, 1), rung)
+    # the trace rung: a doctored top coefficient of H_D is caught as well
+    trace = moduli._RESOLVENT_LADDER[0]
+    with pytest.raises(K3ModuliError, match="trace"):
+        moduli._check_power_sum((24, -50, 35, -11, 1), (25, -10, 1), trace)
+    # and analyze refuses a class polynomial whose top coefficient was doctored
+    class_poly = moduli._class_poly
+
+    def doctored(group, js):
+        cp = class_poly(group, js)
+        return cp[:-2] + (cp[-2] + 1, 1)
+
+    empty_field_cache(monkeypatch)
+    monkeypatch.setattr(moduli, "_class_poly", doctored)
+    with pytest.raises(K3ModuliError, match="do not sum to the trace"):
+        moduli_report(LATTICE_56)
+
+
+@pytest.mark.parametrize("d", [-56, -231])
+def test_every_rung_passes_the_power_sum_check(monkeypatch, d):
+    # the field polynomial of each rung, taken alone, is linked to H_D
+    group = classgroup.class_group(d)
+    cosets = moduli._torsion_cosets(group)
+    digits = 4 * moduli.precision_floor(group)
+    for rung in moduli._RESOLVENT_LADDER:
+        monkeypatch.setattr(moduli, "_RESOLVENT_LADDER", (rung,))
+        polys = moduli._attempt_polynomials(group, cosets, digits)
+        assert polys.class_poly == class_polynomial(d) and len(polys.mq) == len(cosets) + 1
+        fallback = () if rung[0] == "trace" else (f"resolvent fallback used: {rung[0]}",)
+        assert polys.warnings == fallback, (d, rung)
 
 
 def test_mq_galois_exactly_when_invariant_factors_divide_4():
@@ -544,8 +633,8 @@ def _reals(*values: int) -> list[BigComplex]:
 
 def test_resolvent_ladder_falls_back_to_square_sum():
     # traces 1 + 4 = 2 + 3 collide, square sums 17 and 13 do not
-    roots, warnings = moduli._separated_roots(_reals(1, 4, 2, 3), ((0, 1), (2, 3)))
-    assert warnings == ("resolvent fallback used: square sum",)
+    roots, rung = moduli._separated_roots(_reals(1, 4, 2, 3), ((0, 1), (2, 3)))
+    assert rung == ("square sum", 2, 0)
     assert [(r.re, r.im) for r in roots] == [(17 << 160, 0), (13 << 160, 0)]
     assert all(r.bits == 160 for r in roots)
 
@@ -558,13 +647,13 @@ def test_resolvent_ladder_needs_certified_separation():
     eps, delta = 1 << 40, 1 << 41  # units of 2^-80: eps ~ 9.1e-13, delta ~ 1.8e-12
     values = [BigComplex(v << 80, 0, 80, eps) for v in (1, 4, 2)]
     values.append(BigComplex((3 << 80) + delta, 0, 80, eps))
-    roots, warnings = moduli._separated_roots(values, ((0, 1), (2, 3)))
-    assert warnings == ("resolvent fallback used: square sum",)
+    roots, rung = moduli._separated_roots(values, ((0, 1), (2, 3)))
+    assert rung[0] == "square sum"
     assert [r.re >> 160 for r in roots] == [17, 13]
     # apart by more than the bounds: the traces are certified distinct
     values[3] = BigComplex((3 << 80) + 4 * eps + 1, 0, 80, eps)
-    roots, warnings = moduli._separated_roots(values, ((0, 1), (2, 3)))
-    assert warnings == () and [r.err for r in roots] == [2 * eps, 2 * eps]
+    roots, rung = moduli._separated_roots(values, ((0, 1), (2, 3)))
+    assert rung[0] == "trace" and [r.err for r in roots] == [2 * eps, 2 * eps]
 
 
 def test_resolvent_ladder_degenerate_when_every_rung_collides():

@@ -1,10 +1,10 @@
+import functools
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from k3moduli import qforms
 from k3moduli.errors import BadDiscriminant, DiscriminantMismatch, NotPositiveDefinite, NotPrimitive
 from k3moduli.qforms import (
     FormClass,
@@ -31,14 +31,12 @@ def test_discriminant(form, disc):
     assert discriminant(QuadForm(*form)) == disc
 
 
-def test_reduce_already_reduced_identity_transform():
-    cls, m = reduce(QuadForm(1, 1, 6))
-    assert cls.rep == QuadForm(1, 1, 6)
-    assert m == ((1, 0), (0, 1))
+def test_reduce_keeps_a_reduced_form():
+    assert reduce(QuadForm(1, 1, 6)) == FormClass(QuadForm(1, 1, 6), -23)
 
 
 def test_reduce_swap():
-    assert reduce(QuadForm(6, 1, 1))[0] == form_class(1, 1, 6)
+    assert reduce(QuadForm(6, 1, 1)) == form_class(1, 1, 6)
 
 
 def sl2_equivalent_brute(src: QuadForm, dst: QuadForm, bound: int = 6) -> bool:
@@ -52,9 +50,7 @@ def sl2_equivalent_brute(src: QuadForm, dst: QuadForm, bound: int = 6) -> bool:
 
 def test_reduce_4_5_3():
     # golden fixed by the brute-force oracle below: (4,5,3) ~ (2,-1,3), not (2,1,3)
-    cls, m = reduce(QuadForm(4, 5, 3))
-    assert cls == form_class(2, -1, 3)
-    assert transform(QuadForm(4, 5, 3), m) == cls.rep
+    assert reduce(QuadForm(4, 5, 3)) == form_class(2, -1, 3)
     assert sl2_equivalent_brute(QuadForm(2, -1, 3), QuadForm(4, 5, 3))
     assert not sl2_equivalent_brute(QuadForm(2, 1, 3), QuadForm(4, 5, 3))
 
@@ -124,13 +120,45 @@ positive_definite_forms = st.builds(
 
 @settings(deadline=None)
 @given(positive_definite_forms)
-def test_reduce_idempotent_and_certified(q):
-    cls, m = reduce(q)
-    assert is_reduced(cls.rep)
-    assert reduce(cls.rep)[0] == cls
+def test_reduce_idempotent(q):
+    cls = reduce(q)
+    assert is_reduced(cls.rep) and cls.disc == discriminant(q)
+    assert reduce(cls.rep) == cls
+
+
+reduced_forms = st.builds(
+    QuadForm,
+    st.integers(1, 40),
+    st.integers(-40, 40),
+    st.integers(1, 80),
+).filter(is_reduced)
+
+
+def _matmul(m, n):
     (p, u), (r, s) = m
-    assert p * s - u * r == 1
-    assert transform(q, m) == cls.rep
+    (p2, u2), (r2, s2) = n
+    return ((p * p2 + u * r2, p * u2 + u * s2), (r * p2 + s * r2, r * u2 + s * s2))
+
+
+def _word(ks):
+    """T^k1 S T^k2 S ... for T^k = ((1, k), (0, 1)) and S = ((0, -1), (1, 0)),
+    which generate SL2(Z)."""
+    return functools.reduce(_matmul, (((k, -1), (1, 0)) for k in ks), ((1, 0), (0, 1)))
+
+
+sl2_matrices = st.lists(st.integers(-6, 6), max_size=8).map(_word)
+
+
+@settings(deadline=None)
+@given(reduced_forms, sl2_matrices)
+@example(QuadForm(2, 1, 2), ((0, -1), (1, 0)))  # a = c: S gives (2, -1, 2)
+@example(QuadForm(2, 2, 3), ((1, -1), (0, 1)))  # b = a: T^-1 gives (2, -2, 3)
+def test_reduce_undoes_any_sl2_substitution(r, m):
+    # the reduced representative is unique in its class: every SL2(Z)
+    # substitute of a reduced form reduces back to it
+    (p, u), (v, s) = m
+    assert p * s - u * v == 1
+    assert reduce(transform(r, m)).rep == r
 
 
 def small_sl2_matrices(bound: int = 5):
@@ -148,9 +176,9 @@ SL2_SAMPLE = small_sl2_matrices()
 @pytest.mark.parametrize("form", [(1, 1, 6), (2, 1, 3), (3, 2, 5), (1, 0, 14), (2, -1, 3)])
 def test_class_well_defined_under_sl2(form):
     q = QuadForm(*form)
-    cls = reduce(q)[0]
+    cls = reduce(q)
     for m in SL2_SAMPLE[::7]:  # sampled, still ~1900 matrices
-        assert reduce(transform(q, m))[0] == cls
+        assert reduce(transform(q, m)) == cls
 
 
 DISCS = [-23, -56, -84, -120, -231, -260]
@@ -170,11 +198,3 @@ def test_group_laws(d):
             assert compose(x, y) == compose(y, x)
     for x, y, z in itertools.product(classes, repeat=3):
         assert compose(compose(x, y), z) == compose(x, compose(y, z))
-
-
-def test_power():
-    g = form_class(3, 2, 5)
-    assert qforms.power(g, 0) == principal_class(-56)
-    assert qforms.power(g, 2) == compose(g, g)
-    assert qforms.power(g, -1) == inverse(g)
-    assert qforms.power(g, 4) == principal_class(-56)
