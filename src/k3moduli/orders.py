@@ -2,8 +2,9 @@
 
 A lattice in K = Q(sqrt(d_K)) is stored as two generators (x + y*sqrt(d_K))/den
 with integer x, y and one positive denominator.  Products are reduced to a
-two-generator basis by integer Hermite normal form, and the multiplier ring
-{z in K : z*L in L} is computed exactly; this realizes the generalized
+two-generator Hermite basis in closed form, and the multiplier ring
+{z in K : z*L in L} is read off exactly from the discriminant of the
+primitive norm form (Cox, Lemma 7.5); this realizes the generalized
 Dirichlet composition of form classes across conductors.
 """
 
@@ -11,7 +12,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd, isqrt, lcm
 
 from . import qforms
 from .errors import BadConductor, BadDiscriminant, DegenerateLattice, FieldMismatch, K3ModuliError
@@ -70,62 +72,60 @@ def order_of_disc(d: int) -> QuadOrder:
     d0 *= n
     if d0 % 4 == 1:
         return QuadOrder(d0, s)
-    if s % 2:
-        raise BadDiscriminant(f"{d} is not a quadratic discriminant")
+    # s is even: d = 0, 1 (mod 4) and d0 = 2, 3 (mod 4), while odd s would
+    # give s^2 = 1 and d = d0 (mod 4)
     return QuadOrder(4 * d0, s // 2)
 
 
-def _hnf_rank2(rows: Sequence[tuple[int, int]]) -> Gens:
-    """Hermite-form basis ((a, 0), (b, g)) of the row lattice, a, g > 0, 0 <= b < a."""
-    rows = [list(r) for r in rows if r != (0, 0)]
-    while True:
-        nz = [r for r in rows if r[1] != 0]
-        if len(nz) <= 1:
-            break
-        nz.sort(key=lambda r: abs(r[1]))
-        w = nz[0]
-        for r in nz[1:]:
-            k = r[1] // w[1]
-            r[0] -= k * w[0]
-            r[1] -= k * w[1]
-        rows = [r for r in rows if r != [0, 0]]
-    pivot = next((r for r in rows if r[1] != 0), None)
-    rational = [r[0] for r in rows if r[1] == 0]
-    if pivot is None or not any(rational):
-        raise DegenerateLattice("generators do not span a rank-2 lattice")
-    a = gcd(*rational)
-    b, g = pivot
-    if g < 0:
-        b, g = -b, -g
-    b %= a
-    return ((a, 0), (b, g))
-
-
 def _normalize(rows: Sequence[tuple[int, int]], den: int) -> tuple[Gens, int]:
-    (a, _), (b, g) = _hnf_rank2(rows)
+    """Hermite basis ((a, 0), (b, g)), a, g > 0, 0 <= b < a, of the row lattice
+    over den, with the factor common to the basis and den cancelled.
+
+    g = gcd of the y_i, and (b, g) is the row combination that qforms._xgcd
+    accumulates for it; a*g is the lattice's index in Z^2, the gcd of the 2x2
+    minors.
+    """
+    g = b = 0
+    for x, y in rows:
+        g, s, t = qforms._xgcd(g, y)
+        b = s * b + t * x
+    minors = gcd(*(x1 * y2 - y1 * x2 for (x1, y1), (x2, y2) in combinations(rows, 2)))
+    if minors == 0:
+        raise DegenerateLattice("generators do not span a rank-2 lattice")
+    a = minors // g
+    b %= a
     common = gcd(a, b, g, den)
     return ((a // common, 0), (b // common, g // common)), den // common
 
 
-def _conductor(d_k: int, gens: Gens, den: int) -> int:
-    """Conductor of the multiplier ring {z : z*L in L}.
+def _norm_form(d_k: int, gens: Gens) -> tuple[int, int, int]:
+    """Primitive form proportional to N(x*alpha + y*beta), with the basis
+    oriented to positive determinant and b negated, so that ideal_to_form
+    inverts form_to_ideal on classes.
 
-    f is the least t > 0 with t*w_K*alpha and t*w_K*beta in L, found by
-    clearing the denominators of the rational coordinates of w_K*gen in the
-    basis (alpha, beta); den cancels throughout.
+    Its discriminant is 4*d_K*det^2/content^2 = f^2*d_K, where f is the
+    conductor of the multiplier ring {z in K : z*L in L} (Cox, Primes of the
+    form x^2 + ny^2, Lemma 7.5).
     """
     (x1, y1), (x2, y2) = gens
     det = x1 * y2 - y1 * x2
-    m2 = 2 * abs(det)
-    f = 1
-    for x, y in gens:
-        # w_K*(x + y*sqrt(d)) = (d(x+y) + (x+dy)*sqrt(d)) / 2
-        u = d_k * (x + y)
-        v = x + d_k * y
-        p = u * y2 - v * x2
-        q = v * x1 - u * y1
-        f = lcm(f, m2 // gcd(m2, p, q))
-    return f
+    if det == 0:
+        raise DegenerateLattice("basis is linearly dependent")
+    if det < 0:
+        (x1, y1), (x2, y2) = (x2, y2), (x1, y1)
+    a = x1 * x1 - d_k * y1 * y1
+    b = 2 * (d_k * y1 * y2 - x1 * x2)
+    c = x2 * x2 - d_k * y2 * y2
+    content = gcd(a, b, c)
+    return a // content, b // content, c // content
+
+
+def _lattice(d_k: int, rows: Sequence[tuple[int, int]], den: int) -> IdealLattice:
+    """ideal_lattice for a d_k known to be fundamental and den > 0."""
+    basis, den = _normalize(rows, den)
+    a, b, c = _norm_form(d_k, basis)
+    f = isqrt((b * b - 4 * a * c) // d_k)
+    return IdealLattice(QuadOrder(d_k, f), den, basis)
 
 
 def ideal_lattice(d_k: int, gens: Sequence[tuple[int, int]], den: int = 1) -> IdealLattice:
@@ -134,9 +134,7 @@ def ideal_lattice(d_k: int, gens: Sequence[tuple[int, int]], den: int = 1) -> Id
         raise BadDiscriminant(f"{d_k} is not a fundamental discriminant")
     if den <= 0:
         raise DegenerateLattice("denominator must be positive")
-    basis, den = _normalize(gens, den)
-    f = _conductor(d_k, basis, den)
-    return IdealLattice(QuadOrder(d_k, f), den, basis)
+    return _lattice(d_k, gens, den)
 
 
 def contains(lattice: IdealLattice, num: tuple[int, int], den: int = 1) -> bool:
@@ -155,34 +153,16 @@ def form_to_ideal(cls: FormClass) -> IdealLattice:
     """Proper ideal <a, (-b + sqrt(disc))/2> of the class (a, b, c)."""
     order = order_of_disc(cls.disc)
     a, b = cls.rep.a, cls.rep.b
-    lattice = ideal_lattice(order.d_k, ((2 * a, 0), (-b, order.f)), 2)
+    lattice = _lattice(order.d_k, ((2 * a, 0), (-b, order.f)), 2)
     if lattice.order != order:
         raise K3ModuliError(f"{cls} gives an ideal that is not proper for its order")
     return lattice
 
 
 def ideal_to_form(lattice: IdealLattice) -> FormClass:
-    """Reduced class of the norm form N(x*alpha + y*beta)/N(L).
-
-    The basis is oriented to positive determinant; the form is conjugated so
-    that this map inverts form_to_ideal on classes.
-    """
-    (x1, y1), (x2, y2) = lattice.gens
-    det = x1 * y2 - y1 * x2
-    if det == 0:
-        raise DegenerateLattice("basis is linearly dependent")
-    if det < 0:
-        (x1, y1), (x2, y2) = (x2, y2), (x1, y1)
-        det = -det
-    d, f = lattice.order.d_k, lattice.order.f
-    num_a = (x1 * x1 - d * y1 * y1) * f
-    num_b = (x1 * x2 - d * y1 * y2) * f
-    num_c = (x2 * x2 - d * y2 * y2) * f
-    if num_a % (2 * det) or num_b % det or num_c % (2 * det):
-        raise DegenerateLattice("norm form is not integral for the multiplier ring")
-    a = num_a // (2 * det)
-    b = -(num_b // det)
-    c = num_c // (2 * det)
+    """Reduced class of the norm form N(x*alpha + y*beta)/N(L), checked to lie
+    in C(D) for the stored multiplier ring."""
+    a, b, c = _norm_form(lattice.order.d_k, lattice.gens)
     if b * b - 4 * a * c != lattice.order.disc:
         raise K3ModuliError(f"norm form ({a},{b},{c}) has the wrong discriminant")
     return qforms.reduce(QuadForm(a, b, c))
@@ -198,7 +178,7 @@ def multiply(l1: IdealLattice, l2: IdealLattice) -> IdealLattice:
         for x1, y1 in l1.gens
         for x2, y2 in l2.gens
     ]
-    return ideal_lattice(d, rows, l1.den * l2.den)
+    return _lattice(d, rows, l1.den * l2.den)
 
 
 def compose_general(x: FormClass, y: FormClass) -> FormClass:

@@ -8,8 +8,15 @@ from hypothesis import strategies as st
 
 from k3moduli import orders
 from k3moduli.classgroup import class_group, reduced_representatives
-from k3moduli.errors import BadConductor, BadDiscriminant, DegenerateLattice, FieldMismatch
+from k3moduli.errors import (
+    BadConductor,
+    BadDiscriminant,
+    DegenerateLattice,
+    FieldMismatch,
+    K3ModuliError,
+)
 from k3moduli.orders import (
+    IdealLattice,
     QuadOrder,
     compose_general,
     contains,
@@ -90,6 +97,81 @@ def test_ideal_to_form_degenerate():
         ideal_lattice(-23, ((2, 0), (4, 0)), 1)
 
 
+def test_ideal_to_form_orients_the_basis():
+    # a basis of negative determinant names the same class
+    for d in (-23, -92, -84, -207):
+        for cls in class_group(d).classes:
+            lattice = form_to_ideal(cls)
+            (x1, y1), (x2, y2) = lattice.gens
+            swapped = IdealLattice(lattice.order, lattice.den, ((x2, y2), (x1, y1)))
+            assert x2 * y1 - y2 * x1 < 0
+            assert ideal_to_form(swapped) == ideal_to_form(lattice) == cls
+
+
+def test_ideal_to_form_rejects_a_wrong_order():
+    # the stored conductor must be the multiplier ring's: -92 = 2^2 * -23
+    lattice = form_to_ideal(form_class(3, 2, 8))
+    assert lattice.order == QuadOrder(-23, 2)
+    for f in (1, 3, 4):
+        wrong = IdealLattice(QuadOrder(-23, f), lattice.den, lattice.gens)
+        with pytest.raises(K3ModuliError, match="wrong discriminant"):
+            ideal_to_form(wrong)
+
+
+def test_ideal_to_form_rejects_a_dependent_basis():
+    for gens in (((2, 1), (4, 2)), ((0, 0), (1, 1)), ((3, 0), (-6, 0))):
+        with pytest.raises(DegenerateLattice):
+            ideal_to_form(IdealLattice(QuadOrder(-23, 1), 2, gens))
+
+
+def _hnf_rank2(rows):
+    """Reference: Hermite-form basis ((a, 0), (b, g)) of the row lattice by
+    sort-and-subtract row reduction, a, g > 0, 0 <= b < a."""
+    rows = [list(r) for r in rows if r != (0, 0)]
+    while True:
+        nz = [r for r in rows if r[1] != 0]
+        if len(nz) <= 1:
+            break
+        nz.sort(key=lambda r: abs(r[1]))
+        w = nz[0]
+        for r in nz[1:]:
+            k = r[1] // w[1]
+            r[0] -= k * w[0]
+            r[1] -= k * w[1]
+        rows = [r for r in rows if r != [0, 0]]
+    pivot = next((r for r in rows if r[1] != 0), None)
+    rational = [r[0] for r in rows if r[1] == 0]
+    if pivot is None or not any(rational):
+        raise DegenerateLattice("generators do not span a rank-2 lattice")
+    a = gcd(*rational)
+    b, g = pivot
+    if g < 0:
+        b, g = -b, -g
+    b %= a
+    return ((a, 0), (b, g))
+
+
+@settings(deadline=None, max_examples=500)
+@given(
+    st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)), min_size=1, max_size=4),
+    st.integers(1, 6),
+    st.integers(-3, 3),
+    st.booleans(),
+)
+def test_normalize_matches_row_reduction(rows, den, m, dependent):
+    if dependent and len(rows) > 1:
+        rows[-1] = (m * rows[0][0], m * rows[0][1])  # a multiple of row 0, zero at m = 0
+    try:
+        (a, _), (b, g) = _hnf_rank2(rows)
+    except DegenerateLattice:
+        with pytest.raises(DegenerateLattice):
+            orders._normalize(rows, den)
+        return
+    common = gcd(a, b, g, den)
+    expected = ((a // common, 0), (b // common, g // common)), den // common
+    assert orders._normalize(rows, den) == expected
+
+
 def test_round_trip_all_classes_small():
     for d in valid_discs(400):
         for cls in class_group(d).classes:
@@ -120,27 +202,28 @@ def test_multiply_conductor_gcd():
 
 
 def test_multiplier_ring_is_exact():
-    # f*w_K maps the lattice into itself, (f/p)*w_K does not
-    for cls in [form_class(3, 2, 8), form_class(1, 0, 23), form_class(9, 6, 10)]:
-        lattice = form_to_ideal(cls)
+    # f*w_K maps the lattice into itself, (f/p)*w_K does not for any prime p | f:
+    # the conductor read off the norm form, checked by membership alone
+    lattices = [form_to_ideal(cls) for d in valid_discs(400) for cls in class_group(d).classes]
+    for d_k in (-3, -4, -7, -8, -23):
+        ideals = [form_to_ideal(c) for f in range(1, 7) for c in class_group(f * f * d_k).classes]
+        lattices += [multiply(x, y) for x in ideals for y in ideals]
+    assert {lattice.order.f for lattice in lattices} >= set(range(1, 12))
+    for lattice in lattices:
         f = lattice.order.f
         d_k = lattice.order.d_k
-        for x, y in lattice.gens:
-            # w_K*(x + y*sqrt(d)) over den 2: (d(x+y), x+dy)
-            num = (d_k * (x + y) * f, (x + d_k * y) * f)
-            assert contains(lattice, num, 2 * lattice.den)
-        if f > 1:
-            p = next(p for p in (2, 3, 5, 7) if f % p == 0)
-            bad = f // p
-            hits = [
-                contains(
-                    lattice,
-                    (d_k * (x + y) * bad, (x + d_k * y) * bad),
-                    2 * lattice.den,
-                )
+
+        def maps_into_itself(t):
+            # t*w_K*(x + y*sqrt(d)) over den 2: t*(d(x+y), x+dy)
+            return all(
+                contains(lattice, (d_k * (x + y) * t, (x + d_k * y) * t), 2 * lattice.den)
                 for x, y in lattice.gens
-            ]
-            assert not all(hits)
+            )
+
+        assert maps_into_itself(f), lattice
+        for p in range(2, f + 1):
+            if f % p == 0 and all(p % q for q in range(2, p)):
+                assert not maps_into_itself(f // p), (lattice, p)
 
 
 def test_compose_general_identity():
