@@ -157,7 +157,8 @@ def _genus_count(d: int) -> int:
 def class_number_and_genera(d: int) -> tuple[int, int]:
     """(h, number of genera) of C(d), read off the reduced forms without
     building the group: the genera are the cosets of C^2, as many as the
-    ambiguous forms (|C/C^2| = |C[2]|)."""
+    ambiguous forms (|C/C^2| = |C[2]|). Its one caller is the CLI's
+    `enumerate`, once per primitive discriminant d."""
     reps = reduced_representatives(d)
     return len(reps), _genus_check(d, reps)
 

@@ -158,24 +158,22 @@ def _classgroup_payload(group: classgroup.ClassGroup) -> dict:
 
 
 def _enumerate_rows(max_disc: int, max_h: int | None, primitive_only: bool) -> list[dict]:
+    """Strata rows (disc = m^2 * disc0, m, disc0), |disc| <= max_disc, in order
+    of |disc|, then m: C(disc0) is read once per primitive discriminant, and
+    its rescalings m repeat its data."""
     rows = []
-    for n in range(3, max_disc + 1):
-        d = -n
-        if d % 4 not in (0, 1):
+    for n0 in range(3, max_disc + 1):
+        d0 = -n0
+        if d0 % 4 not in (0, 1):
             continue
-        scales = [1]
-        if not primitive_only:
-            scales += [m for m in range(2, isqrt(n) + 1) if n % (m * m) == 0]
-        for m in scales:
-            d0 = d // (m * m)
-            if d0 % 4 not in (0, 1):
-                continue
-            h, genera = classgroup.class_number_and_genera(d0)
-            if max_h is not None and h > max_h:
-                continue
+        h, genera = classgroup.class_number_and_genera(d0)
+        if max_h is not None and h > max_h:
+            continue
+        top = 1 if primitive_only else isqrt(max_disc // n0)
+        for m in range(1, top + 1):
             rows.append(
                 {
-                    "disc": d,
+                    "disc": m * m * d0,
                     "m": m,
                     "disc0": d0,
                     "h": h,
@@ -183,6 +181,7 @@ def _enumerate_rows(max_disc: int, max_h: int | None, primitive_only: bool) -> l
                     "genus_order": h // genera,
                 }
             )
+    rows.sort(key=lambda r: (-r["disc"], r["m"]))
     return rows
 
 

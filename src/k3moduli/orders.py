@@ -171,7 +171,7 @@ def ideal_to_form(lattice: IdealLattice) -> FormClass:
 def multiply(l1: IdealLattice, l2: IdealLattice) -> IdealLattice:
     """Product lattice, generated by the four pairwise generator products."""
     if l1.order.d_k != l2.order.d_k:
-        raise FieldMismatch("lattices live in different quadratic fields")
+        raise FieldMismatch(f"fundamental discriminants {l1.order.d_k} and {l2.order.d_k} differ")
     d = l1.order.d_k
     rows = [
         (x1 * x2 + y1 * y2 * d, x1 * y2 + y1 * x2)
@@ -185,12 +185,9 @@ def compose_general(x: FormClass, y: FormClass) -> FormClass:
     """Generalized Dirichlet composition across conductors.
 
     The result lives in C(f0^2 * d_K) with f0 = gcd(f1, f2); for equal
-    discriminants it agrees with qforms.compose.
+    discriminants it agrees with qforms.compose. Classes of different
+    fields raise FieldMismatch from multiply.
     """
-    o1 = order_of_disc(x.disc)
-    o2 = order_of_disc(y.disc)
-    if o1.d_k != o2.d_k:
-        raise FieldMismatch(f"fundamental discriminants {o1.d_k} and {o2.d_k} differ")
     return ideal_to_form(multiply(form_to_ideal(x), form_to_ideal(y)))
 
 

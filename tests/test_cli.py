@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+from math import isqrt
 from pathlib import Path
 
 import jsonschema
@@ -15,7 +16,7 @@ from k3moduli.cli import ENVELOPE_SCHEMA, EXIT_CLOSED_OUTPUT, EXIT_INPUT, EXIT_O
 from k3moduli.cli import _CayleyTable, _json
 from k3moduli.errors import NotNearInteger, ResolventDegenerate
 
-from conftest import empty_field_cache, run_cli
+from conftest import empty_field_cache, run_cli, valid_discs
 
 
 def with_json_format(argv):
@@ -289,6 +290,59 @@ def test_enumerate_rejects_bad_bounds():
     assert code == EXIT_INPUT
 
 
+def reference_enumerate_rows(max_disc, max_h, primitive_only):
+    """The rows walked by |disc|: the square divisors m of each disc found by
+    trial, and C(disc0) read again for every row."""
+    rows = []
+    for n in range(3, max_disc + 1):
+        d = -n
+        if d % 4 not in (0, 1):
+            continue
+        scales = [1]
+        if not primitive_only:
+            scales += [m for m in range(2, isqrt(n) + 1) if n % (m * m) == 0]
+        for m in scales:
+            d0 = d // (m * m)
+            if d0 % 4 not in (0, 1):
+                continue
+            h, genera = classgroup.class_number_and_genera(d0)
+            if max_h is not None and h > max_h:
+                continue
+            rows.append(
+                {
+                    "disc": d,
+                    "m": m,
+                    "disc0": d0,
+                    "h": h,
+                    "genus_count": genera,
+                    "genus_order": h // genera,
+                }
+            )
+    return rows
+
+
+def test_enumerate_rows_match_the_walk_by_disc():
+    for n in range(3, 201):
+        for primitive_only in (False, True):
+            for max_h in (None, 1, 2, 4):
+                args = (n, max_h, primitive_only)
+                assert cli._enumerate_rows(*args) == reference_enumerate_rows(*args), args
+    assert cli._enumerate_rows(3000, None, False) == reference_enumerate_rows(3000, None, False)
+
+
+def test_enumerate_reads_each_primitive_discriminant_once(monkeypatch):
+    seen = []
+    read = classgroup.class_number_and_genera
+
+    def counted(d):
+        seen.append(d)
+        return read(d)
+
+    monkeypatch.setattr(classgroup, "class_number_and_genera", counted)
+    cli._enumerate_rows(400, None, False)
+    assert seen == valid_discs(400)  # 200 calls, one per disc0
+
+
 def test_json_outputs_are_deterministic():
     for argv in (
         ["analyze", "2", "1", "1", "12"],
@@ -379,3 +433,19 @@ def test_classgroup_json_bytes_are_frozen():
         assert hashlib.sha256(out.encode()).hexdigest() == digest, disc
         table = json.loads(out)["result"]["cayley"]
         assert table == [list(row) for row in classgroup.cayley(classgroup.class_group(int(disc)))]
+
+
+def test_enumerate_bytes_are_frozen():
+    # sha256 of the full stdout of the walk by |disc| that the d0-first loop replaced
+    digests = {
+        "--format json --max-disc 2000": "e5fc100b27835fe2bfabda96ba38b08f98c37f26b3f0f0bc8a3d3a476df25ddb",
+        "--format json --primitive-only --max-disc 2000": (
+            "7b315d7705c36f8f45d373b70212e0b019996f3bc0774895955270e98f3a88bd"
+        ),
+        "--max-h 4 --max-disc 2000": "6049c8318f71d6de867a084055c0a3d1ae95dcacbe0d85964f5e10dd7882c15c",
+        "--format json --max-disc 20000": "54b2152ecf7c12896acf94c3bdf0a71653e6a48441feb0f366f04fb35902c283",
+    }
+    for argv, digest in digests.items():
+        code, out = run_cli(["enumerate", *argv.split()])
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
