@@ -19,24 +19,22 @@ below 1/2.  Recognition is a certificate (see numerics.recognize_integer),
 and so is the distinctness of the coset invariants the field polynomial is
 built from (see _separated_roots); the precision is doubled only when a
 certificate fails, and never past MAX_DIGITS.  The class polynomial is then
-checked exactly against Gross-Zagier (J. reine angew. Math. 355, 1985): the
-norm of j is a cube when 3 does not divide D, and for fundamental D its
-primes are at most 3|D|/4; the field polynomial against H_D (see
-_check_power_sum).  An input whose H_D floor is above MAX_DIGITS is refused.
+checked exactly against Gross-Zagier (J. reine angew. Math. 355, 1985): for
+fundamental D the primes of its norm are at most 3|D|/4; the field
+polynomial against H_D (see _check_power_sum).  An input whose H_D floor is
+above MAX_DIGITS is refused.
 
-When 3 does not divide D, class_polynomial takes the cube root gamma_2 of j
-instead (Enge & Morain, ANTS V, 2002): at forms (A, B, C) with 3 not dividing
-A and 3 | B, the values of gamma_2 are the roots of an integer polynomial W
-whose height, and so whose floor, is about a third of H_D's.  W is certified
-like any other polynomial, and H_D follows from it exactly by the norm
-identity H_D(y) = A^3 + y B^3 + y^2 C^3 - 3y ABC for W(x) = A(x^3) +
-x B(x^3) + x^2 C(x^3).  So H_D(0) = W(0)^3 is a cube by construction, and
-the prime bound is checked on W(0), which has the same primes.
-moduli_report keeps j: its field polynomial is built from sums of j over
-the cosets of C[2], whose height never exceeds H_D's (see precision_floor),
-so the j values at H_D's floor give both.  Both polynomials depend on disc0
-alone, so they are computed once per disc0 and shared by every lattice of
-that primitive discriminant.
+When 3 does not divide D, both class_polynomial and moduli_report evaluate
+the cube root gamma_2 of j instead (Enge & Morain, ANTS V, 2002): at forms
+(A, B, C) with 3 not dividing A and 3 | B, the values of gamma_2 are the
+roots of an integer polynomial W whose height, and so whose floor, is about
+a third of H_D's.  W is certified like any other polynomial, and H_D follows
+from it exactly by the norm identity H_D(y) = A^3 + y B^3 + y^2 C^3 - 3y ABC
+for W(x) = A(x^3) + x B(x^3) + x^2 C(x^3).  So H_D(0) = W(0)^3 is a cube by
+construction, and the prime bound is checked on W(0), which has the same
+primes.  The coset invariants take j = gamma_2^3 from a certified cube (see
+_cube).  Both polynomials depend on disc0 alone, so they are computed once
+per disc0 and shared by every lattice of that primitive discriminant.
 
 Galois-ness of the absolute field is decided purely group-theoretically inside
 the semidirect product C x <complex conjugation>, never numerically: from the
@@ -214,6 +212,31 @@ def _gamma2_values(group: ClassGroup, digits: int) -> list[BigComplex]:
     )
 
 
+def _class_values(group: ClassGroup, digits: int) -> list[BigComplex]:
+    """The roots of W, gamma_2 at every class, when 3 does not divide D; else j."""
+    return (_gamma2_values if group.disc % 3 else _j_values)(group, digits)
+
+
+def _power(re: int, im: int, err: int, power: int) -> tuple[int, int, int]:
+    """z^power for z = re + i*im, exactly, at power times z's scale, and its
+    error bound |(z + d)^p - z^p| <= (|z| + err)^p - |z|^p, |z| <= |re| + |im|."""
+    z = base = re, im
+    for _ in range(power - 1):
+        z = _mul(z, base, 0)
+    size = abs(re) + abs(im)
+    return z[0], z[1], (size + err) ** power - size**power
+
+
+def _cube(z: BigComplex) -> BigComplex:
+    """z^3 at z's bits: the exact cube (see _power), each part rounded toward
+    zero, so conjugates have exactly conjugate cubes and a real z a real one.
+    The bound, rounded up, gains under sqrt 2 units from the rounding."""
+    *parts, err = _power(z.re, z.im, z.err, 3)
+    by = 2 * z.bits
+    re, im = (v >> by if v >= 0 else -(-v >> by) for v in parts)
+    return BigComplex(re, im, z.bits, (err >> by) + 3)
+
+
 def _torsion_cosets(group: ClassGroup) -> tuple[tuple[int, ...], ...]:
     """Cosets of C[2] in C, g of them, each sorted, ordered by smallest member:
     the fibres of squaring."""
@@ -233,22 +256,15 @@ def _separated_roots(js: list[BigComplex], cosets) -> tuple[list[BigComplex], tu
     apart than their error bounds (|x - y| <= ex + ey), walks the resolvent
     ladder.  A rung is taken only when every pair is apart by more than its
     bounds: the true values then differ, so the product over the cosets is
-    the minimal polynomial.  Exact integer powers and sums: a conjugate coset
-    gives the exact conjugate, a self-conjugate one an exactly real value.
-    Error bounds: |(z + d)^p - z^p| <= (|z| + |d|)^p - |z|^p per class,
-    summed over the coset.
+    the minimal polynomial.  Exact integer powers (see _power) and sums: a
+    conjugate coset gives the exact conjugate, a self-conjugate one an exactly
+    real value; the error bounds of a coset's powers are summed.
     """
     bits = max(j.bits for j in js)
     values = [(j.re << bits - j.bits, j.im << bits - j.bits, j.err << bits - j.bits) for j in js]
     for rung in _RESOLVENT_LADDER:
         _, power, shift = rung
-        resolved = []
-        for re, im, err in values:
-            z = base = (re + (shift << bits), im)
-            for _ in range(power - 1):
-                z = _mul(z, base, 0)
-            size = abs(base[0]) + abs(base[1])
-            resolved.append((z[0], z[1], (size + err) ** power - size**power))
+        resolved = [_power(re + (shift << bits), im, err, power) for re, im, err in values]
         roots = [
             tuple(sum(resolved[i][part] for i in coset) for part in range(3)) for coset in cosets
         ]
@@ -283,16 +299,11 @@ def _check_power_sum(class_poly: tuple[int, ...], mq: tuple[int, ...], rung) -> 
     return mq
 
 
-def _check_gross_zagier(d: int, poly: tuple[int, ...], cube: bool = True) -> tuple[int, ...]:
-    """poly, once its norm poly(0) passes Gross-Zagier: a cube when 3 does not
-    divide D, and for fundamental D free of primes above 3|D|/4.  The gamma_2
-    polynomial W takes cube=False: H_D(0) = W(0)^3 by the norm identity, and
-    W(0) has the same primes in a third of the digits."""
+def _check_gross_zagier(d: int, poly: tuple[int, ...]) -> tuple[int, ...]:
+    """poly, once its norm poly(0) passes Gross-Zagier: for fundamental D, free
+    of primes above 3|D|/4.  poly is W when 3 does not divide D: H_D(0) =
+    W(0)^3 is a cube by construction, with W(0)'s primes."""
     norm = abs(poly[0])
-    if cube and d % 3:
-        root = _icbrt(norm)
-        if root**3 != norm:
-            raise K3ModuliError(f"H_D(0) of the class polynomial of {d} is not a cube")
     if norm and orders.is_fundamental(d):
         for p in range(2, 3 * -d // 4 + 1):
             while norm % p == 0:
@@ -302,18 +313,6 @@ def _check_gross_zagier(d: int, poly: tuple[int, ...], cube: bool = True) -> tup
         if norm != 1:
             raise K3ModuliError(f"{d}: the class polynomial's norm has a prime factor above 3|D|/4")
     return poly
-
-
-def _icbrt(n: int) -> int:
-    """floor(n^(1/3)) for n >= 0, by Newton's method on integers."""
-    if n < 2:
-        return n
-    x = 1 << -(-n.bit_length() // 3)  # above the root
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            return x
-        x = y
 
 
 def _height(group: ClassGroup, n: int = 1) -> float:
@@ -344,8 +343,11 @@ def class_polynomial_floor(group: ClassGroup) -> int:
     return ceil(_height(group, 3 if group.disc % 3 else 1)) + GUARD_DIGITS
 
 
-def _class_poly(group: ClassGroup, js: list[BigComplex]) -> tuple[int, ...]:
-    return _check_gross_zagier(group.disc, _recognize_int_poly(poly_from_roots(js)))
+def _class_poly_from(group: ClassGroup, values: list[BigComplex]) -> tuple[int, ...]:
+    """H_D from _class_values: their certified, Gross-Zagier-checked product is
+    H_D when 3 divides D, and W otherwise, which gives H_D exactly."""
+    poly = _check_gross_zagier(group.disc, _recognize_int_poly(poly_from_roots(values)))
+    return _norm_from_gamma2(poly) if group.disc % 3 else poly
 
 
 def _norm_from_gamma2(w: tuple[int, ...]) -> tuple[int, ...]:
@@ -388,10 +390,11 @@ class _Polynomials:
 
 
 def _attempt_polynomials(group: ClassGroup, cosets, digits: int) -> _Polynomials:
-    js = _j_values(group, digits)
-    class_poly = _class_poly(group, js)
+    values = _class_values(group, digits)
+    class_poly = _class_poly_from(group, values)
     if len(cosets) == group.h:  # C[2] trivial (h odd): each coset is one class
         return _Polynomials(class_poly, class_poly, ())
+    js = [_cube(v) for v in values] if group.disc % 3 else values
     roots, rung = _separated_roots(js, cosets)
     mq = _check_power_sum(class_poly, _recognize_int_poly(poly_from_roots(roots)), rung)
     warnings = () if rung[0] == "trace" else (f"resolvent fallback used: {rung[0]}",)
@@ -399,12 +402,8 @@ def _attempt_polynomials(group: ClassGroup, cosets, digits: int) -> _Polynomials
 
 
 def _class_polynomial_at(group: ClassGroup, digits: int) -> tuple[int, ...]:
-    """H_D certified at digits: from the gamma_2 polynomial W when 3 does not
-    divide D (H_D follows from W exactly), from j otherwise."""
-    if group.disc % 3:
-        w = _recognize_int_poly(poly_from_roots(_gamma2_values(group, digits)))
-        return _norm_from_gamma2(_check_gross_zagier(group.disc, w, cube=False))
-    return _class_poly(group, _j_values(group, digits))
+    """H_D certified at digits, from W when 3 does not divide D, else from j."""
+    return _class_poly_from(group, _class_values(group, digits))
 
 
 def _escalate(group: ClassGroup, floor: int, attempt):

@@ -262,14 +262,15 @@ def poly_from_roots(roots: list[BigComplex]) -> list[BigComplex]:
     conjugate (same bits) as one real quadratic x^2 - 2 Re(z) x + |z|^2.  A
     complex root without its conjugate raises K3ModuliError: the product
     would not be real.  Fixed point at a little more than the roots'
-    certified accuracy, the most bits any root holds below its error bound:
+    certified accuracy, the most bits any root holds below its error bound
+    (none when every bound is above 1, and then no coefficient is certified):
     each factor multiplies the error bound E of the partial product
     by (1 + |factor coefficients|) and adds the factor's own error times the
     largest partial coefficient, plus one unit per rounded term.  Every
     coefficient carries the final bound.
     """
     accurate = max(r.bits - r.err.bit_length() for r in roots)
-    bits = accurate + len(roots).bit_length() + _PRODUCT_GUARD_BITS
+    bits = max(accurate, 0) + len(roots).bit_length() + _PRODUCT_GUARD_BITS
     factors = []  # (low coefficients, their error bound)
     waiting = Counter()  # roots still without their conjugate
     for r in roots:

@@ -198,6 +198,19 @@ def test_poly_from_roots_refuses_unpaired_complex():
     assert [certified_integer(c, "1e-20") for c in exact] == [5, -2, 1]
 
 
+def test_poly_from_roots_with_bounds_above_one_certifies_nothing():
+    # roots known only to within 2^20: the product is formed, and its
+    # bounds refuse recognition instead of giving a wrong integer
+    err = 1 << 30  # at bits = 10
+    roots = [BigComplex(v << 10, 0, 10, err) for v in (1, 2)]
+    roots += [BigComplex(3 << 10, 1 << 10, 10, err), BigComplex(3 << 10, -1 << 10, 10, err)]
+    coeffs = poly_from_roots(roots)
+    assert len(coeffs) == 5 and all(c.err >> c.bits for c in coeffs)
+    for c in coeffs:
+        with pytest.raises(NotNearInteger):
+            recognize_integer(c)
+
+
 def test_class_cubic_stable_across_precision():
     group = class_group(-23)
     results = []

@@ -52,6 +52,19 @@ def test_no_environment_knobs():
     assert found == []
 
 
+def test_no_boolean_mode_flags():
+    # a behaviour that differs by caller is two functions, not a flag
+    found = [
+        f"{path.name}:{default.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.arguments)
+        for default in node.defaults + [d for d in node.kw_defaults if d is not None]
+        if isinstance(default, ast.Constant) and type(default.value) is bool
+    ]
+    assert found == []
+
+
 def test_precision_is_not_a_knob():
     # the height-derived floor alone sets the precision: no CLI flag, and no
     # public moduli function takes digits
