@@ -505,19 +505,23 @@ def _coset_height(group, cosets) -> float:
 # sha256 over (d, class polynomial, field polynomial, warnings, digits) of
 # every |d| <= 3000, frozen from the j-kernel field polynomials
 FIELD_SWEEP_SHA256 = "33cf0acf36412d82122ef59e239307ca71163f9e89f657fb61844d5538d5d74a"
+# the same without the digits: a change of precision alone leaves it as it is
+POLYNOMIAL_SWEEP_SHA256 = "a414290bd8ae51511a9f1c23fec91a64b3f54458d8c63cbd1c823a4569890eab"
 
 
 def test_field_polynomial_needs_no_floor_of_its_own():
     # the coset height never exceeds H_D's, so the field polynomial is
     # certified at H_D's floor; every polynomial is pinned by one digest
-    digest = hashlib.sha256()
+    digest, polynomials = hashlib.sha256(), hashlib.sha256()
     for d in valid_discs(3000):
         group = classgroup.class_group(d)
         assert _coset_height(group, moduli._torsion_cosets(group)) <= moduli._height(group), d
         polys, digits = moduli._field_polynomials(d)
         assert digits == moduli.precision_floor(group), d
         digest.update(repr((d, polys.class_poly, polys.mq, polys.warnings, digits)).encode())
+        polynomials.update(repr((d, polys.class_poly, polys.mq, polys.warnings)).encode())
     assert digest.hexdigest() == FIELD_SWEEP_SHA256
+    assert polynomials.hexdigest() == POLYNOMIAL_SWEEP_SHA256
 
 
 def test_odd_class_number_field_polynomial_is_class_polynomial():
