@@ -120,7 +120,21 @@ def _lattice_payload(lattice: TranscLattice) -> dict:
 
 
 def _poly_strings(coeffs) -> list[str]:
-    return [str(c) for c in coeffs]
+    return [_decimal(c) for c in coeffs]
+
+
+_CHUNK = 10**600  # below 640, the least limit sys.set_int_max_str_digits accepts
+
+
+def _decimal(n: int) -> str:
+    """str(n) at any size.  str refuses integers of more digits than
+    sys.get_int_max_str_digits(), 4300 by default, and H_D has coefficients of
+    about 8000 digits when classpoly runs near |D| = 10^6; longer integers
+    are written 600 digits at a time."""
+    if abs(n) < _CHUNK:
+        return str(n)
+    head, tail = divmod(abs(n), _CHUNK)
+    return f"{'-' if n < 0 else ''}{_decimal(head)}{tail:0600d}"
 
 
 def _report_payload(report: moduli.ModuliReport) -> dict:
@@ -190,20 +204,21 @@ def _enumerate_rows(max_disc: int, max_h: int | None, primitive_only: bool) -> l
 
 
 def _poly_text(coeffs) -> str:
-    """Human form, highest degree first."""
+    """Human form, highest degree first, from the decimal strings of the
+    coefficients (see _decimal)."""
     parts: list[str] = []
     for k in range(len(coeffs) - 1, -1, -1):
-        c = int(coeffs[k])
-        if c == 0:
+        c = coeffs[k]
+        if c == "0":
             continue
-        term = str(abs(c))
+        negative, term = c.startswith("-"), c.lstrip("-")
         if k:
             x = "x" if k == 1 else f"x^{k}"
             term = x if term == "1" else f"{term}*{x}"
         if not parts:
-            parts.append(f"-{term}" if c < 0 else term)
+            parts.append(f"-{term}" if negative else term)
         else:
-            parts.append(f"- {term}" if c < 0 else f"+ {term}")
+            parts.append(f"- {term}" if negative else f"+ {term}")
     return " ".join(parts) if parts else "0"
 
 

@@ -21,8 +21,10 @@ built from (see _separated_roots); the precision is doubled only when a
 certificate fails, and never past MAX_DIGITS.  The class polynomial is then
 checked exactly against Gross-Zagier (J. reine angew. Math. 355, 1985): for
 fundamental D the primes of its norm are at most 3|D|/4; the field
-polynomial against H_D (see _check_power_sum).  An input whose H_D floor is
-above MAX_DIGITS is refused.
+polynomial against H_D (see _check_power_sum).  class_polynomial starts at
+its class polynomial's floor, and moduli_report at the higher of the floors
+of its two polynomials (see precision_floor); each refuses an input whose
+own floor is above MAX_DIGITS.
 
 When 3 does not divide D, both class_polynomial and moduli_report evaluate
 the cube root gamma_2 of j instead (Enge & Morain, ANTS V, 2002): at forms
@@ -33,8 +35,10 @@ from it exactly by the norm identity H_D(y) = A^3 + y B^3 + y^2 C^3 - 3y ABC
 for W(x) = A(x^3) + x B(x^3) + x^2 C(x^3).  So H_D(0) = W(0)^3 is a cube by
 construction, and the prime bound is checked on W(0), which has the same
 primes.  The coset invariants take j = gamma_2^3 from a certified cube (see
-_cube).  Both polynomials depend on disc0 alone, so they are computed once
-per disc0 and shared by every lattice of that primitive discriminant.
+_cube), so moduli_report never needs j to H_D's full height either: it runs
+at W's floor, or at the field polynomial's where that is higher.  Both
+polynomials depend on disc0 alone, so they are computed once per disc0 and
+shared by every lattice of that primitive discriminant.
 
 Galois-ness of the absolute field is decided purely group-theoretically inside
 the semidirect product C x <complex conjugation>, never numerically: from the
@@ -323,17 +327,42 @@ def _height(group: ClassGroup, n: int = 1) -> float:
     return sum(scale / cls.rep.a for cls in group.classes) + log10(comb(group.h, group.h // 2))
 
 
-def precision_floor(group: ClassGroup) -> int:
-    """Digits at which the class polynomial H_D is expected to be certified
-    at once, and the field polynomial with it.
+def _coset_height(group: ClassGroup, cosets) -> float:
+    """log10 bound on the coefficients of the field polynomial, whose roots
+    are sums of j over the cosets of C[2]: each root is at most |coset| times
+    the largest exp(pi*sqrt|D|/a) in its coset, and the coefficients are
+    elementary symmetric functions of the g roots."""
+    scale = pi * sqrt(-group.disc) / log(10)
+    a = [cls.rep.a for cls in group.classes]
+    g = len(cosets)
+    top = sum(scale / min(a[i] for i in c) + log10(len(c)) for c in cosets)
+    return top + log10(comb(g, g // 2))
 
-    The field polynomial's roots are sums of j over the g cosets of C[2], k
-    classes each, so its height is at most the sum over cosets of the largest
-    term plus log10 k, plus log10 C(g, g/2).  H_D's height counts every term
-    of a coset instead: as a <= sqrt(|D|/3), the k - 1 smaller ones are each
-    at least pi*sqrt(3)/ln 10 > 2.36, and 2.36 (k - 1) >= log10 k.  With
-    C(g, g/2) <= C(h, h/2), H_D's floor is never below the field's."""
-    return ceil(_height(group)) + GUARD_DIGITS
+
+def precision_floor(group: ClassGroup) -> int:
+    """Digits at which moduli_report starts: the higher of the floors of its
+    two polynomials, so both are expected to be certified at once.
+
+    The first is class_polynomial_floor, W's when 3 does not divide D.  The
+    second is the field polynomial's.  Its roots are sums of j over the g
+    cosets of C[2], k classes each, so its height is at most _coset_height.
+    It gets log10 3 digits more for the cube: when 3 does not divide D, j is
+    gamma_2^3, and cubing turns gamma_2's error e into about 3|gamma_2|^2 e.
+    In the product over the cosets a coset's error is multiplied only by the
+    other cosets' invariants, never by its own |j| = |gamma_2|^3, so against
+    the height the cube costs the factor 3 alone.  When h is odd, C[2] is
+    trivial and the field polynomial is H_D, so only the first floor applies.
+
+    When 3 divides D, the first floor is H_D's, and the second is never above
+    it: H_D's height counts every term of a coset, and as a <= sqrt(|D|/3),
+    the k - 1 smaller ones are each at least pi*sqrt(3)/ln 10 > 2.36, where
+    for k >= 2, 2.36 (k - 1) >= log10 k + log10 3; and C(g, g/2) <= C(h, h/2).
+    So precision_floor is then H_D's own floor."""
+    floor = class_polynomial_floor(group)
+    cosets = _torsion_cosets(group)
+    if len(cosets) == group.h:
+        return floor
+    return max(floor, ceil(_coset_height(group, cosets) + log10(3)) + GUARD_DIGITS)
 
 
 def class_polynomial_floor(group: ClassGroup) -> int:
@@ -406,16 +435,13 @@ def _class_polynomial_at(group: ClassGroup, digits: int) -> tuple[int, ...]:
     return _class_poly_from(group, _class_values(group, digits))
 
 
-def _escalate(group: ClassGroup, floor: int, attempt):
+def _escalate(disc: int, floor: int, attempt):
     """(attempt(digits), digits) for the first certified attempt from the
     floor, doubling the precision while a certificate fails (recognition or
-    coset separation) and the doubled precision stays within MAX_DIGITS.  An
-    input whose H_D floor is above MAX_DIGITS is refused before any work."""
-    needed = precision_floor(group)
-    if needed > MAX_DIGITS:
-        raise InputError(
-            f"D = {group.disc} needs {needed} digits, above the ceiling of {MAX_DIGITS}"
-        )
+    coset separation) and the doubled precision stays within MAX_DIGITS.  A
+    floor above MAX_DIGITS is refused before any work."""
+    if floor > MAX_DIGITS:
+        raise InputError(f"D = {disc} needs {floor} digits, above the ceiling of {MAX_DIGITS}")
     digits = floor
     while True:
         try:
@@ -432,13 +458,14 @@ def _escalate(group: ClassGroup, floor: int, attempt):
 # shared by every lattice of disc0 (the analyze queries of an orbit, or of
 # rescalings, repeat it); only certified, Gross-Zagier-checked results are
 # stored, as lru_cache keeps no exception.  Bounded like class_group: an entry
-# holds h + g + 2 integers of up to the floor in digits, 0.13 MiB at -40004
+# holds h + g + 2 integers of up to H_D's height in digits, 0.13 MiB at -40004
 # (h = 160, tracemalloc).
 @lru_cache(maxsize=32)
 def _field_polynomials(disc0: int) -> tuple[_Polynomials, int]:
     group = classgroup.class_group(disc0)
     cosets = _torsion_cosets(group)
-    return _escalate(group, precision_floor(group), partial(_attempt_polynomials, group, cosets))
+    attempt = partial(_attempt_polynomials, group, cosets)
+    return _escalate(disc0, precision_floor(group), attempt)
 
 
 def class_polynomial(d: int) -> tuple[int, ...]:
@@ -452,7 +479,7 @@ def class_polynomial_with_precision(d: int) -> tuple[tuple[int, ...], int]:
     """The class polynomial and the digits it was certified at: those of the
     gamma_2 polynomial W when 3 does not divide d, of H_D itself otherwise."""
     group = classgroup.class_group(d)
-    return _escalate(group, class_polynomial_floor(group), partial(_class_polynomial_at, group))
+    return _escalate(d, class_polynomial_floor(group), partial(_class_polynomial_at, group))
 
 
 def field_of_K_moduli(lattice: TranscLattice) -> tuple[int, ...]:

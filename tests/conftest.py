@@ -6,6 +6,7 @@ import contextlib
 import io
 from fractions import Fraction
 from functools import lru_cache
+from math import ceil
 
 from k3moduli import cli, moduli
 from k3moduli.errors import NotNearInteger
@@ -21,6 +22,14 @@ def default_digits(h: int) -> int:
     """A fixed precision linear in h, 30 + 10h digits, for reference runs;
     the library starts at its precision floor instead."""
     return 30 + 10 * h
+
+
+def hd_floor(group) -> int:
+    """H_D's own precision floor, the digits at which the product over the
+    values of j is expected to be certified: the floor from the height of H_D
+    (moduli._height), above both floors the library starts at when 3 does not
+    divide D."""
+    return ceil(moduli._height(group)) + moduli.GUARD_DIGITS
 
 
 def certified_integer(z: BigComplex, tol: str) -> int:

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from math import isqrt
 from pathlib import Path
 
@@ -152,8 +153,12 @@ def test_oversized_discriminant_refused_fast(capsys):
 
 
 def test_precision_ceiling_refused_fast(capsys):
-    # D = -10^6 needs about 4060 digits, beyond moduli.MAX_DIGITS
-    for argv in (["analyze", "2", "0", "0", "500000"], ["classpoly", "--", "-1000000"]):
+    # D = -999479 (h = 1644): classpoly's floor, W's, is 8457 digits and
+    # analyze's 20501, both beyond moduli.MAX_DIGITS
+    for argv, needed in (
+        (["analyze", "2", "1", "1", "499740"], 20501),
+        (["classpoly", "--", "-999479"], 8457),
+    ):
         start = time.perf_counter()
         code, out = run_cli(argv)
         elapsed = time.perf_counter() - start
@@ -161,9 +166,13 @@ def test_precision_ceiling_refused_fast(capsys):
         assert code == EXIT_INPUT and out == "", argv
         assert elapsed < 1.0, (argv, elapsed)
         assert err.count("\n") == 1 and f"ceiling of {moduli.MAX_DIGITS}" in err, err
-        assert "D = -1000000 needs 4060 digits" in err, err
-    # while D = -40004 (h = 160) stays below the ceiling
-    assert moduli.precision_floor(classgroup.class_group(-40004)) <= moduli.MAX_DIGITS
+        assert f"D = -999479 needs {needed} digits" in err, err
+    # each command is refused by the floor it runs at: D = -10^6 (H_D's
+    # floor 4060 digits) is accepted by both, -499996 by classpoly alone
+    for d, accepted in ((-40004, True), (-(10**6), True), (-499996, False)):
+        group = classgroup.class_group(d)
+        assert moduli.class_polynomial_floor(group) <= moduli.MAX_DIGITS, d
+        assert (moduli.precision_floor(group) <= moduli.MAX_DIGITS) == accepted, d
 
 
 def test_orbit_scaled():
@@ -178,6 +187,20 @@ def test_classpoly_json():
     env = run_json(["classpoly", "--", "-4"])
     assert env["result"]["coefficients"] == ["-1728", "1"]
     assert env["result"]["degree"] == 1
+
+
+def test_coefficients_above_the_int_string_limit_are_written(monkeypatch):
+    # H_D of classpoly near |D| = 10^6 has coefficients of about 8000
+    # digits, above the 4300 that str() converts by default
+    big = -(7 * 10**9000 + 12345)
+    digits = "-7" + "0" * 8995 + "12345"
+    monkeypatch.setattr(moduli, "class_polynomial_with_precision", lambda d: ((big, 0, 3, 1), 9))
+    assert run_json(["classpoly", "--", "-23"])["result"]["coefficients"] == [digits, "0", "3", "1"]
+    code, out = run_cli(["classpoly", "--", "-23"])
+    assert code == EXIT_OK and f"  polynomial         x^3 + 3*x^2 {digits[0]} {digits[1:]}\n" in out
+    # Decimal's str has no digit limit
+    for n in (0, -5, 10**600 - 1, 10**600, -(10**1200) - 1, 3**20000, -(7**9000)):
+        assert cli._decimal(n) == str(Decimal(n)), n
 
 
 def test_closed_stdout_exits_1_without_a_traceback():

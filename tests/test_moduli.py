@@ -2,7 +2,7 @@ import hashlib
 import subprocess
 import sys
 from collections import Counter
-from math import comb, log, log10, pi, sqrt
+from math import log10
 from pathlib import Path
 
 import pytest
@@ -24,7 +24,7 @@ from k3moduli.errors import ResolventDegenerate
 from k3moduli.numerics import BigComplex, CMPoint, conjugate, j_invariant, poly_from_roots
 from k3moduli.qforms import form_class
 
-from conftest import as_mpc, default_digits, empty_field_cache, valid_discs
+from conftest import as_mpc, default_digits, empty_field_cache, hd_floor, valid_discs
 
 LATTICE_23 = from_gram(((2, 1), (1, 12)))
 LATTICE_4 = from_gram(((2, 0), (0, 2)))
@@ -177,7 +177,7 @@ def test_gamma2_class_polynomial_rebuilds_h():
         digits = moduli.class_polynomial_floor(group)
         w = moduli._recognize_int_poly(poly_from_roots(moduli._gamma2_values(group, digits)))
         assert len(w) == group.h + 1 and w[-1] == 1, d
-        js = moduli._j_values(group, moduli.precision_floor(group))
+        js = moduli._j_values(group, hd_floor(group))
         oracle = moduli._recognize_int_poly(poly_from_roots(js))
         assert moduli._norm_from_gamma2(w) == oracle and oracle[0] == w[0] ** 3, d
         assert class_polynomial(d) == oracle, d
@@ -490,16 +490,18 @@ def test_every_polynomial_settles_at_its_floor():
         assert moduli.class_polynomial_with_precision(d)[1] == cp_floor, d
 
 
-def _coset_height(group, cosets) -> float:
-    """log10 bound on the coefficients of the field polynomial, whose roots
-    are sums of j over the cosets: each root is at most |coset| times the
-    largest exp(pi*sqrt|D|/a) in its coset."""
-    scale = pi * sqrt(-group.disc) / log(10)
-    a = [cls.rep.a for cls in group.classes]
-    m = len(cosets)
-    return sum(scale / min(a[i] for i in c) + log10(len(c)) for c in cosets) + log10(
-        comb(m, m // 2)
-    )
+def test_floors_in_order():
+    # analyze starts between classpoly's floor and H_D's own, at H_D's own
+    # when 3 | D; the field polynomial's height, with the cube's log10 3,
+    # never exceeds H_D's
+    for d in valid_discs(3000) + [-40004, -199999, -499996, -(10**6)]:
+        group = classgroup.class_group(d)
+        floor, own = moduli.precision_floor(group), hd_floor(group)
+        assert moduli.class_polynomial_floor(group) <= floor <= own, d
+        assert d % 3 or floor == own, d
+        cosets = moduli._torsion_cosets(group)
+        if len(cosets) < group.h:
+            assert moduli._coset_height(group, cosets) + log10(3) <= moduli._height(group), d
 
 
 # sha256 over (d, class polynomial, field polynomial, warnings, digits) of
@@ -515,7 +517,6 @@ def test_field_polynomial_needs_no_floor_of_its_own():
     digest, polynomials = hashlib.sha256(), hashlib.sha256()
     for d in valid_discs(3000):
         group = classgroup.class_group(d)
-        assert _coset_height(group, moduli._torsion_cosets(group)) <= moduli._height(group), d
         polys, digits = moduli._field_polynomials(d)
         assert digits == moduli.precision_floor(group), d
         digest.update(repr((d, polys.class_poly, polys.mq, polys.warnings, digits)).encode())

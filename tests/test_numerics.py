@@ -16,7 +16,7 @@ from k3moduli.numerics import (
     recognize_integer,
 )
 
-from conftest import as_mpc, certified_integer, default_digits, from_mpc, valid_discs
+from conftest import as_mpc, certified_integer, default_digits, from_mpc, hd_floor, valid_discs
 
 
 def test_j_at_i_is_1728():
@@ -105,7 +105,7 @@ def test_error_bounds_cover_the_true_values():
 
     for d in (-23, -56, -71, -231, -420):
         group = class_group(d)
-        digits = moduli.precision_floor(group)
+        digits = hd_floor(group)
         low, high = moduli._j_values(group, digits), moduli._j_values(group, 2 * digits)
         assert all(x.err > 0 and covered(x, y) for x, y in zip(low, high)), d
         pairs = zip(poly_from_roots(low), poly_from_roots(high))
