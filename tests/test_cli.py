@@ -431,9 +431,9 @@ def test_json_emitter_refuses_other_types():
 def test_analyze_json_bytes_are_frozen():
     # sha256 of the full stdout; h = 3, 3 (m = 2) and 8 (D0 = -95)
     digests = {
-        "2 1 1 12": "c13374f0d6ba92e84eb397619499b03ce2d9406ddac866206656daec20c89b4b",
-        "4 1 1 6": "d42af402ed85ecef9e737a874e08a5633eb7e7c51565f03ef06f756f7e3d8178",
-        "2 1 1 48": "1a26df43fe6c6ea059befb0bb3d458f73ebe5d3b832863f136d9edc31075a096",
+        "2 1 1 12": "40015302c4170850f3335cea1bc46b7a581c4e71fde3ab97abcc4058aeb224b2",
+        "4 1 1 6": "507b475b63736fa06aee1ba0c48a3719e994569eae0e6e783da277bfc2877f99",
+        "2 1 1 48": "434a521c138ece4bf578eed121c77df94b67aee12931a39eea8ebeeff074e41e",
     }
     for gram, digest in digests.items():
         code, out = run_cli(["analyze", "--format", "json", *gram.split()])

@@ -262,7 +262,7 @@ def test_report_minus_23():
     assert report.mq_is_galois is False
     assert report.class_polynomial == H23
     assert report.mq_min_poly == H23
-    assert report.precision_used == 19  # the precision floor of D = -23
+    assert report.precision_used == 10  # W's floor of D = -23, where h is odd
     assert report.warnings == ()
     assert len(report.orbit) == 3
 
@@ -345,10 +345,10 @@ def _recognition_failing(monkeypatch, fails):
 
 def test_failed_certificate_doubles_the_precision(monkeypatch):
     # classpoly certifies the gamma_2 polynomial W at its floor, 10 digits at
-    # -23; analyze certifies j's polynomials at H_D's floor, 19 digits
+    # -23; so does analyze, as h = 3 is odd and the field polynomial is H_D
     group = classgroup.class_group(-23)
     cp_floor, floor = moduli.class_polynomial_floor(group), moduli.precision_floor(group)
-    assert (cp_floor, floor) == (10, 19)
+    assert (cp_floor, floor) == (10, 10)
     attempts = _recognition_failing(monkeypatch, lambda digits: digits in (cp_floor, floor))
     assert moduli.class_polynomial_with_precision(-23) == (H23, 2 * cp_floor)
     assert attempts == [cp_floor, 2 * cp_floor]
@@ -386,7 +386,7 @@ def test_precision_failure_is_not_cached(monkeypatch):
     assert moduli._field_polynomials.cache_info().currsize == 0
     failing = False
     report = moduli_report(LATTICE_23)
-    assert (report.class_polynomial, report.precision_used) == (H23, 19)
+    assert (report.class_polynomial, report.precision_used) == (H23, 10)
 
 
 def test_coset_collision_at_the_floor_doubles_the_precision(monkeypatch):
@@ -470,11 +470,11 @@ def test_sub_floor_sweep_never_gives_a_wrong_polynomial():
 
 
 def test_minus_2083_settles_at_default_digits():
-    # h = 7: the first attempt runs at the floor, 93 digits, where the class
-    # and the field polynomial are both recognized
+    # h = 7: the first attempt runs at the floor, W's, 36 digits, where the
+    # class and the field polynomial are both recognized
     lattice = from_gram(((2, 1), (1, 1042)))
     report = moduli_report(lattice)
-    assert (report.disc0, report.h, report.precision_used) == (-2083, 7, 93)
+    assert (report.disc0, report.h, report.precision_used) == (-2083, 7, 36)
     group = classgroup.class_group(-2083)
     assert report.class_polynomial == moduli._class_polynomial_at(group, 200)
     cosets = moduli._torsion_cosets(group)
@@ -505,15 +505,15 @@ def test_floors_in_order():
 
 
 # sha256 over (d, class polynomial, field polynomial, warnings, digits) of
-# every |d| <= 3000, frozen from the j-kernel field polynomials
-FIELD_SWEEP_SHA256 = "33cf0acf36412d82122ef59e239307ca71163f9e89f657fb61844d5538d5d74a"
+# every |d| <= 3000, frozen at the floors of precision_floor
+FIELD_SWEEP_SHA256 = "41fd5c5e24541fe3545d2d2b569036880554a97929c97d739b8dfc83e0d5385f"
 # the same without the digits: a change of precision alone leaves it as it is
 POLYNOMIAL_SWEEP_SHA256 = "a414290bd8ae51511a9f1c23fec91a64b3f54458d8c63cbd1c823a4569890eab"
 
 
-def test_field_polynomial_needs_no_floor_of_its_own():
-    # the coset height never exceeds H_D's, so the field polynomial is
-    # certified at H_D's floor; every polynomial is pinned by one digest
+def test_field_polynomials_settle_at_their_floor():
+    # every class and field polynomial is certified at precision_floor in one
+    # attempt; the polynomials are pinned with and without their digits
     digest, polynomials = hashlib.sha256(), hashlib.sha256()
     for d in valid_discs(3000):
         group = classgroup.class_group(d)
@@ -526,8 +526,9 @@ def test_field_polynomial_needs_no_floor_of_its_own():
 
 
 def test_odd_class_number_field_polynomial_is_class_polynomial():
-    # C[2] is trivial: every coset is one class, so the coset path, skipped
-    # by moduli_report, would give the class polynomial without warnings
+    # C[2] is trivial: every coset is one class, so the coset path over j at
+    # H_D's own floor, skipped by moduli_report, would give the class
+    # polynomial without warnings
     odd = 0
     for d in valid_discs(1500):
         group = classgroup.class_group(d)
@@ -536,7 +537,7 @@ def test_odd_class_number_field_polynomial_is_class_polynomial():
         odd += 1
         report = moduli_report(lattice_from_class(1, group.classes[0]))
         assert report.mq_min_poly == report.class_polynomial and report.warnings == (), d
-        js = moduli._j_values(group, report.precision_used)
+        js = moduli._j_values(group, hd_floor(group))
         cosets = moduli._torsion_cosets(group)
         roots, rung = moduli._separated_roots(js, cosets)
         assert rung == moduli._RESOLVENT_LADDER[0] == ("trace", 1, 0), d
