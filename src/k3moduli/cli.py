@@ -129,12 +129,13 @@ _CHUNK = 10**600  # below 640, the least limit sys.set_int_max_str_digits accept
 def _decimal(n: int) -> str:
     """str(n) at any size.  str refuses integers of more digits than
     sys.get_int_max_str_digits(), 4300 by default, and H_D has coefficients of
-    about 8000 digits when classpoly runs near |D| = 10^6; longer integers
-    are written 600 digits at a time."""
-    if abs(n) < _CHUNK:
+    about 8000 digits when classpoly runs near |D| = 10^6; such an integer is
+    written 600 digits at a time."""
+    try:
         return str(n)
-    head, tail = divmod(abs(n), _CHUNK)
-    return f"{'-' if n < 0 else ''}{_decimal(head)}{tail:0600d}"
+    except ValueError:
+        head, tail = divmod(abs(n), _CHUNK)
+        return f"{'-' if n < 0 else ''}{_decimal(head)}{tail:0600d}"
 
 
 def _report_payload(report: moduli.ModuliReport) -> dict:

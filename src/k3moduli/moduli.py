@@ -464,8 +464,7 @@ def _escalate(disc: int, floor: int, attempt):
 def _field_polynomials(disc0: int) -> tuple[_Polynomials, int]:
     group = classgroup.class_group(disc0)
     cosets = _torsion_cosets(group)
-    attempt = partial(_attempt_polynomials, group, cosets)
-    return _escalate(disc0, precision_floor(group), attempt)
+    return _escalate(disc0, precision_floor(group), partial(_attempt_polynomials, group, cosets))
 
 
 def class_polynomial(d: int) -> tuple[int, ...]:
