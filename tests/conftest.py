@@ -25,10 +25,9 @@ def default_digits(h: int) -> int:
 
 
 def hd_floor(group) -> int:
-    """H_D's own precision floor, the digits at which the product over the
-    values of j is expected to be certified: the floor from the height of H_D
-    (moduli._height), above both floors the library starts at when 3 does not
-    divide D."""
+    """H_D's own precision floor, from its height (moduli._height): the digits
+    at which the product over the values of j is expected to be certified.
+    Both floors the library starts at are at most this one."""
     return ceil(moduli._height(group)) + moduli.GUARD_DIGITS
 
 
