@@ -369,8 +369,3 @@ def genus_of(group: ClassGroup, cls: FormClass) -> frozenset[int]:
 def genus_order(group: ClassGroup) -> int:
     """g = |C(D)^2| = h / |C(D)[2]|, halving h once per even invariant factor."""
     return group.h >> sum(n % 2 == 0 for n in group.elementary_divisors)
-
-
-def structure(group: ClassGroup) -> tuple[int, ...]:
-    """Invariant factors of C(D), each dividing the next."""
-    return group.elementary_divisors

@@ -139,6 +139,7 @@ def _decimal(n: int) -> str:
 
 
 def _report_payload(report: moduli.ModuliReport) -> dict:
+    mq = _poly_strings(report.mq_min_poly)  # M_K's and M_Q's (see moduli)
     return {
         "disc": report.disc,
         "disc0": report.disc0,
@@ -146,13 +147,13 @@ def _report_payload(report: moduli.ModuliReport) -> dict:
         "d_k": report.d_k,
         "h": report.h,
         "genus_order": report.g,
-        "degree_mk_over_k": report.degree_mk_over_k,
-        "degree_mq_over_q": report.degree_mq_over_q,
+        "degree_mk_over_k": report.g,
+        "degree_mq_over_q": report.g,
         "mq_is_galois": report.mq_is_galois,
         "orbit": [_lattice_payload(t) for t in report.orbit],
         "class_polynomial": _poly_strings(report.class_polynomial),
-        "mk_min_poly": _poly_strings(report.mk_min_poly),
-        "mq_min_poly": _poly_strings(report.mq_min_poly),
+        "mk_min_poly": mq,
+        "mq_min_poly": mq,
         "precision_used": report.precision_used,
     }
 

@@ -8,18 +8,20 @@ trace of j over C[2].  That trace is real, and complex conjugation only
 permutes its conjugates (the traces over the other cosets of C[2]), so
 [M_K : K] = [M_Q : Q] = g (the genus order) and the minimal polynomial of the
 generator over K lies in Z[x] and is the one over Q.  One integer polynomial,
-recognized exactly via certified rounding, serves both fields.
+recognized exactly via certified rounding, serves both fields:
+field_of_Q_moduli, or ModuliReport.mq_min_poly of degree ModuliReport.g.
 
 Each polynomial is computed once, at a precision floor derived from its
 height (Enge, Math. Comp. 78, 2009): with |j(tau)| about exp(pi*sqrt|D|/a),
 log10 of its largest coefficient is at most
 sum over roots of pi*sqrt|D|/a / ln 10 plus log10 of the largest binomial
 coefficient, and GUARD_DIGITS more digits leave the propagated error bound
-below 1/2.  Recognition is a certificate (see numerics.recognize_integer),
-and so is the distinctness of the coset invariants the field polynomial is
-built from (see _separated_roots); the precision is doubled only when a
-certificate fails, and never past MAX_DIGITS.  The class polynomial is then
-checked exactly against Gross-Zagier (J. reine angew. Math. 355, 1985): for
+below 1/2 (see _height, which bounds both polynomials).  Recognition is a
+certificate (see numerics.recognize_integer), and so is the distinctness of
+the coset invariants the field polynomial is built from (see
+_separated_roots); the precision is doubled only when a certificate fails,
+and never past MAX_DIGITS.  The class polynomial is then checked exactly
+against Gross-Zagier (J. reine angew. Math. 355, 1985): for
 fundamental D the primes of its norm are at most 3|D|/4; the field
 polynomial against H_D (see _check_power_sum).  class_polynomial starts at
 its class polynomial's floor, and moduli_report at the higher of the floors
@@ -118,19 +120,6 @@ class ModuliReport:
     precision_used: int
     warnings: tuple[str, ...]
 
-    @property
-    def degree_mk_over_k(self) -> int:
-        return self.g
-
-    @property
-    def degree_mq_over_q(self) -> int:
-        return self.g
-
-    @property
-    def mk_min_poly(self) -> tuple[int, ...]:
-        """The minimal polynomial of M_K over K: the one over Q (see the module docstring)."""
-        return self.mq_min_poly
-
 
 def _model(group: ClassGroup) -> GaloisModel:
     torsion = sorted(classgroup.two_torsion(group))
@@ -138,15 +127,6 @@ def _model(group: ClassGroup) -> GaloisModel:
     mk = frozenset((i, 0) for i in torsion)
     mq = frozenset((i, e) for i in torsion for e in (0, 1))
     return GaloisModel(group, elements, mk, mq)
-
-
-def galois_model(lattice: TranscLattice) -> GaloisModel:
-    return _model(classgroup.class_group(lattice.disc0))
-
-
-def moduli_degree(lattice: TranscLattice) -> int:
-    """[M_K : K] = [M_Q : Q] = order of the genus of the primitive part."""
-    return classgroup.genus_order(classgroup.class_group(lattice.disc0))
 
 
 def mq_is_galois(lattice: TranscLattice) -> bool:
@@ -319,24 +299,18 @@ def _check_gross_zagier(d: int, poly: tuple[int, ...]) -> tuple[int, ...]:
     return poly
 
 
-def _height(group: ClassGroup, n: int = 1) -> float:
-    """log10 bound on the coefficients of prod over classes of (x - j^(1/n)):
-    each root is at most exp(pi*sqrt|D|/(na)), and the coefficients are
-    elementary symmetric functions of the roots."""
+def _height(group: ClassGroup, partition=None, n: int = 1) -> float:
+    """log10 bound on the coefficients of the product over the parts of
+    partition of (x - sum of j^(1/n) over the part): each root is at most
+    |part| times the largest exp(pi*sqrt|D|/(na)) in it, and the coefficients
+    are elementary symmetric functions of the roots.  One class per part (the
+    default: H_D, or W for n = 3) adds log10 1 = 0 per part; the cosets of
+    C[2] give the field polynomial."""
     scale = pi * sqrt(-group.disc) / log(10) / n
-    return sum(scale / cls.rep.a for cls in group.classes) + log10(comb(group.h, group.h // 2))
-
-
-def _coset_height(group: ClassGroup, cosets) -> float:
-    """log10 bound on the coefficients of the field polynomial, whose roots
-    are sums of j over the cosets of C[2]: each root is at most |coset| times
-    the largest exp(pi*sqrt|D|/a) in its coset, and the coefficients are
-    elementary symmetric functions of the g roots."""
-    scale = pi * sqrt(-group.disc) / log(10)
     a = [cls.rep.a for cls in group.classes]
-    g = len(cosets)
-    top = sum(scale / min(a[i] for i in c) + log10(len(c)) for c in cosets)
-    return top + log10(comb(g, g // 2))
+    parts = partition or [(i,) for i in range(group.h)]
+    top = sum(scale / min(a[i] for i in part) + log10(len(part)) for part in parts)
+    return top + log10(comb(len(parts), len(parts) // 2))
 
 
 def precision_floor(group: ClassGroup) -> int:
@@ -345,12 +319,12 @@ def precision_floor(group: ClassGroup) -> int:
 
     The first is class_polynomial_floor, W's when 3 does not divide D.  The
     second is the field polynomial's.  Its roots are sums of j over the g
-    cosets of C[2], k classes each, so its height is at most _coset_height.
-    It gets log10 3 digits more for the cube: when 3 does not divide D, j is
-    gamma_2^3, and cubing turns gamma_2's error e into about 3|gamma_2|^2 e.
-    In the product over the cosets a coset's error is multiplied only by the
-    other cosets' invariants, never by its own |j| = |gamma_2|^3, so against
-    the height the cube costs the factor 3 alone.  When h is odd, C[2] is
+    cosets of C[2], k classes each, so its height is at most _height over
+    the cosets.  It gets log10 3 digits more for the cube: when 3 does not
+    divide D, j is gamma_2^3, and cubing turns gamma_2's error e into about
+    3|gamma_2|^2 e.  In the product over the cosets a coset's error is
+    multiplied only by the other cosets' invariants, never by its own |j| =
+    |gamma_2|^3, so against the height the cube costs the factor 3 alone.  When h is odd, C[2] is
     trivial and the field polynomial is H_D, so only the first floor applies.
 
     When 3 divides D, the first floor is H_D's, and the second is never above
@@ -362,14 +336,14 @@ def precision_floor(group: ClassGroup) -> int:
     cosets = _torsion_cosets(group)
     if len(cosets) == group.h:
         return floor
-    return max(floor, ceil(_coset_height(group, cosets) + log10(3)) + GUARD_DIGITS)
+    return max(floor, ceil(_height(group, cosets) + log10(3)) + GUARD_DIGITS)
 
 
 def class_polynomial_floor(group: ClassGroup) -> int:
     """Digits at which class_polynomial_with_precision starts: the floor of
     the gamma_2 polynomial W, a third of the height of H_D, when 3 does not
     divide D, and H_D's own otherwise."""
-    return ceil(_height(group, 3 if group.disc % 3 else 1)) + GUARD_DIGITS
+    return ceil(_height(group, n=3 if group.disc % 3 else 1)) + GUARD_DIGITS
 
 
 def _class_poly_from(group: ClassGroup, values: list[BigComplex]) -> tuple[int, ...]:
@@ -479,15 +453,6 @@ def class_polynomial_with_precision(d: int) -> tuple[tuple[int, ...], int]:
     gamma_2 polynomial W when 3 does not divide d, of H_D itself otherwise."""
     group = classgroup.class_group(d)
     return _escalate(d, class_polynomial_floor(group), partial(_class_polynomial_at, group))
-
-
-def field_of_K_moduli(lattice: TranscLattice) -> tuple[int, ...]:
-    """Degree-g minimal polynomial of the coset-trace generator of M_K over K.
-
-    The generator is real and complex conjugation permutes its conjugates, so
-    this polynomial has integer coefficients and is field_of_Q_moduli's.
-    """
-    return field_of_Q_moduli(lattice)
 
 
 def field_of_Q_moduli(lattice: TranscLattice) -> tuple[int, ...]:

@@ -1,11 +1,12 @@
 """Orders in imaginary quadratic fields and exact ideal-lattice arithmetic.
 
 A lattice in K = Q(sqrt(d_K)) is stored as two generators (x + y*sqrt(d_K))/den
-with integer x, y and one positive denominator.  Products are reduced to a
+with integer x, y and one positive denominator.  Generators are reduced to a
 two-generator Hermite basis in closed form, and the multiplier ring
 {z in K : z*L in L} is read off exactly from the discriminant of the
-primitive norm form (Cox, Lemma 7.5); this realizes the generalized
-Dirichlet composition of form classes across conductors.
+primitive norm form (Cox, Lemma 7.5), or for a product from its factors'
+(see multiply); this realizes the generalized Dirichlet composition of form
+classes across conductors.
 """
 
 from __future__ import annotations
@@ -161,7 +162,8 @@ def form_to_ideal(cls: FormClass) -> IdealLattice:
 
 def ideal_to_form(lattice: IdealLattice) -> FormClass:
     """Reduced class of the norm form N(x*alpha + y*beta)/N(L), checked to lie
-    in C(D) for the stored multiplier ring."""
+    in C(D) for the stored multiplier ring: the exact post-check of the ring
+    multiply takes from theory."""
     a, b, c = _norm_form(lattice.order.d_k, lattice.gens)
     if b * b - 4 * a * c != lattice.order.disc:
         raise K3ModuliError(f"norm form ({a},{b},{c}) has the wrong discriminant")
@@ -169,7 +171,10 @@ def ideal_to_form(lattice: IdealLattice) -> FormClass:
 
 
 def multiply(l1: IdealLattice, l2: IdealLattice) -> IdealLattice:
-    """Product lattice, generated by the four pairwise generator products."""
+    """Product lattice, generated by the four pairwise generator products.
+    Its ring is O_f1 O_f2 = O_gcd(f1, f2) by theory: every lattice is an
+    invertible ideal a of its ring O1, and ab a^-1 b^-1 = O1 O2, so z ab in ab
+    gives z O1 O2 in O1 O2.  ideal_to_form checks the ring exactly."""
     if l1.order.d_k != l2.order.d_k:
         raise FieldMismatch(f"fundamental discriminants {l1.order.d_k} and {l2.order.d_k} differ")
     d = l1.order.d_k
@@ -178,7 +183,8 @@ def multiply(l1: IdealLattice, l2: IdealLattice) -> IdealLattice:
         for x1, y1 in l1.gens
         for x2, y2 in l2.gens
     ]
-    return _lattice(d, rows, l1.den * l2.den)
+    basis, den = _normalize(rows, l1.den * l2.den)
+    return IdealLattice(QuadOrder(d, gcd(l1.order.f, l2.order.f)), den, basis)
 
 
 def compose_general(x: FormClass, y: FormClass) -> FormClass:

@@ -25,9 +25,10 @@ def default_digits(h: int) -> int:
 
 
 def hd_floor(group) -> int:
-    """H_D's own precision floor, from its height (moduli._height): the digits
-    at which the product over the values of j is expected to be certified.
-    Both floors the library starts at are at most this one."""
+    """H_D's own precision floor, from its height (moduli._height with its
+    default partition, one class per part, and n = 1): the digits at which
+    the product over the values of j is expected to be certified.  Both
+    floors the library starts at are at most this one."""
     return ceil(moduli._height(group)) + moduli.GUARD_DIGITS
 
 

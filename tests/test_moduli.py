@@ -10,15 +10,7 @@ from mpmath.ctx_mp import MPContext
 
 from k3moduli import classgroup, moduli
 from k3moduli.k3 import from_gram, lattice_from_class, scale
-from k3moduli.moduli import (
-    class_polynomial,
-    field_of_K_moduli,
-    field_of_Q_moduli,
-    galois_model,
-    moduli_degree,
-    moduli_report,
-    mq_is_galois,
-)
+from k3moduli.moduli import class_polynomial, field_of_Q_moduli, moduli_report, mq_is_galois
 from k3moduli.errors import K3ModuliError, NotNearInteger, PrecisionExhausted
 from k3moduli.errors import ResolventDegenerate
 from k3moduli.numerics import BigComplex, CMPoint, conjugate, j_invariant, poly_from_roots
@@ -34,22 +26,21 @@ H23 = (12771880859375, -5151296875, 3491750, 1)  # frozen two-precision golden
 
 
 def test_moduli_degree():
-    assert moduli_degree(LATTICE_23) == 3
-    assert moduli_degree(LATTICE_4) == 1
-    assert moduli_degree(LATTICE_56) == 2
-    assert moduli_degree(scale(LATTICE_23, 4)) == 3
+    # [M_K : K] = [M_Q : Q] = the genus order of the primitive part
+    for lattice, g in ((LATTICE_23, 3), (LATTICE_4, 1), (LATTICE_56, 2), (scale(LATTICE_23, 4), 3)):
+        assert classgroup.genus_order(classgroup.class_group(lattice.disc0)) == g
 
 
 def test_galois_model_shapes():
-    m23 = galois_model(LATTICE_23)
+    m23 = moduli._model(classgroup.class_group(LATTICE_23.disc0))
     assert len(m23.elements) == 6
     assert len(m23.subgroup_mk) == 1
     assert len(m23.subgroup_mq) == 2
 
-    m4 = galois_model(LATTICE_4)
+    m4 = moduli._model(classgroup.class_group(LATTICE_4.disc0))
     assert len(m4.elements) == 2
 
-    m56 = galois_model(LATTICE_56)
+    m56 = moduli._model(classgroup.class_group(LATTICE_56.disc0))
     assert len(m56.elements) == 8
     assert len(m56.subgroup_mk) == 2
     assert len(m56.subgroup_mq) == 4
@@ -57,7 +48,7 @@ def test_galois_model_shapes():
 
 def test_galois_model_relations():
     for lattice in (LATTICE_23, LATTICE_56):
-        model = galois_model(lattice)
+        model = moduli._model(classgroup.class_group(lattice.disc0))
         group = model.cg
         e = (group.principal_index, 0)
         iota = (group.principal_index, 1)
@@ -215,7 +206,6 @@ except K3ModuliError as exc:
 def test_field_polynomials_minus_23():
     mq = field_of_Q_moduli(LATTICE_23)
     assert mq == H23
-    assert field_of_K_moduli(LATTICE_23) == mq
     # irreducible over Q: a rational root of a monic integer cubic would be an
     # integer, necessarily the single real root (cubic discriminant < 0);
     # bracket that root exactly and see that it falls strictly between
@@ -241,13 +231,11 @@ def _poly_eval(coeffs, x):
 
 def test_field_polynomials_minus_4():
     assert field_of_Q_moduli(LATTICE_4) == (-1728, 1)
-    assert field_of_K_moduli(LATTICE_4) == (-1728, 1)
 
 
 def test_field_polynomials_minus_56():
     mq = field_of_Q_moduli(LATTICE_56)
     assert len(mq) == 3 and mq[-1] == 1
-    assert field_of_K_moduli(LATTICE_56) == mq
     # roots are the two-torsion coset traces; their sum is the full trace
     assert mq[1] == H56_TRACE
 
@@ -258,7 +246,6 @@ H56_TRACE = -16220384512  # frozen: sum of the four j-values of disc -56
 def test_report_minus_23():
     report = moduli_report(LATTICE_23)
     assert (report.h, report.g) == (3, 3)
-    assert report.degree_mk_over_k == report.degree_mq_over_q == 3
     assert report.mq_is_galois is False
     assert report.class_polynomial == H23
     assert report.mq_min_poly == H23
@@ -281,7 +268,6 @@ def test_scaling_invariance(n):
     assert scaled.h == base.h
     assert scaled.g == base.g
     assert scaled.class_polynomial == base.class_polynomial
-    assert scaled.mk_min_poly == base.mk_min_poly
     assert scaled.mq_min_poly == base.mq_min_poly
     assert scaled.mq_is_galois == base.mq_is_galois
     assert scaled.disc == n * n * base.disc
@@ -292,7 +278,6 @@ def test_class_group_mates_share_field_data():
     a = moduli_report(lattice_from_class(1, form_class(1, 1, 6)))
     b = moduli_report(lattice_from_class(1, form_class(2, 1, 3)))
     assert a.g == b.g
-    assert a.mk_min_poly == b.mk_min_poly
     assert a.mq_min_poly == b.mq_min_poly
 
 
@@ -479,7 +464,6 @@ def test_minus_2083_settles_at_default_digits():
     assert report.class_polynomial == moduli._class_polynomial_at(group, 200)
     cosets = moduli._torsion_cosets(group)
     assert report.mq_min_poly == moduli._attempt_polynomials(group, cosets, 200).mq
-    assert report.mk_min_poly == report.mq_min_poly
 
 
 def test_every_polynomial_settles_at_its_floor():
@@ -501,7 +485,7 @@ def test_floors_in_order():
         assert d % 3 or floor == own, d
         cosets = moduli._torsion_cosets(group)
         if len(cosets) < group.h:
-            assert moduli._coset_height(group, cosets) + log10(3) <= moduli._height(group), d
+            assert moduli._height(group, cosets) + log10(3) <= moduli._height(group), d
 
 
 # sha256 over (d, class polynomial, field polynomial, warnings, digits) of

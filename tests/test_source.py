@@ -81,6 +81,48 @@ def test_precision_is_not_a_knob():
     assert [f.__name__ for f in public if "digits" in inspect.signature(f).parameters] == []
 
 
+# one name per concept: the degree of M_K and M_Q is ModuliReport.g, their
+# polynomial field_of_Q_moduli, and the package root lists each name once
+PACKAGE_NAMES = """
+    BigComplex CMPoint ClassGroup FormClass GaloisModel GenusPartition IdealLattice ModuliReport
+    QuadForm QuadOrder SMDecomposition TranscLattice cayley class_group class_polynomial cm_field
+    complex_conjugate compose compose_general conjugate_lattice discriminant field_of_Q_moduli
+    form_class form_to_ideal from_gram galois_orbit genus_of genus_order genus_partition
+    ideal_lattice ideal_to_form inverse is_primitive j_invariant lattice_from_class moduli_report
+    mq_is_galois multiply order_of_disc poly_from_roots primitive_part principal_class
+    principal_form principal_genus recognize_integer reduce reduction_map shioda_mitani transform
+    two_torsion
+""".split()
+MODULI_NAMES = """
+    GaloisModel ModuliReport class_polynomial class_polynomial_floor
+    class_polynomial_with_precision field_of_Q_moduli moduli_report mq_is_galois precision_floor
+""".split()
+
+
+def test_public_surface():
+    package = [
+        name
+        for name, value in vars(k3moduli).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    ]
+    assert sorted(package) == PACKAGE_NAMES
+    assert not hasattr(k3moduli, "__all__")
+    defined = [
+        name
+        for name, value in vars(moduli).items()
+        if (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == moduli.__name__
+        and not name.startswith("_")
+    ]
+    assert sorted(defined) == MODULI_NAMES
+    # the benchmark tracer wraps it through the package root
+    assert callable(k3moduli.GaloisModel.is_normal)
+    fields = {f.name for f in dataclasses.fields(moduli.ModuliReport)}
+    assert {"g", "mq_min_poly"} <= fields
+    aliases = {"mk_min_poly", "degree_mk_over_k", "degree_mq_over_q"}
+    assert aliases.isdisjoint(dir(moduli.ModuliReport))
+
+
 def _imported_modules(path: Path) -> set[str]:
     found = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
