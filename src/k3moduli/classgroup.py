@@ -1,10 +1,14 @@
 """Form class groups C(D): enumeration, coordinates, genus structure.
 
-C(D) is built from generators.  The reduced classes are walked in order, and
-each class not yet reached becomes a generator g_k: its powers are composed
-until one lands in the subgroup H generated so far, which gives its relative
-order e_k and a relation g_k^e_k = (exponents of g_1 .. g_(k-1)); H is then
-extended by composing with g_k.  That is about h + sum(e_k) Dirichlet
+class_group(D) lists the reduced classes.  Their coordinates are built on the
+first read of ClassGroup.coords or elementary_divisors, so a caller that
+needs only the classes, as the class polynomial does, composes no forms.
+
+The coordinates come from generators.  The reduced classes are walked in
+order, and each class not yet reached becomes a generator g_k: its powers are
+composed until one lands in the subgroup H generated so far, which gives its
+relative order e_k and a relation g_k^e_k = (exponents of g_1 .. g_(k-1)); H
+is then extended by composing with g_k.  That is about h + sum(e_k) Dirichlet
 compositions in all, made on coefficient triples (a, b, c) by qforms._compose,
 each product looked up by its (a, b), which fixes c at one discriminant; the
 FormClass objects are made once, for ClassGroup.classes.  The Smith normal
@@ -18,11 +22,13 @@ of C[2] are the fibres of squaring.  No Cayley table is stored: cayley()
 builds one on request, each row its parent's row sent through "add 1 in one
 coordinate", h^2 list lookups.
 
-Before a group is returned, three counts of C[2] must agree: the ambiguous
-reduced forms, 2^(number of even invariant factors) and the genus count
+Three counts of C[2] must agree: the ambiguous reduced forms, the genus count
 2^(mu - 1) from the factorisation of D (Cox, Primes of the form x^2 + ny^2,
-Thm 3.15).  |D| is bounded by MAX_ABS_DISC, beyond which the h^2 Cayley
-table of the classgroup command would not finish in reasonable time.
+Thm 3.15) and 2^(number of even invariant factors).  The first two are
+compared before a group is returned, the last two on the first read of the
+coordinates, before any coordinate is returned.  |D| is bounded by
+MAX_ABS_DISC, beyond which the h^2 Cayley table of the classgroup command
+would not finish in reasonable time.
 """
 
 from __future__ import annotations
@@ -49,16 +55,28 @@ class ClassGroup:
 
     elementary_divisors are the invariant factors d_1 | d_2 | .. | d_r, and
     coords[i] the coordinates of classes[i]; the principal class sits at 0.
+    Both are built on first read, by _coordinates; a group compares by disc
+    and classes.
     """
 
     disc: int
     classes: tuple[FormClass, ...]
-    coords: tuple[tuple[int, ...], ...]
-    elementary_divisors: tuple[int, ...]
 
     @property
     def h(self) -> int:
         return len(self.classes)
+
+    @cached_property
+    def _structure(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        return _coordinates(self.disc, self.classes)
+
+    @cached_property
+    def coords(self) -> tuple[tuple[int, ...], ...]:
+        return self._structure[0]
+
+    @cached_property
+    def elementary_divisors(self) -> tuple[int, ...]:
+        return self._structure[1]
 
     @cached_property
     def _index(self) -> dict[tuple[int, int], int]:
@@ -241,32 +259,40 @@ def _smith_diagonal(matrix: list[list[int]]) -> tuple[list[int], list[list[int]]
     return diagonal, a[n:]
 
 
-def _genus_check(d: int, reps: list[QuadForm], divisors: tuple[int, ...] | None = None) -> int:
-    """|C[2]|: the ambiguous reduced forms, which must number 2^(mu - 1) and,
-    when the invariant factors are given, 2^(number of even ones)."""
-    ambiguous = sum(map(_is_ambiguous, reps))
-    genera = _genus_count(d)
-    two_rank = genera if divisors is None else 2 ** sum(n % 2 == 0 for n in divisors)
-    if not ambiguous == two_rank == genera:
+def _genus_check(d: int, reps: list[QuadForm]) -> int:
+    """|C[2]|: the ambiguous reduced forms, which must number the 2^(mu - 1) genera."""
+    ambiguous, genera = sum(map(_is_ambiguous, reps)), _genus_count(d)
+    if ambiguous != genera:
         raise K3ModuliError(
-            f"C({d}) fails its genus check: {ambiguous} ambiguous forms, "
-            f"2-rank gives {two_rank}, {genera} genera"
+            f"C({d}) fails its genus check: {ambiguous} ambiguous forms, {genera} genera"
         )
     return ambiguous
 
 
 # bounded, because a process that walks many discriminants would otherwise keep
-# every group; a group holds its classes and their coordinates, 0.5 MiB at
-# -999479 (h = 1644, tracemalloc), and 32 still serve the queries that repeat a
-# few recent discriminants, as analyze does for one lattice's orbit
+# every group; a group holds its classes and, once read, their coordinates,
+# 0.5 MiB at -999479 (h = 1644, tracemalloc), and 32 still serve the queries
+# that repeat a few recent discriminants, as analyze does for one lattice's orbit
 @lru_cache(maxsize=32)
 def class_group(d: int) -> ClassGroup:
-    """Enumerate C(d) with its invariant factors and each class's coordinates.
+    """Enumerate C(d): its reduced classes, once their ambiguous forms number
+    the 2^(mu - 1) genera.  The invariant factors and coordinates are built
+    on first read.
 
     Refuses |d| > MAX_ABS_DISC with DiscriminantTooLarge.
     """
     reps = reduced_representatives(d)
-    triples = [(q.a, q.b, q.c) for q in reps]
+    _genus_check(d, reps)
+    return ClassGroup(d, tuple(FormClass(q, d) for q in reps))
+
+
+def _coordinates(
+    d: int, classes: tuple[FormClass, ...]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(coords, invariant factors) of C(d) from its reduced classes: the
+    generator walk and the Smith form, whose 2-rank must give the 2^(mu - 1)
+    genera."""
+    triples = [(c.rep.a, c.rep.b, c.rep.c) for c in classes]
     index = {(a, b): i for i, (a, b, _) in enumerate(triples)}
     orders, relations, members = _generators(triples, index, index[1, d % 2], d)
     matrix = [
@@ -278,7 +304,11 @@ def class_group(d: int) -> ClassGroup:
     # coordinates at d_k = 1 are always 0 and are dropped
     kept = [k for k, n in enumerate(diagonal) if n > 1]
     divisors = tuple(diagonal[k] for k in kept)
-    _genus_check(d, reps, divisors)
+    two_rank, genera = 2 ** sum(n % 2 == 0 for n in divisors), _genus_count(d)
+    if two_rank != genera:
+        raise K3ModuliError(
+            f"C({d}) fails its genus check: 2-rank gives {two_rank}, {genera} genera"
+        )
     # columns[k][key]: coordinate k of members[key].  The coordinates of g_t
     # are row t of V, and members[m * size + y] is g_t^m members[y] for the
     # keys of g_t's block, size the keys before it
@@ -287,10 +317,10 @@ def class_group(d: int) -> ClassGroup:
         for column, k in zip(columns, kept):
             n, step = diagonal[k], row[k]
             column += [(x + m * step) % n for m in range(1, e) for x in column]
-    coords: list[tuple[int, ...]] = [()] * len(reps)  # C trivial: no columns
+    coords: list[tuple[int, ...]] = [()] * len(classes)  # C trivial: no columns
     for i, point in zip(members, zip(*columns)):
         coords[i] = point
-    return ClassGroup(d, tuple(FormClass(q, d) for q in reps), tuple(coords), divisors)
+    return tuple(coords), divisors
 
 
 def cayley(group: ClassGroup) -> tuple[tuple[int, ...], ...]:

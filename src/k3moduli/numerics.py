@@ -3,12 +3,14 @@
 j is evaluated through the eta quotient h = q * (E(q^2) / E(q))^24, with
 E(q) = prod(1 - q^n) and q = exp(2*pi*i*tau), as j = (1 + 256h)^3 / h.  Both
 Euler products are summed by the pentagonal number theorem, so a truncation
-order N costs O(sqrt N) terms; the tail beyond N is certified below the
-working precision.  The same kernel gives gamma_2 = j^(1/3) = (1 + 256h) /
-h^(1/3), with h^(1/3) = q^(1/3) (E(q^2) / E(q))^8: it is about |q|^(-1/3) in
-size, so it runs at a third of the extra bits j needs, and its class
-polynomial (used when 3 does not divide the discriminant) has a third of
-the digits.
+order N costs O(sqrt N) terms, from one table of the powers q^g at the
+generalized pentagonal numbers g (_PLAN): each power takes one or two
+products of earlier ones, and each term of E(q^2) is the square of one of
+E(q).  The tail beyond N is certified below the working precision.  The same
+kernel gives gamma_2 = j^(1/3) = (1 + 256h) / h^(1/3), with h^(1/3) = q^(1/3)
+(E(q^2) / E(q))^8: it is about |q|^(-1/3) in size, so it runs at a third of
+the extra bits j needs, and its class polynomial (used when 3 does not
+divide the discriminant) has a third of the digits.
 
 One number format carries every value from j to recognition: `BigComplex`,
 the exact fixed-point value (re + i*im) * 2^-bits on Python integers, with a
@@ -44,8 +46,9 @@ from .errors import InputError, K3ModuliError, NotNearInteger, NotPositiveDefini
 MAX_DIGITS = 3000
 LOG2_10 = log(10, 2)
 LN2 = log(2)
-# rounding of O(N) fixed-point products and the constants of the error
-# propagation through E(q^2)/E(q), its 24th power and (1 + 256h)^3 / h
+# rounding of the fixed-point products (under 2^17 units over both Euler
+# products, see _eta_quotient) and the constants of the error propagation
+# through E(q^2)/E(q), its 24th power and (1 + 256h)^3 / h
 _GUARD_BITS = 64
 # extra bits per unit of s = |q| / (1 - |q|)^2: |log E(q)| and |log(E(q^2)/E(q))|
 # are at most s, and the error bound grows like exp(145 s)
@@ -98,22 +101,6 @@ def _div(x, y, bits):
     return ((xr * yr + xi * yi) << bits) // den, ((xi * yr - xr * yi) << bits) // den
 
 
-def _euler(q, order: int, bits: int):
-    """prod(1 - q^n) = 1 + sum_k (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2)) in fixed
-    point, up to at least the power q^order."""
-    q2 = _sqr(q, bits)
-    power, q_k, q_step = q, q, _mul(q2, q, bits)  # q^(k(3k-1)/2), q^k, q^(2k+1)
-    re, im, sign, k, g = 1 << bits, 0, -1, 1, 1
-    while g <= order:
-        upper = _mul(power, q_k, bits)  # q^(k(3k+1)/2)
-        re += sign * (power[0] + upper[0])
-        im += sign * (power[1] + upper[1])
-        power = _mul(upper, q_step, bits)
-        q_k, q_step = _mul(q_k, q, bits), _mul(q_step, q2, bits)
-        sign, g, k = -sign, g + 3 * k + 1, k + 1
-    return re, im
-
-
 def _series_order(log_abs_q: float, bits: int) -> int:
     """Least N with sum_{n > N} |q|^n below 2^-bits: the Euler products stop at q^N."""
     return int((bits * LN2 - log(-expm1(log_abs_q))) / -log_abs_q)
@@ -131,6 +118,79 @@ def _constants_prec(bits: int, magnitude: int) -> int:
 
 def _working_bits(digits: int, magnitude: int, spread: int) -> int:
     return ceil(digits * LOG2_10) + magnitude + _GUARD_BITS + spread
+
+
+def _pentagonal_plan(order: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(g, sign, parts) for each generalized pentagonal number g = k(3k -+ 1)/2
+    <= order, increasing, with sign = (-1)^k, so E(q) = 1 + sum sign q^g.
+
+    parts indexes the earlier rows whose g sum to this one (none for g = 1, q
+    itself): q^g is the square of q^(g/2) when that is in the table, else one
+    product of two earlier powers, else two products (Enge, Hart and
+    Johansson, "Short addition sequences for theta functions", J. Integer
+    Sequences 21, 2018).
+    """
+    at: dict[int, int] = {}
+    rows = []
+    k = 1
+    while k * (3 * k - 1) // 2 <= order:
+        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if g > order:
+                break
+            if g == 1:
+                parts: tuple[int, ...] = ()
+            elif g % 2 == 0 and g // 2 in at:
+                parts = (at[g // 2],) * 2
+            else:
+                pairs = ((at[g - x], i) for x, i in at.items() if g - x in at)
+                triples = (
+                    (at[g - x - y], j, i)
+                    for x, i in at.items()
+                    for y, j in at.items()
+                    if g - x - y in at
+                )
+                parts = next(pairs, ()) or next(triples)
+            at[g] = len(rows)
+            rows.append((g, -1 if k % 2 else 1, parts))
+        k += 1
+    return tuple(rows)
+
+
+# the largest series order any evaluation reaches: at MAX_DIGITS and at the
+# largest |q| of a reduced point, exp(-pi*sqrt 3) (D = -3, a = 1, where the
+# spread term is 1); one plan serves every order up to it
+_MAX_ORDER = _series_order(-pi * sqrt(3), _working_bits(MAX_DIGITS, _magnitude(-3, 1), 1))
+_PLAN = _pentagonal_plan(_MAX_ORDER)
+
+
+def _euler_pair(q, order: int, bits: int):
+    """E(q) = prod(1 - q^n) up to at least the power q^order, and E(q^2) up to
+    at least q^(2 (order // 2)), in fixed point from one table of powers: the
+    rows of _PLAN with g <= order, each term of E(q^2) the square of its q^g.
+    An order beyond the plan raises K3ModuliError."""
+    if order > _MAX_ORDER:
+        raise K3ModuliError(f"series order {order} is beyond the plan's {_MAX_ORDER}")
+    half, one = order // 2, 1 << bits
+    re, im, re2, im2 = one, 0, one, 0
+    powers = []
+    for g, sign, parts in _PLAN:
+        if g > order:
+            break
+        if parts:
+            i, j, *more = parts
+            power = _sqr(powers[i], bits) if i == j else _mul(powers[i], powers[j], bits)
+            for k in more:
+                power = _mul(power, powers[k], bits)
+        else:
+            power = q
+        powers.append(power)
+        re += sign * power[0]
+        im += sign * power[1]
+        if g <= half:
+            square = _sqr(power, bits)
+            re2 += sign * square[0]
+            im2 += sign * square[1]
+    return (re, im), (re2, im2)
 
 
 def _pi_root(disc: int, prec: int) -> tuple[int, int, tuple]:
@@ -182,7 +242,21 @@ def gamma2(point: CMPoint, digits: int, root: tuple | None = None) -> BigComplex
 
 def _eta_quotient(point: CMPoint, digits: int, root: tuple | None, n: int) -> BigComplex:
     """j (n = 1) or gamma_2 (n = 3): q^(-1/n) ((1 + 256 q w) / r8)^(3/n), with
-    r8 = (E(q^2)/E(q))^8 and w = r8^3."""
+    r8 = (E(q^2)/E(q))^8 and w = r8^3.
+
+    Error budget of the Euler products, in units of 2^-bits and against the
+    exact series of the rounded q.  A table entry built from entries off by
+    e1 and e2 is off by at most e1 + e2 + 2 (every power is below 1 in
+    modulus, and each part of a product rounds down by under a unit), so by
+    induction from q itself the entry q^g is off by at most 3g - 2, also
+    where it takes two products.  A term of E(q^2), the square of an entry
+    off by e, is off by at most 2e + 2 <= 6g - 2.  The sums add exactly, so
+    at the longest series, order 1278, E(q) and E(q^2) are off by at most
+    sum(3g - 2) + sum(6g - 2) = 76879 + 51580 < 2^17 units over their terms,
+    and the tail beyond the order by under one more.  That leaves 2^47 of
+    the 2^64 guard (_GUARD_BITS) for the constants by which the quotient,
+    its powers and the final products scale it, which are far smaller.
+    """
     if point.a <= 0 or point.disc >= 0:
         raise NotPositiveDefinite("CM point needs a > 0 and disc < 0")
     if digits > MAX_DIGITS:
@@ -211,7 +285,8 @@ def _eta_quotient(point: CMPoint, digits: int, root: tuple | None, n: int) -> Bi
         q_inv = cos_grow, -sin_grow
     if n == 3:
         q = _mul(_sqr(q, bits), q, bits)
-    ratio = _div(_euler(_sqr(q, bits), order // 2, bits), _euler(q, order, bits), bits)
+    euler, euler2 = _euler_pair(q, order, bits)
+    ratio = _div(euler2, euler, bits)
     r8 = _sqr(_sqr(_sqr(ratio, bits), bits), bits)
     w = _mul(_sqr(r8, bits), r8, bits)  # (E(q^2)/E(q))^24 = h/q
     hq = _mul(q, w, bits)

@@ -267,7 +267,11 @@ def test_about_h_compositions(monkeypatch):
 
     monkeypatch.setattr(qforms, "_compose", counting)
     group = class_group.__wrapped__(-40004)
+    coords = group.coords
+    monkeypatch.setattr(qforms, "_compose", kernel)
+    # == compares the classes only: the coordinates are compared on their own
     assert group == expected
+    assert (coords, group.elementary_divisors) == (expected.coords, expected.elementary_divisors)
     # h - 1 products extend the subgroup, sum(e_k - 1) find the relative orders
     assert group.h == 160 and group.h - 1 <= calls <= 2 * group.h
 
@@ -303,6 +307,23 @@ def test_genus_check_raises_on_disagreement(monkeypatch):
             class_group.__wrapped__(d)
         with pytest.raises(K3ModuliError, match="genus check"):
             classgroup.class_number_and_genera(d)
+
+
+def test_smith_form_missing_an_even_factor_fails_on_first_read(monkeypatch):
+    smith = classgroup._smith_diagonal
+
+    def dropping(matrix):  # the first even invariant factor becomes 1
+        diagonal, transform = smith(matrix)
+        k = next(k for k, n in enumerate(diagonal) if n % 2 == 0)
+        return diagonal[:k] + [1] + diagonal[k + 1 :], transform
+
+    monkeypatch.setattr(classgroup, "_smith_diagonal", dropping)
+    for d in (-84, -4620, -40004):
+        group = class_group.__wrapped__(d)  # the classes alone pass the genus count
+        for read in ("coords", "elementary_divisors"):
+            with pytest.raises(K3ModuliError, match="genus check"):
+                getattr(group, read)
+        assert "coords" not in vars(group) and "elementary_divisors" not in vars(group)
 
 
 def test_class_number_and_genera_match_the_group():

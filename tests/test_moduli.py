@@ -2,13 +2,14 @@ import hashlib
 import subprocess
 import sys
 from collections import Counter
+from functools import lru_cache
 from math import log10
 from pathlib import Path
 
 import pytest
 from mpmath.ctx_mp import MPContext
 
-from k3moduli import classgroup, moduli
+from k3moduli import classgroup, moduli, qforms
 from k3moduli.k3 import from_gram, lattice_from_class, scale
 from k3moduli.moduli import class_polynomial, field_of_Q_moduli, moduli_report, mq_is_galois
 from k3moduli.errors import K3ModuliError, NotNearInteger, PrecisionExhausted
@@ -600,6 +601,18 @@ def test_every_rung_passes_the_power_sum_check(monkeypatch, d):
         assert polys.class_poly == class_polynomial(d) and len(polys.mq) == len(cosets) + 1
         fallback = () if rung[0] == "trace" else (f"resolvent fallback used: {rung[0]}",)
         assert polys.warnings == fallback, (d, rung)
+
+
+def test_class_polynomial_composes_no_forms(monkeypatch):
+    # the class polynomial reads the classes of C(D), never their coordinates
+    fresh = lru_cache(maxsize=32)(classgroup.class_group.__wrapped__)
+    monkeypatch.setattr(classgroup, "class_group", fresh)
+    kernel, calls = qforms._compose, []
+    monkeypatch.setattr(qforms, "_compose", lambda *args: calls.append(args) or kernel(*args))
+    coeffs, _ = moduli.class_polynomial_with_precision(-3299)
+    assert len(coeffs) == 28 and calls == []
+    assert fresh.cache_info().currsize == 1
+    assert fresh(-3299).elementary_divisors == (3, 9) and calls
 
 
 def test_mq_galois_exactly_when_invariant_factors_divide_4():

@@ -1,6 +1,7 @@
+import random
 import sys
 import threading
-from math import ceil, exp, log, pi, sqrt
+from math import ceil, cos, exp, ldexp, log, pi, sin, sqrt
 
 import pytest
 from mpmath.ctx_mp import MPContext
@@ -11,6 +12,8 @@ from k3moduli.errors import InputError, K3ModuliError, NotNearInteger, NotPositi
 from k3moduli.numerics import (
     BigComplex,
     CMPoint,
+    _mul,
+    _sqr,
     j_invariant,
     poly_from_roots,
     recognize_integer,
@@ -254,6 +257,85 @@ def test_series_order_bounded_at_the_ceiling():
     # where the spread term is 1): MAX_DIGITS bounds every series
     bits = numerics._working_bits(numerics.MAX_DIGITS, numerics._magnitude(-3, 1), 1)
     assert numerics._series_order(-pi * sqrt(3), bits) < 1300
+
+
+def _euler(q, order: int, bits: int):
+    """Oracle: prod(1 - q^n) = 1 + sum_k (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2))
+    in fixed point, truncated after the power q^order, each power on its own
+    chain of products (q^k and q^(2k+1) carried along k)."""
+    q2 = _sqr(q, bits)
+    power, q_k, q_step = q, q, _mul(q2, q, bits)  # q^(k(3k-1)/2), q^k, q^(2k+1)
+    re, im, sign, k, g = 1 << bits, 0, -1, 1, 1
+    while g <= order:
+        upper = _mul(power, q_k, bits)  # q^(k(3k+1)/2)
+        re += sign * (power[0] + (upper[0] if g + k <= order else 0))
+        im += sign * (power[1] + (upper[1] if g + k <= order else 0))
+        power = _mul(upper, q_step, bits)
+        q_k, q_step = _mul(q_k, q, bits), _mul(q_step, q2, bits)
+        sign, g, k = -sign, g + 3 * k + 1, k + 1
+    return re, im
+
+
+def _pentagonal(order: int) -> list[int]:
+    """The generalized pentagonal numbers k(3k -+ 1)/2 <= order, k >= 1, increasing."""
+    found = (g for k in range(1, order + 1) for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2))
+    return sorted(g for g in found if g <= order)
+
+
+def _real_products(order: int) -> int:
+    """Real multiplications of one _euler_pair at order: 3 per _mul, 2 per _sqr."""
+    count = 0
+    for g, _, parts in numerics._PLAN:
+        if g > order:
+            break
+        if parts:  # q^g: a square or a product, and maybe a second product
+            count += (2 if parts[0] == parts[1] else 3) + 3 * (len(parts) == 3)
+        count += 2 * (g <= order // 2)  # its square, the term of E(q^2)
+    return count
+
+
+def test_plan_covers_every_pentagonal_exponent_up_to_the_ceiling():
+    assert numerics._MAX_ORDER == 1278  # test_series_order_bounded_at_the_ceiling
+    plan = numerics._PLAN
+    assert [g for g, _, _ in plan] == _pentagonal(1278)
+    assert plan[0] == (1, -1, ())
+    for row, (g, sign, parts) in enumerate(plan[1:], 1):
+        k = next(k for k in range(1, 30) if g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2))
+        assert sign == (-1) ** k, g
+        # one product of two earlier powers, or two products
+        assert len(parts) in (2, 3) and all(0 <= i < row for i in parts), g
+        assert sum(plan[i][0] for i in parts) == g, g
+    assert sum(len(parts) == 3 for _, _, parts in plan) == 20
+    assert (_real_products(1278), _real_products(20)) == (306, 27)
+    with pytest.raises(K3ModuliError, match="beyond the plan"):
+        numerics._euler_pair((1, 0), numerics._MAX_ORDER + 1, 64)
+
+
+def test_table_matches_the_chained_oracle_within_its_bound():
+    # |q| from exp(-pi*sqrt 3), the largest at a reduced point, down to 2^-200;
+    # 64 bits below |q|^order, so a wrong power anywhere is far outside the bound
+    rng = random.Random(5)
+    orders = [1, 2, 5, 20, 200, 1278] + rng.sample(range(3, 1278), 6)
+    for order in orders:
+        pentagonal = _pentagonal(order)
+        bound = sum(3 * g - 2 for g in pentagonal)
+        bound2 = sum(6 * g - 2 for g in pentagonal if g <= order // 2)
+        for shape in ("complex", "real", "imaginary"):
+            ln_q = -rng.uniform(pi * sqrt(3), min(200 * log(2), 12000 * log(2) / order))
+            bits = ceil(-ln_q * order / log(2)) + 64
+            m, t = ldexp(exp(ln_q), 60), rng.uniform(0, 2 * pi)  # |q| 2^60, an angle
+            unit = {"complex": (cos(t), sin(t)), "real": (1 if t < pi else -1, 0), "imaginary": (0, 1)}[shape]
+            q = tuple(int(m * u) << bits - 60 for u in unit)
+            euler, euler2 = numerics._euler_pair(q, order, bits)
+            fine = tuple(x << 64 for x in q)
+            oracles = (
+                _euler(fine, order, bits + 64),
+                _euler(_sqr(fine, bits + 64), order // 2, bits + 64),
+            )
+            for got, oracle, allowed in zip((euler, euler2), oracles, (bound, bound2)):
+                # the oracle 64 bits finer is off by under a unit here, and its shift by one more
+                off = max(abs(x - (y >> 64)) for x, y in zip(got, oracle))
+                assert off <= allowed + 2, (order, shape)
 
 
 def test_j_refuses_digits_above_the_ceiling():
