@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 
-from . import qforms
+from . import orders, qforms
 from .errors import ClassNotInGroup, DiscriminantTooLarge, K3ModuliError
 from .qforms import FormClass, QuadForm, check_discriminant
 
@@ -152,17 +152,7 @@ def _is_ambiguous(q: QuadForm) -> bool:
 
 def _genus_count(d: int) -> int:
     """Number of genera 2^(mu - 1) of primitive forms of discriminant d (Cox, Thm 3.15)."""
-    odd = -d
-    while odd % 2 == 0:
-        odd //= 2
-    mu, p = 0, 3
-    while p * p <= odd:
-        if odd % p == 0:
-            mu += 1
-            while odd % p == 0:
-                odd //= p
-        p += 2
-    mu += odd > 1
+    mu = sum(p > 2 for p, _ in orders.factorization(-d))
     if d % 4 == 0:
         n = -d // 4
         if n % 4 in (1, 2) or n % 8 == 4:

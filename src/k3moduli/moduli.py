@@ -37,8 +37,8 @@ from it exactly by the norm identity H_D(y) = A^3 + y B^3 + y^2 C^3 - 3y ABC
 for W(x) = A(x^3) + x B(x^3) + x^2 C(x^3).  So H_D(0) = W(0)^3 is a cube by
 construction, and the prime bound is checked on W(0), which has the same
 primes.  The coset invariants take j = gamma_2^3 from a certified cube (see
-_cube), so moduli_report never needs j to H_D's full height either: it runs
-at W's floor, or at the field polynomial's where that is higher.  Both
+numerics.cube), so moduli_report never needs j to H_D's full height either:
+it runs at W's floor, or at the field polynomial's where that is higher.  Both
 polynomials depend on disc0 alone, so they are computed once per disc0 and
 shared by every lattice of that primitive discriminant.
 
@@ -58,8 +58,8 @@ from .classgroup import ClassGroup
 from .errors import InputError, K3ModuliError, NotNearInteger, PrecisionExhausted
 from .errors import ResolventDegenerate
 from .k3 import TranscLattice
-from .numerics import MAX_DIGITS, BigComplex, CMPoint, _mul, conjugate, gamma2, j_invariant
-from .numerics import pi_root, poly_from_roots, recognize_integer
+from .numerics import MAX_DIGITS, BigComplex, CMPoint, apart, conjugate, cube, gamma2
+from .numerics import j_invariant, part_sums, poly_from_roots, recognize_integer
 
 # digits beyond the height estimate: at the floor, the error bound of every
 # class and field polynomial with |D| <= 3000 is then at least 10^7 times
@@ -144,20 +144,17 @@ def mq_is_galois(lattice: TranscLattice) -> bool:
 # polynomial constructions
 
 
-def _at_classes(group: ClassGroup, digits: int, evaluate) -> list[BigComplex]:
-    """evaluate(rep, root) at every class with b >= 0; (a, -b, c) takes the
-    exact conjugate of the value at (a, b, c)."""
+def _at_classes(group: ClassGroup, evaluate) -> list[BigComplex]:
+    """evaluate(rep) at every class with b >= 0; (a, -b, c) takes the exact
+    conjugate of the value at (a, b, c)."""
     reps = [cls.rep for cls in group.classes]
-    root = pi_root(group.disc, digits)
-    upper = {(r.a, r.b): evaluate(r, root) for r in reps if r.b >= 0}
+    upper = {(r.a, r.b): evaluate(r) for r in reps if r.b >= 0}
     return [upper[r.a, r.b] if r.b >= 0 else conjugate(upper[r.a, -r.b]) for r in reps]
 
 
 def _j_values(group: ClassGroup, digits: int) -> list[BigComplex]:
     """j at every class, conjugate classes exactly conjugate."""
-    return _at_classes(
-        group, digits, lambda r, root: j_invariant(CMPoint(r.a, r.b, group.disc), digits, root)
-    )
+    return _at_classes(group, lambda r: j_invariant(CMPoint(r.a, r.b, group.disc), digits))
 
 
 def _gamma2_point(a: int, b: int, c: int, disc: int) -> CMPoint:
@@ -189,36 +186,12 @@ def _gamma2_values(group: ClassGroup, digits: int) -> list[BigComplex]:
     """gamma_2 at every class, at the forms of _gamma2_point; conjugate classes
     take mirrored forms, (A, -B, C) for (A, B, C), so their values are exactly
     conjugate."""
-    return _at_classes(
-        group,
-        digits,
-        lambda r, root: gamma2(_gamma2_point(r.a, r.b, r.c, group.disc), digits, root),
-    )
+    return _at_classes(group, lambda r: gamma2(_gamma2_point(r.a, r.b, r.c, group.disc), digits))
 
 
 def _class_values(group: ClassGroup, digits: int) -> list[BigComplex]:
     """The roots of W, gamma_2 at every class, when 3 does not divide D; else j."""
     return (_gamma2_values if group.disc % 3 else _j_values)(group, digits)
-
-
-def _power(re: int, im: int, err: int, power: int) -> tuple[int, int, int]:
-    """z^power for z = re + i*im, exactly, at power times z's scale, and its
-    error bound |(z + d)^p - z^p| <= (|z| + err)^p - |z|^p, |z| <= |re| + |im|."""
-    z = base = re, im
-    for _ in range(power - 1):
-        z = _mul(z, base, 0)
-    size = abs(re) + abs(im)
-    return z[0], z[1], (size + err) ** power - size**power
-
-
-def _cube(z: BigComplex) -> BigComplex:
-    """z^3 at z's bits: the exact cube (see _power), each part rounded toward
-    zero, so conjugates have exactly conjugate cubes and a real z a real one.
-    The bound, rounded up, gains under sqrt 2 units from the rounding."""
-    *parts, err = _power(z.re, z.im, z.err, 3)
-    by = 2 * z.bits
-    re, im = (v >> by if v >= 0 else -(-v >> by) for v in parts)
-    return BigComplex(re, im, z.bits, (err >> by) + 3)
 
 
 def _torsion_cosets(group: ClassGroup) -> tuple[tuple[int, ...], ...]:
@@ -236,30 +209,15 @@ _RESOLVENT_LADDER = (("trace", 1, 0), ("square sum", 2, 0), ("cube sum", 3, 0)) 
 def _separated_roots(js: list[BigComplex], cosets) -> tuple[list[BigComplex], tuple[str, int, int]]:
     """Coset invariants certified distinct, and the ladder rung they are from.
 
-    Starts from plain traces; while two invariants x, y are not farther
-    apart than their error bounds (|x - y| <= ex + ey), walks the resolvent
-    ladder.  A rung is taken only when every pair is apart by more than its
-    bounds: the true values then differ, so the product over the cosets is
-    the minimal polynomial.  Exact integer powers (see _power) and sums: a
-    conjugate coset gives the exact conjugate, a self-conjugate one an exactly
-    real value; the error bounds of a coset's powers are summed.
+    Walks the resolvent ladder from plain traces until every two invariants
+    are apart (see numerics.apart): the true values then differ, so the
+    product over the cosets is the minimal polynomial.  The sums are exact
+    (see numerics.part_sums): conjugate cosets give exactly conjugate values.
     """
-    bits = max(j.bits for j in js)
-    values = [(j.re << bits - j.bits, j.im << bits - j.bits, j.err << bits - j.bits) for j in js]
     for rung in _RESOLVENT_LADDER:
-        _, power, shift = rung
-        resolved = [_power(re + (shift << bits), im, err, power) for re, im, err in values]
-        roots = [
-            tuple(sum(resolved[i][part] for i in coset) for part in range(3)) for coset in cosets
-        ]
-        # every part at scale 2^-(power * bits)
-        separated = all(
-            (xr - yr) ** 2 + (xi - yi) ** 2 > (ex + ey) ** 2
-            for i, (xr, xi, ex) in enumerate(roots)
-            for yr, yi, ey in roots[i + 1 :]
-        )
-        if separated:
-            return [BigComplex(re, im, power * bits, err) for re, im, err in roots], rung
+        roots = part_sums(js, cosets, *rung[1:])  # (power, shift)
+        if apart(roots):
+            return roots, rung
     raise ResolventDegenerate("all resolvents collide across the 2-torsion cosets")
 
 
@@ -397,7 +355,7 @@ def _attempt_polynomials(group: ClassGroup, cosets, digits: int) -> _Polynomials
     class_poly = _class_poly_from(group, values)
     if len(cosets) == group.h:  # C[2] trivial (h odd): each coset is one class
         return _Polynomials(class_poly, class_poly, ())
-    js = [_cube(v) for v in values] if group.disc % 3 else values
+    js = [cube(v) for v in values] if group.disc % 3 else values
     roots, rung = _separated_roots(js, cosets)
     mq = _check_power_sum(class_poly, _recognize_int_poly(poly_from_roots(roots)), rung)
     warnings = () if rung[0] == "trace" else (f"resolvent fallback used: {rung[0]}",)

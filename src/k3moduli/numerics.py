@@ -15,14 +15,14 @@ divide the discriminant) has a third of the digits.
 One number format carries every value from j to recognition: `BigComplex`,
 the exact fixed-point value (re + i*im) * 2^-bits on Python integers, with a
 rigorous bound `err` on its distance to the true value, in the same units.
-That bound is the only statement of a value's accuracy.  `j_invariant`
-states the error budget it certifies, `poly_from_roots` takes its working
-bits from the bounds of its roots and propagates them through the product,
-and `recognize_integer` returns an integer only when the bound proves it is
-the true value.  Only the constants of q (pi*sqrt|disc|, exp of it over a, and
-cos/sin of pi*b/a; over 3a for gamma_2) come from mpmath, through its
-context-free `libmp` functions; there is no mpmath context and no state
-shared between calls or threads.  One constant, MAX_DIGITS, bounds the
+That bound is the only statement of a value's accuracy, and only this module
+computes on the format (`cube`, `part_sums` and `apart` serve the field
+polynomial's roots); `recognize_integer` returns an integer only when the
+bound proves it.  mpmath's context-free `libmp` functions give the constants
+of q (pi*sqrt|disc|, exp of it over a, cos/sin of pi*b/a; over 3a for
+gamma_2) in two blocks, `_pi_root` and the head of `_eta_quotient`, and no
+mpmath value enters or leaves a function.  `_pi_root`'s bounded memo is the
+one state shared between calls.  One constant, MAX_DIGITS, bounds the
 precision of every evaluation, and with it the length of the series.
 """
 
@@ -30,9 +30,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache, reduce
+from itertools import combinations
 from math import ceil, exp, expm1, log, pi, sqrt
 
-from mpmath.libmp import dps_to_prec, fone, from_int, mpf_cos_sin_pi, mpf_div, mpf_exp, mpf_mul
+from mpmath.libmp import from_int, from_man_exp, mpf_cos_sin_pi, mpf_div, mpf_exp, mpf_mul
 from mpmath.libmp import mpf_pi, mpf_sqrt, round_nearest, to_fixed
 
 from .errors import InputError, K3ModuliError, NotNearInteger, NotPositiveDefinite
@@ -112,8 +114,8 @@ def _magnitude(disc: int, a: int) -> int:
 
 
 def _constants_prec(bits: int, magnitude: int) -> int:
-    """Binary precision of the constants of q: enough for q and q^-1 at scale 2^-bits."""
-    return dps_to_prec(ceil((bits + magnitude) / LOG2_10) + 10)
+    """Binary precision of the constants of q (see _eta_quotient)."""
+    return bits + magnitude + 40
 
 
 def _working_bits(digits: int, magnitude: int, spread: int) -> int:
@@ -193,38 +195,33 @@ def _euler_pair(q, order: int, bits: int):
     return (re, im), (re2, im2)
 
 
-def _pi_root(disc: int, prec: int) -> tuple[int, int, tuple]:
+# small, as one attempt reads one entry: its points share disc, digits and
+# so the root's precision (see _eta_quotient)
+@lru_cache(maxsize=4)
+def _pi_root(disc: int, prec: int) -> int:
+    """pi*sqrt|disc| rounded to nearest at binary precision prec, exactly, in
+    fixed point at scale 2^-prec (it is above 1, so no bit is lost)."""
     near = round_nearest
     root = mpf_mul(mpf_pi(prec, near), mpf_sqrt(from_int(-disc), prec, near), prec, near)
-    return disc, prec, root
+    return to_fixed(root, prec)
 
 
-def pi_root(disc: int, digits: int) -> tuple[int, int, tuple]:
-    """(disc, prec, pi*sqrt|disc|), rounded to nearest at a binary precision
-    prec that j_invariant needs at digits for every reduced CM point of disc
-    (the most at a = 1, where |q| is smallest and the spread term is 1)."""
-    magnitude = _magnitude(disc, 1)
-    return _pi_root(disc, _constants_prec(_working_bits(digits, magnitude, 1), magnitude))
-
-
-def j_invariant(point: CMPoint, digits: int, root: tuple | None = None) -> BigComplex:
+def j_invariant(point: CMPoint, digits: int) -> BigComplex:
     """j((-b + sqrt(disc)) / (2a)) to an absolute accuracy of about 10^-digits.
 
     The result carries its certified error bound: 2^-(bits - magnitude -
     guard - spread), the series tail and the rounding of the O(N)
     fixed-point products under the guard-bit budget, plus the rounding of the
-    constants of q (see _eta_quotient).  root, from pi_root(disc, digits),
-    shares pi*sqrt|disc| between the points of one discriminant; without it
-    (or when it is for another disc or too coarse) it is computed here.
+    constants of q (see _eta_quotient).
 
     j(a, -b) is the exact complex conjugate of j(a, b); j is exactly real
     when a | b or |tau| = 1.  digits above MAX_DIGITS are refused with
     InputError before any work.
     """
-    return _eta_quotient(point, digits, root, 1)
+    return _eta_quotient(point, digits, 1)
 
 
-def gamma2(point: CMPoint, digits: int, root: tuple | None = None) -> BigComplex:
+def gamma2(point: CMPoint, digits: int) -> BigComplex:
     """gamma_2((-b + sqrt(disc)) / (2a)) = (1 + 256 r^3) / r to an absolute
     accuracy of about 10^-digits, with r = (eta(2 tau) / eta(tau))^8 =
     q^(1/3) (E(q^2)/E(q))^8 and q^(1/3) = exp(2 pi i tau / 3).
@@ -234,13 +231,13 @@ def gamma2(point: CMPoint, digits: int, root: tuple | None = None) -> BigComplex
     gamma_2(tau).  It is about |q|^(-1/3) in size, so it needs a third of the
     bits of |q|^-1 that j needs on top of the digits.  Same kernel, error
     bound, conjugate symmetry (gamma_2(a, -b) is the exact conjugate of
-    gamma_2(a, b)), exactly real values at |tau| = 1 and at 3a | b, root and
+    gamma_2(a, b)), exactly real values at |tau| = 1 and at 3a | b, and
     ceiling as j_invariant.
     """
-    return _eta_quotient(point, digits, root, 3)
+    return _eta_quotient(point, digits, 3)
 
 
-def _eta_quotient(point: CMPoint, digits: int, root: tuple | None, n: int) -> BigComplex:
+def _eta_quotient(point: CMPoint, digits: int, n: int) -> BigComplex:
     """j (n = 1) or gamma_2 (n = 3): q^(-1/n) ((1 + 256 q w) / r8)^(3/n), with
     r8 = (E(q^2)/E(q))^8 and w = r8^3.
 
@@ -269,20 +266,17 @@ def _eta_quotient(point: CMPoint, digits: int, root: tuple | None, n: int) -> Bi
     spread = ceil(_SPREAD_BITS * exp(log_abs_q) / expm1(log_abs_q) ** 2)
     bits = _working_bits(digits, magnitude, spread)
     order = _series_order(log_abs_q, bits)
-    # the constants of q^(1/n), each step rounded to nearest at the same precision
-    prec, near = _constants_prec(bits, magnitude), round_nearest
-    if root is None or root[0] != disc or root[1] < prec:
-        root = _pi_root(disc, prec)
-    grow = mpf_exp(mpf_div(root[2], from_int(n * a), prec, near), prec, near)  # |q|^(-1/n)
-    if b % (n * a) == 0:  # q^(1/n) / |q|^(1/n) = exp(-i*pi*b/(na)) = +-1 exactly
-        sign = -1 if b // (n * a) % 2 else 1
-        q = sign * to_fixed(mpf_div(fone, grow, prec, near), bits), 0
-        q_inv = sign * to_fixed(grow, bits), 0
-    else:
-        turn = mpf_cos_sin_pi(mpf_div(from_int(-b), from_int(n * a), prec, near), prec, near)
-        q = tuple(to_fixed(mpf_div(t, grow, prec, near), bits) for t in turn)
-        cos_grow, sin_grow = (to_fixed(mpf_mul(t, grow, prec, near), bits) for t in turn)
-        q_inv = cos_grow, -sin_grow
+    # the constants of q^(1/n), each step rounded to nearest.  The root at the
+    # precision of a = 1 serves every reduced point (magnitude is largest
+    # there, the spread 1); at an integer b/(na) q^(1/n) is exactly real
+    prec, near, top = _constants_prec(bits, magnitude), round_nearest, _magnitude(disc, 1)
+    root_prec = max(prec, _constants_prec(_working_bits(digits, top, 1), top))
+    root = from_man_exp(_pi_root(disc, root_prec), -root_prec)
+    grow = mpf_exp(mpf_div(root, from_int(n * a), prec, near), prec, near)  # |q|^(-1/n)
+    turn = mpf_cos_sin_pi(mpf_div(from_int(-b), from_int(n * a), prec, near), prec, near)
+    q = tuple(to_fixed(mpf_div(t, grow, prec, near), bits) for t in turn)
+    cos_grow, sin_grow = (to_fixed(mpf_mul(t, grow, prec, near), bits) for t in turn)
+    q_inv = cos_grow, -sin_grow
     if n == 3:
         q = _mul(_sqr(q, bits), q, bits)
     euler, euler2 = _euler_pair(q, order, bits)
@@ -297,13 +291,15 @@ def _eta_quotient(point: CMPoint, digits: int, root: tuple | None, n: int) -> Bi
         re, im = _div(_mul(_mul(_sqr(t, bits), t, bits), q_inv, bits), w, bits)
     if b * b - disc == 4 * a * a:
         im = 0
-    # q^(1/n) and q^(-1/n) are within 2 units of 2^-bits in each part (the
-    # rounding to nearest at prec > bits + magnitude + 30 bits, then
-    # to_fixed), and q = (q^(1/3))^3 within 4 units.  At a reduced point,
-    # |q| <= exp(-pi*sqrt 3), |t^3 / w| < 2^4, |t / r8| < 2^2, and at fixed
-    # q^(-1/n) the result moves by less than 2^(magnitude + 13) |dq|, so
-    # together they move it by less than 2^(magnitude + 16); 2^spread covers
-    # the growth of both with |q| elsewhere
+    # q^(1/n) and q^(-1/n) are within 2 units of 2^-bits in each part: at
+    # prec = bits + magnitude + 40, pi*sqrt|disc|/(na) (about magnitude ln 2)
+    # and its exp are off by a few units of their last bits, which moves
+    # q^(-1/n), about 2^magnitude, by about magnitude 2^-40 units, and
+    # to_fixed rounds down by under one; q = (q^(1/3))^3 is within 4 units.
+    # At a reduced point, |q| <= exp(-pi*sqrt 3), |t^3 / w| < 2^4, |t / r8| <
+    # 2^2, and at fixed q^(-1/n) the result moves by less than 2^(magnitude +
+    # 13) |dq|, so together they move it by less than 2^(magnitude + 16);
+    # 2^spread covers the growth of both with |q| elsewhere
     err = (1 << magnitude + _GUARD_BITS + spread) + (1 << magnitude + 16 + spread)
     return BigComplex(re, -im if point.b < 0 else im, bits, err)
 
@@ -322,12 +318,54 @@ def recognize_integer(z: BigComplex) -> int:
     return nearest
 
 
-def _rescale(v: int, err: int, by: int) -> tuple[int, int]:
-    """v * 2^by rounded down, and err * 2^by rounded up plus the rounding of
-    both parts of a complex value (under sqrt 2 units)."""
+def _rescale(z: BigComplex, bits: int) -> BigComplex:
+    """z at scale 2^-bits: exact when bits >= z.bits, else each part rounded
+    toward zero, so conjugates stay exactly conjugate, and the bound rounded
+    up plus under sqrt 2 units for the rounding of both parts."""
+    by = bits - z.bits
     if by >= 0:
-        return v << by, err << by
-    return v >> -by, (err >> -by) + 3
+        return BigComplex(z.re << by, z.im << by, bits, z.err << by)
+    re = z.re >> -by if z.re >= 0 else -(-z.re >> -by)
+    im = z.im >> -by if z.im >= 0 else -(-z.im >> -by)
+    return BigComplex(re, im, bits, (z.err >> -by) + 3)
+
+
+def _add(x: BigComplex, y: BigComplex) -> BigComplex:
+    """x + y exactly, for x and y at the same bits; the bounds add."""
+    return BigComplex(x.re + y.re, x.im + y.im, x.bits, x.err + y.err)
+
+
+def _power(z: BigComplex, power: int) -> BigComplex:
+    """z^power exactly, at power times z's bits, with the bound
+    |(z + d)^p - z^p| <= (|z| + err)^p - |z|^p, |z| <= |re| + |im|."""
+    x = base = z.re, z.im
+    for _ in range(power - 1):
+        x = _mul(x, base, 0)
+    size = abs(z.re) + abs(z.im)
+    return BigComplex(*x, power * z.bits, (size + z.err) ** power - size**power)
+
+
+def cube(z: BigComplex) -> BigComplex:
+    """z^3 at z's bits, rounded toward zero (see _rescale)."""
+    return _rescale(_power(z, 3), z.bits)
+
+
+def part_sums(values: list[BigComplex], parts, power: int, shift: int) -> list[BigComplex]:
+    """For each part (indices into values), the exact sum over it of (v +
+    shift)^power, at power times the values' most bits, with the sum of
+    their bounds: conjugate parts give exactly conjugate sums."""
+    bits = max(v.bits for v in values)
+    offset = BigComplex(shift << bits, 0, bits)
+    powers = [_power(_add(_rescale(v, bits), offset), power) for v in values]
+    return [reduce(_add, (powers[i] for i in part)) for part in parts]
+
+
+def apart(values: list[BigComplex]) -> bool:
+    """Whether every two values are farther apart than their bounds, |x - y| >
+    ex + ey, so that the true values they stand for are distinct."""
+    bits = max(v.bits for v in values)
+    pairs = combinations([_rescale(v, bits) for v in values], 2)
+    return all((x.re - y.re) ** 2 + (x.im - y.im) ** 2 > (x.err + y.err) ** 2 for x, y in pairs)
 
 
 def poly_from_roots(roots: list[BigComplex]) -> list[BigComplex]:
@@ -349,17 +387,18 @@ def poly_from_roots(roots: list[BigComplex]) -> list[BigComplex]:
     factors = []  # (low coefficients, their error bound)
     waiting = Counter()  # roots still without their conjugate
     for r in roots:
-        zr, e = _rescale(r.re, r.err, bits - r.bits)
+        if r.im and not waiting[r.re, -r.im, r.bits]:  # waits for its conjugate
+            waiting[r.re, r.im, r.bits] += 1
+            continue
+        z = _rescale(r, bits)
+        zr, zi, e = z.re, z.im, z.err
         if not r.im:
             factors.append(([-zr], e))
-        elif waiting[r.re, -r.im, r.bits]:
+        else:
             waiting[r.re, -r.im, r.bits] -= 1
-            zi, _ = _rescale(r.im, 0, bits - r.bits)
             # ||z + d|^2 - |z|^2| <= (2|z| + |d|) |d|, |z| <= |zr| + |zi|
             e2 = ((2 * (abs(zr) + abs(zi)) + e) * e >> bits) + 2
             factors.append(([(zr * zr + zi * zi) >> bits, -2 * zr], max(e2, 2 * e)))
-        else:
-            waiting[r.re, r.im, r.bits] += 1
     if any(waiting.values()):
         raise K3ModuliError("a complex root has no exact conjugate: the product is not real")
     coeffs, err = [1 << bits], 0

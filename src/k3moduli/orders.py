@@ -56,21 +56,29 @@ def is_fundamental(d: int) -> bool:
     return d < 0 and d % 4 in (0, 1) and order_of_disc(d).f == 1
 
 
-def order_of_disc(d: int) -> QuadOrder:
-    """Unique (d_K, f) with d = f^2 * d_K and d_K fundamental."""
-    check_discriminant(d)
-    # squarefree kernel: d = d0 * s^2 with d0 squarefree
-    n, d0, s, p = -d, -1, 1, 2
+def factorization(n: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime power p^e exactly dividing n >= 1, p increasing,
+    by trial division."""
+    found, p = [], 2
     while p * p <= n:
         e = 0
         while n % p == 0:
             n //= p
             e += 1
-        if e % 2:
-            d0 *= p
-        s *= p ** (e // 2)
+        if e:
+            found.append((p, e))
         p += 1 if p == 2 else 2
-    d0 *= n
+    return found + [(n, 1)] * (n > 1)
+
+
+def order_of_disc(d: int) -> QuadOrder:
+    """Unique (d_K, f) with d = f^2 * d_K and d_K fundamental."""
+    check_discriminant(d)
+    # squarefree kernel: d = d0 * s^2 with d0 squarefree
+    d0, s = -1, 1
+    for p, e in factorization(-d):
+        d0 *= p ** (e % 2)
+        s *= p ** (e // 2)
     if d0 % 4 == 1:
         return QuadOrder(d0, s)
     # s is even: d = 0, 1 (mod 4) and d0 = 2, 3 (mod 4), while odd s would

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from mpmath.ctx_mp import MPContext
 
-from k3moduli import classgroup, moduli, qforms
+from k3moduli import classgroup, moduli, numerics, qforms
 from k3moduli.k3 import from_gram, lattice_from_class, scale
 from k3moduli.moduli import class_polynomial, field_of_Q_moduli, moduli_report, mq_is_galois
 from k3moduli.errors import K3ModuliError, NotNearInteger, PrecisionExhausted
@@ -145,8 +145,8 @@ def test_cube_of_gamma2_is_j_within_the_bounds():
             continue
         group = classgroup.class_group(d)
         for z, j in zip(moduli._gamma2_values(group, 60), moduli._j_values(group, 60)):
-            cube = moduli._cube(z)
-            assert cube.bits == z.bits and moduli._cube(conjugate(z)) == conjugate(cube)
+            cube = numerics.cube(z)
+            assert cube.bits == z.bits and numerics.cube(conjugate(z)) == conjugate(cube)
             assert (cube.im == 0) == (z.im == 0), (d, z)
             bits = max(cube.bits, j.bits)
             x, y = (
@@ -284,17 +284,17 @@ def test_class_group_mates_share_field_data():
 
 def test_lattices_of_one_disc0_share_their_polynomials(monkeypatch):
     # the second lattice of D0 = -56, and a rescaling of it, make no attempt
-    # (each attempt calls pi_root once, for j and gamma_2 alike); their
+    # (each attempt calls _class_values once, for j and gamma_2 alike); their
     # reports equal ones computed from an empty cache
     empty_field_cache(monkeypatch)
     calls = []
-    root = moduli.pi_root
+    values = moduli._class_values
 
     def counting(*args):
         calls.append(args)
-        return root(*args)
+        return values(*args)
 
-    monkeypatch.setattr(moduli, "pi_root", counting)
+    monkeypatch.setattr(moduli, "_class_values", counting)
     first = moduli_report(LATTICE_56)
     assert calls
     lattices = (lattice_from_class(1, form_class(1, 0, 14)), scale(LATTICE_56, 3))
@@ -310,21 +310,21 @@ def test_lattices_of_one_disc0_share_their_polynomials(monkeypatch):
 def _recognition_failing(monkeypatch, fails):
     """Make moduli's recognition fail at every precision where fails(digits)
     holds; returns the list it fills with the digits of each attempt, read
-    from moduli.pi_root, which every attempt calls once."""
+    from moduli._class_values, which every attempt calls once."""
     attempts = []
-    certify, root = moduli.recognize_integer, moduli.pi_root
+    certify, values = moduli.recognize_integer, moduli._class_values
     empty_field_cache(monkeypatch)  # a cached report would skip recognition
 
-    def pi_root(disc, digits):
+    def class_values(group, digits):
         attempts.append(digits)
-        return root(disc, digits)
+        return values(group, digits)
 
     def recognize(z):
         if fails(attempts[-1]):
             raise NotNearInteger("forced")
         return certify(z)
 
-    monkeypatch.setattr(moduli, "pi_root", pi_root)
+    monkeypatch.setattr(moduli, "_class_values", class_values)
     monkeypatch.setattr(moduli, "recognize_integer", recognize)
     return attempts
 

@@ -154,6 +154,42 @@ def _gamma2_by_eta(ctx, d, a, b):
     return (1 + 256 * r**3) / r
 
 
+def test_both_kernels_match_mpmath_at_random_points():
+    # an oracle independent of the kernel: j = 1728 kleinj(tau), and gamma_2
+    # from mpmath's eta, at twice the working bits, must lie within the
+    # certified bound.  q^(1/n) = exp(-i pi b/(na)) |q|^(1/n) is real at b/(na)
+    # even and odd, purely imaginary at b/(na) = +-1/2 or 3/2, and |tau| = 1
+    # at b^2 - disc = 4a^2; the value is exactly real at real q and |tau| = 1
+    rng = random.Random(23)
+    ctx = MPContext()
+    for n, evaluate in ((1, j_invariant), (3, numerics.gamma2)):
+        for shape in ("even", "odd", "imaginary", "unit", "random"):
+            for _ in range(3):
+                # na/2 is an integer for even a; |disc| >= 3a^2 keeps the
+                # point's |q| within the reduced ones' range
+                a = rng.randrange(2, 13, 2) if shape == "imaginary" else rng.randrange(1, 13)
+                disc = -rng.randrange(3 * a * a, 3 * a * a + 20000)
+                b = {
+                    "even": 2 * n * a * rng.randrange(-1, 2),
+                    "odd": n * a * rng.choice((-1, 1)),
+                    "imaginary": n * a // 2 * rng.choice((-1, 1, 3)),
+                    "unit": rng.randrange(a + 1),
+                    "random": rng.randrange(-6 * a, 6 * a),
+                }[shape]
+                if shape == "unit":
+                    disc = b * b - 4 * a * a
+                x = evaluate(CMPoint(a, b, disc), rng.randrange(20, 401))
+                if shape in ("even", "odd", "unit"):
+                    assert x.im == 0, (n, a, b, disc)
+                ctx.prec = 2 * x.bits + 64
+                if n == 1:
+                    truth = 1728 * ctx.kleinj(ctx.mpc(-b, ctx.sqrt(-disc)) / (2 * a))
+                else:
+                    truth = _gamma2_by_eta(ctx, disc, a, b)
+                error = abs(as_mpc(ctx, x) - truth)
+                assert error <= ctx.ldexp(x.err, -x.bits), (n, a, b, disc)
+
+
 def test_trace_of_minus_23_roots_is_integer():
     group = class_group(-23)
     for digits in (60, 120):
@@ -368,8 +404,9 @@ def test_j_expansion_coefficients():
 
 
 def test_threads_at_different_digits_match_serial():
-    # nothing is shared between calls: results must not depend on what the
-    # other threads compute at the same time
+    # the one state shared between calls, the pi memo, is a pure function of
+    # its key: results must not depend on what the other threads compute at
+    # the same time, with 9 keys cycling through its 4 entries
     plan = [(d, digits) for d in (-23, -56, -84) for digits in (30, 90, 270)]
 
     def compute(d, digits):

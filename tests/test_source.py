@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import k3moduli
-from k3moduli import cli, moduli, numerics
+from k3moduli import classgroup, cli, moduli, numerics
+from k3moduli.numerics import CMPoint
 
 SOURCES = sorted(Path(k3moduli.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parents[1]
@@ -144,6 +145,116 @@ def test_one_number_format():
     assert [name for name, mods in imports.items() if "threading" in mods] == []
 
 
+def _numerics_tree() -> tuple[ast.Module, set[str]]:
+    """numerics' syntax tree and the names it imports from mpmath."""
+    path = Path(numerics.__file__)
+    tree = ast.parse(path.read_text(), str(path))
+    names = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "mpmath"
+        for alias in node.names
+    }
+    return tree, names
+
+
+def test_numerics_owns_the_number_format():
+    # no other module imports numerics' private names or reads the parts of
+    # a BigComplex; in numerics, mpmath is confined to the two blocks a port
+    # of the constants of q would replace
+    for path in SOURCES:
+        if path.name == "numerics.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        private = [
+            f"{path.name}:{node.lineno} {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("numerics")
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        private += [
+            f"{path.name}:{node.lineno} numerics.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "numerics"
+        ]
+        assert private == []
+    moduli_tree = ast.parse(Path(moduli.__file__).read_text(), moduli.__file__)
+    parts = {"re", "im", "bits", "err"}
+    reads = [
+        f"moduli.py:{node.lineno} .{node.attr}"
+        for node in ast.walk(moduli_tree)
+        if isinstance(node, ast.Attribute) and node.attr in parts
+    ]
+    assert reads == []
+    tree, names = _numerics_tree()
+    assert {"mpf_exp", "to_fixed"} <= names
+    owners = {}
+    for top in tree.body:
+        if isinstance(top, ast.ImportFrom):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id in names:
+                owners.setdefault(getattr(top, "name", f"line {top.lineno}"), set()).add(node.id)
+    assert sorted(owners) == ["_eta_quotient", "_pi_root"]
+
+
+def _holds(value, found: set[int]) -> bool:
+    """Whether value is one of the objects whose ids are in found, or nests
+    one in a tuple or list."""
+    if id(value) in found:
+        return True
+    return isinstance(value, (tuple, list)) and any(_holds(v, found) for v in value)
+
+
+def test_no_mpmath_value_crosses_a_numerics_function(monkeypatch):
+    # every mpmath number numerics makes is recorded (and kept alive, so no
+    # id is reused); none may be an argument or the return value of a
+    # function of numerics, so that none leaves the block that made it
+    made = []
+    tree, names = _numerics_tree()
+    for name in names:
+        fn = getattr(numerics, name)
+        if callable(fn):
+
+            def recording(*args, fn=fn, **kwargs):
+                # an mpf is a tuple, and mpf_cos_sin_pi returns two
+                out = fn(*args, **kwargs)
+                if isinstance(out, tuple):
+                    made.extend(out if isinstance(out[0], tuple) else [out])
+                return out
+
+            monkeypatch.setattr(numerics, name, recording)
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    crossing = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event not in ("call", "return") or code.co_filename != numerics.__file__:
+            return
+        if code.co_name in functions:  # not a comprehension inside one
+            found = {id(x) for x in made}
+            values = [arg] if event == "return" else frame.f_locals.values()
+            if any(_holds(v, found) for v in values):
+                crossing.append((code.co_name, event))
+
+    numerics._pi_root.cache_clear()
+    sys.setprofile(profile)
+    try:
+        for point in (CMPoint(1, 0, -4), CMPoint(2, 1, -23), CMPoint(3, 6, -56)):
+            numerics.j_invariant(point, 40)
+            numerics.gamma2(point, 40)
+        moduli._j_values(classgroup.class_group(-56), 40)
+        moduli._gamma2_values(classgroup.class_group(-71), 40)
+    finally:
+        sys.setprofile(None)
+    assert made
+    assert crossing == []
+
+
 def test_traced_names_resolve():
     # the benchmark tracer replaces these attributes by name; a rename would
     # break only the traced benchmark run, which this suite does not collect
@@ -213,7 +324,7 @@ def test_library_caches_are_bounded():
         count, unbounded = _unbounded_caches(path.read_text(), path.name)
         assert unbounded == []
         uses += count
-    assert uses >= 3  # class_group, the field polynomials, build_parser
+    assert uses >= 4  # class_group, the field polynomials, the pi memo, build_parser
     for memo in ("cache", "lru_cache", "lru_cache(maxsize=None)", "functools.lru_cache(None)"):
         assert _unbounded_caches(f"@{memo}\ndef build_parser(d): pass", "cli.py") == (1, ["cli.py:1"])
     assert _unbounded_caches("@cache\ndef build_parser(): pass", "moduli.py")[1] == ["moduli.py:1"]
