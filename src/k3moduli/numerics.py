@@ -18,24 +18,27 @@ rigorous bound `err` on its distance to the true value, in the same units.
 That bound is the only statement of a value's accuracy, and only this module
 computes on the format (`cube`, `part_sums` and `apart` serve the field
 polynomial's roots); `recognize_integer` returns an integer only when the
-bound proves it.  mpmath's context-free `libmp` functions give the constants
-of q (pi*sqrt|disc|, exp of it over a, cos/sin of pi*b/a; over 3a for
-gamma_2) in two blocks, `_pi_root` and the head of `_eta_quotient`, and no
-mpmath value enters or leaves a function.  `_pi_root`'s bounded memo is the
-one state shared between calls.  One constant, MAX_DIGITS, bounds the
-precision of every evaluation, and with it the length of the series.
+bound proves it.
+
+The constants of q (pi*sqrt|disc|, exp of it over a, cos/sin of pi*b/a; over
+3a for gamma_2) are fixed point on Python integers too, in `_q_powers`:
+sqrt|disc| from math.isqrt, exp and cos/sin by Brent's method (J. ACM 23,
+1976): reduce the argument, halve it, sum concurrent Taylor series, then
+square back.  pi and ln 2 are exact floors, summed by binary splitting of
+Machin-type arctangent series; their process-wide cache, one bounded entry
+each (_CONSTANTS), is the one state shared between calls, and its values do
+not depend on the order of requests.  The package needs nothing beyond the
+standard library.  One constant, MAX_DIGITS, bounds the precision of every
+evaluation, and with it the length of the series and the constants' cache.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import combinations
-from math import ceil, exp, expm1, log, pi, sqrt
-
-from mpmath.libmp import from_int, from_man_exp, mpf_cos_sin_pi, mpf_div, mpf_exp, mpf_mul
-from mpmath.libmp import mpf_pi, mpf_sqrt, round_nearest, to_fixed
+from math import ceil, exp, expm1, isqrt, log, pi, sqrt
 
 from .errors import InputError, K3ModuliError, NotNearInteger, NotPositiveDefinite
 
@@ -111,11 +114,6 @@ def _series_order(log_abs_q: float, bits: int) -> int:
 def _magnitude(disc: int, a: int) -> int:
     """Bits of |q|^-1 = exp(pi*sqrt|disc| / a), rounded up."""
     return int(pi * sqrt(-disc) / a / LN2) + 1
-
-
-def _constants_prec(bits: int, magnitude: int) -> int:
-    """Binary precision of the constants of q (see _eta_quotient)."""
-    return bits + magnitude + 40
 
 
 def _working_bits(digits: int, magnitude: int, spread: int) -> int:
@@ -195,15 +193,160 @@ def _euler_pair(q, order: int, bits: int):
     return (re, im), (re2, im2)
 
 
-# small, as one attempt reads one entry: its points share disc, digits and
-# so the root's precision (see _eta_quotient)
-@lru_cache(maxsize=4)
-def _pi_root(disc: int, prec: int) -> int:
-    """pi*sqrt|disc| rounded to nearest at binary precision prec, exactly, in
-    fixed point at scale 2^-prec (it is above 1, so no bit is lost)."""
-    near = round_nearest
-    root = mpf_mul(mpf_pi(prec, near), mpf_sqrt(from_int(-disc), prec, near), prec, near)
-    return to_fixed(root, prec)
+def _arccot_split(x2: int, sign: int, lo: int, hi: int) -> tuple[int, int, int, int]:
+    """(P, Q, B, T) of the terms lo <= k < hi of sum sign^k / ((2k + 1) x^2k),
+    x2 = x^2, by binary splitting: those terms sum to T / (B Q) times the
+    product of the terms' ratios before lo."""
+    if hi - lo == 1:
+        p, q = (sign, x2) if lo else (1, 1)
+        return p, q, 2 * lo + 1, p
+    mid = (lo + hi) // 2
+    p1, q1, b1, t1 = _arccot_split(x2, sign, lo, mid)
+    p2, q2, b2, t2 = _arccot_split(x2, sign, mid, hi)
+    return p1 * p2, q1 * q2, b1 * b2, b2 * q2 * t1 + b1 * p1 * t2
+
+
+def _arccot(x: int, sign: int, prec: int) -> int:
+    """arccot x (sign -1) or arccoth x (sign 1) at scale 2^-prec, for x >= 2,
+    within 1.5 units: the series sum sign^k / ((2k + 1) x^(2k + 1)) summed
+    exactly up to a tail under half a unit, then rounded down once."""
+    terms = (prec + 2) // (2 * (x.bit_length() - 1)) + 2
+    _, q, b, t = _arccot_split(x * x, sign, 0, terms)
+    return (t << prec) // (b * q * x)
+
+
+def _pi_series(prec: int) -> tuple[int, int]:
+    """pi at scale 2^-prec and a bound on its error in units (Machin)."""
+    return 16 * _arccot(5, -1, prec) - 4 * _arccot(239, -1, prec), 30
+
+
+def _ln2_series(prec: int) -> tuple[int, int]:
+    """ln 2 at scale 2^-prec and a bound on its error in units."""
+    return 18 * _arccot(26, 1, prec) - 2 * _arccot(4801, 1, prec) + 8 * _arccot(8749, 1, prec), 42
+
+
+def _exact_floor(series, prec: int) -> int:
+    """floor(c 2^prec) for the irrational constant c that series approximates:
+    at guard bits more, the approximation and its error bound fall between
+    two multiples of 2^guard, else the guard doubles."""
+    guard = 32
+    while True:
+        x, err = series(prec + guard)
+        low = x & (1 << guard) - 1
+        if err <= low < (1 << guard) - err:
+            return x >> guard
+        guard *= 2
+
+
+# pi and ln 2 as floor(c 2^prec), one entry each: a request above the cached
+# precision refills the entry at twice its precision or more, up to the
+# constants' precision at MAX_DIGITS for a point whose |q|^-1 has as many
+# digits (see _q_powers); a longer request is computed and not kept.  A
+# smaller request truncates the entry, and the floor of a floor is the floor,
+# so every value is the same whatever was asked first.  Threads that grow an
+# entry at once each store a whole (prec, floor) pair; whichever is kept, every
+# value read from it is the same, so no lock is needed
+_TOP_MAGNITUDE = ceil(MAX_DIGITS * LOG2_10)
+_CONSTANTS_CAP = _working_bits(MAX_DIGITS, _TOP_MAGNITUDE, 1) + _TOP_MAGNITUDE + 64
+_CONSTANTS: dict = {}
+
+
+def _constant(series, prec: int) -> int:
+    """floor(c 2^prec) for c = pi (_pi_series) or ln 2 (_ln2_series)."""
+    have, value = _CONSTANTS.get(series, (-1, 0))
+    if prec > have:
+        have = min(max(prec, 2 * have), _CONSTANTS_CAP) if prec <= _CONSTANTS_CAP else prec
+        value = _exact_floor(series, have)
+        if have <= _CONSTANTS_CAP:
+            _CONSTANTS[series] = have, value
+    return value >> have - prec
+
+
+def _series_setup(wp: int, halvings: int) -> tuple[int, int, int]:
+    """(extra, w, count): the series run at w = wp + extra bits, extra
+    covering the halvings' error growth, in count concurrent sums."""
+    extra = halvings + 24 + wp.bit_length()
+    return extra, wp + extra, max(2, int(wp**0.35 / 2))
+
+
+def _powers(x: int, w: int, count: int) -> list[int]:
+    """[1, x, ..., x^count] at scale 2^-w, each product rounded down."""
+    powers = [1 << w, x]
+    for _ in range(count - 1):
+        powers.append(powers[-1] * x >> w)
+    return powers
+
+
+def _combine(sums: list[int], powers: list[int], w: int) -> int:
+    """sum over i of sums[i] x^i, for the powers of x."""
+    return sums[0] + sum(s * p >> w for s, p in zip(sums[1:], powers[1:]))
+
+
+def _exp_fixed(r: int, wp: int) -> int:
+    """exp(r 2^-wp) at scale 2^-wp, for 0 <= r < 2^wp ln 2 (see _q_powers)."""
+    halvings = round(wp ** (1 / 3))
+    extra, w, count = _series_setup(wp, halvings)
+    powers = _powers(r << extra - halvings, w, count)
+    sums, term, k = [0] * count, 1 << w, 0  # term = t^(count j) / k!
+    while term:
+        for i in range(count):
+            sums[i] += term
+            k += 1
+            term //= k
+        term = term * powers[count] >> w
+    v = _combine(sums, powers, w)
+    for _ in range(halvings):
+        v = v * v >> w
+    return v >> extra
+
+
+def _cos_sin_fixed(x: int, wp: int) -> tuple[int, int]:
+    """cos and sin of x 2^-wp at scale 2^-wp, for 0 < x 2^-wp <= pi/4 (see
+    _q_powers)."""
+    halvings = round(0.6 * wp ** (1 / 3))
+    extra, w, count = _series_setup(wp, halvings)
+    x <<= extra - halvings
+    powers = _powers(x * x >> w, w, count)
+    cos, sin = [0] * count, [0] * count
+    term, k = 1 << w, 0  # term = y^(count j) / (2k)!, y = x^2
+    while term:
+        for i in range(count):
+            odd = term // (2 * k + 1)
+            cos[i] += -term if k & 1 else term
+            sin[i] += -odd if k & 1 else odd
+            k += 1
+            term //= (2 * k - 1) * 2 * k
+        term = term * powers[count] >> w
+    c, s = _combine(cos, powers, w), _combine(sin, powers, w) * x >> w
+    for _ in range(halvings):
+        c, s = (c + s) * (c - s) >> w, c * s >> w - 1
+    return c >> extra, s >> extra
+
+
+def _q_powers(a: int, b: int, disc: int, n: int, bits: int, magnitude: int):
+    """q^(1/n) and q^(-1/n) at tau = (-b + sqrt(disc)) / (2a), b >= 0, in fixed
+    point at scale 2^-bits, and a bound in units on the error of each part,
+    for magnitude >= the bits of |q|^(-1/n) (error budget in _eta_quotient).
+    Exactly real at an integer b/(na), exactly imaginary at a half-integer."""
+    na = n * a
+    slack = isqrt(-disc) + 8
+    wp = bits + magnitude + (2 * (slack + magnitude) + 9).bit_length() + 1
+    pi_fixed = _constant(_pi_series, wp)
+    log_size = (pi_fixed * isqrt(-disc << 2 * wp) >> wp) // na  # L
+    k, r = divmod(log_size, _constant(_ln2_series, wp))
+    grow = _exp_fixed(r, wp)
+    # theta = pi b / (na) is pi angle / (2na) mod 2 pi, = j pi/2 + pi c / (2na)
+    # with |c| <= na/2
+    angle = 2 * b % (4 * na)
+    j = (2 * angle + na) // (2 * na)
+    c = angle - j * na
+    cos, sin = _cos_sin_fixed(pi_fixed * abs(c) // (2 * na), wp) if c else (1 << wp, 0)
+    sin = -sin if c < 0 else sin
+    cos, sin = ((cos, sin), (-sin, cos), (-cos, -sin), (sin, -cos))[j % 4]
+    q = (cos << bits - k) // grow, (-sin << bits - k) // grow
+    shift = 2 * wp - bits - k
+    q_inv = cos * grow >> shift, sin * grow >> shift
+    return q, q_inv, 2 + ((2 * (slack + k) + 9) >> wp - bits - k)
 
 
 def j_invariant(point: CMPoint, digits: int) -> BigComplex:
@@ -253,6 +396,40 @@ def _eta_quotient(point: CMPoint, digits: int, n: int) -> BigComplex:
     and the tail beyond the order by under one more.  That leaves 2^47 of
     the 2^64 guard (_GUARD_BITS) for the constants by which the quotient,
     its powers and the final products scale it, which are far smaller.
+
+    Error budget of the constants of q (_q_powers).  q^(1/n) = exp(-L - i
+    theta) with L = pi sqrt|disc| / (na) and theta = pi b / (na).  In units
+    of 2^-wp, with wp = bits + magnitude + margin:
+    - pi and ln 2 are exact floors, and sqrt|disc| is math.isqrt's, so each
+      is under a unit low.  The product and division forming L round down,
+      so L is low by under slack = isqrt|disc| + 8 units.
+    - L = k ln 2 + r, 0 <= r < ln 2, and r is off by under slack + k units.
+    - exp(r) is summed by `count` concurrent series at t = r / 2^s, in units
+      of 2^-w, w = wp + extra.  The running term stays within 3 units and
+      t^i within i, so the sum is off by under 3 (terms + count) + 6 <= 8w +
+      16 units.  s squarings grow that by at most 2^(s + 2), as each
+      squared value is below 2.  extra = s + 24 + the bits of wp leaves it
+      under 2^-16 units of 2^-wp, and the final rounding under 1 + 2^-16.
+    - theta = j pi/2 + chi, |chi| <= pi/4, is reduced exactly in integers,
+      and chi is low by under 1.25 units.  cos and sin of chi / 2^s are
+      summed the same way, over powers of chi^2 / 4^s, and s complex
+      squarings (the doubling formulas) grow their error by at most
+      2^(s + 1).  Each is within 1 + 2^-16 units at the rounded chi, so
+      within 3 at the true one.  At an integer 2b/(na), chi is 0, and cos
+      and sin are exact: q^(1/n) is exactly real at an integer b/(na).
+    - So q^(-1/n) = 2^k exp(r) (cos + i sin) is off by under (2 (slack + k)
+      + 9) 2^(k + bits - wp) units of 2^-bits before it is rounded down.
+      q^(1/n) = 2^-k (cos - i sin) / exp(r), one division per part, is off
+      by less.  The margin puts that under half a unit at k <= magnitude, so
+      each part is within units = 2 of the truth (_q_powers returns the
+      bound for the actual k).
+    Then |dq| <= sqrt 2 units, and for n = 3, q = (q^(1/3))^3 is within
+    3 sqrt 2 units plus two roundings, under 8 units.  At a reduced point,
+    |q| <= exp(-pi sqrt 3), |t^3 / w| < 2^4 and |t / r8| < 2^2.  At fixed
+    q^(-1/n) the result moves by less than 2^(magnitude + 13) |dq|, and at
+    fixed q by less than 2^4 |dq^(-1/n)|.  So together they move it by less
+    than units 2^(magnitude + 17).  2^spread covers the growth of both with
+    |q| elsewhere.
     """
     if point.a <= 0 or point.disc >= 0:
         raise NotPositiveDefinite("CM point needs a > 0 and disc < 0")
@@ -266,17 +443,7 @@ def _eta_quotient(point: CMPoint, digits: int, n: int) -> BigComplex:
     spread = ceil(_SPREAD_BITS * exp(log_abs_q) / expm1(log_abs_q) ** 2)
     bits = _working_bits(digits, magnitude, spread)
     order = _series_order(log_abs_q, bits)
-    # the constants of q^(1/n), each step rounded to nearest.  The root at the
-    # precision of a = 1 serves every reduced point (magnitude is largest
-    # there, the spread 1); at an integer b/(na) q^(1/n) is exactly real
-    prec, near, top = _constants_prec(bits, magnitude), round_nearest, _magnitude(disc, 1)
-    root_prec = max(prec, _constants_prec(_working_bits(digits, top, 1), top))
-    root = from_man_exp(_pi_root(disc, root_prec), -root_prec)
-    grow = mpf_exp(mpf_div(root, from_int(n * a), prec, near), prec, near)  # |q|^(-1/n)
-    turn = mpf_cos_sin_pi(mpf_div(from_int(-b), from_int(n * a), prec, near), prec, near)
-    q = tuple(to_fixed(mpf_div(t, grow, prec, near), bits) for t in turn)
-    cos_grow, sin_grow = (to_fixed(mpf_mul(t, grow, prec, near), bits) for t in turn)
-    q_inv = cos_grow, -sin_grow
+    q, q_inv, units = _q_powers(a, b, disc, n, bits, magnitude)
     if n == 3:
         q = _mul(_sqr(q, bits), q, bits)
     euler, euler2 = _euler_pair(q, order, bits)
@@ -291,16 +458,7 @@ def _eta_quotient(point: CMPoint, digits: int, n: int) -> BigComplex:
         re, im = _div(_mul(_mul(_sqr(t, bits), t, bits), q_inv, bits), w, bits)
     if b * b - disc == 4 * a * a:
         im = 0
-    # q^(1/n) and q^(-1/n) are within 2 units of 2^-bits in each part: at
-    # prec = bits + magnitude + 40, pi*sqrt|disc|/(na) (about magnitude ln 2)
-    # and its exp are off by a few units of their last bits, which moves
-    # q^(-1/n), about 2^magnitude, by about magnitude 2^-40 units, and
-    # to_fixed rounds down by under one; q = (q^(1/3))^3 is within 4 units.
-    # At a reduced point, |q| <= exp(-pi*sqrt 3), |t^3 / w| < 2^4, |t / r8| <
-    # 2^2, and at fixed q^(-1/n) the result moves by less than 2^(magnitude +
-    # 13) |dq|, so together they move it by less than 2^(magnitude + 16);
-    # 2^spread covers the growth of both with |q| elsewhere
-    err = (1 << magnitude + _GUARD_BITS + spread) + (1 << magnitude + 16 + spread)
+    err = (1 << magnitude + _GUARD_BITS + spread) + (units << magnitude + 17 + spread)
     return BigComplex(re, -im if point.b < 0 else im, bits, err)
 
 

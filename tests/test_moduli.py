@@ -2,9 +2,10 @@ import hashlib
 import subprocess
 import sys
 from collections import Counter
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import log10
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from mpmath.ctx_mp import MPContext
@@ -24,6 +25,19 @@ LATTICE_4 = from_gram(((2, 0), (0, 2)))
 LATTICE_56 = lattice_from_class(1, form_class(3, 2, 5))
 
 H23 = (12771880859375, -5151296875, 3491750, 1)  # frozen two-precision golden
+
+
+@pytest.fixture(scope="session")
+def sweep():
+    """The class groups, class polynomials (with their digits) and field
+    polynomials (with theirs) of the sweeps over |D| <= 3000, each built on
+    first use and kept for the session: the library keeps 32 discriminants,
+    so every sweep rebuilt what the one before it had built."""
+    return SimpleNamespace(
+        group=cache(lambda d: classgroup.class_group(d)),
+        class_polynomial=cache(lambda d: moduli.class_polynomial_with_precision(d)),
+        field_polynomials=cache(lambda d: moduli._field_polynomials(d)),
+    )
 
 
 def test_moduli_degree():
@@ -136,14 +150,14 @@ def test_j_values_conjugate_pairs_exactly():
             assert values[a, b, c].im != 0
 
 
-def test_cube_of_gamma2_is_j_within_the_bounds():
+def test_cube_of_gamma2_is_j_within_the_bounds(sweep):
     # gamma_2^3 = j at every class, within the sum of the two bounds; the
     # cube keeps conjugates exactly conjugate and real values real
     count = 0
     for d in valid_discs(600):
         if d % 3 == 0:
             continue
-        group = classgroup.class_group(d)
+        group = sweep.group(d)
         for z, j in zip(moduli._gamma2_values(group, 60), moduli._j_values(group, 60)):
             cube = numerics.cube(z)
             assert cube.bits == z.bits and numerics.cube(conjugate(z)) == conjugate(cube)
@@ -158,21 +172,21 @@ def test_cube_of_gamma2_is_j_within_the_bounds():
     assert count == 1417  # the classes of the 200 discriminants
 
 
-def test_gamma2_class_polynomial_rebuilds_h():
+def test_gamma2_class_polynomial_rebuilds_h(sweep):
     # for 3 not dividing D, W is monic and integral at its floor, and the
     # norm identity gives the product over j at H_D's floor exactly
     count = 0
     for d in valid_discs(1000):
         if d % 3 == 0:
             continue
-        group = classgroup.class_group(d)
+        group = sweep.group(d)
         digits = moduli.class_polynomial_floor(group)
         w = moduli._recognize_int_poly(poly_from_roots(moduli._gamma2_values(group, digits)))
         assert len(w) == group.h + 1 and w[-1] == 1, d
         js = moduli._j_values(group, hd_floor(group))
         oracle = moduli._recognize_int_poly(poly_from_roots(js))
         assert moduli._norm_from_gamma2(w) == oracle and oracle[0] == w[0] ** 3, d
-        assert class_polynomial(d) == oracle, d
+        assert sweep.class_polynomial(d)[0] == oracle, d
         count += 1
     assert count == 333
 
@@ -428,15 +442,15 @@ def test_low_digits_give_the_right_polynomial():
         _right_or_refused(attempt, class_polynomial(d), (d, digits))
 
 
-def test_sub_floor_sweep_never_gives_a_wrong_polynomial():
+def test_sub_floor_sweep_never_gives_a_wrong_polynomial(sweep):
     # every precision from 1 to 39 digits, mostly below the floor: the
     # certificate either holds or refuses, on the gamma_2 kernel (3 not
     # dividing D) and on the j kernel (3 | D)
     outcomes = Counter()
     for d in valid_discs(399):
-        group = classgroup.class_group(d)
+        group = sweep.group(d)
         cosets = moduli._torsion_cosets(group)
-        class_poly, mq = class_polynomial(d), moduli._field_polynomials(d)[0].mq
+        class_poly, mq = sweep.class_polynomial(d)[0], sweep.field_polynomials(d)[0].mq
         cp_floor, floor = moduli.class_polynomial_floor(group), moduli.precision_floor(group)
         kernel = "j" if d % 3 == 0 else "gamma_2"
         for digits in range(1, 40):
@@ -467,20 +481,20 @@ def test_minus_2083_settles_at_default_digits():
     assert report.mq_min_poly == moduli._attempt_polynomials(group, cosets, 200).mq
 
 
-def test_every_polynomial_settles_at_its_floor():
+def test_every_polynomial_settles_at_its_floor(sweep):
     # one certified attempt: a failed one would double the precision
     for d in valid_discs(1000):
-        group = classgroup.class_group(d)
+        group = sweep.group(d)
         cp_floor = moduli.class_polynomial_floor(group)
-        assert moduli.class_polynomial_with_precision(d)[1] == cp_floor, d
+        assert sweep.class_polynomial(d)[1] == cp_floor, d
 
 
-def test_floors_in_order():
+def test_floors_in_order(sweep):
     # analyze starts between classpoly's floor and H_D's own, at H_D's own
     # when 3 | D; the field polynomial's height, with the cube's log10 3,
     # never exceeds H_D's
     for d in valid_discs(3000) + [-40004, -199999, -499996, -(10**6)]:
-        group = classgroup.class_group(d)
+        group = sweep.group(d)
         floor, own = moduli.precision_floor(group), hd_floor(group)
         assert moduli.class_polynomial_floor(group) <= floor <= own, d
         assert d % 3 or floor == own, d
@@ -496,13 +510,13 @@ FIELD_SWEEP_SHA256 = "41fd5c5e24541fe3545d2d2b569036880554a97929c97d739b8dfc83e0
 POLYNOMIAL_SWEEP_SHA256 = "a414290bd8ae51511a9f1c23fec91a64b3f54458d8c63cbd1c823a4569890eab"
 
 
-def test_field_polynomials_settle_at_their_floor():
+def test_field_polynomials_settle_at_their_floor(sweep):
     # every class and field polynomial is certified at precision_floor in one
     # attempt; the polynomials are pinned with and without their digits
     digest, polynomials = hashlib.sha256(), hashlib.sha256()
     for d in valid_discs(3000):
-        group = classgroup.class_group(d)
-        polys, digits = moduli._field_polynomials(d)
+        group = sweep.group(d)
+        polys, digits = sweep.field_polynomials(d)
         assert digits == moduli.precision_floor(group), d
         digest.update(repr((d, polys.class_poly, polys.mq, polys.warnings, digits)).encode())
         polynomials.update(repr((d, polys.class_poly, polys.mq, polys.warnings)).encode())
@@ -510,13 +524,13 @@ def test_field_polynomials_settle_at_their_floor():
     assert polynomials.hexdigest() == POLYNOMIAL_SWEEP_SHA256
 
 
-def test_odd_class_number_field_polynomial_is_class_polynomial():
+def test_odd_class_number_field_polynomial_is_class_polynomial(sweep):
     # C[2] is trivial: every coset is one class, so the coset path over j at
     # H_D's own floor, skipped by moduli_report, would give the class
     # polynomial without warnings
     odd = 0
     for d in valid_discs(1500):
-        group = classgroup.class_group(d)
+        group = sweep.group(d)
         if group.h % 2 == 0:
             continue
         odd += 1
@@ -615,12 +629,12 @@ def test_class_polynomial_composes_no_forms(monkeypatch):
     assert fresh(-3299).elementary_divisors == (3, 9) and calls
 
 
-def test_mq_galois_exactly_when_invariant_factors_divide_4():
+def test_mq_galois_exactly_when_invariant_factors_divide_4(sweep):
     # conjugating complex conjugation by x gives (x^2, conjugation), so
     # <C[2], conjugation> is normal iff C^2 lies in C[2]
     galois = 0
     for d in valid_discs(1500):
-        group = classgroup.class_group(d)
+        group = sweep.group(d)
         model = moduli._model(group)
         expected = all(4 % n == 0 for n in group.elementary_divisors)
         assert model.is_normal(model.subgroup_mq) == expected, d
@@ -638,17 +652,17 @@ def test_galois_answer_builds_no_model(monkeypatch):
     assert not mq_is_galois(LATTICE_23) and not moduli_report(LATTICE_23).mq_is_galois
 
 
-def test_coefficient_stability_small_sweep():
+def test_coefficient_stability_small_sweep(sweep):
     for d in valid_discs(100):
-        group = classgroup.class_group(d)
+        group = sweep.group(d)
         digits = 2 * default_digits(group.h)
-        assert class_polynomial(d) == moduli._class_polynomial_at(group, digits)
+        assert sweep.class_polynomial(d)[0] == moduli._class_polynomial_at(group, digits)
 
 
-def test_model_index_bookkeeping_sweep():
+def test_model_index_bookkeeping_sweep(sweep):
     # [C : C[2]] = g and [group : <C[2], iota>] = g across discriminants
     for d in valid_discs(300):
-        group = classgroup.class_group(d)
+        group = sweep.group(d)
         model = moduli._model(group)
         g = classgroup.genus_order(group)
         assert group.h // len(model.subgroup_mk) == g

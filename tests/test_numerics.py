@@ -190,6 +190,68 @@ def test_both_kernels_match_mpmath_at_random_points():
                 assert error <= ctx.ldexp(x.err, -x.bits), (n, a, b, disc)
 
 
+def _constants_oracle(ctx, a, b, disc, n, bits):
+    """q^(1/n) = exp(pi i (-b + i sqrt|disc|) / (na)) and q^(-1/n) from mpmath,
+    at scale 2^-bits."""
+    power = ctx.exp(ctx.pi * ctx.mpc(-ctx.sqrt(-disc), -b) / (n * a))
+    return [(ctx.ldexp(z.real, bits), ctx.ldexp(z.imag, bits)) for z in (power, 1 / power)]
+
+
+def test_constants_of_q_match_mpmath_within_their_bound():
+    # q^(1/n) and q^(-1/n) themselves, against mpmath at twice the bits:
+    # each part within the bound _q_powers returns.  Real q at an integer
+    # b/(na) must be exactly real; |tau| = 1 at b^2 - disc = 4a^2; a = 1
+    # reaches |disc| = 10^6, the largest |q|^-1; and random points
+    rng = random.Random(24)
+    ctx = MPContext()
+    checked = 0
+    for n in (1, 3):
+        for shape in ("real", "unit", "large", "random"):
+            for _ in range(8):
+                a = 1 if shape == "large" else rng.randrange(1, 40)
+                disc = -rng.randrange(3 * a * a, 3 * a * a + 20000)
+                b = {
+                    "real": n * a * rng.randrange(0, 5),
+                    "unit": rng.randrange(a + 1),
+                    "large": 0,
+                    "random": rng.randrange(0, 12 * n * a),
+                }[shape]
+                if shape == "unit":
+                    disc = b * b - 4 * a * a
+                if shape == "large":
+                    disc = -rng.randrange(4, 10**6 + 1)
+                    b = disc % 2
+                magnitude = -(-numerics._magnitude(disc, a) // n)
+                bits = numerics._working_bits(rng.randrange(20, 401), magnitude, 1)
+                q, q_inv, units = numerics._q_powers(a, b, disc, n, bits, magnitude)
+                assert units == 2, (a, b, disc, n)
+                if shape == "real":
+                    assert q[1] == q_inv[1] == 0, (a, b, disc, n)
+                ctx.prec = 2 * (bits + magnitude)
+                for got, truth in zip((q, q_inv), _constants_oracle(ctx, a, b, disc, n, bits)):
+                    for part, value in zip(got, truth):
+                        assert abs(part - value) <= units, (shape, a, b, disc, n)
+                checked += 1
+    assert checked == 64
+
+
+def test_constants_do_not_depend_on_what_was_asked_first(monkeypatch):
+    # pi and ln 2 at b bits from a cold cache equal the truncation of a warm
+    # cache filled at 4b bits, and both are the exact floors
+    ctx = MPContext()
+    series = {numerics._pi_series: ctx.pi, numerics._ln2_series: ctx.ln2}
+    for bits in (10, 333, 2500):
+        ctx.prec = bits + 64
+        for make, constant in series.items():
+            monkeypatch.setattr(numerics, "_CONSTANTS", {})
+            cold = numerics._constant(make, bits)
+            monkeypatch.setattr(numerics, "_CONSTANTS", {})
+            numerics._constant(make, 4 * bits)
+            assert numerics._CONSTANTS[make][0] == 4 * bits
+            assert numerics._constant(make, bits) == cold
+            assert cold == int(ctx.floor(ctx.ldexp(constant, bits)))
+
+
 def test_trace_of_minus_23_roots_is_integer():
     group = class_group(-23)
     for digits in (60, 120):
@@ -403,10 +465,12 @@ def test_j_expansion_coefficients():
     assert value.imag == 0
 
 
-def test_threads_at_different_digits_match_serial():
-    # the one state shared between calls, the pi memo, is a pure function of
-    # its key: results must not depend on what the other threads compute at
-    # the same time, with 9 keys cycling through its 4 entries
+def test_threads_at_different_digits_match_serial(monkeypatch):
+    # the one state shared between calls, the cache of pi and ln 2
+    # (numerics._CONSTANTS), holds exact floors, so what it holds at a call
+    # does not change the call's result: results must not depend on what the
+    # other threads compute at the same time, with 9 (disc, digits) pairs
+    # asking for different precisions of a cache emptied before they start
     plan = [(d, digits) for d in (-23, -56, -84) for digits in (30, 90, 270)]
 
     def compute(d, digits):
@@ -417,6 +481,7 @@ def test_threads_at_different_digits_match_serial():
         return [(z.re, z.im) for z in values]
 
     expected = [compute(d, dg) for d, dg in plan]
+    monkeypatch.setattr(numerics, "_CONSTANTS", {})
     out = {idx: [] for idx in range(len(plan))}
 
     def worker(i):

@@ -5,14 +5,15 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import k3moduli
-from k3moduli import classgroup, cli, moduli, numerics
-from k3moduli.numerics import CMPoint
+from k3moduli import cli, moduli, numerics
 
 SOURCES = sorted(Path(k3moduli.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parents[1]
@@ -135,33 +136,20 @@ def _imported_modules(path: Path) -> set[str]:
 
 
 def test_one_number_format():
-    # numerics alone touches mpmath, and there is no per-thread state; a
+    # no module under src/ imports mpmath, and there is no per-thread state; a
     # value's accuracy is its error bound, with no second statement of it
     fields = tuple(f.name for f in dataclasses.fields(numerics.BigComplex))
     assert fields == ("re", "im", "bits", "err")
     imports = {path.name: _imported_modules(path) for path in SOURCES}
-    assert "mpmath" in imports["numerics.py"]
-    assert [name for name, mods in imports.items() if "mpmath" in mods] == ["numerics.py"]
+    assert [name for name, mods in imports.items() if "mpmath" in mods] == []
     assert [name for name, mods in imports.items() if "threading" in mods] == []
-
-
-def _numerics_tree() -> tuple[ast.Module, set[str]]:
-    """numerics' syntax tree and the names it imports from mpmath."""
-    path = Path(numerics.__file__)
-    tree = ast.parse(path.read_text(), str(path))
-    names = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "mpmath"
-        for alias in node.names
-    }
-    return tree, names
 
 
 def test_numerics_owns_the_number_format():
     # no other module imports numerics' private names or reads the parts of
-    # a BigComplex; in numerics, mpmath is confined to the two blocks a port
-    # of the constants of q would replace
+    # a BigComplex; numerics computes the constants of q on Python integers,
+    # so a fresh interpreter that loads the CLI and evaluates j and gamma_2
+    # has loaded no mpmath module
     for path in SOURCES:
         if path.name == "numerics.py":
             continue
@@ -190,69 +178,21 @@ def test_numerics_owns_the_number_format():
         if isinstance(node, ast.Attribute) and node.attr in parts
     ]
     assert reads == []
-    tree, names = _numerics_tree()
-    assert {"mpf_exp", "to_fixed"} <= names
-    owners = {}
-    for top in tree.body:
-        if isinstance(top, ast.ImportFrom):
-            continue
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name) and node.id in names:
-                owners.setdefault(getattr(top, "name", f"line {top.lineno}"), set()).add(node.id)
-    assert sorted(owners) == ["_eta_quotient", "_pi_root"]
-
-
-def _holds(value, found: set[int]) -> bool:
-    """Whether value is one of the objects whose ids are in found, or nests
-    one in a tuple or list."""
-    if id(value) in found:
-        return True
-    return isinstance(value, (tuple, list)) and any(_holds(v, found) for v in value)
-
-
-def test_no_mpmath_value_crosses_a_numerics_function(monkeypatch):
-    # every mpmath number numerics makes is recorded (and kept alive, so no
-    # id is reused); none may be an argument or the return value of a
-    # function of numerics, so that none leaves the block that made it
-    made = []
-    tree, names = _numerics_tree()
-    for name in names:
-        fn = getattr(numerics, name)
-        if callable(fn):
-
-            def recording(*args, fn=fn, **kwargs):
-                # an mpf is a tuple, and mpf_cos_sin_pi returns two
-                out = fn(*args, **kwargs)
-                if isinstance(out, tuple):
-                    made.extend(out if isinstance(out[0], tuple) else [out])
-                return out
-
-            monkeypatch.setattr(numerics, name, recording)
-    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
-    crossing = []
-
-    def profile(frame, event, arg):
-        code = frame.f_code
-        if event not in ("call", "return") or code.co_filename != numerics.__file__:
-            return
-        if code.co_name in functions:  # not a comprehension inside one
-            found = {id(x) for x in made}
-            values = [arg] if event == "return" else frame.f_locals.values()
-            if any(_holds(v, found) for v in values):
-                crossing.append((code.co_name, event))
-
-    numerics._pi_root.cache_clear()
-    sys.setprofile(profile)
-    try:
-        for point in (CMPoint(1, 0, -4), CMPoint(2, 1, -23), CMPoint(3, 6, -56)):
-            numerics.j_invariant(point, 40)
-            numerics.gamma2(point, 40)
-        moduli._j_values(classgroup.class_group(-56), 40)
-        moduli._gamma2_values(classgroup.class_group(-71), 40)
-    finally:
-        sys.setprofile(None)
-    assert made
-    assert crossing == []
+    script = (
+        "import sys, k3moduli.cli\n"
+        "from k3moduli.numerics import CMPoint, gamma2, j_invariant\n"
+        "assert j_invariant(CMPoint(2, 1, -23), 40).im and gamma2(CMPoint(2, 1, -23), 40).im\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))\n"
+    )
+    source = str(Path(k3moduli.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": source},
+        check=True,
+    )
+    assert run.stdout == "[]\n"
 
 
 def test_traced_names_resolve():
@@ -272,11 +212,13 @@ def test_traced_names_resolve():
 
 
 def test_no_new_dependency():
-    # mpmath is the one dependency; everything else comes from the standard library
+    # no runtime dependency: the package imports the standard library alone,
+    # and mpmath serves only the tests and the benchmark, as their oracle
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    assert project["dependencies"] == ["mpmath>=1.3"]
-    allowed = set(sys.stdlib_module_names) | {"mpmath"}
+    assert project["dependencies"] == []
+    assert "mpmath>=1.3" in project["optional-dependencies"]["test"]
+    allowed = set(sys.stdlib_module_names)
     found = {path.name: sorted(_imported_modules(path) - allowed) for path in SOURCES}
     assert {name: mods for name, mods in found.items() if mods} == {}
 
@@ -317,15 +259,28 @@ def _unbounded_caches(source: str, name: str) -> tuple[int, list[str]]:
     return uses, unbounded
 
 
-def test_library_caches_are_bounded():
+def test_library_caches_are_bounded(monkeypatch):
     # a process that walks many discriminants must not keep every result
     uses = 0
     for path in SOURCES:
         count, unbounded = _unbounded_caches(path.read_text(), path.name)
         assert unbounded == []
         uses += count
-    assert uses >= 4  # class_group, the field polynomials, the pi memo, build_parser
+    assert uses >= 3  # class_group, the field polynomials, build_parser
     for memo in ("cache", "lru_cache", "lru_cache(maxsize=None)", "functools.lru_cache(None)"):
         assert _unbounded_caches(f"@{memo}\ndef build_parser(d): pass", "cli.py") == (1, ["cli.py:1"])
     assert _unbounded_caches("@cache\ndef build_parser(): pass", "moduli.py")[1] == ["moduli.py:1"]
     assert _unbounded_caches("f = functools.lru_cache(maxsize=8)(g)", "moduli.py") == (1, [])
+    # the constants of q keep one entry each, never above _CONSTANTS_CAP: a
+    # longer request is computed and dropped, and a shorter one fills the
+    # entry to at most the cap
+    monkeypatch.setattr(numerics, "_CONSTANTS", {})
+    cap, pi_series = numerics._CONSTANTS_CAP, numerics._pi_series
+    above = numerics._constant(pi_series, cap + 64)
+    assert numerics._CONSTANTS == {}
+    for prec in (1000, cap - 1, 1000, cap):
+        assert numerics._constant(pi_series, prec) == above >> cap + 64 - prec
+        have, value = numerics._CONSTANTS[pi_series]
+        assert prec <= have <= cap and value == above >> cap + 64 - have
+    numerics._constant(numerics._ln2_series, 100)
+    assert len(numerics._CONSTANTS) == 2
