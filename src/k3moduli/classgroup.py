@@ -38,7 +38,7 @@ from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 
 from . import orders, qforms
-from .errors import ClassNotInGroup, DiscriminantTooLarge, K3ModuliError
+from .errors import InputError, K3ModuliError
 from .qforms import FormClass, QuadForm, check_discriminant
 
 # Largest |D| accepted.  C(D) itself takes about 0.01 s at this size (-999479,
@@ -94,7 +94,7 @@ class ClassGroup:
     def index_of(self, cls: FormClass) -> int:
         i = self._index.get((cls.rep.a, cls.rep.b))
         if i is None or self.classes[i] != cls:  # a class compares its disc too
-            raise ClassNotInGroup(f"{cls} is not a class of discriminant {self.disc}")
+            raise InputError(f"{cls} is not a class of discriminant {self.disc}")
         return i
 
     def mul(self, i: int, j: int) -> int:
@@ -117,9 +117,9 @@ class GenusPartition:
 
 
 def check_size(d: int) -> None:
-    """Refuse |d| > MAX_ABS_DISC with DiscriminantTooLarge."""
+    """Refuse |d| > MAX_ABS_DISC with InputError."""
     if abs(d) > MAX_ABS_DISC:
-        raise DiscriminantTooLarge(f"|D| = {abs(d)} exceeds {MAX_ABS_DISC}, the largest handled")
+        raise InputError(f"|D| = {abs(d)} exceeds {MAX_ABS_DISC}, the largest handled")
 
 
 def reduced_representatives(d: int) -> list[QuadForm]:
@@ -269,7 +269,7 @@ def class_group(d: int) -> ClassGroup:
     the 2^(mu - 1) genera.  The invariant factors and coordinates are built
     on first read.
 
-    Refuses |d| > MAX_ABS_DISC with DiscriminantTooLarge.
+    Refuses |d| > MAX_ABS_DISC with InputError.
     """
     reps = reduced_representatives(d)
     _genus_check(d, reps)

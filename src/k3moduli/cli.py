@@ -369,7 +369,7 @@ def run(args: argparse.Namespace) -> int:
             "precision_used": used,
         }
         echo = {"disc": args.disc}
-    elif args.command == "enumerate":
+    else:  # enumerate: argparse admits no other command
         if args.max_disc <= 0 or (args.max_h is not None and args.max_h <= 0):
             raise InputError("bounds must be positive")
         classgroup.check_size(args.max_disc)
@@ -384,8 +384,6 @@ def run(args: argparse.Namespace) -> int:
             "max_h": args.max_h,
             "primitive_only": args.primitive_only,
         }
-    else:  # pragma: no cover - argparse enforces the choices
-        raise InputError(f"unknown command {args.command}")
     _emit(args.command, echo, payload, warnings, args.format)
     return EXIT_OK
 

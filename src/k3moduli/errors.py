@@ -1,65 +1,25 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules: one class per way a caller
+reacts.  The CLI exits with code 3 on PrecisionError and 2 on any other
+K3ModuliError; moduli retries the two certificate failures at more digits."""
 
 
 class K3ModuliError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; raised itself for a broken
+    invariant or a failed exact check."""
 
 
 class InputError(K3ModuliError):
-    """Invalid mathematical input (bad discriminant, non-even lattice, ...)."""
+    """Invalid input (bad discriminant, non-even lattice, ...), refused
+    before any work."""
 
 
 class PrecisionError(K3ModuliError):
     """Numeric recognition could not be certified at any allowed precision."""
 
 
-class NotPositiveDefinite(InputError):
-    pass
-
-
-class BadDiscriminant(InputError):
-    pass
-
-
-class DiscriminantTooLarge(InputError):
-    """|D| beyond classgroup.MAX_ABS_DISC."""
-
-
-class DiscriminantMismatch(InputError):
-    pass
-
-
-class NotPrimitive(InputError):
-    pass
-
-
-class ClassNotInGroup(InputError):
-    pass
-
-
-class FieldMismatch(InputError):
-    pass
-
-
-class BadConductor(InputError):
-    pass
-
-
-class DegenerateLattice(InputError):
-    pass
-
-
-class NotEven(InputError):
-    pass
-
-
 class NotNearInteger(PrecisionError):
-    pass
-
-
-class PrecisionExhausted(PrecisionError):
-    pass
+    """A value is not certified near an integer at this precision."""
 
 
 class ResolventDegenerate(PrecisionError):
-    pass
+    """The coset resolvents are not certified distinct at this precision."""

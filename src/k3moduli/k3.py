@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import classgroup, orders, qforms
-from .errors import DiscriminantMismatch, NotEven, NotPositiveDefinite
+from .errors import InputError
 from .numerics import CMPoint
 from .qforms import FormClass, QuadForm
 
@@ -60,11 +60,11 @@ def from_gram(matrix: Gram) -> TranscLattice:
     primitive part."""
     ((g11, g12), (g21, g22)) = matrix
     if g12 != g21 or g11 % 2 or g22 % 2:
-        raise NotEven(f"{matrix} is not a symmetric even Gram matrix")
+        raise InputError(f"{matrix} is not a symmetric even Gram matrix")
     a, b, c = g11 // 2, g12, g22 // 2
     form = QuadForm(a, b, c)
     if not qforms.is_positive_definite(form):
-        raise NotPositiveDefinite(f"{matrix} is not positive definite")
+        raise InputError(f"{matrix} is not positive definite")
     m = gcd(a, b, c)
     q0 = qforms.reduce(QuadForm(a // m, b // m, c // m))
     return TranscLattice(matrix, m, q0, qforms.discriminant(form), q0.disc)
@@ -92,9 +92,7 @@ def conjugate_lattice(lattice: TranscLattice, g: FormClass) -> TranscLattice:
     """Conjugate by a Galois element with class-group fingerprint g: the
     primitive part becomes g^-2 * q0; m is preserved."""
     if g.disc != lattice.disc0:
-        raise DiscriminantMismatch(
-            f"fingerprint discriminant {g.disc} differs from {lattice.disc0}"
-        )
+        raise InputError(f"fingerprint discriminant {g.disc} differs from {lattice.disc0}")
     g_inv = qforms.inverse(g)
     twist = qforms.compose(g_inv, g_inv)
     return lattice_from_class(lattice.m, qforms.compose(twist, lattice.q0))

@@ -55,8 +55,7 @@ from math import ceil, comb, log, log10, pi, prod, sqrt
 
 from . import classgroup, k3, orders
 from .classgroup import ClassGroup
-from .errors import InputError, K3ModuliError, NotNearInteger, PrecisionExhausted
-from .errors import ResolventDegenerate
+from .errors import InputError, K3ModuliError, NotNearInteger, PrecisionError, ResolventDegenerate
 from .k3 import TranscLattice
 from .numerics import MAX_DIGITS, BigComplex, CMPoint, apart, conjugate, cube, gamma2
 from .numerics import j_invariant, part_sums, poly_from_roots, recognize_integer
@@ -380,7 +379,7 @@ def _escalate(disc: int, floor: int, attempt):
             return attempt(digits), digits
         except (NotNearInteger, ResolventDegenerate) as exc:
             if 2 * digits > MAX_DIGITS:
-                raise PrecisionExhausted(
+                raise PrecisionError(
                     f"{exc}: failed at {digits} digits, and doubling would pass "
                     f"the ceiling of {MAX_DIGITS}"
                 ) from None

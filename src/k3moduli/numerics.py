@@ -40,7 +40,7 @@ from functools import reduce
 from itertools import combinations
 from math import ceil, exp, expm1, isqrt, log, pi, sqrt
 
-from .errors import InputError, K3ModuliError, NotNearInteger, NotPositiveDefinite
+from .errors import InputError, K3ModuliError, NotNearInteger
 
 # the largest precision any evaluation runs at.  moduli refuses a floor above
 # it: the floor grows about like sqrt|D| log|D|, 1995 digits at D = -40004 and
@@ -166,10 +166,8 @@ _PLAN = _pentagonal_plan(_MAX_ORDER)
 def _euler_pair(q, order: int, bits: int):
     """E(q) = prod(1 - q^n) up to at least the power q^order, and E(q^2) up to
     at least q^(2 (order // 2)), in fixed point from one table of powers: the
-    rows of _PLAN with g <= order, each term of E(q^2) the square of its q^g.
-    An order beyond the plan raises K3ModuliError."""
-    if order > _MAX_ORDER:
-        raise K3ModuliError(f"series order {order} is beyond the plan's {_MAX_ORDER}")
+    rows of _PLAN with g <= order, each term of E(q^2) the square of its q^g,
+    for order <= _MAX_ORDER (checked by _eta_quotient)."""
     half, one = order // 2, 1 << bits
     re, im, re2, im2 = one, 0, one, 0
     powers = []
@@ -241,11 +239,12 @@ def _exact_floor(series, prec: int) -> int:
 # pi and ln 2 as floor(c 2^prec), one entry each: a request above the cached
 # precision refills the entry at twice its precision or more, up to the
 # constants' precision at MAX_DIGITS for a point whose |q|^-1 has as many
-# digits (see _q_powers); a longer request is computed and not kept.  A
-# smaller request truncates the entry, and the floor of a floor is the floor,
-# so every value is the same whatever was asked first.  Threads that grow an
-# entry at once each store a whole (prec, floor) pair; whichever is kept, every
-# value read from it is the same, so no lock is needed
+# digits (see _q_powers; _eta_quotient refuses a larger |q|^-1); a longer
+# request is computed and not kept.  A smaller request truncates the entry,
+# and the floor of a floor is the floor, so every value is the same whatever
+# was asked first.  Threads that grow an entry at once each store a whole
+# (prec, floor) pair; whichever is kept, every value read from it is the
+# same, so no lock is needed
 _TOP_MAGNITUDE = ceil(MAX_DIGITS * LOG2_10)
 _CONSTANTS_CAP = _working_bits(MAX_DIGITS, _TOP_MAGNITUDE, 1) + _TOP_MAGNITUDE + 64
 _CONSTANTS: dict = {}
@@ -358,8 +357,10 @@ def j_invariant(point: CMPoint, digits: int) -> BigComplex:
     constants of q (see _eta_quotient).
 
     j(a, -b) is the exact complex conjugate of j(a, b); j is exactly real
-    when a | b or |tau| = 1.  digits above MAX_DIGITS are refused with
-    InputError before any work.
+    when a | b or |tau| = 1.  Out of its domain, a point is refused with
+    InputError before any work: digits above MAX_DIGITS, a point off the
+    upper half plane, |q|^-1 above 2^_TOP_MAGNITUDE (the constants' size at
+    MAX_DIGITS) or a series order beyond the plan (|q| too near 1).
     """
     return _eta_quotient(point, digits, 1)
 
@@ -432,17 +433,22 @@ def _eta_quotient(point: CMPoint, digits: int, n: int) -> BigComplex:
     |q| elsewhere.
     """
     if point.a <= 0 or point.disc >= 0:
-        raise NotPositiveDefinite("CM point needs a > 0 and disc < 0")
+        raise InputError("CM point needs a > 0 and disc < 0")
     if digits > MAX_DIGITS:
         raise InputError(f"{digits} digits are above the ceiling of {MAX_DIGITS}")
     a, b, disc = point.a, abs(point.b), point.disc
+    top = _magnitude(disc, a)
+    if top > _TOP_MAGNITUDE:
+        raise InputError(f"|q|^-1 at {point} has {top} bits, above the {_TOP_MAGNITUDE} handled")
     log_abs_q = -pi * sqrt(-disc) / a
     # the result is q^(-1/n) times O(1) factors: absolute accuracy needs the
     # bits of |q|^(-1/n) on top of the digits
-    magnitude = -(-_magnitude(disc, a) // n)
+    magnitude = -(-top // n)
     spread = ceil(_SPREAD_BITS * exp(log_abs_q) / expm1(log_abs_q) ** 2)
     bits = _working_bits(digits, magnitude, spread)
     order = _series_order(log_abs_q, bits)
+    if order > _MAX_ORDER:
+        raise InputError(f"series order {order} at {point} is beyond the plan's {_MAX_ORDER}")
     q, q_inv, units = _q_powers(a, b, disc, n, bits, magnitude)
     if n == 3:
         q = _mul(_sqr(q, bits), q, bits)

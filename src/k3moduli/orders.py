@@ -17,7 +17,7 @@ from itertools import combinations
 from math import gcd, isqrt, lcm
 
 from . import qforms
-from .errors import BadConductor, BadDiscriminant, DegenerateLattice, FieldMismatch, K3ModuliError
+from .errors import InputError, K3ModuliError
 from .qforms import FormClass, QuadForm, check_discriminant
 
 Gens = tuple[tuple[int, int], tuple[int, int]]
@@ -100,7 +100,7 @@ def _normalize(rows: Sequence[tuple[int, int]], den: int) -> tuple[Gens, int]:
         b = s * b + t * x
     minors = gcd(*(x1 * y2 - y1 * x2 for (x1, y1), (x2, y2) in combinations(rows, 2)))
     if minors == 0:
-        raise DegenerateLattice("generators do not span a rank-2 lattice")
+        raise InputError("generators do not span a rank-2 lattice")
     a = minors // g
     b %= a
     common = gcd(a, b, g, den)
@@ -119,7 +119,7 @@ def _norm_form(d_k: int, gens: Gens) -> tuple[int, int, int]:
     (x1, y1), (x2, y2) = gens
     det = x1 * y2 - y1 * x2
     if det == 0:
-        raise DegenerateLattice("basis is linearly dependent")
+        raise InputError("basis is linearly dependent")
     if det < 0:
         (x1, y1), (x2, y2) = (x2, y2), (x1, y1)
     a = x1 * x1 - d_k * y1 * y1
@@ -140,9 +140,9 @@ def _lattice(d_k: int, rows: Sequence[tuple[int, int]], den: int) -> IdealLattic
 def ideal_lattice(d_k: int, gens: Sequence[tuple[int, int]], den: int = 1) -> IdealLattice:
     """Lattice spanned by any number of generators, with its multiplier ring."""
     if not is_fundamental(d_k):
-        raise BadDiscriminant(f"{d_k} is not a fundamental discriminant")
+        raise InputError(f"{d_k} is not a fundamental discriminant")
     if den <= 0:
-        raise DegenerateLattice("denominator must be positive")
+        raise InputError("denominator must be positive")
     return _lattice(d_k, gens, den)
 
 
@@ -184,7 +184,7 @@ def multiply(l1: IdealLattice, l2: IdealLattice) -> IdealLattice:
     invertible ideal a of its ring O1, and ab a^-1 b^-1 = O1 O2, so z ab in ab
     gives z O1 O2 in O1 O2.  ideal_to_form checks the ring exactly."""
     if l1.order.d_k != l2.order.d_k:
-        raise FieldMismatch(f"fundamental discriminants {l1.order.d_k} and {l2.order.d_k} differ")
+        raise InputError(f"fundamental discriminants {l1.order.d_k} and {l2.order.d_k} differ")
     d = l1.order.d_k
     rows = [
         (x1 * x2 + y1 * y2 * d, x1 * y2 + y1 * x2)
@@ -200,7 +200,7 @@ def compose_general(x: FormClass, y: FormClass) -> FormClass:
 
     The result lives in C(f0^2 * d_K) with f0 = gcd(f1, f2); for equal
     discriminants it agrees with qforms.compose. Classes of different
-    fields raise FieldMismatch from multiply.
+    fields raise InputError from multiply.
     """
     return ideal_to_form(multiply(form_to_ideal(x), form_to_ideal(y)))
 
@@ -210,6 +210,6 @@ def reduction_map(x: FormClass, f_target: int) -> FormClass:
     principal class of the target order."""
     order = order_of_disc(x.disc)
     if f_target <= 0 or order.f % f_target:
-        raise BadConductor(f"{f_target} does not divide the conductor {order.f}")
+        raise InputError(f"{f_target} does not divide the conductor {order.f}")
     target = qforms.principal_class(f_target * f_target * order.d_k)
     return compose_general(x, target)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import BadDiscriminant, DiscriminantMismatch, NotPositiveDefinite, NotPrimitive
+from .errors import InputError
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
 
@@ -55,13 +55,13 @@ def is_positive_definite(q: QuadForm) -> bool:
 
 def _require_positive_definite(q: QuadForm) -> None:
     if not is_positive_definite(q):
-        raise NotPositiveDefinite(f"form {q} is not positive definite")
+        raise InputError(f"form {q} is not positive definite")
 
 
 def check_discriminant(d: int) -> int:
     """Validate d < 0 and d = 0, 1 (mod 4); return d."""
     if d >= 0 or d % 4 not in (0, 1):
-        raise BadDiscriminant(f"{d} is not a negative quadratic discriminant")
+        raise InputError(f"{d} is not a negative quadratic discriminant")
     return d
 
 
@@ -178,9 +178,9 @@ def compose(x: FormClass, y: FormClass) -> FormClass:
     _compose on their representatives.  The product needs no positivity check,
     since a1*a2/d1^2 > 0 and disc < 0."""
     if x.disc != y.disc:
-        raise DiscriminantMismatch(f"discriminants {x.disc} and {y.disc} differ")
+        raise InputError(f"discriminants {x.disc} and {y.disc} differ")
     if not (is_primitive(x.rep) and is_primitive(y.rep)):
-        raise NotPrimitive("composition needs primitive classes")
+        raise InputError("composition needs primitive classes")
     rep = _compose(x.rep.a, x.rep.b, y.rep.a, y.rep.b, y.rep.c, x.disc)
     return FormClass(QuadForm(*rep), x.disc)
 

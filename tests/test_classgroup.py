@@ -16,7 +16,7 @@ from k3moduli.classgroup import (
     reduced_representatives,
     two_torsion,
 )
-from k3moduli.errors import BadDiscriminant, ClassNotInGroup, DiscriminantTooLarge, K3ModuliError
+from k3moduli.errors import InputError, K3ModuliError
 from k3moduli.qforms import FormClass, QuadForm, compose, form_class, inverse, principal_class
 
 from conftest import valid_discs
@@ -50,7 +50,7 @@ def test_enumerate_minus_56():
 
 @pytest.mark.parametrize("d", [-5, -6, 0, 7])
 def test_enumerate_bad_discriminant(d):
-    with pytest.raises(BadDiscriminant):
+    with pytest.raises(InputError, match="is not a negative quadratic discriminant"):
         class_group(d)
 
 
@@ -99,7 +99,7 @@ def test_genus_of():
         for x in g56.classes
     }
     assert got == oracle == {(3, 2, 5), (3, -2, 5)}
-    with pytest.raises(ClassNotInGroup):
+    with pytest.raises(InputError, match="is not a class of discriminant -56"):
         genus_of(g56, form_class(1, 1, 6))
 
 
@@ -280,9 +280,9 @@ def test_index_of_refuses_a_class_of_another_discriminant_with_the_same_a_b():
     group = class_group(-23)
     stranger = FormClass(QuadForm(1, 1, 2), -7)  # (1, 1, 6) in C(-23)
     assert group.classes[group.principal_index] == FormClass(QuadForm(1, 1, 6), -23)
-    with pytest.raises(ClassNotInGroup):
+    with pytest.raises(InputError, match="is not a class of discriminant -23"):
         group.index_of(stranger)
-    with pytest.raises(ClassNotInGroup):
+    with pytest.raises(InputError, match="is not a class of discriminant -23"):
         genus_of(group, stranger)
 
 
@@ -359,9 +359,9 @@ def test_reduced_representatives_match_the_a_first_scan_near_the_bound(d):
 def test_oversized_discriminant_refused():
     assert MAX_ABS_DISC >= 60000  # every |D| of the tests and the benchmark
     too_big = -(MAX_ABS_DISC // 4 + 1) * 4
-    with pytest.raises(DiscriminantTooLarge):
+    with pytest.raises(InputError, match=f"exceeds {MAX_ABS_DISC}, the largest handled"):
         class_group(too_big)
-    with pytest.raises(DiscriminantTooLarge):
+    with pytest.raises(InputError, match=f"exceeds {MAX_ABS_DISC}, the largest handled"):
         reduced_representatives(too_big)
     assert reduced_representatives(-4 * (MAX_ABS_DISC // 4))
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -212,7 +213,7 @@ def test_closed_stdout_exits_1_without_a_traceback():
         [sys.executable, "-m", "k3moduli.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={"PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": str(src)},
     ) as proc:
         assert proc.stdout.read(10) == b'{\n  "comma'
         proc.stdout.close()

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -13,8 +14,7 @@ from mpmath.ctx_mp import MPContext
 from k3moduli import classgroup, moduli, numerics, qforms
 from k3moduli.k3 import from_gram, lattice_from_class, scale
 from k3moduli.moduli import class_polynomial, field_of_Q_moduli, moduli_report, mq_is_galois
-from k3moduli.errors import K3ModuliError, NotNearInteger, PrecisionExhausted
-from k3moduli.errors import ResolventDegenerate
+from k3moduli.errors import K3ModuliError, NotNearInteger, PrecisionError, ResolventDegenerate
 from k3moduli.numerics import BigComplex, CMPoint, conjugate, j_invariant, poly_from_roots
 from k3moduli.qforms import form_class
 
@@ -212,7 +212,7 @@ except K3ModuliError as exc:
         capture_output=True,
         text=True,
         timeout=120,
-        env={"PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("raised:") and "class polynomial" in done.stdout
@@ -361,7 +361,7 @@ def test_failed_certificate_doubles_the_precision(monkeypatch):
 
 def test_doubling_stops_at_the_ceiling(monkeypatch):
     attempts = _recognition_failing(monkeypatch, lambda digits: True)
-    with pytest.raises(PrecisionExhausted, match="failed at 2560 digits") as exc:
+    with pytest.raises(PrecisionError, match="failed at 2560 digits") as exc:
         class_polynomial(-23)
     # 10, 20, ..., 2560: the floor of the gamma_2 polynomial of -23, doubled
     assert attempts == [10 << k for k in range(9)]
@@ -373,7 +373,7 @@ def test_doubling_stops_at_the_ceiling(monkeypatch):
     attempts.clear()
     floor = moduli.class_polynomial_floor(classgroup.class_group(-92376))
     assert floor == moduli.precision_floor(classgroup.class_group(-92376)) > 1500
-    with pytest.raises(PrecisionExhausted, match=f"failed at {floor} digits"):
+    with pytest.raises(PrecisionError, match=f"failed at {floor} digits"):
         class_polynomial(-92376)
     assert attempts == [floor]
 
@@ -381,7 +381,7 @@ def test_doubling_stops_at_the_ceiling(monkeypatch):
 def test_precision_failure_is_not_cached(monkeypatch):
     failing = True
     _recognition_failing(monkeypatch, lambda digits: failing)
-    with pytest.raises(PrecisionExhausted):
+    with pytest.raises(PrecisionError, match="forced: failed at 2560 digits"):
         moduli_report(LATTICE_23)
     assert moduli._field_polynomials.cache_info().currsize == 0
     failing = False
@@ -392,7 +392,7 @@ def test_precision_failure_is_not_cached(monkeypatch):
 def test_coset_collision_at_the_floor_doubles_the_precision(monkeypatch):
     # coset invariants whose bounds are too wide at the floor are retried at
     # twice the digits, like a failed recognition; a collision at every
-    # precision ends in PrecisionExhausted
+    # precision ends in PrecisionError
     expected = moduli_report(LATTICE_56)
     floor = moduli.precision_floor(classgroup.class_group(-56))
     attempts = _recognition_failing(monkeypatch, lambda digits: False)
@@ -413,7 +413,7 @@ def test_coset_collision_at_the_floor_doubles_the_precision(monkeypatch):
     )
     collides_at = range(moduli.MAX_DIGITS + 1)
     moduli._field_polynomials.cache_clear()
-    with pytest.raises(PrecisionExhausted, match="forced: failed at"):
+    with pytest.raises(PrecisionError, match="forced: failed at"):
         moduli_report(LATTICE_56)
 
 

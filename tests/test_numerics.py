@@ -7,8 +7,8 @@ import pytest
 from mpmath.ctx_mp import MPContext
 
 from k3moduli import moduli, numerics
-from k3moduli.classgroup import class_group
-from k3moduli.errors import InputError, K3ModuliError, NotNearInteger, NotPositiveDefinite
+from k3moduli.classgroup import MAX_ABS_DISC, class_group
+from k3moduli.errors import InputError, K3ModuliError, NotNearInteger
 from k3moduli.numerics import (
     BigComplex,
     CMPoint,
@@ -61,9 +61,9 @@ def test_j_s_invariance():
 
 
 def test_j_rejects_lower_half_plane():
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(InputError, match="CM point needs a > 0 and disc < 0"):
         j_invariant(CMPoint(-1, 0, -4), 30)
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(InputError, match="CM point needs a > 0 and disc < 0"):
         j_invariant(CMPoint(1, 0, 4), 30)
 
 
@@ -405,8 +405,10 @@ def test_plan_covers_every_pentagonal_exponent_up_to_the_ceiling():
         assert sum(plan[i][0] for i in parts) == g, g
     assert sum(len(parts) == 3 for _, _, parts in plan) == 20
     assert (_real_products(1278), _real_products(20)) == (306, 27)
-    with pytest.raises(K3ModuliError, match="beyond the plan"):
-        numerics._euler_pair((1, 0), numerics._MAX_ORDER + 1, 64)
+    # a series past the plan is refused by j_invariant and gamma2, at
+    # exp(-pi), the largest |q| of a point with a = 2 > 1 = c
+    with pytest.raises(InputError, match="beyond the plan's 1278"):
+        j_invariant(CMPoint(2, 0, -4), numerics.MAX_DIGITS)
 
 
 def test_table_matches_the_chained_oracle_within_its_bound():
@@ -445,6 +447,21 @@ def test_j_refuses_digits_above_the_ceiling():
         with pytest.raises(InputError, match=f"ceiling of {numerics.MAX_DIGITS}"):
             numerics.gamma2(CMPoint(1, 0, -4), digits)
     assert recognize_integer(j_invariant(CMPoint(1, 0, -4), numerics.MAX_DIGITS)) == 1728
+
+
+def test_out_of_domain_points_are_refused_before_any_work(monkeypatch):
+    # |q|^-1 longer than the constants were sized for (3.2 s of pi and ln 2 at
+    # |D| = 4*10^8), or |q| so near 1 that the series runs past the plan, is
+    # refused before the constants of q are computed; no CLI input reaches
+    # either, as |D| <= MAX_ABS_DISC keeps |q|^-1 under the ceiling
+    assert numerics._magnitude(-MAX_ABS_DISC, 1) < numerics._TOP_MAGNITUDE
+    monkeypatch.setattr(numerics, "_CONSTANTS", {})
+    for evaluate in (j_invariant, numerics.gamma2):
+        with pytest.raises(InputError, match=f"above the {numerics._TOP_MAGNITUDE} handled"):
+            evaluate(CMPoint(1, 0, -4 * 10**8), 10)
+        with pytest.raises(InputError, match=f"beyond the plan's {numerics._MAX_ORDER}"):
+            evaluate(CMPoint(100, 0, -4), numerics.MAX_DIGITS)
+    assert numerics._CONSTANTS == {}
 
 
 def test_j_expansion_coefficients():

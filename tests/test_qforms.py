@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from k3moduli.errors import BadDiscriminant, DiscriminantMismatch, NotPositiveDefinite, NotPrimitive
+from k3moduli.errors import InputError
 from k3moduli.qforms import (
     FormClass,
     QuadForm,
@@ -57,7 +57,7 @@ def test_reduce_4_5_3():
 
 @pytest.mark.parametrize("form", [(-1, 0, 1), (0, 1, 1), (1, 0, -1), (1, 2, 1), (1, 3, 1)])
 def test_reduce_rejects_non_positive_definite(form):
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(InputError, match="is not positive definite"):
         reduce(QuadForm(*form))
 
 
@@ -83,7 +83,7 @@ def test_principal_form(d, form):
 
 @pytest.mark.parametrize("d", [-5, -6, 0, 4, -1, -2])
 def test_principal_form_bad_discriminant(d):
-    with pytest.raises(BadDiscriminant):
+    with pytest.raises(InputError, match="is not a negative quadratic discriminant"):
         principal_form(d)
 
 
@@ -103,10 +103,10 @@ def test_compose_examples():
 
 
 def test_compose_errors():
-    with pytest.raises(DiscriminantMismatch):
+    with pytest.raises(InputError, match="discriminants -23 and -56 differ"):
         compose(form_class(1, 1, 6), form_class(1, 0, 14))
     bad = FormClass(QuadForm(2, 2, 12), -92)
-    with pytest.raises(NotPrimitive):
+    with pytest.raises(InputError, match="composition needs primitive classes"):
         compose(bad, bad)
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import k3moduli
-from k3moduli import cli, moduli, numerics
+from k3moduli import cli, errors, moduli, numerics
 
 SOURCES = sorted(Path(k3moduli.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parents[1]
@@ -123,6 +123,47 @@ def test_public_surface():
     assert {"g", "mq_min_poly"} <= fields
     aliases = {"mk_min_poly", "degree_mk_over_k", "degree_mq_over_q"}
     assert aliases.isdisjoint(dir(moduli.ModuliReport))
+
+
+# one error class per way a caller reacts: the CLI exits with 2 on
+# K3ModuliError (a broken invariant or failed exact check) and InputError, and
+# with 3 on PrecisionError; moduli retries the two certificate failures
+ERRORS = {
+    "K3ModuliError": Exception,
+    "InputError": errors.K3ModuliError,
+    "PrecisionError": errors.K3ModuliError,
+    "NotNearInteger": errors.PrecisionError,
+    "ResolventDegenerate": errors.PrecisionError,
+}
+
+
+def test_five_error_classes():
+    tree = ast.parse(Path(errors.__file__).read_text(), errors.__file__)
+    defined = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    assert sorted(defined) == sorted(ERRORS)
+    assert {name: getattr(errors, name).__bases__ for name in ERRORS} == {
+        name: (base,) for name, base in ERRORS.items()
+    }
+    # every raise names one of them, bar the JSON writer's TypeError and the
+    # entry point's SystemExit
+    others, named = [], 0
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise):
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = ast.unparse(exc) if exc else "re-raise"
+            if name in ERRORS:
+                named += 1
+                continue
+            scope = parents[node]
+            while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                scope = parents[scope]
+            others.append(f"{path.name}:{getattr(scope, 'name', 'module')} {name}")
+    assert named >= 30
+    assert sorted(others) == ["cli.py:_json TypeError", "cli.py:module SystemExit"]
 
 
 def _imported_modules(path: Path) -> set[str]:
