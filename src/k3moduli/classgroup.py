@@ -33,13 +33,14 @@ would not finish in reasonable time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 
 from . import orders, qforms
 from .errors import InputError, K3ModuliError
 from .qforms import FormClass, QuadForm, check_discriminant
+from .values import Value
 
 # Largest |D| accepted.  C(D) itself takes about 0.01 s at this size (-999479,
 # h = 1644, on a 2-vCPU VM) and the classgroup command's JSON of its h^2 Cayley
@@ -48,19 +49,15 @@ from .qforms import FormClass, QuadForm, check_discriminant
 MAX_ABS_DISC = 10**6
 
 
-@dataclass(frozen=True)
-class ClassGroup:
-    """All reduced primitive classes of one discriminant, as points of
-    Z/d_1 x .. x Z/d_r.
+class ClassGroup(Value, namedtuple("ClassGroup", "disc classes")):
+    """All reduced primitive classes of one discriminant disc, as points of
+    Z/d_1 x .. x Z/d_r; classes is a tuple of FormClass sorted by (a, b).
 
     elementary_divisors are the invariant factors d_1 | d_2 | .. | d_r, and
     coords[i] the coordinates of classes[i]; the principal class sits at 0.
-    Both are built on first read, by _coordinates; a group compares by disc
-    and classes.
+    Both are built on first read, by _coordinates, and kept in the instance
+    __dict__ (no __slots__ here); a group compares by disc and classes.
     """
-
-    disc: int
-    classes: tuple[FormClass, ...]
 
     @property
     def h(self) -> int:
@@ -108,12 +105,11 @@ class ClassGroup:
         return lcm(*(m // gcd(a, m) for a, m in zip(self.coords[i], self.elementary_divisors)))
 
 
-@dataclass(frozen=True)
-class GenusPartition:
-    """Cosets of the principal genus C(D)^2 inside C(D), as index sets."""
+class GenusPartition(Value, namedtuple("GenusPartition", "principal_genus cosets")):
+    """Cosets of the principal genus C(D)^2 inside C(D), as frozensets of
+    class indices: principal_genus, and a tuple of all the cosets."""
 
-    principal_genus: frozenset[int]
-    cosets: tuple[frozenset[int], ...]
+    __slots__ = ()
 
 
 def check_size(d: int) -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from functools import cache
 from json.encoder import encode_basestring_ascii
 from math import isqrt
@@ -276,12 +275,11 @@ def _text_lines(command: str, payload: dict, warnings: list[str]) -> list[str]:
     return lines
 
 
-@dataclass(frozen=True)
-class _CayleyTable:
+class _CayleyTable(tuple):
     """classgroup.cayley(group): h rows of h class indices below h, which
     _json writes as lists from h decimal strings made once."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def _json(value, newline: str = "\n") -> str:
@@ -301,10 +299,10 @@ def _json(value, newline: str = "\n") -> str:
         return int.__repr__(value)
     inner = newline + "  "
     if isinstance(value, _CayleyTable):
-        names, entry = [str(i) for i in range(len(value.rows))], inner + "  "
+        names, entry = [str(i) for i in range(len(value))], inner + "  "
         rows = (
             "[" + entry + ("," + entry).join(map(names.__getitem__, row)) + inner + "]"
-            for row in value.rows
+            for row in value
         )
         return "[" + inner + ("," + inner).join(rows) + newline + "]"
     if isinstance(value, list):

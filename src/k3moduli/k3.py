@@ -9,24 +9,24 @@ class, and the full orbit is the genus of q0, scaled by m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from . import classgroup, orders, qforms
 from .errors import InputError
 from .numerics import CMPoint
 from .qforms import FormClass, QuadForm
+from .values import Value
 
 Gram = tuple[tuple[int, int], tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class TranscLattice:
-    gram: Gram
-    m: int
-    q0: FormClass
-    disc: int
-    disc0: int
+class TranscLattice(Value, namedtuple("TranscLattice", "gram m q0 disc disc0")):
+    """Lattice with Gram matrix gram (a Gram), index of primitivity m,
+    primitive part q0 (a FormClass), discriminant disc and primitive
+    discriminant disc0 = disc / m^2."""
+
+    __slots__ = ()
 
     def form(self) -> QuadForm:
         """The (possibly imprimitive) reduced form m * q0."""
@@ -38,14 +38,12 @@ class TranscLattice:
         return (self.m, self.q0.rep.coefficients(), self.disc)
 
 
-@dataclass(frozen=True)
-class SMDecomposition:
-    """Product decomposition E_tau x E_(a*tau+b): q1 the primitive-part class
-    of the first curve, q2 the principal class of the full discriminant."""
+class SMDecomposition(Value, namedtuple("SMDecomposition", "tau q1 q2")):
+    """Product decomposition E_tau x E_(a*tau+b), tau a CMPoint: q1 the
+    primitive-part class of the first curve, q2 the principal class of the
+    full discriminant (both FormClass)."""
 
-    tau: CMPoint
-    q1: FormClass
-    q2: FormClass
+    __slots__ = ()
 
 
 def lattice_from_class(m: int, cls: FormClass) -> TranscLattice:

@@ -49,7 +49,7 @@ invariant factors of C (see mq_is_galois).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, partial
 from math import ceil, comb, log, log10, pi, prod, sqrt
 
@@ -59,6 +59,7 @@ from .errors import InputError, K3ModuliError, NotNearInteger, PrecisionError, R
 from .k3 import TranscLattice
 from .numerics import MAX_DIGITS, BigComplex, CMPoint, apart, conjugate, cube, gamma2
 from .numerics import j_invariant, part_sums, poly_from_roots, recognize_integer
+from .values import Value
 
 # digits beyond the height estimate: at the floor, the error bound of every
 # class and field polynomial with |D| <= 3000 is then at least 10^7 times
@@ -68,20 +69,17 @@ GUARD_DIGITS = 5
 Element = tuple[int, int]  # (class index, conjugation bit)
 
 
-@dataclass(frozen=True)
-class GaloisModel:
-    """Gal(H/Q) as C(disc0) extended by class inversion.
+class GaloisModel(Value, namedtuple("GaloisModel", "cg elements subgroup_mk subgroup_mq")):
+    """Gal(H/Q) as C(disc0) extended by class inversion, for the ClassGroup cg.
 
-    Elements are (class index, bit); the bit marks the complex-conjugation
-    coset.  subgroup_mk (= C[2]) fixes the field of K-moduli, subgroup_mq
-    (= <C[2], conjugation>) fixes the absolute field of moduli.  is_normal
-    is brute force over every element, the reference for mq_is_galois.
+    elements are all (class index, bit) pairs (Element); the bit marks the
+    complex-conjugation coset.  subgroup_mk (= C[2]) fixes the field of
+    K-moduli, subgroup_mq (= <C[2], conjugation>) fixes the absolute field of
+    moduli, both frozensets of Element.  is_normal is brute force over every
+    element, the reference for mq_is_galois.
     """
 
-    cg: ClassGroup
-    elements: tuple[Element, ...]
-    subgroup_mk: frozenset[Element]
-    subgroup_mq: frozenset[Element]
+    __slots__ = ()
 
     def mul(self, x: Element, y: Element) -> Element:
         i, e = x
@@ -104,20 +102,22 @@ class GaloisModel:
         )
 
 
-@dataclass(frozen=True)
-class ModuliReport:
-    disc: int
-    disc0: int
-    m: int
-    d_k: int
-    h: int
-    g: int
-    orbit: tuple[TranscLattice, ...]
-    mq_is_galois: bool
-    class_polynomial: tuple[int, ...]
-    mq_min_poly: tuple[int, ...]
-    precision_used: int
-    warnings: tuple[str, ...]
+class ModuliReport(
+    Value,
+    namedtuple(
+        "ModuliReport",
+        "disc disc0 m d_k h g orbit mq_is_galois class_polynomial mq_min_poly"
+        " precision_used warnings",
+    ),
+):
+    """Everything moduli_report finds for one lattice: its discriminant disc,
+    primitive discriminant disc0, index m and CM field d_k; h and g, the
+    class number and genus order of disc0; orbit, the tuple of conjugate
+    TranscLattice; mq_is_galois; class_polynomial and mq_min_poly as integer
+    tuples, lowest degree first; precision_used, in digits; and warnings, a
+    tuple of str."""
+
+    __slots__ = ()
 
 
 def _model(group: ClassGroup) -> GaloisModel:
@@ -342,11 +342,7 @@ def _pack(poly, s: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class _Polynomials:
-    class_poly: tuple[int, ...]
-    mq: tuple[int, ...]
-    warnings: tuple[str, ...]
+_Polynomials = namedtuple("_Polynomials", "class_poly mq warnings")
 
 
 def _attempt_polynomials(group: ClassGroup, cosets, digits: int) -> _Polynomials:

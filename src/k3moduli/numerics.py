@@ -34,13 +34,13 @@ evaluation, and with it the length of the series and the constants' cache.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import reduce
 from itertools import combinations
 from math import ceil, exp, expm1, isqrt, log, pi, sqrt
 
 from .errors import InputError, K3ModuliError, NotNearInteger
+from .values import Value
 
 # the largest precision any evaluation runs at.  moduli refuses a floor above
 # it: the floor grows about like sqrt|D| log|D|, 1995 digits at D = -40004 and
@@ -63,24 +63,19 @@ _SPREAD_BITS = 210
 _PRODUCT_GUARD_BITS = 4
 
 
-@dataclass(frozen=True)
-class CMPoint:
-    """tau = (-b + sqrt(disc)) / (2a) in the upper half plane."""
+class CMPoint(Value, namedtuple("CMPoint", "a b disc")):
+    """tau = (-b + sqrt(disc)) / (2a) in the upper half plane, for integers
+    a, b and disc."""
 
-    a: int
-    b: int
-    disc: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BigComplex:
-    """(re + i*im) * 2^-bits exactly.  The value it stands for lies within
-    err * 2^-bits of it (complex modulus); err = 0 means the value is exact."""
+class BigComplex(Value, namedtuple("BigComplex", "re im bits err", defaults=(0,))):
+    """(re + i*im) * 2^-bits exactly, for integers re, im and bits.  The value
+    it stands for lies within err * 2^-bits of it (complex modulus); err = 0,
+    the default, means the value is exact."""
 
-    re: int
-    im: int
-    bits: int
-    err: int = 0
+    __slots__ = ()
 
 
 def conjugate(z: BigComplex) -> BigComplex:
@@ -437,10 +432,21 @@ def _eta_quotient(point: CMPoint, digits: int, n: int) -> BigComplex:
     if digits > MAX_DIGITS:
         raise InputError(f"{digits} digits are above the ceiling of {MAX_DIGITS}")
     a, b, disc = point.a, abs(point.b), point.disc
-    top = _magnitude(disc, a)
+    # sized in integers before any float: sqrt|disc| / a lies between
+    # 2^(size - 1) and 2^(size + 1), so at size > 12, |q|^-1 has over 2^13
+    # bits.  Otherwise a float holds sqrt|disc| and a once both are shifted to
+    # put a below 2^64, and a |q| too near 1 is refused by its series order
+    size = isqrt(-disc).bit_length() - a.bit_length()
+    if size > 12:
+        raise InputError(
+            f"|q|^-1 at {point} has over 2^{size + 1} bits, above the {_TOP_MAGNITUDE} handled"
+        )
+    shift = max(a.bit_length() - 64, 0)
+    fa, fdisc = a >> shift, disc >> 2 * shift
+    top = _magnitude(fdisc, fa)
     if top > _TOP_MAGNITUDE:
         raise InputError(f"|q|^-1 at {point} has {top} bits, above the {_TOP_MAGNITUDE} handled")
-    log_abs_q = -pi * sqrt(-disc) / a
+    log_abs_q = -pi * sqrt(-fdisc) / fa
     # the result is q^(-1/n) times O(1) factors: absolute accuracy needs the
     # bits of |q|^(-1/n) on top of the digits
     magnitude = -(-top // n)

@@ -11,24 +11,23 @@ classes across conductors.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, isqrt, lcm
 
 from . import qforms
 from .errors import InputError, K3ModuliError
 from .qforms import FormClass, QuadForm, check_discriminant
+from .values import Value
 
 Gens = tuple[tuple[int, int], tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class QuadOrder:
+class QuadOrder(Value, namedtuple("QuadOrder", "d_k f")):
     """Order of conductor f in the field of fundamental discriminant d_k."""
 
-    d_k: int
-    f: int
+    __slots__ = ()
 
     @property
     def disc(self) -> int:
@@ -38,17 +37,14 @@ class QuadOrder:
         return f"O({self.d_k};{self.f})"
 
 
-@dataclass(frozen=True)
-class IdealLattice:
-    """Rank-2 lattice in K with its multiplier ring.
+class IdealLattice(Value, namedtuple("IdealLattice", "order den gens")):
+    """Rank-2 lattice in K with its multiplier ring order (a QuadOrder).
 
-    gens are the numerator pairs (coefficient of 1, coefficient of sqrt(d_K))
-    of the two generators over the common denominator den.
+    gens (Gens) are the numerator pairs (coefficient of 1, coefficient of
+    sqrt(d_K)) of the two generators over the common positive denominator den.
     """
 
-    order: QuadOrder
-    den: int
-    gens: Gens
+    __slots__ = ()
 
 
 def is_fundamental(d: int) -> bool:

@@ -8,21 +8,19 @@ its unique reduced representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .errors import InputError
+from .values import Value
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class QuadForm:
-    """Integral binary quadratic form with coefficients (a, b, c)."""
+class QuadForm(Value, namedtuple("QuadForm", "a b c")):
+    """Integral binary quadratic form with integer coefficients (a, b, c)."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
     def __call__(self, x: int, y: int) -> int:
         return self.a * x * x + self.b * x * y + self.c * y * y
@@ -34,12 +32,11 @@ class QuadForm:
         return f"({self.a},{self.b},{self.c})"
 
 
-@dataclass(frozen=True)
-class FormClass:
-    """Proper-equivalence class, named by its unique reduced representative."""
+class FormClass(Value, namedtuple("FormClass", "rep disc")):
+    """Proper-equivalence class, named by its unique reduced representative
+    rep (a QuadForm) of discriminant disc."""
 
-    rep: QuadForm
-    disc: int
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"[{self.rep.a},{self.rep.b},{self.rep.c}]"

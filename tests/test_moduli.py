@@ -194,13 +194,12 @@ def test_gamma2_class_polynomial_rebuilds_h(sweep):
 def test_doctored_report_raises_under_optimize():
     # the consistency checks must survive python -O, which strips asserts
     script = """
-import dataclasses
 from k3moduli import classgroup, moduli
 from k3moduli.errors import K3ModuliError
 report = moduli.moduli_report(moduli.k3.from_gram(((2, 1), (1, 12))))
 group = classgroup.class_group(report.disc0)
 moduli._check_report(report, group)
-bad = dataclasses.replace(report, class_polynomial=report.class_polynomial[:-1])
+bad = report._replace(class_polynomial=report.class_polynomial[:-1])
 try:
     moduli._check_report(bad, group)
 except K3ModuliError as exc:

@@ -457,11 +457,19 @@ def test_out_of_domain_points_are_refused_before_any_work(monkeypatch):
     assert numerics._magnitude(-MAX_ABS_DISC, 1) < numerics._TOP_MAGNITUDE
     monkeypatch.setattr(numerics, "_CONSTANTS", {})
     for evaluate in (j_invariant, numerics.gamma2):
-        with pytest.raises(InputError, match=f"above the {numerics._TOP_MAGNITUDE} handled"):
-            evaluate(CMPoint(1, 0, -4 * 10**8), 10)
-        with pytest.raises(InputError, match=f"beyond the plan's {numerics._MAX_ORDER}"):
-            evaluate(CMPoint(100, 0, -4), numerics.MAX_DIGITS)
+        # the 10^400 points are sized in integers: no float holds them
+        for point in (CMPoint(1, 0, -4 * 10**8), CMPoint(1, 0, -4 * 10**400)):
+            with pytest.raises(InputError, match=f"above the {numerics._TOP_MAGNITUDE} handled"):
+                evaluate(point, 10)
+        near_one = ((CMPoint(100, 0, -4), numerics.MAX_DIGITS), (CMPoint(10**400, 1, -3), 10))
+        for point, digits in near_one:
+            with pytest.raises(InputError, match=f"beyond the plan's {numerics._MAX_ORDER}"):
+                evaluate(point, digits)
     assert numerics._CONSTANTS == {}
+    # i and rho scaled past a float's range are in the domain, and evaluated
+    n = 2**600
+    assert recognize_integer(j_invariant(CMPoint(n, 0, -4 * n * n), 20)) == 1728
+    assert recognize_integer(numerics.gamma2(CMPoint(n, n, -3 * n * n), 20)) == 0
 
 
 def test_j_expansion_coefficients():

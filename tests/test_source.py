@@ -2,7 +2,6 @@
 
 import argparse
 import ast
-import dataclasses
 import importlib
 import inspect
 import os
@@ -119,8 +118,7 @@ def test_public_surface():
     assert sorted(defined) == MODULI_NAMES
     # the benchmark tracer wraps it through the package root
     assert callable(k3moduli.GaloisModel.is_normal)
-    fields = {f.name for f in dataclasses.fields(moduli.ModuliReport)}
-    assert {"g", "mq_min_poly"} <= fields
+    assert {"g", "mq_min_poly"} <= set(moduli.ModuliReport._fields)
     aliases = {"mk_min_poly", "degree_mk_over_k", "degree_mq_over_q"}
     assert aliases.isdisjoint(dir(moduli.ModuliReport))
 
@@ -144,8 +142,9 @@ def test_five_error_classes():
     assert {name: getattr(errors, name).__bases__ for name in ERRORS} == {
         name: (base,) for name, base in ERRORS.items()
     }
-    # every raise names one of them, bar the JSON writer's TypeError and the
-    # entry point's SystemExit
+    # every raise names one of them, bar the JSON writer's TypeError, the
+    # entry point's SystemExit and a value's AttributeError on assignment,
+    # the error Python raises for any read-only attribute
     others, named = [], 0
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
@@ -163,7 +162,11 @@ def test_five_error_classes():
                 scope = parents[scope]
             others.append(f"{path.name}:{getattr(scope, 'name', 'module')} {name}")
     assert named >= 30
-    assert sorted(others) == ["cli.py:_json TypeError", "cli.py:module SystemExit"]
+    assert sorted(others) == [
+        "cli.py:_json TypeError",
+        "cli.py:module SystemExit",
+        "values.py:__setattr__ AttributeError",
+    ]
 
 
 def _imported_modules(path: Path) -> set[str]:
@@ -178,19 +181,22 @@ def _imported_modules(path: Path) -> set[str]:
 
 def test_one_number_format():
     # no module under src/ imports mpmath, and there is no per-thread state; a
-    # value's accuracy is its error bound, with no second statement of it
-    fields = tuple(f.name for f in dataclasses.fields(numerics.BigComplex))
-    assert fields == ("re", "im", "bits", "err")
+    # value's accuracy is its error bound, with no second statement of it.
+    # Nor does any import dataclasses, which with the inspect it loads and
+    # the methods it compiles was most of the package's start-up
+    assert numerics.BigComplex._fields == ("re", "im", "bits", "err")
     imports = {path.name: _imported_modules(path) for path in SOURCES}
     assert [name for name, mods in imports.items() if "mpmath" in mods] == []
     assert [name for name, mods in imports.items() if "threading" in mods] == []
+    assert [name for name, mods in imports.items() if "dataclasses" in mods] == []
 
 
 def test_numerics_owns_the_number_format():
     # no other module imports numerics' private names or reads the parts of
     # a BigComplex; numerics computes the constants of q on Python integers,
     # so a fresh interpreter that loads the CLI and evaluates j and gamma_2
-    # has loaded no mpmath module
+    # has loaded no mpmath module.  Nor has it loaded dataclasses or inspect,
+    # the bulk of start-up before the value types became namedtuples
     for path in SOURCES:
         if path.name == "numerics.py":
             continue
@@ -223,7 +229,8 @@ def test_numerics_owns_the_number_format():
         "import sys, k3moduli.cli\n"
         "from k3moduli.numerics import CMPoint, gamma2, j_invariant\n"
         "assert j_invariant(CMPoint(2, 1, -23), 40).im and gamma2(CMPoint(2, 1, -23), 40).im\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))\n"
+        "unwanted = {'mpmath', 'dataclasses', 'inspect'}\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in unwanted))\n"
     )
     source = str(Path(k3moduli.__file__).parents[1])
     run = subprocess.run(
