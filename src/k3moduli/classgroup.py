@@ -54,7 +54,9 @@ class ClassGroup(Value, namedtuple("ClassGroup", "disc classes")):
     Z/d_1 x .. x Z/d_r; classes is a tuple of FormClass sorted by (a, b).
 
     elementary_divisors are the invariant factors d_1 | d_2 | .. | d_r, and
-    coords[i] the coordinates of classes[i]; the principal class sits at 0.
+    coords[i] the coordinates of classes[i].  The principal class is
+    classes[0], at coordinates 0: (1, d mod 2, .) is the only reduced form
+    with a = 1.
     Both are built on first read, by _coordinates, and kept in the instance
     __dict__ (no __slots__ here); a group compares by disc and classes.
     """
@@ -84,9 +86,7 @@ class ClassGroup(Value, namedtuple("ClassGroup", "disc classes")):
     def _at(self) -> dict[tuple[int, ...], int]:
         return {c: i for i, c in enumerate(self.coords)}
 
-    @cached_property
-    def principal_index(self) -> int:
-        return self._index[1, self.disc % 2]
+    principal_index = 0
 
     def index_of(self, cls: FormClass) -> int:
         i = self._index.get((cls.rep.a, cls.rep.b))
@@ -168,10 +168,11 @@ def class_number_and_genera(d: int) -> tuple[int, int]:
 
 
 def _generators(
-    reps: list[tuple[int, int, int]], index: dict[tuple[int, int], int], identity: int, d: int
+    reps: list[tuple[int, int, int]], index: dict[tuple[int, int], int], d: int
 ) -> tuple[list[int], list[list[int]], list[int]]:
     """Generators by subgroup extension, walking the reduced forms (a, b, c) of
-    discriminant d in order, each looked up by its (a, b).
+    discriminant d in order from the principal form reps[0], each looked up
+    by its (a, b).
 
     Returns (orders, relations, members): g_k has relative order orders[k],
     relations[k] holds the exponents of g_0 .. g_(k-1) in g_k^orders[k], and
@@ -181,8 +182,8 @@ def _generators(
     """
     compose = qforms._compose
     reached = [False] * len(reps)
-    reached[identity] = True
-    members = [identity]
+    reached[0] = True
+    members = [0]
     orders: list[int] = []
     relations: list[list[int]] = []
     for i, (a, b, c) in enumerate(reps):
@@ -280,7 +281,7 @@ def _coordinates(
     genera."""
     triples = [(c.rep.a, c.rep.b, c.rep.c) for c in classes]
     index = {(a, b): i for i, (a, b, _) in enumerate(triples)}
-    orders, relations, members = _generators(triples, index, index[1, d % 2], d)
+    orders, relations, members = _generators(triples, index, d)
     matrix = [
         [-v for v in rel] + [e] + [0] * (len(orders) - k - 1)
         for k, (e, rel) in enumerate(zip(orders, relations))
@@ -367,19 +368,20 @@ def fibres(group: ClassGroup, key) -> tuple[tuple[int, ...], ...]:
 
 def principal_genus(group: ClassGroup) -> frozenset[int]:
     """The subgroup of squares C(D)^2: even coordinates at every even invariant factor."""
-    return frozenset(i for i, genus in enumerate(_genera(group)) if not any(genus))
+    return genus_partition(group).principal_genus
 
 
 def genus_partition(group: ClassGroup) -> GenusPartition:
+    """The genera in order of their smallest member, so the principal genus,
+    which holds the principal class 0, comes first."""
     genera = tuple(map(frozenset, fibres(group, _genera(group).__getitem__)))
-    return GenusPartition(next(g for g in genera if group.principal_index in g), genera)
+    return GenusPartition(genera[0], genera)
 
 
 def genus_of(group: ClassGroup, cls: FormClass) -> frozenset[int]:
     """The coset cls * C(D)^2, i.e. the genus containing cls."""
-    genera = _genera(group)
-    genus = genera[group.index_of(cls)]
-    return frozenset(i for i, other in enumerate(genera) if other == genus)
+    i = group.index_of(cls)
+    return next(genus for genus in genus_partition(group).cosets if i in genus)
 
 
 def genus_order(group: ClassGroup) -> int:

@@ -47,7 +47,11 @@ class SMDecomposition(Value, namedtuple("SMDecomposition", "tau q1 q2")):
 
 
 def lattice_from_class(m: int, cls: FormClass) -> TranscLattice:
-    """Canonical lattice m * (reduced representative of cls)."""
+    """Canonical lattice m * (reduced representative of cls), for m >= 1: at
+    m <= 0 the Gram matrix is not positive definite, and InputError is
+    raised."""
+    if m < 1:
+        raise InputError(f"index of primitivity {m} is not positive")
     a, b, c = cls.rep.coefficients()
     gram = ((2 * m * a, m * b), (m * b, 2 * m * c))
     return TranscLattice(gram, m, cls, m * m * cls.disc, cls.disc)

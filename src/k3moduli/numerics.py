@@ -22,12 +22,14 @@ bound proves it.
 
 The constants of q (pi*sqrt|disc|, exp of it over a, cos/sin of pi*b/a; over
 3a for gamma_2) are fixed point on Python integers too, in `_q_powers`:
-sqrt|disc| from math.isqrt, exp and cos/sin by Brent's method (J. ACM 23,
-1976): reduce the argument, halve it, sum concurrent Taylor series, then
-square back.  pi and ln 2 are exact floors, summed by binary splitting of
-Machin-type arctangent series; their process-wide cache, one bounded entry
-each (_CONSTANTS), is the one state shared between calls, and its values do
-not depend on the order of requests.  The package needs nothing beyond the
+sqrt|disc| from math.isqrt, exp and cos/sin from one Taylor loop by Brent's
+method (J. ACM 23, 1976): reduce the argument, halve it, sum the series of
+exp in concurrent parts, then square back.  cos x and sin x are the real
+and imaginary parts of exp(ix), signed sums of the parts by degree mod 4.
+pi and ln 2 are exact floors, summed by binary splitting of Machin-type
+arctangent series; their process-wide cache, one bounded entry each
+(_CONSTANTS), is the one state shared between calls, and its values do not
+depend on the order of requests.  The package needs nothing beyond the
 standard library.  One constant, MAX_DIGITS, bounds the precision of every
 evaluation, and with it the length of the series and the constants' cache.
 """
@@ -256,31 +258,16 @@ def _constant(series, prec: int) -> int:
     return value >> have - prec
 
 
-def _series_setup(wp: int, halvings: int) -> tuple[int, int, int]:
-    """(extra, w, count): the series run at w = wp + extra bits, extra
-    covering the halvings' error growth, in count concurrent sums."""
-    extra = halvings + 24 + wp.bit_length()
-    return extra, wp + extra, max(2, int(wp**0.35 / 2))
-
-
-def _powers(x: int, w: int, count: int) -> list[int]:
-    """[1, x, ..., x^count] at scale 2^-w, each product rounded down."""
+def _taylor_quarters(x: int, w: int, count: int) -> list[int]:
+    """The Taylor series of exp(t), t = x 2^-w in [0, 1), at scale 2^-w, as
+    four sums: the i-th over the terms t^k / k! with k = i (mod 4).  It runs
+    as count concurrent sums, count a multiple of 4, that share one running
+    term t^(count j) / k!: sum i gathers the terms with k = i (mod count)
+    over t^i, then is multiplied by t^i.  Every product and division rounds
+    down."""
     powers = [1 << w, x]
     for _ in range(count - 1):
         powers.append(powers[-1] * x >> w)
-    return powers
-
-
-def _combine(sums: list[int], powers: list[int], w: int) -> int:
-    """sum over i of sums[i] x^i, for the powers of x."""
-    return sums[0] + sum(s * p >> w for s, p in zip(sums[1:], powers[1:]))
-
-
-def _exp_fixed(r: int, wp: int) -> int:
-    """exp(r 2^-wp) at scale 2^-wp, for 0 <= r < 2^wp ln 2 (see _q_powers)."""
-    halvings = round(wp ** (1 / 3))
-    extra, w, count = _series_setup(wp, halvings)
-    powers = _powers(r << extra - halvings, w, count)
     sums, term, k = [0] * count, 1 << w, 0  # term = t^(count j) / k!
     while term:
         for i in range(count):
@@ -288,33 +275,8 @@ def _exp_fixed(r: int, wp: int) -> int:
             k += 1
             term //= k
         term = term * powers[count] >> w
-    v = _combine(sums, powers, w)
-    for _ in range(halvings):
-        v = v * v >> w
-    return v >> extra
-
-
-def _cos_sin_fixed(x: int, wp: int) -> tuple[int, int]:
-    """cos and sin of x 2^-wp at scale 2^-wp, for 0 < x 2^-wp <= pi/4 (see
-    _q_powers)."""
-    halvings = round(0.6 * wp ** (1 / 3))
-    extra, w, count = _series_setup(wp, halvings)
-    x <<= extra - halvings
-    powers = _powers(x * x >> w, w, count)
-    cos, sin = [0] * count, [0] * count
-    term, k = 1 << w, 0  # term = y^(count j) / (2k)!, y = x^2
-    while term:
-        for i in range(count):
-            odd = term // (2 * k + 1)
-            cos[i] += -term if k & 1 else term
-            sin[i] += -odd if k & 1 else odd
-            k += 1
-            term //= (2 * k - 1) * 2 * k
-        term = term * powers[count] >> w
-    c, s = _combine(cos, powers, w), _combine(sin, powers, w) * x >> w
-    for _ in range(halvings):
-        c, s = (c + s) * (c - s) >> w, c * s >> w - 1
-    return c >> extra, s >> extra
+    parts = [s * p >> w for s, p in zip(sums, powers)]
+    return [sum(parts[i::4]) for i in range(4)]
 
 
 def _q_powers(a: int, b: int, disc: int, n: int, bits: int, magnitude: int):
@@ -328,13 +290,24 @@ def _q_powers(a: int, b: int, disc: int, n: int, bits: int, magnitude: int):
     pi_fixed = _constant(_pi_series, wp)
     log_size = (pi_fixed * isqrt(-disc << 2 * wp) >> wp) // na  # L
     k, r = divmod(log_size, _constant(_ln2_series, wp))
-    grow = _exp_fixed(r, wp)
-    # theta = pi b / (na) is pi angle / (2na) mod 2 pi, = j pi/2 + pi c / (2na)
-    # with |c| <= na/2
+    # theta = pi b / (na) is pi angle / (2na) mod 2 pi, = j pi/2 + chi with
+    # chi = pi c / (2na), |c| <= na/2
     angle = 2 * b % (4 * na)
     j = (2 * angle + na) // (2 * na)
     c = angle - j * na
-    cos, sin = _cos_sin_fixed(pi_fixed * abs(c) // (2 * na), wp) if c else (1 << wp, 0)
+    chi = pi_fixed * abs(c) // (2 * na)
+    # Brent: exp(r) and exp(i chi) from the series at r / 2^s and chi / 2^s,
+    # s = halvings, at w = wp + extra bits, then squared back s times
+    halvings = round(wp ** (1 / 3))
+    extra = halvings + 24 + wp.bit_length()
+    w, count = wp + extra, 4 * max(1, round(wp**0.35 / 8))
+    grow = sum(_taylor_quarters(r << extra - halvings, w, count))
+    re0, im1, re2, im3 = _taylor_quarters(chi << extra - halvings, w, count)
+    cos, sin = re0 - re2, im1 - im3
+    for _ in range(halvings):
+        grow = grow * grow >> w
+        cos, sin = (cos + sin) * (cos - sin) >> w, cos * sin >> w - 1
+    grow, cos, sin = grow >> extra, cos >> extra, sin >> extra
     sin = -sin if c < 0 else sin
     cos, sin = ((cos, sin), (-sin, cos), (-cos, -sin), (sin, -cos))[j % 4]
     q = (cos << bits - k) // grow, (-sin << bits - k) // grow
@@ -400,19 +373,21 @@ def _eta_quotient(point: CMPoint, digits: int, n: int) -> BigComplex:
       is under a unit low.  The product and division forming L round down,
       so L is low by under slack = isqrt|disc| + 8 units.
     - L = k ln 2 + r, 0 <= r < ln 2, and r is off by under slack + k units.
-    - exp(r) is summed by `count` concurrent series at t = r / 2^s, in units
-      of 2^-w, w = wp + extra.  The running term stays within 3 units and
-      t^i within i, so the sum is off by under 3 (terms + count) + 6 <= 8w +
-      16 units.  s squarings grow that by at most 2^(s + 2), as each
-      squared value is below 2.  extra = s + 24 + the bits of wp leaves it
-      under 2^-16 units of 2^-wp, and the final rounding under 1 + 2^-16.
-    - theta = j pi/2 + chi, |chi| <= pi/4, is reduced exactly in integers,
-      and chi is low by under 1.25 units.  cos and sin of chi / 2^s are
-      summed the same way, over powers of chi^2 / 4^s, and s complex
-      squarings (the doubling formulas) grow their error by at most
-      2^(s + 1).  Each is within 1 + 2^-16 units at the rounded chi, so
-      within 3 at the true one.  At an integer 2b/(na), chi is 0, and cos
-      and sin are exact: q^(1/n) is exactly real at an integer b/(na).
+      theta = j pi/2 + chi, |chi| <= pi/4, is reduced exactly in integers,
+      and chi is low by under 1.25 units.
+    - One Taylor loop (_taylor_quarters) sums exp(t) at t = r / 2^s and at
+      t = |chi| / 2^s, in `count` concurrent parts, in units of 2^-w, w =
+      wp + extra.  The running term stays within 3 units and t^i within i,
+      so the parts are off by under 3 (terms + count) + 6 <= 8w + 16 units
+      in all.  exp(r / 2^s) is their sum, and cos and sin of chi / 2^s are
+      signed sums of disjoint parts, so each keeps that bound.  s real
+      squarings, or s complex doublings, grow it by at most 2^(s + 2), as
+      each value squared is below 2 in modulus.  extra = s + 24 + the bits
+      of wp leaves it under 2^-16 units of 2^-wp, and the final rounding
+      under 1 + 2^-16.  So exp(r) is within 1 + 2^-16 units, and cos and sin
+      within 3 at the true chi.  At an integer 2b/(na), chi is 0, and the
+      loop gives cos = 1 and sin = 0 exactly: q^(1/n) is exactly real at an
+      integer b/(na) and exactly imaginary at a half-integer.
     - So q^(-1/n) = 2^k exp(r) (cos + i sin) is off by under (2 (slack + k)
       + 9) 2^(k + bits - wp) units of 2^-bits before it is rounded down.
       q^(1/n) = 2^-k (cos - i sin) / exp(r), one division per part, is off
@@ -539,7 +514,8 @@ def apart(values: list[BigComplex]) -> bool:
 
 
 def poly_from_roots(roots: list[BigComplex]) -> list[BigComplex]:
-    """Coefficients of the monic prod (x - r), lowest degree first.
+    """Coefficients of the monic prod (x - r), lowest degree first; the empty
+    product is the constant 1.
 
     A real root enters as a real linear factor, a root and its exact
     conjugate (same bits) as one real quadratic x^2 - 2 Re(z) x + |z|^2.  A
@@ -552,7 +528,7 @@ def poly_from_roots(roots: list[BigComplex]) -> list[BigComplex]:
     largest partial coefficient, plus one unit per rounded term.  Every
     coefficient carries the final bound.
     """
-    accurate = max(r.bits - r.err.bit_length() for r in roots)
+    accurate = max((r.bits - r.err.bit_length() for r in roots), default=0)
     bits = max(accurate, 0) + len(roots).bit_length() + _PRODUCT_GUARD_BITS
     factors = []  # (low coefficients, their error bound)
     waiting = Counter()  # roots still without their conjugate

@@ -136,6 +136,10 @@ def test_exact_sequence_cardinalities_small():
         assert len(part.cosets) == len(two_torsion(group))
         assert sorted(i for c in part.cosets for i in c) == list(range(group.h))
         assert all(len(c) == len(part.principal_genus) for c in part.cosets)
+        # the principal class leads the reduced forms, and its genus is C^2
+        assert group.classes[group.principal_index] == principal_class(d)
+        assert not any(group.coords[group.principal_index])
+        assert part.principal_genus == {group.mul(i, i) for i in range(group.h)}
 
 
 def test_genus_coset_criterion():

@@ -385,6 +385,22 @@ def test_text_format():
     assert "x^3 + 3491750*x^2 - 5151296875*x + 12771880859375" in out
     code, out = run_cli(["classpoly", "--", "-23"])
     assert "precision used" in out
+    code, out = run_cli(["orbit", "4", "2", "2", "24"])
+    assert code == EXIT_OK
+    assert out.splitlines()[1:] == [
+        "  lattice            gram [[4, 2], [2, 24]]  m = 2  class (1, 1, 6)",
+        "  lattice            gram [[8, -2], [-2, 12]]  m = 2  class (2, -1, 3)",
+        "  lattice            gram [[8, 2], [2, 12]]  m = 2  class (2, 1, 3)",
+    ]
+
+
+def test_text_format_prints_each_warning(monkeypatch):
+    # a fallback rung of the resolvent ladder is reported on its own line
+    empty_field_cache(monkeypatch)  # a cached report would skip the ladder
+    monkeypatch.setattr(moduli, "_RESOLVENT_LADDER", (("square sum", 2, 0),))
+    code, out = run_cli(["analyze", "6", "2", "2", "10"])  # D = -56, h = 4
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == "  warning: resolvent fallback used: square sum"
 
 
 SCALARS = (

@@ -39,6 +39,17 @@ def test_from_gram_rejects():
         from_gram(((-2, 0), (0, -2)))
 
 
+def test_lattice_from_class_refuses_a_non_positive_index():
+    # m = 0 gives the zero Gram matrix and m = -1 a negative definite one,
+    # which from_gram refuses too
+    cls = form_class(1, 1, 6)
+    for m in (0, -1):
+        with pytest.raises(InputError, match=f"index of primitivity {m} is not positive"):
+            lattice_from_class(m, cls)
+        with pytest.raises(InputError, match="is not positive definite"):
+            from_gram(((2 * m, m), (m, 12 * m)))
+
+
 def test_cm_field():
     assert cm_field(from_gram(((2, 1), (1, 12)))) == -23
     assert cm_field(from_gram(((2, 0), (0, 2)))) == -4

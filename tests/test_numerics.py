@@ -200,11 +200,28 @@ def _constants_oracle(ctx, a, b, disc, n, bits):
 def test_constants_of_q_match_mpmath_within_their_bound():
     # q^(1/n) and q^(-1/n) themselves, against mpmath at twice the bits:
     # each part within the bound _q_powers returns.  Real q at an integer
-    # b/(na) must be exactly real; |tau| = 1 at b^2 - disc = 4a^2; a = 1
-    # reaches |disc| = 10^6, the largest |q|^-1; and random points
+    # b/(na) must be exactly real, and beside each such point q at the
+    # half-integer b/(na) of twice the a exactly imaginary; |tau| = 1 at
+    # b^2 - disc = 4a^2; a = 1 reaches |disc| = 10^6, the largest |q|^-1;
+    # and random points
     rng = random.Random(24)
     ctx = MPContext()
     checked = 0
+
+    def check(shape, a, b, disc, n, digits):
+        magnitude = -(-numerics._magnitude(disc, a) // n)
+        bits = numerics._working_bits(digits, magnitude, 1)
+        q, q_inv, units = numerics._q_powers(a, b, disc, n, bits, magnitude)
+        assert units == 2, (a, b, disc, n)
+        if shape == "real":
+            assert q[1] == q_inv[1] == 0, (a, b, disc, n)
+        if shape == "half":
+            assert q[0] == q_inv[0] == 0 != q[1], (a, b, disc, n)
+        ctx.prec = 2 * (bits + magnitude)
+        for got, truth in zip((q, q_inv), _constants_oracle(ctx, a, b, disc, n, bits)):
+            for part, value in zip(got, truth):
+                assert abs(part - value) <= units, (shape, a, b, disc, n)
+
     for n in (1, 3):
         for shape in ("real", "unit", "large", "random"):
             for _ in range(8):
@@ -221,18 +238,13 @@ def test_constants_of_q_match_mpmath_within_their_bound():
                 if shape == "large":
                     disc = -rng.randrange(4, 10**6 + 1)
                     b = disc % 2
-                magnitude = -(-numerics._magnitude(disc, a) // n)
-                bits = numerics._working_bits(rng.randrange(20, 401), magnitude, 1)
-                q, q_inv, units = numerics._q_powers(a, b, disc, n, bits, magnitude)
-                assert units == 2, (a, b, disc, n)
-                if shape == "real":
-                    assert q[1] == q_inv[1] == 0, (a, b, disc, n)
-                ctx.prec = 2 * (bits + magnitude)
-                for got, truth in zip((q, q_inv), _constants_oracle(ctx, a, b, disc, n, bits)):
-                    for part, value in zip(got, truth):
-                        assert abs(part - value) <= units, (shape, a, b, disc, n)
+                digits = rng.randrange(20, 401)
+                check(shape, a, b, disc, n, digits)
                 checked += 1
-    assert checked == 64
+                if shape == "real":  # b/(na) = m, so b'/(na') = m + 1/2 at a' = 2a
+                    check("half", 2 * a, 2 * b + n * a, 4 * disc, n, digits)
+                    checked += 1
+    assert checked == 80
 
 
 def test_constants_do_not_depend_on_what_was_asked_first(monkeypatch):
@@ -250,6 +262,19 @@ def test_constants_do_not_depend_on_what_was_asked_first(monkeypatch):
             assert numerics._CONSTANTS[make][0] == 4 * bits
             assert numerics._constant(make, bits) == cold
             assert cold == int(ctx.floor(ctx.ldexp(constant, bits)))
+
+
+def test_exact_floor_doubles_its_guard_until_the_bound_clears():
+    # a bound of 2^32 units straddles a multiple of 2^32 at the first 32 guard
+    # bits; at 64 the floor of 16/3 is certified
+    asked = []
+
+    def series(prec):
+        asked.append(prec)
+        return (16 << prec) // 3, 1 << 32 if prec == 42 else 1
+
+    assert numerics._exact_floor(series, 10) == (16 << 10) // 3
+    assert asked == [42, 74]
 
 
 def test_trace_of_minus_23_roots_is_integer():
@@ -271,6 +296,9 @@ def test_poly_from_roots_single():
     ctx.dps = 30
     coeffs = poly_from_roots([from_mpc(ctx, ctx.mpf(1728))])
     assert [certified_integer(c, "1e-10") for c in coeffs] == [-1728, 1]
+    # the empty product is the constant 1, exactly
+    [one] = poly_from_roots([])
+    assert one.re == 1 << one.bits and one.im == one.err == 0
 
 
 def test_poly_from_roots_conjugate_pair_real():
@@ -461,6 +489,9 @@ def test_out_of_domain_points_are_refused_before_any_work(monkeypatch):
         for point in (CMPoint(1, 0, -4 * 10**8), CMPoint(1, 0, -4 * 10**400)):
             with pytest.raises(InputError, match=f"above the {numerics._TOP_MAGNITUDE} handled"):
                 evaluate(point, 10)
+        # sqrt|D| = 8000 passes the integer sizing, and the float one refuses it
+        with pytest.raises(InputError, match=f"has 36259 bits, above the {numerics._TOP_MAGNITUDE}"):
+            evaluate(CMPoint(1, 0, -4 * 4000**2), 10)
         near_one = ((CMPoint(100, 0, -4), numerics.MAX_DIGITS), (CMPoint(10**400, 1, -3), 10))
         for point, digits in near_one:
             with pytest.raises(InputError, match=f"beyond the plan's {numerics._MAX_ORDER}"):

@@ -89,6 +89,12 @@ def test_ideal_to_form_examples():
 def test_ideal_to_form_degenerate():
     with pytest.raises(InputError, match="generators do not span a rank-2 lattice"):
         ideal_lattice(-23, ((2, 0), (4, 0)), 1)
+    # d_K must be fundamental, and the denominator positive
+    with pytest.raises(InputError, match="-92 is not a fundamental discriminant"):
+        ideal_lattice(-92, ((2, 0), (1, 1)), 2)
+    for den in (0, -2):
+        with pytest.raises(InputError, match="denominator must be positive"):
+            ideal_lattice(-23, ((2, 0), (1, 1)), den)
 
 
 def test_ideal_to_form_orients_the_basis():
