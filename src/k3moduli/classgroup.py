@@ -19,8 +19,9 @@ of it.  Products, inverses and orders are coordinate arithmetic; the
 principal genus C^2 is the classes with even coordinates at every even d_k,
 the genera are the classes grouped by those coordinates mod 2, and the cosets
 of C[2] are the fibres of squaring.  No Cayley table is stored: cayley()
-builds one on request, each row its parent's row sent through "add 1 in one
-coordinate", h^2 list lookups.
+builds one on request from a table of the labels in which each coordinate
+t runs on to 2 d_t - 2, so that class offsets add without carry and each row
+is one gather.
 
 Three counts of C[2] must agree: the ambiguous reduced forms, the genus count
 2^(mu - 1) from the factorisation of D (Cox, Primes of the form x^2 + ny^2,
@@ -34,8 +35,11 @@ would not finish in reasonable time.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Sequence
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import gcd, isqrt, lcm
+from operator import itemgetter
 
 from . import orders, qforms
 from .errors import InputError, K3ModuliError
@@ -310,39 +314,33 @@ def _coordinates(
     return tuple(coords), divisors
 
 
-def cayley(group: ClassGroup) -> tuple[tuple[int, ...], ...]:
-    """The Cayley table: cayley(group)[i][j] is the index of classes[i] *
-    classes[j].  Built on each call, h^2 entries.
+def cayley(group: ClassGroup, labels: Sequence | None = None) -> tuple[tuple, ...]:
+    """The Cayley table: cayley(group)[i][j] is labels[k] for classes[k] =
+    classes[i] * classes[j], labels the class indices by default.  Built on
+    each call, h^2 entries.
 
-    Each class is keyed by its coordinates read in the mixed radix (d_1, d_2,
-    ..), least significant first.  The class with key x > 0 is g_t times the
-    class with key x - strides[t], t its most significant nonzero coordinate
-    and g_t the unit vector at t; its row is that parent's row sent through
-    the permutation of adding 1 at coordinate t.
+    Class i sits at offset o_i = sum c_t S_t, c its coordinates and S_t =
+    prod over u < t of (2 d_u - 1), in a table of the labels where coordinate
+    t runs from 0 to 2 d_t - 2: offset x holds the label at coordinates x_t
+    mod d_t.  So o_i + o_j never carries, and row i is one gather of the
+    offsets o_j from the slice at o_i.
     """
     h, divisors = group.h, group.elementary_divisors
-    columns = list(zip(*group.coords))  # columns[t][i]: coordinate t of class i
-    strides = [1]
-    for n in divisors[:-1]:
-        strides.append(strides[-1] * n)
-    keys = [0] * h
-    for column, s in zip(columns, strides):
-        keys = [key + a * s for key, a in zip(keys, column)]
-    at = [0] * h
-    for i, key in enumerate(keys):
-        at[key] = i
-    perms = [  # perms[t][i]: the class i plus 1 at coordinate t
-        [at[key + s if a < n - 1 else key - (n - 1) * s] for key, a in zip(keys, column)]
-        for column, n, s in zip(columns, divisors, strides)
-    ]
-    rows: list[tuple[int, ...]] = [()] * h
-    rows[at[0]] = tuple(range(h))
-    t = 0
-    for key in range(1, h):
-        while t + 1 < len(strides) and strides[t + 1] <= key:
-            t += 1
-        rows[at[key]] = tuple(map(perms[t].__getitem__, rows[at[key - strides[t]]]))
-    return tuple(rows)
+    labels = range(h) if labels is None else labels
+    if h == 1:  # itemgetter of one index returns a bare item, not a 1-tuple
+        return ((labels[0],),)
+    offsets, stride = [0] * h, 1
+    for column, n in zip(zip(*group.coords), divisors):
+        offsets = [o + a * stride for o, a in zip(offsets, column)]
+        stride *= 2 * n - 1
+    table, block = list(map(labels.__getitem__, sorted(range(h), key=offsets.__getitem__))), 1
+    for n in divisors:  # coordinate t: each run of its d_t values, then its first d_t - 1 again
+        run = n * block
+        runs = (table[k : k + run] for k in range(0, len(table), run))
+        table = list(chain.from_iterable(r + r[: run - block] for r in runs))
+        block *= 2 * n - 1
+    span, gather = max(offsets) + 1, itemgetter(*offsets)
+    return tuple(gather(table[o : o + span]) for o in offsets)
 
 
 def two_torsion(group: ClassGroup) -> frozenset[int]:

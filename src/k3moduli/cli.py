@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from _json import encode_basestring_ascii  # CPython's C encoder, without the json package
 from functools import cache
-from json.encoder import encode_basestring_ascii
 from math import isqrt
 
 from . import __version__, classgroup, k3, moduli
@@ -276,8 +276,8 @@ def _text_lines(command: str, payload: dict, warnings: list[str]) -> list[str]:
 
 
 class _CayleyTable(tuple):
-    """classgroup.cayley(group): h rows of h class indices below h, which
-    _json writes as lists from h decimal strings made once."""
+    """classgroup.cayley(group, labels) with labels the decimal strings of the
+    class indices: h rows of h strings, which _json joins as lists of numbers."""
 
     __slots__ = ()
 
@@ -299,11 +299,8 @@ def _json(value, newline: str = "\n") -> str:
         return int.__repr__(value)
     inner = newline + "  "
     if isinstance(value, _CayleyTable):
-        names, entry = [str(i) for i in range(len(value))], inner + "  "
-        rows = (
-            "[" + entry + ("," + entry).join(map(names.__getitem__, row)) + inner + "]"
-            for row in value
-        )
+        entry = inner + "  "
+        rows = ("[" + entry + ("," + entry).join(row) + inner + "]" for row in value)
         return "[" + inner + ("," + inner).join(rows) + newline + "]"
     if isinstance(value, list):
         if not value:
@@ -349,7 +346,8 @@ def run(args: argparse.Namespace) -> int:
         group = classgroup.class_group(args.disc)
         payload = _classgroup_payload(group)
         if args.format == "json":  # the text form prints no Cayley table
-            payload["cayley"] = _CayleyTable(classgroup.cayley(group))
+            names = [str(i) for i in range(group.h)]
+            payload["cayley"] = _CayleyTable(classgroup.cayley(group, names))
         echo = {"disc": args.disc}
     elif args.command == "orbit":
         lattice = k3.from_gram(_gram_matrix(args.gram))

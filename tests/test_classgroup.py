@@ -258,6 +258,26 @@ def test_non_cyclic_groups_match_oracle(d, divisors):
     assert (cayley(group), group.elementary_divisors) == _oracle(d)
 
 
+@pytest.mark.parametrize(
+    "d, divisors", [(-120120, (2, 2, 2, 2, 8)), (-480480, (2, 2, 2, 2, 2, 8))]
+)
+def test_cayley_gathers_at_high_two_rank(d, divisors):
+    # 2-rank 5 and 6: the gather's table is widest against h here
+    group = class_group(d)
+    assert group.elementary_divisors == divisors
+    table, classes = cayley(group), range(group.h)
+    assert all(table[i][j] == group.mul(i, j) for i in classes for j in classes)
+
+
+@pytest.mark.parametrize("d", [-3, -4, -56, -420, -3299, -60060])
+def test_cayley_maps_labels_through_the_index_table(d):
+    # h = 1 at -3 and -4, where a gather of one index would return no tuple
+    group = class_group(d)
+    labels = [f"c{i}" for i in range(group.h)]
+    by_index = tuple(tuple(labels[k] for k in row) for row in cayley(group))
+    assert cayley(group, labels) == by_index
+
+
 def test_about_h_compositions(monkeypatch):
     expected = class_group(-40004)
     calls = 0

@@ -118,9 +118,9 @@ def test_classgroup_builds_the_cayley_table_only_for_json(monkeypatch):
     calls = []
     build = classgroup.cayley
 
-    def cayley(group):
+    def cayley(group, labels=None):
         calls.append(group.disc)
-        return build(group)
+        return build(group, labels)
 
     monkeypatch.setattr(classgroup, "cayley", cayley)
     code, out = run_cli(["classgroup", "--", "-56"])
@@ -435,7 +435,7 @@ def cayley_tables(draw):
 @settings(deadline=None, max_examples=100)
 @given(cayley_tables())
 def test_json_emitter_writes_cayley_tables_as_lists(rows):
-    value = {"t": _CayleyTable(tuple(map(tuple, rows))), "u": [[1, 2]]}
+    value = {"t": _CayleyTable(tuple(tuple(map(str, row)) for row in rows)), "u": [[1, 2]]}
     assert _json(value) == json.dumps({"t": rows, "u": [[1, 2]]}, sort_keys=True, indent=2)
 
 

@@ -229,7 +229,7 @@ def test_numerics_owns_the_number_format():
         "import sys, k3moduli.cli\n"
         "from k3moduli.numerics import CMPoint, gamma2, j_invariant\n"
         "assert j_invariant(CMPoint(2, 1, -23), 40).im and gamma2(CMPoint(2, 1, -23), 40).im\n"
-        "unwanted = {'mpmath', 'dataclasses', 'inspect'}\n"
+        "unwanted = {'mpmath', 'dataclasses', 'inspect', 'json'}\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in unwanted))\n"
     )
     source = str(Path(k3moduli.__file__).parents[1])
