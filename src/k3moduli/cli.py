@@ -341,21 +341,18 @@ def run(args: argparse.Namespace) -> int:
         report = moduli.moduli_report(lattice)
         warnings = list(report.warnings)
         payload = _report_payload(report)
-        echo = {"gram": [list(r) for r in _gram_matrix(args.gram)]}
     elif args.command == "classgroup":
         group = classgroup.class_group(args.disc)
         payload = _classgroup_payload(group)
         if args.format == "json":  # the text form prints no Cayley table
             names = [str(i) for i in range(group.h)]
             payload["cayley"] = _CayleyTable(classgroup.cayley(group, names))
-        echo = {"disc": args.disc}
     elif args.command == "orbit":
         lattice = k3.from_gram(_gram_matrix(args.gram))
         payload = {
             "disc": lattice.disc,
             "lattices": [_lattice_payload(t) for t in k3.galois_orbit(lattice)],
         }
-        echo = {"gram": [list(r) for r in _gram_matrix(args.gram)]}
     elif args.command == "classpoly":
         coeffs, used = moduli.class_polynomial_with_precision(args.disc)
         payload = {
@@ -364,7 +361,6 @@ def run(args: argparse.Namespace) -> int:
             "coefficients": _poly_strings(coeffs),
             "precision_used": used,
         }
-        echo = {"disc": args.disc}
     else:  # enumerate: argparse admits no other command
         if args.max_disc <= 0 or (args.max_h is not None and args.max_h <= 0):
             raise InputError("bounds must be positive")
@@ -375,11 +371,11 @@ def run(args: argparse.Namespace) -> int:
             "primitive_only": args.primitive_only,
             "strata": _enumerate_rows(args.max_disc, args.max_h, args.primitive_only),
         }
-        echo = {
-            "max_disc": args.max_disc,
-            "max_h": args.max_h,
-            "primitive_only": args.primitive_only,
-        }
+    echo = {
+        key: [value[:2], value[2:]] if key == "gram" else value
+        for key, value in vars(args).items()
+        if key not in ("command", "format")
+    }
     _emit(args.command, echo, payload, warnings, args.format)
     return EXIT_OK
 

@@ -25,19 +25,20 @@ The constants of q (pi*sqrt|disc|, exp of it over a, cos/sin of pi*b/a; over
 sqrt|disc| from math.isqrt, exp and cos/sin from one Taylor loop by Brent's
 method (J. ACM 23, 1976): reduce the argument, halve it, sum the series of
 exp in concurrent parts, then square back.  cos x and sin x are the real
-and imaginary parts of exp(ix), signed sums of the parts by degree mod 4.
-pi and ln 2 are exact floors, summed by binary splitting of Machin-type
-arctangent series; their process-wide cache, one bounded entry each
-(_CONSTANTS), is the one state shared between calls, and its values do not
-depend on the order of requests.  The package needs nothing beyond the
-standard library.  One constant, MAX_DIGITS, bounds the precision of every
-evaluation, and with it the length of the series and the constants' cache.
+and imaginary parts of exp(ix), signed sums of the parts by degree mod 4;
+exp(r) and exp(i chi) at the halved arguments make one complex value, which
+_sqr squares back.  pi and ln 2 are exact floors, summed by binary
+splitting of Machin-type arctangent series and memoised (lru_cache) at
+powers of two of the precision, so their values do not depend on the order
+of requests.  The package needs nothing beyond the standard library.  One
+constant, MAX_DIGITS, bounds the precision of every evaluation, and with it
+the length of the series.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import ceil, exp, expm1, isqrt, log, pi, sqrt
 
@@ -53,6 +54,9 @@ from .values import Value
 MAX_DIGITS = 3000
 LOG2_10 = log(10, 2)
 LN2 = log(2)
+# the most bits of |q|^-1 any evaluation admits, as many as MAX_DIGITS digits
+# hold: _eta_quotient refuses a larger |q|^-1 before its constants are computed
+_TOP_MAGNITUDE = ceil(MAX_DIGITS * LOG2_10)
 # rounding of the fixed-point products (under 2^17 units over both Euler
 # products, see _eta_quotient) and the constants of the error propagation
 # through E(q^2)/E(q), its 24th power and (1 + 256h)^3 / h
@@ -220,6 +224,7 @@ def _ln2_series(prec: int) -> tuple[int, int]:
     return 18 * _arccot(26, 1, prec) - 2 * _arccot(4801, 1, prec) + 8 * _arccot(8749, 1, prec), 42
 
 
+@lru_cache(maxsize=32)
 def _exact_floor(series, prec: int) -> int:
     """floor(c 2^prec) for the irrational constant c that series approximates:
     at guard bits more, the approximation and its error bound fall between
@@ -233,29 +238,13 @@ def _exact_floor(series, prec: int) -> int:
         guard *= 2
 
 
-# pi and ln 2 as floor(c 2^prec), one entry each: a request above the cached
-# precision refills the entry at twice its precision or more, up to the
-# constants' precision at MAX_DIGITS for a point whose |q|^-1 has as many
-# digits (see _q_powers; _eta_quotient refuses a larger |q|^-1); a longer
-# request is computed and not kept.  A smaller request truncates the entry,
-# and the floor of a floor is the floor, so every value is the same whatever
-# was asked first.  Threads that grow an entry at once each store a whole
-# (prec, floor) pair; whichever is kept, every value read from it is the
-# same, so no lock is needed
-_TOP_MAGNITUDE = ceil(MAX_DIGITS * LOG2_10)
-_CONSTANTS_CAP = _working_bits(MAX_DIGITS, _TOP_MAGNITUDE, 1) + _TOP_MAGNITUDE + 64
-_CONSTANTS: dict = {}
-
-
 def _constant(series, prec: int) -> int:
-    """floor(c 2^prec) for c = pi (_pi_series) or ln 2 (_ln2_series)."""
-    have, value = _CONSTANTS.get(series, (-1, 0))
-    if prec > have:
-        have = min(max(prec, 2 * have), _CONSTANTS_CAP) if prec <= _CONSTANTS_CAP else prec
-        value = _exact_floor(series, have)
-        if have <= _CONSTANTS_CAP:
-            _CONSTANTS[series] = have, value
-    return value >> have - prec
+    """floor(c 2^prec) for c = pi (_pi_series) or ln 2 (_ln2_series): the
+    memoised floor at the least power of two >= prec, truncated.  The floor
+    of a floor is the floor, so every value is the same whatever was asked
+    first, and threads need no lock."""
+    top = 1 << (prec - 1).bit_length()
+    return _exact_floor(series, top) >> top - prec
 
 
 def _taylor_quarters(x: int, w: int, count: int) -> list[int]:
@@ -296,24 +285,23 @@ def _q_powers(a: int, b: int, disc: int, n: int, bits: int, magnitude: int):
     j = (2 * angle + na) // (2 * na)
     c = angle - j * na
     chi = pi_fixed * abs(c) // (2 * na)
-    # Brent: exp(r) and exp(i chi) from the series at r / 2^s and chi / 2^s,
-    # s = halvings, at w = wp + extra bits, then squared back s times
+    # Brent: E = exp((r + i chi) / 2^s), s = halvings, from the series of
+    # exp(r / 2^s) and exp(i chi / 2^s) at w = wp + extra bits, then squared
+    # back s times
     halvings = round(wp ** (1 / 3))
     extra = halvings + 24 + wp.bit_length()
     w, count = wp + extra, 4 * max(1, round(wp**0.35 / 8))
     grow = sum(_taylor_quarters(r << extra - halvings, w, count))
     re0, im1, re2, im3 = _taylor_quarters(chi << extra - halvings, w, count)
-    cos, sin = re0 - re2, im1 - im3
+    e = grow * (re0 - re2) >> w, grow * (im1 - im3) >> w
     for _ in range(halvings):
-        grow = grow * grow >> w
-        cos, sin = (cos + sin) * (cos - sin) >> w, cos * sin >> w - 1
-    grow, cos, sin = grow >> extra, cos >> extra, sin >> extra
-    sin = -sin if c < 0 else sin
-    cos, sin = ((cos, sin), (-sin, cos), (-cos, -sin), (sin, -cos))[j % 4]
-    q = (cos << bits - k) // grow, (-sin << bits - k) // grow
-    shift = 2 * wp - bits - k
-    q_inv = cos * grow >> shift, sin * grow >> shift
-    return q, q_inv, 2 + ((2 * (slack + k) + 9) >> wp - bits - k)
+        e = _sqr(e, w)
+    re, im = e[0] >> extra, e[1] >> extra
+    im = -im if c < 0 else im
+    re, im = ((re, im), (-im, re), (-re, -im), (im, -re))[j % 4]  # exp(r + i theta)
+    shift, norm = wp - bits - k, re * re + im * im
+    q = (re << wp + bits - k) // norm, (-im << wp + bits - k) // norm
+    return q, (re >> shift, im >> shift), 2 + ((2 * (slack + k) + 9) >> shift)
 
 
 def j_invariant(point: CMPoint, digits: int) -> BigComplex:
@@ -380,20 +368,25 @@ def _eta_quotient(point: CMPoint, digits: int, n: int) -> BigComplex:
       wp + extra.  The running term stays within 3 units and t^i within i,
       so the parts are off by under 3 (terms + count) + 6 <= 8w + 16 units
       in all.  exp(r / 2^s) is their sum, and cos and sin of chi / 2^s are
-      signed sums of disjoint parts, so each keeps that bound.  s real
-      squarings, or s complex doublings, grow it by at most 2^(s + 2), as
-      each value squared is below 2 in modulus.  extra = s + 24 + the bits
-      of wp leaves it under 2^-16 units of 2^-wp, and the final rounding
-      under 1 + 2^-16.  So exp(r) is within 1 + 2^-16 units, and cos and sin
-      within 3 at the true chi.  At an integer 2b/(na), chi is 0, and the
-      loop gives cos = 1 and sin = 0 exactly: q^(1/n) is exactly real at an
-      integer b/(na) and exactly imaginary at a half-integer.
-    - So q^(-1/n) = 2^k exp(r) (cos + i sin) is off by under (2 (slack + k)
-      + 9) 2^(k + bits - wp) units of 2^-bits before it is rounded down.
-      q^(1/n) = 2^-k (cos - i sin) / exp(r), one division per part, is off
-      by less.  The margin puts that under half a unit at k <= magnitude, so
-      each part is within units = 2 of the truth (_q_powers returns the
-      bound for the actual k).
+      signed sums of disjoint parts, so each keeps that bound.  Their
+      product E = exp((r + i chi) / 2^s), between 1 and sqrt 2 in modulus,
+      is off by under 4 times it.  s complex squarings (_sqr), each of a
+      value between 1 and 2 in modulus, at most double its relative error
+      and add under sqrt 2 units, so they grow the bound by at most
+      2^(s + 2), as |exp(r + i chi)| < 2.  extra = s + 24 + the bits of wp
+      leaves it under 2^-16 units of 2^-wp, and the final rounding of each
+      part under 1 + 2^-16.  At an integer 2b/(na), chi is 0, the loop gives
+      cos = 1 and sin = 0 exactly, and E and its squares stay exactly real:
+      q^(1/n) is exactly real at an integer b/(na) and exactly imaginary at
+      a half-integer.
+    - The errors of r and chi move exp(r + i chi) by under 2 (slack + k +
+      1.25) units.  Turned by j quarter turns, it is Z = exp(r + i theta),
+      so q^(-1/n) = 2^k Z, read by shifts, is off by under (2 (slack + k) +
+      9) 2^(k + bits - wp) units of 2^-bits before it is rounded down.
+      q^(1/n) = 2^-k conj(Z) / |Z|^2, one floor division per part, is
+      2^-k / Z with |Z| >= 1, so it is off by less.  The margin puts that
+      under half a unit at k <= magnitude, so each part is within units = 2
+      of the truth (_q_powers returns the bound for the actual k).
     Then |dq| <= sqrt 2 units, and for n = 3, q = (q^(1/3))^3 is within
     3 sqrt 2 units plus two roundings, under 8 units.  At a reduced point,
     |q| <= exp(-pi sqrt 3), |t^3 / w| < 2^4 and |t / r8| < 2^2.  At fixed

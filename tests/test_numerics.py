@@ -244,22 +244,34 @@ def test_constants_of_q_match_mpmath_within_their_bound():
                 if shape == "real":  # b/(na) = m, so b'/(na') = m + 1/2 at a' = 2a
                     check("half", 2 * a, 2 * b + n * a, 4 * disc, n, digits)
                     checked += 1
-    assert checked == 80
+    # the longest halving loops, 22 to 27 squarings: MAX_DIGITS at a = 1 and
+    # |disc| near 10^6, the largest |q|^-1
+    for n in (1, 3):
+        for disc in (-(10**6), 1 - 10**6):
+            b = disc % 2
+            check("real" if b % n == 0 else "large", 1, b, disc, n, numerics.MAX_DIGITS)
+            checked += 1
+    assert checked == 84
 
 
-def test_constants_do_not_depend_on_what_was_asked_first(monkeypatch):
-    # pi and ln 2 at b bits from a cold cache equal the truncation of a warm
-    # cache filled at 4b bits, and both are the exact floors
+def test_constants_do_not_depend_on_what_was_asked_first():
+    # pi and ln 2 at b bits from a cold memo equal the truncation of the
+    # floor memoised by a request at 4b bits, kept at the power of two above
+    # it, and equal what a request at b bits gives after it; all are the
+    # exact floors
     ctx = MPContext()
     series = {numerics._pi_series: ctx.pi, numerics._ln2_series: ctx.ln2}
+    memo = numerics._exact_floor
     for bits in (10, 333, 2500):
         ctx.prec = bits + 64
         for make, constant in series.items():
-            monkeypatch.setattr(numerics, "_CONSTANTS", {})
+            memo.cache_clear()
             cold = numerics._constant(make, bits)
-            monkeypatch.setattr(numerics, "_CONSTANTS", {})
+            memo.cache_clear()
             numerics._constant(make, 4 * bits)
-            assert numerics._CONSTANTS[make][0] == 4 * bits
+            top = 1 << (4 * bits - 1).bit_length()
+            assert memo(make, top) >> top - bits == cold
+            assert memo.cache_info()[:2] == (1, 1)  # hits, misses: top is the key
             assert numerics._constant(make, bits) == cold
             assert cold == int(ctx.floor(ctx.ldexp(constant, bits)))
 
@@ -477,13 +489,13 @@ def test_j_refuses_digits_above_the_ceiling():
     assert recognize_integer(j_invariant(CMPoint(1, 0, -4), numerics.MAX_DIGITS)) == 1728
 
 
-def test_out_of_domain_points_are_refused_before_any_work(monkeypatch):
+def test_out_of_domain_points_are_refused_before_any_work():
     # |q|^-1 longer than the constants were sized for (3.2 s of pi and ln 2 at
     # |D| = 4*10^8), or |q| so near 1 that the series runs past the plan, is
     # refused before the constants of q are computed; no CLI input reaches
     # either, as |D| <= MAX_ABS_DISC keeps |q|^-1 under the ceiling
     assert numerics._magnitude(-MAX_ABS_DISC, 1) < numerics._TOP_MAGNITUDE
-    monkeypatch.setattr(numerics, "_CONSTANTS", {})
+    numerics._exact_floor.cache_clear()
     for evaluate in (j_invariant, numerics.gamma2):
         # the 10^400 points are sized in integers: no float holds them
         for point in (CMPoint(1, 0, -4 * 10**8), CMPoint(1, 0, -4 * 10**400)):
@@ -496,7 +508,7 @@ def test_out_of_domain_points_are_refused_before_any_work(monkeypatch):
         for point, digits in near_one:
             with pytest.raises(InputError, match=f"beyond the plan's {numerics._MAX_ORDER}"):
                 evaluate(point, digits)
-    assert numerics._CONSTANTS == {}
+    assert numerics._exact_floor.cache_info()[:2] == (0, 0)  # pi and ln 2 never asked
     # i and rho scaled past a float's range are in the domain, and evaluated
     n = 2**600
     assert recognize_integer(j_invariant(CMPoint(n, 0, -4 * n * n), 20)) == 1728
@@ -521,12 +533,12 @@ def test_j_expansion_coefficients():
     assert value.imag == 0
 
 
-def test_threads_at_different_digits_match_serial(monkeypatch):
-    # the one state shared between calls, the cache of pi and ln 2
-    # (numerics._CONSTANTS), holds exact floors, so what it holds at a call
-    # does not change the call's result: results must not depend on what the
-    # other threads compute at the same time, with 9 (disc, digits) pairs
-    # asking for different precisions of a cache emptied before they start
+def test_threads_at_different_digits_match_serial():
+    # the memo of pi and ln 2 (numerics._exact_floor) holds exact floors, so
+    # what it holds at a call does not change the call's result: results
+    # must not depend on what the other threads compute at the same time,
+    # with 9 (disc, digits) pairs asking for different precisions of a memo
+    # emptied before they start
     plan = [(d, digits) for d in (-23, -56, -84) for digits in (30, 90, 270)]
 
     def compute(d, digits):
@@ -537,7 +549,7 @@ def test_threads_at_different_digits_match_serial(monkeypatch):
         return [(z.re, z.im) for z in values]
 
     expected = [compute(d, dg) for d, dg in plan]
-    monkeypatch.setattr(numerics, "_CONSTANTS", {})
+    numerics._exact_floor.cache_clear()
     out = {idx: [] for idx in range(len(plan))}
 
     def worker(i):

@@ -191,6 +191,32 @@ def test_one_number_format():
     assert [name for name, mods in imports.items() if "dataclasses" in mods] == []
 
 
+EMPTY = {"{}", "[]", "dict()", "list()", "set()"}
+
+
+def _empty_containers(source: str, name: str) -> list[str]:
+    """The module-level names that source binds to an empty dict, list or set."""
+    return [
+        f"{name}:{node.lineno}"
+        for node in ast.parse(source, name).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and node.value is not None
+        and ast.unparse(node.value) in EMPTY
+    ]
+
+
+def test_one_memo_technique():
+    # a process-wide memo is a bounded functools cache (see
+    # test_library_caches_are_bounded), not a module-level container filled
+    # with its own refill and cap policy
+    found = [bound for path in SOURCES for bound in _empty_containers(path.read_text(), path.name)]
+    assert found == []
+    for empty in EMPTY:
+        assert _empty_containers(f"x = 1\n_C: dict = {empty}", "m.py") == ["m.py:2"]
+        assert _empty_containers(f"def f():\n    c = {empty}", "m.py") == []
+    assert _empty_containers("X = (1, 2)\nY = [1]\nZ = set(Y)", "m.py") == []
+
+
 def test_numerics_owns_the_number_format():
     # no other module imports numerics' private names or reads the parts of
     # a BigComplex; numerics computes the constants of q on Python integers,
@@ -307,28 +333,15 @@ def _unbounded_caches(source: str, name: str) -> tuple[int, list[str]]:
     return uses, unbounded
 
 
-def test_library_caches_are_bounded(monkeypatch):
+def test_library_caches_are_bounded():
     # a process that walks many discriminants must not keep every result
     uses = 0
     for path in SOURCES:
         count, unbounded = _unbounded_caches(path.read_text(), path.name)
         assert unbounded == []
         uses += count
-    assert uses >= 3  # class_group, the field polynomials, build_parser
+    assert uses >= 4  # class_group, the field polynomials, pi and ln 2, build_parser
     for memo in ("cache", "lru_cache", "lru_cache(maxsize=None)", "functools.lru_cache(None)"):
         assert _unbounded_caches(f"@{memo}\ndef build_parser(d): pass", "cli.py") == (1, ["cli.py:1"])
     assert _unbounded_caches("@cache\ndef build_parser(): pass", "moduli.py")[1] == ["moduli.py:1"]
     assert _unbounded_caches("f = functools.lru_cache(maxsize=8)(g)", "moduli.py") == (1, [])
-    # the constants of q keep one entry each, never above _CONSTANTS_CAP: a
-    # longer request is computed and dropped, and a shorter one fills the
-    # entry to at most the cap
-    monkeypatch.setattr(numerics, "_CONSTANTS", {})
-    cap, pi_series = numerics._CONSTANTS_CAP, numerics._pi_series
-    above = numerics._constant(pi_series, cap + 64)
-    assert numerics._CONSTANTS == {}
-    for prec in (1000, cap - 1, 1000, cap):
-        assert numerics._constant(pi_series, prec) == above >> cap + 64 - prec
-        have, value = numerics._CONSTANTS[pi_series]
-        assert prec <= have <= cap and value == above >> cap + 64 - have
-    numerics._constant(numerics._ln2_series, 100)
-    assert len(numerics._CONSTANTS) == 2
