@@ -61,8 +61,9 @@ class ClassGroup(Value, namedtuple("ClassGroup", "disc classes")):
     coords[i] the coordinates of classes[i].  The principal class is
     classes[0], at coordinates 0: (1, d mod 2, .) is the only reduced form
     with a = 1.
-    Both are built on first read, by _coordinates, and kept in the instance
-    __dict__ (no __slots__ here); a group compares by disc and classes.
+    Both are built on first read, by _coordinates, and so is the genus
+    partition with the genus of each class; all are kept in the instance
+    __dict__ (no __slots__ here), and a group compares by disc and classes.
     """
 
     @property
@@ -89,6 +90,15 @@ class ClassGroup(Value, namedtuple("ClassGroup", "disc classes")):
     @cached_property
     def _at(self) -> dict[tuple[int, ...], int]:
         return {c: i for i, c in enumerate(self.coords)}
+
+    @cached_property
+    def _genus_index(self) -> tuple[GenusPartition, tuple[int, ...]]:
+        # the partition, and for each class the position of its genus in it
+        keys = _genera(self)
+        genera = fibres(self, keys.__getitem__)
+        position = {keys[genus[0]]: k for k, genus in enumerate(genera)}
+        cosets = tuple(map(frozenset, genera))
+        return GenusPartition(cosets[0], cosets), tuple(map(position.__getitem__, keys))
 
     principal_index = 0
 
@@ -371,15 +381,14 @@ def principal_genus(group: ClassGroup) -> frozenset[int]:
 
 def genus_partition(group: ClassGroup) -> GenusPartition:
     """The genera in order of their smallest member, so the principal genus,
-    which holds the principal class 0, comes first."""
-    genera = tuple(map(frozenset, fibres(group, _genera(group).__getitem__)))
-    return GenusPartition(genera[0], genera)
+    which holds the principal class 0, comes first.  Built once per group."""
+    return group._genus_index[0]
 
 
 def genus_of(group: ClassGroup, cls: FormClass) -> frozenset[int]:
     """The coset cls * C(D)^2, i.e. the genus containing cls."""
-    i = group.index_of(cls)
-    return next(genus for genus in genus_partition(group).cosets if i in genus)
+    partition, position = group._genus_index
+    return partition.cosets[position[group.index_of(cls)]]
 
 
 def genus_order(group: ClassGroup) -> int:

@@ -12,7 +12,8 @@ import argparse
 import os
 import sys
 from _json import encode_basestring_ascii  # CPython's C encoder, without the json package
-from functools import cache
+from functools import cache, lru_cache
+from itertools import chain
 from math import isqrt
 
 from . import __version__, classgroup, k3, moduli
@@ -108,18 +109,54 @@ def _gram_matrix(entries: list[int]) -> tuple[tuple[int, int], tuple[int, int]]:
     return ((g11, g12), (g21, g22))
 
 
-def _lattice_payload(lattice: TranscLattice) -> dict:
-    return {
-        "gram": [list(row) for row in lattice.gram],
-        "m": lattice.m,
-        "primitive_class": list(lattice.q0.rep.coefficients()),
-        "disc": lattice.disc,
-        "disc0": lattice.disc0,
-    }
+class _Lattices(tuple):
+    """Lattices as flat rows of ints, one per lattice, in the key order of
+    their JSON object: disc, disc0, the four Gram entries, m and the
+    primitive class (a, b, c).  _json writes each row through _LATTICE_JSON,
+    and the text form through _LATTICE_TEXT or _MEMBER_TEXT."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, lattices: tuple[TranscLattice, ...]) -> _Lattices:
+        return cls(
+            (t.disc, t.disc0, *t.gram[0], *t.gram[1], t.m, *t.q0.rep.coefficients())
+            for t in lattices
+        )
 
 
-def _poly_strings(coeffs) -> list[str]:
-    return [_decimal(c) for c in coeffs]
+# one lattice object of the envelope's "lattice" schema, at indent 0
+_LATTICE_JSON = """{
+  "disc": %d,
+  "disc0": %d,
+  "gram": [
+    [
+      %d,
+      %d
+    ],
+    [
+      %d,
+      %d
+    ]
+  ],
+  "m": %d,
+  "primitive_class": [
+    %d,
+    %d,
+    %d
+  ]
+}"""
+_LATTICE_TEXT = "gram [[%d, %d], [%d, %d]]  m = %d  class (%d, %d, %d)"  # row[2:]
+_MEMBER_TEXT = "m = %d * class (%d, %d, %d)"  # row[6:]
+
+
+# the field polynomials of a D0 are memoised (moduli._field_polynomials, 32
+# entries) and printed again by every analyze of that D0: the strings of both
+# are kept too, keyed by the coefficients, so that a polynomial computed
+# again never meets stale strings
+@lru_cache(maxsize=64)
+def _field_strings(coeffs: tuple[int, ...]) -> tuple[str, ...]:
+    return tuple(map(_decimal, coeffs))
 
 
 _CHUNK = 10**600  # below 640, the least limit sys.set_int_max_str_digits accepts
@@ -138,7 +175,7 @@ def _decimal(n: int) -> str:
 
 
 def _report_payload(report: moduli.ModuliReport) -> dict:
-    mq = _poly_strings(report.mq_min_poly)  # M_K's and M_Q's (see moduli)
+    mq = list(_field_strings(report.mq_min_poly))  # M_K's and M_Q's (see moduli)
     return {
         "disc": report.disc,
         "disc0": report.disc0,
@@ -149,8 +186,8 @@ def _report_payload(report: moduli.ModuliReport) -> dict:
         "degree_mk_over_k": report.g,
         "degree_mq_over_q": report.g,
         "mq_is_galois": report.mq_is_galois,
-        "orbit": [_lattice_payload(t) for t in report.orbit],
-        "class_polynomial": _poly_strings(report.class_polynomial),
+        "orbit": _Lattices.of(report.orbit),
+        "class_polynomial": list(_field_strings(report.class_polynomial)),
         "mk_min_poly": mq,
         "mq_min_poly": mq,
         "precision_used": report.precision_used,
@@ -241,7 +278,7 @@ def _text_lines(command: str, payload: dict, warnings: list[str]) -> list[str]:
         row("M_K min poly", _poly_text(payload["mk_min_poly"]))
         row("M_Q min poly", _poly_text(payload["mq_min_poly"]))
         for t in payload["orbit"]:
-            row("orbit member", f"m = {t['m']} * class {tuple(t['primitive_class'])}")
+            row("orbit member", _MEMBER_TEXT % t[6:])
         row("precision used", f"{payload['precision_used']} digits")
     elif command == "classgroup":
         row("disc", payload["disc"])
@@ -254,7 +291,7 @@ def _text_lines(command: str, payload: dict, warnings: list[str]) -> list[str]:
         row("genus order g", payload["genus_order"])
     elif command == "orbit":
         for t in payload["lattices"]:
-            row("lattice", f"gram {t['gram']}  m = {t['m']}  class {tuple(t['primitive_class'])}")
+            row("lattice", _LATTICE_TEXT % t[2:])
     elif command == "classpoly":
         row("disc", payload["disc"])
         row("degree", payload["degree"])
@@ -284,40 +321,57 @@ class _CayleyTable(tuple):
 
 def _json(value, newline: str = "\n") -> str:
     """json.dumps(value, sort_keys=True, indent=2) for str, int, bool, None,
-    lists and dicts, byte for byte, and for a _CayleyTable as its rows in
-    lists; a list of ints is joined in one go.  Any other type raises
-    TypeError."""
-    if isinstance(value, str):
+    lists and dicts, byte for byte, for a _CayleyTable as its rows in lists
+    and for _Lattices as lattice objects.  A list of ints or of strings, and
+    each int list in a list of them, is joined in one go.  Types are matched
+    exactly: any other type, a subclass too, raises TypeError."""
+    kind = type(value)
+    if kind is str:
         return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
     if value is None:
         return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
     inner = newline + "  "
-    if isinstance(value, _CayleyTable):
-        entry = inner + "  "
-        rows = ("[" + entry + ("," + entry).join(row) + inner + "]" for row in value)
-        return "[" + inner + ("," + inner).join(rows) + newline + "]"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        if all(type(x) is int for x in value):
-            items = map(str, value)
+    if kind is list:
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            items = list(map(int.__repr__, value))
+        elif kinds == {str}:
+            items = list(map(encode_basestring_ascii, value))
+        elif kinds == {list} and all(value) and set(map(type, chain(*value))) == {int}:
+            entry = inner + "  "
+            sep = "," + entry
+            items = ["[" + entry + sep.join(map(int.__repr__, x)) + inner + "]" for x in value]
         else:
-            items = (_json(x, inner) for x in value)
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (
+            items = [_json(x, inner) for x in value]
+        return _enclose(items, newline, "[]")
+    if kind is dict:
+        items = [
             encode_basestring_ascii(key) + ": " + _json(value[key], inner) for key in sorted(value)
-        )
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        ]
+        return _enclose(items, newline, "{}")
+    if kind is _Lattices:
+        lattice = _LATTICE_JSON.replace("\n", inner)
+        return _enclose([lattice % row for row in value], newline, "[]")
+    if kind is _CayleyTable:
+        return _enclose([_enclose(list(row), inner, "[]") for row in value], newline, "[]")
     raise TypeError(f"{type(value).__name__} is not emitted as JSON")
+
+
+def _enclose(items: list[str], newline: str, brackets: str) -> str:
+    """The items between the two brackets, one per line at the indent under
+    newline, as json.dumps writes a list or a dict.  The brackets go onto the
+    first and last item, so the join is the one copy made of the items: a
+    large Cayley table is not copied again, nor held twice beside its rows."""
+    if not items:
+        return brackets
+    inner = newline + "  "
+    items[0] = brackets[0] + inner + items[0]
+    items[-1] += newline + brackets[1]
+    return ("," + inner).join(items)
 
 
 def _emit(command: str, input_echo: dict, payload: dict, warnings: list[str], fmt: str) -> None:
@@ -351,14 +405,14 @@ def run(args: argparse.Namespace) -> int:
         lattice = k3.from_gram(_gram_matrix(args.gram))
         payload = {
             "disc": lattice.disc,
-            "lattices": [_lattice_payload(t) for t in k3.galois_orbit(lattice)],
+            "lattices": _Lattices.of(k3.galois_orbit(lattice)),
         }
     elif args.command == "classpoly":
         coeffs, used = moduli.class_polynomial_with_precision(args.disc)
         payload = {
             "disc": args.disc,
             "degree": len(coeffs) - 1,
-            "coefficients": _poly_strings(coeffs),
+            "coefficients": list(map(_decimal, coeffs)),
             "precision_used": used,
         }
     else:  # enumerate: argparse admits no other command

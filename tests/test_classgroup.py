@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from functools import lru_cache
 from math import gcd, isqrt
 
 import pytest
@@ -17,6 +18,7 @@ from k3moduli.classgroup import (
     two_torsion,
 )
 from k3moduli.errors import InputError, K3ModuliError
+from k3moduli.k3 import galois_orbit, lattice_from_class
 from k3moduli.qforms import FormClass, QuadForm, compose, form_class, inverse, principal_class
 
 from conftest import valid_discs
@@ -101,6 +103,35 @@ def test_genus_of():
     assert got == oracle == {(3, 2, 5), (3, -2, 5)}
     with pytest.raises(InputError, match="is not a class of discriminant -56"):
         genus_of(g56, form_class(1, 1, 6))
+
+
+@pytest.mark.parametrize("d", [-56, -420, -3299, -60060])
+def test_genus_of_matches_the_coset_scan(d):
+    # the per-class genus index against the scan it replaced: the genera
+    # rebuilt from their keys, then the one coset that holds the class
+    group = class_group(d)
+    keys = classgroup._genera(group)
+    cosets = tuple(map(frozenset, classgroup.fibres(group, keys.__getitem__)))
+    assert genus_partition(group).cosets == cosets
+    for i, cls in enumerate(group.classes):
+        assert genus_of(group, cls) == next(genus for genus in cosets if i in genus)
+
+
+def test_a_second_orbit_builds_no_second_partition(monkeypatch):
+    # the partition is built on the first read and kept by the group
+    fresh = lru_cache(maxsize=32)(class_group.__wrapped__)
+    monkeypatch.setattr(classgroup, "class_group", fresh)
+    genera, calls = classgroup._genera, []
+    monkeypatch.setattr(classgroup, "_genera", lambda group: calls.append(group) or genera(group))
+    group = fresh(-455)  # h = 20, four genera of five classes
+    cls = group.classes[-1]
+    first = galois_orbit(lattice_from_class(1, cls))
+    second = galois_orbit(lattice_from_class(3, inverse(cls)))
+    assert len(calls) == 1
+    assert [t.q0 for t in first] == [t.q0 for t in second] and len(first) == 5
+    assert {t.m for t in second} == {3} and cls in [t.q0 for t in first]
+    genus_partition(group)
+    assert len(calls) == 1
 
 
 def test_genus_order():

@@ -17,6 +17,8 @@ from k3moduli import classgroup, cli, moduli
 from k3moduli.cli import ENVELOPE_SCHEMA, EXIT_CLOSED_OUTPUT, EXIT_INPUT, EXIT_OK, EXIT_PRECISION
 from k3moduli.cli import _CayleyTable, _json
 from k3moduli.errors import NotNearInteger, ResolventDegenerate
+from k3moduli.k3 import lattice_from_class
+from k3moduli.qforms import FormClass, QuadForm
 
 from conftest import empty_field_cache, run_cli, valid_discs
 
@@ -437,6 +439,78 @@ def cayley_tables(draw):
 def test_json_emitter_writes_cayley_tables_as_lists(rows):
     value = {"t": _CayleyTable(tuple(tuple(map(str, row)) for row in rows)), "u": [[1, 2]]}
     assert _json(value) == json.dumps({"t": rows, "u": [[1, 2]]}, sort_keys=True, indent=2)
+
+
+def _lattice_dict(t):
+    """The JSON object of one lattice, as it was written before the rows."""
+    return {
+        "gram": [list(row) for row in t.gram],
+        "m": t.m,
+        "primitive_class": list(t.q0.rep.coefficients()),
+        "disc": t.disc,
+        "disc0": t.disc0,
+    }
+
+
+@st.composite
+def lattices(draw):
+    """m * (a, b, c) with |b| <= a <= c, not necessarily reduced or primitive,
+    entries up to 10^40."""
+    big = st.integers(1, 10**40)
+    a = draw(big)
+    b = draw(st.integers(-a, a))
+    c = draw(st.integers(a, a + 10**40))
+    m = draw(st.integers(1, 10**6) | big)
+    return lattice_from_class(m, FormClass(QuadForm(a, b, c), b * b - 4 * a * c))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(lattices(), max_size=4), st.integers(0, 2))
+def test_lattice_rows_are_written_as_their_dicts(orbit, depth):
+    # JSON at several depths, and both text rows, as the dict form wrote them
+    rows, dicts = cli._Lattices.of(tuple(orbit)), [_lattice_dict(t) for t in orbit]
+    value, expected = {"orbit": rows, "n": -1}, {"orbit": dicts, "n": -1}
+    for _ in range(depth):
+        value, expected = {"result": value}, {"result": expected}
+    assert _json(value) == json.dumps(expected, sort_keys=True, indent=2)
+    for row, t in zip(rows, dicts):
+        assert cli._LATTICE_TEXT % row[2:] == (
+            f"gram {t['gram']}  m = {t['m']}  class {tuple(t['primitive_class'])}"
+        )
+        assert cli._MEMBER_TEXT % row[6:] == f"m = {t['m']} * class {tuple(t['primitive_class'])}"
+
+
+def test_orbit_json_bytes_are_frozen():
+    # sha256 of the full stdout, taken before the orbit went out as rows:
+    # h = 3 (m = 1, 2), D0 = -455 (four genera of five classes, m = 3,
+    # negative b) and D0 = -420 (eight genera of one class)
+    digests = {
+        "2 1 1 12": "1d18274ada7367d594ed716b835a2bb2de69d24e36998a14f385736ac2050f6d",
+        "4 2 2 24": "9c89ddaa3fa303586e2d1b2ce67fc0a354c417f0aee464d210f15bd8f22ed7a3",
+        "36 -15 -15 120": "70ac6ff21b8c0d70837e9be97630b287c3d977495d8214238aa98bb67d0e1f62",
+        "22 8 8 22": "ac3f785aa7122a63957b68dfd8eacc0d606cb8ca70150cd2b57d6c862b9b4d96",
+    }
+    for gram, digest in digests.items():
+        code, out = run_cli(["orbit", "--format", "json", "--", *gram.split()])
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, gram
+
+
+def test_orbit_prints_the_same_bytes_cold_and_warm():
+    # every memo on the analyze path cleared before each lattice of one orbit
+    # (D0 = -455, m = 3): the cold output is the warm output
+    memos = (classgroup.class_group, moduli._field_polynomials, cli._field_strings)
+    _, listing = run_cli(["orbit", "--format", "json", "--", "36", "-15", "-15", "120"])
+    members = [t["gram"] for t in json.loads(listing)["result"]["lattices"]]
+    assert len(members) == 5
+    for (g11, g12), (_, g22) in members:
+        gram = ["--", str(g11), str(g12), str(g12), str(g22)]
+        for argv in (["orbit", *gram], ["analyze", *gram], ["analyze", "--format", "json", *gram]):
+            for memo in memos:
+                memo.cache_clear()
+            cold = run_cli(argv)
+            assert cold[0] == EXIT_OK and cold == run_cli(argv), argv
+    assert cli._field_strings.cache_info().hits == 2  # the warm run's two polynomials
 
 
 def test_json_emitter_refuses_other_types():
