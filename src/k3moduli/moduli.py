@@ -42,6 +42,16 @@ it runs at W's floor, or at the field polynomial's where that is higher.  Both
 polynomials depend on disc0 alone, so they are computed once per disc0 and
 shared by every lattice of that primitive discriminant.
 
+When D is odd and 3 divides it, class_polynomial evaluates y = sqrt(D)
+gamma_3 instead, gamma_3 = sqrt(j - 1728) (same source): at forms (A, B, C)
+with A odd and B = 1 (mod 4), its values are the roots of an integer
+polynomial W3 with about two thirds of the digits of H_D.  For W3(y) =
+A(y^2) + y B(y^2), N(z) = (-1)^h (A(z)^2 - z B(z)^2) has the roots y^2 =
+D (j - 1728), so H_D(x) = D^-h N(D (x - 1728)), exactly once every
+division by a power of D is exact: a W3 for which one is not is refused,
+and Gross-Zagier runs on H_D(0).  moduli_report stays on j when 3 divides
+D, as its field polynomial needs the traces of j.
+
 Galois-ness of the absolute field is decided purely group-theoretically inside
 the semidirect product C x <complex conjugation>, never numerically: from the
 invariant factors of C (see mq_is_galois).
@@ -57,8 +67,8 @@ from . import classgroup, k3, orders
 from .classgroup import ClassGroup
 from .errors import InputError, K3ModuliError, NotNearInteger, PrecisionError, ResolventDegenerate
 from .k3 import TranscLattice
-from .numerics import MAX_DIGITS, BigComplex, CMPoint, apart, conjugate, cube, gamma2
-from .numerics import j_invariant, part_sums, poly_from_roots, recognize_integer
+from .numerics import MAX_DIGITS, BigComplex, CMPoint, apart, conjugate, cube, gamma2, gamma3
+from .numerics import j_invariant, part_sums, poly_from_roots, recognize_integer, times_sqrt
 from .values import Value
 
 # digits beyond the height estimate: at the floor, the error bound of every
@@ -193,6 +203,45 @@ def _class_values(group: ClassGroup, digits: int) -> list[BigComplex]:
     return (_gamma2_values if group.disc % 3 else _j_values)(group, digits)
 
 
+def _gamma3_sign(a: int, b: int, c: int) -> int:
+    """The sign e with gamma_3 at a form (A, B, C) of the class of the reduced
+    form (a, b, c) with A odd and B = 1 (mod 4) equal to e gamma_3(tau) at
+    (a, b, c) itself, for odd disc (so b is odd).
+
+    The form comes from the moves of _gamma2_point, and each of tau + 1 and
+    -1/tau negates gamma_3:
+    - a odd: (a, b + 2ak, .) at tau - k, with k = 0 when b = 1 (mod 4), else
+      1: e = (-1)^k;
+    - a even, c odd: (c, -b + 2ck, .) at -1/tau - k, with k = 0 when b = 3
+      (mod 4), else 1: e = -(-1)^k;
+    - a and c even: (a + b + c, 2a + 3b + 4c + 2(a + b + c)k, .), at
+      -1/(1 - 1/tau) - 1 - k, four moves and k more, with 2a + 3b + 4c = 3b
+      (mod 4), so k = 0 when b = 3 (mod 4), else 1: e = (-1)^k.
+    So e = 1 when b = 1 (mod 4), else -1, negated when a and c are both even.
+    """
+    e = 1 if b % 4 == 1 else -1
+    return -e if a % 2 == c % 2 == 0 else e
+
+
+def _gamma3_values(group: ClassGroup, digits: int) -> list[BigComplex]:
+    """The roots of W3, y = sqrt(D) gamma_3 at every class, for odd D: gamma_3
+    at the reduced form, signed by _gamma3_sign.  (a, -b, c) takes the exact
+    conjugate: gamma_3 at the mirrored form (A, -B + 2A, C) is minus the
+    conjugate of gamma_3 at (A, B, C), and sqrt(D) is imaginary."""
+    d = group.disc
+    return _at_classes(
+        group,
+        lambda r: times_sqrt(gamma3(CMPoint(r.a, r.b, d), digits), d, _gamma3_sign(r.a, r.b, r.c)),
+    )
+
+
+def _class_kernel(disc: int) -> int:
+    """n of the invariant whose polynomial class_polynomial certifies: 3 for
+    gamma_2 when 3 does not divide disc, 2 for sqrt(disc) gamma_3 when disc is
+    odd, 1 for j otherwise."""
+    return 3 if disc % 3 else 2 if disc % 2 else 1
+
+
 def _torsion_cosets(group: ClassGroup) -> tuple[tuple[int, ...], ...]:
     """Cosets of C[2] in C, g of them, each sorted, ordered by smallest member:
     the fibres of squaring."""
@@ -261,12 +310,14 @@ def _height(group: ClassGroup, partition=None, n: int = 1) -> float:
     partition of (x - sum of j^(1/n) over the part): each root is at most
     |part| times the largest exp(pi*sqrt|D|/(na)) in it, and the coefficients
     are elementary symmetric functions of the roots.  One class per part (the
-    default: H_D, or W for n = 3) adds log10 1 = 0 per part; the cosets of
+    default: H_D, W for n = 3, or W3 for n = 2, whose roots sqrt(D) gamma_3
+    carry log10 sqrt|D| more each) adds log10 1 = 0 per part; the cosets of
     C[2] give the field polynomial."""
     scale = pi * sqrt(-group.disc) / log(10) / n
+    lead = log10(-group.disc) / 2 if n == 2 else 0
     a = [cls.rep.a for cls in group.classes]
     parts = partition or [(i,) for i in range(group.h)]
-    top = sum(scale / min(a[i] for i in part) + log10(len(part)) for part in parts)
+    top = sum(lead + scale / min(a[i] for i in part) + log10(len(part)) for part in parts)
     return top + log10(comb(len(parts), len(parts) // 2))
 
 
@@ -284,11 +335,14 @@ def precision_floor(group: ClassGroup) -> int:
     |gamma_2|^3, so against the height the cube costs the factor 3 alone.  When h is odd, C[2] is
     trivial and the field polynomial is H_D, so only the first floor applies.
 
-    When 3 divides D, the first floor is H_D's, and the second is never above
+    When 3 divides D, moduli_report evaluates j, whatever class_polynomial
+    evaluates, so the first floor is H_D's, and the second is never above
     it: H_D's height counts every term of a coset, and as a <= sqrt(|D|/3),
     the k - 1 smaller ones are each at least pi*sqrt(3)/ln 10 > 2.36, where
     for k >= 2, 2.36 (k - 1) >= log10 k + log10 3; and C(g, g/2) <= C(h, h/2).
     So precision_floor is then H_D's own floor."""
+    if group.disc % 3 == 0:
+        return _floor(group, 1)
     floor = class_polynomial_floor(group)
     cosets = _torsion_cosets(group)
     if len(cosets) == group.h:
@@ -299,8 +353,15 @@ def precision_floor(group: ClassGroup) -> int:
 def class_polynomial_floor(group: ClassGroup) -> int:
     """Digits at which class_polynomial_with_precision starts: the floor of
     the gamma_2 polynomial W, a third of the height of H_D, when 3 does not
-    divide D, and H_D's own otherwise."""
-    return ceil(_height(group, n=3 if group.disc % 3 else 1)) + GUARD_DIGITS
+    divide D; of the gamma_3 polynomial W3, about two thirds of it, when D is
+    odd and 3 divides it; and H_D's own otherwise."""
+    return _floor(group, _class_kernel(group.disc))
+
+
+def _floor(group: ClassGroup, n: int) -> int:
+    """The floor of the polynomial over the classes of j^(1/n): its height
+    and GUARD_DIGITS."""
+    return ceil(_height(group, n=n)) + GUARD_DIGITS
 
 
 def _class_poly_from(group: ClassGroup, values: list[BigComplex]) -> tuple[int, ...]:
@@ -324,8 +385,45 @@ def _norm_from_gamma2(w: tuple[int, ...]) -> tuple[int, ...]:
     s = 3 * max(map(abs, w)).bit_length() + 2 * len(w).bit_length() + 4
     a, b, c = (_pack(w[i::3], s) for i in range(3))
     value = a**3 + (b**3 << s) + (c**3 << 2 * s) - (3 * a * b * c << s)
+    return _unpack(value, s, len(w))
+
+
+def _norm_from_gamma3(w3: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """H_D from the gamma_3 class polynomial W3 of odd d, exactly, or
+    K3ModuliError.
+
+    The roots y of W3 have y^2 = d (j - 1728).  With W3(y) = A(y^2) +
+    y B(y^2), W3(y) W3(-y) = A(y^2)^2 - y^2 B(y^2)^2, so N(z) = (-1)^h (A(z)^2
+    - z B(z)^2) is the product of z - y^2, and H_D(x) = d^-h N(d (x - 1728)).
+    N comes from one integer expression at z = 2^s, as in _norm_from_gamma2.
+    Its coefficient n_k must be divisible by d^(h - k), else W3 is refused;
+    the quotients are the coefficients of H_D in powers of x - 1728, and
+    H_D(x) is their polynomial at x - 1728, read at x = 2^t: each coefficient
+    of H_D is at most (h + 1) 1729^h times the largest quotient."""
+    h = len(w3) - 1
+    s = 2 * max(map(abs, w3)).bit_length() + len(w3).bit_length() + 3
+    a, b = _pack(w3[0::2], s), _pack(w3[1::2], s)
+    norm = _unpack(a * a - (b * b << s), s, h + 1)
+    power, shifted = 1, []
+    for coeff in reversed(norm):  # n_h first: d^0
+        quotient, rest = divmod(coeff, power)
+        if rest:
+            raise K3ModuliError(f"{d}: the gamma_3 polynomial's norm is not divisible by D^{h}")
+        shifted.append(-quotient if h % 2 else quotient)
+        power *= d
+    t = max(map(abs, shifted)).bit_length() + 11 * h + (h + 1).bit_length() + 2
+    value = 0
+    for coeff in shifted:  # Horner from the top coefficient, times 2^t - 1728
+        value = (value << t) - 1728 * value + coeff
+    return _unpack(value, t, h + 1)
+
+
+def _unpack(value: int, s: int, count: int) -> tuple[int, ...]:
+    """The count signed base-2^s digits of value, lowest first: the
+    coefficients of the polynomial that value is at 2^s, each below 2^(s - 1)
+    in size."""
     coeffs = []
-    for _ in w:
+    for _ in range(count):
         digit = value & (1 << s) - 1
         if digit >> s - 1:
             digit -= 1 << s
@@ -358,7 +456,11 @@ def _attempt_polynomials(group: ClassGroup, cosets, digits: int) -> _Polynomials
 
 
 def _class_polynomial_at(group: ClassGroup, digits: int) -> tuple[int, ...]:
-    """H_D certified at digits, from W when 3 does not divide D, else from j."""
+    """H_D certified at digits, from W when 3 does not divide D, from W3 when
+    D is odd and 3 divides it, else from j."""
+    if _class_kernel(group.disc) == 2:
+        w3 = _recognize_int_poly(poly_from_roots(_gamma3_values(group, digits)))
+        return _check_gross_zagier(group.disc, _norm_from_gamma3(w3, group.disc))
     return _class_poly_from(group, _class_values(group, digits))
 
 
@@ -403,7 +505,8 @@ def class_polynomial(d: int) -> tuple[int, ...]:
 
 def class_polynomial_with_precision(d: int) -> tuple[tuple[int, ...], int]:
     """The class polynomial and the digits it was certified at: those of the
-    gamma_2 polynomial W when 3 does not divide d, of H_D itself otherwise."""
+    gamma_2 polynomial W when 3 does not divide d, of the gamma_3 polynomial
+    W3 when d is odd and 3 divides it, of H_D itself otherwise."""
     group = classgroup.class_group(d)
     return _escalate(d, class_polynomial_floor(group), partial(_class_polynomial_at, group))
 

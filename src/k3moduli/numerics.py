@@ -10,7 +10,10 @@ E(q).  The tail beyond N is certified below the working precision.  The same
 kernel gives gamma_2 = j^(1/3) = (1 + 256h) / h^(1/3), with h^(1/3) = q^(1/3)
 (E(q^2) / E(q))^8: it is about |q|^(-1/3) in size, so it runs at a third of
 the extra bits j needs, and its class polynomial (used when 3 does not
-divide the discriminant) has a third of the digits.
+divide the discriminant) has a third of the digits.  It also gives gamma_3 =
+sqrt(j - 1728) = (1 - 512h) sqrt(1 + 64h) / h^(1/2), about |q|^(-1/2) in
+size, whose class polynomial (used for odd discriminants divisible by 3)
+has about two thirds of the digits.
 
 One number format carries every value from j to recognition: `BigComplex`,
 the exact fixed-point value (re + i*im) * 2^-bits on Python integers, with a
@@ -57,12 +60,15 @@ LN2 = log(2)
 # the most bits of |q|^-1 any evaluation admits, as many as MAX_DIGITS digits
 # hold: _eta_quotient refuses a larger |q|^-1 before its constants are computed
 _TOP_MAGNITUDE = ceil(MAX_DIGITS * LOG2_10)
-# rounding of the fixed-point products (under 2^17 units over both Euler
-# products, see _eta_quotient) and the constants of the error propagation
-# through E(q^2)/E(q), its 24th power and (1 + 256h)^3 / h
-_GUARD_BITS = 64
+# the bits of the error budget of _eta_quotient for j, gamma_2 and gamma_3:
+# the rounding of the Euler products (under 2^17 units) times its propagation
+# (under 2^9 for j, the worst of the three) and the later roundings stay
+# under 2^27 units of |q|^(-1/n) at a reduced point, and 5 bits more cover
+# where the bound grows faster with |q| than 2^spread
+_GUARD_BITS = 32
 # extra bits per unit of s = |q| / (1 - |q|)^2: |log E(q)| and |log(E(q^2)/E(q))|
-# are at most s, and the error bound grows like exp(145 s)
+# are at most s, and the error bound grows like exp(145 s) as s grows large
+# (faster near a reduced point, which _GUARD_BITS covers)
 _SPREAD_BITS = 210
 # the product rounds each of its O(h^2) terms by one unit; a few bits beyond
 # the roots' accuracy and log2 h keep that below the propagated root errors
@@ -289,7 +295,7 @@ def _q_powers(a: int, b: int, disc: int, n: int, bits: int, magnitude: int):
     # exp(r / 2^s) and exp(i chi / 2^s) at w = wp + extra bits, then squared
     # back s times
     halvings = round(wp ** (1 / 3))
-    extra = halvings + 24 + wp.bit_length()
+    extra = halvings + 9 + wp.bit_length()
     w, count = wp + extra, 4 * max(1, round(wp**0.35 / 8))
     grow = sum(_taylor_quarters(r << extra - halvings, w, count))
     re0, im1, re2, im3 = _taylor_quarters(chi << extra - halvings, w, count)
@@ -337,22 +343,80 @@ def gamma2(point: CMPoint, digits: int) -> BigComplex:
     return _eta_quotient(point, digits, 3)
 
 
-def _eta_quotient(point: CMPoint, digits: int, n: int) -> BigComplex:
-    """j (n = 1) or gamma_2 (n = 3): q^(-1/n) ((1 + 256 q w) / r8)^(3/n), with
-    r8 = (E(q^2)/E(q))^8 and w = r8^3.
+def gamma3(point: CMPoint, digits: int) -> BigComplex:
+    """gamma_3((-b + sqrt(disc)) / (2a)) = (1 - 512h) sqrt(1 + 64h) / h^(1/2)
+    to an absolute accuracy of about 10^-digits, with h^(1/2) = q^(1/2)
+    (E(q^2)/E(q))^12, q^(1/2) = exp(pi i tau) and the principal square root.
 
-    Error budget of the Euler products, in units of 2^-bits and against the
-    exact series of the rounded q.  A table entry built from entries off by
-    e1 and e2 is off by at most e1 + e2 + 2 (every power is below 1 in
-    modulus, and each part of a product rounds down by under a unit), so by
-    induction from q itself the entry q^g is off by at most 3g - 2, also
-    where it takes two products.  A term of E(q^2), the square of an entry
-    off by e, is off by at most 2e + 2 <= 6g - 2.  The sums add exactly, so
-    at the longest series, order 1278, E(q) and E(q^2) are off by at most
-    sum(3g - 2) + sum(6g - 2) = 76879 + 51580 < 2^17 units over their terms,
-    and the tail beyond the order by under one more.  That leaves 2^47 of
-    the 2^64 guard (_GUARD_BITS) for the constants by which the quotient,
-    its powers and the final products scale it, which are far smaller.
+    gamma_3 = E_6 / eta^12 is a square root of j - 1728, and gamma_3(tau + 1)
+    = gamma_3(-1/tau) = -gamma_3(tau).  It is about |q|^(-1/2) in size.  Same
+    kernel, error bound, conjugate symmetry and ceiling as j_invariant; it is
+    exactly real at 2a | b, and exactly imaginary at |tau| = 1 and where b/a
+    is odd.  The square root is principal only where |64h| < 1, so a point
+    below Im tau = sqrt(3)/2 (|disc| < 3a^2, off the reduced domain, where
+    |64h| < 0.31) is refused with InputError.
+    """
+    return _eta_quotient(point, digits, 2)
+
+
+def _sqrt(x, bits: int):
+    """The principal square root s of x = (xr + i xi) 2^-bits, xr > 0, at
+    scale 2^-bits, and a bound in units on its distance to the root: the
+    half-angle formula in math.isqrt, then |sqrt x - s| = |x - s^2| /
+    |sqrt x + s| <= |x - s^2| / Re s, both roots in the right half plane,
+    read from the exact integer s^2 - x.  Exactly real at real x."""
+    xr, xi = x
+    sr = isqrt(isqrt(xr * xr + xi * xi) + xr << bits - 1)  # sqrt((|x| + Re x) / 2)
+    si = (xi << bits) // (2 * sr)
+    dr, di = sr * sr - si * si - (xr << bits), 2 * sr * si - (xi << bits)
+    return (sr, si), isqrt(dr * dr + di * di) // sr + 1
+
+
+def times_sqrt(z: BigComplex, disc: int, sign: int) -> BigComplex:
+    """sign sqrt(disc) z = sign i sqrt|disc| z, for disc < 0 and sign +-1, at
+    z's bits, rounded toward zero (see _rescale): the exact conjugate of it
+    at conj(z) and -sign, and exactly real for imaginary z.  sqrt|disc| from
+    math.isqrt is under a unit low, so the product is off by under err
+    (sqrt|disc| + 1) + |re| + |im| units of 2^-2bits before the rounding."""
+    root = isqrt(-disc << 2 * z.bits)
+    err = z.err * (root + 1) + abs(z.re) + abs(z.im)
+    return _rescale(BigComplex(-sign * z.im * root, sign * z.re * root, 2 * z.bits, err), z.bits)
+
+
+def _eta_quotient(point: CMPoint, digits: int, n: int) -> BigComplex:
+    """j (n = 1), gamma_3 (n = 2) or gamma_2 (n = 3): q^(-1/n) F(rho) with rho
+    = E(q^2)/E(q), h = q rho^24, t = 1 + 256h, and F = t^3 / rho^24 for j,
+    (1 - 512h) sqrt(1 + 64h) / rho^12 for gamma_3, t / rho^8 for gamma_2.
+
+    Error budget, in units of 2^-bits.  At a reduced point |q| <= q0 =
+    exp(-pi sqrt 3), s = |q| / (1 - |q|)^2 < 0.00438 bounds |log E(q)| and
+    |log rho|, so |rho|^(+-m) <= exp(ms) and |h| < 0.00482: |t| < 2.24,
+    |1 - 512h| < 3.47 and |64h| < 0.31.
+
+    The Euler products, against the exact series of the rounded q.  A table
+    entry built from entries off by e1 and e2 is off by at most e1 + e2 + 2
+    (every power is below 1 in modulus, and each part of a product rounds
+    down by under a unit), so by induction from q itself the entry q^g is off
+    by at most 3g - 2, also where it takes two products.  A term of E(q^2),
+    the square of an entry off by e, is off by at most 2e + 2 <= 6g - 2.  The
+    sums add exactly, so at the longest series, order 1274, E(q) and E(q^2)
+    are off by at most sum(3g - 2) + sum(6g - 2) = 73053 + 51580 < 2^17
+    units over their terms, and the tail beyond the order by under one more.
+    rho, their quotient, is then off by under 1.01 2^17 units.  With
+    dh/drho = 24h/rho:
+    - j: F' = 24 (512h - 1) t^2 / rho^25, under 24 * 3.47 * 2.24^2 * 1.12 <
+      2^9 in modulus;
+    - gamma_3: F' = -12 t^2 / (rho^13 sqrt(1 + 64h)), under 2^6.3;
+    - gamma_2: F' = 8 (512h - 1) / rho^9, under 2^5.
+    j is the worst of the three: the products move F by under 2^26 units,
+    and the two dozen later roundings, one unit per part each, carried by
+    factors of the same size, by under 2^14 more, so the result moves by
+    under 2^27 units of |q|^(-1/n) <= 2^magnitude.  Elsewhere the same
+    bounds grow with s by at most 2^(spread + 4.5) (largest near s = 0.057;
+    found numerically over s up to 5), so _GUARD_BITS = 32 covers every
+    point.  gamma_3's square root s of x = 1 + 64h is off by `root` units
+    (_sqrt), which the factors |1 - 512h| / |rho|^12 < 3.7 and q^(-1/2)
+    carry: under root 2^(magnitude + 2) units.
 
     Error budget of the constants of q (_q_powers).  q^(1/n) = exp(-L - i
     theta) with L = pi sqrt|disc| / (na) and theta = pi b / (na).  In units
@@ -373,10 +437,11 @@ def _eta_quotient(point: CMPoint, digits: int, n: int) -> BigComplex:
       is off by under 4 times it.  s complex squarings (_sqr), each of a
       value between 1 and 2 in modulus, at most double its relative error
       and add under sqrt 2 units, so they grow the bound by at most
-      2^(s + 2), as |exp(r + i chi)| < 2.  extra = s + 24 + the bits of wp
-      leaves it under 2^-16 units of 2^-wp, and the final rounding of each
-      part under 1 + 2^-16.  At an integer 2b/(na), chi is 0, the loop gives
-      cos = 1 and sin = 0 exactly, and E and its squares stay exactly real:
+      2^(s + 2), as |exp(r + i chi)| < 2: under 2^(s + 7) (w + 2) units.
+      As w + 2 < 2^(1 + the bits of wp), extra = s + 9 + the bits of wp
+      leaves it under half a unit of 2^-wp, and the final rounding of each
+      part under 1.5.  At an integer 2b/(na), chi is 0, the loop gives cos =
+      1 and sin = 0 exactly, and E and its squares stay exactly real:
       q^(1/n) is exactly real at an integer b/(na) and exactly imaginary at
       a half-integer.
     - The errors of r and chi move exp(r + i chi) by under 2 (slack + k +
@@ -387,19 +452,21 @@ def _eta_quotient(point: CMPoint, digits: int, n: int) -> BigComplex:
       2^-k / Z with |Z| >= 1, so it is off by less.  The margin puts that
       under half a unit at k <= magnitude, so each part is within units = 2
       of the truth (_q_powers returns the bound for the actual k).
-    Then |dq| <= sqrt 2 units, and for n = 3, q = (q^(1/3))^3 is within
-    3 sqrt 2 units plus two roundings, under 8 units.  At a reduced point,
-    |q| <= exp(-pi sqrt 3), |t^3 / w| < 2^4 and |t / r8| < 2^2.  At fixed
-    q^(-1/n) the result moves by less than 2^(magnitude + 13) |dq|, and at
-    fixed q by less than 2^4 |dq^(-1/n)|.  So together they move it by less
-    than units 2^(magnitude + 17).  2^spread covers the growth of both with
-    |q| elsewhere.
+    Then |dq| <= sqrt 2 units, and q = (q^(1/n))^n is within 3 sqrt 2 units
+    plus two roundings, under 8 units.  At a reduced point, at fixed
+    q^(-1/n), the result moves by less than 2^(magnitude + 12.1) |dq| (for
+    j, the worst), and at fixed q by less than 2^4 |dq^(-1/n)|.  So together
+    they move it by less than units 2^(magnitude + 14.2), and elsewhere by
+    at most 2^(spread + 1.5) times that (found as above), under units
+    2^(magnitude + 17 + spread).
     """
     if point.a <= 0 or point.disc >= 0:
         raise InputError("CM point needs a > 0 and disc < 0")
     if digits > MAX_DIGITS:
         raise InputError(f"{digits} digits are above the ceiling of {MAX_DIGITS}")
     a, b, disc = point.a, abs(point.b), point.disc
+    if n == 2 and -disc < 3 * a * a:
+        raise InputError(f"gamma_3 needs Im tau >= sqrt(3)/2, and {point} is below it")
     # sized in integers before any float: sqrt|disc| / a lies between
     # 2^(size - 1) and 2^(size + 1), so at size > 12, |q|^-1 has over 2^13
     # bits.  Otherwise a float holds sqrt|disc| and a once both are shifted to
@@ -424,21 +491,34 @@ def _eta_quotient(point: CMPoint, digits: int, n: int) -> BigComplex:
     if order > _MAX_ORDER:
         raise InputError(f"series order {order} at {point} is beyond the plan's {_MAX_ORDER}")
     q, q_inv, units = _q_powers(a, b, disc, n, bits, magnitude)
-    if n == 3:
+    if n == 2:
+        q = _sqr(q, bits)
+    elif n == 3:
         q = _mul(_sqr(q, bits), q, bits)
     euler, euler2 = _euler_pair(q, order, bits)
     ratio = _div(euler2, euler, bits)
-    r8 = _sqr(_sqr(_sqr(ratio, bits), bits), bits)
-    w = _mul(_sqr(r8, bits), r8, bits)  # (E(q^2)/E(q))^24 = h/q
-    hq = _mul(q, w, bits)
-    t = (1 << bits) + 256 * hq[0], 256 * hq[1]
-    if n == 3:
-        re, im = _div(_mul(t, q_inv, bits), r8, bits)
+    r4 = _sqr(_sqr(ratio, bits), bits)
+    r8 = _sqr(r4, bits)
+    root = 0
+    if n == 2:
+        r12 = _mul(r8, r4, bits)
+        hq = _mul(q, _sqr(r12, bits), bits)
+        one = 1 << bits
+        s, root = _sqrt((one + 64 * hq[0], 64 * hq[1]), bits)
+        u = one - 512 * hq[0], -512 * hq[1]
+        re, im = _div(_mul(_mul(u, s, bits), q_inv, bits), r12, bits)
     else:
-        re, im = _div(_mul(_mul(_sqr(t, bits), t, bits), q_inv, bits), w, bits)
-    if b * b - disc == 4 * a * a:
-        im = 0
-    err = (1 << magnitude + _GUARD_BITS + spread) + (units << magnitude + 17 + spread)
+        w = _mul(_sqr(r8, bits), r8, bits)  # rho^24 = h/q
+        hq = _mul(q, w, bits)
+        t = (1 << bits) + 256 * hq[0], 256 * hq[1]
+        if n == 3:
+            re, im = _div(_mul(t, q_inv, bits), r8, bits)
+        else:
+            re, im = _div(_mul(_mul(_sqr(t, bits), t, bits), q_inv, bits), w, bits)
+    if b * b - disc == 4 * a * a:  # |tau| = 1: gamma_3 imaginary, j and gamma_2 real
+        re, im = (0, im) if n == 2 else (re, 0)
+    err = (1 << _GUARD_BITS) + (root << 2) << magnitude + spread
+    err += units << magnitude + 17 + spread
     return BigComplex(re, -im if point.b < 0 else im, bits, err)
 
 

@@ -20,7 +20,7 @@ from k3moduli.errors import NotNearInteger, ResolventDegenerate
 from k3moduli.k3 import lattice_from_class
 from k3moduli.qforms import FormClass, QuadForm
 
-from conftest import empty_field_cache, run_cli, valid_discs
+from conftest import empty_field_cache, hd_floor, run_cli, valid_discs
 
 
 def with_json_format(argv):
@@ -176,6 +176,20 @@ def test_precision_ceiling_refused_fast(capsys):
         group = classgroup.class_group(d)
         assert moduli.class_polynomial_floor(group) <= moduli.MAX_DIGITS, d
         assert (moduli.precision_floor(group) <= moduli.MAX_DIGITS) == accepted, d
+
+
+def test_gamma3_floor_moves_the_classpoly_ceiling(monkeypatch, capsys):
+    # floors only, no evaluation: D = -999867 (h = 136), odd with 3 | D, needs
+    # 3219 digits for H_D, which classpoly refused, and 2040 for W3, which it
+    # accepts; D = -999591 (h = 1074) needs 11959 for W3 and is still refused
+    monkeypatch.setattr(moduli, "gamma3", None)  # any evaluation would raise
+    group = classgroup.class_group(-999867)
+    assert hd_floor(group) == 3219 > moduli.MAX_DIGITS
+    assert moduli.class_polynomial_floor(group) == 2040
+    code, out = run_cli(["classpoly", "--", "-999591"])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT and out == ""
+    assert f"D = -999591 needs 11959 digits, above the ceiling of {moduli.MAX_DIGITS}" in err, err
 
 
 def test_orbit_scaled():

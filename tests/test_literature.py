@@ -6,6 +6,7 @@ import pytest
 from k3moduli.classgroup import class_number_and_genera
 from k3moduli.k3 import from_gram
 from k3moduli.moduli import class_polynomial, moduli_report
+from k3moduli.orders import is_fundamental
 
 from conftest import valid_discs
 
@@ -38,6 +39,22 @@ IDONEAL = (
 
 BOUND = 10**4
 
+# Watkins, "Class numbers of imaginary quadratic fields", Math. Comp. 73
+# (2004): for h = 1..10, how many fundamental discriminants have
+# class number h, and the largest |D| among them (all below 15000)
+WATKINS = {
+    1: (9, 163),
+    2: (18, 427),
+    3: (16, 907),
+    4: (54, 1555),
+    5: (25, 2683),
+    6: (51, 3763),
+    7: (31, 5923),
+    8: (131, 6307),
+    9: (34, 10627),
+    10: (87, 13843),
+}
+
 
 @pytest.fixture(scope="module")
 def class_numbers():
@@ -66,3 +83,16 @@ def test_one_class_per_genus_is_euler_s_idoneal_list(class_numbers):
         assert report.disc == d and report.g == 1, d
         assert len(report.mq_min_poly) == 2 and report.mq_is_galois, d
         assert len(report.orbit) == 1, d
+
+
+def test_class_numbers_up_to_ten_are_watkins_census():
+    # Watkins' list is complete for h <= 100, so every fundamental D of class
+    # number at most 10 has |D| <= 13843 and is counted here
+    found = {}
+    for d in valid_discs(15000):
+        if is_fundamental(d):
+            h = class_number_and_genera(d)[0]
+            if h <= 10:
+                count, largest = found.get(h, (0, 0))
+                found[h] = (count + 1, max(largest, -d))
+    assert found == WATKINS

@@ -18,7 +18,7 @@ from k3moduli.errors import K3ModuliError, NotNearInteger, PrecisionError, Resol
 from k3moduli.numerics import BigComplex, CMPoint, conjugate, j_invariant, poly_from_roots
 from k3moduli.qforms import form_class
 
-from conftest import as_mpc, default_digits, empty_field_cache, hd_floor, valid_discs
+from conftest import as_mpc, default_digits, empty_field_cache, hd_floor, run_cli, valid_discs
 
 LATTICE_23 = from_gram(((2, 1), (1, 12)))
 LATTICE_4 = from_gram(((2, 0), (0, 2)))
@@ -128,6 +128,16 @@ def test_real_roots_exactly_at_ambiguous_classes():
             ambiguous = rep.b == 0 or rep.a == rep.b or rep.a == rep.c
             assert (abs(as_mpc(ctx, value).imag) < ctx.mpf("1e-50")) == ambiguous, (d, rep)
             assert (value.im == 0) == ambiguous, (d, rep)
+    # y = sqrt(D) gamma_3 at the forms of W3, for odd D: b = a at (1, 1, .)
+    # and (3, 3, 8) of -87, a = c at (2, 1, 2) of -15; (2, +-1, 11) of -87
+    # and the classes of -231 with b = 3 (mod 4) are not ambiguous
+    for d in (-15, -87, -231, -255):
+        group = classgroup.class_group(d)
+        for cls, value in zip(group.classes, moduli._gamma3_values(group, 60)):
+            rep = cls.rep
+            ambiguous = rep.a == rep.b or rep.a == rep.c
+            assert (abs(as_mpc(ctx, value).imag) < ctx.mpf("1e-40")) == ambiguous, (d, rep)
+            assert (value.im == 0) == ambiguous, (d, rep)
 
 
 def test_j_values_conjugate_pairs_exactly():
@@ -143,6 +153,16 @@ def test_j_values_conjugate_pairs_exactly():
         group = classgroup.class_group(d)
         reps = [c.rep.coefficients() for c in group.classes]
         values = dict(zip(reps, moduli._gamma2_values(group, 60)))
+        negative = [(a, b, c) for a, b, c in values if b < 0]
+        assert negative
+        for a, b, c in negative:
+            assert values[a, b, c] == conjugate(values[a, -b, c])
+            assert values[a, b, c].im != 0
+    # sqrt(D) gamma_3 at mirrored classes of odd D
+    for d in (-87, -231, -255):
+        group = classgroup.class_group(d)
+        reps = [c.rep.coefficients() for c in group.classes]
+        values = dict(zip(reps, moduli._gamma3_values(group, 60)))
         negative = [(a, b, c) for a, b, c in values if b < 0]
         assert negative
         for a, b, c in negative:
@@ -189,6 +209,51 @@ def test_gamma2_class_polynomial_rebuilds_h(sweep):
         assert sweep.class_polynomial(d)[0] == oracle, d
         count += 1
     assert count == 333
+
+
+def test_gamma3_class_polynomial_rebuilds_h(sweep):
+    # for odd D with 3 | D, W3 is monic and integral at its floor, every
+    # division by a power of D in the conversion is exact, and it gives the
+    # product over j at H_D's floor exactly
+    count = 0
+    for d in valid_discs(1000):
+        if d % 6 != 3:
+            continue
+        group = sweep.group(d)
+        digits = moduli.class_polynomial_floor(group)
+        assert digits < hd_floor(group), d
+        w3 = moduli._recognize_int_poly(poly_from_roots(moduli._gamma3_values(group, digits)))
+        assert len(w3) == group.h + 1 and w3[-1] == 1, d
+        js = moduli._j_values(group, hd_floor(group))
+        oracle = moduli._recognize_int_poly(poly_from_roots(js))
+        assert moduli._norm_from_gamma3(w3, d) == oracle, d
+        assert sweep.class_polynomial(d) == (oracle, digits), d
+        count += 1
+    assert count == 84
+
+
+def test_doctored_gamma3_polynomial_is_refused_at_the_exact_division(monkeypatch):
+    # W3 off by +-1 in any coefficient below the top leaves some coefficient
+    # of N(z) indivisible by its power of D
+    for d in (-15, -87, -255):
+        group = classgroup.class_group(d)
+        digits = moduli.class_polynomial_floor(group)
+        w3 = moduli._recognize_int_poly(poly_from_roots(moduli._gamma3_values(group, digits)))
+        for i in range(group.h):
+            for off in (1, -1):
+                doctored = w3[:i] + (w3[i] + off,) + w3[i + 1 :]
+                with pytest.raises(K3ModuliError, match="not divisible by D"):
+                    moduli._norm_from_gamma3(doctored, d)
+    # and the CLI exits with code 2 on it, without a polynomial
+    recognize = moduli._recognize_int_poly
+
+    def doctored(coeffs):
+        poly = recognize(coeffs)
+        return (poly[0] + 1,) + poly[1:]
+
+    monkeypatch.setattr(moduli, "_recognize_int_poly", doctored)
+    code, out = run_cli(["classpoly", "--", "-87"])
+    assert code == 2 and out == ""
 
 
 def test_doctored_report_raises_under_optimize():
@@ -444,7 +509,8 @@ def test_low_digits_give_the_right_polynomial():
 def test_sub_floor_sweep_never_gives_a_wrong_polynomial(sweep):
     # every precision from 1 to 39 digits, mostly below the floor: the
     # certificate either holds or refuses, on the gamma_2 kernel (3 not
-    # dividing D) and on the j kernel (3 | D)
+    # dividing D), the gamma_3 kernel (classpoly, D odd and 3 | D) and the j
+    # kernel (analyze at 3 | D, and classpoly at even D with 3 | D)
     outcomes = Counter()
     for d in valid_discs(399):
         group = sweep.group(d)
@@ -452,17 +518,18 @@ def test_sub_floor_sweep_never_gives_a_wrong_polynomial(sweep):
         class_poly, mq = sweep.class_polynomial(d)[0], sweep.field_polynomials(d)[0].mq
         cp_floor, floor = moduli.class_polynomial_floor(group), moduli.precision_floor(group)
         kernel = "j" if d % 3 == 0 else "gamma_2"
+        class_kernel = {1: "j", 2: "gamma_3", 3: "gamma_2"}[moduli._class_kernel(d)]
         for digits in range(1, 40):
             attempt = lambda: moduli._class_polynomial_at(group, digits)  # noqa: E731
             ok = _right_or_refused(attempt, class_poly, (d, digits))
-            outcomes["class", kernel, digits < cp_floor, ok] += 1
+            outcomes["class", class_kernel, digits < cp_floor, ok] += 1
             attempt = lambda: moduli._attempt_polynomials(group, cosets, digits).mq  # noqa: E731
             ok = _right_or_refused(attempt, mq, (d, digits))
             outcomes["field", kernel, digits < floor, ok] += 1
     # no refusal at or above the floor; below it, both outcomes on both
-    # paths of both kernels
-    for path in ("class", "field"):
-        for kernel in ("gamma_2", "j"):
+    # paths of every kernel
+    for path, kernels in (("class", ("gamma_2", "gamma_3", "j")), ("field", ("gamma_2", "j"))):
+        for kernel in kernels:
             assert outcomes[path, kernel, False, False] == 0, (path, kernel)
             below = outcomes[path, kernel, True, True], outcomes[path, kernel, True, False]
             assert min(below) > 100, (path, kernel, below)

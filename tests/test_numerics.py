@@ -138,6 +138,29 @@ def test_error_bounds_cover_the_true_values():
         error = abs(as_mpc(ctx, x) - _gamma2_by_eta(ctx, d, a, b))
         assert error < ctx.ldexp(x.err, -x.bits), (a, b, d)
 
+    # the roots y = sqrt(D) gamma_3 of W3 at its floor, against sqrt(D) E_6 /
+    # eta^12 from mpmath at the forms (A, B, C) with A odd and B = 1 (mod 4);
+    # -15 has (2, 1, 2), where a and c are even, -87 (2, +-1, 11), where only
+    # a is, and -231 and -1155 classes with b = 3 (mod 4)
+    for d in (-15, -87, -231, -1155):
+        group = class_group(d)
+        digits = moduli.class_polynomial_floor(group)
+        ctx.dps = 2 * digits + 20
+        low, high = moduli._gamma3_values(group, digits), moduli._gamma3_values(group, 2 * digits)
+        assert all(x.err > 0 and covered(x, y) for x, y in zip(low, high)), d
+        for cls, x in zip(group.classes, low):
+            a, b = _gamma3_form(*cls.rep.coefficients())
+            error = abs(as_mpc(ctx, x) - ctx.sqrt(d) * _gamma3_by_eta(ctx, d, a, b))
+            assert error < ctx.ldexp(x.err, -x.bits), (d, cls.rep)
+        pairs = zip(poly_from_roots(low), poly_from_roots(high))
+        assert all(covered(x, y) and 2 * x.err < 1 << x.bits for x, y in pairs), d
+    # and gamma_3 itself at points off those forms, of even and odd a and b
+    ctx.dps = 80
+    for a, b, d in [(1, 2, -4), (1, -1, -7), (2, 3, -23), (3, 8, -56), (6, 1, -143), (4, 2, -60)]:
+        x = numerics.gamma3(CMPoint(a, b, d), 50)
+        error = abs(as_mpc(ctx, x) - _gamma3_by_eta(ctx, d, a, b))
+        assert error < ctx.ldexp(x.err, -x.bits), (a, b, d)
+
 
 def _gamma2_form(a, b, c):
     """A form (A, B) of the class of (a, b, c) with 3 not dividing A and 3 | B,
@@ -154,15 +177,37 @@ def _gamma2_by_eta(ctx, d, a, b):
     return (1 + 256 * r**3) / r
 
 
+def _gamma3_form(a, b, c):
+    """A form (A, B) of the class of (a, b, c) with A odd and B = 1 (mod 4),
+    for odd b^2 - 4ac."""
+    if a % 2 == 0:
+        a, b, c = (c, -b, a) if c % 2 else (a + b + c, b + 2 * c, c)
+    return a, b if b % 4 == 1 else b + 2 * a
+
+
+def _gamma3_by_eta(ctx, d, a, b):
+    """gamma_3 = E_6 / eta^12 at (-b + sqrt d) / (2a), E_6 = 1 - 504 sum
+    n^5 q^n / (1 - q^n) summed until a term is below the precision."""
+    tau = ctx.mpc(-b, ctx.sqrt(-d)) / (2 * a)
+    q = ctx.expjpi(2 * tau)
+    total, n, power = ctx.mpc(0), 1, q
+    while abs(power) * n**5 > ctx.ldexp(1, -ctx.prec - 8):
+        total += n**5 * power / (1 - power)
+        n, power = n + 1, power * q
+    return (1 - 504 * total) / ctx.eta(tau) ** 12
+
+
 def test_both_kernels_match_mpmath_at_random_points():
     # an oracle independent of the kernel: j = 1728 kleinj(tau), and gamma_2
-    # from mpmath's eta, at twice the working bits, must lie within the
-    # certified bound.  q^(1/n) = exp(-i pi b/(na)) |q|^(1/n) is real at b/(na)
-    # even and odd, purely imaginary at b/(na) = +-1/2 or 3/2, and |tau| = 1
-    # at b^2 - disc = 4a^2; the value is exactly real at real q and |tau| = 1
+    # and gamma_3 from mpmath's eta, at twice the working bits, must lie
+    # within the certified bound.  q^(1/n) = exp(-i pi b/(na)) |q|^(1/n) is
+    # real at b/(na) even and odd, purely imaginary at b/(na) = +-1/2 or 3/2,
+    # and |tau| = 1 at b^2 - disc = 4a^2; the value is exactly real at real
+    # q, and at |tau| = 1 exactly real for j and gamma_2 and exactly
+    # imaginary for gamma_3, as at imaginary q^(1/2)
     rng = random.Random(23)
     ctx = MPContext()
-    for n, evaluate in ((1, j_invariant), (3, numerics.gamma2)):
+    for n, evaluate in ((1, j_invariant), (3, numerics.gamma2), (2, numerics.gamma3)):
         for shape in ("even", "odd", "imaginary", "unit", "random"):
             for _ in range(3):
                 # na/2 is an integer for even a; |disc| >= 3a^2 keeps the
@@ -179,11 +224,16 @@ def test_both_kernels_match_mpmath_at_random_points():
                 if shape == "unit":
                     disc = b * b - 4 * a * a
                 x = evaluate(CMPoint(a, b, disc), rng.randrange(20, 401))
-                if shape in ("even", "odd", "unit"):
+                imaginary = n == 2 and shape in ("imaginary", "unit")
+                if shape in ("even", "odd", "unit") and not imaginary:
                     assert x.im == 0, (n, a, b, disc)
+                if imaginary:
+                    assert x.re == 0, (n, a, b, disc)
                 ctx.prec = 2 * x.bits + 64
                 if n == 1:
                     truth = 1728 * ctx.kleinj(ctx.mpc(-b, ctx.sqrt(-disc)) / (2 * a))
+                elif n == 2:
+                    truth = _gamma3_by_eta(ctx, disc, a, b)
                 else:
                     truth = _gamma2_by_eta(ctx, disc, a, b)
                 error = abs(as_mpc(ctx, x) - truth)
@@ -222,7 +272,7 @@ def test_constants_of_q_match_mpmath_within_their_bound():
             for part, value in zip(got, truth):
                 assert abs(part - value) <= units, (shape, a, b, disc, n)
 
-    for n in (1, 3):
+    for n in (1, 3, 2):
         for shape in ("real", "unit", "large", "random"):
             for _ in range(8):
                 a = 1 if shape == "large" else rng.randrange(1, 40)
@@ -246,12 +296,12 @@ def test_constants_of_q_match_mpmath_within_their_bound():
                     checked += 1
     # the longest halving loops, 22 to 27 squarings: MAX_DIGITS at a = 1 and
     # |disc| near 10^6, the largest |q|^-1
-    for n in (1, 3):
+    for n in (1, 3, 2):
         for disc in (-(10**6), 1 - 10**6):
             b = disc % 2
             check("real" if b % n == 0 else "large", 1, b, disc, n, numerics.MAX_DIGITS)
             checked += 1
-    assert checked == 84
+    assert checked == 126
 
 
 def test_constants_do_not_depend_on_what_was_asked_first():
@@ -486,6 +536,8 @@ def test_j_refuses_digits_above_the_ceiling():
             j_invariant(CMPoint(1, 0, -4), digits)
         with pytest.raises(InputError, match=f"ceiling of {numerics.MAX_DIGITS}"):
             numerics.gamma2(CMPoint(1, 0, -4), digits)
+        with pytest.raises(InputError, match=f"ceiling of {numerics.MAX_DIGITS}"):
+            numerics.gamma3(CMPoint(1, 0, -4), digits)
     assert recognize_integer(j_invariant(CMPoint(1, 0, -4), numerics.MAX_DIGITS)) == 1728
 
 
@@ -513,6 +565,46 @@ def test_out_of_domain_points_are_refused_before_any_work():
     n = 2**600
     assert recognize_integer(j_invariant(CMPoint(n, 0, -4 * n * n), 20)) == 1728
     assert recognize_integer(numerics.gamma2(CMPoint(n, n, -3 * n * n), 20)) == 0
+
+
+def test_gamma3_refuses_points_below_the_reduced_domain():
+    # the principal square root is gamma_3's only where |64h| < 1: a point
+    # below Im tau = sqrt(3)/2 is refused before any work, one on it or
+    # above it is evaluated; j takes the same points
+    numerics._exact_floor.cache_clear()
+    below = (CMPoint(3, 1, -23), CMPoint(5, -2, -56), CMPoint(100, 0, -4), CMPoint(2, 0, -11))
+    for point in below:
+        with pytest.raises(InputError, match="gamma_3 needs Im tau >= sqrt"):
+            numerics.gamma3(point, 30)
+    assert numerics._exact_floor.cache_info()[:2] == (0, 0)
+    assert j_invariant(CMPoint(3, 1, -23), 30).im != 0
+    # at rho, on the boundary and at |tau| = 1, gamma_3^2 = j - 1728 = -1728
+    value = numerics.gamma3(CMPoint(1, 1, -3), 30)
+    ctx = MPContext()
+    ctx.dps = 40
+    assert value.re == 0 and abs(as_mpc(ctx, value) ** 2 + 1728) < ctx.mpf(10) ** -25
+
+
+def test_times_sqrt_keeps_conjugates_and_its_bound():
+    # sign sqrt(disc) z: the exact conjugate at the conjugate of z and the
+    # other sign (sqrt(disc) is imaginary), exactly real for imaginary z, and
+    # within its bound of the exact product (z exact here)
+    rng = random.Random(7)
+    ctx = MPContext()
+    ctx.prec = 600
+    for disc in (-15, -87, -1155, -999867):
+        for _ in range(4):
+            bits = rng.randrange(40, 200)
+            re, im = (rng.randrange(-(1 << 250), 1 << 250) for _ in range(2))
+            z = BigComplex(re, im, bits)
+            for sign in (1, -1):
+                y = numerics.times_sqrt(z, disc, sign)
+                assert y.bits == z.bits
+                mirror = numerics.times_sqrt(numerics.conjugate(z), disc, -sign)
+                assert mirror == numerics.conjugate(y)
+                assert numerics.times_sqrt(BigComplex(0, z.im, bits), disc, sign).im == 0
+                error = abs(as_mpc(ctx, y) - sign * ctx.sqrt(disc) * as_mpc(ctx, z))
+                assert error <= ctx.ldexp(y.err, -y.bits), (disc, sign)
 
 
 def test_j_expansion_coefficients():
