@@ -53,7 +53,7 @@ from .values import Value
 # 4060 at D = -10^6.  It also bounds the series: the order N is about
 # (digits*ln 10 + (guard + spread)*ln 2) / -ln|q| (the bits of |q|^-1 in the
 # working precision cancel), largest where |q| is, at exp(-pi*sqrt 3) at a
-# reduced point, so 3000 digits need at most 1278 q-terms
+# reduced point, so 3000 digits need at most 1274 q-terms
 MAX_DIGITS = 3000
 LOG2_10 = log(10, 2)
 LN2 = log(2)

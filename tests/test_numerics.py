@@ -483,9 +483,9 @@ def _real_products(order: int) -> int:
 
 
 def test_plan_covers_every_pentagonal_exponent_up_to_the_ceiling():
-    assert numerics._MAX_ORDER == 1278  # test_series_order_bounded_at_the_ceiling
+    assert numerics._MAX_ORDER == 1274  # test_series_order_bounded_at_the_ceiling
     plan = numerics._PLAN
-    assert [g for g, _, _ in plan] == _pentagonal(1278)
+    assert [g for g, _, _ in plan] == _pentagonal(1274)
     assert plan[0] == (1, -1, ())
     for row, (g, sign, parts) in enumerate(plan[1:], 1):
         k = next(k for k in range(1, 30) if g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2))
@@ -493,11 +493,11 @@ def test_plan_covers_every_pentagonal_exponent_up_to_the_ceiling():
         # one product of two earlier powers, or two products
         assert len(parts) in (2, 3) and all(0 <= i < row for i in parts), g
         assert sum(plan[i][0] for i in parts) == g, g
-    assert sum(len(parts) == 3 for _, _, parts in plan) == 20
-    assert (_real_products(1278), _real_products(20)) == (306, 27)
+    assert sum(len(parts) == 3 for _, _, parts in plan) == 19
+    assert (_real_products(1274), _real_products(20)) == (300, 27)
     # a series past the plan is refused by j_invariant and gamma2, at
     # exp(-pi), the largest |q| of a point with a = 2 > 1 = c
-    with pytest.raises(InputError, match="beyond the plan's 1278"):
+    with pytest.raises(InputError, match="beyond the plan's 1274"):
         j_invariant(CMPoint(2, 0, -4), numerics.MAX_DIGITS)
 
 
@@ -505,7 +505,7 @@ def test_table_matches_the_chained_oracle_within_its_bound():
     # |q| from exp(-pi*sqrt 3), the largest at a reduced point, down to 2^-200;
     # 64 bits below |q|^order, so a wrong power anywhere is far outside the bound
     rng = random.Random(5)
-    orders = [1, 2, 5, 20, 200, 1278] + rng.sample(range(3, 1278), 6)
+    orders = [1, 2, 5, 20, 200, 1274] + rng.sample(range(3, 1274), 6)
     for order in orders:
         pentagonal = _pentagonal(order)
         bound = sum(3 * g - 2 for g in pentagonal)
