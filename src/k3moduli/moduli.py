@@ -397,9 +397,9 @@ def _norm_from_gamma3(w3: tuple[int, ...], d: int) -> tuple[int, ...]:
     - z B(z)^2) is the product of z - y^2, and H_D(x) = d^-h N(d (x - 1728)).
     N comes from one integer expression at z = 2^s, as in _norm_from_gamma2.
     Its coefficient n_k must be divisible by d^(h - k), else W3 is refused;
-    the quotients are the coefficients of H_D in powers of x - 1728, and
+    the quotients m_k are the coefficients of H_D in powers of x - 1728, and
     H_D(x) is their polynomial at x - 1728, read at x = 2^t: each coefficient
-    of H_D is at most (h + 1) 1729^h times the largest quotient."""
+    of H_D is at most the sum of |m_k| 1729^k, below 2^(t - 1)."""
     h = len(w3) - 1
     s = 2 * max(map(abs, w3)).bit_length() + len(w3).bit_length() + 3
     a, b = _pack(w3[0::2], s), _pack(w3[1::2], s)
@@ -411,7 +411,8 @@ def _norm_from_gamma3(w3: tuple[int, ...], d: int) -> tuple[int, ...]:
             raise K3ModuliError(f"{d}: the gamma_3 polynomial's norm is not divisible by D^{h}")
         shifted.append(-quotient if h % 2 else quotient)
         power *= d
-    t = max(map(abs, shifted)).bit_length() + 11 * h + (h + 1).bit_length() + 2
+    t = max(abs(m).bit_length() + 11 * k for k, m in enumerate(reversed(shifted)))
+    t += (h + 1).bit_length() + 3
     value = 0
     for coeff in shifted:  # Horner from the top coefficient, times 2^t - 1728
         value = (value << t) - 1728 * value + coeff
