@@ -240,6 +240,24 @@ def test_both_kernels_match_mpmath_at_random_points():
                 assert error <= ctx.ldexp(x.err, -x.bits), (n, a, b, disc)
 
 
+def test_bounds_hold_below_the_reduced_domain():
+    # the guard bits cover the growth of the error bound with |q| beyond
+    # exp(-pi sqrt 3): points with Im tau from 0.12 to 0.87, where 2^spread
+    # alone falls short of the bound's growth by up to 4.5 bits
+    rng = random.Random(11)
+    ctx = MPContext()
+    for _ in range(10):
+        a = rng.randrange(2, 40)
+        disc = -rng.randrange(int((0.24 * a) ** 2) + 1, 3 * a * a)
+        b, digits = rng.randrange(-2 * a, 2 * a), rng.randrange(10, 200)
+        for n, evaluate in ((1, j_invariant), (3, numerics.gamma2)):
+            x = evaluate(CMPoint(a, b, disc), digits)
+            ctx.prec = 2 * x.bits + 64
+            tau = ctx.mpc(-b, ctx.sqrt(-disc)) / (2 * a)
+            truth = 1728 * ctx.kleinj(tau) if n == 1 else _gamma2_by_eta(ctx, disc, a, b)
+            assert abs(as_mpc(ctx, x) - truth) <= ctx.ldexp(x.err, -x.bits), (n, a, b, disc)
+
+
 def _constants_oracle(ctx, a, b, disc, n, bits):
     """q^(1/n) = exp(pi i (-b + i sqrt|disc|) / (na)) and q^(-1/n) from mpmath,
     at scale 2^-bits."""
