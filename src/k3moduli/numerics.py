@@ -414,7 +414,7 @@ def _eta_quotient(point: CMPoint, digits: int, n: int) -> BigComplex:
     under 2^27 units of |q|^(-1/n) <= 2^magnitude.  Elsewhere the same
     bounds grow with s by at most 2^(spread + 4.5) (largest near s = 0.057;
     found numerically over s up to 5), so _GUARD_BITS = 32 covers every
-    point.  gamma_3's square root s of x = 1 + 64h is off by `root` units
+    point.  gamma_3's square root of x = 1 + 64h is off by `root` units
     (_sqrt), which the factors |1 - 512h| / |rho|^12 < 3.7 and q^(-1/2)
     carry: under root 2^(magnitude + 2) units.
 
