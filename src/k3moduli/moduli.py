@@ -28,13 +28,17 @@ its class polynomial's floor, and moduli_report at the higher of the floors
 of its two polynomials (see precision_floor); each refuses an input whose
 own floor is above MAX_DIGITS.
 
-When 3 does not divide D, both class_polynomial and moduli_report evaluate
-the cube root gamma_2 of j instead (Enge & Morain, ANTS V, 2002): at forms
-(A, B, C) with 3 not dividing A and 3 | B, the values of gamma_2 are the
-roots of an integer polynomial W whose height, and so whose floor, is about
-a third of H_D's.  W is certified like any other polynomial, and H_D follows
-from it exactly by the norm identity H_D(y) = A^3 + y B^3 + y^2 C^3 - 3y ABC
-for W(x) = A(x^3) + x B(x^3) + x^2 C(x^3).  So H_D(0) = W(0)^3 is a cube by
+H_D comes through one path, _class_polynomial_at, for both commands: the
+values of j^(1/n) at every class (_class_values), their certified product,
+and kernel n's exact step to H_D.  _class_kernel and _field_kernel choose
+the n of class_polynomial and of moduli_report, each in one place.
+
+When 3 does not divide D, both take the cube root gamma_2 of j (n = 3;
+Enge & Morain, ANTS V, 2002): at forms (A, B, C) with 3 not dividing A and
+3 | B, the values of gamma_2 are the roots of an integer polynomial W whose
+height, and so whose floor, is about a third of H_D's.  H_D follows from W
+exactly by the norm identity H_D(y) = A^3 + y B^3 + y^2 C^3 - 3y ABC for
+W(x) = A(x^3) + x B(x^3) + x^2 C(x^3).  So H_D(0) = W(0)^3 is a cube by
 construction, and the prime bound is checked on W(0), which has the same
 primes.  The coset invariants take j = gamma_2^3 from a certified cube (see
 numerics.cube), so moduli_report never needs j to H_D's full height either:
@@ -42,15 +46,15 @@ it runs at W's floor, or at the field polynomial's where that is higher.  Both
 polynomials depend on disc0 alone, so they are computed once per disc0 and
 shared by every lattice of that primitive discriminant.
 
-When D is odd and 3 divides it, class_polynomial evaluates y = sqrt(D)
-gamma_3 instead, gamma_3 = sqrt(j - 1728) (same source): at forms (A, B, C)
-with A odd and B = 1 (mod 4), its values are the roots of an integer
-polynomial W3 with about two thirds of the digits of H_D.  For W3(y) =
-A(y^2) + y B(y^2), N(z) = (-1)^h (A(z)^2 - z B(z)^2) has the roots y^2 =
-D (j - 1728), so H_D(x) = D^-h N(D (x - 1728)), exactly once every
-division by a power of D is exact: a W3 for which one is not is refused,
-and Gross-Zagier runs on H_D(0).  moduli_report stays on j when 3 divides
-D, as its field polynomial needs the traces of j.
+When D is odd and 3 divides it, class_polynomial takes y = sqrt(D) gamma_3,
+gamma_3 = sqrt(j - 1728) (n = 2, same source): at forms (A, B, C) with A
+odd and B = 1 (mod 4), its values are the roots of an integer polynomial W3
+with about two thirds of the digits of H_D.  For W3(y) = A(y^2) + y B(y^2),
+N(z) = (-1)^h (A(z)^2 - z B(z)^2) has the roots y^2 = D (j - 1728), so
+H_D(x) = D^-h N(D (x - 1728)), exactly once every division by a power of D
+is exact: a W3 for which one is not is refused, and Gross-Zagier runs on
+H_D(0).  Otherwise the kernel is j itself (n = 1), and so is moduli_report's
+whenever 3 divides D, as its field polynomial needs the traces of j.
 
 Galois-ness of the absolute field is decided purely group-theoretically inside
 the semidirect product C x <complex conjugation>, never numerically: from the
@@ -153,19 +157,6 @@ def mq_is_galois(lattice: TranscLattice) -> bool:
 # polynomial constructions
 
 
-def _at_classes(group: ClassGroup, evaluate) -> list[BigComplex]:
-    """evaluate(rep) at every class with b >= 0; (a, -b, c) takes the exact
-    conjugate of the value at (a, b, c)."""
-    reps = [cls.rep for cls in group.classes]
-    upper = {(r.a, r.b): evaluate(r) for r in reps if r.b >= 0}
-    return [upper[r.a, r.b] if r.b >= 0 else conjugate(upper[r.a, -r.b]) for r in reps]
-
-
-def _j_values(group: ClassGroup, digits: int) -> list[BigComplex]:
-    """j at every class, conjugate classes exactly conjugate."""
-    return _at_classes(group, lambda r: j_invariant(CMPoint(r.a, r.b, group.disc), digits))
-
-
 def _gamma2_point(a: int, b: int, c: int, disc: int) -> CMPoint:
     """The point (a, e) of the reduced form (a, b, c), b >= 0, at which gamma_2
     is gamma_2 at a form (A, B, C) of its class with 3 not dividing A and 3
@@ -191,18 +182,6 @@ def _gamma2_point(a: int, b: int, c: int, disc: int) -> CMPoint:
     return CMPoint(a, (b + 2 * a * k) % (6 * a), disc)
 
 
-def _gamma2_values(group: ClassGroup, digits: int) -> list[BigComplex]:
-    """gamma_2 at every class, at the forms of _gamma2_point; conjugate classes
-    take mirrored forms, (A, -B, C) for (A, B, C), so their values are exactly
-    conjugate."""
-    return _at_classes(group, lambda r: gamma2(_gamma2_point(r.a, r.b, r.c, group.disc), digits))
-
-
-def _class_values(group: ClassGroup, digits: int) -> list[BigComplex]:
-    """The roots of W, gamma_2 at every class, when 3 does not divide D; else j."""
-    return (_gamma2_values if group.disc % 3 else _j_values)(group, digits)
-
-
 def _gamma3_sign(a: int, b: int, c: int) -> int:
     """The sign e with gamma_3 at a form (A, B, C) of the class of the reduced
     form (a, b, c) with A odd and B = 1 (mod 4) equal to e gamma_3(tau) at
@@ -223,16 +202,25 @@ def _gamma3_sign(a: int, b: int, c: int) -> int:
     return -e if a % 2 == c % 2 == 0 else e
 
 
-def _gamma3_values(group: ClassGroup, digits: int) -> list[BigComplex]:
-    """The roots of W3, y = sqrt(D) gamma_3 at every class, for odd D: gamma_3
-    at the reduced form, signed by _gamma3_sign.  (a, -b, c) takes the exact
-    conjugate: gamma_3 at the mirrored form (A, -B + 2A, C) is minus the
-    conjugate of gamma_3 at (A, B, C), and sqrt(D) is imaginary."""
+def _class_values(group: ClassGroup, n: int, digits: int) -> list[BigComplex]:
+    """The roots of kernel n's polynomial at every class: j (n = 1), y =
+    sqrt(D) gamma_3 at the reduced form signed by _gamma3_sign (n = 2), or
+    gamma_2 at the point of _gamma2_point (n = 3).  (a, -b, c) takes the exact
+    conjugate of the value at (a, b, c): its mirrored form is (A, -B, C), or
+    (A, -B + 2A, C) for gamma_3, where gamma_3 is minus the conjugate and
+    sqrt(D) is imaginary."""
     d = group.disc
-    return _at_classes(
-        group,
-        lambda r: times_sqrt(gamma3(CMPoint(r.a, r.b, d), digits), d, _gamma3_sign(r.a, r.b, r.c)),
-    )
+
+    def evaluate(r):
+        if n == 1:
+            return j_invariant(CMPoint(r.a, r.b, d), digits)
+        if n == 2:
+            return times_sqrt(gamma3(CMPoint(r.a, r.b, d), digits), d, _gamma3_sign(r.a, r.b, r.c))
+        return gamma2(_gamma2_point(r.a, r.b, r.c, d), digits)
+
+    reps = [cls.rep for cls in group.classes]
+    upper = {(r.a, r.b): evaluate(r) for r in reps if r.b >= 0}
+    return [upper[r.a, r.b] if r.b >= 0 else conjugate(upper[r.a, -r.b]) for r in reps]
 
 
 def _class_kernel(disc: int) -> int:
@@ -240,6 +228,13 @@ def _class_kernel(disc: int) -> int:
     gamma_2 when 3 does not divide disc, 2 for sqrt(disc) gamma_3 when disc is
     odd, 1 for j otherwise."""
     return 3 if disc % 3 else 2 if disc % 2 else 1
+
+
+def _field_kernel(disc: int) -> int:
+    """n of the invariant moduli_report evaluates: class_polynomial's, but j
+    where that is gamma_3, as the field polynomial needs the traces of j."""
+    n = _class_kernel(disc)
+    return 1 if n == 2 else n
 
 
 def _torsion_cosets(group: ClassGroup) -> tuple[tuple[int, ...], ...]:
@@ -291,8 +286,8 @@ def _check_power_sum(class_poly: tuple[int, ...], mq: tuple[int, ...], rung) -> 
 
 def _check_gross_zagier(d: int, poly: tuple[int, ...]) -> tuple[int, ...]:
     """poly, once its norm poly(0) passes Gross-Zagier: for fundamental D, free
-    of primes above 3|D|/4.  poly is W when 3 does not divide D: H_D(0) =
-    W(0)^3 is a cube by construction, with W(0)'s primes."""
+    of primes above 3|D|/4.  _class_polynomial_at passes H_D, or W on the
+    gamma_2 kernel: H_D(0) = W(0)^3 is a cube by construction, with W(0)'s primes."""
     norm = abs(poly[0])
     if norm and orders.is_fundamental(d):
         for p in range(2, 3 * -d // 4 + 1):
@@ -325,27 +320,26 @@ def precision_floor(group: ClassGroup) -> int:
     """Digits at which moduli_report starts: the higher of the floors of its
     two polynomials, so both are expected to be certified at once.
 
-    The first is class_polynomial_floor, W's when 3 does not divide D.  The
-    second is the field polynomial's.  Its roots are sums of j over the g
-    cosets of C[2], k classes each, so its height is at most _height over
-    the cosets.  It gets log10 3 digits more for the cube: when 3 does not
-    divide D, j is gamma_2^3, and cubing turns gamma_2's error e into about
+    The first is the floor of the polynomial of moduli_report's kernel (see
+    _field_kernel): W's when 3 does not divide D, H_D's own when it does.
+    The second is the field polynomial's.  Its roots are sums of j over the
+    g cosets of C[2], k classes each, so its height is at most _height over
+    the cosets.  It gets log10 3 digits more for the cube: on the gamma_2
+    kernel j is gamma_2^3, and cubing turns gamma_2's error e into about
     3|gamma_2|^2 e.  In the product over the cosets a coset's error is
     multiplied only by the other cosets' invariants, never by its own |j| =
-    |gamma_2|^3, so against the height the cube costs the factor 3 alone.  When h is odd, C[2] is
-    trivial and the field polynomial is H_D, so only the first floor applies.
+    |gamma_2|^3, so against the height the cube costs the factor 3 alone.
+    When h is odd, C[2] is trivial and the field polynomial is H_D, so only
+    the first floor applies.
 
-    When 3 divides D, moduli_report evaluates j, whatever class_polynomial
-    evaluates, so the first floor is H_D's, and the second is never above
-    it: H_D's height counts every term of a coset, and as a <= sqrt(|D|/3),
-    the k - 1 smaller ones are each at least pi*sqrt(3)/ln 10 > 2.36, where
-    for k >= 2, 2.36 (k - 1) >= log10 k + log10 3; and C(g, g/2) <= C(h, h/2).
-    So precision_floor is then H_D's own floor."""
-    if group.disc % 3 == 0:
-        return _floor(group, 1)
-    floor = class_polynomial_floor(group)
-    cosets = _torsion_cosets(group)
-    if len(cosets) == group.h:
+    On the j kernel the second floor is never above the first: H_D's height
+    counts every term of a coset, and as a <= sqrt(|D|/3), the k - 1 smaller
+    ones are each at least pi*sqrt(3)/ln 10 > 2.36, where for k >= 2, 2.36
+    (k - 1) >= log10 k + log10 3; and C(g, g/2) <= C(h, h/2).  So
+    precision_floor is then H_D's own floor."""
+    n = _field_kernel(group.disc)
+    floor, cosets = _floor(group, n), _torsion_cosets(group)
+    if n == 1 or len(cosets) == group.h:
         return floor
     return max(floor, ceil(_height(group, cosets) + log10(3)) + GUARD_DIGITS)
 
@@ -364,11 +358,18 @@ def _floor(group: ClassGroup, n: int) -> int:
     return ceil(_height(group, n=n)) + GUARD_DIGITS
 
 
-def _class_poly_from(group: ClassGroup, values: list[BigComplex]) -> tuple[int, ...]:
-    """H_D from _class_values: their certified, Gross-Zagier-checked product is
-    H_D when 3 divides D, and W otherwise, which gives H_D exactly."""
-    poly = _check_gross_zagier(group.disc, _recognize_int_poly(poly_from_roots(values)))
-    return _norm_from_gamma2(poly) if group.disc % 3 else poly
+def _class_polynomial_at(group: ClassGroup, n: int, digits: int) -> tuple[tuple[int, ...], list]:
+    """H_D certified at digits through kernel n (see _class_kernel), and the
+    kernel's values, for class_polynomial and moduli_report alike.  The product over the values is
+    certified, then the kernel's exact step gives H_D: none for j; for
+    gamma_3 the norm with its exact divisions, then Gross-Zagier on H_D(0);
+    for gamma_2 Gross-Zagier on W(0), then the norm."""
+    values = _class_values(group, n, digits)
+    poly = _recognize_int_poly(poly_from_roots(values))
+    if n == 2:
+        poly = _norm_from_gamma3(poly, group.disc)
+    poly = _check_gross_zagier(group.disc, poly)
+    return (_norm_from_gamma2(poly) if n == 3 else poly), values
 
 
 def _norm_from_gamma2(w: tuple[int, ...]) -> tuple[int, ...]:
@@ -445,24 +446,15 @@ _Polynomials = namedtuple("_Polynomials", "class_poly mq warnings")
 
 
 def _attempt_polynomials(group: ClassGroup, cosets, digits: int) -> _Polynomials:
-    values = _class_values(group, digits)
-    class_poly = _class_poly_from(group, values)
+    n = _field_kernel(group.disc)
+    class_poly, values = _class_polynomial_at(group, n, digits)
     if len(cosets) == group.h:  # C[2] trivial (h odd): each coset is one class
         return _Polynomials(class_poly, class_poly, ())
-    js = [cube(v) for v in values] if group.disc % 3 else values
+    js = [cube(v) for v in values] if n == 3 else values
     roots, rung = _separated_roots(js, cosets)
     mq = _check_power_sum(class_poly, _recognize_int_poly(poly_from_roots(roots)), rung)
     warnings = () if rung[0] == "trace" else (f"resolvent fallback used: {rung[0]}",)
     return _Polynomials(class_poly, mq, warnings)
-
-
-def _class_polynomial_at(group: ClassGroup, digits: int) -> tuple[int, ...]:
-    """H_D certified at digits, from W when 3 does not divide D, from W3 when
-    D is odd and 3 divides it, else from j."""
-    if _class_kernel(group.disc) == 2:
-        w3 = _recognize_int_poly(poly_from_roots(_gamma3_values(group, digits)))
-        return _check_gross_zagier(group.disc, _norm_from_gamma3(w3, group.disc))
-    return _class_poly_from(group, _class_values(group, digits))
 
 
 def _escalate(disc: int, floor: int, attempt):
@@ -509,7 +501,9 @@ def class_polynomial_with_precision(d: int) -> tuple[tuple[int, ...], int]:
     gamma_2 polynomial W when 3 does not divide d, of the gamma_3 polynomial
     W3 when d is odd and 3 divides it, of H_D itself otherwise."""
     group = classgroup.class_group(d)
-    return _escalate(d, class_polynomial_floor(group), partial(_class_polynomial_at, group))
+    attempt = partial(_class_polynomial_at, group, _class_kernel(d))
+    (coeffs, _), digits = _escalate(d, class_polynomial_floor(group), attempt)
+    return coeffs, digits
 
 
 def field_of_Q_moduli(lattice: TranscLattice) -> tuple[int, ...]:

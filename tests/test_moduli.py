@@ -40,6 +40,11 @@ def sweep():
     )
 
 
+def class_poly_at(group, digits: int) -> tuple[int, ...]:
+    """H_D certified at digits through class_polynomial's kernel."""
+    return moduli._class_polynomial_at(group, moduli._class_kernel(group.disc), digits)[0]
+
+
 def test_moduli_degree():
     # [M_K : K] = [M_Q : Q] = the genus order of the primitive part
     for lattice, g in ((LATTICE_23, 3), (LATTICE_4, 1), (LATTICE_56, 2), (scale(LATTICE_23, 4), 3)):
@@ -102,8 +107,8 @@ def test_class_polynomial_minus_23_root_pattern():
 
 def test_class_polynomial_minus_56_stable():
     group = classgroup.class_group(-56)
-    first = moduli._class_polynomial_at(group, 70)
-    second = moduli._class_polynomial_at(group, 140)
+    first = class_poly_at(group, 70)
+    second = class_poly_at(group, 140)
     assert first == second
     assert len(first) == 5 and first[-1] == 1
 
@@ -123,7 +128,7 @@ def test_real_roots_exactly_at_ambiguous_classes():
     # (3, +-2, 5) of -56 are not
     for d in (-23, -35, -56, -71, -143):
         group = classgroup.class_group(d)
-        for cls, value in zip(group.classes, moduli._gamma2_values(group, 60)):
+        for cls, value in zip(group.classes, moduli._class_values(group, 3, 60)):
             rep = cls.rep
             ambiguous = rep.b == 0 or rep.a == rep.b or rep.a == rep.c
             assert (abs(as_mpc(ctx, value).imag) < ctx.mpf("1e-50")) == ambiguous, (d, rep)
@@ -133,7 +138,7 @@ def test_real_roots_exactly_at_ambiguous_classes():
     # and the classes of -231 with b = 3 (mod 4) are not ambiguous
     for d in (-15, -87, -231, -255):
         group = classgroup.class_group(d)
-        for cls, value in zip(group.classes, moduli._gamma3_values(group, 60)):
+        for cls, value in zip(group.classes, moduli._class_values(group, 2, 60)):
             rep = cls.rep
             ambiguous = rep.a == rep.b or rep.a == rep.c
             assert (abs(as_mpc(ctx, value).imag) < ctx.mpf("1e-40")) == ambiguous, (d, rep)
@@ -143,7 +148,8 @@ def test_real_roots_exactly_at_ambiguous_classes():
 def test_j_values_conjugate_pairs_exactly():
     for d in (-71, -231, -479):
         group = classgroup.class_group(d)
-        js = dict(zip((c.rep.coefficients() for c in group.classes), moduli._j_values(group, 60)))
+        reps = [c.rep.coefficients() for c in group.classes]
+        js = dict(zip(reps, moduli._class_values(group, 1, 60)))
         negative = [(a, b, c) for a, b, c in js if b < 0]
         assert negative
         for a, b, c in negative:
@@ -152,7 +158,7 @@ def test_j_values_conjugate_pairs_exactly():
     for d in (-56, -71, -479):
         group = classgroup.class_group(d)
         reps = [c.rep.coefficients() for c in group.classes]
-        values = dict(zip(reps, moduli._gamma2_values(group, 60)))
+        values = dict(zip(reps, moduli._class_values(group, 3, 60)))
         negative = [(a, b, c) for a, b, c in values if b < 0]
         assert negative
         for a, b, c in negative:
@@ -162,7 +168,7 @@ def test_j_values_conjugate_pairs_exactly():
     for d in (-87, -231, -255):
         group = classgroup.class_group(d)
         reps = [c.rep.coefficients() for c in group.classes]
-        values = dict(zip(reps, moduli._gamma3_values(group, 60)))
+        values = dict(zip(reps, moduli._class_values(group, 2, 60)))
         negative = [(a, b, c) for a, b, c in values if b < 0]
         assert negative
         for a, b, c in negative:
@@ -178,7 +184,7 @@ def test_cube_of_gamma2_is_j_within_the_bounds(sweep):
         if d % 3 == 0:
             continue
         group = sweep.group(d)
-        for z, j in zip(moduli._gamma2_values(group, 60), moduli._j_values(group, 60)):
+        for z, j in zip(moduli._class_values(group, 3, 60), moduli._class_values(group, 1, 60)):
             cube = numerics.cube(z)
             assert cube.bits == z.bits and numerics.cube(conjugate(z)) == conjugate(cube)
             assert (cube.im == 0) == (z.im == 0), (d, z)
@@ -201,9 +207,9 @@ def test_gamma2_class_polynomial_rebuilds_h(sweep):
             continue
         group = sweep.group(d)
         digits = moduli.class_polynomial_floor(group)
-        w = moduli._recognize_int_poly(poly_from_roots(moduli._gamma2_values(group, digits)))
+        w = moduli._recognize_int_poly(poly_from_roots(moduli._class_values(group, 3, digits)))
         assert len(w) == group.h + 1 and w[-1] == 1, d
-        js = moduli._j_values(group, hd_floor(group))
+        js = moduli._class_values(group, 1, hd_floor(group))
         oracle = moduli._recognize_int_poly(poly_from_roots(js))
         assert moduli._norm_from_gamma2(w) == oracle and oracle[0] == w[0] ** 3, d
         assert sweep.class_polynomial(d)[0] == oracle, d
@@ -222,9 +228,9 @@ def test_gamma3_class_polynomial_rebuilds_h(sweep):
         group = sweep.group(d)
         digits = moduli.class_polynomial_floor(group)
         assert digits < hd_floor(group), d
-        w3 = moduli._recognize_int_poly(poly_from_roots(moduli._gamma3_values(group, digits)))
+        w3 = moduli._recognize_int_poly(poly_from_roots(moduli._class_values(group, 2, digits)))
         assert len(w3) == group.h + 1 and w3[-1] == 1, d
-        js = moduli._j_values(group, hd_floor(group))
+        js = moduli._class_values(group, 1, hd_floor(group))
         oracle = moduli._recognize_int_poly(poly_from_roots(js))
         assert moduli._norm_from_gamma3(w3, d) == oracle, d
         assert sweep.class_polynomial(d) == (oracle, digits), d
@@ -238,7 +244,7 @@ def test_doctored_gamma3_polynomial_is_refused_at_the_exact_division(monkeypatch
     for d in (-15, -87, -255):
         group = classgroup.class_group(d)
         digits = moduli.class_polynomial_floor(group)
-        w3 = moduli._recognize_int_poly(poly_from_roots(moduli._gamma3_values(group, digits)))
+        w3 = moduli._recognize_int_poly(poly_from_roots(moduli._class_values(group, 2, digits)))
         for i in range(group.h):
             for off in (1, -1):
                 doctored = w3[:i] + (w3[i] + off,) + w3[i + 1 :]
@@ -362,7 +368,7 @@ def test_class_group_mates_share_field_data():
 
 def test_lattices_of_one_disc0_share_their_polynomials(monkeypatch):
     # the second lattice of D0 = -56, and a rescaling of it, make no attempt
-    # (each attempt calls _class_values once, for j and gamma_2 alike); their
+    # (each attempt calls _class_values once, whatever its kernel); their
     # reports equal ones computed from an empty cache
     empty_field_cache(monkeypatch)
     calls = []
@@ -393,9 +399,9 @@ def _recognition_failing(monkeypatch, fails):
     certify, values = moduli.recognize_integer, moduli._class_values
     empty_field_cache(monkeypatch)  # a cached report would skip recognition
 
-    def class_values(group, digits):
+    def class_values(group, n, digits):
         attempts.append(digits)
-        return values(group, digits)
+        return values(group, n, digits)
 
     def recognize(z):
         if fails(attempts[-1]):
@@ -408,30 +414,40 @@ def _recognition_failing(monkeypatch, fails):
 
 
 def test_failed_certificate_doubles_the_precision(monkeypatch):
-    # classpoly certifies the gamma_2 polynomial W at its floor, 10 digits at
-    # -23; so does analyze, as h = 3 is odd and the field polynomial is H_D
-    group = classgroup.class_group(-23)
-    cp_floor, floor = moduli.class_polynomial_floor(group), moduli.precision_floor(group)
-    assert (cp_floor, floor) == (10, 10)
-    attempts = _recognition_failing(monkeypatch, lambda digits: digits in (cp_floor, floor))
-    assert moduli.class_polynomial_with_precision(-23) == (H23, 2 * cp_floor)
-    assert attempts == [cp_floor, 2 * cp_floor]
+    # recognition fails at the floor, on every kernel.  At -23 classpoly
+    # certifies the gamma_2 polynomial W at its floor, 10 digits; so does
+    # analyze, as h = 3 is odd and the field polynomial is H_D.  At -15
+    # classpoly certifies the gamma_3 polynomial W3 at 11 digits, and analyze
+    # the product over j at 14
+    attempts = _recognition_failing(monkeypatch, lambda digits: digits == attempts[0])
+    h15, lattice_15 = (-121287375, 191025, 1), from_gram(((2, 1), (1, 8)))
+    cases = ((-23, H23, LATTICE_23, (10, 10)), (-15, h15, lattice_15, (11, 14)))
+    for d, poly, lattice, floors in cases:
+        group = classgroup.class_group(d)
+        cp_floor, floor = moduli.class_polynomial_floor(group), moduli.precision_floor(group)
+        assert (cp_floor, floor) == floors
+        attempts.clear()
+        assert moduli.class_polynomial_with_precision(d) == (poly, 2 * cp_floor)
+        assert attempts == [cp_floor, 2 * cp_floor]
 
-    attempts.clear()
-    report = moduli_report(LATTICE_23)
-    assert (report.class_polynomial, report.precision_used) == (H23, 2 * floor)
-    assert attempts == [floor, 2 * floor]
+        attempts.clear()
+        report = moduli_report(lattice)
+        assert (report.class_polynomial, report.precision_used) == (poly, 2 * floor)
+        assert attempts == [floor, 2 * floor]
 
 
 def test_doubling_stops_at_the_ceiling(monkeypatch):
     attempts = _recognition_failing(monkeypatch, lambda digits: True)
-    with pytest.raises(PrecisionError, match="failed at 2560 digits") as exc:
-        class_polynomial(-23)
-    # 10, 20, ..., 2560: the floor of the gamma_2 polynomial of -23, doubled
-    assert attempts == [10 << k for k in range(9)]
-    assert attempts[0] == moduli.class_polynomial_floor(classgroup.class_group(-23))
-    assert max(attempts) <= moduli.MAX_DIGITS < 2 * attempts[-1]
-    assert f"ceiling of {moduli.MAX_DIGITS}" in str(exc.value)
+    # 10, 20, ..., 2560: the floor of the gamma_2 polynomial of -23, doubled;
+    # 11, 22, ..., 2816: that of the gamma_3 polynomial of -15
+    for d, first in ((-23, 10), (-15, 11)):
+        attempts.clear()
+        with pytest.raises(PrecisionError, match=f"failed at {first << 8} digits") as exc:
+            class_polynomial(d)
+        assert attempts == [first << k for k in range(9)]
+        assert attempts[0] == moduli.class_polynomial_floor(classgroup.class_group(d))
+        assert max(attempts) <= moduli.MAX_DIGITS < 2 * attempts[-1]
+        assert f"ceiling of {moduli.MAX_DIGITS}" in str(exc.value)
     # a floor above half the ceiling gets one attempt; 3 | D = -92376, so
     # this is H_D's own floor
     attempts.clear()
@@ -502,7 +518,7 @@ def test_low_digits_give_the_right_polynomial():
     for d, digits in coarse_j + no_room:
         group = classgroup.class_group(d)
         assert digits < moduli.class_polynomial_floor(group), (d, digits)
-        attempt = lambda: moduli._class_polynomial_at(group, digits)  # noqa: E731
+        attempt = lambda: class_poly_at(group, digits)  # noqa: E731
         _right_or_refused(attempt, class_polynomial(d), (d, digits))
 
 
@@ -520,7 +536,7 @@ def test_sub_floor_sweep_never_gives_a_wrong_polynomial(sweep):
         kernel = "j" if d % 3 == 0 else "gamma_2"
         class_kernel = {1: "j", 2: "gamma_3", 3: "gamma_2"}[moduli._class_kernel(d)]
         for digits in range(1, 40):
-            attempt = lambda: moduli._class_polynomial_at(group, digits)  # noqa: E731
+            attempt = lambda: class_poly_at(group, digits)  # noqa: E731
             ok = _right_or_refused(attempt, class_poly, (d, digits))
             outcomes["class", class_kernel, digits < cp_floor, ok] += 1
             attempt = lambda: moduli._attempt_polynomials(group, cosets, digits).mq  # noqa: E731
@@ -542,7 +558,7 @@ def test_minus_2083_settles_at_default_digits():
     report = moduli_report(lattice)
     assert (report.disc0, report.h, report.precision_used) == (-2083, 7, 36)
     group = classgroup.class_group(-2083)
-    assert report.class_polynomial == moduli._class_polynomial_at(group, 200)
+    assert report.class_polynomial == class_poly_at(group, 200)
     cosets = moduli._torsion_cosets(group)
     assert report.mq_min_poly == moduli._attempt_polynomials(group, cosets, 200).mq
 
@@ -602,7 +618,7 @@ def test_odd_class_number_field_polynomial_is_class_polynomial(sweep):
         odd += 1
         report = moduli_report(lattice_from_class(1, group.classes[0]))
         assert report.mq_min_poly == report.class_polynomial and report.warnings == (), d
-        js = moduli._j_values(group, hd_floor(group))
+        js = moduli._class_values(group, 1, hd_floor(group))
         cosets = moduli._torsion_cosets(group)
         roots, rung = moduli._separated_roots(js, cosets)
         assert rung == moduli._RESOLVENT_LADDER[0] == ("trace", 1, 0), d
@@ -627,7 +643,7 @@ def test_gamma2_path_checks_the_prime_bound_on_w0(monkeypatch):
     # on the gamma_2 path; it runs on W(0), which has the primes of H_D(0)
     group = classgroup.class_group(-23)
     digits = moduli.class_polynomial_floor(group)
-    w = moduli._recognize_int_poly(poly_from_roots(moduli._gamma2_values(group, digits)))
+    w = moduli._recognize_int_poly(poly_from_roots(moduli._class_values(group, 3, digits)))
     assert moduli._norm_from_gamma2(w)[0] == w[0] ** 3 and abs(w[0]) == 5**3 * 11 * 17
     assert moduli._check_gross_zagier(-23, w) == w
     recognize = moduli._recognize_int_poly
@@ -638,7 +654,7 @@ def test_gamma2_path_checks_the_prime_bound_on_w0(monkeypatch):
 
     monkeypatch.setattr(moduli, "_recognize_int_poly", doctored)
     with pytest.raises(K3ModuliError, match="prime factor above"):
-        moduli._class_polynomial_at(group, digits)
+        class_poly_at(group, digits)
 
 
 def test_field_polynomial_roots_sum_to_the_class_polynomials_power_sum(monkeypatch):
@@ -657,14 +673,14 @@ def test_field_polynomial_roots_sum_to_the_class_polynomials_power_sum(monkeypat
     with pytest.raises(K3ModuliError, match="trace"):
         moduli._check_power_sum((24, -50, 35, -11, 1), (25, -10, 1), trace)
     # and analyze refuses a class polynomial whose top coefficient was doctored
-    class_poly = moduli._class_poly_from
+    certified = moduli._class_polynomial_at
 
-    def doctored(group, values):
-        cp = class_poly(group, values)
-        return cp[:-2] + (cp[-2] + 1, 1)
+    def doctored(group, n, digits):
+        cp, values = certified(group, n, digits)
+        return cp[:-2] + (cp[-2] + 1, 1), values
 
     empty_field_cache(monkeypatch)
-    monkeypatch.setattr(moduli, "_class_poly_from", doctored)
+    monkeypatch.setattr(moduli, "_class_polynomial_at", doctored)
     with pytest.raises(K3ModuliError, match="do not sum to the trace"):
         moduli_report(LATTICE_56)
 
@@ -722,7 +738,7 @@ def test_coefficient_stability_small_sweep(sweep):
     for d in valid_discs(100):
         group = sweep.group(d)
         digits = 2 * default_digits(group.h)
-        assert sweep.class_polynomial(d)[0] == moduli._class_polynomial_at(group, digits)
+        assert sweep.class_polynomial(d)[0] == class_poly_at(group, digits)
 
 
 def test_model_index_bookkeeping_sweep(sweep):
@@ -742,7 +758,7 @@ def test_field_roots_closed_under_conjugation():
     # poly_from_roots pairs every complex root
     for d in (-23, -56, -84, -119):
         group = classgroup.class_group(d)
-        js = moduli._j_values(group, 60)
+        js = moduli._class_values(group, 1, 60)
         roots, _ = moduli._separated_roots(js, moduli._torsion_cosets(group))
         assert Counter(roots) == Counter(conjugate(r) for r in roots)
 

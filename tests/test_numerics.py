@@ -109,7 +109,7 @@ def test_error_bounds_cover_the_true_values():
     for d in (-23, -56, -71, -231, -420):
         group = class_group(d)
         digits = hd_floor(group)
-        low, high = moduli._j_values(group, digits), moduli._j_values(group, 2 * digits)
+        low, high = (moduli._class_values(group, 1, x) for x in (digits, 2 * digits))
         assert all(x.err > 0 and covered(x, y) for x, y in zip(low, high)), d
         pairs = zip(poly_from_roots(low), poly_from_roots(high))
         assert all(covered(x, y) and 2 * x.err < 1 << x.bits for x, y in pairs), d
@@ -123,7 +123,7 @@ def test_error_bounds_cover_the_true_values():
         group = class_group(d)
         digits = moduli.class_polynomial_floor(group)
         ctx.dps = 2 * digits + 20
-        low, high = moduli._gamma2_values(group, digits), moduli._gamma2_values(group, 2 * digits)
+        low, high = (moduli._class_values(group, 3, x) for x in (digits, 2 * digits))
         assert all(x.err > 0 and covered(x, y) for x, y in zip(low, high)), d
         for cls, x in zip(group.classes, low):
             form = _gamma2_form(*cls.rep.coefficients())
@@ -146,7 +146,7 @@ def test_error_bounds_cover_the_true_values():
         group = class_group(d)
         digits = moduli.class_polynomial_floor(group)
         ctx.dps = 2 * digits + 20
-        low, high = moduli._gamma3_values(group, digits), moduli._gamma3_values(group, 2 * digits)
+        low, high = (moduli._class_values(group, 2, x) for x in (digits, 2 * digits))
         assert all(x.err > 0 and covered(x, y) for x, y in zip(low, high)), d
         for cls, x in zip(group.classes, low):
             a, b = _gamma3_form(*cls.rep.coefficients())
@@ -653,7 +653,7 @@ def test_threads_at_different_digits_match_serial():
 
     def compute(d, digits):
         group = class_group(d)
-        js = moduli._j_values(group, digits)
+        js = moduli._class_values(group, 1, digits)
         roots, _ = moduli._separated_roots(js, moduli._torsion_cosets(group))
         values = js + roots + poly_from_roots(js) + poly_from_roots(roots)
         return [(z.re, z.im) for z in values]
@@ -696,7 +696,7 @@ def test_real_product_matches_complex_product():
     for d in valid_discs(500):
         group = class_group(d)
         digits = default_digits(group.h)
-        js = moduli._j_values(group, digits)
+        js = moduli._class_values(group, 1, digits)
         fast = [certified_integer(c, "1e-10") for c in poly_from_roots(js)]
         ctx.dps = 2 * digits + 40 * group.h
         coeffs = [ctx.mpc(1)]

@@ -269,6 +269,31 @@ def test_numerics_owns_the_number_format():
     assert run.stdout == "[]\n"
 
 
+def _callers(tree: ast.Module, names: set[str]) -> set[str]:
+    """The top-level definitions of tree (a function, or a class for its
+    methods) that call one of names; "module" for a call outside them."""
+    found = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called in names:
+                    found.add(getattr(top, "name", "module"))
+    return found
+
+
+def test_one_path_to_h_d():
+    # both commands build H_D through one values function and one attempt:
+    # every kernel is evaluated in one place, and each exact step runs in one
+    tree = ast.parse(Path(moduli.__file__).read_text(), moduli.__file__)
+    assert _callers(tree, {"j_invariant", "gamma2", "gamma3"}) == {"_class_values"}
+    exact = {"_norm_from_gamma2", "_norm_from_gamma3", "_check_gross_zagier"}
+    assert _callers(tree, exact) == {"_class_polynomial_at"}
+    sample = ast.parse("def f():\n    g(lambda: m.j_invariant(1))\nclass C:\n    x = gamma2()")
+    assert _callers(sample, {"j_invariant", "gamma2"}) == {"f", "C"}
+
+
 def test_traced_names_resolve():
     # the benchmark tracer replaces these attributes by name; a rename would
     # break only the traced benchmark run, which this suite does not collect
