@@ -31,7 +31,11 @@ own floor is above MAX_DIGITS.
 H_D comes through one path, _class_polynomial_at, for both commands: the
 values of j^(1/n) at every class (_class_values), their certified product,
 and kernel n's exact step to H_D.  _class_kernel and _field_kernel choose
-the n of class_polynomial and of moduli_report, each in one place.
+the n of class_polynomial and of moduli_report, each in one place.  Each
+value is taken at a form of its class that meets kernel n's congruence
+condition (_class_point); numerics lifts that form's point to the reduced
+domain by the invariants' transformation laws, so this module picks the
+form and derives no move.
 
 When 3 does not divide D, both take the cube root gamma_2 of j (n = 3;
 Enge & Morain, ANTS V, 2002): at forms (A, B, C) with 3 not dividing A and
@@ -157,66 +161,32 @@ def mq_is_galois(lattice: TranscLattice) -> bool:
 # polynomial constructions
 
 
-def _gamma2_point(a: int, b: int, c: int, disc: int) -> CMPoint:
-    """The point (a, e) of the reduced form (a, b, c), b >= 0, at which gamma_2
-    is gamma_2 at a form (A, B, C) of its class with 3 not dividing A and 3
-    dividing B, for 3 not dividing disc.
-
-    e = b + 2ak, so the point is tau - k, with the reduced point's q, and
-    gamma_2(tau - k) = zeta^k gamma_2(tau) for zeta = exp(2 pi i / 3).  The
-    forms, with k chosen so that 3 | B:
-    - 3 not dividing a: (a, b + 2ak, .), k = ab mod 3, at tau - k;
-    - 3 | a, 3 not dividing c: (c, -b + 2ck, .), k = -bc mod 3, at
-      -1/tau - k, where gamma_2 is gamma_2(tau - k) as gamma_2(-1/tau) =
-      gamma_2(tau);
-    - 3 | a and 3 | c: (a + b + c, 2a + 3b + 4c, .), at tau/(1 - tau) - 1 =
-      -1/(1 - 1/tau) - 1, where gamma_2 is gamma_2(tau): k = 0.
-    e is taken mod 6a (tau - 3 has the same gamma_2), so e >= 0.
-    """
-    if a % 3:
-        k = a * b % 3
-    elif c % 3:
-        k = -b * c % 3
-    else:
-        k = 0
-    return CMPoint(a, (b + 2 * a * k) % (6 * a), disc)
-
-
-def _gamma3_sign(a: int, b: int, c: int) -> int:
-    """The sign e with gamma_3 at a form (A, B, C) of the class of the reduced
-    form (a, b, c) with A odd and B = 1 (mod 4) equal to e gamma_3(tau) at
-    (a, b, c) itself, for odd disc (so b is odd).
-
-    The form comes from the moves of _gamma2_point, and each of tau + 1 and
-    -1/tau negates gamma_3:
-    - a odd: (a, b + 2ak, .) at tau - k, with k = 0 when b = 1 (mod 4), else
-      1: e = (-1)^k;
-    - a even, c odd: (c, -b + 2ck, .) at -1/tau - k, with k = 0 when b = 3
-      (mod 4), else 1: e = -(-1)^k;
-    - a and c even: (a + b + c, 2a + 3b + 4c + 2(a + b + c)k, .), at
-      -1/(1 - 1/tau) - 1 - k, four moves and k more, with 2a + 3b + 4c = 3b
-      (mod 4), so k = 0 when b = 3 (mod 4), else 1: e = (-1)^k.
-    So e = 1 when b = 1 (mod 4), else -1, negated when a and c are both even.
-    """
-    e = 1 if b % 4 == 1 else -1
-    return -e if a % 2 == c % 2 == 0 else e
+def _class_point(r, disc: int, n: int) -> CMPoint:
+    """The point of the form (A, B, C) of r's class where kernel n takes the
+    class's value (Enge & Morain): r for j (n = 1); else (A, B) is the first of
+    (a, b), (c, -b), (a + b + c, b + 2c) with n not dividing A, then B + 2Ak
+    is made 1 mod 4 for gamma_3 (n = 2) or 0 mod 3 for gamma_2 (n = 3)."""
+    a, b, c = r.a, r.b, r.c
+    if n > 1:
+        if a % n == 0:
+            a, b = (c, -b) if c % n else (a + b + c, b + 2 * c)
+        b += 2 * a * (a * b % 3 if n == 3 else (1 - b) % 4 // 2)
+    return CMPoint(a, b, disc)
 
 
 def _class_values(group: ClassGroup, n: int, digits: int) -> list[BigComplex]:
     """The roots of kernel n's polynomial at every class: j (n = 1), y =
-    sqrt(D) gamma_3 at the reduced form signed by _gamma3_sign (n = 2), or
-    gamma_2 at the point of _gamma2_point (n = 3).  (a, -b, c) takes the exact
-    conjugate of the value at (a, b, c): its mirrored form is (A, -B, C), or
-    (A, -B + 2A, C) for gamma_3, where gamma_3 is minus the conjugate and
-    sqrt(D) is imaginary."""
+    sqrt(D) gamma_3 (n = 2) or gamma_2 (n = 3), each at the point of
+    _class_point.  (a, -b, c) takes the exact conjugate of the value at (a,
+    b, c): its mirrored form is (A, -B, C), or (A, -B + 2A, C) for gamma_3,
+    where gamma_3 is minus the conjugate and sqrt(D) is imaginary."""
     d = group.disc
 
     def evaluate(r):
-        if n == 1:
-            return j_invariant(CMPoint(r.a, r.b, d), digits)
+        point = _class_point(r, d, n)
         if n == 2:
-            return times_sqrt(gamma3(CMPoint(r.a, r.b, d), digits), d, _gamma3_sign(r.a, r.b, r.c))
-        return gamma2(_gamma2_point(r.a, r.b, r.c, d), digits)
+            return times_sqrt(gamma3(point, digits), d)
+        return (j_invariant if n == 1 else gamma2)(point, digits)
 
     reps = [cls.rep for cls in group.classes]
     upper = {(r.a, r.b): evaluate(r) for r in reps if r.b >= 0}
@@ -378,15 +348,19 @@ def _norm_from_gamma2(w: tuple[int, ...]) -> tuple[int, ...]:
     The roots of H_D are the cubes of those of W, so H_D(x^3) is the product
     of W(zeta^k x) over the cube roots of unity zeta^k.  With W(x) = A(x^3) +
     x B(x^3) + x^2 C(x^3) that product is the norm A^3 + y B^3 + y^2 C^3 -
-    3y ABC at y = x^3.  It is evaluated at y = 2^s in one integer expression
-    (Kronecker substitution): with n = len(W) and |W_i| < 2^size, each
-    coefficient of H_D is below 6 n^2 2^(3 size) < 2^(s - 1) in size, so the
-    signed base-2^s digits of the value are the coefficients.
+    3y ABC at y = x^3.  It is evaluated at y = 2^s, s = 3t, in one integer
+    expression (Kronecker substitution): with a = A(2^s), b = 2^t B(2^s) and
+    c = 2^2t C(2^s), the norm is a^3 + b^3 + c^3 - 3abc = (a + b + c)((a + b
+    + c)^2 - 3(ab + bc + ca)), five products.  With n = len(W) and |W_i| <
+    2^size, each coefficient of H_D is below 6 n^2 2^(3 size) < 2^(s - 1) in
+    size, as s >= 3 size + 2 (bits of n) + 4, so the signed base-2^s digits
+    of the value are the coefficients.
     """
-    s = 3 * max(map(abs, w)).bit_length() + 2 * len(w).bit_length() + 4
-    a, b, c = (_pack(w[i::3], s) for i in range(3))
-    value = a**3 + (b**3 << s) + (c**3 << 2 * s) - (3 * a * b * c << s)
-    return _unpack(value, s, len(w))
+    t = -(-(3 * max(map(abs, w)).bit_length() + 2 * len(w).bit_length() + 4) // 3)
+    a, b, c = (_pack(w[i::3], 3 * t) << i * t for i in range(3))
+    total = a + b + c
+    value = total * (total * total - 3 * (a * b + b * c + c * a))
+    return _unpack(value, 3 * t, len(w))
 
 
 def _norm_from_gamma3(w3: tuple[int, ...], d: int) -> tuple[int, ...]:

@@ -15,6 +15,10 @@ sqrt(j - 1728) = (1 - 512h) sqrt(1 + 64h) / h^(1/2), about |q|^(-1/2) in
 size, whose class polynomial (used for odd discriminants divisible by 3)
 has about two thirds of the digits.
 
+The kernel runs only on the reduced domain Im tau >= sqrt(3)/2, where its
+error budget is derived: _lifted moves every point there by tau + 1 and
+-1/tau, under which each invariant obeys an exact transformation law.
+
 One number format carries every value from j to recognition: `BigComplex`,
 the exact fixed-point value (re + i*im) * 2^-bits on Python integers, with a
 rigorous bound `err` on its distance to the true value, in the same units.
@@ -43,7 +47,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from functools import lru_cache, reduce
 from itertools import combinations
-from math import ceil, exp, expm1, isqrt, log, pi, sqrt
+from math import ceil, expm1, gcd, isqrt, log, pi, sqrt
 
 from .errors import InputError, K3ModuliError, NotNearInteger
 from .values import Value
@@ -51,9 +55,9 @@ from .values import Value
 # the largest precision any evaluation runs at.  moduli refuses a floor above
 # it: the floor grows about like sqrt|D| log|D|, 1995 digits at D = -40004 and
 # 4060 at D = -10^6.  It also bounds the series: the order N is about
-# (digits*ln 10 + (guard + spread)*ln 2) / -ln|q| (the bits of |q|^-1 in the
-# working precision cancel), largest where |q| is, at exp(-pi*sqrt 3) at a
-# reduced point, so 3000 digits need at most 1274 q-terms
+# (digits*ln 10 + guard*ln 2) / -ln|q| (the bits of |q|^-1 in the working
+# precision cancel), largest where |q| is, at exp(-pi*sqrt 3) on the reduced
+# domain, so 3000 digits need at most 1274 q-terms
 MAX_DIGITS = 3000
 LOG2_10 = log(10, 2)
 LN2 = log(2)
@@ -63,13 +67,8 @@ _TOP_MAGNITUDE = ceil(MAX_DIGITS * LOG2_10)
 # the bits of the error budget of _eta_quotient for j, gamma_2 and gamma_3:
 # the rounding of the Euler products (under 2^17 units) times its propagation
 # (under 2^9 for j, the worst of the three) and the later roundings stay
-# under 2^27 units of |q|^(-1/n) at a reduced point, and 5 bits more cover
-# where the bound grows faster with |q| than 2^spread
-_GUARD_BITS = 32
-# extra bits per unit of s = |q| / (1 - |q|)^2: |log E(q)| and |log(E(q^2)/E(q))|
-# are at most s, and the error bound grows like exp(145 s) as s grows large
-# (faster near a reduced point, which _GUARD_BITS covers)
-_SPREAD_BITS = 210
+# under 2^27 units of |q|^(-1/n) on the reduced domain, 6 bits below 2^33
+_GUARD_BITS = 33
 # the product rounds each of its O(h^2) terms by one unit; a few bits beyond
 # the roots' accuracy and log2 h keep that below the propagated root errors
 _PRODUCT_GUARD_BITS = 4
@@ -123,8 +122,8 @@ def _magnitude(disc: int, a: int) -> int:
     return int(pi * sqrt(-disc) / a / LN2) + 1
 
 
-def _working_bits(digits: int, magnitude: int, spread: int) -> int:
-    return ceil(digits * LOG2_10) + magnitude + _GUARD_BITS + spread
+def _working_bits(digits: int, magnitude: int) -> int:
+    return ceil(digits * LOG2_10) + magnitude + _GUARD_BITS
 
 
 def _pentagonal_plan(order: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
@@ -164,9 +163,9 @@ def _pentagonal_plan(order: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]
 
 
 # the largest series order any evaluation reaches: at MAX_DIGITS and at the
-# largest |q| of a reduced point, exp(-pi*sqrt 3) (D = -3, a = 1, where the
-# spread term is 1); one plan serves every order up to it
-_MAX_ORDER = _series_order(-pi * sqrt(3), _working_bits(MAX_DIGITS, _magnitude(-3, 1), 1))
+# largest |q| on the reduced domain, exp(-pi*sqrt 3) (D = -3, a = 1, for j,
+# which needs the most bits); one plan serves every order up to it
+_MAX_ORDER = _series_order(-pi * sqrt(3), _working_bits(MAX_DIGITS, _magnitude(-3, 1)))
 _PLAN = _pentagonal_plan(_MAX_ORDER)
 
 
@@ -174,7 +173,7 @@ def _euler_pair(q, order: int, bits: int):
     """E(q) = prod(1 - q^n) up to at least the power q^order, and E(q^2) up to
     at least q^(2 (order // 2)), in fixed point from one table of powers: the
     rows of _PLAN with g <= order, each term of E(q^2) the square of its q^g,
-    for order <= _MAX_ORDER (checked by _eta_quotient)."""
+    for order <= _MAX_ORDER (an invariant _eta_quotient checks)."""
     half, one = order // 2, 1 << bits
     re, im, re2, im2 = one, 0, one, 0
     powers = []
@@ -314,15 +313,16 @@ def j_invariant(point: CMPoint, digits: int) -> BigComplex:
     """j((-b + sqrt(disc)) / (2a)) to an absolute accuracy of about 10^-digits.
 
     The result carries its certified error bound: 2^-(bits - magnitude -
-    guard - spread), the series tail and the rounding of the O(N)
-    fixed-point products under the guard-bit budget, plus the rounding of the
-    constants of q (see _eta_quotient).
+    guard), the series tail and the rounding of the O(N) fixed-point
+    products under the guard-bit budget, plus the rounding of the constants
+    of q (see _eta_quotient).
 
-    j(a, -b) is the exact complex conjugate of j(a, b); j is exactly real
-    when a | b or |tau| = 1.  Out of its domain, a point is refused with
-    InputError before any work: digits above MAX_DIGITS, a point off the
-    upper half plane, |q|^-1 above 2^_TOP_MAGNITUDE (the constants' size at
-    MAX_DIGITS) or a series order beyond the plan (|q| too near 1).
+    Every point of the upper half plane is served, as the same BigComplex as
+    the reduced point it lifts to (_lifted).  j(a, -b) is the exact conjugate
+    of j(a, b); j is exactly real at a reduced point with a | b or |tau| = 1.
+    The only refusals, InputError before any work, are a point off the upper
+    half plane, digits above MAX_DIGITS, and a lifted |q|^-1 above
+    2^_TOP_MAGNITUDE (the constants' size at MAX_DIGITS).
     """
     return _eta_quotient(point, digits, 1)
 
@@ -334,11 +334,11 @@ def gamma2(point: CMPoint, digits: int) -> BigComplex:
 
     gamma_2 = E_4 / eta^8 is the cube root of j: gamma_2^3 = j,
     gamma_2(tau + 1) = exp(-2 pi i / 3) gamma_2(tau) and gamma_2(-1/tau) =
-    gamma_2(tau).  It is about |q|^(-1/3) in size, so it needs a third of the
-    bits of |q|^-1 that j needs on top of the digits.  Same kernel, error
-    bound, conjugate symmetry (gamma_2(a, -b) is the exact conjugate of
-    gamma_2(a, b)), exactly real values at |tau| = 1 and at 3a | b, and
-    ceiling as j_invariant.
+    gamma_2(tau), so the value is exactly gamma_2 at the lifted point
+    (_lifted).  It is about |q|^(-1/3) in size: a third of the bits of
+    |q|^-1 that j needs on top of the digits.  Same kernel, error bound and
+    refusals as j_invariant; exactly real at a lifted |tau| = 1 or 3a | b.
+    At (a, -b) it is the conjugate within the bounds, not bit for bit.
     """
     return _eta_quotient(point, digits, 3)
 
@@ -349,12 +349,11 @@ def gamma3(point: CMPoint, digits: int) -> BigComplex:
     (E(q^2)/E(q))^12, q^(1/2) = exp(pi i tau) and the principal square root.
 
     gamma_3 = E_6 / eta^12 is a square root of j - 1728, and gamma_3(tau + 1)
-    = gamma_3(-1/tau) = -gamma_3(tau).  It is about |q|^(-1/2) in size.  Same
-    kernel, error bound, conjugate symmetry and ceiling as j_invariant; it is
-    exactly real at 2a | b, and exactly imaginary at |tau| = 1 and where b/a
-    is odd.  The square root is principal only where |64h| < 1, so a point
-    below Im tau = sqrt(3)/2 (|disc| < 3a^2, off the reduced domain, where
-    |64h| < 0.31) is refused with InputError.
+    = gamma_3(-1/tau) = -gamma_3(tau): the value is exactly +- gamma_3 at the
+    lifted point (_lifted), where |64h| < 0.31 makes the principal square
+    root the right one.  It is about |q|^(-1/2) in size.  Same kernel, error
+    bound, conjugate symmetry and refusals as j_invariant; at a reduced
+    point exactly real at 2a | b, exactly imaginary at |tau| = 1 or odd b/a.
     """
     return _eta_quotient(point, digits, 2)
 
@@ -372,15 +371,40 @@ def _sqrt(x, bits: int):
     return (sr, si), isqrt(dr * dr + di * di) // sr + 1
 
 
-def times_sqrt(z: BigComplex, disc: int, sign: int) -> BigComplex:
-    """sign sqrt(disc) z = sign i sqrt|disc| z, for disc < 0 and sign +-1, at
-    z's bits, rounded toward zero (see _rescale): the exact conjugate of it
-    at conj(z) and -sign, and exactly real for imaginary z.  sqrt|disc| from
-    math.isqrt is under a unit low, so the product is off by under err
-    (sqrt|disc| + 1) + |re| + |im| units of 2^-2bits before the rounding."""
+def times_sqrt(z: BigComplex, disc: int) -> BigComplex:
+    """sqrt(disc) z = i sqrt|disc| z, for disc < 0, at z's bits, rounded
+    toward zero (see _rescale): at conj(z) it is minus the exact conjugate of
+    it, and it is exactly real for imaginary z.  sqrt|disc| from math.isqrt
+    is under a unit low, so the product is off by under err (sqrt|disc| + 1)
+    + |re| + |im| units of 2^-2bits before the rounding."""
     root = isqrt(-disc << 2 * z.bits)
     err = z.err * (root + 1) + abs(z.re) + abs(z.im)
-    return _rescale(BigComplex(-sign * z.im * root, sign * z.re * root, 2 * z.bits, err), z.bits)
+    return _rescale(BigComplex(-z.im * root, z.re * root, 2 * z.bits, err), z.bits)
+
+
+def _lifted(a: int, b: int, disc: int, n: int) -> tuple[int, int, int, bool]:
+    """(A, B, D, negate): kernel n's value at (-b + sqrt(disc)) / (2a) is its
+    value at (-B + sqrt(D)) / (2A), Im >= sqrt(3)/2, negated if negate is
+    set.  Gauss-reduces the point's primitive form, from (4a^2, 4ab, b^2 -
+    disc), by tau + t and -1/tau: j is invariant under both, gamma_3 (n = 2)
+    changes sign, and gamma_2 (n = 3) is invariant under -1/tau and turns by
+    zeta^-t, zeta = exp(2 pi i / 3), under tau + t: it is gamma_2 at the
+    reduced point minus the sum m of the t, at B + 2Am mod 6A (period 3)."""
+    g = gcd(4 * a * a, 4 * a * b, b * b - disc)
+    a, b, c = 4 * a * a // g, 4 * a * b // g, (b * b - disc) // g
+    shift = flips = 0
+    while True:
+        t = (b + a - 1) // (2 * a)  # b - 2at in (-a, a]
+        b, c = b - 2 * a * t, c - b * t + a * t * t
+        shift += t
+        if a < c or a == c and b >= 0:
+            break
+        a, b, c = c, -b, a
+        flips += 1
+    disc = b * b - 4 * a * c
+    if n == 3:
+        b = (b + 2 * a * shift) % (6 * a)
+    return a, b, disc, n == 2 and (shift + flips) % 2 == 1
 
 
 def _eta_quotient(point: CMPoint, digits: int, n: int) -> BigComplex:
@@ -388,7 +412,8 @@ def _eta_quotient(point: CMPoint, digits: int, n: int) -> BigComplex:
     = E(q^2)/E(q), h = q rho^24, t = 1 + 256h, and F = t^3 / rho^24 for j,
     (1 - 512h) sqrt(1 + 64h) / rho^12 for gamma_3, t / rho^8 for gamma_2.
 
-    Error budget, in units of 2^-bits.  At a reduced point |q| <= q0 =
+    Error budget, in units of 2^-bits, on the reduced domain (where _lifted
+    puts every point; gamma_2's moves keep |q|), where |q| <= q0 =
     exp(-pi sqrt 3), s = |q| / (1 - |q|)^2 < 0.00438 bounds |log E(q)| and
     |log rho|, so |rho|^(+-m) <= exp(ms) and |h| < 0.00482: |t| < 2.24,
     |1 - 512h| < 3.47 and |64h| < 0.31.
@@ -411,12 +436,11 @@ def _eta_quotient(point: CMPoint, digits: int, n: int) -> BigComplex:
     j is the worst of the three: the products move F by under 2^26 units,
     and the two dozen later roundings, one unit per part each, carried by
     factors of the same size, by under 2^14 more, so the result moves by
-    under 2^27 units of |q|^(-1/n) <= 2^magnitude.  Elsewhere the same
-    bounds grow with s by at most 2^(spread + 4.5) (largest near s = 0.057;
-    found numerically over s up to 5), so _GUARD_BITS = 32 covers every
-    point.  gamma_3's square root of x = 1 + 64h is off by `root` units
-    (_sqrt), which the factors |1 - 512h| / |rho|^12 < 3.7 and q^(-1/2)
-    carry: under root 2^(magnitude + 2) units.
+    under 2^27 units of |q|^(-1/n) <= 2^magnitude, which 2^_GUARD_BITS =
+    2^33 covers.  gamma_3's square root of x = 1 + 64h is off by `root`
+    units (_sqrt), which the factors |1 - 512h| / |rho|^12 < 3.7 and
+    q^(-1/2) carry: under root 2^(magnitude + 2) units, and the bound takes
+    root 2^(magnitude + 3).
 
     Error budget of the constants of q (_q_powers).  q^(1/n) = exp(-L - i
     theta) with L = pi sqrt|disc| / (na) and theta = pi b / (na).  In units
@@ -453,44 +477,43 @@ def _eta_quotient(point: CMPoint, digits: int, n: int) -> BigComplex:
       under half a unit at k <= magnitude, so each part is within units = 2
       of the truth (_q_powers returns the bound for the actual k).
     Then |dq| <= sqrt 2 units, and q = (q^(1/n))^n is within 3 sqrt 2 units
-    plus two roundings, under 8 units.  At a reduced point, at fixed
+    plus two roundings, under 8 units.  On the reduced domain, at fixed
     q^(-1/n), the result moves by less than 2^(magnitude + 12.1) |dq| (for
     j, the worst), and at fixed q by less than 2^4 |dq^(-1/n)|.  So together
-    they move it by less than units 2^(magnitude + 14.2), and elsewhere by
-    at most 2^(spread + 1.5) times that (found as above), under units
-    2^(magnitude + 17 + spread).
+    they move it by less than units 2^(magnitude + 14.2), and the bound
+    takes units 2^(magnitude + 18).
     """
     if point.a <= 0 or point.disc >= 0:
         raise InputError("CM point needs a > 0 and disc < 0")
     if digits > MAX_DIGITS:
         raise InputError(f"{digits} digits are above the ceiling of {MAX_DIGITS}")
-    a, b, disc = point.a, abs(point.b), point.disc
-    if n == 2 and -disc < 3 * a * a:
-        raise InputError(f"gamma_3 needs Im tau >= sqrt(3)/2, and {point} is below it")
+    a, b, disc, negate = _lifted(point.a, point.b, point.disc, n)
     # sized in integers before any float: sqrt|disc| / a lies between
     # 2^(size - 1) and 2^(size + 1), so at size > 12, |q|^-1 has over 2^13
     # bits.  Otherwise a float holds sqrt|disc| and a once both are shifted to
-    # put a below 2^64, and a |q| too near 1 is refused by its series order
+    # put a below 2^64
     size = isqrt(-disc).bit_length() - a.bit_length()
     if size > 12:
         raise InputError(
-            f"|q|^-1 at {point} has over 2^{size + 1} bits, above the {_TOP_MAGNITUDE} handled"
+            f"the lifted |q|^-1 at {point} has over 2^{size + 1} bits, "
+            f"above the {_TOP_MAGNITUDE} handled"
         )
     shift = max(a.bit_length() - 64, 0)
     fa, fdisc = a >> shift, disc >> 2 * shift
     top = _magnitude(fdisc, fa)
     if top > _TOP_MAGNITUDE:
-        raise InputError(f"|q|^-1 at {point} has {top} bits, above the {_TOP_MAGNITUDE} handled")
+        raise InputError(
+            f"the lifted |q|^-1 at {point} has {top} bits, above the {_TOP_MAGNITUDE} handled"
+        )
     log_abs_q = -pi * sqrt(-fdisc) / fa
     # the result is q^(-1/n) times O(1) factors: absolute accuracy needs the
     # bits of |q|^(-1/n) on top of the digits
     magnitude = -(-top // n)
-    spread = ceil(_SPREAD_BITS * exp(log_abs_q) / expm1(log_abs_q) ** 2)
-    bits = _working_bits(digits, magnitude, spread)
+    bits = _working_bits(digits, magnitude)
     order = _series_order(log_abs_q, bits)
-    if order > _MAX_ORDER:
-        raise InputError(f"series order {order} at {point} is beyond the plan's {_MAX_ORDER}")
-    q, q_inv, units = _q_powers(a, b, disc, n, bits, magnitude)
+    if order > _MAX_ORDER:  # |q| <= exp(-pi sqrt 3) keeps every order within it
+        raise K3ModuliError(f"series order {order} at {point} is beyond the plan's {_MAX_ORDER}")
+    q, q_inv, units = _q_powers(a, abs(b), disc, n, bits, magnitude)
     if n == 2:
         q = _sqr(q, bits)
     elif n == 3:
@@ -517,9 +540,10 @@ def _eta_quotient(point: CMPoint, digits: int, n: int) -> BigComplex:
             re, im = _div(_mul(_mul(_sqr(t, bits), t, bits), q_inv, bits), w, bits)
     if b * b - disc == 4 * a * a:  # |tau| = 1: gamma_3 imaginary, j and gamma_2 real
         re, im = (0, im) if n == 2 else (re, 0)
-    err = (1 << _GUARD_BITS) + (root << 2) << magnitude + spread
-    err += units << magnitude + 17 + spread
-    return BigComplex(re, -im if point.b < 0 else im, bits, err)
+    if negate:
+        re, im = -re, -im
+    err = (1 << _GUARD_BITS) + (root << 3) + (units << 18) << magnitude
+    return BigComplex(re, -im if b < 0 else im, bits, err)
 
 
 def recognize_integer(z: BigComplex) -> int:

@@ -606,6 +606,25 @@ def test_field_polynomials_settle_at_their_floor(sweep):
     assert polynomials.hexdigest() == POLYNOMIAL_SWEEP_SHA256
 
 
+# sha256 over every field of every value of _class_values, |d| < 1000, at
+# each kernel's floor: j at every d, gamma_2 where 3 does not divide d and
+# sqrt(d) gamma_3 where d is odd
+KERNEL_SWEEP_SHA256 = "ed44cc71f287b6b3412ccf01b9b7c8ae3542a9a9cbc19ce95a8544913956225b"
+
+
+def test_class_values_are_pinned_bit_for_bit(sweep):
+    # the kernels' values themselves, not only the polynomials they certify:
+    # a change of where or how a value is taken shows here
+    digest = hashlib.sha256()
+    for d in valid_discs(999):
+        group = sweep.group(d)
+        for n in (1, 3, 2):
+            if n == 1 or n == 3 and d % 3 or n == 2 and d % 2:
+                values = moduli._class_values(group, n, moduli._floor(group, n))
+                digest.update(repr((d, n, [tuple(v) for v in values])).encode())
+    assert digest.hexdigest() == KERNEL_SWEEP_SHA256
+
+
 def test_odd_class_number_field_polynomial_is_class_polynomial(sweep):
     # C[2] is trivial: every coset is one class, so the coset path over j at
     # H_D's own floor, skipped by moduli_report, would give the class

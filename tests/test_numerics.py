@@ -241,21 +241,65 @@ def test_both_kernels_match_mpmath_at_random_points():
 
 
 def test_bounds_hold_below_the_reduced_domain():
-    # the guard bits cover the growth of the error bound with |q| beyond
-    # exp(-pi sqrt 3): points with Im tau from 0.12 to 0.87, where 2^spread
-    # alone falls short of the bound's growth by up to 4.5 bits
+    # points with Im tau from 0.12 to 0.87 are lifted to the reduced domain
+    # by the invariants' laws, and their values, gamma_3's sign included,
+    # lie within the bound derived there
     rng = random.Random(11)
     ctx = MPContext()
     for _ in range(10):
         a = rng.randrange(2, 40)
         disc = -rng.randrange(int((0.24 * a) ** 2) + 1, 3 * a * a)
         b, digits = rng.randrange(-2 * a, 2 * a), rng.randrange(10, 200)
-        for n, evaluate in ((1, j_invariant), (3, numerics.gamma2)):
+        for n, evaluate in ((1, j_invariant), (3, numerics.gamma2), (2, numerics.gamma3)):
             x = evaluate(CMPoint(a, b, disc), digits)
             ctx.prec = 2 * x.bits + 64
             tau = ctx.mpc(-b, ctx.sqrt(-disc)) / (2 * a)
-            truth = 1728 * ctx.kleinj(tau) if n == 1 else _gamma2_by_eta(ctx, disc, a, b)
+            if n == 1:
+                truth = 1728 * ctx.kleinj(tau)
+            elif n == 2:
+                truth = _gamma3_by_eta(ctx, disc, a, b)
+            else:
+                truth = _gamma2_by_eta(ctx, disc, a, b)
             assert abs(as_mpc(ctx, x) - truth) <= ctx.ldexp(x.err, -x.bits), (n, a, b, disc)
+
+
+def _moved(a, b, c, word):
+    """The form (a, b, c) moved by the letters of word, "T" (tau + 1), "t"
+    (tau - 1) and "S" (-1/tau), and the sum of its translations."""
+    shift = 0
+    for letter in word:
+        if letter == "S":
+            a, b, c = c, -b, a
+        else:
+            step = 1 if letter == "T" else -1
+            a, b, c, shift = a, b - 2 * a * step, c - b * step + a, shift + step
+    return a, b, c, shift
+
+
+def test_moved_points_take_the_laws_values_exactly():
+    # j(tau + 1) = j(-1/tau) = j(tau), gamma_2(tau + 1) = exp(-2 pi i / 3)
+    # gamma_2(tau), gamma_2(-1/tau) = gamma_2(tau), gamma_3(tau + 1) =
+    # gamma_3(-1/tau) = -gamma_3(tau): at a point moved by a word from a
+    # reduced form, each kernel gives the law's value bit for bit, gamma_2
+    # as gamma_2 at the reduced point minus the sum of the translations.
+    # |disc| > 4 keeps i and rho, where a move fixes the point, out
+    rng = random.Random(33)
+    for _ in range(40):
+        disc = -rng.randrange(5, 3000)
+        if disc % 4 not in (0, 1):
+            continue
+        a, b, c = rng.choice(class_group(disc).classes).rep.coefficients()
+        word = "".join(rng.choice("TtS") for _ in range(rng.randrange(1, 12)))
+        moved_a, moved_b, _, shift = _moved(a, b, c, word)
+        moved, reduced = CMPoint(moved_a, moved_b, disc), CMPoint(a, b, disc)
+        digits = rng.randrange(20, 200)
+        assert j_invariant(moved, digits) == j_invariant(reduced, digits), (a, b, word)
+        turned = CMPoint(a, (b - 2 * a * shift) % (6 * a), disc)
+        assert numerics.gamma2(moved, digits) == numerics.gamma2(turned, digits), (a, b, word)
+        value = numerics.gamma3(reduced, digits)
+        negated = BigComplex(-value.re, -value.im, value.bits, value.err)
+        expected = negated if len(word) % 2 else value
+        assert numerics.gamma3(moved, digits) == expected, (a, b, word)
 
 
 def _constants_oracle(ctx, a, b, disc, n, bits):
@@ -278,7 +322,7 @@ def test_constants_of_q_match_mpmath_within_their_bound():
 
     def check(shape, a, b, disc, n, digits):
         magnitude = -(-numerics._magnitude(disc, a) // n)
-        bits = numerics._working_bits(digits, magnitude, 1)
+        bits = numerics._working_bits(digits, magnitude)
         q, q_inv, units = numerics._q_powers(a, b, disc, n, bits, magnitude)
         assert units == 2, (a, b, disc, n)
         if shape == "real":
@@ -459,10 +503,14 @@ def test_tail_bound_is_sound():
 
 
 def test_series_order_bounded_at_the_ceiling():
-    # the order is largest where |q| is, at exp(-pi*sqrt 3) (D = -3, a = 1,
-    # where the spread term is 1): MAX_DIGITS bounds every series
-    bits = numerics._working_bits(numerics.MAX_DIGITS, numerics._magnitude(-3, 1), 1)
-    assert numerics._series_order(-pi * sqrt(3), bits) < 1300
+    # the order is largest where |q| is, at exp(-pi*sqrt 3) (D = -3, a = 1),
+    # the largest |q| of a lifted point: at MAX_DIGITS, every kernel's
+    # series stays within the plan
+    for n in (1, 2, 3):
+        magnitude = -(-numerics._magnitude(-3, 1) // n)
+        bits = numerics._working_bits(numerics.MAX_DIGITS, magnitude)
+        order = numerics._series_order(-pi * sqrt(3), bits)
+        assert order <= numerics._MAX_ORDER < 1300, n
 
 
 def _euler(q, order: int, bits: int):
@@ -513,10 +561,10 @@ def test_plan_covers_every_pentagonal_exponent_up_to_the_ceiling():
         assert sum(plan[i][0] for i in parts) == g, g
     assert sum(len(parts) == 3 for _, _, parts in plan) == 19
     assert (_real_products(1274), _real_products(20)) == (300, 27)
-    # a series past the plan is refused by j_invariant and gamma2, at
-    # exp(-pi), the largest |q| of a point with a = 2 > 1 = c
-    with pytest.raises(InputError, match="beyond the plan's 1274"):
-        j_invariant(CMPoint(2, 0, -4), numerics.MAX_DIGITS)
+    # a point whose series would pass the plan, at exp(-pi), is served at
+    # its lifted point: i/2 goes to 2i by -1/tau
+    at_max = numerics.MAX_DIGITS
+    assert j_invariant(CMPoint(2, 0, -4), at_max) == j_invariant(CMPoint(1, 0, -16), at_max)
 
 
 def test_table_matches_the_chained_oracle_within_its_bound():
@@ -560,69 +608,67 @@ def test_j_refuses_digits_above_the_ceiling():
 
 
 def test_out_of_domain_points_are_refused_before_any_work():
-    # |q|^-1 longer than the constants were sized for (3.2 s of pi and ln 2 at
-    # |D| = 4*10^8), or |q| so near 1 that the series runs past the plan, is
-    # refused before the constants of q are computed; no CLI input reaches
-    # either, as |D| <= MAX_ABS_DISC keeps |q|^-1 under the ceiling
+    # a lifted point whose |q|^-1 is longer than the constants were sized for
+    # (3.2 s of pi and ln 2 at |D| = 4*10^8) is refused before the constants
+    # of q are computed; no CLI input reaches it, as |D| <= MAX_ABS_DISC
+    # keeps |q|^-1 under the ceiling
     assert numerics._magnitude(-MAX_ABS_DISC, 1) < numerics._TOP_MAGNITUDE
     numerics._exact_floor.cache_clear()
-    for evaluate in (j_invariant, numerics.gamma2):
-        # the 10^400 points are sized in integers: no float holds them
-        for point in (CMPoint(1, 0, -4 * 10**8), CMPoint(1, 0, -4 * 10**400)):
+    for evaluate in (j_invariant, numerics.gamma2, numerics.gamma3):
+        # the 10^400 points are sized in integers: no float holds them, and
+        # |q| near 1 at (10^400, 1, -3) lifts to |q|^-1 of over 2^(10^400)
+        far = (CMPoint(1, 0, -4 * 10**8), CMPoint(1, 0, -4 * 10**400), CMPoint(10**400, 1, -3))
+        for point in far:
             with pytest.raises(InputError, match=f"above the {numerics._TOP_MAGNITUDE} handled"):
                 evaluate(point, 10)
         # sqrt|D| = 8000 passes the integer sizing, and the float one refuses it
         with pytest.raises(InputError, match=f"has 36259 bits, above the {numerics._TOP_MAGNITUDE}"):
             evaluate(CMPoint(1, 0, -4 * 4000**2), 10)
-        near_one = ((CMPoint(100, 0, -4), numerics.MAX_DIGITS), (CMPoint(10**400, 1, -3), 10))
-        for point, digits in near_one:
-            with pytest.raises(InputError, match=f"beyond the plan's {numerics._MAX_ORDER}"):
-                evaluate(point, digits)
     assert numerics._exact_floor.cache_info()[:2] == (0, 0)  # pi and ln 2 never asked
+    # |q| near 1 at i/100 is served as 100i, bit for bit
+    at_max = numerics.MAX_DIGITS
+    assert j_invariant(CMPoint(100, 0, -4), at_max) == j_invariant(CMPoint(1, 0, -40000), at_max)
     # i and rho scaled past a float's range are in the domain, and evaluated
     n = 2**600
     assert recognize_integer(j_invariant(CMPoint(n, 0, -4 * n * n), 20)) == 1728
     assert recognize_integer(numerics.gamma2(CMPoint(n, n, -3 * n * n), 20)) == 0
 
 
-def test_gamma3_refuses_points_below_the_reduced_domain():
+def test_gamma3_serves_points_below_the_reduced_domain():
     # the principal square root is gamma_3's only where |64h| < 1: a point
-    # below Im tau = sqrt(3)/2 is refused before any work, one on it or
-    # above it is evaluated; j takes the same points
-    numerics._exact_floor.cache_clear()
-    below = (CMPoint(3, 1, -23), CMPoint(5, -2, -56), CMPoint(100, 0, -4), CMPoint(2, 0, -11))
-    for point in below:
-        with pytest.raises(InputError, match="gamma_3 needs Im tau >= sqrt"):
-            numerics.gamma3(point, 30)
-    assert numerics._exact_floor.cache_info()[:2] == (0, 0)
-    assert j_invariant(CMPoint(3, 1, -23), 30).im != 0
+    # below Im tau = sqrt(3)/2 is lifted by the laws to one where it is, and
+    # its value, with the sign of the moves, matches mpmath's
+    ctx = MPContext()
+    for a, b, d in ((3, 1, -23), (5, -2, -56), (100, 0, -4), (2, 0, -11)):
+        value = numerics.gamma3(CMPoint(a, b, d), 30)
+        ctx.prec = 2 * value.bits + 64
+        error = abs(as_mpc(ctx, value) - _gamma3_by_eta(ctx, d, a, b))
+        assert error <= ctx.ldexp(value.err, -value.bits), (a, b, d)
     # at rho, on the boundary and at |tau| = 1, gamma_3^2 = j - 1728 = -1728
     value = numerics.gamma3(CMPoint(1, 1, -3), 30)
-    ctx = MPContext()
     ctx.dps = 40
     assert value.re == 0 and abs(as_mpc(ctx, value) ** 2 + 1728) < ctx.mpf(10) ** -25
 
 
 def test_times_sqrt_keeps_conjugates_and_its_bound():
-    # sign sqrt(disc) z: the exact conjugate at the conjugate of z and the
-    # other sign (sqrt(disc) is imaginary), exactly real for imaginary z, and
-    # within its bound of the exact product (z exact here)
+    # sqrt(disc) z: minus the exact conjugate at the conjugate of z (sqrt(disc)
+    # is imaginary), exactly real for imaginary z, and within its bound of the
+    # exact product (z exact here)
     rng = random.Random(7)
     ctx = MPContext()
     ctx.prec = 600
     for disc in (-15, -87, -1155, -999867):
-        for _ in range(4):
+        for _ in range(8):
             bits = rng.randrange(40, 200)
             re, im = (rng.randrange(-(1 << 250), 1 << 250) for _ in range(2))
             z = BigComplex(re, im, bits)
-            for sign in (1, -1):
-                y = numerics.times_sqrt(z, disc, sign)
-                assert y.bits == z.bits
-                mirror = numerics.times_sqrt(numerics.conjugate(z), disc, -sign)
-                assert mirror == numerics.conjugate(y)
-                assert numerics.times_sqrt(BigComplex(0, z.im, bits), disc, sign).im == 0
-                error = abs(as_mpc(ctx, y) - sign * ctx.sqrt(disc) * as_mpc(ctx, z))
-                assert error <= ctx.ldexp(y.err, -y.bits), (disc, sign)
+            y = numerics.times_sqrt(z, disc)
+            assert y.bits == z.bits
+            mirror = numerics.times_sqrt(numerics.conjugate(z), disc)
+            assert mirror == BigComplex(-y.re, y.im, y.bits, y.err)
+            assert numerics.times_sqrt(BigComplex(0, z.im, bits), disc).im == 0
+            error = abs(as_mpc(ctx, y) - ctx.sqrt(disc) * as_mpc(ctx, z))
+            assert error <= ctx.ldexp(y.err, -y.bits), disc
 
 
 def test_j_expansion_coefficients():
