@@ -30,8 +30,8 @@ own floor is above MAX_DIGITS.
 
 H_D comes through one path, _class_polynomial_at, for both commands: the
 values of j^(1/n) at every class (_class_values), their certified product,
-and kernel n's exact step to H_D.  _class_kernel and _field_kernel choose
-the n of class_polynomial and of moduli_report, each in one place.  Each
+and kernel n's exact step to H_D.  _class_kernel chooses n for both, in
+one place, so each disc0 has one set of certified invariant values.  Each
 value is taken at a form of its class that meets kernel n's congruence
 condition (_class_point); numerics lifts that form's point to the reduced
 domain by the invariants' transformation laws, so this module picks the
@@ -44,11 +44,12 @@ height, and so whose floor, is about a third of H_D's.  H_D follows from W
 exactly by the norm identity H_D(y) = A^3 + y B^3 + y^2 C^3 - 3y ABC for
 W(x) = A(x^3) + x B(x^3) + x^2 C(x^3).  So H_D(0) = W(0)^3 is a cube by
 construction, and the prime bound is checked on W(0), which has the same
-primes.  The coset invariants take j = gamma_2^3 from a certified cube (see
-numerics.cube), so moduli_report never needs j to H_D's full height either:
-it runs at W's floor, or at the field polynomial's where that is higher.  Both
-polynomials depend on disc0 alone, so they are computed once per disc0 and
-shared by every lattice of that primitive discriminant.
+primes.  The coset invariants take j back from the kernel's values (see
+numerics.j_from_kernel), here j = gamma_2^3, so moduli_report never needs j
+to H_D's full height either: it runs at W's floor, or at the field
+polynomial's where that is higher.  Both polynomials depend on disc0 alone,
+so they are computed once per disc0 and shared by every lattice of that
+primitive discriminant.
 
 When D is odd and 3 divides it, class_polynomial takes y = sqrt(D) gamma_3,
 gamma_3 = sqrt(j - 1728) (n = 2, same source): at forms (A, B, C) with A
@@ -57,8 +58,8 @@ with about two thirds of the digits of H_D.  For W3(y) = A(y^2) + y B(y^2),
 N(z) = (-1)^h (A(z)^2 - z B(z)^2) has the roots y^2 = D (j - 1728), so
 H_D(x) = D^-h N(D (x - 1728)), exactly once every division by a power of D
 is exact: a W3 for which one is not is refused, and Gross-Zagier runs on
-H_D(0).  Otherwise the kernel is j itself (n = 1), and so is moduli_report's
-whenever 3 divides D, as its field polynomial needs the traces of j.
+H_D(0).  moduli_report runs on W3 too, its coset invariants taking j =
+1728 + y^2 / D.  Otherwise (D even, 3 | D) the kernel is j itself (n = 1).
 
 Galois-ness of the absolute field is decided purely group-theoretically inside
 the semidirect product C x <complex conjugation>, never numerically: from the
@@ -75,8 +76,8 @@ from . import classgroup, k3, orders
 from .classgroup import ClassGroup
 from .errors import InputError, K3ModuliError, NotNearInteger, PrecisionError, ResolventDegenerate
 from .k3 import TranscLattice
-from .numerics import MAX_DIGITS, BigComplex, CMPoint, apart, conjugate, cube, gamma2, gamma3
-from .numerics import j_invariant, part_sums, poly_from_roots, recognize_integer, times_sqrt
+from .numerics import MAX_DIGITS, BigComplex, CMPoint, apart, conjugate, gamma2, gamma3, times_sqrt
+from .numerics import j_from_kernel, j_invariant, part_sums, poly_from_roots, recognize_integer
 from .values import Value
 
 # digits beyond the height estimate: at the floor, the error bound of every
@@ -177,9 +178,11 @@ def _class_point(r, disc: int, n: int) -> CMPoint:
 def _class_values(group: ClassGroup, n: int, digits: int) -> list[BigComplex]:
     """The roots of kernel n's polynomial at every class: j (n = 1), y =
     sqrt(D) gamma_3 (n = 2) or gamma_2 (n = 3), each at the point of
-    _class_point.  (a, -b, c) takes the exact conjugate of the value at (a,
-    b, c): its mirrored form is (A, -B, C), or (A, -B + 2A, C) for gamma_3,
-    where gamma_3 is minus the conjugate and sqrt(D) is imaginary."""
+    _class_point; both commands take H_D from them, and moduli_report j too
+    (numerics.j_from_kernel).  (a, -b, c) takes the exact conjugate of the
+    value at (a, b, c): its mirrored form is (A, -B, C), or (A, -B + 2A, C)
+    for gamma_3, where gamma_3 is minus the conjugate and sqrt(D) is
+    imaginary."""
     d = group.disc
 
     def evaluate(r):
@@ -194,17 +197,10 @@ def _class_values(group: ClassGroup, n: int, digits: int) -> list[BigComplex]:
 
 
 def _class_kernel(disc: int) -> int:
-    """n of the invariant whose polynomial class_polynomial certifies: 3 for
-    gamma_2 when 3 does not divide disc, 2 for sqrt(disc) gamma_3 when disc is
-    odd, 1 for j otherwise."""
+    """n of the invariant that class_polynomial and moduli_report evaluate: 3
+    for gamma_2 when 3 does not divide disc, 2 for sqrt(disc) gamma_3 when
+    disc is odd, 1 for j otherwise."""
     return 3 if disc % 3 else 2 if disc % 2 else 1
-
-
-def _field_kernel(disc: int) -> int:
-    """n of the invariant moduli_report evaluates: class_polynomial's, but j
-    where that is gamma_3, as the field polynomial needs the traces of j."""
-    n = _class_kernel(disc)
-    return 1 if n == 2 else n
 
 
 def _torsion_cosets(group: ClassGroup) -> tuple[tuple[int, ...], ...]:
@@ -290,42 +286,33 @@ def precision_floor(group: ClassGroup) -> int:
     """Digits at which moduli_report starts: the higher of the floors of its
     two polynomials, so both are expected to be certified at once.
 
-    The first is the floor of the polynomial of moduli_report's kernel (see
-    _field_kernel): W's when 3 does not divide D, H_D's own when it does.
-    The second is the field polynomial's.  Its roots are sums of j over the
-    g cosets of C[2], k classes each, so its height is at most _height over
-    the cosets.  It gets log10 3 digits more for the cube: on the gamma_2
-    kernel j is gamma_2^3, and cubing turns gamma_2's error e into about
-    3|gamma_2|^2 e.  In the product over the cosets a coset's error is
-    multiplied only by the other cosets' invariants, never by its own |j| =
-    |gamma_2|^3, so against the height the cube costs the factor 3 alone.
-    When h is odd, C[2] is trivial and the field polynomial is H_D, so only
-    the first floor applies.
-
-    On the j kernel the second floor is never above the first: H_D's height
-    counts every term of a coset, and as a <= sqrt(|D|/3), the k - 1 smaller
-    ones are each at least pi*sqrt(3)/ln 10 > 2.36, where for k >= 2, 2.36
-    (k - 1) >= log10 k + log10 3; and C(g, g/2) <= C(h, h/2).  So
-    precision_floor is then H_D's own floor."""
-    n = _field_kernel(group.disc)
-    floor, cosets = _floor(group, n), _torsion_cosets(group)
-    if n == 1 or len(cosets) == group.h:
+    The first is class_polynomial_floor.  The second is the field
+    polynomial's.  Its roots are sums of j over the g cosets of C[2], k
+    classes each, so its height is at most _height over the cosets.  It gets
+    log10 3 digits more for the step from the kernel's values to j
+    (numerics.j_from_kernel).  On the gamma_2 kernel j is gamma_2^3, and
+    cubing turns gamma_2's error e into about 3|gamma_2|^2 e.  In the
+    product over the cosets a coset's error is multiplied only by the other
+    cosets' invariants, never by its own |j| = |gamma_2|^3, so against the
+    height the cube costs the factor 3 alone.  On the gamma_3 kernel j is
+    1728 + y^2 / D, and y's error e becomes (2|y| + e) e / |D|, about
+    2|gamma_3| e / sqrt|D|: 2|gamma_3| times gamma_3's own error, as e is
+    sqrt|D| times that.  With |gamma_3| about |j|^(1/2) against |gamma_2|^2
+    = |j|^(2/3), it stays inside the cube's log10 3.  When h is odd, C[2] is
+    trivial and the field polynomial is H_D, so only the first floor
+    applies; on the j kernel the higher one is H_D's own."""
+    floor, cosets = class_polynomial_floor(group), _torsion_cosets(group)
+    if len(cosets) == group.h:
         return floor
     return max(floor, ceil(_height(group, cosets) + log10(3)) + GUARD_DIGITS)
 
 
 def class_polynomial_floor(group: ClassGroup) -> int:
-    """Digits at which class_polynomial_with_precision starts: the floor of
-    the gamma_2 polynomial W, a third of the height of H_D, when 3 does not
-    divide D; of the gamma_3 polynomial W3, about two thirds of it, when D is
-    odd and 3 divides it; and H_D's own otherwise."""
-    return _floor(group, _class_kernel(group.disc))
-
-
-def _floor(group: ClassGroup, n: int) -> int:
-    """The floor of the polynomial over the classes of j^(1/n): its height
-    and GUARD_DIGITS."""
-    return ceil(_height(group, n=n)) + GUARD_DIGITS
+    """Digits at which class_polynomial_with_precision starts: the height of
+    the kernel's polynomial and GUARD_DIGITS.  That is W, a third of the
+    height of H_D, when 3 does not divide D; W3, about two thirds of it,
+    when D is odd and 3 divides it; and H_D itself otherwise."""
+    return ceil(_height(group, n=_class_kernel(group.disc))) + GUARD_DIGITS
 
 
 def _class_polynomial_at(group: ClassGroup, n: int, digits: int) -> tuple[tuple[int, ...], list]:
@@ -420,11 +407,11 @@ _Polynomials = namedtuple("_Polynomials", "class_poly mq warnings")
 
 
 def _attempt_polynomials(group: ClassGroup, cosets, digits: int) -> _Polynomials:
-    n = _field_kernel(group.disc)
+    n = _class_kernel(group.disc)
     class_poly, values = _class_polynomial_at(group, n, digits)
     if len(cosets) == group.h:  # C[2] trivial (h odd): each coset is one class
         return _Polynomials(class_poly, class_poly, ())
-    js = [cube(v) for v in values] if n == 3 else values
+    js = [j_from_kernel(v, n, group.disc) for v in values]
     roots, rung = _separated_roots(js, cosets)
     mq = _check_power_sum(class_poly, _recognize_int_poly(poly_from_roots(roots)), rung)
     warnings = () if rung[0] == "trace" else (f"resolvent fallback used: {rung[0]}",)

@@ -23,9 +23,9 @@ One number format carries every value from j to recognition: `BigComplex`,
 the exact fixed-point value (re + i*im) * 2^-bits on Python integers, with a
 rigorous bound `err` on its distance to the true value, in the same units.
 That bound is the only statement of a value's accuracy, and only this module
-computes on the format (`cube`, `part_sums` and `apart` serve the field
-polynomial's roots); `recognize_integer` returns an integer only when the
-bound proves it.
+computes on the format (`j_from_kernel`, `part_sums` and `apart` serve the
+field polynomial's roots); `recognize_integer` returns an integer only when
+the bound proves it.
 
 The constants of q (pi*sqrt|disc|, exp of it over a, cos/sin of pi*b/a; over
 3a for gamma_2) are fixed point on Python integers too, in `_q_powers`:
@@ -587,9 +587,22 @@ def _power(z: BigComplex, power: int) -> BigComplex:
     return BigComplex(*x, power * z.bits, (size + z.err) ** power - size**power)
 
 
-def cube(z: BigComplex) -> BigComplex:
-    """z^3 at z's bits, rounded toward zero (see _rescale)."""
-    return _rescale(_power(z, 3), z.bits)
+def j_from_kernel(z: BigComplex, n: int, disc: int) -> BigComplex:
+    """j from kernel n's value z at disc, at z's bits: z for j (n = 1), z^3
+    for gamma_2 (n = 3), 1728 + z^2 / disc for y = sqrt(disc) gamma_3 (n =
+    2).  Each part is rounded toward zero (see _rescale), so exact
+    conjugates map to exact conjugates, and real values (for gamma_3 also
+    imaginary ones) to real values.  The bound is _power's, divided by
+    |disc| for gamma_3, rounded up, plus under sqrt 2 units for the
+    rounding of both parts."""
+    if n == 1:
+        return z
+    w = _power(z, n)
+    size = (-disc if n == 2 else 1) << w.bits - z.bits
+    re, im = (x // size if x >= 0 else -(-x // size) for x in (w.re, w.im))
+    if n == 2:  # y^2 = disc (j - 1728), disc < 0
+        re, im = (1728 << z.bits) - re, -im
+    return BigComplex(re, im, z.bits, w.err // size + 3)
 
 
 def part_sums(values: list[BigComplex], parts, power: int, shift: int) -> list[BigComplex]:

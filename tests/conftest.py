@@ -24,12 +24,17 @@ def default_digits(h: int) -> int:
     return 30 + 10 * h
 
 
+def kernel_floor(group, n: int) -> int:
+    """The precision floor of the polynomial over kernel n's values at every
+    class (moduli._height with its default partition, one class per part):
+    the digits at which their product is expected to be certified."""
+    return ceil(moduli._height(group, n=n)) + moduli.GUARD_DIGITS
+
+
 def hd_floor(group) -> int:
-    """H_D's own precision floor, from its height (moduli._height with its
-    default partition, one class per part, and n = 1): the digits at which
-    the product over the values of j is expected to be certified.  Both
+    """H_D's own precision floor, the kernel floor of j (n = 1).  Both
     floors the library starts at are at most this one."""
-    return ceil(moduli._height(group)) + moduli.GUARD_DIGITS
+    return kernel_floor(group, 1)
 
 
 def certified_integer(z: BigComplex, tol: str) -> int:

@@ -180,12 +180,13 @@ def test_precision_ceiling_refused_fast(capsys):
 
 def test_gamma3_floor_moves_the_classpoly_ceiling(monkeypatch, capsys):
     # floors only, no evaluation: D = -999867 (h = 136), odd with 3 | D, needs
-    # 3219 digits for H_D, which classpoly refused, and 2040 for W3, which it
-    # accepts; D = -999591 (h = 1074) needs 11959 for W3 and is still refused
+    # 3219 digits for H_D, which both commands refused, and 2040 for W3, at
+    # which both accept it (the field polynomial's floor is lower still);
+    # D = -999591 (h = 1074) needs 11959 for W3 and is still refused
     monkeypatch.setattr(moduli, "gamma3", None)  # any evaluation would raise
     group = classgroup.class_group(-999867)
     assert hd_floor(group) == 3219 > moduli.MAX_DIGITS
-    assert moduli.class_polynomial_floor(group) == 2040
+    assert moduli.class_polynomial_floor(group) == moduli.precision_floor(group) == 2040
     code, out = run_cli(["classpoly", "--", "-999591"])
     err = capsys.readouterr().err
     assert code == EXIT_INPUT and out == ""

@@ -18,7 +18,8 @@ from k3moduli.errors import K3ModuliError, NotNearInteger, PrecisionError, Resol
 from k3moduli.numerics import BigComplex, CMPoint, conjugate, j_invariant, poly_from_roots
 from k3moduli.qforms import form_class
 
-from conftest import as_mpc, default_digits, empty_field_cache, hd_floor, run_cli, valid_discs
+from conftest import as_mpc, default_digits, empty_field_cache, hd_floor, kernel_floor, run_cli
+from conftest import valid_discs
 
 LATTICE_23 = from_gram(((2, 1), (1, 12)))
 LATTICE_4 = from_gram(((2, 0), (0, 2)))
@@ -176,26 +177,58 @@ def test_j_values_conjugate_pairs_exactly():
             assert values[a, b, c].im != 0
 
 
-def test_cube_of_gamma2_is_j_within_the_bounds(sweep):
-    # gamma_2^3 = j at every class, within the sum of the two bounds; the
-    # cube keeps conjugates exactly conjugate and real values real
-    count = 0
+def test_kernel_values_map_to_j_within_the_bounds(sweep):
+    # j_from_kernel at every class is j within the sum of the two bounds, for
+    # gamma_2 (3 not dividing D) and sqrt(D) gamma_3 (D odd, 3 | D); it keeps
+    # exact conjugates exactly conjugate, and a value that is real (for
+    # gamma_3 also one that is imaginary) maps to a real j, as j is there
+    counts = Counter()
     for d in valid_discs(600):
-        if d % 3 == 0:
+        n = moduli._class_kernel(d)
+        if n == 1:
             continue
         group = sweep.group(d)
-        for z, j in zip(moduli._class_values(group, 3, 60), moduli._class_values(group, 1, 60)):
-            cube = numerics.cube(z)
-            assert cube.bits == z.bits and numerics.cube(conjugate(z)) == conjugate(cube)
-            assert (cube.im == 0) == (z.im == 0), (d, z)
-            bits = max(cube.bits, j.bits)
-            x, y = (
-                (v.re << bits - v.bits, v.im << bits - v.bits, v.err << bits - v.bits)
-                for v in (cube, j)
+        for z, j in zip(moduli._class_values(group, n, 60), moduli._class_values(group, 1, 60)):
+            x = numerics.j_from_kernel(z, n, d)
+            assert x.bits == z.bits and numerics.j_from_kernel(conjugate(z), n, d) == conjugate(x)
+            real = z.im == 0 or n == 2 and z.re == 0
+            assert (x.im == 0) == real == (j.im == 0), (d, z)
+            assert numerics.j_from_kernel(j, 1, d) is j
+            bits = max(x.bits, j.bits)
+            u, v = (
+                (w.re << bits - w.bits, w.im << bits - w.bits, w.err << bits - w.bits)
+                for w in (x, j)
             )
-            assert (x[0] - y[0]) ** 2 + (x[1] - y[1]) ** 2 <= (x[2] + y[2]) ** 2, (d, z)
-            count += 1
-    assert count == 1417  # the classes of the 200 discriminants
+            assert (u[0] - v[0]) ** 2 + (u[1] - v[1]) ** 2 <= (u[2] + v[2]) ** 2, (d, z)
+            counts[n] += 1
+    # the classes of the 200 discriminants prime to 3, and of the 50 odd ones
+    # divisible by 3
+    assert counts == {3: 1417, 2: 363}
+
+
+def test_analyze_evaluates_only_the_class_kernel(monkeypatch):
+    # one set of invariant values per disc0: moduli_report evaluates the
+    # invariant of _class_kernel once at each class of b >= 0, and no other.
+    # At -39 (h = 4, two cosets of C[2]) the coset sums take j from sqrt(D)
+    # gamma_3
+    empty_field_cache(monkeypatch)
+    calls = Counter()
+    for name in ("j_invariant", "gamma2", "gamma3"):
+
+        def counted(point, digits, name=name, evaluate=getattr(moduli, name)):
+            calls[name] += 1
+            return evaluate(point, digits)
+
+        monkeypatch.setattr(moduli, name, counted)
+    # (D, kernel, cosets of C[2]): h = 3, 4 and 2
+    for d, kernel, cosets in ((-23, "gamma2", 3), (-39, "gamma3", 2), (-24, "j_invariant", 1)):
+        assert {3: "gamma2", 2: "gamma3", 1: "j_invariant"}[moduli._class_kernel(d)] == kernel
+        group = classgroup.class_group(d)
+        assert len(moduli._torsion_cosets(group)) == cosets
+        calls.clear()
+        report = moduli_report(lattice_from_class(1, group.classes[0]))
+        assert calls == {kernel: sum(cls.rep.b >= 0 for cls in group.classes)}, d
+        assert report.class_polynomial == class_polynomial(d), d
 
 
 def test_gamma2_class_polynomial_rebuilds_h(sweep):
@@ -417,11 +450,11 @@ def test_failed_certificate_doubles_the_precision(monkeypatch):
     # recognition fails at the floor, on every kernel.  At -23 classpoly
     # certifies the gamma_2 polynomial W at its floor, 10 digits; so does
     # analyze, as h = 3 is odd and the field polynomial is H_D.  At -15
-    # classpoly certifies the gamma_3 polynomial W3 at 11 digits, and analyze
-    # the product over j at 14
+    # both certify the gamma_3 polynomial W3, classpoly at its floor, 11
+    # digits, and analyze at the field polynomial's, 12
     attempts = _recognition_failing(monkeypatch, lambda digits: digits == attempts[0])
     h15, lattice_15 = (-121287375, 191025, 1), from_gram(((2, 1), (1, 8)))
-    cases = ((-23, H23, LATTICE_23, (10, 10)), (-15, h15, lattice_15, (11, 14)))
+    cases = ((-23, H23, LATTICE_23, (10, 10)), (-15, h15, lattice_15, (11, 12)))
     for d, poly, lattice, floors in cases:
         group = classgroup.class_group(d)
         cp_floor, floor = moduli.class_polynomial_floor(group), moduli.precision_floor(group)
@@ -524,28 +557,27 @@ def test_low_digits_give_the_right_polynomial():
 
 def test_sub_floor_sweep_never_gives_a_wrong_polynomial(sweep):
     # every precision from 1 to 39 digits, mostly below the floor: the
-    # certificate either holds or refuses, on the gamma_2 kernel (3 not
-    # dividing D), the gamma_3 kernel (classpoly, D odd and 3 | D) and the j
-    # kernel (analyze at 3 | D, and classpoly at even D with 3 | D)
+    # certificate either holds or refuses, on the class and the field path of
+    # the gamma_2 kernel (3 not dividing D), the gamma_3 kernel (D odd and
+    # 3 | D) and the j kernel (D even and 3 | D)
     outcomes = Counter()
     for d in valid_discs(399):
         group = sweep.group(d)
         cosets = moduli._torsion_cosets(group)
         class_poly, mq = sweep.class_polynomial(d)[0], sweep.field_polynomials(d)[0].mq
         cp_floor, floor = moduli.class_polynomial_floor(group), moduli.precision_floor(group)
-        kernel = "j" if d % 3 == 0 else "gamma_2"
-        class_kernel = {1: "j", 2: "gamma_3", 3: "gamma_2"}[moduli._class_kernel(d)]
+        kernel = {1: "j", 2: "gamma_3", 3: "gamma_2"}[moduli._class_kernel(d)]
         for digits in range(1, 40):
             attempt = lambda: class_poly_at(group, digits)  # noqa: E731
             ok = _right_or_refused(attempt, class_poly, (d, digits))
-            outcomes["class", class_kernel, digits < cp_floor, ok] += 1
+            outcomes["class", kernel, digits < cp_floor, ok] += 1
             attempt = lambda: moduli._attempt_polynomials(group, cosets, digits).mq  # noqa: E731
             ok = _right_or_refused(attempt, mq, (d, digits))
             outcomes["field", kernel, digits < floor, ok] += 1
     # no refusal at or above the floor; below it, both outcomes on both
     # paths of every kernel
-    for path, kernels in (("class", ("gamma_2", "gamma_3", "j")), ("field", ("gamma_2", "j"))):
-        for kernel in kernels:
+    for path in ("class", "field"):
+        for kernel in ("gamma_2", "gamma_3", "j"):
             assert outcomes[path, kernel, False, False] == 0, (path, kernel)
             below = outcomes[path, kernel, True, True], outcomes[path, kernel, True, False]
             assert min(below) > 100, (path, kernel, below)
@@ -572,14 +604,17 @@ def test_every_polynomial_settles_at_its_floor(sweep):
 
 
 def test_floors_in_order(sweep):
-    # analyze starts between classpoly's floor and H_D's own, at H_D's own
-    # when 3 | D; the field polynomial's height, with the cube's log10 3,
-    # never exceeds H_D's
+    # analyze starts between classpoly's floor and H_D's own: at H_D's own
+    # exactly on the j kernel, strictly below it on the gamma_3 kernel; the
+    # field polynomial's height, with the log10 3 of the step to j, never
+    # exceeds H_D's
     for d in valid_discs(3000) + [-40004, -199999, -499996, -(10**6)]:
         group = sweep.group(d)
         floor, own = moduli.precision_floor(group), hd_floor(group)
         assert moduli.class_polynomial_floor(group) <= floor <= own, d
-        assert d % 3 or floor == own, d
+        kernel = moduli._class_kernel(d)
+        assert kernel != 1 or floor == own, d
+        assert kernel != 2 or floor < own, d
         cosets = moduli._torsion_cosets(group)
         if len(cosets) < group.h:
             assert moduli._height(group, cosets) + log10(3) <= moduli._height(group), d
@@ -587,7 +622,7 @@ def test_floors_in_order(sweep):
 
 # sha256 over (d, class polynomial, field polynomial, warnings, digits) of
 # every |d| <= 3000, frozen at the floors of precision_floor
-FIELD_SWEEP_SHA256 = "41fd5c5e24541fe3545d2d2b569036880554a97929c97d739b8dfc83e0d5385f"
+FIELD_SWEEP_SHA256 = "02480f7082d9f85c1d6503de05ca5b26b5da316e975c3507c7b7a6f56959a62b"
 # the same without the digits: a change of precision alone leaves it as it is
 POLYNOMIAL_SWEEP_SHA256 = "a414290bd8ae51511a9f1c23fec91a64b3f54458d8c63cbd1c823a4569890eab"
 
@@ -620,7 +655,7 @@ def test_class_values_are_pinned_bit_for_bit(sweep):
         group = sweep.group(d)
         for n in (1, 3, 2):
             if n == 1 or n == 3 and d % 3 or n == 2 and d % 2:
-                values = moduli._class_values(group, n, moduli._floor(group, n))
+                values = moduli._class_values(group, n, kernel_floor(group, n))
                 digest.update(repr((d, n, [tuple(v) for v in values])).encode())
     assert digest.hexdigest() == KERNEL_SWEEP_SHA256
 

@@ -283,6 +283,26 @@ def _callers(tree: ast.Module, names: set[str]) -> set[str]:
     return found
 
 
+def _disc_residue_readers(tree: ast.Module) -> set[str]:
+    """The top-level definitions of tree that take a discriminant (d, or a
+    name or attribute with disc in it) mod 2 or mod 3: what a kernel chooser
+    reads."""
+    found = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Mod)
+                and isinstance(node.right, ast.Constant)
+                and node.right.value in (2, 3)
+            ):
+                left = node.left
+                name = left.id if isinstance(left, ast.Name) else getattr(left, "attr", "")
+                if name == "d" or "disc" in name:
+                    found.add(getattr(top, "name", "module"))
+    return found
+
+
 def test_one_path_to_h_d():
     # both commands build H_D through one values function and one attempt:
     # every kernel is evaluated in one place, and each exact step runs in one
@@ -292,6 +312,16 @@ def test_one_path_to_h_d():
     assert _callers(tree, exact) == {"_class_polynomial_at"}
     sample = ast.parse("def f():\n    g(lambda: m.j_invariant(1))\nclass C:\n    x = gamma2()")
     assert _callers(sample, {"j_invariant", "gamma2"}) == {"f", "C"}
+    # one kernel per discriminant: _class_kernel alone chooses it, for the
+    # class polynomial's floor and attempt and for the field polynomials
+    # alike, and the step from its values to j runs in the field attempt
+    callers = {"class_polynomial_floor", "class_polynomial_with_precision", "_attempt_polynomials"}
+    assert _callers(tree, {"_class_kernel"}) == callers
+    assert _disc_residue_readers(tree) == {"_class_kernel"}
+    assert [f.name for f in tree.body if "kernel" in getattr(f, "name", "")] == ["_class_kernel"]
+    assert _callers(tree, {"j_from_kernel"}) == {"_attempt_polynomials"}
+    sample = ast.parse("def f(d):\n    return d % 3\ndef g(a):\n    return a % 3, a.disc % 4")
+    assert _disc_residue_readers(sample) == {"f"}
 
 
 def test_traced_names_resolve():
