@@ -150,15 +150,6 @@ _LATTICE_TEXT = "gram [[%d, %d], [%d, %d]]  m = %d  class (%d, %d, %d)"  # row[2
 _MEMBER_TEXT = "m = %d * class (%d, %d, %d)"  # row[6:]
 
 
-# the field polynomials of a D0 are memoised (moduli._field_polynomials, 32
-# entries) and printed again by every analyze of that D0: the strings of both
-# are kept too, keyed by the coefficients, so that a polynomial computed
-# again never meets stale strings
-@lru_cache(maxsize=64)
-def _field_strings(coeffs: tuple[int, ...]) -> tuple[str, ...]:
-    return tuple(map(_decimal, coeffs))
-
-
 _CHUNK = 10**600  # below 640, the least limit sys.set_int_max_str_digits accepts
 
 
@@ -175,7 +166,7 @@ def _decimal(n: int) -> str:
 
 
 def _report_payload(report: moduli.ModuliReport) -> dict:
-    mq = list(_field_strings(report.mq_min_poly))  # M_K's and M_Q's (see moduli)
+    mq = list(map(_decimal, report.mq_min_poly))  # M_K's and M_Q's (see moduli)
     return {
         "disc": report.disc,
         "disc0": report.disc0,
@@ -187,7 +178,7 @@ def _report_payload(report: moduli.ModuliReport) -> dict:
         "degree_mq_over_q": report.g,
         "mq_is_galois": report.mq_is_galois,
         "orbit": _Lattices.of(report.orbit),
-        "class_polynomial": list(_field_strings(report.class_polynomial)),
+        "class_polynomial": list(map(_decimal, report.class_polynomial)),
         "mk_min_poly": mq,
         "mq_min_poly": mq,
         "precision_used": report.precision_used,
@@ -319,12 +310,22 @@ class _CayleyTable(tuple):
     __slots__ = ()
 
 
+class _Slot(str):
+    """A field of an envelope left open, by name (see _analyze_envelope).
+    _json writes it as NUL, the name, NUL, the newline it sits under and NUL;
+    encode_basestring_ascii writes a NUL in any str as \\u0000, so these are
+    the only NUL characters of the text."""
+
+    __slots__ = ()
+
+
 def _json(value, newline: str = "\n") -> str:
     """json.dumps(value, sort_keys=True, indent=2) for str, int, bool, None,
-    lists and dicts, byte for byte, for a _CayleyTable as its rows in lists
-    and for _Lattices as lattice objects.  A list of ints or of strings, and
-    each int list in a list of them, is joined in one go.  Types are matched
-    exactly: any other type, a subclass too, raises TypeError."""
+    lists and dicts, byte for byte, for a _CayleyTable as its rows in lists,
+    for _Lattices as lattice objects and for a _Slot as its marker.  A list
+    of ints or of strings, and each int list in a list of them, is joined in
+    one go.  Types are matched exactly: any other type, a subclass too,
+    raises TypeError."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -358,6 +359,8 @@ def _json(value, newline: str = "\n") -> str:
         return _enclose([lattice % row for row in value], newline, "[]")
     if kind is _CayleyTable:
         return _enclose([_enclose(list(row), inner, "[]") for row in value], newline, "[]")
+    if kind is _Slot:
+        return f"\0{value}\0{newline}\0"
     raise TypeError(f"{type(value).__name__} is not emitted as JSON")
 
 
@@ -374,25 +377,66 @@ def _enclose(items: list[str], newline: str, brackets: str) -> str:
     return ("," + inner).join(items)
 
 
+def _envelope(command: str, input_echo: dict, payload: dict, warnings: list[str]) -> dict:
+    return {
+        "command": command,
+        "version": __version__,
+        "input": input_echo,
+        "result": payload,
+        "warnings": warnings,
+    }
+
+
 def _emit(command: str, input_echo: dict, payload: dict, warnings: list[str], fmt: str) -> None:
     if fmt == "json":
-        envelope = {
-            "command": command,
-            "version": __version__,
-            "input": input_echo,
-            "result": payload,
-            "warnings": warnings,
-        }
-        print(_json(envelope))
+        print(_json(_envelope(command, input_echo, payload, warnings)))
     else:
         print("\n".join(_text_lines(command, payload, warnings)))
 
 
+# Every field of an analyze report but the lattice's Gram matrix, disc, m and
+# orbit depends on D0 alone, so the JSON of a D0 is rendered once, with those
+# four fields left open.  Bounded as moduli._field_polynomials, whose two
+# polynomials an entry holds as text: 0.31 MiB at D0 = -40004 (tracemalloc).
+# A refused D0 stores nothing, as lru_cache keeps no exception.
+@lru_cache(maxsize=32)
+def _analyze_envelope(disc0: int) -> tuple[str, tuple[tuple[str, str, str], ...]]:
+    """The analyze JSON envelope of the lattices of disc0, rendered from the
+    report of the principal lattice: the text up to the first _Slot, then
+    per slot its name, the newline it is written under and the text up to
+    the next slot or the end."""
+    principal = classgroup.class_group(disc0).classes[0]
+    report = moduli.moduli_report(k3.lattice_from_class(1, principal))
+    payload = _report_payload(report)
+    payload.update((name, _Slot(name)) for name in ("disc", "m", "orbit"))
+    text = _json(_envelope("analyze", {"gram": _Slot("gram")}, payload, list(report.warnings)))
+    parts = text.split("\0")
+    return parts[0], tuple(zip(parts[1::3], parts[2::3], parts[3::3]))
+
+
 def run(args: argparse.Namespace) -> int:
     warnings: list[str] = []
+    echo = {
+        key: [value[:2], value[2:]] if key == "gram" else value
+        for key, value in vars(args).items()
+        if key not in ("command", "format")
+    }
     if args.command == "analyze":
         lattice = k3.from_gram(_gram_matrix(args.gram))
         report = moduli.moduli_report(lattice)
+        if args.format == "json":
+            head, slots = _analyze_envelope(report.disc0)
+            fields = {
+                "gram": echo["gram"],
+                "disc": report.disc,
+                "m": report.m,
+                "orbit": _Lattices.of(report.orbit),
+            }
+            out = [head]
+            for name, newline, text in slots:
+                out += (_json(fields[name], newline), text)
+            print("".join(out))
+            return EXIT_OK
         warnings = list(report.warnings)
         payload = _report_payload(report)
     elif args.command == "classgroup":
@@ -425,11 +469,6 @@ def run(args: argparse.Namespace) -> int:
             "primitive_only": args.primitive_only,
             "strata": _enumerate_rows(args.max_disc, args.max_h, args.primitive_only),
         }
-    echo = {
-        key: [value[:2], value[2:]] if key == "gram" else value
-        for key, value in vars(args).items()
-        if key not in ("command", "format")
-    }
     _emit(args.command, echo, payload, warnings, args.format)
     return EXIT_OK
 

@@ -253,15 +253,21 @@ def _check_power_sum(class_poly: tuple[int, ...], mq: tuple[int, ...], rung) -> 
 def _check_gross_zagier(d: int, poly: tuple[int, ...]) -> tuple[int, ...]:
     """poly, once its norm poly(0) passes Gross-Zagier: for fundamental D, free
     of primes above 3|D|/4.  _class_polynomial_at passes H_D, or W on the
-    gamma_2 kernel: H_D(0) = W(0)^3 is a cube by construction, with W(0)'s primes."""
+    gamma_2 kernel: H_D(0) = W(0)^3 is a cube by construction, with W(0)'s primes.
+
+    Trial division stops at the first odd p above 3|D|/4 or above the square
+    root of what is left: the cofactor is then 1, a prime, or a product of
+    primes above the bound, and is refused when it exceeds 3|D|/4."""
     norm = abs(poly[0])
     if norm and orders.is_fundamental(d):
-        for p in range(2, 3 * -d // 4 + 1):
+        bound = 3 * -d // 4
+        norm >>= (norm & -norm).bit_length() - 1  # the factors 2
+        p = 3
+        while p <= bound and p * p <= norm:
             while norm % p == 0:
                 norm //= p
-            if norm == 1:
-                break
-        if norm != 1:
+            p += 2
+        if norm > bound:
             raise K3ModuliError(f"{d}: the class polynomial's norm has a prime factor above 3|D|/4")
     return poly
 

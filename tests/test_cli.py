@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3moduli import classgroup, cli, moduli
+from k3moduli import __version__, classgroup, cli, k3, moduli
 from k3moduli.cli import ENVELOPE_SCHEMA, EXIT_CLOSED_OUTPUT, EXIT_INPUT, EXIT_OK, EXIT_PRECISION
 from k3moduli.cli import _CayleyTable, _json
 from k3moduli.errors import NotNearInteger, ResolventDegenerate
@@ -514,7 +514,7 @@ def test_orbit_json_bytes_are_frozen():
 def test_orbit_prints_the_same_bytes_cold_and_warm():
     # every memo on the analyze path cleared before each lattice of one orbit
     # (D0 = -455, m = 3): the cold output is the warm output
-    memos = (classgroup.class_group, moduli._field_polynomials, cli._field_strings)
+    memos = (classgroup.class_group, moduli._field_polynomials, cli._analyze_envelope)
     _, listing = run_cli(["orbit", "--format", "json", "--", "36", "-15", "-15", "120"])
     members = [t["gram"] for t in json.loads(listing)["result"]["lattices"]]
     assert len(members) == 5
@@ -525,7 +525,7 @@ def test_orbit_prints_the_same_bytes_cold_and_warm():
                 memo.cache_clear()
             cold = run_cli(argv)
             assert cold[0] == EXIT_OK and cold == run_cli(argv), argv
-    assert cli._field_strings.cache_info().hits == 2  # the warm run's two polynomials
+    assert cli._analyze_envelope.cache_info().hits == 1  # the warm JSON run of analyze
 
 
 def test_json_emitter_refuses_other_types():
@@ -545,6 +545,114 @@ def test_analyze_json_bytes_are_frozen():
         code, out = run_cli(["analyze", "--format", "json", *gram.split()])
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest, gram
+
+
+def _analyze_dumps(gram):
+    """json.dumps of the analyze envelope of the Gram entries gram, read from
+    moduli_report of the lattice they give, not through cli's payload."""
+    report = moduli.moduli_report(k3.from_gram(((gram[0], gram[1]), (gram[2], gram[3]))))
+    mq = [str(c) for c in report.mq_min_poly]
+    result = {
+        "disc": report.disc,
+        "disc0": report.disc0,
+        "m": report.m,
+        "d_k": report.d_k,
+        "h": report.h,
+        "genus_order": report.g,
+        "degree_mk_over_k": report.g,
+        "degree_mq_over_q": report.g,
+        "mq_is_galois": report.mq_is_galois,
+        "orbit": [_lattice_dict(t) for t in report.orbit],
+        "class_polynomial": [str(c) for c in report.class_polynomial],
+        "mk_min_poly": mq,
+        "mq_min_poly": mq,
+        "precision_used": report.precision_used,
+    }
+    envelope = {
+        "command": "analyze",
+        "version": __version__,
+        "input": {"gram": [gram[:2], gram[2:]]},
+        "result": result,
+        "warnings": list(report.warnings),
+    }
+    return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+
+
+def _analyze_inputs(d0, shift):
+    """Gram entries of m * (each class of d0), m = 1, 2, 3, principal class
+    first; shift > 0 moves each form by tau -> tau + shift, off its reduced
+    representative, and reverses the order."""
+    inputs = []
+    for cls in classgroup.class_group(d0).classes:
+        a, b, c = cls.rep.coefficients()
+        b, c = b + 2 * shift * a, a * shift * shift + b * shift + c
+        for m in (1, 2, 3):
+            inputs.append([2 * m * a, m * b, m * b, 2 * m * c])
+    return inputs[::-1] if shift else inputs
+
+
+def _check_analyze_bytes(d0, shift, cold):
+    for gram in _analyze_inputs(d0, shift):
+        if cold:
+            cli._analyze_envelope.cache_clear()
+        code, out = run_cli(["analyze", "--format", "json", "--", *map(str, gram)])
+        assert code == EXIT_OK and out == _analyze_dumps(gram), (d0, gram)
+
+
+def test_analyze_envelope_matches_json_dumps_in_every_cache_state(monkeypatch):
+    # each lattice's bytes from one D0 envelope: with the envelope cache
+    # cleared before every query, filled from the principal lattice first,
+    # and filled from another lattice first, with non-reduced input forms
+    empty_field_cache(monkeypatch)
+    for d0 in (-3, -4, -15, -23, -56, -95):
+        _check_analyze_bytes(d0, 0, cold=True)
+        for shift in (0, 1):
+            cli._analyze_envelope.cache_clear()
+            _check_analyze_bytes(d0, shift, cold=False)
+            assert cli._analyze_envelope.cache_info().misses == 1
+    # a report that carries a warning (D0 = -56, as in the text form)
+    empty_field_cache(monkeypatch)
+    monkeypatch.setattr(moduli, "_RESOLVENT_LADDER", (("square sum", 2, 0),))
+    _check_analyze_bytes(-56, 1, cold=False)
+    assert moduli.moduli_report(k3.from_gram(((2, 0), (0, 28)))).warnings != ()
+    # the slot is its own exact type: no other str subclass is written
+    marker = cli._Slot("orbit")
+    assert _json({"x": marker}) == '{\n  "x": \0orbit\0\n  \0\n}'
+    assert _json("\0") == json.dumps("\0") == '"\\u0000"'
+
+    class Text(str):
+        pass
+
+    for value in (Text("x"), [Text("x")], {"x": Text("x")}):
+        with pytest.raises(TypeError):
+            _json(value)
+
+
+def test_analyze_refusals_are_not_cached(monkeypatch, capsys):
+    # D0 = -999479 is refused by its precision floor, each time alike, and
+    # leaves no envelope behind
+    argv = ["analyze", "--format", "json", "2", "1", "1", "499740"]
+    size = cli._analyze_envelope.cache_info().currsize
+    refusals = []
+    for _ in range(2):
+        refusals.append((run_cli(argv), capsys.readouterr().err))
+    assert refusals[0] == refusals[1]
+    (code, out), err = refusals[0]
+    assert code == EXIT_INPUT and out == "" and err.count("\n") == 1, err
+    assert cli._analyze_envelope.cache_info().currsize == size
+
+    # a precision failure is raised again on the next call
+    def colliding(js, cosets):
+        raise ResolventDegenerate("forced")
+
+    empty_field_cache(monkeypatch)
+    monkeypatch.setattr(moduli, "_separated_roots", colliding)
+    for _ in range(2):
+        code, out = run_cli(["analyze", "--format", "json", "6", "2", "2", "10"])  # D = -56
+        err = capsys.readouterr().err
+        assert code == EXIT_PRECISION and out == "", err
+        assert err.startswith("precision failure: forced") and err.count("\n") == 1, err
+    assert cli._analyze_envelope.cache_info().currsize == 0
 
 
 def test_classgroup_json_bytes_are_frozen():

@@ -690,6 +690,14 @@ def test_gross_zagier_checks_refuse_doctored_constant_terms():
     moduli._check_gross_zagier(-15, (2 * h15[0],) + h15[1:])
     with pytest.raises(K3ModuliError, match="prime factor above"):
         moduli._check_gross_zagier(-15, (13 * h15[0],) + h15[1:])
+    # the cofactor left when trial division stops: 17 = floor(3 * 23 / 4) is
+    # at the bound and passes, 19 just above it is refused, beside a smooth part
+    smooth = 2**40 * 3**5 * 5**3 * 7 * 11 * 13
+    for norm in (17, smooth * 17, -smooth * 17, 17**2 * 13):
+        moduli._check_gross_zagier(-23, (norm, 1))
+    for norm in (19, smooth * 19, -smooth * 19, smooth * 19 * 17):
+        with pytest.raises(K3ModuliError, match="prime factor above"):
+            moduli._check_gross_zagier(-23, (norm, 1))
 
 
 def test_gamma2_path_checks_the_prime_bound_on_w0(monkeypatch):

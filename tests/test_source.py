@@ -395,7 +395,7 @@ def test_library_caches_are_bounded():
         count, unbounded = _unbounded_caches(path.read_text(), path.name)
         assert unbounded == []
         uses += count
-    # class_group, the field polynomials and their strings, pi and ln 2, build_parser
+    # class_group, the field polynomials, the analyze envelopes, pi and ln 2, build_parser
     assert uses >= 5
     for memo in ("cache", "lru_cache", "lru_cache(maxsize=None)", "functools.lru_cache(None)"):
         assert _unbounded_caches(f"@{memo}\ndef build_parser(d): pass", "cli.py") == (1, ["cli.py:1"])
