@@ -251,7 +251,7 @@ def _poly_text(coeffs) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def _text_lines(command: str, payload: dict, warnings: list[str]) -> list[str]:
+def _text_lines(command: str, payload: dict) -> list[str]:
     lines = [f"k3moduli {command}"]
 
     def row(label, value):
@@ -298,8 +298,6 @@ def _text_lines(command: str, payload: dict, warnings: list[str]) -> list[str]:
                 f"disc {r['disc']:>6}  m {r['m']}  disc0 {r['disc0']:>6}  h {r['h']:>3}"
                 f"  genera {r['genus_count']:>3}  g {r['genus_order']:>3}",
             )
-    for w in warnings:
-        lines.append(f"  warning: {w}")
     return lines
 
 
@@ -377,21 +375,23 @@ def _enclose(items: list[str], newline: str, brackets: str) -> str:
     return ("," + inner).join(items)
 
 
-def _envelope(command: str, input_echo: dict, payload: dict, warnings: list[str]) -> dict:
+def _envelope(command: str, input_echo: dict, payload: dict) -> dict:
+    """The report envelope; no command raises a warning, so "warnings" is
+    always empty."""
     return {
         "command": command,
         "version": __version__,
         "input": input_echo,
         "result": payload,
-        "warnings": warnings,
+        "warnings": [],
     }
 
 
-def _emit(command: str, input_echo: dict, payload: dict, warnings: list[str], fmt: str) -> None:
+def _emit(command: str, input_echo: dict, payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(_json(_envelope(command, input_echo, payload, warnings)))
+        print(_json(_envelope(command, input_echo, payload)))
     else:
-        print("\n".join(_text_lines(command, payload, warnings)))
+        print("\n".join(_text_lines(command, payload)))
 
 
 # Every field of an analyze report but the lattice's Gram matrix, disc, m and
@@ -409,13 +409,12 @@ def _analyze_envelope(disc0: int) -> tuple[str, tuple[tuple[str, str, str], ...]
     report = moduli.moduli_report(k3.lattice_from_class(1, principal))
     payload = _report_payload(report)
     payload.update((name, _Slot(name)) for name in ("disc", "m", "orbit"))
-    text = _json(_envelope("analyze", {"gram": _Slot("gram")}, payload, list(report.warnings)))
+    text = _json(_envelope("analyze", {"gram": _Slot("gram")}, payload))
     parts = text.split("\0")
     return parts[0], tuple(zip(parts[1::3], parts[2::3], parts[3::3]))
 
 
 def run(args: argparse.Namespace) -> int:
-    warnings: list[str] = []
     echo = {
         key: [value[:2], value[2:]] if key == "gram" else value
         for key, value in vars(args).items()
@@ -437,7 +436,6 @@ def run(args: argparse.Namespace) -> int:
                 out += (_json(fields[name], newline), text)
             print("".join(out))
             return EXIT_OK
-        warnings = list(report.warnings)
         payload = _report_payload(report)
     elif args.command == "classgroup":
         group = classgroup.class_group(args.disc)
@@ -469,7 +467,7 @@ def run(args: argparse.Namespace) -> int:
             "primitive_only": args.primitive_only,
             "strata": _enumerate_rows(args.max_disc, args.max_h, args.primitive_only),
         }
-    _emit(args.command, echo, payload, warnings, args.format)
+    _emit(args.command, echo, payload, args.format)
     return EXIT_OK
 
 

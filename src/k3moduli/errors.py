@@ -22,4 +22,4 @@ class NotNearInteger(PrecisionError):
 
 
 class ResolventDegenerate(PrecisionError):
-    """The coset resolvents are not certified distinct at this precision."""
+    """The coset traces are not certified distinct at this precision."""

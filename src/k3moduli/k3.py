@@ -79,8 +79,9 @@ def scale(lattice: TranscLattice, n: int) -> TranscLattice:
 
 
 def cm_field(lattice: TranscLattice) -> int:
-    """Fundamental discriminant of K = Q(sqrt(disc)); equal for T and m*T."""
-    return orders.order_of_disc(lattice.disc).d_k
+    """Fundamental discriminant of K = Q(sqrt(disc)); equal for T and m*T,
+    so it is read from disc0, whose factorization does not grow with m."""
+    return orders.order_of_disc(lattice.disc0).d_k
 
 
 def shioda_mitani(lattice: TranscLattice) -> SMDecomposition:

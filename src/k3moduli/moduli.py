@@ -18,15 +18,16 @@ sum over roots of pi*sqrt|D|/a / ln 10 plus log10 of the largest binomial
 coefficient, and GUARD_DIGITS more digits leave the propagated error bound
 below 1/2 (see _height, which bounds both polynomials).  Recognition is a
 certificate (see numerics.recognize_integer), and so is the distinctness of
-the coset invariants the field polynomial is built from (see
-_separated_roots); the precision is doubled only when a certificate fails,
-and never past MAX_DIGITS.  The class polynomial is then checked exactly
-against Gross-Zagier (J. reine angew. Math. 355, 1985): for
-fundamental D the primes of its norm are at most 3|D|/4; the field
-polynomial against H_D (see _check_power_sum).  class_polynomial starts at
-its class polynomial's floor, and moduli_report at the higher of the floors
-of its two polynomials (see precision_floor); each refuses an input whose
-own floor is above MAX_DIGITS.
+the coset traces the field polynomial is built from (see _separated_roots,
+which certifies traces only: traces not certified apart are a precision
+failure, never a switch to another invariant); the precision is doubled
+only when a certificate fails, and never past MAX_DIGITS.  The class
+polynomial is then checked exactly against Gross-Zagier (J. reine angew.
+Math. 355, 1985): for fundamental D the primes of its norm are at most
+3|D|/4; the field polynomial against H_D (see _check_trace).
+class_polynomial starts at its class polynomial's floor, and moduli_report
+at the higher of the floors of its two polynomials (see precision_floor);
+each refuses an input whose own floor is above MAX_DIGITS.
 
 H_D comes through one path, _class_polynomial_at, for both commands: the
 values of j^(1/n) at every class (_class_values), their certified product,
@@ -44,7 +45,7 @@ height, and so whose floor, is about a third of H_D's.  H_D follows from W
 exactly by the norm identity H_D(y) = A^3 + y B^3 + y^2 C^3 - 3y ABC for
 W(x) = A(x^3) + x B(x^3) + x^2 C(x^3).  So H_D(0) = W(0)^3 is a cube by
 construction, and the prime bound is checked on W(0), which has the same
-primes.  The coset invariants take j back from the kernel's values (see
+primes.  The coset traces take j back from the kernel's values (see
 numerics.j_from_kernel), here j = gamma_2^3, so moduli_report never needs j
 to H_D's full height either: it runs at W's floor, or at the field
 polynomial's where that is higher.  Both polynomials depend on disc0 alone,
@@ -58,7 +59,7 @@ with about two thirds of the digits of H_D.  For W3(y) = A(y^2) + y B(y^2),
 N(z) = (-1)^h (A(z)^2 - z B(z)^2) has the roots y^2 = D (j - 1728), so
 H_D(x) = D^-h N(D (x - 1728)), exactly once every division by a power of D
 is exact: a W3 for which one is not is refused, and Gross-Zagier runs on
-H_D(0).  moduli_report runs on W3 too, its coset invariants taking j =
+H_D(0).  moduli_report runs on W3 too, its coset traces taking j =
 1728 + y^2 / D.  Otherwise (D even, 3 | D) the kernel is j itself (n = 1).
 
 Galois-ness of the absolute field is decided purely group-theoretically inside
@@ -125,16 +126,14 @@ class ModuliReport(
     Value,
     namedtuple(
         "ModuliReport",
-        "disc disc0 m d_k h g orbit mq_is_galois class_polynomial mq_min_poly"
-        " precision_used warnings",
+        "disc disc0 m d_k h g orbit mq_is_galois class_polynomial mq_min_poly precision_used",
     ),
 ):
     """Everything moduli_report finds for one lattice: its discriminant disc,
     primitive discriminant disc0, index m and CM field d_k; h and g, the
     class number and genus order of disc0; orbit, the tuple of conjugate
     TranscLattice; mq_is_galois; class_polynomial and mq_min_poly as integer
-    tuples, lowest degree first; precision_used, in digits; and warnings, a
-    tuple of str."""
+    tuples, lowest degree first; and precision_used, in digits."""
 
     __slots__ = ()
 
@@ -209,44 +208,28 @@ def _torsion_cosets(group: ClassGroup) -> tuple[tuple[int, ...], ...]:
     return classgroup.fibres(group, lambda i: group.mul(i, i))
 
 
-# (name, power, shift): the invariant of a coset is the sum of (j + shift)^power
-_RESOLVENT_LADDER = (("trace", 1, 0), ("square sum", 2, 0), ("cube sum", 3, 0)) + tuple(
-    (f"shift-{k} square sum", 2, k) for k in range(1, 7)
-)
-
-
-def _separated_roots(js: list[BigComplex], cosets) -> tuple[list[BigComplex], tuple[str, int, int]]:
-    """Coset invariants certified distinct, and the ladder rung they are from.
-
-    Walks the resolvent ladder from plain traces until every two invariants
-    are apart (see numerics.apart): the true values then differ, so the
-    product over the cosets is the minimal polynomial.  The sums are exact
-    (see numerics.part_sums): conjugate cosets give exactly conjugate values.
-    """
-    for rung in _RESOLVENT_LADDER:
-        roots = part_sums(js, cosets, *rung[1:])  # (power, shift)
-        if apart(roots):
-            return roots, rung
-    raise ResolventDegenerate("all resolvents collide across the 2-torsion cosets")
+def _separated_roots(js: list[BigComplex], cosets) -> list[BigComplex]:
+    """The traces of j over the cosets, once every two are apart (see
+    numerics.apart): the true traces then differ, so the product over the
+    cosets is the minimal polynomial.  The sums are exact (see
+    numerics.part_sums): conjugate cosets give exactly conjugate traces.
+    Traces not certified apart raise ResolventDegenerate, which _escalate
+    retries at twice the digits; no D with |D| <= 20000 needs the retry."""
+    roots = part_sums(js, cosets)
+    if not apart(roots):
+        raise ResolventDegenerate("the coset traces are not certified distinct")
+    return roots
 
 
 def _recognize_int_poly(coeffs: list[BigComplex]) -> tuple[int, ...]:
     return tuple(recognize_integer(c) for c in coeffs)
 
 
-def _check_power_sum(class_poly: tuple[int, ...], mq: tuple[int, ...], rung) -> tuple[int, ...]:
-    """mq, once the sum -mq[g - 1] of its roots, the coset invariants, is the
-    sum of the rung's (j + shift)^power over all h classes.  Newton's
-    identities give the power sums p_k of the roots of H_D from c_k =
-    class_poly[h - k]: p_k = -k c_k - sum over 0 < i < k of c_i p_(k - i).
-    On the trace rung this is mq[g - 1] == class_poly[h - 1]."""
-    name, power, shift = rung
-    c, sums = class_poly[::-1] + (0,) * power, [len(class_poly) - 1]  # p_0 = h
-    for k in range(1, power + 1):
-        sums.append(-k * c[k] - sum(c[i] * sums[k - i] for i in range(1, k)))
-    expected = sum(comb(power, k) * shift ** (power - k) * sums[k] for k in range(power + 1))
-    if -mq[-2] != expected:
-        raise K3ModuliError(f"the field polynomial's roots do not sum to the {name} of H_D")
+def _check_trace(class_poly: tuple[int, ...], mq: tuple[int, ...]) -> tuple[int, ...]:
+    """mq, once the sum -mq[g - 1] of its roots, the coset traces, is the
+    trace -class_poly[h - 1] of j over all h classes."""
+    if mq[-2] != class_poly[-2]:
+        raise K3ModuliError("the field polynomial's roots do not sum to the trace of H_D")
     return mq
 
 
@@ -409,19 +392,17 @@ def _pack(poly, s: int) -> int:
     return value
 
 
-_Polynomials = namedtuple("_Polynomials", "class_poly mq warnings")
+_Polynomials = namedtuple("_Polynomials", "class_poly mq")
 
 
 def _attempt_polynomials(group: ClassGroup, cosets, digits: int) -> _Polynomials:
     n = _class_kernel(group.disc)
     class_poly, values = _class_polynomial_at(group, n, digits)
     if len(cosets) == group.h:  # C[2] trivial (h odd): each coset is one class
-        return _Polynomials(class_poly, class_poly, ())
+        return _Polynomials(class_poly, class_poly)
     js = [j_from_kernel(v, n, group.disc) for v in values]
-    roots, rung = _separated_roots(js, cosets)
-    mq = _check_power_sum(class_poly, _recognize_int_poly(poly_from_roots(roots)), rung)
-    warnings = () if rung[0] == "trace" else (f"resolvent fallback used: {rung[0]}",)
-    return _Polynomials(class_poly, mq, warnings)
+    mq = _recognize_int_poly(poly_from_roots(_separated_roots(js, cosets)))
+    return _Polynomials(class_poly, _check_trace(class_poly, mq))
 
 
 def _escalate(disc: int, floor: int, attempt):
@@ -487,7 +468,7 @@ def moduli_report(lattice: TranscLattice) -> ModuliReport:
         disc=lattice.disc,
         disc0=lattice.disc0,
         m=lattice.m,
-        d_k=orders.order_of_disc(lattice.disc0).d_k,
+        d_k=k3.cm_field(lattice),
         h=group.h,
         g=classgroup.genus_order(group),
         orbit=k3.galois_orbit(lattice),
@@ -495,7 +476,6 @@ def moduli_report(lattice: TranscLattice) -> ModuliReport:
         class_polynomial=polys.class_poly,
         mq_min_poly=polys.mq,
         precision_used=digits,
-        warnings=polys.warnings,
     )
     _check_report(report, group)
     return report

@@ -605,14 +605,13 @@ def j_from_kernel(z: BigComplex, n: int, disc: int) -> BigComplex:
     return BigComplex(re, im, z.bits, w.err // size + 3)
 
 
-def part_sums(values: list[BigComplex], parts, power: int, shift: int) -> list[BigComplex]:
-    """For each part (indices into values), the exact sum over it of (v +
-    shift)^power, at power times the values' most bits, with the sum of
-    their bounds: conjugate parts give exactly conjugate sums."""
+def part_sums(values: list[BigComplex], parts) -> list[BigComplex]:
+    """For each part (indices into values), the exact sum of the values over
+    it, at their most bits, with the sum of their bounds: conjugate parts
+    give exactly conjugate sums."""
     bits = max(v.bits for v in values)
-    offset = BigComplex(shift << bits, 0, bits)
-    powers = [_power(_add(_rescale(v, bits), offset), power) for v in values]
-    return [reduce(_add, (powers[i] for i in part)) for part in parts]
+    scaled = [_rescale(v, bits) for v in values]
+    return [reduce(_add, (scaled[i] for i in part)) for part in parts]
 
 
 def apart(values: list[BigComplex]) -> bool:

@@ -291,6 +291,32 @@ def test_analyze_coset_collision_at_every_precision_exits_3(monkeypatch, capsys)
     assert err.count("\n") == 1 and err.startswith("precision failure: forced"), err
 
 
+def test_analyze_equal_coset_traces_escalate_then_exit_3(monkeypatch, capsys):
+    # the real _separated_roots refuses coset traces that coincide: each
+    # attempt from the floor is retried at twice the digits, and the last one
+    # below the ceiling ends in exit 3 with the traces' message
+    sums, attempts = moduli.part_sums, []
+
+    def equal_traces(values, parts):
+        attempts.append(values[0].bits)
+        traces = sums(values, parts)
+        return [traces[0]] * len(traces)
+
+    empty_field_cache(monkeypatch)
+    monkeypatch.setattr(moduli, "part_sums", equal_traces)
+    code, out = run_cli(["analyze", "6", "2", "2", "10"])  # D = -56, h = 4
+    err = capsys.readouterr().err
+    floor = moduli.precision_floor(classgroup.class_group(-56))
+    last = floor << (moduli.MAX_DIGITS // floor).bit_length() - 1
+    assert code == EXIT_PRECISION and out == ""
+    assert err == (
+        "precision failure: the coset traces are not certified distinct: failed at "
+        f"{last} digits, and doubling would pass the ceiling of {moduli.MAX_DIGITS}\n"
+    )
+    assert len(attempts) == (last // floor).bit_length() > 1
+    assert attempts == sorted(set(attempts))  # each attempt at more bits
+
+
 def test_enumerate_small():
     env = run_json(["enumerate", "--max-disc", "4"])
     rows = env["result"]["strata"]
@@ -409,15 +435,6 @@ def test_text_format():
         "  lattice            gram [[8, -2], [-2, 12]]  m = 2  class (2, -1, 3)",
         "  lattice            gram [[8, 2], [2, 12]]  m = 2  class (2, 1, 3)",
     ]
-
-
-def test_text_format_prints_each_warning(monkeypatch):
-    # a fallback rung of the resolvent ladder is reported on its own line
-    empty_field_cache(monkeypatch)  # a cached report would skip the ladder
-    monkeypatch.setattr(moduli, "_RESOLVENT_LADDER", (("square sum", 2, 0),))
-    code, out = run_cli(["analyze", "6", "2", "2", "10"])  # D = -56, h = 4
-    assert code == EXIT_OK
-    assert out.splitlines()[-1] == "  warning: resolvent fallback used: square sum"
 
 
 SCALARS = (
@@ -573,7 +590,7 @@ def _analyze_dumps(gram):
         "version": __version__,
         "input": {"gram": [gram[:2], gram[2:]]},
         "result": result,
-        "warnings": list(report.warnings),
+        "warnings": [],
     }
     return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
 
@@ -610,11 +627,6 @@ def test_analyze_envelope_matches_json_dumps_in_every_cache_state(monkeypatch):
             cli._analyze_envelope.cache_clear()
             _check_analyze_bytes(d0, shift, cold=False)
             assert cli._analyze_envelope.cache_info().misses == 1
-    # a report that carries a warning (D0 = -56, as in the text form)
-    empty_field_cache(monkeypatch)
-    monkeypatch.setattr(moduli, "_RESOLVENT_LADDER", (("square sum", 2, 0),))
-    _check_analyze_bytes(-56, 1, cold=False)
-    assert moduli.moduli_report(k3.from_gram(((2, 0), (0, 28)))).warnings != ()
     # the slot is its own exact type: no other str subclass is written
     marker = cli._Slot("orbit")
     assert _json({"x": marker}) == '{\n  "x": \0orbit\0\n  \0\n}'

@@ -1,6 +1,6 @@
 import pytest
 
-from k3moduli import classgroup, qforms
+from k3moduli import classgroup, orders, qforms
 from k3moduli.errors import InputError
 from k3moduli.k3 import (
     cm_field,
@@ -57,11 +57,28 @@ def test_cm_field():
 
 
 def test_cm_field_matches_primitive_part():
+    # read from disc0, d_K is the field of the full discriminant m^2 disc0
     for d0 in valid_discs(150):
         for cls in classgroup.class_group(d0).classes:
             t = lattice_from_class(1, cls)
             for n in (2, 3):
                 assert cm_field(scale(t, n)) == cm_field(t)
+                assert cm_field(t) == orders.order_of_disc(scale(t, n).disc).d_k
+
+
+def test_cm_field_does_not_factor_the_index(monkeypatch):
+    # a prime index m near 10^12: trial division over m^2 disc0 would take
+    # days, while d_K is read from disc0 alone
+    m = 10**12 + 39
+    seen = []
+    order_of_disc = orders.order_of_disc
+    monkeypatch.setattr(orders, "order_of_disc", lambda d: seen.append(d) or order_of_disc(d))
+    for d0 in (-4, -56, -23):
+        cls = classgroup.class_group(d0).classes[-1]
+        big = lattice_from_class(m, cls)
+        assert big.disc == m * m * d0
+        assert cm_field(big) == cm_field(lattice_from_class(1, cls))
+    assert seen and all(-d <= 56 for d in seen)
 
 
 def test_shioda_mitani_examples():

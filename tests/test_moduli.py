@@ -368,7 +368,6 @@ def test_report_minus_23():
     assert report.class_polynomial == H23
     assert report.mq_min_poly == H23
     assert report.precision_used == 10  # W's floor of D = -23, where h is odd
-    assert report.warnings == ()
     assert len(report.orbit) == 3
 
 
@@ -620,8 +619,9 @@ def test_floors_in_order(sweep):
             assert moduli._height(group, cosets) + log10(3) <= moduli._height(group), d
 
 
-# sha256 over (d, class polynomial, field polynomial, warnings, digits) of
-# every |d| <= 3000, frozen at the floors of precision_floor
+# sha256 over (d, class polynomial, field polynomial, (), digits) of every
+# |d| <= 3000, frozen at the floors of precision_floor; the () stands where
+# the reports' warnings, always empty, were hashed when the digests were pinned
 FIELD_SWEEP_SHA256 = "02480f7082d9f85c1d6503de05ca5b26b5da316e975c3507c7b7a6f56959a62b"
 # the same without the digits: a change of precision alone leaves it as it is
 POLYNOMIAL_SWEEP_SHA256 = "a414290bd8ae51511a9f1c23fec91a64b3f54458d8c63cbd1c823a4569890eab"
@@ -635,8 +635,8 @@ def test_field_polynomials_settle_at_their_floor(sweep):
         group = sweep.group(d)
         polys, digits = sweep.field_polynomials(d)
         assert digits == moduli.precision_floor(group), d
-        digest.update(repr((d, polys.class_poly, polys.mq, polys.warnings, digits)).encode())
-        polynomials.update(repr((d, polys.class_poly, polys.mq, polys.warnings)).encode())
+        digest.update(repr((d, polys.class_poly, polys.mq, (), digits)).encode())
+        polynomials.update(repr((d, polys.class_poly, polys.mq, ())).encode())
     assert digest.hexdigest() == FIELD_SWEEP_SHA256
     assert polynomials.hexdigest() == POLYNOMIAL_SWEEP_SHA256
 
@@ -663,7 +663,7 @@ def test_class_values_are_pinned_bit_for_bit(sweep):
 def test_odd_class_number_field_polynomial_is_class_polynomial(sweep):
     # C[2] is trivial: every coset is one class, so the coset path over j at
     # H_D's own floor, skipped by moduli_report, would give the class
-    # polynomial without warnings
+    # polynomial
     odd = 0
     for d in valid_discs(1500):
         group = sweep.group(d)
@@ -671,11 +671,9 @@ def test_odd_class_number_field_polynomial_is_class_polynomial(sweep):
             continue
         odd += 1
         report = moduli_report(lattice_from_class(1, group.classes[0]))
-        assert report.mq_min_poly == report.class_polynomial and report.warnings == (), d
+        assert report.mq_min_poly == report.class_polynomial, d
         js = moduli._class_values(group, 1, hd_floor(group))
-        cosets = moduli._torsion_cosets(group)
-        roots, rung = moduli._separated_roots(js, cosets)
-        assert rung == moduli._RESOLVENT_LADDER[0] == ("trace", 1, 0), d
+        roots = moduli._separated_roots(js, moduli._torsion_cosets(group))
         assert moduli._recognize_int_poly(poly_from_roots(roots)) == report.class_polynomial, d
     assert odd > 50
 
@@ -720,20 +718,15 @@ def test_gamma2_path_checks_the_prime_bound_on_w0(monkeypatch):
 
 
 def test_field_polynomial_roots_sum_to_the_class_polynomials_power_sum(monkeypatch):
-    # roots 1, 2, 3, 4 of H in the cosets {1, 4} and {2, 3}: on every rung the
-    # two coset invariants sum to the power sum over all four roots
+    # roots 1, 2, 3, 4 of H in the cosets {1, 4} and {2, 3}: the two coset
+    # traces 5 and 5 sum to the trace 10 over all four roots
     cp = (24, -50, 35, -10, 1)
-    for rung in moduli._RESOLVENT_LADDER:
-        _, power, shift = rung
-        x = (1 + shift) ** power + (4 + shift) ** power
-        y = (2 + shift) ** power + (3 + shift) ** power
-        assert moduli._check_power_sum(cp, (x * y, -x - y, 1), rung) == (x * y, -x - y, 1)
-        with pytest.raises(K3ModuliError, match=rung[0]):
-            moduli._check_power_sum(cp, (x * y, 1 - x - y, 1), rung)
-    # the trace rung: a doctored top coefficient of H_D is caught as well
-    trace = moduli._RESOLVENT_LADDER[0]
-    with pytest.raises(K3ModuliError, match="trace"):
-        moduli._check_power_sum((24, -50, 35, -11, 1), (25, -10, 1), trace)
+    assert moduli._check_trace(cp, (25, -10, 1)) == (25, -10, 1)
+    with pytest.raises(K3ModuliError, match="do not sum to the trace"):
+        moduli._check_trace(cp, (25, -9, 1))
+    # a doctored top coefficient of H_D is caught as well
+    with pytest.raises(K3ModuliError, match="do not sum to the trace"):
+        moduli._check_trace((24, -50, 35, -11, 1), (25, -10, 1))
     # and analyze refuses a class polynomial whose top coefficient was doctored
     certified = moduli._class_polynomial_at
 
@@ -745,20 +738,6 @@ def test_field_polynomial_roots_sum_to_the_class_polynomials_power_sum(monkeypat
     monkeypatch.setattr(moduli, "_class_polynomial_at", doctored)
     with pytest.raises(K3ModuliError, match="do not sum to the trace"):
         moduli_report(LATTICE_56)
-
-
-@pytest.mark.parametrize("d", [-56, -231])
-def test_every_rung_passes_the_power_sum_check(monkeypatch, d):
-    # the field polynomial of each rung, taken alone, is linked to H_D
-    group = classgroup.class_group(d)
-    cosets = moduli._torsion_cosets(group)
-    digits = 4 * moduli.precision_floor(group)
-    for rung in moduli._RESOLVENT_LADDER:
-        monkeypatch.setattr(moduli, "_RESOLVENT_LADDER", (rung,))
-        polys = moduli._attempt_polynomials(group, cosets, digits)
-        assert polys.class_poly == class_polynomial(d) and len(polys.mq) == len(cosets) + 1
-        fallback = () if rung[0] == "trace" else (f"resolvent fallback used: {rung[0]}",)
-        assert polys.warnings == fallback, (d, rung)
 
 
 def test_class_polynomial_composes_no_forms(monkeypatch):
@@ -821,7 +800,7 @@ def test_field_roots_closed_under_conjugation():
     for d in (-23, -56, -84, -119):
         group = classgroup.class_group(d)
         js = moduli._class_values(group, 1, 60)
-        roots, _ = moduli._separated_roots(js, moduli._torsion_cosets(group))
+        roots = moduli._separated_roots(js, moduli._torsion_cosets(group))
         assert Counter(roots) == Counter(conjugate(r) for r in roots)
 
 
@@ -829,32 +808,34 @@ def _reals(*values: int) -> list[BigComplex]:
     return [BigComplex(v << 80, 0, 80) for v in values]
 
 
-def test_resolvent_ladder_falls_back_to_square_sum():
-    # traces 1 + 4 = 2 + 3 collide, square sums 17 and 13 do not
-    roots, rung = moduli._separated_roots(_reals(1, 4, 2, 3), ((0, 1), (2, 3)))
-    assert rung == ("square sum", 2, 0)
-    assert [(r.re, r.im) for r in roots] == [(17 << 160, 0), (13 << 160, 0)]
-    assert all(r.bits == 160 for r in roots)
+def test_colliding_coset_traces_are_refused():
+    # traces 1 + 4 = 2 + 3 collide, as do the traces of equal multisets on
+    # both cosets: no other invariant is tried
+    for values in ((1, 4, 2, 3), (1, 4, 4, 1)):
+        with pytest.raises(ResolventDegenerate, match="coset traces"):
+            moduli._separated_roots(_reals(*values), ((0, 1), (2, 3)))
 
 
-def test_resolvent_ladder_needs_certified_separation():
-    # traces 5 and 5 + delta lie within their error bounds, 2 eps each, of
-    # one another: the true traces could be equal, so the square sums
-    # (17 and 13 + 6 delta + delta^2) are taken, although delta is far above
-    # 10^-15, the old fixed threshold at 30 digits
-    eps, delta = 1 << 40, 1 << 41  # units of 2^-80: eps ~ 9.1e-13, delta ~ 1.8e-12
-    values = [BigComplex(v << 80, 0, 80, eps) for v in (1, 4, 2)]
-    values.append(BigComplex((3 << 80) + delta, 0, 80, eps))
-    roots, rung = moduli._separated_roots(values, ((0, 1), (2, 3)))
-    assert rung[0] == "square sum"
-    assert [r.re >> 160 for r in roots] == [17, 13]
-    # apart by more than the bounds: the traces are certified distinct
-    values[3] = BigComplex((3 << 80) + 4 * eps + 1, 0, 80, eps)
-    roots, rung = moduli._separated_roots(values, ((0, 1), (2, 3)))
-    assert rung[0] == "trace" and [r.err for r in roots] == [2 * eps, 2 * eps]
+EPS = 1 << 40  # units of 2^-80: ~ 9.1e-13
 
 
-def test_resolvent_ladder_degenerate_when_every_rung_collides():
-    # equal multisets on both cosets: every symmetric resolvent collides
-    with pytest.raises(ResolventDegenerate):
-        moduli._separated_roots(_reals(1, 4, 4, 1), ((0, 1), (2, 3)))
+def _traces_apart_by(delta: int) -> list[BigComplex]:
+    """j-values 1, 4 | 2, 3 + delta (units of 2^-80), each bound EPS: coset
+    traces 5 and 5 + delta, each bound 2 EPS."""
+    values = [BigComplex(v << 80, 0, 80, EPS) for v in (1, 4, 2)]
+    return values + [BigComplex((3 << 80) + delta, 0, 80, EPS)]
+
+
+def test_coset_traces_within_their_bounds_are_refused():
+    # traces 5 and 5 + delta lie within their error bounds of one another:
+    # the true traces could be equal, so they are refused, although delta
+    # (~ 1.8e-12) is far above 10^-15, the old fixed threshold at 30 digits
+    with pytest.raises(ResolventDegenerate, match="coset traces"):
+        moduli._separated_roots(_traces_apart_by(2 * EPS), ((0, 1), (2, 3)))
+
+
+def test_coset_traces_apart_by_more_than_their_bounds_are_certified():
+    delta = 4 * EPS + 1
+    roots = moduli._separated_roots(_traces_apart_by(delta), ((0, 1), (2, 3)))
+    assert [(r.re, r.im, r.bits) for r in roots] == [(5 << 80, 0, 80), ((5 << 80) + delta, 0, 80)]
+    assert [r.err for r in roots] == [2 * EPS, 2 * EPS]
