@@ -165,24 +165,29 @@ def _decimal(n: int) -> str:
         return f"{'-' if n < 0 else ''}{_decimal(head)}{tail:0600d}"
 
 
-def _report_payload(report: moduli.ModuliReport) -> dict:
-    mq = list(map(_decimal, report.mq_min_poly))  # M_K's and M_Q's (see moduli)
+def _field_payload(fields: moduli.FieldReport) -> dict:
+    """The fields of an analyze payload that depend on disc0 alone; a
+    ModuliReport has them under the same names."""
+    mq = list(map(_decimal, fields.mq_min_poly))  # M_K's and M_Q's (see moduli)
     return {
-        "disc": report.disc,
-        "disc0": report.disc0,
-        "m": report.m,
-        "d_k": report.d_k,
-        "h": report.h,
-        "genus_order": report.g,
-        "degree_mk_over_k": report.g,
-        "degree_mq_over_q": report.g,
-        "mq_is_galois": report.mq_is_galois,
-        "orbit": _Lattices.of(report.orbit),
-        "class_polynomial": list(map(_decimal, report.class_polynomial)),
+        "disc0": fields.disc0,
+        "d_k": fields.d_k,
+        "h": fields.h,
+        "genus_order": fields.g,
+        "degree_mk_over_k": fields.g,
+        "degree_mq_over_q": fields.g,
+        "mq_is_galois": fields.mq_is_galois,
+        "class_polynomial": list(map(_decimal, fields.class_polynomial)),
         "mk_min_poly": mq,
         "mq_min_poly": mq,
-        "precision_used": report.precision_used,
+        "precision_used": fields.precision_used,
     }
+
+
+def _report_payload(report: moduli.ModuliReport) -> dict:
+    payload = _field_payload(report)
+    payload.update(disc=report.disc, m=report.m, orbit=_Lattices.of(report.orbit))
+    return payload
 
 
 def _classgroup_payload(group: classgroup.ClassGroup) -> dict:
@@ -396,18 +401,16 @@ def _emit(command: str, input_echo: dict, payload: dict, fmt: str) -> None:
 
 # Every field of an analyze report but the lattice's Gram matrix, disc, m and
 # orbit depends on D0 alone, so the JSON of a D0 is rendered once, with those
-# four fields left open.  Bounded as moduli._field_polynomials, whose two
+# four fields left open.  Bounded as moduli.field_report, whose two
 # polynomials an entry holds as text: 0.31 MiB at D0 = -40004 (tracemalloc).
 # A refused D0 stores nothing, as lru_cache keeps no exception.
 @lru_cache(maxsize=32)
 def _analyze_envelope(disc0: int) -> tuple[str, tuple[tuple[str, str, str], ...]]:
-    """The analyze JSON envelope of the lattices of disc0, rendered from the
-    report of the principal lattice: the text up to the first _Slot, then
-    per slot its name, the newline it is written under and the text up to
-    the next slot or the end."""
-    principal = classgroup.class_group(disc0).classes[0]
-    report = moduli.moduli_report(k3.lattice_from_class(1, principal))
-    payload = _report_payload(report)
+    """The analyze JSON envelope of the lattices of disc0, rendered from
+    moduli.field_report(disc0): the text up to the first _Slot, then per
+    slot its name, the newline it is written under and the text up to the
+    next slot or the end."""
+    payload = _field_payload(moduli.field_report(disc0))
     payload.update((name, _Slot(name)) for name in ("disc", "m", "orbit"))
     text = _json(_envelope("analyze", {"gram": _Slot("gram")}, payload))
     parts = text.split("\0")

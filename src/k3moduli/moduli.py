@@ -25,14 +25,17 @@ only when a certificate fails, and never past MAX_DIGITS.  The class
 polynomial is then checked exactly against Gross-Zagier (J. reine angew.
 Math. 355, 1985): for fundamental D the primes of its norm are at most
 3|D|/4; the field polynomial against H_D (see _check_trace).
-class_polynomial starts at its class polynomial's floor, and moduli_report
-at the higher of the floors of its two polynomials (see precision_floor);
-each refuses an input whose own floor is above MAX_DIGITS.
+class_polynomial starts at its class polynomial's floor (at D = 1 (mod 8),
+the Weber polynomial's), and moduli_report at the higher of the floors of
+its two polynomials (see precision_floor); each refuses an input whose
+own floor is above MAX_DIGITS, class_polynomial by class_polynomial_floor
+whatever its route.
 
-H_D comes through one path, _class_polynomial_at, for both commands: the
-values of j^(1/n) at every class (_class_values), their certified product,
-and kernel n's exact step to H_D.  _class_kernel chooses n for both, in
-one place, so each disc0 has one set of certified invariant values.  Each
+H_D comes through one path, _class_polynomial_at, for moduli_report, and
+for class_polynomial bar D = 1 (mod 8): the values of j^(1/n) at every
+class (_class_values), their certified product, and kernel n's exact step
+to H_D.  _class_kernel chooses n for both, in one place, so each disc0 has
+one set of certified invariant values in moduli_report.  Each
 value is taken at a form of its class that meets kernel n's congruence
 condition (_class_point); numerics lifts that form's point to the reduced
 domain by the invariants' transformation laws, so this module picks the
@@ -62,6 +65,17 @@ is exact: a W3 for which one is not is refused, and Gross-Zagier runs on
 H_D(0).  moduli_report runs on W3 too, its coset traces taking j =
 1728 + y^2 / D.  Otherwise (D even, 3 | D) the kernel is j itself (n = 1).
 
+For D = 1 (mod 8) class_polynomial takes Weber's roots instead
+(_weber_polynomial_at; Weber, Lehrbuch der Algebra III, 1908; Yui &
+Zagier, Math. Comp. 66, 1997): x = zeta_48^k g(tau) / sqrt 2 at the
+reduced forms of 4D (numerics.weber), cubed when 3 | D, whose polynomial
+is about a sixth as tall as W or W3 and is certified at its own floor
+(_weber_floor).  Three root squarings and one cubic norm give W, or H_D
+when 3 | D, exactly (_norm_from_weber), and the checks above run as on
+the gamma_2 and gamma_3 kernels.  That is the one exception to one set of
+invariant values per discriminant: moduli_report's coset traces need j at
+the classes of D, and so the kernel of _class_kernel at its own floor.
+
 Galois-ness of the absolute field is decided purely group-theoretically inside
 the semidirect product C x <complex conjugation>, never numerically: from the
 invariant factors of C (see mq_is_galois).
@@ -71,14 +85,15 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache, partial
-from math import ceil, comb, log, log10, pi, prod, sqrt
+from math import ceil, comb, isqrt, log, log10, pi, prod, sqrt
 
-from . import classgroup, k3, orders
+from . import classgroup, k3, orders, qforms
 from .classgroup import ClassGroup
 from .errors import InputError, K3ModuliError, NotNearInteger, PrecisionError, ResolventDegenerate
 from .k3 import TranscLattice
 from .numerics import MAX_DIGITS, BigComplex, CMPoint, apart, conjugate, gamma2, gamma3, times_sqrt
 from .numerics import j_from_kernel, j_invariant, part_sums, poly_from_roots, recognize_integer
+from .numerics import vanishes, weber
 from .values import Value
 
 # digits beyond the height estimate: at the floor, the error bound of every
@@ -138,6 +153,19 @@ class ModuliReport(
     __slots__ = ()
 
 
+class FieldReport(
+    Value,
+    namedtuple(
+        "FieldReport",
+        "disc0 d_k h g mq_is_galois class_polynomial mq_min_poly precision_used",
+    ),
+):
+    """The fields of a ModuliReport that depend on the primitive discriminant
+    disc0 alone, the same for every lattice of disc0 (see field_report)."""
+
+    __slots__ = ()
+
+
 def _model(group: ClassGroup) -> GaloisModel:
     torsion = sorted(classgroup.two_torsion(group))
     elements = tuple((i, e) for e in (0, 1) for i in range(group.h))
@@ -154,24 +182,44 @@ def mq_is_galois(lattice: TranscLattice) -> bool:
     when every invariant factor of C divides 4.  GaloisModel.is_normal
     decides the same by brute force.
     """
-    return all(4 % n == 0 for n in classgroup.class_group(lattice.disc0).elementary_divisors)
+    return _is_galois(classgroup.class_group(lattice.disc0))
+
+
+def _is_galois(group: ClassGroup) -> bool:
+    return all(4 % n == 0 for n in group.elementary_divisors)
 
 
 # ---------------------------------------------------------------------------
 # polynomial constructions
 
 
+def _prime_to(r, n: int) -> tuple[int, int, int]:
+    """A form (A, B, C) of r's class with n not dividing A: the first of (a,
+    b, c), (c, -b, a), (a + b + c, b + 2c, c), for n = 2 or 3 prime to the
+    discriminant (then n divides at most two of a, c and a + b + c)."""
+    a, b, c = r.a, r.b, r.c
+    if a % n:
+        return a, b, c
+    return (c, -b, a) if c % n else (a + b + c, b + 2 * c, c)
+
+
 def _class_point(r, disc: int, n: int) -> CMPoint:
     """The point of the form (A, B, C) of r's class where kernel n takes the
-    class's value (Enge & Morain): r for j (n = 1); else (A, B) is the first of
-    (a, b), (c, -b), (a + b + c, b + 2c) with n not dividing A, then B + 2Ak
-    is made 1 mod 4 for gamma_3 (n = 2) or 0 mod 3 for gamma_2 (n = 3)."""
-    a, b, c = r.a, r.b, r.c
-    if n > 1:
-        if a % n == 0:
-            a, b = (c, -b) if c % n else (a + b + c, b + 2 * c)
-        b += 2 * a * (a * b % 3 if n == 3 else (1 - b) % 4 // 2)
+    class's value (Enge & Morain): r for j (n = 1); else (A, B) is that of
+    _prime_to(r, n), then B + 2Ak is made 1 mod 4 for gamma_3 (n = 2) or 0
+    mod 3 for gamma_2 (n = 3)."""
+    if n == 1:
+        return CMPoint(r.a, r.b, disc)
+    a, b, _ = _prime_to(r, n)
+    b += 2 * a * (a * b % 3 if n == 3 else (1 - b) % 4 // 2)
     return CMPoint(a, b, disc)
+
+
+def _mirrored(forms, evaluate) -> list[BigComplex]:
+    """evaluate at every form (a, b, ...) of forms with b >= 0, and the exact
+    conjugate of the value at (a, -b, ...) at the others."""
+    upper = {(f.a, f.b): evaluate(f) for f in forms if f.b >= 0}
+    return [upper[f.a, f.b] if f.b >= 0 else conjugate(upper[f.a, -f.b]) for f in forms]
 
 
 def _class_values(group: ClassGroup, n: int, digits: int) -> list[BigComplex]:
@@ -190,9 +238,27 @@ def _class_values(group: ClassGroup, n: int, digits: int) -> list[BigComplex]:
             return times_sqrt(gamma3(point, digits), d)
         return (j_invariant if n == 1 else gamma2)(point, digits)
 
-    reps = [cls.rep for cls in group.classes]
-    upper = {(r.a, r.b): evaluate(r) for r in reps if r.b >= 0}
-    return [upper[r.a, r.b] if r.b >= 0 else conjugate(upper[r.a, -r.b]) for r in reps]
+    return _mirrored([cls.rep for cls in group.classes], evaluate)
+
+
+def _weber_points(group: ClassGroup) -> list[CMPoint]:
+    """The reduced forms (A, B, C) of 4D, one per class of D, as points:
+    (a, 2b, 4c) from the form (a, b, c) of _prime_to(class, 2), reduced.
+    For D = 1 (mod 8) this maps C(D) onto C(4D) (h(4D) = h(D)), without
+    building C(4D); the principal class gives (1, 0, -D), and mirrored
+    classes mirrored forms (none of 4D lies on the boundary of the
+    reduced domain)."""
+    points = []
+    for cls in group.classes:
+        a, b, c = _prime_to(cls.rep, 2)
+        a, b, _ = qforms._reduce(a, 2 * b, 4 * c)
+        points.append(CMPoint(a, b, 4 * group.disc))
+    return points
+
+
+def _weber_values(points: list[CMPoint], digits: int) -> list[BigComplex]:
+    """Weber's roots (numerics.weber) at the points of _weber_points."""
+    return _mirrored(points, lambda point: weber(point, digits))
 
 
 def _class_kernel(disc: int) -> int:
@@ -255,17 +321,20 @@ def _check_gross_zagier(d: int, poly: tuple[int, ...]) -> tuple[int, ...]:
     return poly
 
 
-def _height(group: ClassGroup, partition=None, n: int = 1) -> float:
+def _height(group: ClassGroup, partition=None, n: int = 1, leads=None) -> float:
     """log10 bound on the coefficients of the product over the parts of
     partition of (x - sum of j^(1/n) over the part): each root is at most
     |part| times the largest exp(pi*sqrt|D|/(na)) in it, and the coefficients
     are elementary symmetric functions of the roots.  One class per part (the
     default: H_D, W for n = 3, or W3 for n = 2, whose roots sqrt(D) gamma_3
     carry log10 sqrt|D| more each) adds log10 1 = 0 per part; the cosets of
-    C[2] give the field polynomial."""
+    C[2] give the field polynomial.  leads gives the a of each class's
+    root in place of its reduced form's: Weber's roots are taken at forms
+    of 4D, where exp(pi*sqrt|D|/(24a)) bounds x (n = 24) and
+    exp(pi*sqrt|D|/(8a)) its cube (n = 8)."""
     scale = pi * sqrt(-group.disc) / log(10) / n
     lead = log10(-group.disc) / 2 if n == 2 else 0
-    a = [cls.rep.a for cls in group.classes]
+    a = leads or [cls.rep.a for cls in group.classes]
     parts = partition or [(i,) for i in range(group.h)]
     top = sum(lead + scale / min(a[i] for i in part) + log10(len(part)) for part in parts)
     return top + log10(comb(len(parts), len(parts) // 2))
@@ -297,11 +366,30 @@ def precision_floor(group: ClassGroup) -> int:
 
 
 def class_polynomial_floor(group: ClassGroup) -> int:
-    """Digits at which class_polynomial_with_precision starts: the height of
-    the kernel's polynomial and GUARD_DIGITS.  That is W, a third of the
-    height of H_D, when 3 does not divide D; W3, about two thirds of it,
-    when D is odd and 3 divides it; and H_D itself otherwise."""
+    """Digits that class_polynomial_with_precision is admitted by: the
+    height of the kernel's polynomial and GUARD_DIGITS.  That is W, a third
+    of the height of H_D, when 3 does not divide D; W3, about two thirds of
+    it, when D is odd and 3 divides it; and H_D itself otherwise.  The
+    attempts start there, bar those of D = 1 (mod 8), which start at
+    _weber_floor, lower still."""
     return ceil(_height(group, n=_class_kernel(group.disc))) + GUARD_DIGITS
+
+
+def _takes_weber(disc: int) -> bool:
+    """Whether class_polynomial takes H_D from Weber's roots (numerics.weber):
+    for D = 1 (mod 8)."""
+    return disc % 8 == 1
+
+
+def _weber_floor(group: ClassGroup, points: list[CMPoint]) -> int:
+    """Digits at which class_polynomial_with_precision starts for D = 1 (mod
+    8): the height of the Weber polynomial, over the forms of 4D at points,
+    and GUARD_DIGITS.  Its roots are Weber's x, about |q|^(-1/48) in size,
+    or their cubes when 3 | D: the 40 such D of the benchmark's seed-1
+    classpoly queries average 19 digits here against W's 93 (3 does not
+    divide D), and 28 against W3's 161 (3 | D)."""
+    n = 24 if _class_kernel(group.disc) == 3 else 8
+    return ceil(_height(group, n=n, leads=[p.a for p in points])) + GUARD_DIGITS
 
 
 def _class_polynomial_at(group: ClassGroup, n: int, digits: int) -> tuple[tuple[int, ...], list]:
@@ -316,6 +404,42 @@ def _class_polynomial_at(group: ClassGroup, n: int, digits: int) -> tuple[tuple[
         poly = _norm_from_gamma3(poly, group.disc)
     poly = _check_gross_zagier(group.disc, poly)
     return (_norm_from_gamma2(poly) if n == 3 else poly), values
+
+
+def _weber_polynomial_at(group: ClassGroup, points: list[CMPoint], digits: int) -> tuple[int, ...]:
+    """H_D certified at digits through Weber's roots at points (see
+    _weber_points), for class_polynomial at D = 1 (mod 8).
+
+    The Weber polynomial P of the roots is certified, and checked to vanish
+    at the principal root, f(sqrt D) / sqrt 2 (numerics.vanishes).  Three
+    root squarings (_graeffe) give the polynomial of t = x^8, or of u =
+    x^24 when 3 | D, and _norm_from_weber gives W, on which Gross-Zagier
+    and _norm_from_gamma2 run as on the gamma_2 kernel, or H_D, on which
+    Gross-Zagier runs; then _check_square.  Weber's roots are units (t (t
+    gamma_2 + 16 t^2) = 1), so P(0) = +-1, and the exact division by P(0)^2
+    refuses a wrong constant term alone: P off by one elsewhere passes it,
+    and at -15 and -55 gives a power of H_-7 = x + 3375, which passes
+    Gross-Zagier and the square too.  The principal root refuses those."""
+    values = _weber_values(points, digits)
+    poly = _recognize_int_poly(poly_from_roots(values))
+    if not vanishes(poly, values[0]):
+        raise K3ModuliError(f"{group.disc}: the Weber polynomial does not vanish at f(sqrt D) / sqrt 2")
+    poly = _norm_from_weber(_graeffe(_graeffe(_graeffe(poly))), group.disc)
+    poly = _check_gross_zagier(group.disc, poly)
+    return _check_square(group.disc, _norm_from_gamma2(poly) if _class_kernel(group.disc) == 3 else poly)
+
+
+def _check_square(d: int, hd: tuple[int, ...]) -> tuple[int, ...]:
+    """hd, once (-d)^h hd(1728) is a square, as it is for H_D of odd d: j -
+    1728 = gamma_3^2, and y = sqrt(d) gamma_3 is a class invariant (Enge &
+    Morain), so (-d)^h H_D(1728) = prod (1728 - j) (-d)^h = W3(0)^2."""
+    value = 0
+    for coeff in reversed(hd):
+        value = value * 1728 + coeff
+    value *= (-d) ** (len(hd) - 1)
+    if value < 0 or isqrt(value) ** 2 != value:
+        raise K3ModuliError(f"{d}: (-D)^h H_D(1728) is not a square")
+    return hd
 
 
 def _norm_from_gamma2(w: tuple[int, ...]) -> tuple[int, ...]:
@@ -339,28 +463,37 @@ def _norm_from_gamma2(w: tuple[int, ...]) -> tuple[int, ...]:
     return _unpack(value, 3 * t, len(w))
 
 
+def _graeffe(poly: tuple[int, ...]) -> tuple[int, ...]:
+    """The monic polynomial whose roots are the squares of those of the monic
+    poly, exactly: with poly(y) = A(y^2) + y B(y^2), poly(y) poly(-y) =
+    A(y^2)^2 - y^2 B(y^2)^2, so N(z) = (-1)^h (A(z)^2 - z B(z)^2) is the
+    product of z - y^2 (Graeffe's root squaring).  One integer expression at
+    z = 2^s, as in _norm_from_gamma2: with |poly_i| < 2^size, each
+    coefficient of N is below (h + 2) 2^(2 size) < 2^(s - 1)."""
+    h = len(poly) - 1
+    s = 2 * max(map(abs, poly)).bit_length() + len(poly).bit_length() + 3
+    a, b = _pack(poly[0::2], s), _pack(poly[1::2], s)
+    value = a * a - (b * b << s)
+    return _unpack(-value if h % 2 else value, s, h + 1)
+
+
 def _norm_from_gamma3(w3: tuple[int, ...], d: int) -> tuple[int, ...]:
     """H_D from the gamma_3 class polynomial W3 of odd d, exactly, or
     K3ModuliError.
 
-    The roots y of W3 have y^2 = d (j - 1728).  With W3(y) = A(y^2) +
-    y B(y^2), W3(y) W3(-y) = A(y^2)^2 - y^2 B(y^2)^2, so N(z) = (-1)^h (A(z)^2
-    - z B(z)^2) is the product of z - y^2, and H_D(x) = d^-h N(d (x - 1728)).
-    N comes from one integer expression at z = 2^s, as in _norm_from_gamma2.
-    Its coefficient n_k must be divisible by d^(h - k), else W3 is refused;
-    the quotients m_k are the coefficients of H_D in powers of x - 1728, and
-    H_D(x) is their polynomial at x - 1728, read at x = 2^t: each coefficient
-    of H_D is at most the sum of |m_k| 1729^k, below 2^(t - 1)."""
+    The roots y of W3 have y^2 = d (j - 1728), so N = _graeffe(W3) is the
+    product of z - y^2, and H_D(x) = d^-h N(d (x - 1728)).  Its coefficient
+    n_k must be divisible by d^(h - k), else W3 is refused; the quotients
+    m_k are the coefficients of H_D in powers of x - 1728, and H_D(x) is
+    their polynomial at x - 1728, read at x = 2^t: each coefficient of H_D
+    is at most the sum of |m_k| 1729^k, below 2^(t - 1)."""
     h = len(w3) - 1
-    s = 2 * max(map(abs, w3)).bit_length() + len(w3).bit_length() + 3
-    a, b = _pack(w3[0::2], s), _pack(w3[1::2], s)
-    norm = _unpack(a * a - (b * b << s), s, h + 1)
     power, shifted = 1, []
-    for coeff in reversed(norm):  # n_h first: d^0
+    for coeff in reversed(_graeffe(w3)):  # n_h first: d^0
         quotient, rest = divmod(coeff, power)
         if rest:
             raise K3ModuliError(f"{d}: the gamma_3 polynomial's norm is not divisible by D^{h}")
-        shifted.append(-quotient if h % 2 else quotient)
+        shifted.append(quotient)
         power *= d
     t = max(abs(m).bit_length() + 11 * k for k, m in enumerate(reversed(shifted)))
     t += (h + 1).bit_length() + 3
@@ -368,6 +501,58 @@ def _norm_from_gamma3(w3: tuple[int, ...], d: int) -> tuple[int, ...]:
     for coeff in shifted:  # Horner from the top coefficient, times 2^t - 1728
         value = (value << t) - 1728 * value + coeff
     return _unpack(value, t, h + 1)
+
+
+def _norm_from_weber(poly: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """W from the polynomial poly of t = x^8 when 3 does not divide d, H_D
+    from that of u = x^24 when 3 | d, exactly, or K3ModuliError.
+
+    Weber's roots give gamma_2 = (1 - 16t^3) / t^2 and j = (1 - 16u)^3 /
+    u^2.  With sigma = 1/t, the roots of sigma^3 = X sigma + 16 are the
+    sigma with gamma_2(t) = X; with sigma = 1/u, those of sigma^3 = 48
+    sigma^2 + (X - 768) sigma + 4096 the sigma with j(u) = X, and sigma =
+    tau + 16 turns that into tau^3 = X tau + 16X.  Either way the norm N of
+    R(sigma) = sigma^h poly(1/sigma), the product of R over the three roots,
+    is prod (1 - 16t^3 - X t^2) = (-1)^h poly(0)^2 W(X), or prod ((1 -
+    16u)^3 - X u^2) = (-1)^h poly(0)^2 H_D(X).  A division by poly(0)^2
+    that is not exact refuses poly.
+
+    R is reduced to a + b tau + c tau^2 by Horner in Z[X][tau], at X = 2^s:
+    a step times tau + 16 is shifts and adds alone.  The norm of a + b tau +
+    c tau^2 for tau^3 = q tau + r is a (a + cq)^2 + r c^2 (rc - qb) + b (r
+    b^2 - a (3rc + qb)), seven products.  Its coefficients are below prod
+    f(|t|), f(x) = 1 + x^2 + 16 x^3, or prod f(|u|), f(x) = (1 + 16x)^3 +
+    x^2.  f(x) / max(1, lam x)^3 is largest at x = 1/lam, so the product is
+    at most f(1/lam)^h M^3, M = prod max(1, lam |t|) the Mahler measure of
+    lam^h poly(x / lam), at most its 2-norm (Landau).  The least bound over
+    a few powers of two lam sets s.  lam = 1 alone (18^h M^3, or 4914^h M^3)
+    would charge each small root, whose f is near 1, as much as a large
+    one: a slot 25-35% wider than the coefficients at the benchmark's D."""
+    h = len(poly) - 1
+    if not poly[0]:
+        raise K3ModuliError(f"{d}: the Weber polynomial has the root 0")
+    to_w = _class_kernel(d) == 3
+
+    def bound_bits(e: int) -> int:  # log2 of the bound at lam = 2^e
+        lam = 1 << e
+        num = lam**3 + lam + 16 if to_w else (lam + 16) ** 3 + lam  # f(1/lam) lam^3
+        norm2 = isqrt(sum((c << e * (h - k)) ** 2 for k, c in enumerate(poly))) + 1
+        return (num**h * norm2**3).bit_length() - 3 * e * h
+
+    s = min(map(bound_bits, range(5) if to_w else range(4, 8))) + 1
+    r, lift = (4, 0) if to_w else (s + 4, 16)  # r = 16 or 16 X, sigma = tau + lift
+    a = b = c = 0
+    for coeff in poly:  # R from its top coefficient, poly(0)
+        a, b, c = (c << r) + lift * a + coeff, a + (c << s) + lift * b, b + lift * c
+    value = a * (a + (c << s)) ** 2 + (c * c << r) * ((c << r) - (b << s))
+    value += b * ((b * b << r) - a * (3 * (c << r) + (b << s)))
+    square, out = poly[0] ** 2, []
+    for coeff in _unpack(value, s, h + 1):
+        quotient, rest = divmod(coeff, square)
+        if rest:
+            raise K3ModuliError(f"{d}: the Weber polynomial's norm is not divisible by P(0)^2")
+        out.append(-quotient if h % 2 else quotient)
+    return tuple(out)
 
 
 def _unpack(value: int, s: int, count: int) -> tuple[int, ...]:
@@ -405,14 +590,14 @@ def _attempt_polynomials(group: ClassGroup, cosets, digits: int) -> _Polynomials
     return _Polynomials(class_poly, _check_trace(class_poly, mq))
 
 
-def _escalate(disc: int, floor: int, attempt):
-    """(attempt(digits), digits) for the first certified attempt from the
-    floor, doubling the precision while a certificate fails (recognition or
-    coset separation) and the doubled precision stays within MAX_DIGITS.  A
-    floor above MAX_DIGITS is refused before any work."""
+def _escalate(disc: int, floor: int, attempt, start: int | None = None):
+    """(attempt(digits), digits) for the first certified attempt from start
+    (the floor by default), doubling the precision while a certificate fails
+    (recognition or coset separation) and the doubled precision stays within
+    MAX_DIGITS.  A floor above MAX_DIGITS is refused before any work."""
     if floor > MAX_DIGITS:
         raise InputError(f"D = {disc} needs {floor} digits, above the ceiling of {MAX_DIGITS}")
-    digits = floor
+    digits = start or floor
     while True:
         try:
             return attempt(digits), digits
@@ -425,16 +610,34 @@ def _escalate(disc: int, floor: int, attempt):
             digits *= 2
 
 
+def _field_polynomials(disc0: int) -> tuple[_Polynomials, int]:
+    group = classgroup.class_group(disc0)
+    cosets = _torsion_cosets(group)
+    return _escalate(disc0, precision_floor(group), partial(_attempt_polynomials, group, cosets))
+
+
 # shared by every lattice of disc0 (the analyze queries of an orbit, or of
 # rescalings, repeat it); only certified, Gross-Zagier-checked results are
 # stored, as lru_cache keeps no exception.  Bounded like class_group: an entry
 # holds h + g + 2 integers of up to H_D's height in digits, 0.13 MiB at -40004
 # (h = 160, tracemalloc).
 @lru_cache(maxsize=32)
-def _field_polynomials(disc0: int) -> tuple[_Polynomials, int]:
+def field_report(disc0: int) -> FieldReport:
+    """The report fields of every lattice of primitive discriminant disc0:
+    the polynomials at their floors (_field_polynomials), and d_k read once
+    per disc0, by trial division of |disc0|."""
     group = classgroup.class_group(disc0)
-    cosets = _torsion_cosets(group)
-    return _escalate(disc0, precision_floor(group), partial(_attempt_polynomials, group, cosets))
+    polys, digits = _field_polynomials(disc0)
+    return FieldReport(
+        disc0=disc0,
+        d_k=orders.order_of_disc(disc0).d_k,
+        h=group.h,
+        g=classgroup.genus_order(group),
+        mq_is_galois=_is_galois(group),
+        class_polynomial=polys.class_poly,
+        mq_min_poly=polys.mq,
+        precision_used=digits,
+    )
 
 
 def class_polynomial(d: int) -> tuple[int, ...]:
@@ -446,38 +649,35 @@ def class_polynomial(d: int) -> tuple[int, ...]:
 
 def class_polynomial_with_precision(d: int) -> tuple[tuple[int, ...], int]:
     """The class polynomial and the digits it was certified at: those of the
-    gamma_2 polynomial W when 3 does not divide d, of the gamma_3 polynomial
-    W3 when d is odd and 3 divides it, of H_D itself otherwise."""
+    Weber polynomial when d = 1 (mod 8), else of the gamma_2 polynomial W
+    when 3 does not divide d, of the gamma_3 polynomial W3 when d is odd and
+    3 divides it, of H_D itself otherwise.  Whatever the route, d is refused
+    when class_polynomial_floor is above MAX_DIGITS."""
     group = classgroup.class_group(d)
+    floor = class_polynomial_floor(group)
+    if _takes_weber(d):
+        points = _weber_points(group)
+        attempt = partial(_weber_polynomial_at, group, points)
+        return _escalate(d, floor, attempt, _weber_floor(group, points))
     attempt = partial(_class_polynomial_at, group, _class_kernel(d))
-    (coeffs, _), digits = _escalate(d, class_polynomial_floor(group), attempt)
+    (coeffs, _), digits = _escalate(d, floor, attempt)
     return coeffs, digits
 
 
 def field_of_Q_moduli(lattice: TranscLattice) -> tuple[int, ...]:
     """Degree-g integer polynomial whose root field is the absolute field of
     moduli."""
-    return _field_polynomials(lattice.disc0)[0].mq
+    return field_report(lattice.disc0).mq_min_poly
 
 
 def moduli_report(lattice: TranscLattice) -> ModuliReport:
-    """Assemble degrees, orbit, Galois data and all minimal polynomials."""
-    group = classgroup.class_group(lattice.disc0)
-    polys, digits = _field_polynomials(lattice.disc0)
+    """Assemble degrees, orbit, Galois data and all minimal polynomials: the
+    lattice's own fields and orbit, and those of field_report(disc0)."""
+    fields = field_report(lattice.disc0)
     report = ModuliReport(
-        disc=lattice.disc,
-        disc0=lattice.disc0,
-        m=lattice.m,
-        d_k=k3.cm_field(lattice),
-        h=group.h,
-        g=classgroup.genus_order(group),
-        orbit=k3.galois_orbit(lattice),
-        mq_is_galois=mq_is_galois(lattice),
-        class_polynomial=polys.class_poly,
-        mq_min_poly=polys.mq,
-        precision_used=digits,
+        disc=lattice.disc, m=lattice.m, orbit=k3.galois_orbit(lattice), **fields._asdict()
     )
-    _check_report(report, group)
+    _check_report(report, classgroup.class_group(lattice.disc0))
     return report
 
 

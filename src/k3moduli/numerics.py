@@ -13,7 +13,10 @@ the extra bits j needs, and its class polynomial (used when 3 does not
 divide the discriminant) has a third of the digits.  It also gives gamma_3 =
 sqrt(j - 1728) = (1 - 512h) sqrt(1 + 64h) / h^(1/2), about |q|^(-1/2) in
 size, whose class polynomial (used for odd discriminants divisible by 3)
-has about two thirds of the digits.
+has about two thirds of the digits.  Weber's functions f, f1 and f2, at
+the reduced forms of 4D for D = 1 (mod 8), are quotients of Euler products
+at -q^(1/2), q^(1/2) and q (`weber`): about |q|^(-1/48) in size, their
+class polynomial has about an eighth of the digits of gamma_2's.
 
 The kernel runs only on the reduced domain Im tau >= sqrt(3)/2, where its
 error budget is derived: _lifted moves every point there by tau + 1 and
@@ -24,8 +27,8 @@ the exact fixed-point value (re + i*im) * 2^-bits on Python integers, with a
 rigorous bound `err` on its distance to the true value, in the same units.
 That bound is the only statement of a value's accuracy, and only this module
 computes on the format (`j_from_kernel`, `part_sums` and `apart` serve the
-field polynomial's roots); `recognize_integer` returns an integer only when
-the bound proves it.
+field polynomial's roots, `vanishes` the Weber polynomial's check);
+`recognize_integer` returns an integer only when the bound proves it.
 
 The constants of q (pi*sqrt|disc|, exp of it over a, cos/sin of pi*b/a; over
 3a for gamma_2) are fixed point on Python integers too, in `_q_powers`:
@@ -57,7 +60,8 @@ from .values import Value
 # 4060 at D = -10^6.  It also bounds the series: the order N is about
 # (digits*ln 10 + guard*ln 2) / -ln|q| (the bits of |q|^-1 in the working
 # precision cancel), largest where |q| is, at exp(-pi*sqrt 3) on the reduced
-# domain, so 3000 digits need at most 1274 q-terms
+# domain, so 3000 digits need at most 1274 q-terms (2549 terms of q^(1/2) for
+# Weber's f, see _MAX_ORDER)
 MAX_DIGITS = 3000
 LOG2_10 = log(10, 2)
 LN2 = log(2)
@@ -163,9 +167,12 @@ def _pentagonal_plan(order: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]
 
 
 # the largest series order any evaluation reaches: at MAX_DIGITS and at the
-# largest |q| on the reduced domain, exp(-pi*sqrt 3) (D = -3, a = 1, for j,
-# which needs the most bits); one plan serves every order up to it
-_MAX_ORDER = _series_order(-pi * sqrt(3), _working_bits(MAX_DIGITS, _magnitude(-3, 1)))
+# largest |p| an Euler product takes, exp(-pi*sqrt(3)/2) = |q|^(1/2) for
+# Weber's f and f1 (see weber), whose magnitude there is under 8 bits, cube
+# included; j, gamma_2 and gamma_3 stay within order 1274 (at |q| =
+# exp(-pi*sqrt 3), D = -3, a = 1, for j).  One plan serves every order up
+# to it
+_MAX_ORDER = _series_order(-pi * sqrt(3) / 2, _working_bits(MAX_DIGITS, 8))
 _PLAN = _pentagonal_plan(_MAX_ORDER)
 
 
@@ -356,6 +363,87 @@ def gamma3(point: CMPoint, digits: int) -> BigComplex:
     point exactly real at 2a | b, exactly imaginary at |tau| = 1 or odd b/a.
     """
     return _eta_quotient(point, digits, 2)
+
+
+def weber(point: CMPoint, digits: int) -> BigComplex:
+    """Weber's root x = zeta_48^k g(tau) / sqrt 2 at a reduced form (A, B, C)
+    of disc = 4D, D = 1 (mod 8), cubed when 3 | D, to an absolute accuracy
+    of about 10^-digits; tau = (-B + sqrt(disc)) / (2A), B = 2b, and
+
+    - A and C odd: g = f, k = -b (A - C - AC^2), plus 24 when C = 3 or 5
+      (mod 8);
+    - A odd, C even: g = f1, k = -b (A - C + A^2 C);
+    - A even, C odd: g = f2, k = -b (A - C - AC^2).
+
+    These are the roots of the Weber class polynomial of D (Weber, Lehrbuch
+    der Algebra III, 1908; Yui and Zagier, Math. Comp. 66, 1997), about
+    |q|^(-1/48) in size, or |q|^(-1/16) cubed.  With s = q^(1/2) and E(x) =
+    prod(1 - x^n), f = q^(-1/48) E(-s) / E(s^2), f1 = q^(-1/48) E(s) /
+    E(s^2) and f2 = sqrt 2 q^(1/24) E(q^2) / E(q): one _euler_pair at p =
+    -s, s or q.  The twist is a move of the point: zeta_48^k q^(-1/48) is
+    q^(-1/48) at tau - k, and zeta_48^k q^(1/24) is q^(1/24) at tau + k/2,
+    so _q_powers takes u = q^(1/48) there, and p is +-u^24 or +-u^48.
+
+    Error budget, in units of 2^-bits, with |p| <= exp(-pi sqrt 3 / 2) (Im
+    tau >= sqrt(3)/2 on a reduced form; |q| for f2 is smaller): |log E(p)|
+    <= |p| / (1 - |p|)^2 < 0.0755, so E(p)^(+-1), E(p^2)^(+-1) and the
+    ratio r of the two stay below 1.084, and |E'(p)| < 1.33.  u and its
+    inverse are within `units` (2, _q_powers) in each part, and |u| <
+    0.894, so the four squarings and one product to u^24 leave p within 3
+    units + 8 (24 |u|^23 < 1.9), and u^48 within 2 more.  The Euler
+    products are off by under sum(3g - 2) + sum(6g - 2) over the plan's
+    rows, as in _eta_quotient, 214225 + 146220 < 2^19 units at _MAX_ORDER,
+    so r, one division, is off by under 1.09 2^19 + 2 units, and 1.5 times
+    p's error more.  Times u^(-1), below 2^magnitude, or u^2, below 1, and
+    over sqrt 2, floor(2^bits / sqrt 2) being under a unit low, the value
+    is off by under 2^(magnitude + 20) units; the bound takes (2^_GUARD_BITS
+    + units 2^8) 2^magnitude.  The cube's bound is _power's, and the working
+    precision then holds 3 magnitude + 2 bits of |x|^3 on top of the
+    digits.
+
+    Exactly real at B = 0 (k = 0 or 24, u real), the only ambiguous forms
+    of 4D for D = 1 (mod 8); at (A, -B, C) the exact conjugate of the
+    value at (A, B, C).  Refusals, InputError before any work: a form that
+    is not a reduced form of such a 4D, and digits above MAX_DIGITS.
+    """
+    a, b, disc = point.a, abs(point.b), point.disc
+    if disc % 32 != 4 or disc >= 0 or not 0 <= b <= a <= (b * b - disc) // (4 * a):
+        raise InputError(f"{point} is not a reduced form of 4D with D = 1 (mod 8)")
+    if digits > MAX_DIGITS:
+        raise InputError(f"{digits} digits are above the ceiling of {MAX_DIGITS}")
+    c, half = (b * b - disc) // (4 * a), b // 2
+    if a % 2 == 0:  # f2, at tau + k/2
+        k = -half * (a - c - a * c * c)
+        shift, exponent = -a * k, 2
+    else:  # f or f1, at tau - k
+        k = -half * (a - c + a * a * c if c % 2 == 0 else a - c - a * c * c)
+        k += 24 if c % 8 in (3, 5) else 0
+        shift, exponent = 2 * a * k, 1
+    cube = disc % 3 == 0
+    # |x| <= |q|^(-1/48) = 2^magnitude at most; its cube needs three times the bits
+    magnitude = -(-_magnitude(disc, a) // 48)
+    bits = _working_bits(digits, 3 * magnitude + 2 if cube else magnitude)
+    order = _series_order(-pi * sqrt(-disc) / a * exponent / 2, bits)  # ln |p|
+    if order > _MAX_ORDER:
+        raise K3ModuliError(f"series order {order} at {point} is beyond the plan's {_MAX_ORDER}")
+    u, u_inv, units = _q_powers(a, (b + shift) % (96 * a), disc, 48, bits, magnitude)
+    u8 = _sqr(_sqr(_sqr(u, bits), bits), bits)
+    p = _mul(_sqr(u8, bits), u8, bits)  # u^24
+    sign = -1 if (k + (c % 2 and a % 2)) % 2 else 1  # p = -s for f: E(-s)
+    if exponent == 2:
+        p = _sqr(p, bits)
+    p = sign * p[0], sign * p[1]
+    euler, euler2 = _euler_pair(p, order, bits)
+    if exponent == 2:  # f2 / sqrt 2 = u^2 E(q^2) / E(q)
+        x = _mul(_sqr(u, bits), _div(euler2, euler, bits), bits)
+    else:  # (f or f1) / sqrt 2 = u^-1 E(p) / E(p^2) / sqrt 2
+        root_half = isqrt(1 << 2 * bits - 1)  # floor(2^bits / sqrt 2)
+        x = _mul(u_inv, _div(euler, euler2, bits), bits)
+        x = x[0] * root_half >> bits, x[1] * root_half >> bits
+    value = BigComplex(*x, bits, (1 << _GUARD_BITS) + (units << 8) << magnitude)
+    if cube:
+        value = _rescale(_power(value, 3), bits)
+    return conjugate(value) if point.b < 0 else value
 
 
 def _sqrt(x, bits: int):
@@ -585,6 +673,28 @@ def _power(z: BigComplex, power: int) -> BigComplex:
         x = _mul(x, base, 0)
     size = abs(z.re) + abs(z.im)
     return BigComplex(*x, power * z.bits, (size + z.err) ** power - size**power)
+
+
+def vanishes(poly, z: BigComplex) -> bool:
+    """Whether the integer polynomial poly (lowest degree first) can vanish at
+    the value z stands for: whether |poly(z)|, by Horner at z's bits, is at
+    most the bound that moving z within err and the roundings allow.
+
+    With S = |re| + |im| >= |z|, moving z moves poly by at most sum |c_k|
+    ((S + err)^k - S^k), the majorant of poly at S + err less that at S,
+    each summed by Horner rounded outward.  A Horner step rounds each part
+    down by under a unit, and later steps multiply that by at most S, so
+    the roundings add up to under r, r -> r S + 2 per step.  A poly off by
+    x^k from one that vanishes is |z|^k minus that bound from 0."""
+    bits, size = z.bits, abs(z.re) + abs(z.im)
+    value, low, high, rounding = (0, 0), 0, 0, 0
+    for c in reversed(poly):
+        re, im = _mul(value, (z.re, z.im), bits)
+        value = re + (c << bits), im
+        low = (low * size >> bits) + (abs(c) << bits)
+        high = -(-high * (size + z.err) >> bits) + (abs(c) << bits)
+        rounding = -(-rounding * size >> bits) + 2
+    return value[0] ** 2 + value[1] ** 2 <= (high - low + rounding) ** 2
 
 
 def j_from_kernel(z: BigComplex, n: int, disc: int) -> BigComplex:

@@ -49,11 +49,11 @@ def certified_integer(z: BigComplex, tol: str) -> int:
 
 
 def empty_field_cache(monkeypatch) -> None:
-    """Give moduli an empty polynomial cache, and cli an empty analyze
+    """Give moduli an empty field report cache, and cli an empty analyze
     envelope cache, for the rest of the test: no polynomials or envelopes
     cached earlier skip a patched step, and none made under a patch outlive
     the test."""
-    for module, name in ((moduli, "_field_polynomials"), (cli, "_analyze_envelope")):
+    for module, name in ((moduli, "field_report"), (cli, "_analyze_envelope")):
         cached = getattr(module, name)
         fresh = lru_cache(maxsize=cached.cache_info().maxsize)(cached.__wrapped__)
         monkeypatch.setattr(module, name, fresh)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from decimal import Decimal
+from itertools import permutations
 from math import isqrt
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3moduli import __version__, classgroup, cli, k3, moduli
+from k3moduli import __version__, classgroup, cli, k3, moduli, orders
 from k3moduli.cli import ENVELOPE_SCHEMA, EXIT_CLOSED_OUTPUT, EXIT_INPUT, EXIT_OK, EXIT_PRECISION
 from k3moduli.cli import _CayleyTable, _json
 from k3moduli.errors import NotNearInteger, ResolventDegenerate
@@ -531,7 +532,7 @@ def test_orbit_json_bytes_are_frozen():
 def test_orbit_prints_the_same_bytes_cold_and_warm():
     # every memo on the analyze path cleared before each lattice of one orbit
     # (D0 = -455, m = 3): the cold output is the warm output
-    memos = (classgroup.class_group, moduli._field_polynomials, cli._analyze_envelope)
+    memos = (classgroup.class_group, moduli.field_report, cli._analyze_envelope)
     _, listing = run_cli(["orbit", "--format", "json", "--", "36", "-15", "-15", "120"])
     members = [t["gram"] for t in json.loads(listing)["result"]["lattices"]]
     assert len(members) == 5
@@ -638,6 +639,43 @@ def test_analyze_envelope_matches_json_dumps_in_every_cache_state(monkeypatch):
     for value in (Text("x"), [Text("x")], {"x": Text("x")}):
         with pytest.raises(TypeError):
             _json(value)
+
+
+def test_first_json_analyze_builds_its_own_orbit_alone(monkeypatch):
+    # a D0's envelope is rendered from moduli.field_report, not from a second
+    # report of the principal lattice: a first JSON query builds one orbit,
+    # its lattice's, and the four lattices of D0 = -56 print the same bytes
+    # in any order of first queries
+    empty_field_cache(monkeypatch)
+    orbits, build = [], k3.galois_orbit
+    monkeypatch.setattr(k3, "galois_orbit", lambda lattice: orbits.append(lattice) or build(lattice))
+    classes = [c.rep for c in classgroup.class_group(-56).classes]
+    grams = [("--", str(2 * r.a), str(r.b), str(r.b), str(2 * r.c)) for r in classes]
+    assert len(grams) == 4
+    cold = {}
+    for gram in grams:
+        cli._analyze_envelope.cache_clear()
+        orbits.clear()
+        code, cold[gram] = run_cli(["analyze", "--format", "json", *gram])
+        assert code == EXIT_OK and len(orbits) == 1, gram
+    for order in permutations(grams):
+        cli._analyze_envelope.cache_clear()
+        for gram in order:
+            assert run_cli(["analyze", "--format", "json", *gram]) == (EXIT_OK, cold[gram]), order
+    assert cli._analyze_envelope.cache_info().misses == 1
+
+
+def test_repeated_analyze_factors_nothing(monkeypatch):
+    # d_k is read once per D0, in moduli.field_report: a repeated analyze of
+    # a lattice, or of another lattice of its D0, runs no trial division
+    factor, calls = orders.factorization, []
+    for argv in (["2", "1", "1", "12"], ["4", "1", "1", "6"], ["6", "3", "3", "36"]):
+        for fmt in ("text", "json"):
+            run_cli(["analyze", "--format", fmt, *argv])
+            monkeypatch.setattr(orders, "factorization", lambda n: calls.append(n) or factor(n))
+            assert run_cli(["analyze", "--format", fmt, *argv])[0] == EXIT_OK
+            monkeypatch.setattr(orders, "factorization", factor)
+    assert calls == []
 
 
 def test_analyze_refusals_are_not_cached(monkeypatch, capsys):

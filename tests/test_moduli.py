@@ -42,8 +42,19 @@ def sweep():
 
 
 def class_poly_at(group, digits: int) -> tuple[int, ...]:
-    """H_D certified at digits through class_polynomial's kernel."""
+    """H_D certified at digits through the kernel of _class_kernel."""
     return moduli._class_polynomial_at(group, moduli._class_kernel(group.disc), digits)[0]
+
+
+def classpoly_start(group) -> int:
+    """The digits of class_polynomial's first attempt: the Weber floor for D
+    = 1 (mod 8), below class_polynomial_floor, else that floor."""
+    floor = moduli.class_polynomial_floor(group)
+    if not moduli._takes_weber(group.disc):
+        return floor
+    weber = moduli._weber_floor(group, moduli._weber_points(group))
+    assert weber < floor, group.disc
+    return weber
 
 
 def test_moduli_degree():
@@ -266,9 +277,105 @@ def test_gamma3_class_polynomial_rebuilds_h(sweep):
         js = moduli._class_values(group, 1, hd_floor(group))
         oracle = moduli._recognize_int_poly(poly_from_roots(js))
         assert moduli._norm_from_gamma3(w3, d) == oracle, d
-        assert sweep.class_polynomial(d) == (oracle, digits), d
+        assert sweep.class_polynomial(d) == (oracle, classpoly_start(group)), d
         count += 1
     assert count == 84
+
+
+def test_weber_route_gives_todays_polynomial(sweep):
+    # every D = 1 (mod 8) with |D| <= 3000: classpoly's Weber route, at the
+    # Weber floor in one attempt, gives the H_D that analyze's kernel route
+    # (W, W3) certifies at its own floor
+    count = Counter()
+    for d in valid_discs(3000):
+        if not moduli._takes_weber(d):
+            continue
+        group = sweep.group(d)
+        coeffs, digits = sweep.class_polynomial(d)
+        assert digits == classpoly_start(group), d
+        assert coeffs == sweep.field_polynomials(d)[0].class_poly, d
+        count[d % 3 == 0] += 1
+    assert count == {False: 250, True: 125}
+
+
+def _doctored(monkeypatch, i: int, off: int) -> None:
+    """Make moduli's recognized polynomials off by off in coefficient i."""
+    recognize = moduli._recognize_int_poly
+
+    def doctored(coeffs):
+        poly = recognize(coeffs)
+        return poly[:i] + (poly[i] + off,) + poly[i + 1 :]
+
+    monkeypatch.setattr(moduli, "_recognize_int_poly", doctored)
+
+
+def test_doctored_weber_polynomial_is_refused(monkeypatch):
+    # the Weber polynomial off by +-1 in any coefficient below the top, at
+    # every D = 1 (mod 8) with |D| <= 600: refused by one of the exact
+    # checks, never a polynomial.  P(0) = +-1 throughout, so the division by
+    # P(0)^2 alone passes most of them: at -15 and -55 some give a power of
+    # H_-7 = x + 3375, which Gross-Zagier and the square check pass too, and
+    # which the principal root refuses
+    refused, cases = Counter(), 0
+    for d in valid_discs(600):
+        if not moduli._takes_weber(d):
+            continue
+        group = classgroup.class_group(d)
+        points = moduli._weber_points(group)
+        digits = moduli._weber_floor(group, points)
+        weber = moduli._recognize_int_poly(poly_from_roots(moduli._weber_values(points, digits)))
+        assert abs(weber[0]) == 1, d
+        for i in range(group.h):
+            for off in (1, -1):
+                cases += 1
+                with monkeypatch.context() as patch:
+                    _doctored(patch, i, off)
+                    with pytest.raises(K3ModuliError) as exc:
+                        moduli._weber_polynomial_at(group, points, digits)
+                refused[str(exc.value).split(": ", 1)[1][:24]] += 1
+    # by each of the five refusals: the principal root, a zero or a
+    # non-dividing P(0), Gross-Zagier and the square
+    assert sum(refused.values()) == cases == 1728 and len(refused) == 5, refused
+    # and the CLI exits with code 2 on one, without a polynomial
+    empty_field_cache(monkeypatch)
+    _doctored(monkeypatch, 1, 1)
+    code, out = run_cli(["classpoly", "--", "-15"])
+    assert code == 2 and out == ""
+
+
+def test_weber_norm_refuses_an_inexact_division():
+    # the polynomial of t = x^8 (x^24) off in its constant term: N is then
+    # not divisible by P(0)^2, or P has the root 0
+    for d in (-23, -47, -63, -71, -135, -2351):
+        group = classgroup.class_group(d)
+        points = moduli._weber_points(group)
+        weber = moduli._recognize_int_poly(
+            poly_from_roots(moduli._weber_values(points, moduli._weber_floor(group, points)))
+        )
+        t = moduli._graeffe(moduli._graeffe(moduli._graeffe(weber)))
+        if d % 3:  # W, at its own floor
+            digits = moduli.class_polynomial_floor(group)
+            w = moduli._recognize_int_poly(poly_from_roots(moduli._class_values(group, 3, digits)))
+            assert moduli._norm_from_weber(t, d) == w, d
+        else:
+            assert moduli._norm_from_weber(t, d) == class_polynomial(d), d
+        for off in (1, -1, 2 * t[0]):
+            doctored = (t[0] + off,) + t[1:]
+            with pytest.raises(K3ModuliError, match=r"divisible by P\(0\)\^2|root 0"):
+                moduli._norm_from_weber(doctored, d)
+
+
+def test_graeffe_squares_the_roots():
+    # against the product over the squared roots, at h = 1, 2, 3 and with
+    # a zero root
+    for roots in ((3,), (-2, 5), (1, -1, 7), (0, 4, -4), (2, 3, -5, 11)):
+        poly = (1,)
+        for r in roots:  # times (x - r)
+            poly = tuple(a - r * b for a, b in zip((0,) + poly, poly + (0,)))
+        squares = (1,)
+        for r in roots:
+            squares = tuple(a - r * r * b for a, b in zip((0,) + squares, squares + (0,)))
+        assert moduli._graeffe(poly) == squares, roots
 
 
 def test_doctored_gamma3_polynomial_is_refused_at_the_exact_division(monkeypatch):
@@ -418,7 +525,7 @@ def test_lattices_of_one_disc0_share_their_polynomials(monkeypatch):
     reports = [moduli_report(lattice) for lattice in lattices]
     assert calls == [] and {r.disc0 for r in reports} == {first.disc0}
     for lattice, report in zip(lattices, reports):
-        moduli._field_polynomials.cache_clear()
+        moduli.field_report.cache_clear()
         assert moduli_report(lattice) == report
     assert calls
 
@@ -426,14 +533,19 @@ def test_lattices_of_one_disc0_share_their_polynomials(monkeypatch):
 def _recognition_failing(monkeypatch, fails):
     """Make moduli's recognition fail at every precision where fails(digits)
     holds; returns the list it fills with the digits of each attempt, read
-    from moduli._class_values, which every attempt calls once."""
+    from moduli._class_values or _weber_values, one of which every attempt
+    calls once."""
     attempts = []
-    certify, values = moduli.recognize_integer, moduli._class_values
+    certify, values, weber = moduli.recognize_integer, moduli._class_values, moduli._weber_values
     empty_field_cache(monkeypatch)  # a cached report would skip recognition
 
     def class_values(group, n, digits):
         attempts.append(digits)
         return values(group, n, digits)
+
+    def weber_values(points, digits):
+        attempts.append(digits)
+        return weber(points, digits)
 
     def recognize(z):
         if fails(attempts[-1]):
@@ -441,22 +553,32 @@ def _recognition_failing(monkeypatch, fails):
         return certify(z)
 
     monkeypatch.setattr(moduli, "_class_values", class_values)
+    monkeypatch.setattr(moduli, "_weber_values", weber_values)
     monkeypatch.setattr(moduli, "recognize_integer", recognize)
     return attempts
 
 
 def test_failed_certificate_doubles_the_precision(monkeypatch):
-    # recognition fails at the floor, on every kernel.  At -23 classpoly
-    # certifies the gamma_2 polynomial W at its floor, 10 digits; so does
-    # analyze, as h = 3 is odd and the field polynomial is H_D.  At -15
-    # both certify the gamma_3 polynomial W3, classpoly at its floor, 11
-    # digits, and analyze at the field polynomial's, 12
+    # recognition fails at the first attempt, on every route.  At -23 and
+    # -15 (D = 1 mod 8) classpoly certifies the Weber polynomial at its
+    # floor, 6 and 7 digits; analyze certifies the gamma_2 polynomial W of
+    # -23 at its floor, 10 digits, as h = 3 is odd and the field polynomial
+    # is H_D, and the gamma_3 polynomial W3 of -15 at the field
+    # polynomial's, 12.  At -35 both certify W, classpoly at its floor, 9
+    # digits, and analyze at 14; at -51 both certify W3, at 14 and 16
     attempts = _recognition_failing(monkeypatch, lambda digits: digits == attempts[0])
     h15, lattice_15 = (-121287375, 191025, 1), from_gram(((2, 1), (1, 8)))
-    cases = ((-23, H23, LATTICE_23, (10, 10)), (-15, h15, lattice_15, (11, 12)))
+    h35, lattice_35 = (-134217728000, 117964800, 1), from_gram(((2, 1), (1, 18)))
+    h51, lattice_51 = (6262062317568, 5541101568, 1), from_gram(((2, 1), (1, 26)))
+    cases = (
+        (-23, H23, LATTICE_23, (6, 10)),
+        (-15, h15, lattice_15, (7, 12)),
+        (-35, h35, lattice_35, (9, 14)),
+        (-51, h51, lattice_51, (14, 16)),
+    )
     for d, poly, lattice, floors in cases:
         group = classgroup.class_group(d)
-        cp_floor, floor = moduli.class_polynomial_floor(group), moduli.precision_floor(group)
+        cp_floor, floor = classpoly_start(group), moduli.precision_floor(group)
         assert (cp_floor, floor) == floors
         attempts.clear()
         assert moduli.class_polynomial_with_precision(d) == (poly, 2 * cp_floor)
@@ -470,14 +592,16 @@ def test_failed_certificate_doubles_the_precision(monkeypatch):
 
 def test_doubling_stops_at_the_ceiling(monkeypatch):
     attempts = _recognition_failing(monkeypatch, lambda digits: True)
-    # 10, 20, ..., 2560: the floor of the gamma_2 polynomial of -23, doubled;
-    # 11, 22, ..., 2816: that of the gamma_3 polynomial of -15
-    for d, first in ((-23, 10), (-15, 11)):
+    # 6, 12, ..., 1536: the floor of the Weber polynomial of -23, doubled;
+    # 7, 14, ..., 1792: that of -15; 9, 18, ..., 2304: that of the gamma_2
+    # polynomial of -35; 14, 28, ..., 1792: that of the gamma_3 polynomial
+    # of -51
+    for d, first, top in ((-23, 6, 1536), (-15, 7, 1792), (-35, 9, 2304), (-51, 14, 1792)):
         attempts.clear()
-        with pytest.raises(PrecisionError, match=f"failed at {first << 8} digits") as exc:
+        with pytest.raises(PrecisionError, match=f"failed at {top} digits") as exc:
             class_polynomial(d)
-        assert attempts == [first << k for k in range(9)]
-        assert attempts[0] == moduli.class_polynomial_floor(classgroup.class_group(d))
+        assert attempts == [first << k for k in range(top.bit_length() - first.bit_length() + 1)]
+        assert attempts[0] == classpoly_start(classgroup.class_group(d))
         assert max(attempts) <= moduli.MAX_DIGITS < 2 * attempts[-1]
         assert f"ceiling of {moduli.MAX_DIGITS}" in str(exc.value)
     # a floor above half the ceiling gets one attempt; 3 | D = -92376, so
@@ -495,7 +619,7 @@ def test_precision_failure_is_not_cached(monkeypatch):
     _recognition_failing(monkeypatch, lambda digits: failing)
     with pytest.raises(PrecisionError, match="forced: failed at 2560 digits"):
         moduli_report(LATTICE_23)
-    assert moduli._field_polynomials.cache_info().currsize == 0
+    assert moduli.field_report.cache_info().currsize == 0
     failing = False
     report = moduli_report(LATTICE_23)
     assert (report.class_polynomial, report.precision_used) == (H23, 10)
@@ -524,7 +648,7 @@ def test_coset_collision_at_the_floor_doubles_the_precision(monkeypatch):
         expected.mq_min_poly,
     )
     collides_at = range(moduli.MAX_DIGITS + 1)
-    moduli._field_polynomials.cache_clear()
+    moduli.field_report.cache_clear()
     with pytest.raises(PrecisionError, match="forced: failed at"):
         moduli_report(LATTICE_56)
 
@@ -598,8 +722,7 @@ def test_every_polynomial_settles_at_its_floor(sweep):
     # one certified attempt: a failed one would double the precision
     for d in valid_discs(1000):
         group = sweep.group(d)
-        cp_floor = moduli.class_polynomial_floor(group)
-        assert sweep.class_polynomial(d)[1] == cp_floor, d
+        assert sweep.class_polynomial(d)[1] == classpoly_start(group), d
 
 
 def test_floors_in_order(sweep):
@@ -658,6 +781,23 @@ def test_class_values_are_pinned_bit_for_bit(sweep):
                 values = moduli._class_values(group, n, kernel_floor(group, n))
                 digest.update(repr((d, n, [tuple(v) for v in values])).encode())
     assert digest.hexdigest() == KERNEL_SWEEP_SHA256
+
+
+# sha256 over every field of every Weber root (_weber_values) of each D = 1
+# (mod 8), |D| < 1000, at the Weber floor
+WEBER_SWEEP_SHA256 = "3b64b4ab151495c432dface8e13ec16dbdf13300bd9f375b7f9c1b9debf61dc2"
+
+
+def test_weber_values_are_pinned_bit_for_bit(sweep):
+    # Weber's roots themselves, beside the kernels' (KERNEL_SWEEP_SHA256):
+    # a change of where or how a root is taken shows here
+    digest = hashlib.sha256()
+    for d in valid_discs(999):
+        if moduli._takes_weber(d):
+            points = moduli._weber_points(sweep.group(d))
+            values = moduli._weber_values(points, moduli._weber_floor(sweep.group(d), points))
+            digest.update(repr((d, [tuple(p) for p in points], [tuple(v) for v in values])).encode())
+    assert digest.hexdigest() == WEBER_SWEEP_SHA256
 
 
 def test_odd_class_number_field_polynomial_is_class_polynomial(sweep):

@@ -1,7 +1,8 @@
 import random
 import sys
 import threading
-from math import ceil, cos, exp, ldexp, log, pi, sin, sqrt
+from collections import Counter
+from math import ceil, cos, exp, gcd, isqrt, ldexp, log, pi, sin, sqrt
 
 import pytest
 from mpmath.ctx_mp import MPContext
@@ -14,6 +15,7 @@ from k3moduli.numerics import (
     CMPoint,
     _mul,
     _sqr,
+    conjugate,
     j_invariant,
     poly_from_roots,
     recognize_integer,
@@ -238,6 +240,63 @@ def test_both_kernels_match_mpmath_at_random_points():
                     truth = _gamma2_by_eta(ctx, disc, a, b)
                 error = abs(as_mpc(ctx, x) - truth)
                 assert error <= ctx.ldexp(x.err, -x.bits), (n, a, b, disc)
+
+
+def _weber_by_eta(ctx, a, b, c):
+    """zeta_48^k g(tau) / sqrt 2 at the reduced form (a, b, c) of 4D, cubed
+    when 3 | D, from mpmath's eta: f = zeta_48^-1 eta((tau + 1)/2) / eta(tau),
+    f1 = eta(tau/2) / eta(tau) and f2 = sqrt 2 eta(2 tau) / eta(tau), with
+    the twist k of numerics.weber (the sweep against the kernel route,
+    test_weber_route_gives_todays_polynomial, checks the twist itself)."""
+    disc = b * b - 4 * a * c
+    tau = ctx.mpc(-b, ctx.sqrt(-disc)) / (2 * a)
+    half = b // 2
+    if a % 2 == 0:
+        g, k = ctx.sqrt(2) * ctx.eta(2 * tau) / ctx.eta(tau), -half * (a - c - a * c * c)
+    elif c % 2 == 0:
+        g, k = ctx.eta(tau / 2) / ctx.eta(tau), -half * (a - c + a * a * c)
+    else:
+        g = ctx.eta((tau + 1) / 2) / ctx.eta(tau) / ctx.expjpi(ctx.mpf(1) / 24)
+        k = -half * (a - c - a * c * c) + (24 if c % 8 in (3, 5) else 0)
+    x = ctx.expjpi(ctx.mpf(k) / 24) * g / ctx.sqrt(2)
+    return x**3 if disc % 3 == 0 else x
+
+
+def test_weber_roots_match_mpmath_at_random_forms():
+    # random reduced forms (a, b, c) of 4D, D = 1 (mod 8), of each shape:
+    # f (a, c odd), f1 (c even), f2 (a even), each with and without 3 | D,
+    # at random digits; the value lies within its certified bound of
+    # mpmath's eta quotient at twice the working bits, is exactly real at b
+    # = 0, and (a, -b, c) gives the exact conjugate
+    rng = random.Random(37)
+    ctx = MPContext()
+    shapes = Counter()
+    while min(shapes.values(), default=0) < 4 or len(shapes) < 6:
+        d = -rng.randrange(7, 200000, 8)
+        a = rng.randrange(1, isqrt(-4 * d // 3) + 1)
+        b = 2 * rng.randrange(-(a // 2), a // 2 + 1)
+        c, rest = divmod(b * b - 4 * d, 4 * a)
+        if rest or c < a or gcd(a, b, c) > 1:
+            continue
+        shape = ("f2" if a % 2 == 0 else "f1" if c % 2 == 0 else "f", d % 3 == 0)
+        if shapes[shape] == 4:
+            continue
+        shapes[shape] += 1
+        x = numerics.weber(CMPoint(a, b, 4 * d), rng.randrange(20, 401))
+        ctx.prec = 2 * x.bits + 64
+        error = abs(as_mpc(ctx, x) - _weber_by_eta(ctx, a, b, c))
+        assert error <= ctx.ldexp(x.err, -x.bits), (a, b, c, d)
+        assert b != 0 or x.im == 0, (a, b, c, d)
+    # the mirrored form gives the exact conjugate
+    for d in (-23, -63, -71, -255):
+        for point in moduli._weber_points(class_group(d)):
+            value = numerics.weber(point, 50)
+            mirror = numerics.weber(point._replace(b=-point.b), 50)
+            assert mirror == conjugate(value) and (point.b == 0) == (value.im == 0), point
+    # a form that is not a reduced form of 4D, D = 1 (mod 8), is refused
+    for a, b, disc in [(1, 0, -4 * 5), (2, 1, -23), (3, 4, -4 * 23), (5, 0, -4 * 7)]:
+        with pytest.raises(InputError, match="not a reduced form"):
+            numerics.weber(CMPoint(a, b, disc), 30)
 
 
 def test_bounds_hold_below_the_reduced_domain():
@@ -504,13 +563,21 @@ def test_tail_bound_is_sound():
 
 def test_series_order_bounded_at_the_ceiling():
     # the order is largest where |q| is, at exp(-pi*sqrt 3) (D = -3, a = 1),
-    # the largest |q| of a lifted point: at MAX_DIGITS, every kernel's
-    # series stays within the plan
+    # the largest |q| of a lifted point: at MAX_DIGITS, every eta kernel's
+    # series stays within order 1274
     for n in (1, 2, 3):
         magnitude = -(-numerics._magnitude(-3, 1) // n)
         bits = numerics._working_bits(numerics.MAX_DIGITS, magnitude)
         order = numerics._series_order(-pi * sqrt(3), bits)
-        assert order <= numerics._MAX_ORDER < 1300, n
+        assert order <= 1274 < numerics._MAX_ORDER, n
+    # Weber's f and f1 sum theirs at p = +-q^(1/2), |p| up to exp(-pi sqrt(3)
+    # / 2) on a reduced form of 4D, where x^3 has 5 bits of magnitude: twice
+    # the order, which the plan covers.  (71, 70, 3887) of 4D = -15548 comes
+    # closest among D = 1 (mod 8), |D| < 4000: |p| = exp(-pi * 0.878)
+    bits = numerics._working_bits(numerics.MAX_DIGITS, 5)
+    assert numerics._series_order(-pi * sqrt(3) / 2, bits) <= numerics._MAX_ORDER < 2560
+    x = numerics.weber(CMPoint(71, 70, -15548), numerics.MAX_DIGITS)
+    assert x.err < 1 << x.bits - 9960
 
 
 def _euler(q, order: int, bits: int):
@@ -549,18 +616,19 @@ def _real_products(order: int) -> int:
 
 
 def test_plan_covers_every_pentagonal_exponent_up_to_the_ceiling():
-    assert numerics._MAX_ORDER == 1274  # test_series_order_bounded_at_the_ceiling
+    assert numerics._MAX_ORDER == 2549  # test_series_order_bounded_at_the_ceiling
     plan = numerics._PLAN
-    assert [g for g, _, _ in plan] == _pentagonal(1274)
+    assert [g for g, _, _ in plan] == _pentagonal(2549)
     assert plan[0] == (1, -1, ())
     for row, (g, sign, parts) in enumerate(plan[1:], 1):
-        k = next(k for k in range(1, 30) if g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2))
+        k = next(k for k in range(1, 50) if g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2))
         assert sign == (-1) ** k, g
         # one product of two earlier powers, or two products
         assert len(parts) in (2, 3) and all(0 <= i < row for i in parts), g
         assert sum(plan[i][0] for i in parts) == g, g
-    assert sum(len(parts) == 3 for _, _, parts in plan) == 19
-    assert (_real_products(1274), _real_products(20)) == (300, 27)
+    assert sum(len(parts) == 3 for _, _, parts in plan) == 26
+    assert sum(len(parts) == 3 for g, _, parts in plan if g <= 1274) == 19
+    assert (_real_products(2549), _real_products(1274), _real_products(20)) == (429, 300, 27)
     # a point whose series would pass the plan, at exp(-pi), is served at
     # its lifted point: i/2 goes to 2i by -1/tau
     at_max = numerics.MAX_DIGITS

@@ -95,7 +95,7 @@ PACKAGE_NAMES = """
     two_torsion
 """.split()
 MODULI_NAMES = """
-    GaloisModel ModuliReport class_polynomial class_polynomial_floor
+    FieldReport GaloisModel ModuliReport class_polynomial class_polynomial_floor
     class_polynomial_with_precision field_of_Q_moduli moduli_report mq_is_galois precision_floor
 """.split()
 
@@ -283,10 +283,22 @@ def _callers(tree: ast.Module, names: set[str]) -> set[str]:
     return found
 
 
-def _disc_residue_readers(tree: ast.Module) -> set[str]:
+def _referrers(tree: ast.Module, names: set[str]) -> set[str]:
+    """The top-level definitions of tree that name one of names, called or
+    passed on (to functools.partial, say)."""
+    return {
+        top.name
+        for top in tree.body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id in names
+    }
+
+
+def _disc_residue_readers(tree: ast.Module, moduli=(2, 3)) -> set[str]:
     """The top-level definitions of tree that take a discriminant (d, or a
-    name or attribute with disc in it) mod 2 or mod 3: what a kernel chooser
-    reads."""
+    name or attribute with disc in it) mod one of moduli: mod 2 or 3 is what
+    a kernel chooser reads, mod 8 what the Weber route's."""
     found = set()
     for top in tree.body:
         for node in ast.walk(top):
@@ -294,7 +306,7 @@ def _disc_residue_readers(tree: ast.Module) -> set[str]:
                 isinstance(node, ast.BinOp)
                 and isinstance(node.op, ast.Mod)
                 and isinstance(node.right, ast.Constant)
-                and node.right.value in (2, 3)
+                and node.right.value in moduli
             ):
                 left = node.left
                 name = left.id if isinstance(left, ast.Name) else getattr(left, "attr", "")
@@ -303,25 +315,62 @@ def _disc_residue_readers(tree: ast.Module) -> set[str]:
     return found
 
 
+def _quadratic_norms(tree: ast.Module) -> set[str]:
+    """The top-level definitions of tree that compute a root squaring's
+    quadratic norm, x * x - (y * y << s)."""
+    found = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Sub)
+                and isinstance(node.right, ast.BinOp)
+                and isinstance(node.right.op, ast.LShift)
+                and isinstance(node.right.left, ast.BinOp)
+                and isinstance(node.right.left.op, ast.Mult)
+            ):
+                found.add(getattr(top, "name", "module"))
+    return found
+
+
 def test_one_path_to_h_d():
-    # both commands build H_D through one values function and one attempt:
-    # every kernel is evaluated in one place, and each exact step runs in one
+    # classpoly and analyze build H_D through one values function and one
+    # attempt each, two functions: every kernel is evaluated in one place,
+    # and each exact step runs in one
     tree = ast.parse(Path(moduli.__file__).read_text(), moduli.__file__)
     assert _callers(tree, {"j_invariant", "gamma2", "gamma3"}) == {"_class_values"}
-    exact = {"_norm_from_gamma2", "_norm_from_gamma3", "_check_gross_zagier"}
-    assert _callers(tree, exact) == {"_class_polynomial_at"}
+    assert _callers(tree, {"weber"}) == {"_weber_values"}
+    assert _callers(tree, {"_weber_values"}) == {"_weber_polynomial_at"}
+    assert _referrers(tree, {"_weber_polynomial_at"}) == {"class_polynomial_with_precision"}
+    attempts = {"class_polynomial_with_precision", "_attempt_polynomials"}
+    assert _referrers(tree, {"_class_polynomial_at"}) == attempts
+    assert _referrers(ast.parse("def f():\n    return partial(g, 1)"), {"g"}) == {"f"}
+    exact = {"_norm_from_gamma2", "_check_gross_zagier"}
+    assert _callers(tree, exact) == {"_class_polynomial_at", "_weber_polynomial_at"}
+    assert _callers(tree, {"_norm_from_gamma3"}) == {"_class_polynomial_at"}
+    assert _callers(tree, {"_norm_from_weber", "_check_square"}) == {"_weber_polynomial_at"}
+    # the root squaring's quadratic norm has one implementation, shared by
+    # gamma_3's norm and the Weber route's three squarings
+    assert _quadratic_norms(tree) == {"_graeffe"}
+    assert _callers(tree, {"_graeffe"}) == {"_norm_from_gamma3", "_weber_polynomial_at"}
+    sample = ast.parse("def f(a, b, s):\n    return a * a - (b * b << s)\ndef g(a, s):\n    return a - (a << s)")
+    assert _quadratic_norms(sample) == {"f"}
     sample = ast.parse("def f():\n    g(lambda: m.j_invariant(1))\nclass C:\n    x = gamma2()")
     assert _callers(sample, {"j_invariant", "gamma2"}) == {"f", "C"}
     # one kernel per discriminant: _class_kernel alone chooses it, for the
     # class polynomial's floor and attempt and for the field polynomials
-    # alike, and the step from its values to j runs in the field attempt
-    callers = {"class_polynomial_floor", "class_polynomial_with_precision", "_attempt_polynomials"}
-    assert _callers(tree, {"_class_kernel"}) == callers
+    # alike, and the Weber route reads from it whether 3 divides D; the
+    # step from its values to j runs in the field attempt
+    callers = attempts | {"class_polynomial_floor", "_weber_floor", "_weber_polynomial_at"}
+    assert _callers(tree, {"_class_kernel"}) == callers | {"_norm_from_weber"}
     assert _disc_residue_readers(tree) == {"_class_kernel"}
     assert [f.name for f in tree.body if "kernel" in getattr(f, "name", "")] == ["_class_kernel"]
     assert _callers(tree, {"j_from_kernel"}) == {"_attempt_polynomials"}
     sample = ast.parse("def f(d):\n    return d % 3\ndef g(a):\n    return a % 3, a.disc % 4")
     assert _disc_residue_readers(sample) == {"f"}
+    # Weber eligibility is read in one function, for classpoly alone
+    assert _disc_residue_readers(tree, (8,)) == {"_takes_weber"}
+    assert _callers(tree, {"_takes_weber"}) == {"class_polynomial_with_precision"}
 
 
 def test_traced_names_resolve():
@@ -395,7 +444,7 @@ def test_library_caches_are_bounded():
         count, unbounded = _unbounded_caches(path.read_text(), path.name)
         assert unbounded == []
         uses += count
-    # class_group, the field polynomials, the analyze envelopes, pi and ln 2, build_parser
+    # class_group, the field reports, the analyze envelopes, pi and ln 2, build_parser
     assert uses >= 5
     for memo in ("cache", "lru_cache", "lru_cache(maxsize=None)", "functools.lru_cache(None)"):
         assert _unbounded_caches(f"@{memo}\ndef build_parser(d): pass", "cli.py") == (1, ["cli.py:1"])
