@@ -411,9 +411,10 @@ def _weber_polynomial_at(group: ClassGroup, points: list[CMPoint], digits: int) 
     _weber_points), for class_polynomial at D = 1 (mod 8).
 
     The Weber polynomial P of the roots is certified, and checked to vanish
-    at the principal root, f(sqrt D) / sqrt 2 (numerics.vanishes).  Three
-    root squarings (_graeffe) give the polynomial of t = x^8, or of u =
-    x^24 when 3 | D, and _norm_from_weber gives W, on which Gross-Zagier
+    at the principal root, f(sqrt D) / sqrt 2 or its cube
+    (numerics.vanishes).  Three root squarings (_graeffe) give the
+    polynomial of t = x^8, or of u = x^24 when 3 | D, and
+    _norm_from_weber gives W, on which Gross-Zagier
     and _norm_from_gamma2 run as on the gamma_2 kernel, or H_D, on which
     Gross-Zagier runs; then _check_square.  Weber's roots are units (t (t
     gamma_2 + 16 t^2) = 1), so P(0) = +-1, and the exact division by P(0)^2
@@ -423,7 +424,7 @@ def _weber_polynomial_at(group: ClassGroup, points: list[CMPoint], digits: int) 
     values = _weber_values(points, digits)
     poly = _recognize_int_poly(poly_from_roots(values))
     if not vanishes(poly, values[0]):
-        raise K3ModuliError(f"{group.disc}: the Weber polynomial does not vanish at f(sqrt D) / sqrt 2")
+        raise K3ModuliError(f"{group.disc}: the Weber polynomial does not vanish at its principal root")
     poly = _norm_from_weber(_graeffe(_graeffe(_graeffe(poly))), group.disc)
     poly = _check_gross_zagier(group.disc, poly)
     return _check_square(group.disc, _norm_from_gamma2(poly) if _class_kernel(group.disc) == 3 else poly)
