@@ -44,37 +44,32 @@ form and derives no move.
 When 3 does not divide D, both take the cube root gamma_2 of j (n = 3;
 Enge & Morain, ANTS V, 2002): at forms (A, B, C) with 3 not dividing A and
 3 | B, the values of gamma_2 are the roots of an integer polynomial W whose
-height, and so whose floor, is about a third of H_D's.  H_D follows from W
-exactly by the norm identity H_D(y) = A^3 + y B^3 + y^2 C^3 - 3y ABC for
-W(x) = A(x^3) + x B(x^3) + x^2 C(x^3).  So H_D(0) = W(0)^3 is a cube by
-construction, and the prime bound is checked on W(0), which has the same
-primes.  The coset traces take j back from the kernel's values (see
-numerics.j_from_kernel), here j = gamma_2^3, so moduli_report never needs j
-to H_D's full height either: it runs at W's floor, or at the field
-polynomial's where that is higher.  Both polynomials depend on disc0 alone,
-so they are computed once per disc0 and shared by every lattice of that
-primitive discriminant.
-
-When D is odd and 3 divides it, class_polynomial takes y = sqrt(D) gamma_3,
-gamma_3 = sqrt(j - 1728) (n = 2, same source): at forms (A, B, C) with A
-odd and B = 1 (mod 4), its values are the roots of an integer polynomial W3
-with about two thirds of the digits of H_D.  For W3(y) = A(y^2) + y B(y^2),
-N(z) = (-1)^h (A(z)^2 - z B(z)^2) has the roots y^2 = D (j - 1728), so
-H_D(x) = D^-h N(D (x - 1728)), exactly once every division by a power of D
-is exact: a W3 for which one is not is refused, and Gross-Zagier runs on
-H_D(0).  moduli_report runs on W3 too, its coset traces taking j =
-1728 + y^2 / D.  Otherwise (D even, 3 | D) the kernel is j itself (n = 1).
+height, and so whose floor, is about a third of H_D's.  When D is odd and 3
+divides it, they take y = sqrt(D) gamma_3, gamma_3 = sqrt(j - 1728) (n = 2,
+same source): at forms with A odd and B = 1 (mod 4), its values are the
+roots of an integer polynomial W3 with about two thirds of the digits of
+H_D.  Otherwise (D even, 3 | D) the kernel is j itself (n = 1).  The coset
+traces take j back from the kernel's values (numerics.j_from_kernel), so
+moduli_report runs at the kernel's floor too, or at the field polynomial's
+where that is higher; both polynomials depend on disc0 alone, so they are
+computed once per disc0 and shared by every lattice of it.
 
 For D = 1 (mod 8) class_polynomial takes Weber's roots instead
 (_weber_polynomial_at; Weber, Lehrbuch der Algebra III, 1908; Yui &
 Zagier, Math. Comp. 66, 1997): x = zeta_48^k g(tau) / sqrt 2 at the
 reduced forms of 4D (numerics.weber), cubed when 3 | D, whose polynomial
 is about a sixth as tall as W or W3 and is certified at its own floor
-(_weber_floor).  Three root squarings and one cubic norm give W, or H_D
-when 3 | D, exactly (_norm_from_weber), and the checks above run as on
-the gamma_2 and gamma_3 kernels.  That is the one exception to one set of
-invariant values per discriminant: moduli_report's coset traces need j at
-the classes of D, and so the kernel of _class_kernel at its own floor.
+(_weber_floor).  That is the one exception to one set of invariant values
+per discriminant: moduli_report's coset traces need j at the classes of D.
+
+Each step from a certified polynomial to H_D is one exact norm (_norm) of
+P(rho) over rho^n = q rho + r, n = 2 or 3 and q, r linear in X, read at X
+= 2^s, and an exact division: H_D is the norm of W(rho) over rho^3 = X, or
+(-D)^-h that of W3(rho) over rho^2 = D (X - 1728), refused unless D^h
+divides every coefficient; Weber's polynomial takes three root squarings
+(rho^2 = X) and a cubic norm to W, or to H_D when 3 | D.  Gross-Zagier then
+runs on W(0) (H_D(0) = W(0)^3 has its primes) or H_D(0), and at odd D
+(-D)^h H_D(1728) must be a square (_check_square).
 
 Galois-ness of the absolute field is decided purely group-theoretically inside
 the semidirect product C x <complex conjugation>, never numerically: from the
@@ -396,14 +391,17 @@ def _class_polynomial_at(group: ClassGroup, n: int, digits: int) -> tuple[tuple[
     """H_D certified at digits through kernel n (see _class_kernel), and the
     kernel's values, for class_polynomial and moduli_report alike.  The product over the values is
     certified, then the kernel's exact step gives H_D: none for j; for
-    gamma_3 the norm with its exact divisions, then Gross-Zagier on H_D(0);
-    for gamma_2 Gross-Zagier on W(0), then the norm."""
+    gamma_3 the norm with its exact division, then Gross-Zagier on H_D(0);
+    for gamma_2 Gross-Zagier on W(0), then the norm.  Then _check_square:
+    a W off by one above its constant term passes Gross-Zagier, which reads
+    W(0) alone, but at odd D not the square (none of the 4720 such W at the
+    odd D with |D| <= 3000 does)."""
     values = _class_values(group, n, digits)
     poly = _recognize_int_poly(poly_from_roots(values))
     if n == 2:
         poly = _norm_from_gamma3(poly, group.disc)
     poly = _check_gross_zagier(group.disc, poly)
-    return (_norm_from_gamma2(poly) if n == 3 else poly), values
+    return _check_square(group.disc, _norm_from_gamma2(poly) if n == 3 else poly), values
 
 
 def _weber_polynomial_at(group: ClassGroup, points: list[CMPoint], digits: int) -> tuple[int, ...]:
@@ -413,14 +411,13 @@ def _weber_polynomial_at(group: ClassGroup, points: list[CMPoint], digits: int) 
     The Weber polynomial P of the roots is certified, and checked to vanish
     at the principal root, f(sqrt D) / sqrt 2 or its cube
     (numerics.vanishes).  Three root squarings (_graeffe) give the
-    polynomial of t = x^8, or of u = x^24 when 3 | D, and
-    _norm_from_weber gives W, on which Gross-Zagier
-    and _norm_from_gamma2 run as on the gamma_2 kernel, or H_D, on which
-    Gross-Zagier runs; then _check_square.  Weber's roots are units (t (t
-    gamma_2 + 16 t^2) = 1), so P(0) = +-1, and the exact division by P(0)^2
-    refuses a wrong constant term alone: P off by one elsewhere passes it,
-    and at -15 and -55 gives a power of H_-7 = x + 3375, which passes
-    Gross-Zagier and the square too.  The principal root refuses those."""
+    polynomial of t = x^8, or of u = x^24 when 3 | D, _norm_from_weber
+    gives W or H_D, and the checks of _class_polynomial_at follow.  Weber's
+    roots are units (t (t gamma_2 + 16 t^2) = 1), so P(0) = +-1, and the
+    exact division by P(0)^2 refuses a wrong constant term alone: P off by
+    one elsewhere passes it, and at -15 and -55 gives a power of H_-7 = x +
+    3375, which passes Gross-Zagier and the square too.  The principal root
+    refuses those."""
     values = _weber_values(points, digits)
     poly = _recognize_int_poly(poly_from_roots(values))
     if not vanishes(poly, values[0]):
@@ -431,9 +428,11 @@ def _weber_polynomial_at(group: ClassGroup, points: list[CMPoint], digits: int) 
 
 
 def _check_square(d: int, hd: tuple[int, ...]) -> tuple[int, ...]:
-    """hd, once (-d)^h hd(1728) is a square, as it is for H_D of odd d: j -
-    1728 = gamma_3^2, and y = sqrt(d) gamma_3 is a class invariant (Enge &
-    Morain), so (-d)^h H_D(1728) = prod (1728 - j) (-d)^h = W3(0)^2."""
+    """hd, once (-d)^h hd(1728) is a square when d is odd, as it is for H_D:
+    j - 1728 = gamma_3^2, and y = sqrt(d) gamma_3 is a class invariant (Enge
+    & Morain), so (-d)^h H_D(1728) = prod (1728 - j) (-d)^h = W3(0)^2."""
+    if d % 2 == 0:
+        return hd
     value = 0
     for coeff in reversed(hd):
         value = value * 1728 + coeff
@@ -443,92 +442,89 @@ def _check_square(d: int, hd: tuple[int, ...]) -> tuple[int, ...]:
     return hd
 
 
-def _norm_from_gamma2(w: tuple[int, ...]) -> tuple[int, ...]:
-    """H_D from the gamma_2 class polynomial W, exactly.
+def _norm(poly, s: int, n: int, r, q=(0, 0), lift=0, divisor=1, refusal="") -> tuple[int, ...]:
+    """The norm of poly(rho) over rho^n = q rho + r (n = 2 or 3), q and r
+    linear forms m X + k given as (m, k), divided exactly by divisor, or
+    K3ModuliError(refusal): one integer at X = 2^s, whose signed base-2^s
+    digits are the coefficients once s exceeds each by a bit (the callers'
+    bounds).  With q = 0, poly(rho) = A(rho^n) + rho B(rho^n) (+ rho^2
+    C(rho^n)) is a + b rho (+ c rho^2) for a = A(r) and so on (_pack): the
+    norm is a^2 - r b^2 for n = 2, and for n = 3, r = X and s = 3t, rho =
+    2^t, so with b, c times 2^t, 2^2t it is a^3 + b^3 + c^3 - 3abc = (a + b
+    + c)((a + b + c)^2 - 3(ab + bc + ca)), five products.  Otherwise
+    (Weber's cubics) q and r are powers of two at 2^s and poly is in sigma
+    = rho + lift: Horner takes it to a + b rho + c rho^2 by shifts and adds,
+    and the norm is a (a + cq)^2 + r c^2 (rc - qb) + b (r b^2 - a (3rc +
+    qb)), seven products."""
+    if q == (0, 0) and n == 2:
+        a, b = _pack(poly[0::2], s, r), _pack(poly[1::2], s, r)
+        b *= b
+        value = a * a - (r[0] * (b << s) + r[1] * b)
+    elif q == (0, 0):
+        a, b, c = (_pack(poly[i::3], s) << i * s // 3 for i in range(3))
+        total = a + b + c
+        value = total * (total * total - 3 * (a * b + b * c + c * a))
+    else:
+        qs, rs = (((m << s) + k).bit_length() - 1 for m, k in (q, r))  # q = 2^qs, r = 2^rs
+        a = b = c = 0
+        for coeff in reversed(poly):
+            a, b, c = (c << rs) + lift * a + coeff, a + (c << qs) + lift * b, b + lift * c
+        value = a * (a + (c << qs)) ** 2 + (c * c << rs) * ((c << rs) - (b << qs))
+        value += b * ((b * b << rs) - a * (3 * (c << rs) + (b << qs)))
+    return _unpack(value, s, len(poly), divisor, refusal)
 
-    The roots of H_D are the cubes of those of W, so H_D(x^3) is the product
-    of W(zeta^k x) over the cube roots of unity zeta^k.  With W(x) = A(x^3) +
-    x B(x^3) + x^2 C(x^3) that product is the norm A^3 + y B^3 + y^2 C^3 -
-    3y ABC at y = x^3.  It is evaluated at y = 2^s, s = 3t, in one integer
-    expression (Kronecker substitution): with a = A(2^s), b = 2^t B(2^s) and
-    c = 2^2t C(2^s), the norm is a^3 + b^3 + c^3 - 3abc = (a + b + c)((a + b
-    + c)^2 - 3(ab + bc + ca)), five products.  With n = len(W) and |W_i| <
-    2^size, each coefficient of H_D is below 6 n^2 2^(3 size) < 2^(s - 1) in
-    size, as s >= 3 size + 2 (bits of n) + 4, so the signed base-2^s digits
-    of the value are the coefficients.
-    """
+
+def _norm_from_gamma2(w: tuple[int, ...]) -> tuple[int, ...]:
+    """H_D, whose roots are the cubes of W's, as the norm of W(rho) over
+    rho^3 = X: for n = len(W) and |W_i| < 2^size, below 6 n^2 2^(3 size) <
+    2^(s - 1) in each coefficient, as s = 3t >= 3 size + 2 (bits of n) + 4."""
     t = -(-(3 * max(map(abs, w)).bit_length() + 2 * len(w).bit_length() + 4) // 3)
-    a, b, c = (_pack(w[i::3], 3 * t) << i * t for i in range(3))
-    total = a + b + c
-    value = total * (total * total - 3 * (a * b + b * c + c * a))
-    return _unpack(value, 3 * t, len(w))
+    return _norm(w, 3 * t, 3, (1, 0))
 
 
 def _graeffe(poly: tuple[int, ...]) -> tuple[int, ...]:
-    """The monic polynomial whose roots are the squares of those of the monic
-    poly, exactly: with poly(y) = A(y^2) + y B(y^2), poly(y) poly(-y) =
-    A(y^2)^2 - y^2 B(y^2)^2, so N(z) = (-1)^h (A(z)^2 - z B(z)^2) is the
-    product of z - y^2 (Graeffe's root squaring).  One integer expression at
-    z = 2^s, as in _norm_from_gamma2: with |poly_i| < 2^size, each
-    coefficient of N is below (h + 2) 2^(2 size) < 2^(s - 1)."""
-    h = len(poly) - 1
+    """prod (X - y^2) over the roots y of the monic poly (Graeffe's root
+    squaring), (-1)^h times the norm of poly(rho) over rho^2 = X: for
+    |poly_i| < 2^size, below (h + 2) 2^(2 size) < 2^(s - 1) in each
+    coefficient."""
     s = 2 * max(map(abs, poly)).bit_length() + len(poly).bit_length() + 3
-    a, b = _pack(poly[0::2], s), _pack(poly[1::2], s)
-    value = a * a - (b * b << s)
-    return _unpack(-value if h % 2 else value, s, h + 1)
+    return _norm(poly, s, 2, (1, 0), divisor=(-1) ** (len(poly) - 1))
 
 
 def _norm_from_gamma3(w3: tuple[int, ...], d: int) -> tuple[int, ...]:
-    """H_D from the gamma_3 class polynomial W3 of odd d, exactly, or
-    K3ModuliError.
+    """H_D from the gamma_3 class polynomial W3 of odd d, or K3ModuliError.
 
-    The roots y of W3 have y^2 = d (j - 1728), so N = _graeffe(W3) is the
-    product of z - y^2, and H_D(x) = d^-h N(d (x - 1728)).  Its coefficient
-    n_k must be divisible by d^(h - k), else W3 is refused; the quotients
-    m_k are the coefficients of H_D in powers of x - 1728, and H_D(x) is
-    their polynomial at x - 1728, read at x = 2^t: each coefficient of H_D
-    is at most the sum of |m_k| 1729^k, below 2^(t - 1)."""
+    The roots y of W3 have y^2 = d (j - 1728), so the norm of W3(rho) over
+    rho^2 = d (X - 1728) is (-d)^h H_D(X).  In powers of X - 1728, a
+    unimodular change of variable, its coefficients are the n_k d^k of prod
+    (y^2 - z) = sum n_k z^k: d^h divides each exactly when d^(h - k) divides
+    each n_k, else W3 is refused.  They are at most prod (1729|d| + |y|^2)
+    <= (1729|d| + lam^-2)^h M^2, M = prod max(1, lam |y|) below the 2-norm
+    of lam^h W3(x / lam), sqrt(h + 1) 2^top, at lam^-2 = 4^e near 1729|d|."""
     h = len(w3) - 1
-    power, shifted = 1, []
-    for coeff in reversed(_graeffe(w3)):  # n_h first: d^0
-        quotient, rest = divmod(coeff, power)
-        if rest:
-            raise K3ModuliError(f"{d}: the gamma_3 polynomial's norm is not divisible by D^{h}")
-        shifted.append(quotient)
-        power *= d
-    t = max(abs(m).bit_length() + 11 * k for k, m in enumerate(reversed(shifted)))
-    t += (h + 1).bit_length() + 3
-    value = 0
-    for coeff in shifted:  # Horner from the top coefficient, times 2^t - 1728
-        value = (value << t) - 1728 * value + coeff
-    return _unpack(value, t, h + 1)
+    e = ((1729 * -d).bit_length() + 1) // 2
+    top = max(abs(coeff).bit_length() - e * (h - k) for k, coeff in enumerate(w3))
+    s = ((1729 * -d + (1 << 2 * e)) ** h).bit_length() + (h + 1).bit_length() + 2 * top + 1
+    refusal = f"{d}: the gamma_3 polynomial's norm is not divisible by D^{h}"
+    return _norm(w3, s, 2, (d, -1728 * d), divisor=(-d) ** h, refusal=refusal)
 
 
 def _norm_from_weber(poly: tuple[int, ...], d: int) -> tuple[int, ...]:
     """W from the polynomial poly of t = x^8 when 3 does not divide d, H_D
-    from that of u = x^24 when 3 | d, exactly, or K3ModuliError.
+    from that of u = x^24 when 3 | d, or K3ModuliError.
 
     Weber's roots give gamma_2 = (1 - 16t^3) / t^2 and j = (1 - 16u)^3 /
-    u^2.  With sigma = 1/t, the roots of sigma^3 = X sigma + 16 are the
-    sigma with gamma_2(t) = X; with sigma = 1/u, those of sigma^3 = 48
-    sigma^2 + (X - 768) sigma + 4096 the sigma with j(u) = X, and sigma =
-    tau + 16 turns that into tau^3 = X tau + 16X.  Either way the norm N of
-    R(sigma) = sigma^h poly(1/sigma), the product of R over the three roots,
-    is prod (1 - 16t^3 - X t^2) = (-1)^h poly(0)^2 W(X), or prod ((1 -
-    16u)^3 - X u^2) = (-1)^h poly(0)^2 H_D(X).  A division by poly(0)^2
-    that is not exact refuses poly.
-
-    R is reduced to a + b tau + c tau^2 by Horner in Z[X][tau], at X = 2^s:
-    a step times tau + 16 is shifts and adds alone.  The norm of a + b tau +
-    c tau^2 for tau^3 = q tau + r is a (a + cq)^2 + r c^2 (rc - qb) + b (r
-    b^2 - a (3rc + qb)), seven products.  Its coefficients are below prod
-    f(|t|), f(x) = 1 + x^2 + 16 x^3, or prod f(|u|), f(x) = (1 + 16x)^3 +
-    x^2.  f(x) / max(1, lam x)^3 is largest at x = 1/lam, so the product is
-    at most f(1/lam)^h M^3, M = prod max(1, lam |t|) the Mahler measure of
-    lam^h poly(x / lam), at most its 2-norm (Landau).  The least bound over
-    a few powers of two lam sets s.  lam = 1 alone (18^h M^3, or 4914^h M^3)
-    would charge each small root, whose f is near 1, as much as a large
-    one: a slot 25-35% wider than the coefficients at the benchmark's D."""
+    u^2.  So the sigma = 1/t with gamma_2(t) = X are the roots of sigma^3 =
+    X sigma + 16, and the sigma = 1/u with j(u) = X those of sigma^3 = 48
+    sigma^2 + (X - 768) sigma + 4096, or tau^3 = X tau + 16X for sigma = tau
+    + 16.  The norm of R(sigma) = sigma^h poly(1/sigma) is then prod (1 -
+    16t^3 - X t^2) = (-1)^h poly(0)^2 W(X), or prod ((1 - 16u)^3 - X u^2) =
+    (-1)^h poly(0)^2 H_D(X), so a remainder of poly(0)^2 refuses poly.  Its
+    coefficients are below prod f(|t|), f(x) = 1 + x^2 + 16 x^3, or (1 +
+    16x)^3 + x^2 for u: at most f(1/lam)^h M^3, as f(x) / max(1, lam x)^3
+    peaks at x = 1/lam, where M, the Mahler measure of lam^h poly(x / lam),
+    is at most its 2-norm (Landau).  The least bound over a few powers of
+    two lam sets s: lam = 1 alone left it 25-35% wider than the norm."""
     h = len(poly) - 1
     if not poly[0]:
         raise K3ModuliError(f"{d}: the Weber polynomial has the root 0")
@@ -541,41 +537,41 @@ def _norm_from_weber(poly: tuple[int, ...], d: int) -> tuple[int, ...]:
         return (num**h * norm2**3).bit_length() - 3 * e * h
 
     s = min(map(bound_bits, range(5) if to_w else range(4, 8))) + 1
-    r, lift = (4, 0) if to_w else (s + 4, 16)  # r = 16 or 16 X, sigma = tau + lift
-    a = b = c = 0
-    for coeff in poly:  # R from its top coefficient, poly(0)
-        a, b, c = (c << r) + lift * a + coeff, a + (c << s) + lift * b, b + lift * c
-    value = a * (a + (c << s)) ** 2 + (c * c << r) * ((c << r) - (b << s))
-    value += b * ((b * b << r) - a * (3 * (c << r) + (b << s)))
-    square, out = poly[0] ** 2, []
-    for coeff in _unpack(value, s, h + 1):
-        quotient, rest = divmod(coeff, square)
-        if rest:
-            raise K3ModuliError(f"{d}: the Weber polynomial's norm is not divisible by P(0)^2")
-        out.append(-quotient if h % 2 else quotient)
-    return tuple(out)
+    r, lift = ((0, 16), 0) if to_w else ((16, 0), 16)  # r = 16 or 16 X, sigma = tau + lift
+    refusal = f"{d}: the Weber polynomial's norm is not divisible by P(0)^2"
+    return _norm(poly[::-1], s, 3, r, (1, 0), lift, (-1) ** h * poly[0] ** 2, refusal)
 
 
-def _unpack(value: int, s: int, count: int) -> tuple[int, ...]:
-    """The count signed base-2^s digits of value, lowest first: the
-    coefficients of the polynomial that value is at 2^s, each below 2^(s - 1)
-    in size."""
+def _pack(poly, s: int, at=(1, 0)) -> int:
+    """The integer polynomial poly (lowest degree first) at m 2^s + k, for
+    at = (m, k): by shifts and adds alone at 2^s."""
+    value = 0
+    if at == (1, 0):
+        for x in reversed(poly):
+            value = (value << s) + x
+        return value
+    for x in reversed(poly):
+        value = at[0] * (value << s) + at[1] * value + x
+    return value
+
+
+def _unpack(value: int, s: int, count: int, divisor: int, refusal: str) -> tuple[int, ...]:
+    """The count signed base-2^s digits of value, lowest first, each below
+    2^(s - 1) in size, divided exactly by divisor, or K3ModuliError(refusal)."""
+    if divisor < 0:
+        value, divisor = -value, -divisor
     coeffs = []
     for _ in range(count):
         digit = value & (1 << s) - 1
         if digit >> s - 1:
             digit -= 1 << s
-        coeffs.append(digit)
         value = (value - digit) >> s
+        if divisor != 1:
+            digit, rest = divmod(digit, divisor)
+            if rest:
+                raise K3ModuliError(refusal)
+        coeffs.append(digit)
     return tuple(coeffs)
-
-
-def _pack(poly, s: int) -> int:
-    """The integer polynomial (lowest degree first) at 2^s."""
-    value = 0
-    for x in reversed(poly):
-        value = (value << s) + x
-    return value
 
 
 _Polynomials = namedtuple("_Polynomials", "class_poly mq")

@@ -4,8 +4,10 @@ import subprocess
 import sys
 from collections import Counter
 from functools import cache, lru_cache
-from math import log10
+from itertools import permutations
+from math import comb, gcd, log10
 from pathlib import Path
+from random import Random
 from types import SimpleNamespace
 
 import pytest
@@ -376,6 +378,105 @@ def test_graeffe_squares_the_roots():
         for r in roots:
             squares = tuple(a - r * r * b for a, b in zip((0,) + squares, squares + (0,)))
         assert moduli._graeffe(poly) == squares, roots
+
+
+def _schoolbook_norm(poly, n: int, r, q, lift: int) -> list[int]:
+    """The norm of poly(sigma) over (sigma - lift)^n = q (sigma - lift) + r,
+    for linear forms q and r given as (m, k) = m X + k: the determinant of
+    multiplication by poly on the basis 1, sigma, ..., sigma^(n - 1), over
+    integer polynomials in X, lowest degree first."""
+
+    def plus(f, g):
+        return [a + b for a, b in zip(f + [0] * len(g), g + [0] * len(f))][: max(len(f), len(g))]
+
+    def times(f, g):
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+        return out
+
+    # sigma^n = low[0] + low[1] sigma + ...: expand the modulus
+    low = [[-comb(n, i) * (-lift) ** (n - i)] for i in range(n)]
+    low[1] = plus(low[1], [q[1], q[0]])
+    low[0] = plus(low[0], plus([-lift * q[1], -lift * q[0]], [r[1], r[0]]))
+
+    def times_sigma(v):
+        return [plus(v[i - 1] if i else [0], times(v[-1], low[i])) for i in range(n)]
+
+    column = [[0] for _ in range(n)]
+    for coeff in reversed(poly):
+        column = times_sigma(column)
+        column[0] = plus(column[0], [coeff])
+    columns = [column]
+    while len(columns) < n:
+        columns.append(times_sigma(columns[-1]))
+    det = [0]
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = [sign]
+        for j, i in enumerate(perm):
+            term = times(term, columns[j][i])
+        det = plus(det, term)
+    while len(det) > 1 and det[-1] == 0:
+        det.pop()
+    return det
+
+
+def test_norm_matches_the_schoolbook_resultant():
+    # _norm on each modulus of the exact steps (Graeffe's, gamma_3's, the
+    # cube's and Weber's two cubics) against a determinant in plain integer
+    # polynomials, for random monic P of degree h, read at the least slot,
+    # and divided exactly; a divisor that leaves a remainder is refused
+    rng = Random(38)
+    for h in (1, 2, 3, 5, 8):
+        d = -rng.randrange(3, 10**6, 8)  # d = 5 (mod 8)
+        cases = [
+            (2, (1, 0), (0, 0), 0),
+            (2, (d, -1728 * d), (0, 0), 0),
+            (3, (1, 0), (0, 0), 0),
+            (3, (0, 16), (1, 0), 0),
+            (3, (16, 0), (1, 0), 16),
+        ]
+        for n, r, q, lift in cases:
+            poly = tuple(rng.randint(-(2**40), 2**40) for _ in range(h)) + (1,)
+            norm = _schoolbook_norm(poly, n, r, q, lift)
+            assert len(norm) <= h + 1, (h, n, r)
+            norm += [0] * (h + 1 - len(norm))
+            s = 3 * -(-(max(abs(c).bit_length() for c in norm) + 1) // 3)
+            divisor = rng.choice((1, -1)) * gcd(*norm)
+            quotient = tuple(c // divisor for c in norm)
+            assert moduli._norm(poly, s, n, r, q, lift, divisor, "") == quotient, (h, n, r)
+            with pytest.raises(K3ModuliError, match="a remainder"):
+                moduli._norm(poly, s, n, r, q, lift, 7 * divisor, "a remainder")
+    # P(sqrt X) P(-sqrt X) = (X - 2)^2 - 9X for P = y^2 + 3y - 2
+    assert _schoolbook_norm((-2, 3, 1), 2, (1, 0), (0, 0), 0) == [4, -13, 1]
+
+
+def test_doctored_gamma2_polynomial_is_refused(monkeypatch):
+    # W off by +-1 in any coefficient below the top, at every odd D with 3
+    # not dividing D, h >= 2 and |D| <= 1000 (D = 5 mod 8: the others take
+    # the Weber route): Gross-Zagier reads W(0) alone and passes most of
+    # them, and the square refuses every one it passes
+    refused, cases = Counter(), 0
+    for d in valid_discs(1000):
+        if d % 8 != 5 or d % 3 == 0 or classgroup.class_group(d).h < 2:
+            continue
+        group = classgroup.class_group(d)
+        digits = moduli.class_polynomial_floor(group)
+        for i in range(group.h):
+            for off in (1, -1):
+                cases += 1
+                with monkeypatch.context() as patch:
+                    _doctored(patch, i, off)
+                    with pytest.raises(K3ModuliError) as exc:
+                        class_poly_at(group, digits)
+                refused[str(exc.value).split(": ", 1)[1][:24]] += 1
+    assert cases == 900 and refused == {"(-D)^h H_D(1728) is not ": 754, "the class polynomial's n": 146}
+    # and the CLI exits with code 2 on one, without a polynomial
+    _doctored(monkeypatch, 1, 1)
+    code, out = run_cli(["classpoly", "--", "-35"])
+    assert code == 2 and out == ""
 
 
 def test_doctored_gamma3_polynomial_is_refused_at_the_exact_division(monkeypatch):

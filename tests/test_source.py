@@ -316,20 +316,43 @@ def _disc_residue_readers(tree: ast.Module, moduli=(2, 3)) -> set[str]:
 
 
 def _quadratic_norms(tree: ast.Module) -> set[str]:
-    """The top-level definitions of tree that compute a root squaring's
-    quadratic norm, x * x - (y * y << s)."""
+    """The top-level definitions of tree that compute a quadratic norm's two
+    squares, x * x - (...)."""
     found = set()
     for top in tree.body:
         for node in ast.walk(top):
             if (
                 isinstance(node, ast.BinOp)
                 and isinstance(node.op, ast.Sub)
-                and isinstance(node.right, ast.BinOp)
-                and isinstance(node.right.op, ast.LShift)
-                and isinstance(node.right.left, ast.BinOp)
-                and isinstance(node.right.left.op, ast.Mult)
+                and isinstance(node.left, ast.BinOp)
+                and isinstance(node.left.op, ast.Mult)
+                and ast.dump(node.left.left) == ast.dump(node.left.right)
             ):
                 found.add(getattr(top, "name", "module"))
+    return found
+
+
+def _slot_loops(tree: ast.Module) -> set[str]:
+    """The top-level definitions of tree with a loop that packs integers
+    into slots, assigning a name a value that shifts that name left (v = (v
+    << s) + x), or unpacks them, shifting right."""
+    found = set()
+    for top in tree.body:
+        for loop in ast.walk(top):
+            if not isinstance(loop, (ast.For, ast.While)):
+                continue
+            for node in ast.walk(loop):
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.RShift):
+                    found.add(top.name)
+                if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                    name = node.targets[0].id
+                    for sub in ast.walk(node.value):
+                        if (
+                            isinstance(sub, ast.BinOp)
+                            and isinstance(sub.op, ast.LShift)
+                            and getattr(sub.left, "id", None) == name
+                        ):
+                            found.add(top.name)
     return found
 
 
@@ -345,16 +368,28 @@ def test_one_path_to_h_d():
     attempts = {"class_polynomial_with_precision", "_attempt_polynomials"}
     assert _referrers(tree, {"_class_polynomial_at"}) == attempts
     assert _referrers(ast.parse("def f():\n    return partial(g, 1)"), {"g"}) == {"f"}
-    exact = {"_norm_from_gamma2", "_check_gross_zagier"}
+    # both attempts end in Gross-Zagier, the norm from W and the square
+    exact = {"_norm_from_gamma2", "_check_gross_zagier", "_check_square"}
     assert _callers(tree, exact) == {"_class_polynomial_at", "_weber_polynomial_at"}
     assert _callers(tree, {"_norm_from_gamma3"}) == {"_class_polynomial_at"}
-    assert _callers(tree, {"_norm_from_weber", "_check_square"}) == {"_weber_polynomial_at"}
-    # the root squaring's quadratic norm has one implementation, shared by
-    # gamma_3's norm and the Weber route's three squarings
-    assert _quadratic_norms(tree) == {"_graeffe"}
-    assert _callers(tree, {"_graeffe"}) == {"_norm_from_gamma3", "_weber_polynomial_at"}
+    assert _callers(tree, {"_norm_from_weber", "_graeffe"}) == {"_weber_polynomial_at"}
+    # one norm layer: each exact step states its modulus and slot bound and
+    # calls _norm, which alone holds the closed forms, the two squares among
+    # them; _pack and _unpack alone pack and unpack slots
+    steps = {"_norm_from_gamma2", "_graeffe", "_norm_from_gamma3", "_norm_from_weber"}
+    assert _callers(tree, {"_norm"}) == steps
+    assert _quadratic_norms(tree) == {"_norm"}
+    assert _callers(tree, {"_pack", "_unpack"}) == {"_norm"}
+    assert _slot_loops(tree) == {"_pack", "_unpack"}
     sample = ast.parse("def f(a, b, s):\n    return a * a - (b * b << s)\ndef g(a, s):\n    return a - (a << s)")
     assert _quadratic_norms(sample) == {"f"}
+    sample = ast.parse(
+        "def f(c, t):\n    v = 0\n    for x in c:\n        v = (v << t) - 1728 * v + x\n"
+        "def g(c):\n    for x in c:\n        a, b = (b << 4) + x, a\n"
+        "def u(v, s):\n    while v:\n        v >>= s\n"
+        "def w(c):\n    v = 0\n    for x in c:\n        v = v * 1728 + x"
+    )
+    assert _slot_loops(sample) == {"f", "u"}
     sample = ast.parse("def f():\n    g(lambda: m.j_invariant(1))\nclass C:\n    x = gamma2()")
     assert _callers(sample, {"j_invariant", "gamma2"}) == {"f", "C"}
     # one kernel per discriminant: _class_kernel alone chooses it, for the
@@ -363,7 +398,8 @@ def test_one_path_to_h_d():
     # step from its values to j runs in the field attempt
     callers = attempts | {"class_polynomial_floor", "_weber_floor", "_weber_polynomial_at"}
     assert _callers(tree, {"_class_kernel"}) == callers | {"_norm_from_weber"}
-    assert _disc_residue_readers(tree) == {"_class_kernel"}
+    # (the square check reads whether D is odd, the hypothesis of its identity)
+    assert _disc_residue_readers(tree) == {"_class_kernel", "_check_square"}
     assert [f.name for f in tree.body if "kernel" in getattr(f, "name", "")] == ["_class_kernel"]
     assert _callers(tree, {"j_from_kernel"}) == {"_attempt_polynomials"}
     sample = ast.parse("def f(d):\n    return d % 3\ndef g(a):\n    return a % 3, a.disc % 4")
