@@ -394,8 +394,8 @@ def _class_polynomial_at(group: ClassGroup, n: int, digits: int) -> tuple[tuple[
     gamma_3 the norm with its exact division, then Gross-Zagier on H_D(0);
     for gamma_2 Gross-Zagier on W(0), then the norm.  Then _check_square:
     a W off by one above its constant term passes Gross-Zagier, which reads
-    W(0) alone, but at odd D not the square (none of the 4720 such W at the
-    odd D with |D| <= 3000 does)."""
+    W(0) alone, but at odd D not the square (none of the 4720 such W does
+    at the odd D with 3 not dividing D and |D| <= 3000 off the Weber route)."""
     values = _class_values(group, n, digits)
     poly = _recognize_int_poly(poly_from_roots(values))
     if n == 2:
