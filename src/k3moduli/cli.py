@@ -104,7 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the least size of a refused Gram entry: below it |b^2 - 4ac| has at most
+# 4001 digits, so what analyze and orbit print stays within str's 4300
+_GRAM_BOUND = 10**2000
+
+
 def _gram_matrix(entries: list[int]) -> tuple[tuple[int, int], tuple[int, int]]:
+    if any(abs(x) >= _GRAM_BOUND for x in entries):
+        raise InputError("Gram entries must be below 10^2000 in size")
     g11, g12, g21, g22 = entries
     return ((g11, g12), (g21, g22))
 

@@ -29,17 +29,18 @@ class_polynomial starts at its class polynomial's floor (at D = 1 (mod 8),
 the Weber polynomial's), and moduli_report at the higher of the floors of
 its two polynomials (see precision_floor); each refuses an input whose
 own floor is above MAX_DIGITS, class_polynomial by class_polynomial_floor
-whatever its route.
+whatever its kernel.
 
-H_D comes through one path, _class_polynomial_at, for moduli_report, and
-for class_polynomial bar D = 1 (mod 8): the values of j^(1/n) at every
-class (_class_values), their certified product, and kernel n's exact step
-to H_D.  _class_kernel chooses n for both, in one place, so each disc0 has
-one set of certified invariant values in moduli_report.  Each
-value is taken at a form of its class that meets kernel n's congruence
-condition (_class_point); numerics lifts that form's point to the reduced
-domain by the invariants' transformation laws, so this module picks the
-form and derives no move.
+H_D comes through one path, _class_polynomial_at, for both commands: the
+values of a class invariant of size about j^(1/n) at every class
+(_class_values), their certified product, and kernel n's exact step to
+H_D.  _class_kernel chooses n for both, in one place, so each disc0 has
+one set of certified invariant values in moduli_report; class_polynomial
+alone swaps it for Weber's at D = 1 (mod 8).  Each value is taken at a
+form of its class that meets kernel n's congruence condition
+(_class_point); numerics lifts that form's point to the reduced domain by
+the invariants' transformation laws, so this module picks the form and
+derives no move.
 
 When 3 does not divide D, both take the cube root gamma_2 of j (n = 3;
 Enge & Morain, ANTS V, 2002): at forms (A, B, C) with 3 not dividing A and
@@ -54,13 +55,14 @@ moduli_report runs at the kernel's floor too, or at the field polynomial's
 where that is higher; both polynomials depend on disc0 alone, so they are
 computed once per disc0 and shared by every lattice of it.
 
-For D = 1 (mod 8) class_polynomial takes Weber's roots instead
-(_weber_polynomial_at; Weber, Lehrbuch der Algebra III, 1908; Yui &
-Zagier, Math. Comp. 66, 1997): x = zeta_48^k g(tau) / sqrt 2 at the
-reduced forms of 4D (numerics.weber), cubed when 3 | D, whose polynomial
-is about a sixth as tall as W or W3 and is certified at its own floor
-(_weber_floor).  That is the one exception to one set of invariant values
-per discriminant: moduli_report's coset traces need j at the classes of D.
+For D = 1 (mod 8) class_polynomial takes Weber's roots instead (Weber,
+Lehrbuch der Algebra III, 1908; Yui & Zagier, Math. Comp. 66, 1997): x =
+zeta_48^k g(tau) / sqrt 2 at the reduced forms of 4D (numerics.weber), n
+= 24, or its cube when 3 | D, n = 8, whose polynomial is about a sixth as
+tall as W or W3 and is certified at its own floor (_weber_floor).
+analyze never takes Weber: that is the one exception to one set of
+invariant values per discriminant, as moduli_report's coset traces need j
+at the classes of D.
 
 Each step from a certified polynomial to H_D is one exact norm (_norm) of
 P(rho) over rho^n = q rho + r, n = 2 or 3 and q, r linear in X, read at X
@@ -200,66 +202,51 @@ def _prime_to(r, n: int) -> tuple[int, int, int]:
 
 def _class_point(r, disc: int, n: int) -> CMPoint:
     """The point of the form (A, B, C) of r's class where kernel n takes the
-    class's value (Enge & Morain): r for j (n = 1); else (A, B) is that of
-    _prime_to(r, n), then B + 2Ak is made 1 mod 4 for gamma_3 (n = 2) or 0
-    mod 3 for gamma_2 (n = 3)."""
+    class's value (Enge & Morain): r for j (n = 1); for Weber's (n = 8 or
+    24) the reduced form of 4D from (A, 2B, 4C), that of _prime_to(r, 2):
+    for D = 1 (mod 8) this maps C(D) onto C(4D) (h(4D) = h(D)), without
+    building C(4D), the principal class to (1, 0, -D) and mirrored classes
+    to mirrored forms (none of 4D lies on the boundary of the reduced
+    domain); else (A, B) is that of _prime_to(r, n), then B + 2Ak is made 1
+    mod 4 for gamma_3 (n = 2) or 0 mod 3 for gamma_2 (n = 3)."""
     if n == 1:
         return CMPoint(r.a, r.b, disc)
+    if n > 3:
+        a, b, c = _prime_to(r, 2)
+        a, b, _ = qforms._reduce(a, 2 * b, 4 * c)
+        return CMPoint(a, b, 4 * disc)
     a, b, _ = _prime_to(r, n)
     b += 2 * a * (a * b % 3 if n == 3 else (1 - b) % 4 // 2)
     return CMPoint(a, b, disc)
 
 
-def _mirrored(forms, evaluate) -> list[BigComplex]:
-    """evaluate at every form (a, b, ...) of forms with b >= 0, and the exact
-    conjugate of the value at (a, -b, ...) at the others."""
-    upper = {(f.a, f.b): evaluate(f) for f in forms if f.b >= 0}
-    return [upper[f.a, f.b] if f.b >= 0 else conjugate(upper[f.a, -f.b]) for f in forms]
-
-
 def _class_values(group: ClassGroup, n: int, digits: int) -> list[BigComplex]:
     """The roots of kernel n's polynomial at every class: j (n = 1), y =
-    sqrt(D) gamma_3 (n = 2) or gamma_2 (n = 3), each at the point of
-    _class_point; both commands take H_D from them, and moduli_report j too
-    (numerics.j_from_kernel).  (a, -b, c) takes the exact conjugate of the
-    value at (a, b, c): its mirrored form is (A, -B, C), or (A, -B + 2A, C)
-    for gamma_3, where gamma_3 is minus the conjugate and sqrt(D) is
-    imaginary."""
+    sqrt(D) gamma_3 (n = 2), gamma_2 (n = 3) or Weber's x (numerics.weber;
+    n = 24, or 8 for its cube), each at the point of _class_point; both
+    commands take H_D from them, and moduli_report j too
+    (numerics.j_from_kernel).  Each class (a, b, c) with b >= 0 is
+    evaluated, and (a, -b, c) takes the exact conjugate of its value: its
+    mirrored form is (A, -B, C), or (A, -B + 2A, C) for gamma_3, where
+    gamma_3 is minus the conjugate and sqrt(D) is imaginary."""
     d = group.disc
 
     def evaluate(r):
         point = _class_point(r, d, n)
         if n == 2:
             return times_sqrt(gamma3(point, digits), d)
-        return (j_invariant if n == 1 else gamma2)(point, digits)
+        return (j_invariant if n == 1 else gamma2 if n == 3 else weber)(point, digits)
 
-    return _mirrored([cls.rep for cls in group.classes], evaluate)
-
-
-def _weber_points(group: ClassGroup) -> list[CMPoint]:
-    """The reduced forms (A, B, C) of 4D, one per class of D, as points:
-    (a, 2b, 4c) from the form (a, b, c) of _prime_to(class, 2), reduced.
-    For D = 1 (mod 8) this maps C(D) onto C(4D) (h(4D) = h(D)), without
-    building C(4D); the principal class gives (1, 0, -D), and mirrored
-    classes mirrored forms (none of 4D lies on the boundary of the
-    reduced domain)."""
-    points = []
-    for cls in group.classes:
-        a, b, c = _prime_to(cls.rep, 2)
-        a, b, _ = qforms._reduce(a, 2 * b, 4 * c)
-        points.append(CMPoint(a, b, 4 * group.disc))
-    return points
-
-
-def _weber_values(points: list[CMPoint], digits: int) -> list[BigComplex]:
-    """Weber's roots (numerics.weber) at the points of _weber_points."""
-    return _mirrored(points, lambda point: weber(point, digits))
+    reps = [cls.rep for cls in group.classes]
+    upper = {(r.a, r.b): evaluate(r) for r in reps if r.b >= 0}
+    return [upper[r.a, r.b] if r.b >= 0 else conjugate(upper[r.a, -r.b]) for r in reps]
 
 
 def _class_kernel(disc: int) -> int:
     """n of the invariant that class_polynomial and moduli_report evaluate: 3
     for gamma_2 when 3 does not divide disc, 2 for sqrt(disc) gamma_3 when
-    disc is odd, 1 for j otherwise."""
+    disc is odd, 1 for j otherwise (class_polynomial takes Weber's in its
+    place at disc = 1 (mod 8))."""
     return 3 if disc % 3 else 2 if disc % 2 else 1
 
 
@@ -316,20 +303,19 @@ def _check_gross_zagier(d: int, poly: tuple[int, ...]) -> tuple[int, ...]:
     return poly
 
 
-def _height(group: ClassGroup, partition=None, n: int = 1, leads=None) -> float:
+def _height(group: ClassGroup, partition=None, n: int = 1) -> float:
     """log10 bound on the coefficients of the product over the parts of
     partition of (x - sum of j^(1/n) over the part): each root is at most
     |part| times the largest exp(pi*sqrt|D|/(na)) in it, and the coefficients
     are elementary symmetric functions of the roots.  One class per part (the
     default: H_D, W for n = 3, or W3 for n = 2, whose roots sqrt(D) gamma_3
     carry log10 sqrt|D| more each) adds log10 1 = 0 per part; the cosets of
-    C[2] give the field polynomial.  leads gives the a of each class's
-    root in place of its reduced form's: Weber's roots are taken at forms
-    of 4D, where exp(pi*sqrt|D|/(24a)) bounds x (n = 24) and
-    exp(pi*sqrt|D|/(8a)) its cube (n = 8)."""
+    C[2] give the field polynomial.  Weber's roots are taken at the forms
+    of 4D of _class_point, whose a it reads: exp(pi*sqrt|D|/(24a)) bounds x
+    (n = 24), and exp(pi*sqrt|D|/(8a)) its cube (n = 8)."""
     scale = pi * sqrt(-group.disc) / log(10) / n
     lead = log10(-group.disc) / 2 if n == 2 else 0
-    a = leads or [cls.rep.a for cls in group.classes]
+    a = [(_class_point(cls.rep, group.disc, n) if n > 3 else cls.rep).a for cls in group.classes]
     parts = partition or [(i,) for i in range(group.h)]
     top = sum(lead + scale / min(a[i] for i in part) + log10(len(part)) for part in parts)
     return top + log10(comb(len(parts), len(parts) // 2))
@@ -370,61 +356,46 @@ def class_polynomial_floor(group: ClassGroup) -> int:
     return ceil(_height(group, n=_class_kernel(group.disc))) + GUARD_DIGITS
 
 
-def _takes_weber(disc: int) -> bool:
-    """Whether class_polynomial takes H_D from Weber's roots (numerics.weber):
-    for D = 1 (mod 8)."""
-    return disc % 8 == 1
-
-
-def _weber_floor(group: ClassGroup, points: list[CMPoint]) -> int:
+def _weber_floor(group: ClassGroup) -> int:
     """Digits at which class_polynomial_with_precision starts for D = 1 (mod
-    8): the height of the Weber polynomial, over the forms of 4D at points,
-    and GUARD_DIGITS.  Its roots are Weber's x, about |q|^(-1/48) in size,
-    or their cubes when 3 | D: the 40 such D of the benchmark's seed-1
-    classpoly queries average 19 digits here against W's 93 (3 does not
-    divide D), and 28 against W3's 161 (3 | D)."""
-    n = 24 if _class_kernel(group.disc) == 3 else 8
-    return ceil(_height(group, n=n, leads=[p.a for p in points])) + GUARD_DIGITS
+    8): the height of the Weber polynomial, over the forms of 4D of
+    _class_point, and GUARD_DIGITS.  Its roots are Weber's x, about
+    |q|^(-1/48) in size, or their cubes when 3 | D: the 40 such D of the
+    benchmark's seed-1 classpoly queries average 19 digits here against W's
+    93 (3 does not divide D), and 28 against W3's 161 (3 | D)."""
+    return ceil(_height(group, n=24 if _class_kernel(group.disc) == 3 else 8)) + GUARD_DIGITS
 
 
 def _class_polynomial_at(group: ClassGroup, n: int, digits: int) -> tuple[tuple[int, ...], list]:
-    """H_D certified at digits through kernel n (see _class_kernel), and the
-    kernel's values, for class_polynomial and moduli_report alike.  The product over the values is
-    certified, then the kernel's exact step gives H_D: none for j; for
-    gamma_3 the norm with its exact division, then Gross-Zagier on H_D(0);
-    for gamma_2 Gross-Zagier on W(0), then the norm.  Then _check_square:
-    a W off by one above its constant term passes Gross-Zagier, which reads
-    W(0) alone, but at odd D not the square (none of the 4720 such W does
-    at the odd D with 3 not dividing D and |D| <= 3000 off the Weber route)."""
+    """H_D certified at digits through kernel n, and the kernel's values:
+    _class_kernel's for both commands, or Weber's for class_polynomial at D
+    = 1 (mod 8).  The product over the values is certified, then the
+    kernel's exact step gives H_D, or W: none for j; for gamma_3 the norm
+    with its exact division; for Weber's roots the check that the product
+    vanishes at the principal root, f(sqrt D) / sqrt 2 or its cube
+    (numerics.vanishes), three root squarings (_graeffe) to the polynomial
+    of t = x^8, or of u = x^24 when 3 | D, and _norm_from_weber to W or
+    H_D.  Then Gross-Zagier on H_D(0), or on W(0) followed by the norm from
+    W, and _check_square: a W off by one above its constant term passes
+    Gross-Zagier, which reads W(0) alone, but at odd D not the square (none
+    of the 4720 such W does at the odd D with 3 not dividing D and |D| <=
+    3000 off the Weber kernel).
+
+    Weber's roots are units (t (t gamma_2 + 16 t^2) = 1), so P(0) = +-1
+    for their polynomial P, and _norm_from_weber's division by P(0)^2
+    refuses a wrong constant term alone: P off by one elsewhere passes it,
+    and at -15 and -55 gives a power of H_-7 = x + 3375, which passes
+    Gross-Zagier and the square too.  The principal root refuses those."""
     values = _class_values(group, n, digits)
     poly = _recognize_int_poly(poly_from_roots(values))
-    if n == 2:
+    if n > 3:
+        if not vanishes(poly, values[0]):
+            raise K3ModuliError(f"{group.disc}: the Weber polynomial does not vanish at its principal root")
+        poly = _norm_from_weber(_graeffe(_graeffe(_graeffe(poly))), group.disc)
+    elif n == 2:
         poly = _norm_from_gamma3(poly, group.disc)
     poly = _check_gross_zagier(group.disc, poly)
-    return _check_square(group.disc, _norm_from_gamma2(poly) if n == 3 else poly), values
-
-
-def _weber_polynomial_at(group: ClassGroup, points: list[CMPoint], digits: int) -> tuple[int, ...]:
-    """H_D certified at digits through Weber's roots at points (see
-    _weber_points), for class_polynomial at D = 1 (mod 8).
-
-    The Weber polynomial P of the roots is certified, and checked to vanish
-    at the principal root, f(sqrt D) / sqrt 2 or its cube
-    (numerics.vanishes).  Three root squarings (_graeffe) give the
-    polynomial of t = x^8, or of u = x^24 when 3 | D, _norm_from_weber
-    gives W or H_D, and the checks of _class_polynomial_at follow.  Weber's
-    roots are units (t (t gamma_2 + 16 t^2) = 1), so P(0) = +-1, and the
-    exact division by P(0)^2 refuses a wrong constant term alone: P off by
-    one elsewhere passes it, and at -15 and -55 gives a power of H_-7 = x +
-    3375, which passes Gross-Zagier and the square too.  The principal root
-    refuses those."""
-    values = _weber_values(points, digits)
-    poly = _recognize_int_poly(poly_from_roots(values))
-    if not vanishes(poly, values[0]):
-        raise K3ModuliError(f"{group.disc}: the Weber polynomial does not vanish at its principal root")
-    poly = _norm_from_weber(_graeffe(_graeffe(_graeffe(poly))), group.disc)
-    poly = _check_gross_zagier(group.disc, poly)
-    return _check_square(group.disc, _norm_from_gamma2(poly) if _class_kernel(group.disc) == 3 else poly)
+    return _check_square(group.disc, _norm_from_gamma2(poly) if n % 3 == 0 else poly), values
 
 
 def _check_square(d: int, hd: tuple[int, ...]) -> tuple[int, ...]:
@@ -542,9 +513,18 @@ def _norm_from_weber(poly: tuple[int, ...], d: int) -> tuple[int, ...]:
     return _norm(poly[::-1], s, 3, r, (1, 0), lift, (-1) ** h * poly[0] ** 2, refusal)
 
 
+# slots above which _pack and _unpack split at the middle one: Horner's
+# shifts are quadratic in the count, the split costs calls, even near 16
+_SPLIT = 16
+
+
 def _pack(poly, s: int, at=(1, 0)) -> int:
     """The integer polynomial poly (lowest degree first) at m 2^s + k, for
-    at = (m, k): by shifts and adds alone at 2^s."""
+    at = (m, k): by shifts and adds alone at 2^s, above _SPLIT
+    coefficients split at the middle one, recursively."""
+    if at == (1, 0) and len(poly) > _SPLIT:
+        half = len(poly) // 2
+        return _pack(poly[:half], s) + (_pack(poly[half:], s) << half * s)
     value = 0
     if at == (1, 0):
         for x in reversed(poly):
@@ -557,20 +537,32 @@ def _pack(poly, s: int, at=(1, 0)) -> int:
 
 def _unpack(value: int, s: int, count: int, divisor: int, refusal: str) -> tuple[int, ...]:
     """The count signed base-2^s digits of value, lowest first, each below
-    2^(s - 1) in size, divided exactly by divisor, or K3ModuliError(refusal)."""
+    2^(s - 1) in size, divided exactly by divisor, or K3ModuliError(refusal).
+    Above _SPLIT digits value splits at the middle one, recursively: the
+    low half's digits are those of value mod 2^(half s), the high half's
+    those of value >> half s plus the 1 a negative low half borrows."""
     if divisor < 0:
         value, divisor = -value, -divisor
     coeffs = []
-    for _ in range(count):
-        digit = value & (1 << s) - 1
-        if digit >> s - 1:
-            digit -= 1 << s
-        value = (value - digit) >> s
-        if divisor != 1:
-            digit, rest = divmod(digit, divisor)
-            if rest:
-                raise K3ModuliError(refusal)
-        coeffs.append(digit)
+
+    def split(value: int, count: int) -> int:  # appends the digits, returns what is above them
+        if count > _SPLIT:
+            half = count // 2
+            carry = split(value & (1 << half * s) - 1, half)
+            return split((value >> half * s) + carry, count - half)
+        for _ in range(count):
+            digit = value & (1 << s) - 1
+            if digit >> s - 1:
+                digit -= 1 << s
+            value = (value - digit) >> s
+            if divisor != 1:
+                digit, rest = divmod(digit, divisor)
+                if rest:
+                    raise K3ModuliError(refusal)
+            coeffs.append(digit)
+        return value
+
+    split(value, count)
     return tuple(coeffs)
 
 
@@ -648,16 +640,14 @@ def class_polynomial_with_precision(d: int) -> tuple[tuple[int, ...], int]:
     """The class polynomial and the digits it was certified at: those of the
     Weber polynomial when d = 1 (mod 8), else of the gamma_2 polynomial W
     when 3 does not divide d, of the gamma_3 polynomial W3 when d is odd and
-    3 divides it, of H_D itself otherwise.  Whatever the route, d is refused
-    when class_polynomial_floor is above MAX_DIGITS."""
+    3 divides it, of H_D itself otherwise.  Whatever the kernel, d is
+    refused when class_polynomial_floor is above MAX_DIGITS."""
     group = classgroup.class_group(d)
-    floor = class_polynomial_floor(group)
-    if _takes_weber(d):
-        points = _weber_points(group)
-        attempt = partial(_weber_polynomial_at, group, points)
-        return _escalate(d, floor, attempt, _weber_floor(group, points))
-    attempt = partial(_class_polynomial_at, group, _class_kernel(d))
-    (coeffs, _), digits = _escalate(d, floor, attempt)
+    n, start = _class_kernel(d), None
+    if d % 8 == 1:  # Weber's x, or its cube when 3 | d
+        n, start = 24 if n == 3 else 8, _weber_floor(group)
+    attempt = partial(_class_polynomial_at, group, n)
+    (coeffs, _), digits = _escalate(d, class_polynomial_floor(group), attempt, start)
     return coeffs, digits
 
 

@@ -16,7 +16,9 @@ size, whose class polynomial (used for odd discriminants divisible by 3)
 has about two thirds of the digits.  Weber's functions f, f1 and f2, at
 the reduced forms of 4D for D = 1 (mod 8), are quotients of Euler products
 at -q^(1/2), q^(1/2) and q (`weber`): about |q|^(-1/48) in size, their
-class polynomial has about an eighth of the digits of gamma_2's.
+class polynomial is about a sixth as tall as gamma_2's, that of their cubes
+(3 | D) as gamma_3's (by moduli._height, median 6.6 and 6.7 times as tall
+over the 250 and 125 such D with |D| <= 3000).
 
 The kernel runs only on the reduced domain Im tau >= sqrt(3)/2, where its
 error budget is derived: _lifted moves every point there by tau + 1 and

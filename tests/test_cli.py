@@ -156,6 +156,28 @@ def test_oversized_discriminant_refused_fast(capsys):
         assert err.count("\n") == 1 and "exceeds 1000000" in err, err
 
 
+def test_gram_entries_from_10_to_the_2000_refused(capsys):
+    # below 10^2000 in size, disc has at most 4001 digits, inside str's
+    # default limit of 4300; (2E, 0, 0, 2E) with E = 10^2200 (D0 = -4, m =
+    # E) has a disc of 4401 digits, and raised ValueError from str
+    big, huge = 10**2000, 2 * 10**2200
+    refused = ((huge, 0, 0, huge), (big, 0, 0, big), (2, -big, -big, 2))
+    for gram in refused:
+        for command in ("analyze", "orbit"):
+            for fmt in ("text", "json"):
+                code, out = run_cli([command, "--format", fmt, "--", *map(str, gram)])
+                err = capsys.readouterr().err
+                assert code == EXIT_INPUT and out == "", (command, fmt)
+                assert err == "error: Gram entries must be below 10^2000 in size\n", err
+    # D0 = -4, m = 10^2000 / 2 - 1: disc = -4 m^2 has 4001 digits
+    gram = (big - 2, 0, 0, big - 2)
+    for command in ("analyze", "orbit"):
+        env = run_json([command, "--", *map(str, gram)])
+        assert env["result"]["disc"] == -4 * (big // 2 - 1) ** 2
+        code, out = run_cli([command, *map(str, gram)])
+        assert code == EXIT_OK and str(big // 2 - 1) in out
+
+
 def test_precision_ceiling_refused_fast(capsys):
     # D = -999479 (h = 1644): classpoly's floor, W's, is 8457 digits and
     # analyze's 20501, both beyond moduli.MAX_DIGITS

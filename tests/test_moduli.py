@@ -52,11 +52,23 @@ def classpoly_start(group) -> int:
     """The digits of class_polynomial's first attempt: the Weber floor for D
     = 1 (mod 8), below class_polynomial_floor, else that floor."""
     floor = moduli.class_polynomial_floor(group)
-    if not moduli._takes_weber(group.disc):
+    if group.disc % 8 != 1:
         return floor
-    weber = moduli._weber_floor(group, moduli._weber_points(group))
+    weber = moduli._weber_floor(group)
     assert weber < floor, group.disc
     return weber
+
+
+def weber_kernel(d: int) -> int:
+    """n of Weber's roots at d = 1 (mod 8): x (n = 24), or its cube (n = 8)
+    when 3 | d."""
+    return 24 if d % 3 else 8
+
+
+def weber_polynomial(group) -> tuple[int, ...]:
+    """The Weber polynomial of group, certified at the Weber floor."""
+    values = moduli._class_values(group, weber_kernel(group.disc), moduli._weber_floor(group))
+    return moduli._recognize_int_poly(poly_from_roots(values))
 
 
 def test_moduli_degree():
@@ -290,7 +302,7 @@ def test_weber_route_gives_todays_polynomial(sweep):
     # (W, W3) certifies at its own floor
     count = Counter()
     for d in valid_discs(3000):
-        if not moduli._takes_weber(d):
+        if d % 8 != 1:
             continue
         group = sweep.group(d)
         coeffs, digits = sweep.class_polynomial(d)
@@ -320,20 +332,18 @@ def test_doctored_weber_polynomial_is_refused(monkeypatch):
     # which the principal root refuses
     refused, cases = Counter(), 0
     for d in valid_discs(600):
-        if not moduli._takes_weber(d):
+        if d % 8 != 1:
             continue
         group = classgroup.class_group(d)
-        points = moduli._weber_points(group)
-        digits = moduli._weber_floor(group, points)
-        weber = moduli._recognize_int_poly(poly_from_roots(moduli._weber_values(points, digits)))
-        assert abs(weber[0]) == 1, d
+        digits = moduli._weber_floor(group)
+        assert abs(weber_polynomial(group)[0]) == 1, d
         for i in range(group.h):
             for off in (1, -1):
                 cases += 1
                 with monkeypatch.context() as patch:
                     _doctored(patch, i, off)
                     with pytest.raises(K3ModuliError) as exc:
-                        moduli._weber_polynomial_at(group, points, digits)
+                        moduli._class_polynomial_at(group, weber_kernel(d), digits)
                 refused[str(exc.value).split(": ", 1)[1][:24]] += 1
     # by each of the five refusals: the principal root, a zero or a
     # non-dividing P(0), Gross-Zagier and the square
@@ -350,11 +360,7 @@ def test_weber_norm_refuses_an_inexact_division():
     # not divisible by P(0)^2, or P has the root 0
     for d in (-23, -47, -63, -71, -135, -2351):
         group = classgroup.class_group(d)
-        points = moduli._weber_points(group)
-        weber = moduli._recognize_int_poly(
-            poly_from_roots(moduli._weber_values(points, moduli._weber_floor(group, points)))
-        )
-        t = moduli._graeffe(moduli._graeffe(moduli._graeffe(weber)))
+        t = moduli._graeffe(moduli._graeffe(moduli._graeffe(weber_polynomial(group))))
         if d % 3:  # W, at its own floor
             digits = moduli.class_polynomial_floor(group)
             w = moduli._recognize_int_poly(poly_from_roots(moduli._class_values(group, 3, digits)))
@@ -451,6 +457,45 @@ def test_norm_matches_the_schoolbook_resultant():
                 moduli._norm(poly, s, n, r, q, lift, 7 * divisor, "a remainder")
     # P(sqrt X) P(-sqrt X) = (X - 2)^2 - 9X for P = y^2 + 3y - 2
     assert _schoolbook_norm((-2, 3, 1), 2, (1, 0), (0, 0), 0) == [4, -13, 1]
+
+
+def _horner(poly, x: int) -> int:
+    value = 0
+    for coeff in reversed(poly):
+        value = value * x + coeff
+    return value
+
+
+def test_pack_and_unpack_round_trip():
+    # signed base-2^s digits, below 2^(s - 1) in size, at every count from 1
+    # to 70 (the middle splits odd counts unevenly): _pack against Horner,
+    # at 2^s and at D (2^s - 1728), and _unpack back, with the extreme
+    # digits +-(2^(s - 1) - 1), zeros, and a zero or negative top digit
+    rng = Random(39)
+    assert moduli._pack((), 5) == 0  # the cube's empty slice at h = 1
+    for count in range(1, 71):
+        for s in (2, 3, 17, 64, 131):
+            top = (1 << s - 1) - 1
+            for last in (0, -1, -top, rng.randint(-top, top)):
+                pick = (top, -top, 0, rng.randint(-top, top))
+                digits = tuple(rng.choice(pick) for _ in range(count - 1)) + (last,)
+                value = _horner(digits, 2**s)
+                assert moduli._pack(digits, s) == value, (count, s)
+                at_d = _horner(digits, -23 * (2**s - 1728))
+                assert moduli._pack(digits, s, (-23, 1728 * 23)) == at_d, (count, s)
+                assert moduli._unpack(value, s, count, 1, "") == digits, (count, s)
+                assert moduli._unpack(-value, s, count, -1, "") == digits, (count, s)
+    # exact division per digit, by a divisor of either sign; a digit it
+    # leaves a remainder in is refused, the lowest or the top one
+    for count in (1, 2, 5, 17, 70):
+        s, divisor = 40, rng.choice((7, -7))
+        quotients = [rng.randint(-(2**36), 2**36) for _ in range(count)]
+        digits = [q * divisor for q in quotients]
+        assert moduli._unpack(moduli._pack(digits, s), s, count, divisor, "") == tuple(quotients)
+        for i in {0, count - 1}:
+            off = digits[:i] + [digits[i] + 1] + digits[i + 1 :]
+            with pytest.raises(K3ModuliError, match="^not exact$"):
+                moduli._unpack(moduli._pack(off, s), s, count, divisor, "not exact")
 
 
 def test_doctored_gamma2_polynomial_is_refused(monkeypatch):
@@ -634,19 +679,14 @@ def test_lattices_of_one_disc0_share_their_polynomials(monkeypatch):
 def _recognition_failing(monkeypatch, fails):
     """Make moduli's recognition fail at every precision where fails(digits)
     holds; returns the list it fills with the digits of each attempt, read
-    from moduli._class_values or _weber_values, one of which every attempt
-    calls once."""
+    from moduli._class_values, which every attempt calls once."""
     attempts = []
-    certify, values, weber = moduli.recognize_integer, moduli._class_values, moduli._weber_values
+    certify, values = moduli.recognize_integer, moduli._class_values
     empty_field_cache(monkeypatch)  # a cached report would skip recognition
 
     def class_values(group, n, digits):
         attempts.append(digits)
         return values(group, n, digits)
-
-    def weber_values(points, digits):
-        attempts.append(digits)
-        return weber(points, digits)
 
     def recognize(z):
         if fails(attempts[-1]):
@@ -654,7 +694,6 @@ def _recognition_failing(monkeypatch, fails):
         return certify(z)
 
     monkeypatch.setattr(moduli, "_class_values", class_values)
-    monkeypatch.setattr(moduli, "_weber_values", weber_values)
     monkeypatch.setattr(moduli, "recognize_integer", recognize)
     return attempts
 
@@ -884,8 +923,8 @@ def test_class_values_are_pinned_bit_for_bit(sweep):
     assert digest.hexdigest() == KERNEL_SWEEP_SHA256
 
 
-# sha256 over every field of every Weber root (_weber_values) of each D = 1
-# (mod 8), |D| < 1000, at the Weber floor
+# sha256 over every point and every field of every Weber root (_class_values
+# of Weber's kernel) of each D = 1 (mod 8), |D| < 1000, at the Weber floor
 WEBER_SWEEP_SHA256 = "3b64b4ab151495c432dface8e13ec16dbdf13300bd9f375b7f9c1b9debf61dc2"
 
 
@@ -894,9 +933,10 @@ def test_weber_values_are_pinned_bit_for_bit(sweep):
     # a change of where or how a root is taken shows here
     digest = hashlib.sha256()
     for d in valid_discs(999):
-        if moduli._takes_weber(d):
-            points = moduli._weber_points(sweep.group(d))
-            values = moduli._weber_values(points, moduli._weber_floor(sweep.group(d), points))
+        if d % 8 == 1:
+            group, n = sweep.group(d), weber_kernel(d)
+            points = [moduli._class_point(cls.rep, d, n) for cls in group.classes]
+            values = moduli._class_values(group, n, moduli._weber_floor(group))
             digest.update(repr((d, [tuple(p) for p in points], [tuple(v) for v in values])).encode())
     assert digest.hexdigest() == WEBER_SWEEP_SHA256
 

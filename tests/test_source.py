@@ -298,7 +298,7 @@ def _referrers(tree: ast.Module, names: set[str]) -> set[str]:
 def _disc_residue_readers(tree: ast.Module, moduli=(2, 3)) -> set[str]:
     """The top-level definitions of tree that take a discriminant (d, or a
     name or attribute with disc in it) mod one of moduli: mod 2 or 3 is what
-    a kernel chooser reads, mod 8 what the Weber route's."""
+    a kernel chooser reads, mod 8 what the choice of Weber's kernel reads."""
     found = set()
     for top in tree.body:
         for node in ast.walk(top):
@@ -358,28 +358,26 @@ def _slot_loops(tree: ast.Module) -> set[str]:
 
 def test_one_path_to_h_d():
     # classpoly and analyze build H_D through one values function and one
-    # attempt each, two functions: every kernel is evaluated in one place,
-    # and each exact step runs in one
+    # attempt, for every kernel, Weber's among them: each invariant is
+    # evaluated in one place, and each exact step runs in one
     tree = ast.parse(Path(moduli.__file__).read_text(), moduli.__file__)
-    assert _callers(tree, {"j_invariant", "gamma2", "gamma3"}) == {"_class_values"}
-    assert _callers(tree, {"weber"}) == {"_weber_values"}
-    assert _callers(tree, {"_weber_values"}) == {"_weber_polynomial_at"}
-    assert _referrers(tree, {"_weber_polynomial_at"}) == {"class_polynomial_with_precision"}
+    assert _callers(tree, {"j_invariant", "gamma2", "gamma3", "weber"}) == {"_class_values"}
     attempts = {"class_polynomial_with_precision", "_attempt_polynomials"}
     assert _referrers(tree, {"_class_polynomial_at"}) == attempts
     assert _referrers(ast.parse("def f():\n    return partial(g, 1)"), {"g"}) == {"f"}
-    # both attempts end in Gross-Zagier, the norm from W and the square
+    # the one attempt holds every kernel's exact step and every check after it
     exact = {"_norm_from_gamma2", "_check_gross_zagier", "_check_square"}
-    assert _callers(tree, exact) == {"_class_polynomial_at", "_weber_polynomial_at"}
-    assert _callers(tree, {"_norm_from_gamma3"}) == {"_class_polynomial_at"}
-    assert _callers(tree, {"_norm_from_weber", "_graeffe"}) == {"_weber_polynomial_at"}
+    assert _callers(tree, exact) == {"_class_polynomial_at"}
+    steps = {"_graeffe", "_norm_from_weber", "_norm_from_gamma3"}
+    assert _callers(tree, steps) == {"_class_polynomial_at"}
     # one norm layer: each exact step states its modulus and slot bound and
     # calls _norm, which alone holds the closed forms, the two squares among
-    # them; _pack and _unpack alone pack and unpack slots
-    steps = {"_norm_from_gamma2", "_graeffe", "_norm_from_gamma3", "_norm_from_weber"}
+    # them; _pack and _unpack alone pack and unpack slots (_pack recurs on
+    # its halves)
+    steps |= {"_norm_from_gamma2"}
     assert _callers(tree, {"_norm"}) == steps
     assert _quadratic_norms(tree) == {"_norm"}
-    assert _callers(tree, {"_pack", "_unpack"}) == {"_norm"}
+    assert _callers(tree, {"_pack", "_unpack"}) == {"_norm", "_pack"}
     assert _slot_loops(tree) == {"_pack", "_unpack"}
     sample = ast.parse("def f(a, b, s):\n    return a * a - (b * b << s)\ndef g(a, s):\n    return a - (a << s)")
     assert _quadratic_norms(sample) == {"f"}
@@ -394,10 +392,11 @@ def test_one_path_to_h_d():
     assert _callers(sample, {"j_invariant", "gamma2"}) == {"f", "C"}
     # one kernel per discriminant: _class_kernel alone chooses it, for the
     # class polynomial's floor and attempt and for the field polynomials
-    # alike, and the Weber route reads from it whether 3 divides D; the
-    # step from its values to j runs in the field attempt
-    callers = attempts | {"class_polynomial_floor", "_weber_floor", "_weber_polynomial_at"}
-    assert _callers(tree, {"_class_kernel"}) == callers | {"_norm_from_weber"}
+    # alike, and classpoly's Weber kernel, its floor and its norm read from
+    # it whether 3 divides D; the step from its values to j runs in the
+    # field attempt
+    callers = attempts | {"class_polynomial_floor", "_weber_floor", "_norm_from_weber"}
+    assert _callers(tree, {"_class_kernel"}) == callers
     # (the square check reads whether D is odd, the hypothesis of its identity)
     assert _disc_residue_readers(tree) == {"_class_kernel", "_check_square"}
     assert [f.name for f in tree.body if "kernel" in getattr(f, "name", "")] == ["_class_kernel"]
@@ -405,8 +404,7 @@ def test_one_path_to_h_d():
     sample = ast.parse("def f(d):\n    return d % 3\ndef g(a):\n    return a % 3, a.disc % 4")
     assert _disc_residue_readers(sample) == {"f"}
     # Weber eligibility is read in one function, for classpoly alone
-    assert _disc_residue_readers(tree, (8,)) == {"_takes_weber"}
-    assert _callers(tree, {"_takes_weber"}) == {"class_polynomial_with_precision"}
+    assert _disc_residue_readers(tree, (8,)) == {"class_polynomial_with_precision"}
 
 
 def test_traced_names_resolve():
