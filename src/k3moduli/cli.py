@@ -3,7 +3,10 @@ polynomials, and stratified enumeration, as JSON or fixed-width text.
 
 JSON envelopes are deterministic: stable key order, canonical decimal integer
 strings for polynomial coefficients (lowest degree first), Gram matrices as
-[[2a, b], [b, 2c]], classes as [a, b, c].
+[[2a, b], [b, 2c]], classes as [a, b, c].  One writer, _json, writes every
+envelope, byte for byte as json.dumps(sort_keys=True, indent=2) would; the
+analyze envelope of a primitive discriminant is written once, with holes
+that each query fills with one % (_analyze_envelope).
 """
 
 from __future__ import annotations
@@ -116,45 +119,24 @@ def _gram_matrix(entries: list[int]) -> tuple[tuple[int, int], tuple[int, int]]:
     return ((g11, g12), (g21, g22))
 
 
-class _Lattices(tuple):
-    """Lattices as flat rows of ints, one per lattice, in the key order of
-    their JSON object: disc, disc0, the four Gram entries, m and the
-    primitive class (a, b, c).  _json writes each row through _LATTICE_JSON,
-    and the text form through _LATTICE_TEXT or _MEMBER_TEXT."""
-
-    __slots__ = ()
-
-    @classmethod
-    def of(cls, lattices: tuple[TranscLattice, ...]) -> _Lattices:
-        return cls(
-            (t.disc, t.disc0, *t.gram[0], *t.gram[1], t.m, *t.q0.rep.coefficients())
-            for t in lattices
-        )
+def _row(t: TranscLattice) -> tuple[int, ...]:
+    """A lattice as a flat row of ints, in the key order of its JSON object:
+    disc, disc0, the four Gram entries, m and the primitive class (a, b, c)."""
+    return (t.disc, t.disc0, *t.gram[0], *t.gram[1], t.m, *t.q0.rep.coefficients())
 
 
-# one lattice object of the envelope's "lattice" schema, at indent 0
-_LATTICE_JSON = """{
-  "disc": %d,
-  "disc0": %d,
-  "gram": [
-    [
-      %d,
-      %d
-    ],
-    [
-      %d,
-      %d
-    ]
-  ],
-  "m": %d,
-  "primitive_class": [
-    %d,
-    %d,
-    %d
-  ]
-}"""
-_LATTICE_TEXT = "gram [[%d, %d], [%d, %d]]  m = %d  class (%d, %d, %d)"  # row[2:]
-_MEMBER_TEXT = "m = %d * class (%d, %d, %d)"  # row[6:]
+def _lattice(row) -> dict:
+    """The lattice object of the envelope's "lattice" schema, from a row of
+    _row; its sorted keys write the row in order, so a row of _HOLE gives
+    the lattice's part of a template (see _analyze_envelope)."""
+    disc, disc0, g11, g12, g21, g22, m, a, b, c = row
+    return {
+        "disc": disc,
+        "disc0": disc0,
+        "gram": [[g11, g12], [g21, g22]],
+        "m": m,
+        "primitive_class": [a, b, c],
+    }
 
 
 _CHUNK = 10**600  # below 640, the least limit sys.set_int_max_str_digits accepts
@@ -193,7 +175,7 @@ def _field_payload(fields: moduli.FieldReport) -> dict:
 
 def _report_payload(report: moduli.ModuliReport) -> dict:
     payload = _field_payload(report)
-    payload.update(disc=report.disc, m=report.m, orbit=_Lattices.of(report.orbit))
+    payload.update(disc=report.disc, m=report.m, orbit=[_lattice(_row(t)) for t in report.orbit])
     return payload
 
 
@@ -281,7 +263,7 @@ def _text_lines(command: str, payload: dict) -> list[str]:
         row("M_K min poly", _poly_text(payload["mk_min_poly"]))
         row("M_Q min poly", _poly_text(payload["mq_min_poly"]))
         for t in payload["orbit"]:
-            row("orbit member", _MEMBER_TEXT % t[6:])
+            row("orbit member", f"m = {t['m']} * class {tuple(t['primitive_class'])}")
         row("precision used", f"{payload['precision_used']} digits")
     elif command == "classgroup":
         row("disc", payload["disc"])
@@ -294,7 +276,7 @@ def _text_lines(command: str, payload: dict) -> list[str]:
         row("genus order g", payload["genus_order"])
     elif command == "orbit":
         for t in payload["lattices"]:
-            row("lattice", _LATTICE_TEXT % t[2:])
+            row("lattice", f"gram {t['gram']}  m = {t['m']}  class {tuple(t['primitive_class'])}")
     elif command == "classpoly":
         row("disc", payload["disc"])
         row("degree", payload["degree"])
@@ -320,22 +302,18 @@ class _CayleyTable(tuple):
     __slots__ = ()
 
 
-class _Slot(str):
-    """A field of an envelope left open, by name (see _analyze_envelope).
-    _json writes it as NUL, the name, NUL, the newline it sits under and NUL;
-    encode_basestring_ascii writes a NUL in any str as \\u0000, so these are
-    the only NUL characters of the text."""
-
-    __slots__ = ()
+# a field left open in JSON rendered ahead of its values (see _template)
+_HOLE = object()
 
 
 def _json(value, newline: str = "\n") -> str:
     """json.dumps(value, sort_keys=True, indent=2) for str, int, bool, None,
     lists and dicts, byte for byte, for a _CayleyTable as its rows in lists,
-    for _Lattices as lattice objects and for a _Slot as its marker.  A list
-    of ints or of strings, and each int list in a list of them, is joined in
-    one go.  Types are matched exactly: any other type, a subclass too,
-    raises TypeError."""
+    and _HOLE as a NUL character, which no other value writes: a NUL in a
+    string is written \\u0000.  A list of ints or of strings, and each int
+    list in a list of them, is joined in one go, and a list of one object
+    repeated is written from one text of it.  Types are matched exactly: any
+    other type, a subclass too, raises TypeError."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -356,6 +334,8 @@ def _json(value, newline: str = "\n") -> str:
             entry = inner + "  "
             sep = "," + entry
             items = ["[" + entry + sep.join(map(int.__repr__, x)) + inner + "]" for x in value]
+        elif len(set(map(id, value))) == 1:  # the orbit of a template (_analyze_envelope)
+            items = [_json(value[0], inner)] * len(value)
         else:
             items = [_json(x, inner) for x in value]
         return _enclose(items, newline, "[]")
@@ -364,13 +344,10 @@ def _json(value, newline: str = "\n") -> str:
             encode_basestring_ascii(key) + ": " + _json(value[key], inner) for key in sorted(value)
         ]
         return _enclose(items, newline, "{}")
-    if kind is _Lattices:
-        lattice = _LATTICE_JSON.replace("\n", inner)
-        return _enclose([lattice % row for row in value], newline, "[]")
     if kind is _CayleyTable:
         return _enclose([_enclose(list(row), inner, "[]") for row in value], newline, "[]")
-    if kind is _Slot:
-        return f"\0{value}\0{newline}\0"
+    if value is _HOLE:
+        return "\0"
     raise TypeError(f"{type(value).__name__} is not emitted as JSON")
 
 
@@ -385,6 +362,12 @@ def _enclose(items: list[str], newline: str, brackets: str) -> str:
     items[0] = brackets[0] + inner + items[0]
     items[-1] += newline + brackets[1]
     return ("," + inner).join(items)
+
+
+def _template(value) -> str:
+    """_json(value) as a format string: each _HOLE is a %d, to be filled in
+    the order _json writes them, sorted-key order, and any other % doubled."""
+    return _json(value).replace("%", "%%").replace("\0", "%d")
 
 
 def _envelope(command: str, input_echo: dict, payload: dict) -> dict:
@@ -412,16 +395,17 @@ def _emit(command: str, input_echo: dict, payload: dict, fmt: str) -> None:
 # polynomials an entry holds as text: 0.31 MiB at D0 = -40004 (tracemalloc).
 # A refused D0 stores nothing, as lru_cache keeps no exception.
 @lru_cache(maxsize=32)
-def _analyze_envelope(disc0: int) -> tuple[str, tuple[tuple[str, str, str], ...]]:
+def _analyze_envelope(disc0: int) -> str:
     """The analyze JSON envelope of the lattices of disc0, rendered from
-    moduli.field_report(disc0): the text up to the first _Slot, then per
-    slot its name, the newline it is written under and the text up to the
-    next slot or the end."""
-    payload = _field_payload(moduli.field_report(disc0))
-    payload.update((name, _Slot(name)) for name in ("disc", "m", "orbit"))
-    text = _json(_envelope("analyze", {"gram": _Slot("gram")}, payload))
-    parts = text.split("\0")
-    return parts[0], tuple(zip(parts[1::3], parts[2::3], parts[3::3]))
+    moduli.field_report(disc0) as a _template.  Its holes, in sorted-key
+    order, are the four entries of input.gram, result.disc, result.m and
+    then result.orbit, a row of _row for each of its g lattices (g is fixed
+    by disc0)."""
+    fields = moduli.field_report(disc0)
+    payload = _field_payload(fields)
+    payload.update(disc=_HOLE, m=_HOLE, orbit=[_lattice((_HOLE,) * 10)] * fields.g)
+    gram = [[_HOLE, _HOLE], [_HOLE, _HOLE]]
+    return _template(_envelope("analyze", {"gram": gram}, payload))
 
 
 def run(args: argparse.Namespace) -> int:
@@ -434,17 +418,8 @@ def run(args: argparse.Namespace) -> int:
         lattice = k3.from_gram(_gram_matrix(args.gram))
         report = moduli.moduli_report(lattice)
         if args.format == "json":
-            head, slots = _analyze_envelope(report.disc0)
-            fields = {
-                "gram": echo["gram"],
-                "disc": report.disc,
-                "m": report.m,
-                "orbit": _Lattices.of(report.orbit),
-            }
-            out = [head]
-            for name, newline, text in slots:
-                out += (_json(fields[name], newline), text)
-            print("".join(out))
+            rows = chain.from_iterable(map(_row, report.orbit))
+            print(_analyze_envelope(report.disc0) % (*args.gram, report.disc, report.m, *rows))
             return EXIT_OK
         payload = _report_payload(report)
     elif args.command == "classgroup":
@@ -457,7 +432,7 @@ def run(args: argparse.Namespace) -> int:
         lattice = k3.from_gram(_gram_matrix(args.gram))
         payload = {
             "disc": lattice.disc,
-            "lattices": _Lattices.of(k3.galois_orbit(lattice)),
+            "lattices": [_lattice(_row(t)) for t in k3.galois_orbit(lattice)],
         }
     elif args.command == "classpoly":
         coeffs, used = moduli.class_polynomial_with_precision(args.disc)

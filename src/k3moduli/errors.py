@@ -21,5 +21,5 @@ class NotNearInteger(PrecisionError):
     """A value is not certified near an integer at this precision."""
 
 
-class ResolventDegenerate(PrecisionError):
+class TracesNotApart(PrecisionError):
     """The coset traces are not certified distinct at this precision."""

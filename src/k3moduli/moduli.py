@@ -86,7 +86,7 @@ from math import ceil, comb, isqrt, log, log10, pi, prod, sqrt
 
 from . import classgroup, k3, orders, qforms
 from .classgroup import ClassGroup
-from .errors import InputError, K3ModuliError, NotNearInteger, PrecisionError, ResolventDegenerate
+from .errors import InputError, K3ModuliError, NotNearInteger, PrecisionError, TracesNotApart
 from .k3 import TranscLattice
 from .numerics import MAX_DIGITS, BigComplex, CMPoint, apart, conjugate, gamma2, gamma3, times_sqrt
 from .numerics import j_from_kernel, j_invariant, part_sums, poly_from_roots, recognize_integer
@@ -261,11 +261,11 @@ def _separated_roots(js: list[BigComplex], cosets) -> list[BigComplex]:
     numerics.apart): the true traces then differ, so the product over the
     cosets is the minimal polynomial.  The sums are exact (see
     numerics.part_sums): conjugate cosets give exactly conjugate traces.
-    Traces not certified apart raise ResolventDegenerate, which _escalate
+    Traces not certified apart raise TracesNotApart, which _escalate
     retries at twice the digits; no D with |D| <= 20000 needs the retry."""
     roots = part_sums(js, cosets)
     if not apart(roots):
-        raise ResolventDegenerate("the coset traces are not certified distinct")
+        raise TracesNotApart("the coset traces are not certified distinct")
     return roots
 
 
@@ -590,7 +590,7 @@ def _escalate(disc: int, floor: int, attempt, start: int | None = None):
     while True:
         try:
             return attempt(digits), digits
-        except (NotNearInteger, ResolventDegenerate) as exc:
+        except (NotNearInteger, TracesNotApart) as exc:
             if 2 * digits > MAX_DIGITS:
                 raise PrecisionError(
                     f"{exc}: failed at {digits} digits, and doubling would pass "

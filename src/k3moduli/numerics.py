@@ -129,6 +129,13 @@ def _magnitude(disc: int, a: int) -> int:
 
 
 def _working_bits(digits: int, magnitude: int) -> int:
+    """The bits that carry a value below 2^magnitude to about 10^-digits, for
+    every kernel; digits below 1 or above MAX_DIGITS are refused here, with
+    InputError, before any series."""
+    if digits < 1:
+        raise InputError(f"{digits} digits are below 1")
+    if digits > MAX_DIGITS:
+        raise InputError(f"{digits} digits are above the ceiling of {MAX_DIGITS}")
     return ceil(digits * LOG2_10) + magnitude + _GUARD_BITS
 
 
@@ -330,8 +337,8 @@ def j_invariant(point: CMPoint, digits: int) -> BigComplex:
     the reduced point it lifts to (_lifted).  j(a, -b) is the exact conjugate
     of j(a, b); j is exactly real at a reduced point with a | b or |tau| = 1.
     The only refusals, InputError before any work, are a point off the upper
-    half plane, digits above MAX_DIGITS, and a lifted |q|^-1 above
-    2^_TOP_MAGNITUDE (the constants' size at MAX_DIGITS).
+    half plane, a lifted |q|^-1 above 2^_TOP_MAGNITUDE (the constants' size
+    at MAX_DIGITS), and digits below 1 or above MAX_DIGITS (_working_bits).
     """
     return _eta_quotient(point, digits, 1)
 
@@ -406,13 +413,12 @@ def weber(point: CMPoint, digits: int) -> BigComplex:
     Exactly real at B = 0 (k = 0 or 24, u real), the only ambiguous forms
     of 4D for D = 1 (mod 8); at (A, -B, C) the exact conjugate of the
     value at (A, B, C).  Refusals, InputError before any work: a form that
-    is not a reduced form of such a 4D, and digits above MAX_DIGITS.
+    is not a reduced form of such a 4D, and digits below 1 or above
+    MAX_DIGITS (_working_bits).
     """
     a, b, disc = point.a, abs(point.b), point.disc
     if disc % 32 != 4 or disc >= 0 or not 0 <= b <= a <= (b * b - disc) // (4 * a):
         raise InputError(f"{point} is not a reduced form of 4D with D = 1 (mod 8)")
-    if digits > MAX_DIGITS:
-        raise InputError(f"{digits} digits are above the ceiling of {MAX_DIGITS}")
     c, half = (b * b - disc) // (4 * a), b // 2
     if a % 2 == 0:  # f2, at tau + k/2
         k = -half * (a - c - a * c * c)
@@ -575,8 +581,6 @@ def _eta_quotient(point: CMPoint, digits: int, n: int) -> BigComplex:
     """
     if point.a <= 0 or point.disc >= 0:
         raise InputError("CM point needs a > 0 and disc < 0")
-    if digits > MAX_DIGITS:
-        raise InputError(f"{digits} digits are above the ceiling of {MAX_DIGITS}")
     a, b, disc, negate = _lifted(point.a, point.b, point.disc, n)
     # sized in integers before any float: sqrt|disc| / a lies between
     # 2^(size - 1) and 2^(size + 1), so at size > 12, |q|^-1 has over 2^13

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from k3moduli import __version__, classgroup, cli, k3, moduli, orders
 from k3moduli.cli import ENVELOPE_SCHEMA, EXIT_CLOSED_OUTPUT, EXIT_INPUT, EXIT_OK, EXIT_PRECISION
-from k3moduli.cli import _CayleyTable, _json
-from k3moduli.errors import NotNearInteger, ResolventDegenerate
+from k3moduli.cli import _HOLE, _CayleyTable, _json, _lattice, _row, _template
+from k3moduli.errors import NotNearInteger, TracesNotApart
 from k3moduli.k3 import lattice_from_class
 from k3moduli.qforms import FormClass, QuadForm
 
@@ -304,7 +304,7 @@ def test_classpoly_precision_failure_exits_3(monkeypatch, capsys):
 
 def test_analyze_coset_collision_at_every_precision_exits_3(monkeypatch, capsys):
     def colliding(js, cosets):
-        raise ResolventDegenerate("forced")
+        raise TracesNotApart("forced")
 
     empty_field_cache(monkeypatch)
     monkeypatch.setattr(moduli, "_separated_roots", colliding)
@@ -522,17 +522,30 @@ def lattices(draw):
 @settings(deadline=None, max_examples=200)
 @given(st.lists(lattices(), max_size=4), st.integers(0, 2))
 def test_lattice_rows_are_written_as_their_dicts(orbit, depth):
-    # JSON at several depths, and both text rows, as the dict form wrote them
-    rows, dicts = cli._Lattices.of(tuple(orbit)), [_lattice_dict(t) for t in orbit]
-    value, expected = {"orbit": rows, "n": -1}, {"orbit": dicts, "n": -1}
+    # each row's lattice object is the dict form; a template of holes filled
+    # with the rows, at several depths, is its JSON; and both text lines
+    dicts = [_lattice_dict(t) for t in orbit]
+    assert [_lattice(_row(t)) for t in orbit] == dicts
+    holes = [_lattice((_HOLE,) * 10)] * len(orbit)
+    value, expected = {"orbit": holes, "n": -1}, {"orbit": dicts, "n": -1}
     for _ in range(depth):
         value, expected = {"result": value}, {"result": expected}
-    assert _json(value) == json.dumps(expected, sort_keys=True, indent=2)
-    for row, t in zip(rows, dicts):
-        assert cli._LATTICE_TEXT % row[2:] == (
-            f"gram {t['gram']}  m = {t['m']}  class {tuple(t['primitive_class'])}"
-        )
-        assert cli._MEMBER_TEXT % row[6:] == f"m = {t['m']} * class {tuple(t['primitive_class'])}"
+    filled = _template(value) % tuple(x for t in orbit for x in _row(t))
+    assert filled == json.dumps(expected, sort_keys=True, indent=2)
+    listing = cli._text_lines("orbit", {"lattices": dicts})
+    assert listing[1:] == [
+        f"  {'lattice':<18} gram {t['gram']}  m = {t['m']}"
+        f"  class {tuple(t['primitive_class'])}"
+        for t in dicts
+    ]
+    numbers = ("disc", "disc0", "m", "d_k", "h", "genus_order", "precision_used")
+    report = dict.fromkeys(numbers, 1) | dict.fromkeys(("degree_mk_over_k", "degree_mq_over_q"), 1)
+    polys = ("class_polynomial", "mk_min_poly", "mq_min_poly")
+    report |= dict.fromkeys(polys, ["1"]) | {"mq_is_galois": True, "orbit": dicts}
+    members = [line for line in cli._text_lines("analyze", report) if "orbit member" in line]
+    assert members == [
+        f"  orbit member       m = {t['m']} * class {tuple(t['primitive_class'])}" for t in dicts
+    ]
 
 
 def test_orbit_json_bytes_are_frozen():
@@ -650,10 +663,14 @@ def test_analyze_envelope_matches_json_dumps_in_every_cache_state(monkeypatch):
             cli._analyze_envelope.cache_clear()
             _check_analyze_bytes(d0, shift, cold=False)
             assert cli._analyze_envelope.cache_info().misses == 1
-    # the slot is its own exact type: no other str subclass is written
-    marker = cli._Slot("orbit")
-    assert _json({"x": marker}) == '{\n  "x": \0orbit\0\n  \0\n}'
-    assert _json("\0") == json.dumps("\0") == '"\\u0000"'
+    # a hole is written as NUL and filled as %d; a % and a NUL in a string
+    # are written as json.dumps writes them, and neither is a hole
+    assert _json({"x": _HOLE}) == '{\n  "x": \0\n}'
+    percent = {"x": "%d %", "y": 5}
+    assert _template(percent | {"y": _HOLE}) % (5,) == json.dumps(percent, indent=2)
+    assert _json("\0") == _template("\0") == json.dumps("\0") == '"\\u0000"'
+    assert _template(["\0", _HOLE]) % (-1,) == json.dumps(["\0", -1], indent=2)
+    # no str subclass is written
 
     class Text(str):
         pass
@@ -715,7 +732,7 @@ def test_analyze_refusals_are_not_cached(monkeypatch, capsys):
 
     # a precision failure is raised again on the next call
     def colliding(js, cosets):
-        raise ResolventDegenerate("forced")
+        raise TracesNotApart("forced")
 
     empty_field_cache(monkeypatch)
     monkeypatch.setattr(moduli, "_separated_roots", colliding)

@@ -16,7 +16,7 @@ from mpmath.ctx_mp import MPContext
 from k3moduli import classgroup, moduli, numerics, qforms
 from k3moduli.k3 import from_gram, lattice_from_class, scale
 from k3moduli.moduli import class_polynomial, field_of_Q_moduli, moduli_report, mq_is_galois
-from k3moduli.errors import K3ModuliError, NotNearInteger, PrecisionError, ResolventDegenerate
+from k3moduli.errors import K3ModuliError, NotNearInteger, PrecisionError, TracesNotApart
 from k3moduli.numerics import BigComplex, CMPoint, conjugate, j_invariant, poly_from_roots
 from k3moduli.qforms import form_class
 
@@ -776,7 +776,7 @@ def test_coset_collision_at_the_floor_doubles_the_precision(monkeypatch):
 
     def colliding(js, cosets):
         if attempts[-1] in collides_at:
-            raise ResolventDegenerate("forced")
+            raise TracesNotApart("forced")
         return separate(js, cosets)
 
     monkeypatch.setattr(moduli, "_separated_roots", colliding)
@@ -1091,14 +1091,14 @@ def _reals(*values: int) -> list[BigComplex]:
 
 def test_colliding_coset_traces_are_refused():
     # traces 1 + 4 = 2 + 3 collide: no other invariant is tried
-    with pytest.raises(ResolventDegenerate, match="coset traces"):
+    with pytest.raises(TracesNotApart, match="coset traces"):
         moduli._separated_roots(_reals(1, 4, 2, 3), ((0, 1), (2, 3)))
 
 
 def test_equal_coset_multisets_are_refused():
     # the same j-values 1, 4 | 4, 1 on both cosets: every symmetric function
     # of a coset collides, so the traces are refused like any collision
-    with pytest.raises(ResolventDegenerate, match="coset traces"):
+    with pytest.raises(TracesNotApart, match="coset traces"):
         moduli._separated_roots(_reals(1, 4, 4, 1), ((0, 1), (2, 3)))
 
 
@@ -1116,7 +1116,7 @@ def test_coset_traces_within_their_bounds_are_refused():
     # traces 5 and 5 + delta lie within their error bounds of one another:
     # the true traces could be equal, so they are refused, although delta
     # (~ 1.8e-12) is far above 10^-15, the old fixed threshold at 30 digits
-    with pytest.raises(ResolventDegenerate, match="coset traces"):
+    with pytest.raises(TracesNotApart, match="coset traces"):
         moduli._separated_roots(_traces_apart_by(2 * EPS), ((0, 1), (2, 3)))
 
 

@@ -676,6 +676,26 @@ def test_j_refuses_digits_above_the_ceiling():
     assert recognize_integer(j_invariant(CMPoint(1, 0, -4), numerics.MAX_DIGITS)) == 1728
 
 
+def test_kernels_refuse_digits_below_1():
+    # -50 digits made a negative shift count, and 0 or -1 a value whose bound
+    # exceeds its scale: all refused before any series, pi and ln 2 unasked
+    numerics._exact_floor.cache_clear()
+    kernels = (
+        (j_invariant, CMPoint(1, 0, -4)),
+        (numerics.gamma2, CMPoint(1, 0, -4)),
+        (numerics.gamma3, CMPoint(1, 0, -4)),
+        (numerics.weber, CMPoint(1, 0, -28)),
+    )
+    for evaluate, point in kernels:
+        for digits in (0, -1, -50):
+            with pytest.raises(InputError, match=f"^{digits} digits are below 1$"):
+                evaluate(point, digits)
+    assert numerics._exact_floor.cache_info()[:2] == (0, 0)
+    for evaluate, point in kernels:
+        value = evaluate(point, 1)
+        assert value.err < 1 << value.bits - 3, evaluate
+
+
 def test_out_of_domain_points_are_refused_before_any_work():
     # a lifted point whose |q|^-1 is longer than the constants were sized for
     # (3.2 s of pi and ln 2 at |D| = 4*10^8) is refused before the constants

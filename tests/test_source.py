@@ -131,7 +131,7 @@ ERRORS = {
     "InputError": errors.K3ModuliError,
     "PrecisionError": errors.K3ModuliError,
     "NotNearInteger": errors.PrecisionError,
-    "ResolventDegenerate": errors.PrecisionError,
+    "TracesNotApart": errors.PrecisionError,
 }
 
 
