@@ -8,10 +8,11 @@ The coordinates come from generators.  The reduced classes are walked in
 order, and each class not yet reached becomes a generator g_k: its powers are
 composed until one lands in the subgroup H generated so far, which gives its
 relative order e_k and a relation g_k^e_k = (exponents of g_1 .. g_(k-1)); H
-is then extended by composing with g_k.  That is about h + sum(e_k) Dirichlet
-compositions in all, made on coefficient triples (a, b, c) by qforms._compose,
-each product looked up by its (a, b), which fixes c at one discriminant; the
-FormClass objects are made once, for ClassGroup.classes.  The Smith normal
+is then extended by composing with g_k, each block g_k^t H led by the power
+g_k^t the order search found.  That is h - 1 Dirichlet compositions in all,
+made on coefficient triples (a, b, c) by qforms._compose, each product
+looked up by its (a, b), which fixes c at one discriminant; the FormClass
+objects are made once, for ClassGroup.classes.  The Smith normal
 form U M V = diag(d_1, .., d_r) of the r x r relation matrix M gives the
 invariant factors, and V sends a class's exponent vector e to its coordinates
 e V mod (d_1, .., d_r), so C(D) is Z/d_1 x .. x Z/d_r with each class a point
@@ -203,17 +204,20 @@ def _generators(
     for i, (a, b, c) in enumerate(reps):
         if reached[i]:
             continue
-        size, pa, pb, e = len(members), a, b, 1
+        size, pa, pb, powers = len(members), a, b, [i]  # powers: g^1 .. g^(e-1)
         while True:
             pa, pb, _ = compose(pa, pb, a, b, c, d)
-            e += 1
             j = index[pa, pb]
             if reached[j]:
                 break
+            powers.append(j)
         relations.append(_digits(members.index(j), orders))
-        orders.append(e)
-        for start in range(0, (e - 1) * size, size):
-            for y in members[start : start + size]:
+        orders.append(len(powers) + 1)
+        # block k is g^k H, led by g^k times the principal class: g^k itself
+        for start, power in zip(range(0, len(powers) * size, size), powers):
+            reached[power] = True
+            members.append(power)
+            for y in members[start + 1 : start + size]:
                 pa, pb, _ = compose(a, b, *reps[y], d)
                 j = index[pa, pb]
                 reached[j] = True

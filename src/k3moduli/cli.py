@@ -382,11 +382,18 @@ def _envelope(command: str, input_echo: dict, payload: dict) -> dict:
     }
 
 
-def _emit(command: str, input_echo: dict, payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(_json(_envelope(command, input_echo, payload)))
+def _emit(args: argparse.Namespace, payload: dict) -> None:
+    """Print payload in args.format: JSON in its envelope, which echoes the
+    arguments but the command and format as its input, or text lines."""
+    if args.format == "json":
+        echo = {
+            key: [value[:2], value[2:]] if key == "gram" else value
+            for key, value in vars(args).items()
+            if key not in ("command", "format")
+        }
+        print(_json(_envelope(args.command, echo, payload)))
     else:
-        print("\n".join(_text_lines(command, payload)))
+        print("\n".join(_text_lines(args.command, payload)))
 
 
 # Every field of an analyze report but the lattice's Gram matrix, disc, m and
@@ -409,11 +416,6 @@ def _analyze_envelope(disc0: int) -> str:
 
 
 def run(args: argparse.Namespace) -> int:
-    echo = {
-        key: [value[:2], value[2:]] if key == "gram" else value
-        for key, value in vars(args).items()
-        if key not in ("command", "format")
-    }
     if args.command == "analyze":
         lattice = k3.from_gram(_gram_matrix(args.gram))
         report = moduli.moduli_report(lattice)
@@ -452,13 +454,28 @@ def run(args: argparse.Namespace) -> int:
             "primitive_only": args.primitive_only,
             "strata": _enumerate_rows(args.max_disc, args.max_h, args.primitive_only),
         }
-    _emit(args.command, echo, payload, args.format)
+    _emit(args, payload)
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv) in one argparse pass: when argv[0]
+    names a command, argv[1:] goes to that command's own parser, which the
+    whole parser would call in its second pass.  The whole parser runs only
+    when argv names no command or the command's parser leaves an argument
+    unread, so that every help text, version line and error is its own."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = commands.choices.get(argv[0]) if argv else None
+    if command is not None:
+        args, unread = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not unread:
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         code = run(args)
         sys.stdout.flush()

@@ -422,19 +422,19 @@ def _norm(poly, s: int, n: int, r, q=(0, 0), lift=0, divisor=1, refusal="") -> t
     C(rho^n)) is a + b rho (+ c rho^2) for a = A(r) and so on (_pack): the
     norm is a^2 - r b^2 for n = 2, and for n = 3, r = X and s = 3t, rho =
     2^t, so with b, c times 2^t, 2^2t it is a^3 + b^3 + c^3 - 3abc = (a + b
-    + c)((a + b + c)^2 - 3(ab + bc + ca)), five products.  Otherwise
-    (Weber's cubics) q and r are powers of two at 2^s and poly is in sigma
-    = rho + lift: Horner takes it to a + b rho + c rho^2 by shifts and adds,
-    and the norm is a (a + cq)^2 + r c^2 (rc - qb) + b (r b^2 - a (3rc +
-    qb)), seven products."""
+    + c)((a - b)^2 + (b - c)^2 + (c - a)^2) / 2, three squarings and one
+    product (the differences sum to 0, so the squares sum to an even
+    number).  Otherwise (Weber's cubics) q and r are powers of two at 2^s
+    and poly is in sigma = rho + lift: Horner takes it to a + b rho + c
+    rho^2 by shifts and adds, and the norm is a (a + cq)^2 + r c^2 (rc -
+    qb) + b (r b^2 - a (3rc + qb)), seven products."""
     if q == (0, 0) and n == 2:
         a, b = _pack(poly[0::2], s, r), _pack(poly[1::2], s, r)
         b *= b
         value = a * a - (r[0] * (b << s) + r[1] * b)
     elif q == (0, 0):
         a, b, c = (_pack(poly[i::3], s) << i * s // 3 for i in range(3))
-        total = a + b + c
-        value = total * (total * total - 3 * (a * b + b * c + c * a))
+        value = (a + b + c) * (((a - b) ** 2 + (b - c) ** 2 + (c - a) ** 2) >> 1)
     else:
         qs, rs = (((m << s) + k).bit_length() - 1 for m, k in (q, r))  # q = 2^qs, r = 2^rs
         a = b = c = 0
@@ -617,7 +617,7 @@ def field_report(disc0: int) -> FieldReport:
     per disc0, by trial division of |disc0|."""
     group = classgroup.class_group(disc0)
     polys, digits = _field_polynomials(disc0)
-    return FieldReport(
+    fields = FieldReport(
         disc0=disc0,
         d_k=orders.order_of_disc(disc0).d_k,
         h=group.h,
@@ -627,6 +627,22 @@ def field_report(disc0: int) -> FieldReport:
         mq_min_poly=polys.mq,
         precision_used=digits,
     )
+    _check_fields(fields, group)
+    return fields
+
+
+def _check_fields(fields: FieldReport, group: ClassGroup) -> None:
+    # consistency guaranteed by the theory, checked once per disc0 before any
+    # report of it is emitted; each lattice checks its orbit (moduli_report)
+    g, h, cp, mq = fields.g, fields.h, fields.class_polynomial, fields.mq_min_poly
+    checks = {
+        "class polynomial": len(cp) == h + 1 and cp[-1] == 1,
+        "M_Q polynomial": len(mq) == g + 1 and mq[-1] == 1,
+        "elementary divisors": prod(group.elementary_divisors) == h,
+    }
+    failed = [name for name, ok in checks.items() if not ok]
+    if failed:
+        raise K3ModuliError(f"inconsistent report for {fields.disc0}: {', '.join(failed)}")
 
 
 def class_polynomial(d: int) -> tuple[int, ...]:
@@ -661,22 +677,7 @@ def moduli_report(lattice: TranscLattice) -> ModuliReport:
     """Assemble degrees, orbit, Galois data and all minimal polynomials: the
     lattice's own fields and orbit, and those of field_report(disc0)."""
     fields = field_report(lattice.disc0)
-    report = ModuliReport(
-        disc=lattice.disc, m=lattice.m, orbit=k3.galois_orbit(lattice), **fields._asdict()
-    )
-    _check_report(report, classgroup.class_group(lattice.disc0))
-    return report
-
-
-def _check_report(report: ModuliReport, group: ClassGroup) -> None:
-    # consistency guaranteed by the theory; re-checked before emission
-    g, h, cp, mq = report.g, report.h, report.class_polynomial, report.mq_min_poly
-    checks = {
-        "class polynomial": len(cp) == h + 1 and cp[-1] == 1,
-        "M_Q polynomial": len(mq) == g + 1 and mq[-1] == 1,
-        "orbit": len(report.orbit) == g,
-        "elementary divisors": prod(group.elementary_divisors) == h,
-    }
-    failed = [name for name, ok in checks.items() if not ok]
-    if failed:
-        raise K3ModuliError(f"inconsistent report for {report.disc}: {', '.join(failed)}")
+    orbit = k3.galois_orbit(lattice)
+    if len(orbit) != fields.g:  # the genus of q0 has g classes
+        raise K3ModuliError(f"inconsistent report for {lattice.disc}: orbit")
+    return ModuliReport(disc=lattice.disc, m=lattice.m, orbit=orbit, **fields._asdict())

@@ -327,8 +327,9 @@ def test_about_h_compositions(monkeypatch):
     # == compares the classes only: the coordinates are compared on their own
     assert group == expected
     assert (coords, group.elementary_divisors) == (expected.coords, expected.elementary_divisors)
-    # h - 1 products extend the subgroup, sum(e_k - 1) find the relative orders
-    assert group.h == 160 and group.h - 1 <= calls <= 2 * group.h
+    # each product reaches one more class: the order search's powers lead
+    # the blocks that extend the subgroup
+    assert group.h == 160 and calls == group.h - 1
 
 
 def test_index_of_refuses_a_class_of_another_discriminant_with_the_same_a_b():

@@ -775,3 +775,80 @@ def test_enumerate_bytes_are_frozen():
         code, out = run_cli(["enumerate", *argv.split()])
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# argv for the parse battery: every command in both formats, help, version,
+# and each kind of parse error, at the top level and after a command
+GRAM, DISC = ["2", "1", "1", "12"], ["--", "-23"]
+COMMANDS = {
+    "analyze": GRAM,
+    "orbit": GRAM,
+    "classgroup": DISC,
+    "classpoly": DISC,
+    "enumerate": ["--max-disc", "20"],
+}
+PARSE_BATTERY = [
+    *(
+        [command, *fmt, *operand]
+        for command, operand in COMMANDS.items()
+        for fmt in ([], ["--format", "json"], ["--format", "text"])
+    ),
+    ["classpoly", "-23"],
+    ["classgroup", "--", "-23", "--format", "json"],
+    ["analyze", "--", *GRAM],
+    ["analyze", *GRAM, "--form", "json"],
+    ["-h"],
+    ["--help"],
+    *([command, flag] for command in COMMANDS for flag in ("-h", "--help")),
+    ["classpoly", "--help", "--", "-23"],
+    ["--version"],
+    ["analyze", "--version"],
+    ["classpoly", "--version", "--", "-23"],
+    ["analyze", *GRAM, "--vers"],
+    [],
+    ["frobnicate"],
+    ["--format", "json", "classpoly", "--", "-23"],
+    ["analyze", "2", "1", "1"],
+    ["classpoly"],
+    ["enumerate"],
+    ["classpoly", "x"],
+    ["analyze", "2", "1", "one", "12"],
+    ["enumerate", "--max-disc", "ten"],
+    ["classpoly", "--format", "xml", "--", "-23"],
+    ["analyze", *GRAM, "7"],
+    ["classpoly", "--", "-23", "5"],
+    ["enumerate", "--max-disc", "20", "--max-h", "2", "--primitive-only"],
+    ["enumerate", "--primitive-only", "--max-disc", "20", "--format", "json"],
+    ["enumerate", "--max", "20"],
+    ["enumerate", "--max-disc", "20", "--primitive-only", "yes"],
+]
+
+
+def outcome(call, capsys):
+    """(what call() returns, or its exit code, then stdout and stderr)."""
+    try:
+        value = call()
+    except SystemExit as exc:
+        value = ("exit", exc.code)
+    return value, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSE_BATTERY, ids=" ".join)
+def test_one_pass_parse_matches_the_whole_parser(argv, capsys):
+    # the namespace in key order, or the exit code, and both streams
+    whole = outcome(lambda: list(vars(cli.build_parser().parse_args(argv)).items()), capsys)
+    assert outcome(lambda: list(vars(cli._parse(argv)).items()), capsys) == whole
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    for argv in (["classpoly", "--format", "json", *DISC], ["frobnicate"], ["--version"]):
+        expected = outcome(lambda: cli.main(argv), capsys)
+        monkeypatch.setattr(sys, "argv", ["k3moduli", *argv])
+        assert outcome(cli.main, capsys) == expected
+    assert expected == (("exit", 0), f"k3moduli {__version__}\n", "")
+
+
+def test_a_command_is_parsed_by_its_own_parser_alone(monkeypatch):
+    monkeypatch.setattr(cli.build_parser(), "parse_known_args", None)  # the whole parser's pass
+    for command, operand in COMMANDS.items():
+        assert cli._parse([command, "--format", "json", *operand]).command == command

@@ -551,14 +551,24 @@ def test_doctored_gamma3_polynomial_is_refused_at_the_exact_division(monkeypatch
 def test_doctored_report_raises_under_optimize():
     # the consistency checks must survive python -O, which strips asserts
     script = """
-from k3moduli import classgroup, moduli
+from k3moduli import moduli
 from k3moduli.errors import K3ModuliError
-report = moduli.moduli_report(moduli.k3.from_gram(((2, 1), (1, 12))))
-group = classgroup.class_group(report.disc0)
-moduli._check_report(report, group)
-bad = report._replace(class_polynomial=report.class_polynomial[:-1])
+lattice = moduli.k3.from_gram(((2, 1), (1, 12)))
+moduli.moduli_report(lattice)  # caches field_report(-23)
+field_polynomials, galois_orbit = moduli._field_polynomials, moduli.k3.galois_orbit
+
+def doctored(disc0):
+    polys, digits = field_polynomials(disc0)
+    return polys._replace(class_poly=polys.class_poly[:-1]), digits
+
+moduli._field_polynomials = doctored
 try:
-    moduli._check_report(bad, group)
+    moduli.field_report.__wrapped__(-23)
+except K3ModuliError as exc:
+    print("raised:", exc)
+moduli.k3.galois_orbit = lambda lattice: galois_orbit(lattice)[1:]
+try:
+    moduli.moduli_report(lattice)
 except K3ModuliError as exc:
     print("raised:", exc)
 """
@@ -571,7 +581,10 @@ except K3ModuliError as exc:
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("raised:") and "class polynomial" in done.stdout
+    assert done.stdout.splitlines() == [
+        "raised: inconsistent report for -23: class polynomial",
+        "raised: inconsistent report for -23: orbit",
+    ]
 
 
 def test_field_polynomials_minus_23():
