@@ -62,9 +62,10 @@ class ClassGroup(Value, namedtuple("ClassGroup", "disc classes")):
     coords[i] the coordinates of classes[i].  The principal class is
     classes[0], at coordinates 0: (1, d mod 2, .) is the only reduced form
     with a = 1.
-    Both are built on first read, by _coordinates, and so is the genus
-    partition with the genus of each class; all are kept in the instance
-    __dict__ (no __slots__ here), and a group compares by disc and classes.
+    Both are built on first read, by _coordinates, and so are the genus
+    partition with the genus of each class and the cosets of C[2], which
+    moduli reads; all are kept in the instance __dict__ (no __slots__
+    here), and a group compares by disc and classes.
     """
 
     @property
@@ -73,7 +74,7 @@ class ClassGroup(Value, namedtuple("ClassGroup", "disc classes")):
 
     @cached_property
     def _structure(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        return _coordinates(self.disc, self.classes)
+        return _coordinates(self)
 
     @cached_property
     def coords(self) -> tuple[tuple[int, ...], ...]:
@@ -91,6 +92,11 @@ class ClassGroup(Value, namedtuple("ClassGroup", "disc classes")):
     @cached_property
     def _at(self) -> dict[tuple[int, ...], int]:
         return {c: i for i, c in enumerate(self.coords)}
+
+    @cached_property
+    def _torsion_cosets(self) -> tuple[tuple[int, ...], ...]:
+        # g cosets of C[2], the fibres of squaring, each ascending, by least member
+        return fibres(self, lambda i: self.mul(i, i))
 
     @cached_property
     def _genus_index(self) -> tuple[GenusPartition, tuple[int, ...]]:
@@ -291,15 +297,13 @@ def class_group(d: int) -> ClassGroup:
     return ClassGroup(d, tuple(FormClass(q, d) for q in reps))
 
 
-def _coordinates(
-    d: int, classes: tuple[FormClass, ...]
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+def _coordinates(group: ClassGroup) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """(coords, invariant factors) of C(d) from its reduced classes: the
-    generator walk and the Smith form, whose 2-rank must give the 2^(mu - 1)
-    genera."""
-    triples = [(c.rep.a, c.rep.b, c.rep.c) for c in classes]
-    index = {(a, b): i for i, (a, b, _) in enumerate(triples)}
-    orders, relations, members = _generators(triples, index, d)
+    generator walk over the group's (a, b) index and the Smith form, whose
+    2-rank must give the 2^(mu - 1) genera."""
+    d = group.disc
+    triples = [(c.rep.a, c.rep.b, c.rep.c) for c in group.classes]
+    orders, relations, members = _generators(triples, group._index, d)
     matrix = [
         [-v for v in rel] + [e] + [0] * (len(orders) - k - 1)
         for k, (e, rel) in enumerate(zip(orders, relations))
@@ -322,7 +326,7 @@ def _coordinates(
         for column, k in zip(columns, kept):
             n, step = diagonal[k], row[k]
             column += [(x + m * step) % n for m in range(1, e) for x in column]
-    coords: list[tuple[int, ...]] = [()] * len(classes)  # C trivial: no columns
+    coords: list[tuple[int, ...]] = [()] * group.h  # C trivial: no columns
     for i, point in zip(members, zip(*columns)):
         coords[i] = point
     return tuple(coords), divisors

@@ -194,6 +194,9 @@ def _classgroup_payload(group: classgroup.ClassGroup) -> dict:
     }
 
 
+_ENUMERATE_BOUND = 10**5  # the largest --max-disc: 16-19 s in process on a 2-vCPU VM
+
+
 def _enumerate_rows(max_disc: int, max_h: int | None, primitive_only: bool) -> list[dict]:
     """Strata rows (disc = m^2 * disc0, m, disc0), |disc| <= max_disc, in order
     of |disc|, then m: C(disc0) is read once per primitive discriminant, and
@@ -448,6 +451,8 @@ def run(args: argparse.Namespace) -> int:
         if args.max_disc <= 0 or (args.max_h is not None and args.max_h <= 0):
             raise InputError("bounds must be positive")
         classgroup.check_size(args.max_disc)
+        if args.max_disc > _ENUMERATE_BOUND:
+            raise InputError(f"--max-disc exceeds {_ENUMERATE_BOUND}, the largest enumerate takes")
         payload = {
             "max_abs_disc": args.max_disc,
             "max_class_number": args.max_h,

@@ -25,11 +25,11 @@ only when a certificate fails, and never past MAX_DIGITS.  The class
 polynomial is then checked exactly against Gross-Zagier (J. reine angew.
 Math. 355, 1985): for fundamental D the primes of its norm are at most
 3|D|/4; the field polynomial against H_D (see _check_trace).
-class_polynomial starts at its class polynomial's floor (at D = 1 (mod 8),
-the Weber polynomial's), and moduli_report at the higher of the floors of
-its two polynomials (see precision_floor); each refuses an input whose
-own floor is above MAX_DIGITS, class_polynomial by class_polynomial_floor
-whatever its kernel.
+class_polynomial starts at class_polynomial_floor(group, n), the floor of
+the kernel n it runs (at D = 1 (mod 8), Weber's), and moduli_report at the
+higher of the floors of its two polynomials (see precision_floor); each
+refuses an input whose own floor is above MAX_DIGITS, class_polynomial by
+class_polynomial_floor(group), _class_kernel's, whatever its kernel.
 
 H_D comes through one path, _class_polynomial_at, for both commands: the
 values of a class invariant of size about j^(1/n) at every class
@@ -59,7 +59,7 @@ For D = 1 (mod 8) class_polynomial takes Weber's roots instead (Weber,
 Lehrbuch der Algebra III, 1908; Yui & Zagier, Math. Comp. 66, 1997): x =
 zeta_48^k g(tau) / sqrt 2 at the reduced forms of 4D (numerics.weber), n
 = 24, or its cube when 3 | D, n = 8, whose polynomial is about a sixth as
-tall as W or W3 and is certified at its own floor (_weber_floor).
+tall as W or W3 and is certified at that n's own floor.
 analyze never takes Weber: that is the one exception to one set of
 invariant values per discriminant, as moduli_report's coset traces need j
 at the classes of D.
@@ -251,9 +251,8 @@ def _class_kernel(disc: int) -> int:
 
 
 def _torsion_cosets(group: ClassGroup) -> tuple[tuple[int, ...], ...]:
-    """Cosets of C[2] in C, g of them, each sorted, ordered by smallest member:
-    the fibres of squaring."""
-    return classgroup.fibres(group, lambda i: group.mul(i, i))
+    """The g cosets of C[2] in C, built once per group (ClassGroup._torsion_cosets)."""
+    return group._torsion_cosets
 
 
 def _separated_roots(js: list[BigComplex], cosets) -> list[BigComplex]:
@@ -346,24 +345,15 @@ def precision_floor(group: ClassGroup) -> int:
     return max(floor, ceil(_height(group, cosets) + log10(3)) + GUARD_DIGITS)
 
 
-def class_polynomial_floor(group: ClassGroup) -> int:
-    """Digits that class_polynomial_with_precision is admitted by: the
-    height of the kernel's polynomial and GUARD_DIGITS.  That is W, a third
-    of the height of H_D, when 3 does not divide D; W3, about two thirds of
-    it, when D is odd and 3 divides it; and H_D itself otherwise.  The
-    attempts start there, bar those of D = 1 (mod 8), which start at
-    _weber_floor, lower still."""
-    return ceil(_height(group, n=_class_kernel(group.disc))) + GUARD_DIGITS
-
-
-def _weber_floor(group: ClassGroup) -> int:
-    """Digits at which class_polynomial_with_precision starts for D = 1 (mod
-    8): the height of the Weber polynomial, over the forms of 4D of
-    _class_point, and GUARD_DIGITS.  Its roots are Weber's x, about
-    |q|^(-1/48) in size, or their cubes when 3 | D: the 40 such D of the
-    benchmark's seed-1 classpoly queries average 19 digits here against W's
-    93 (3 does not divide D), and 28 against W3's 161 (3 | D)."""
-    return ceil(_height(group, n=24 if _class_kernel(group.disc) == 3 else 8)) + GUARD_DIGITS
+def class_polynomial_floor(group: ClassGroup, n: int | None = None) -> int:
+    """Digits at which kernel n's polynomial starts: its height and
+    GUARD_DIGITS.  The default n, _class_kernel's, admits every class
+    polynomial: W, a third of the height of H_D, when 3 does not divide D;
+    W3, about two thirds of it, when D is odd and 3 divides it; else H_D.
+    Weber's, at D = 1 (mod 8), is lower still: 19 digits on average for x
+    (n = 24) against W's 93, and 28 for its cube (n = 8) against W3's 161,
+    over the 40 such D of the benchmark's seed-1 classpoly queries."""
+    return ceil(_height(group, n=n or _class_kernel(group.disc))) + GUARD_DIGITS
 
 
 def _class_polynomial_at(group: ClassGroup, n: int, digits: int) -> tuple[tuple[int, ...], list]:
@@ -391,7 +381,7 @@ def _class_polynomial_at(group: ClassGroup, n: int, digits: int) -> tuple[tuple[
     if n > 3:
         if not vanishes(poly, values[0]):
             raise K3ModuliError(f"{group.disc}: the Weber polynomial does not vanish at its principal root")
-        poly = _norm_from_weber(_graeffe(_graeffe(_graeffe(poly))), group.disc)
+        poly = _norm_from_weber(_graeffe(_graeffe(_graeffe(poly))), group.disc, n)
     elif n == 2:
         poly = _norm_from_gamma3(poly, group.disc)
     poly = _check_gross_zagier(group.disc, poly)
@@ -480,9 +470,9 @@ def _norm_from_gamma3(w3: tuple[int, ...], d: int) -> tuple[int, ...]:
     return _norm(w3, s, 2, (d, -1728 * d), divisor=(-d) ** h, refusal=refusal)
 
 
-def _norm_from_weber(poly: tuple[int, ...], d: int) -> tuple[int, ...]:
-    """W from the polynomial poly of t = x^8 when 3 does not divide d, H_D
-    from that of u = x^24 when 3 | d, or K3ModuliError.
+def _norm_from_weber(poly: tuple[int, ...], d: int, n: int) -> tuple[int, ...]:
+    """W from the polynomial poly of t = x^8 for Weber's x (n = 24), H_D
+    from that of u = x^24 for its cube (n = 8, 3 | d), or K3ModuliError.
 
     Weber's roots give gamma_2 = (1 - 16t^3) / t^2 and j = (1 - 16u)^3 /
     u^2.  So the sigma = 1/t with gamma_2(t) = X are the roots of sigma^3 =
@@ -499,7 +489,7 @@ def _norm_from_weber(poly: tuple[int, ...], d: int) -> tuple[int, ...]:
     h = len(poly) - 1
     if not poly[0]:
         raise K3ModuliError(f"{d}: the Weber polynomial has the root 0")
-    to_w = _class_kernel(d) == 3
+    to_w = n == 24
 
     def bound_bits(e: int) -> int:  # log2 of the bound at lam = 2^e
         lam = 1 << e
@@ -658,12 +648,12 @@ def class_polynomial_with_precision(d: int) -> tuple[tuple[int, ...], int]:
     when 3 does not divide d, of the gamma_3 polynomial W3 when d is odd and
     3 divides it, of H_D itself otherwise.  Whatever the kernel, d is
     refused when class_polynomial_floor is above MAX_DIGITS."""
-    group = classgroup.class_group(d)
-    n, start = _class_kernel(d), None
+    group, n = classgroup.class_group(d), _class_kernel(d)
+    start = floor = class_polynomial_floor(group, n)
     if d % 8 == 1:  # Weber's x, or its cube when 3 | d
-        n, start = 24 if n == 3 else 8, _weber_floor(group)
-    attempt = partial(_class_polynomial_at, group, n)
-    (coeffs, _), digits = _escalate(d, class_polynomial_floor(group), attempt, start)
+        n = 24 if n == 3 else 8
+        start = class_polynomial_floor(group, n)
+    (coeffs, _), digits = _escalate(d, floor, partial(_class_polynomial_at, group, n), start)
     return coeffs, digits
 
 

@@ -380,6 +380,21 @@ def test_enumerate_rejects_bad_bounds():
     assert code == EXIT_INPUT
 
 
+def test_enumerate_above_its_bound_refused_fast(monkeypatch, capsys):
+    # the run grows about as N^1.5, and at the bound takes about as long as
+    # classpoly -- -999995; one more exits 2 at once, and the bound itself
+    # reaches the rows (stubbed here: the real run takes some 20 s)
+    bound = cli._ENUMERATE_BOUND
+    assert bound < classgroup.MAX_ABS_DISC
+    start = time.perf_counter()
+    code, out = run_cli(["enumerate", "--max-disc", str(bound + 1)])
+    elapsed = time.perf_counter() - start
+    assert code == EXIT_INPUT and out == "" and elapsed < 1, elapsed
+    assert capsys.readouterr().err == f"error: --max-disc exceeds {bound}, the largest enumerate takes\n"
+    monkeypatch.setattr(cli, "_enumerate_rows", lambda *bounds: [])
+    assert run_json(["enumerate", "--max-disc", str(bound)])["result"]["strata"] == []
+
+
 def reference_enumerate_rows(max_disc, max_h, primitive_only):
     """The rows walked by |disc|: the square divisors m of each disc found by
     trial, and C(disc0) read again for every row."""

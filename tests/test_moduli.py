@@ -54,7 +54,7 @@ def classpoly_start(group) -> int:
     floor = moduli.class_polynomial_floor(group)
     if group.disc % 8 != 1:
         return floor
-    weber = moduli._weber_floor(group)
+    weber = moduli.class_polynomial_floor(group, weber_kernel(group.disc))
     assert weber < floor, group.disc
     return weber
 
@@ -67,7 +67,8 @@ def weber_kernel(d: int) -> int:
 
 def weber_polynomial(group) -> tuple[int, ...]:
     """The Weber polynomial of group, certified at the Weber floor."""
-    values = moduli._class_values(group, weber_kernel(group.disc), moduli._weber_floor(group))
+    n = weber_kernel(group.disc)
+    values = moduli._class_values(group, n, moduli.class_polynomial_floor(group, n))
     return moduli._recognize_int_poly(poly_from_roots(values))
 
 
@@ -256,6 +257,25 @@ def test_analyze_evaluates_only_the_class_kernel(monkeypatch):
         assert report.class_polynomial == class_polynomial(d), d
 
 
+def test_cold_field_report_builds_the_cosets_of_c2_once(monkeypatch):
+    # the field polynomial's floor and its attempt both read C[2]'s cosets:
+    # a cold disc0 builds them once, on its group, and a warm one not again
+    empty_field_cache(monkeypatch)
+    fresh = lru_cache(maxsize=32)(classgroup.class_group.__wrapped__)
+    monkeypatch.setattr(classgroup, "class_group", fresh)
+    built = Counter()
+
+    def counted(group, key, fibres=classgroup.fibres):
+        built[group.disc] += 1
+        return fibres(group, key)
+
+    monkeypatch.setattr(classgroup, "fibres", counted)
+    for d in (-23, -56, -84, -260):  # h = 3, 4, 4 and 8
+        moduli.field_report(d)
+        moduli.field_report(d)
+    assert built == {-23: 1, -56: 1, -84: 1, -260: 1}
+
+
 def test_gamma2_class_polynomial_rebuilds_h(sweep):
     # for 3 not dividing D, W is monic and integral at its floor, and the
     # norm identity gives the product over j at H_D's floor exactly
@@ -335,7 +355,7 @@ def test_doctored_weber_polynomial_is_refused(monkeypatch):
         if d % 8 != 1:
             continue
         group = classgroup.class_group(d)
-        digits = moduli._weber_floor(group)
+        digits = moduli.class_polynomial_floor(group, weber_kernel(d))
         assert abs(weber_polynomial(group)[0]) == 1, d
         for i in range(group.h):
             for off in (1, -1):
@@ -364,13 +384,13 @@ def test_weber_norm_refuses_an_inexact_division():
         if d % 3:  # W, at its own floor
             digits = moduli.class_polynomial_floor(group)
             w = moduli._recognize_int_poly(poly_from_roots(moduli._class_values(group, 3, digits)))
-            assert moduli._norm_from_weber(t, d) == w, d
+            assert moduli._norm_from_weber(t, d, weber_kernel(d)) == w, d
         else:
-            assert moduli._norm_from_weber(t, d) == class_polynomial(d), d
+            assert moduli._norm_from_weber(t, d, weber_kernel(d)) == class_polynomial(d), d
         for off in (1, -1, 2 * t[0]):
             doctored = (t[0] + off,) + t[1:]
             with pytest.raises(K3ModuliError, match=r"divisible by P\(0\)\^2|root 0"):
-                moduli._norm_from_weber(doctored, d)
+                moduli._norm_from_weber(doctored, d, weber_kernel(d))
 
 
 def test_graeffe_squares_the_roots():
@@ -949,7 +969,7 @@ def test_weber_values_are_pinned_bit_for_bit(sweep):
         if d % 8 == 1:
             group, n = sweep.group(d), weber_kernel(d)
             points = [moduli._class_point(cls.rep, d, n) for cls in group.classes]
-            values = moduli._class_values(group, n, moduli._weber_floor(group))
+            values = moduli._class_values(group, n, moduli.class_polynomial_floor(group, n))
             digest.update(repr((d, [tuple(p) for p in points], [tuple(v) for v in values])).encode())
     assert digest.hexdigest() == WEBER_SWEEP_SHA256
 

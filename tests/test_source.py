@@ -391,11 +391,11 @@ def test_one_path_to_h_d():
     sample = ast.parse("def f():\n    g(lambda: m.j_invariant(1))\nclass C:\n    x = gamma2()")
     assert _callers(sample, {"j_invariant", "gamma2"}) == {"f", "C"}
     # one kernel per discriminant: _class_kernel alone chooses it, for the
-    # class polynomial's floor and attempt and for the field polynomials
-    # alike, and classpoly's Weber kernel, its floor and its norm read from
-    # it whether 3 divides D; the step from its values to j runs in the
-    # field attempt
-    callers = attempts | {"class_polynomial_floor", "_weber_floor", "_norm_from_weber"}
+    # class polynomial's attempt and default floor and for the field
+    # polynomials alike; classpoly's Weber kernel is chosen from it, and its
+    # floor and norm read that kernel's n; the step from its values to j runs
+    # in the field attempt
+    callers = attempts | {"class_polynomial_floor"}
     assert _callers(tree, {"_class_kernel"}) == callers
     # (the square check reads whether D is odd, the hypothesis of its identity)
     assert _disc_residue_readers(tree) == {"_class_kernel", "_check_square"}
