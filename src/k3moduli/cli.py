@@ -463,20 +463,81 @@ def run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv) in one argparse pass: when argv[0]
-    names a command, argv[1:] goes to that command's own parser, which the
-    whole parser would call in its second pass.  The whole parser runs only
-    when argv names no command or the command's parser leaves an argument
-    unread, so that every help text, version line and error is its own."""
+def _operand(token: str) -> bool:
+    """Whether argparse reads token as an operand, never as an option: it does
+    not start with -, or it is a negative integer, as no option looks like one."""
+    return not token.startswith("-") or (token[1:].isdigit() and token[1:].isascii())
+
+
+def _match(argv: list[str]) -> argparse.Namespace | None:
+    """build_parser().parse_args(argv), read off the named command's own
+    actions, for a canonical argv: the command; each of its options at most
+    once, by its exact name, a flag alone and any other with the next token
+    as its value; and its operands as one run of exactly nargs tokens before
+    or after the options, or at the end after one --.  None, with nothing
+    raised, for any other argv, so that argparse writes every help text,
+    version line and error itself."""
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     command = commands.choices.get(argv[0]) if argv else None
-    if command is not None:
-        args, unread = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not unread:
-            return args
-    return parser.parse_args(argv)
+    if command is None:
+        return None
+    args = argparse.Namespace(command=argv[0])
+    for action in command._actions:
+        if action.default is not argparse.SUPPRESS:
+            setattr(args, action.dest, action.default)
+    options = command._option_string_actions
+    operands = [a for a in command._actions if not a.option_strings]
+    seen = set()
+    i, n = 1, len(argv)
+    try:  # argparse's own conversions, whose errors it writes itself
+        while i < n:
+            token = argv[i]
+            action = options.get(token)
+            if action is None:  # the run of operands
+                if not (token == "--" or _operand(token)) or len(operands) != 1:
+                    return None
+                action = operands[0]
+                count = 1 if action.nargs is None else action.nargs
+                start = i + (token == "--")
+                i = start + count  # a TypeError where nargs is no count
+                tokens = argv[start:i]
+                if len(tokens) < count or not all(map(_operand, tokens)):
+                    return None
+                if token == "--" and i < n:  # after a --, argparse reads every token as an operand
+                    return None
+            elif isinstance(action, argparse._StoreConstAction):  # a flag
+                tokens = []
+                i += 1
+            elif type(action) is argparse._StoreAction and action.nargs is None and i + 1 < n:
+                tokens = argv[i + 1 : i + 2]
+                if tokens[0].startswith("-"):
+                    return None
+                i += 2
+            else:
+                return None
+            if action in seen:
+                return None
+            values = [x if action.type is None else action.type(x) for x in tokens]
+            if action.choices is not None and any(v not in action.choices for v in values):
+                return None
+            seen.add(action)
+            if action.nargs == 0:
+                setattr(args, action.dest, action.const)
+            else:
+                setattr(args, action.dest, values[0] if action.nargs is None else values)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    if any(action.required and action not in seen for action in command._actions):
+        return None
+    return args
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv): a canonical argv is read by _match
+    alone, and any other goes to the whole parser."""
+    args = _match(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,11 +1,14 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
 from decimal import Decimal
-from itertools import permutations
+from itertools import chain, permutations
 from math import isqrt
 from pathlib import Path
 
@@ -836,6 +839,23 @@ PARSE_BATTERY = [
     ["enumerate", "--primitive-only", "--max-disc", "20", "--format", "json"],
     ["enumerate", "--max", "20"],
     ["enumerate", "--max-disc", "20", "--primitive-only", "yes"],
+    # the edges of the canonical argv that _match reads without argparse
+    ["analyze", *GRAM, "--format", "json"],
+    ["classpoly", "-23", "--format", "json"],
+    ["classpoly", "--format=json", *DISC],
+    ["classpoly", "--format", "json", "--format", "text", *DISC],
+    ["classpoly", "--format", "xml", "--format", "json", *DISC],
+    ["classpoly", "--", *DISC],
+    ["analyze", "2", "1", "--", "1", "12"],
+    ["analyze", *GRAM, "--"],
+    ["analyze", "2", "1", "--format", "json", "1", "12"],
+    ["classpoly", "-23", "--format", "json", "5"],
+    ["analyze", "+2", "1_0", " 1", "12"],
+    ["classpoly", "-5.0"],
+    ["classpoly", ""],
+    ["enumerate", "--max-disc", "20", "--max-h", "-1"],
+    ["enumerate", "--max-disc", "20", "--max-h", "-1_0"],
+    ["enumerate", "--max-disc", "20", "--primitive-only", "--primitive-only"],
 ]
 
 
@@ -863,7 +883,81 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
     assert expected == (("exit", 0), f"k3moduli {__version__}\n", "")
 
 
-def test_a_command_is_parsed_by_its_own_parser_alone(monkeypatch):
-    monkeypatch.setattr(cli.build_parser(), "parse_known_args", None)  # the whole parser's pass
-    for command, operand in COMMANDS.items():
-        assert cli._parse([command, "--format", "json", *operand]).command == command
+# every token of a drawn argv: the commands, every option of each and each
+# prefix of it, values and operands that argparse reads in different ways
+SUBPARSERS = next(
+    a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+).choices
+OPERANDS = ["0", "2", "12", "-23", "+5", "1_0", " 7", "-5.0", "x", ""]
+ARGV_TOKENS = sorted(
+    {
+        *SUBPARSERS,
+        *(
+            option[:k]
+            for p in SUBPARSERS.values()
+            for option in p._option_string_actions
+            for k in range(1, len(option) + 1)
+        ),
+        *("--format=json", "--", "-h", "--version", "json", "text", "xml", *OPERANDS),
+    }
+)
+
+
+@st.composite
+def near_canonical_argv(draw):
+    """A command's canonical argv: its options in a drawn order, each but a
+    required one present or not, and its operands, after a -- or not, before,
+    between or after them.  Then up to two tokens of ARGV_TOKENS are put in
+    or taken out.  A uniform draw of ARGV_TOKENS is canonical about once in a
+    hundred."""
+    command = draw(st.sampled_from(sorted(SUBPARSERS)))
+    pieces = []
+    for action in SUBPARSERS[command]._actions:
+        if not action.option_strings:
+            count = action.nargs or 1
+            operands = st.lists(st.sampled_from(OPERANDS[:5]), min_size=count, max_size=count)
+            pieces.append(["--"] * draw(st.booleans()) + draw(operands))
+        elif action.nargs != 0 and (action.required or draw(st.booleans())):
+            values = sorted(action.choices or OPERANDS[:5]) + ["xml"]
+            pieces.append([action.option_strings[0], draw(st.sampled_from(values))])
+        elif isinstance(action, argparse._StoreTrueAction) and draw(st.booleans()):
+            pieces.append(action.option_strings)
+    argv = [command, *chain.from_iterable(draw(st.permutations(pieces)))]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        if draw(st.booleans()):
+            argv.insert(at, draw(st.sampled_from(ARGV_TOKENS)))
+        else:
+            del argv[at : at + 1]
+    return argv
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.lists(st.sampled_from(ARGV_TOKENS), max_size=8) | near_canonical_argv())
+def test_parse_matches_the_whole_parser_on_drawn_argv(argv):
+    # as the parse battery, with the streams redirected here: hypothesis
+    # refuses capsys, which pytest scopes to the test function
+    def outcome(call):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                value = list(vars(call(argv)).items())
+            except SystemExit as exc:
+                value = ("exit", exc.code)
+        return value, out.getvalue(), err.getvalue()
+
+    assert outcome(cli._parse) == outcome(cli.build_parser().parse_args)
+
+
+def test_a_canonical_argv_is_parsed_without_argparse(monkeypatch):
+    canonical = [
+        *([command, "--format", "json", *GRAM] for command in ("analyze", "orbit")),
+        *([command, *GRAM, "--format", "json"] for command in ("analyze", "orbit")),
+        *([command, *disc] for command in ("classpoly", "classgroup") for disc in (DISC, ["-23"])),
+        ["enumerate", "--max-disc", "20", "--max-h", "2", "--primitive-only"],
+    ]
+    expected = [vars(cli.build_parser().parse_args(argv)) for argv in canonical]
+    for parser in (cli.build_parser(), *SUBPARSERS.values()):
+        monkeypatch.setattr(parser, "parse_args", None)
+        monkeypatch.setattr(parser, "parse_known_args", None)
+    assert [vars(cli._parse(argv)) for argv in canonical] == expected
