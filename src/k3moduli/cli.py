@@ -6,18 +6,19 @@ strings for polynomial coefficients (lowest degree first), Gram matrices as
 [[2a, b], [b, 2c]], classes as [a, b, c].  One writer, _json, writes every
 envelope, byte for byte as json.dumps(sort_keys=True, indent=2) would; the
 analyze envelope of a primitive discriminant is written once, with holes
-that each query fills with one % (_analyze_envelope).
+that each query fills with one % (_analyze_envelope).  The grammar is one
+table, _COMMANDS; argparse is loaded only for an argv _match leaves to it.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from _json import encode_basestring_ascii  # CPython's C encoder, without the json package
 from functools import cache, lru_cache
 from itertools import chain
 from math import isqrt
+from types import SimpleNamespace
 
 from . import __version__, classgroup, k3, moduli
 from .errors import InputError, K3ModuliError, PrecisionError
@@ -69,41 +70,49 @@ ENVELOPE_SCHEMA = {
 }
 
 
+# The grammar, stated once: each command's help line, then its arguments as
+# the name and the keywords of argparse's add_argument (see _match).
+_FORMAT = ("--format", {"choices": ("json", "text"), "default": "text"})
+_GRAM = {"type": int, "nargs": 4, "metavar": "G"}
+_COMMANDS = {
+    "analyze": (
+        "full moduli report for a transcendental lattice",
+        ("gram", {**_GRAM, "help": "Gram entries 2a b b 2c (row-major)"}),
+        _FORMAT,
+    ),
+    "classgroup": (
+        "classes, Cayley table and genus data of C(D)",
+        ("disc", {"type": int, "help": "negative discriminant (pass after --)"}),
+        _FORMAT,
+    ),
+    "orbit": ("Galois-conjugate lattices (the genus, scaled by m)", ("gram", _GRAM), _FORMAT),
+    "classpoly": ("class polynomial of a discriminant", ("disc", {"type": int}), _FORMAT),
+    "enumerate": (
+        "strata of lattices by |disc| and class number",
+        ("--max-disc", {"type": int, "required": True}),
+        ("--max-h", {"type": int}),
+        ("--primitive-only", {"action": "store_true"}),
+        _FORMAT,
+    ),
+}
+
+
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process: main reuses it on every call."""
+def build_parser():
+    """The argparse parser of _COMMANDS, built once per process: it reads
+    each argv that _match leaves, and writes every help text and error."""
+    import argparse  # here alone: a canonical argv never loads it
+
     parser = argparse.ArgumentParser(
         prog="k3moduli",
         description="Class-group invariants and fields of moduli of singular K3 surfaces.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--format", choices=("json", "text"), default="text")
-
-    p = sub.add_parser("analyze", help="full moduli report for a transcendental lattice")
-    p.add_argument("gram", type=int, nargs=4, metavar="G", help="Gram entries 2a b b 2c (row-major)")
-    add_common(p)
-
-    p = sub.add_parser("classgroup", help="classes, Cayley table and genus data of C(D)")
-    p.add_argument("disc", type=int, help="negative discriminant (pass after --)")
-    add_common(p)
-
-    p = sub.add_parser("orbit", help="Galois-conjugate lattices (the genus, scaled by m)")
-    p.add_argument("gram", type=int, nargs=4, metavar="G")
-    add_common(p)
-
-    p = sub.add_parser("classpoly", help="class polynomial of a discriminant")
-    p.add_argument("disc", type=int)
-    add_common(p)
-
-    p = sub.add_parser("enumerate", help="strata of lattices by |disc| and class number")
-    p.add_argument("--max-disc", type=int, required=True)
-    p.add_argument("--max-h", type=int, default=None)
-    p.add_argument("--primitive-only", action="store_true")
-    add_common(p)
-
+    for command, (summary, *arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
     return parser
 
 
@@ -385,7 +394,7 @@ def _envelope(command: str, input_echo: dict, payload: dict) -> dict:
     }
 
 
-def _emit(args: argparse.Namespace, payload: dict) -> None:
+def _emit(args: SimpleNamespace, payload: dict) -> None:
     """Print payload in args.format: JSON in its envelope, which echoes the
     arguments but the command and format as its input, or text lines."""
     if args.format == "json":
@@ -418,7 +427,7 @@ def _analyze_envelope(disc0: int) -> str:
     return _template(_envelope("analyze", {"gram": gram}, payload))
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args: SimpleNamespace) -> int:
     if args.command == "analyze":
         lattice = k3.from_gram(_gram_matrix(args.gram))
         report = moduli.moduli_report(lattice)
@@ -447,10 +456,9 @@ def run(args: argparse.Namespace) -> int:
             "coefficients": list(map(_decimal, coeffs)),
             "precision_used": used,
         }
-    else:  # enumerate: argparse admits no other command
+    else:  # enumerate: _parse admits no other command
         if args.max_disc <= 0 or (args.max_h is not None and args.max_h <= 0):
             raise InputError("bounds must be positive")
-        classgroup.check_size(args.max_disc)
         if args.max_disc > _ENUMERATE_BOUND:
             raise InputError(f"--max-disc exceeds {_ENUMERATE_BOUND}, the largest enumerate takes")
         payload = {
@@ -469,75 +477,66 @@ def _operand(token: str) -> bool:
     return not token.startswith("-") or (token[1:].isdigit() and token[1:].isascii())
 
 
-def _match(argv: list[str]) -> argparse.Namespace | None:
-    """build_parser().parse_args(argv), read off the named command's own
-    actions, for a canonical argv: the command; each of its options at most
-    once, by its exact name, a flag alone and any other with the next token
-    as its value; and its operands as one run of exactly nargs tokens before
-    or after the options, or at the end after one --.  None, with nothing
+def _value(keywords: dict, tokens: list[str]):
+    """What argparse stores for the argument of keywords from tokens: each
+    converted by its type (a ValueError where it refuses one), as a list
+    where nargs is given.  None where one lies outside the choices."""
+    values = [keywords.get("type", str)(token) for token in tokens]
+    if any(value not in keywords.get("choices", values) for value in values):
+        return None
+    return values if "nargs" in keywords else values[0]
+
+
+def _match(argv: list[str]) -> SimpleNamespace | None:
+    """build_parser().parse_args(argv), read off _COMMANDS alone, for a
+    canonical argv: the command; then its options, each at most once by its
+    exact name, a flag alone and any other with the next token as its value;
+    then one optional --; then exactly its operands.  None, with nothing
     raised, for any other argv, so that argparse writes every help text,
     version line and error itself."""
-    parser = build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    command = commands.choices.get(argv[0]) if argv else None
-    if command is None:
+    if not argv or argv[0] not in _COMMANDS:
         return None
-    args = argparse.Namespace(command=argv[0])
-    for action in command._actions:
-        if action.default is not argparse.SUPPRESS:
-            setattr(args, action.dest, action.default)
-    options = command._option_string_actions
-    operands = [a for a in command._actions if not a.option_strings]
-    seen = set()
-    i, n = 1, len(argv)
-    try:  # argparse's own conversions, whose errors it writes itself
-        while i < n:
-            token = argv[i]
-            action = options.get(token)
-            if action is None:  # the run of operands
-                if not (token == "--" or _operand(token)) or len(operands) != 1:
-                    return None
-                action = operands[0]
-                count = 1 if action.nargs is None else action.nargs
-                start = i + (token == "--")
-                i = start + count  # a TypeError where nargs is no count
-                tokens = argv[start:i]
-                if len(tokens) < count or not all(map(_operand, tokens)):
-                    return None
-                if token == "--" and i < n:  # after a --, argparse reads every token as an operand
-                    return None
-            elif isinstance(action, argparse._StoreConstAction):  # a flag
-                tokens = []
-                i += 1
-            elif type(action) is argparse._StoreAction and action.nargs is None and i + 1 < n:
-                tokens = argv[i + 1 : i + 2]
-                if tokens[0].startswith("-"):
-                    return None
-                i += 2
+    _, *arguments = _COMMANDS[argv[0]]
+    args = {"command": argv[0]}  # argparse's key order: the command, then the table's
+    read, options, operands = {}, {}, []
+    for name, keywords in arguments:
+        dest = name.lstrip("-").replace("-", "_")
+        flag = keywords.get("action") == "store_true"
+        args[dest] = keywords.get("default", False if flag else None)
+        if name.startswith("-"):
+            options[name] = dest, keywords
+        else:
+            operands.append((dest, keywords))
+    rest = argv[1:]
+    try:
+        while rest and rest[0] in options:
+            dest, keywords = options.pop(rest.pop(0))  # a repeat is then no option
+            if keywords.get("action") == "store_true":
+                read[dest] = True
+            elif rest and not rest[0].startswith("-"):
+                read[dest] = _value(keywords, [rest.pop(0)])
             else:
                 return None
-            if action in seen:
+        if operands and rest[:1] == ["--"]:  # a -- before no operand goes to argparse
+            del rest[0]
+        for dest, keywords in operands:
+            count = keywords.get("nargs", 1)
+            tokens, rest = rest[:count], rest[count:]
+            if len(tokens) < count or not all(map(_operand, tokens)):
                 return None
-            values = [x if action.type is None else action.type(x) for x in tokens]
-            if action.choices is not None and any(v not in action.choices for v in values):
-                return None
-            seen.add(action)
-            if action.nargs == 0:
-                setattr(args, action.dest, action.const)
-            else:
-                setattr(args, action.dest, values[0] if action.nargs is None else values)
-    except (argparse.ArgumentTypeError, TypeError, ValueError):
+            read[dest] = _value(keywords, tokens)
+    except ValueError:
         return None
-    if any(action.required and action not in seen for action in command._actions):
+    if rest or None in read.values() or any(k.get("required") for _, k in options.values()):
         return None
-    return args
+    return SimpleNamespace(**{**args, **read})
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv): a canonical argv is read by _match
-    alone, and any other goes to the whole parser."""
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """build_parser().parse_args(argv), as a SimpleNamespace: a canonical argv
+    is read by _match alone, and any other by the whole parser."""
     args = _match(argv)
-    return build_parser().parse_args(argv) if args is None else args
+    return SimpleNamespace(**vars(build_parser().parse_args(argv))) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -163,14 +163,6 @@ class FieldReport(
     __slots__ = ()
 
 
-def _model(group: ClassGroup) -> GaloisModel:
-    torsion = sorted(classgroup.two_torsion(group))
-    elements = tuple((i, e) for e in (0, 1) for i in range(group.h))
-    mk = frozenset((i, 0) for i in torsion)
-    mq = frozenset((i, e) for i in torsion for e in (0, 1))
-    return GaloisModel(group, elements, mk, mq)
-
-
 def mq_is_galois(lattice: TranscLattice) -> bool:
     """Whether M_Q / Q is Galois: normality of <C[2], conjugation> in Gal(H/Q).
 

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import hashlib
 import io
@@ -142,13 +141,15 @@ def test_classgroup_rejects_bad_disc():
 
 
 def test_oversized_discriminant_refused_fast(capsys):
-    # |D| = 4000000004 (Gram 2 1 1 2000000002: |D| = 4000000003), beyond MAX_ABS_DISC
-    for argv in (
-        ["classgroup", "--", "-4000000004"],
-        ["classpoly", "--", "-4000000004"],
-        ["analyze", "2", "1", "1", "2000000002"],
-        ["orbit", "2", "1", "1", "2000000002"],
-        ["enumerate", "--max-disc", "4000000004"],
+    # |D| = 4000000004 (Gram 2 1 1 2000000002: |D| = 4000000003), beyond
+    # MAX_ABS_DISC; enumerate's own bound lies below it and refuses alone
+    enumerate_refusal = f"exceeds {cli._ENUMERATE_BOUND}, the largest enumerate takes"
+    for argv, refusal in (
+        (["classgroup", "--", "-4000000004"], "exceeds 1000000"),
+        (["classpoly", "--", "-4000000004"], "exceeds 1000000"),
+        (["analyze", "2", "1", "1", "2000000002"], "exceeds 1000000"),
+        (["orbit", "2", "1", "1", "2000000002"], "exceeds 1000000"),
+        (["enumerate", "--max-disc", "4000000004"], enumerate_refusal),
     ):
         start = time.perf_counter()
         code, out = run_cli(argv)
@@ -156,7 +157,7 @@ def test_oversized_discriminant_refused_fast(capsys):
         err = capsys.readouterr().err
         assert code == EXIT_INPUT and out == "", argv
         assert elapsed < 0.25, (argv, elapsed)
-        assert err.count("\n") == 1 and "exceeds 1000000" in err, err
+        assert err.count("\n") == 1 and refusal in err, err
 
 
 def test_gram_entries_from_10_to_the_2000_refused(capsys):
@@ -856,6 +857,9 @@ PARSE_BATTERY = [
     ["enumerate", "--max-disc", "20", "--max-h", "-1"],
     ["enumerate", "--max-disc", "20", "--max-h", "-1_0"],
     ["enumerate", "--max-disc", "20", "--primitive-only", "--primitive-only"],
+    ["enumerate", "--max-disc", "20", "--"],
+    ["enumerate", "--"],
+    ["classpoly", "--format", "json", "--"],
 ]
 
 
@@ -883,19 +887,18 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
     assert expected == (("exit", 0), f"k3moduli {__version__}\n", "")
 
 
-# every token of a drawn argv: the commands, every option of each and each
-# prefix of it, values and operands that argparse reads in different ways
-SUBPARSERS = next(
-    a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-).choices
+# every token of a drawn argv: the commands, every option of each (help
+# too) and each prefix of it, values and operands that argparse reads in
+# different ways
+ARGUMENTS = {command: arguments for command, (_, *arguments) in cli._COMMANDS.items()}
 OPERANDS = ["0", "2", "12", "-23", "+5", "1_0", " 7", "-5.0", "x", ""]
 ARGV_TOKENS = sorted(
     {
-        *SUBPARSERS,
+        *ARGUMENTS,
         *(
             option[:k]
-            for p in SUBPARSERS.values()
-            for option in p._option_string_actions
+            for option in ("-h", "--help", *(n for a in ARGUMENTS.values() for n, _ in a))
+            if option.startswith("-")
             for k in range(1, len(option) + 1)
         ),
         *("--format=json", "--", "-h", "--version", "json", "text", "xml", *OPERANDS),
@@ -910,18 +913,19 @@ def near_canonical_argv(draw):
     between or after them.  Then up to two tokens of ARGV_TOKENS are put in
     or taken out.  A uniform draw of ARGV_TOKENS is canonical about once in a
     hundred."""
-    command = draw(st.sampled_from(sorted(SUBPARSERS)))
+    command = draw(st.sampled_from(sorted(ARGUMENTS)))
     pieces = []
-    for action in SUBPARSERS[command]._actions:
-        if not action.option_strings:
-            count = action.nargs or 1
+    for name, keywords in ARGUMENTS[command]:
+        if not name.startswith("-"):
+            count = keywords.get("nargs", 1)
             operands = st.lists(st.sampled_from(OPERANDS[:5]), min_size=count, max_size=count)
             pieces.append(["--"] * draw(st.booleans()) + draw(operands))
-        elif action.nargs != 0 and (action.required or draw(st.booleans())):
-            values = sorted(action.choices or OPERANDS[:5]) + ["xml"]
-            pieces.append([action.option_strings[0], draw(st.sampled_from(values))])
-        elif isinstance(action, argparse._StoreTrueAction) and draw(st.booleans()):
-            pieces.append(action.option_strings)
+        elif keywords.get("action") == "store_true":
+            if draw(st.booleans()):
+                pieces.append([name])
+        elif keywords.get("required") or draw(st.booleans()):
+            values = sorted(keywords.get("choices", OPERANDS[:5])) + ["xml"]
+            pieces.append([name, draw(st.sampled_from(values))])
     argv = [command, *chain.from_iterable(draw(st.permutations(pieces)))]
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(argv)))
@@ -950,14 +954,48 @@ def test_parse_matches_the_whole_parser_on_drawn_argv(argv):
 
 
 def test_a_canonical_argv_is_parsed_without_argparse(monkeypatch):
+    # the command, its options, one optional --, then its operands
     canonical = [
         *([command, "--format", "json", *GRAM] for command in ("analyze", "orbit")),
-        *([command, *GRAM, "--format", "json"] for command in ("analyze", "orbit")),
+        *([command, "--format", "text", "--", *GRAM] for command in ("analyze", "orbit")),
         *([command, *disc] for command in ("classpoly", "classgroup") for disc in (DISC, ["-23"])),
+        ["classpoly", "--format", "json", *DISC],
         ["enumerate", "--max-disc", "20", "--max-h", "2", "--primitive-only"],
+        ["enumerate", "--primitive-only", "--format", "json", "--max-disc", "20"],
     ]
     expected = [vars(cli.build_parser().parse_args(argv)) for argv in canonical]
-    for parser in (cli.build_parser(), *SUBPARSERS.values()):
-        monkeypatch.setattr(parser, "parse_args", None)
-        monkeypatch.setattr(parser, "parse_known_args", None)
+    monkeypatch.setattr(cli, "build_parser", None)
     assert [vars(cli._parse(argv)) for argv in canonical] == expected
+
+
+def test_canonical_queries_never_import_argparse():
+    # pytest imports argparse itself, so a fresh interpreter runs the queries
+    script = """if True:
+        import contextlib, io, sys
+        from k3moduli import cli
+
+        def run(argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(argv) == 0
+            return out.getvalue()
+
+        for fmt in ("text", "json"):
+            run(["analyze", "--format", fmt, "2", "1", "1", "12"])
+            run(["orbit", "--format", fmt, "--", "2", "1", "1", "12"])
+            run(["classgroup", "--format", fmt, "--", "-23"])
+            run(["enumerate", "--format", fmt, "--max-disc", "20", "--primitive-only"])
+            canonical = run(["classpoly", "--format", fmt, "--", "-23"])
+        print("argparse" in sys.modules)
+        print(run(["classpoly", "--format=json", "--", "-23"]) == canonical)
+        print("argparse" in sys.modules)
+    """
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\nTrue\nTrue\n", "")

@@ -30,6 +30,16 @@ LATTICE_56 = lattice_from_class(1, form_class(3, 2, 5))
 H23 = (12771880859375, -5151296875, 3491750, 1)  # frozen two-precision golden
 
 
+def galois_model(group):
+    """Gal(H/Q) of the class group as a brute-force moduli.GaloisModel: its
+    elements, C[2] (fixing M_K) and <C[2], conjugation> (fixing M_Q)."""
+    torsion = sorted(classgroup.two_torsion(group))
+    elements = tuple((i, e) for e in (0, 1) for i in range(group.h))
+    mk = frozenset((i, 0) for i in torsion)
+    mq = frozenset((i, e) for i in torsion for e in (0, 1))
+    return moduli.GaloisModel(group, elements, mk, mq)
+
+
 @pytest.fixture(scope="session")
 def sweep():
     """The class groups, class polynomials (with their digits) and field
@@ -79,15 +89,15 @@ def test_moduli_degree():
 
 
 def test_galois_model_shapes():
-    m23 = moduli._model(classgroup.class_group(LATTICE_23.disc0))
+    m23 = galois_model(classgroup.class_group(LATTICE_23.disc0))
     assert len(m23.elements) == 6
     assert len(m23.subgroup_mk) == 1
     assert len(m23.subgroup_mq) == 2
 
-    m4 = moduli._model(classgroup.class_group(LATTICE_4.disc0))
+    m4 = galois_model(classgroup.class_group(LATTICE_4.disc0))
     assert len(m4.elements) == 2
 
-    m56 = moduli._model(classgroup.class_group(LATTICE_56.disc0))
+    m56 = galois_model(classgroup.class_group(LATTICE_56.disc0))
     assert len(m56.elements) == 8
     assert len(m56.subgroup_mk) == 2
     assert len(m56.subgroup_mq) == 4
@@ -95,7 +105,7 @@ def test_galois_model_shapes():
 
 def test_galois_model_relations():
     for lattice in (LATTICE_23, LATTICE_56):
-        model = moduli._model(classgroup.class_group(lattice.disc0))
+        model = galois_model(classgroup.class_group(lattice.disc0))
         group = model.cg
         e = (group.principal_index, 0)
         iota = (group.principal_index, 1)
@@ -1072,7 +1082,7 @@ def test_mq_galois_exactly_when_invariant_factors_divide_4(sweep):
     galois = 0
     for d in valid_discs(1500):
         group = sweep.group(d)
-        model = moduli._model(group)
+        model = galois_model(group)
         expected = all(4 % n == 0 for n in group.elementary_divisors)
         assert model.is_normal(model.subgroup_mq) == expected, d
         lattice = lattice_from_class(1, group.classes[-1])
@@ -1100,7 +1110,7 @@ def test_model_index_bookkeeping_sweep(sweep):
     # [C : C[2]] = g and [group : <C[2], iota>] = g across discriminants
     for d in valid_discs(300):
         group = sweep.group(d)
-        model = moduli._model(group)
+        model = galois_model(group)
         g = classgroup.genus_order(group)
         assert group.h // len(model.subgroup_mk) == g
         assert len(model.elements) // len(model.subgroup_mq) == g

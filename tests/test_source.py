@@ -191,6 +191,45 @@ def test_one_number_format():
     assert [name for name, mods in imports.items() if "dataclasses" in mods] == []
 
 
+def _module_level(tree: ast.Module) -> list[ast.AST]:
+    """The nodes of tree that run when the module is imported: all but the
+    bodies of its functions."""
+    nodes = [tree]
+    for node in nodes:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            nodes.extend(ast.iter_child_nodes(node))
+    return nodes
+
+
+def test_argparse_is_loaded_only_to_build_the_parser():
+    # cli._match reads a canonical argv off cli._COMMANDS, so no module
+    # imports argparse when it is imported; and none reads argparse's private
+    # names, the module's own and those of a parser and its actions
+    private = {
+        name
+        for names in (dir(argparse), dir(argparse.Action), vars(argparse.ArgumentParser()))
+        for name in names
+        if name.startswith("_") and not name.startswith("__") and name != "_"
+    }
+    assert {"_actions", "_option_string_actions", "_SubParsersAction", "_StoreAction"} <= private
+    imports, privates = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in _module_level(tree):
+            if isinstance(node, ast.Import) and "argparse" in (a.name for a in node.names):
+                imports.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "argparse":
+                imports.append(f"{path.name}:{node.lineno}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                privates.append(f"{path.name}:{node.lineno} {node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "argparse":
+                names = [alias.name for alias in node.names if alias.name in private]
+                privates += [f"{path.name}:{node.lineno} {name}" for name in names]
+    assert imports == []
+    assert privates == []
+
+
 EMPTY = {"{}", "[]", "dict()", "list()", "set()"}
 
 
