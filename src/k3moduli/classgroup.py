@@ -62,10 +62,11 @@ class ClassGroup(Value, namedtuple("ClassGroup", "disc classes")):
     coords[i] the coordinates of classes[i].  The principal class is
     classes[0], at coordinates 0: (1, d mod 2, .) is the only reduced form
     with a = 1.
-    Both are built on first read, by _coordinates, and so are the genus
-    partition with the genus of each class and the cosets of C[2], which
-    moduli reads; all are kept in the instance __dict__ (no __slots__
-    here), and a group compares by disc and classes.
+    Both are built on first read, by _coordinates, and so are the genera as
+    ascending tuples, which the CLI writes, the genus partition with the
+    genus of each class, and the cosets of C[2], which moduli reads; all are
+    kept in the instance __dict__ (no __slots__ here), and a group compares
+    by disc and classes.
     """
 
     @property
@@ -99,13 +100,17 @@ class ClassGroup(Value, namedtuple("ClassGroup", "disc classes")):
         return fibres(self, lambda i: self.mul(i, i))
 
     @cached_property
-    def _genus_index(self) -> tuple[GenusPartition, tuple[int, ...]]:
+    def _genus_fibres(self) -> tuple[tuple[int, ...], ...]:
+        # the genera, each ascending, by least member: the principal genus first
+        return fibres(self, _genera(self).__getitem__)
+
+    @cached_property
+    def _genus_index(self) -> tuple[GenusPartition, dict[int, int]]:
         # the partition, and for each class the position of its genus in it
-        keys = _genera(self)
-        genera = fibres(self, keys.__getitem__)
-        position = {keys[genus[0]]: k for k, genus in enumerate(genera)}
+        genera = self._genus_fibres
         cosets = tuple(map(frozenset, genera))
-        return GenusPartition(cosets[0], cosets), tuple(map(position.__getitem__, keys))
+        position = {i: k for k, genus in enumerate(genera) for i in genus}
+        return GenusPartition(cosets[0], cosets), position
 
     principal_index = 0
 
@@ -368,9 +373,10 @@ def two_torsion(group: ClassGroup) -> frozenset[int]:
 
 def _genera(group: ClassGroup) -> list[tuple[int, ...]]:
     """The genus of each class: its coordinates mod 2 at the even invariant
-    factors, which come last in the divisibility chain."""
+    factors, which come last in the divisibility chain, read by columns."""
     odd = sum(n % 2 for n in group.elementary_divisors)
-    return [tuple(a % 2 for a in c[odd:]) for c in group.coords]
+    columns = [[a % 2 for a in column] for column in list(zip(*group.coords))[odd:]]
+    return list(zip(*columns)) if columns else [()] * group.h
 
 
 def fibres(group: ClassGroup, key) -> tuple[tuple[int, ...], ...]:

@@ -6,7 +6,8 @@ strings for polynomial coefficients (lowest degree first), Gram matrices as
 [[2a, b], [b, 2c]], classes as [a, b, c].  One writer, _json, writes every
 envelope, byte for byte as json.dumps(sort_keys=True, indent=2) would; the
 analyze envelope of a primitive discriminant is written once, with holes
-that each query fills with one % (_analyze_envelope).  The grammar is one
+that each query fills with one % (_analyze_envelope), and the classgroup
+envelope's Cayley table is printed into its hole (_emit).  The grammar is one
 table, _COMMANDS; argparse is loaded only for an argv _match leaves to it.
 """
 
@@ -189,16 +190,16 @@ def _report_payload(report: moduli.ModuliReport) -> dict:
 
 
 def _classgroup_payload(group: classgroup.ClassGroup) -> dict:
-    partition = classgroup.genus_partition(group)
+    genera = group._genus_fibres  # ascending, the principal genus first
     return {
         "disc": group.disc,
         "h": group.h,
         "classes": [list(c.rep.coefficients()) for c in group.classes],
         "elementary_divisors": list(group.elementary_divisors),
         "two_torsion": sorted(classgroup.two_torsion(group)),
-        "principal_genus": sorted(partition.principal_genus),
-        "genus_cosets": [sorted(c) for c in partition.cosets],
-        "genus_count": len(partition.cosets),
+        "principal_genus": list(genera[0]),
+        "genus_cosets": list(map(list, genera)),
+        "genus_count": len(genera),
         "genus_order": classgroup.genus_order(group),
     }
 
@@ -314,7 +315,7 @@ class _CayleyTable(tuple):
     __slots__ = ()
 
 
-# a field left open in JSON rendered ahead of its values (see _template)
+# a field left open in JSON rendered ahead of its values (see _template and _emit)
 _HOLE = object()
 
 
@@ -322,10 +323,12 @@ def _json(value, newline: str = "\n") -> str:
     """json.dumps(value, sort_keys=True, indent=2) for str, int, bool, None,
     lists and dicts, byte for byte, for a _CayleyTable as its rows in lists,
     and _HOLE as a NUL character, which no other value writes: a NUL in a
-    string is written \\u0000.  A list of ints or of strings, and each int
-    list in a list of them, is joined in one go, and a list of one object
-    repeated is written from one text of it.  Types are matched exactly: any
-    other type, a subclass too, raises TypeError."""
+    string is written \\u0000.  A list of ints or of strings is joined in
+    one go.  A list of non-empty int lists is one join of its rows, each
+    joined once; where the rows are all of one length, as the classes and
+    the genus cosets are, the rows are one format filled by one %.  A list
+    of one object repeated is written from one text of it.  Types are
+    matched exactly: any other type, a subclass too, raises TypeError."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -343,9 +346,12 @@ def _json(value, newline: str = "\n") -> str:
         elif kinds == {str}:
             items = list(map(encode_basestring_ascii, value))
         elif kinds == {list} and all(value) and set(map(type, chain(*value))) == {int}:
-            entry = inner + "  "
-            sep = "," + entry
-            items = ["[" + entry + sep.join(map(int.__repr__, x)) + inner + "]" for x in value]
+            sep, row = "," + inner + "  ", ("[" + inner + "  ", inner + "]")
+            widths = set(map(len, value))
+            if len(widths) == 1:
+                rows = [sep.join(["%d"] * widths.pop())] * len(value)
+                return _enclose(rows, newline, "[]", *row) % tuple(chain(*value))
+            return _enclose([sep.join(map(int.__repr__, x)) for x in value], newline, "[]", *row)
         elif len(set(map(id, value))) == 1:  # the orbit of a template (_analyze_envelope)
             items = [_json(value[0], inner)] * len(value)
         else:
@@ -356,24 +362,28 @@ def _json(value, newline: str = "\n") -> str:
             encode_basestring_ascii(key) + ": " + _json(value[key], inner) for key in sorted(value)
         ]
         return _enclose(items, newline, "{}")
-    if kind is _CayleyTable:
-        return _enclose([_enclose(list(row), inner, "[]") for row in value], newline, "[]")
+    if kind is _CayleyTable:  # each row joined once, straight from its gather
+        sep, row = "," + inner + "  ", ("[" + inner + "  ", inner + "]")
+        return _enclose(list(map(sep.join, value)), newline, "[]", *row)
     if value is _HOLE:
         return "\0"
     raise TypeError(f"{type(value).__name__} is not emitted as JSON")
 
 
-def _enclose(items: list[str], newline: str, brackets: str) -> str:
+def _enclose(items: list[str], newline: str, brackets: str, head: str = "", tail: str = "") -> str:
     """The items between the two brackets, one per line at the indent under
-    newline, as json.dumps writes a list or a dict.  The brackets go onto the
-    first and last item, so the join is the one copy made of the items: a
-    large Cayley table is not copied again, nor held twice beside its rows."""
+    newline, each between head and tail (a list of lists passes its rows'
+    brackets), as json.dumps writes a list or a dict.  The brackets, the
+    first head and the last tail go onto the first and last item, and the
+    other heads and tails into the separator, so the join is the one copy
+    made of the items: a large Cayley table is not copied again, nor held
+    twice beside its rows."""
     if not items:
         return brackets
     inner = newline + "  "
-    items[0] = brackets[0] + inner + items[0]
-    items[-1] += newline + brackets[1]
-    return ("," + inner).join(items)
+    items[0] = brackets[0] + inner + head + items[0]
+    items[-1] += tail + newline + brackets[1]
+    return (tail + "," + inner + head).join(items)
 
 
 def _template(value) -> str:
@@ -394,16 +404,19 @@ def _envelope(command: str, input_echo: dict, payload: dict) -> dict:
     }
 
 
-def _emit(args: SimpleNamespace, payload: dict) -> None:
+def _emit(args: SimpleNamespace, payload: dict, *fills: str) -> None:
     """Print payload in args.format: JSON in its envelope, which echoes the
-    arguments but the command and format as its input, or text lines."""
+    arguments but the command and format as its input, with each _HOLE
+    printed as the next of fills, which no enclosing level then copies; or
+    text lines."""
     if args.format == "json":
         echo = {
             key: [value[:2], value[2:]] if key == "gram" else value
             for key, value in vars(args).items()
             if key not in ("command", "format")
         }
-        print(_json(_envelope(args.command, echo, payload)))
+        parts = _json(_envelope(args.command, echo, payload)).split("\0")
+        print(*chain(*zip(parts, fills)), parts[-1], sep="")
     else:
         print("\n".join(_text_lines(args.command, payload)))
 
@@ -441,7 +454,10 @@ def run(args: SimpleNamespace) -> int:
         payload = _classgroup_payload(group)
         if args.format == "json":  # the text form prints no Cayley table
             names = [str(i) for i in range(group.h)]
-            payload["cayley"] = _CayleyTable(classgroup.cayley(group, names))
+            table = _CayleyTable(classgroup.cayley(group, names))
+            payload["cayley"] = _HOLE
+            _emit(args, payload, _json(table, "\n    "))  # at result.cayley's indent
+            return EXIT_OK
     elif args.command == "orbit":
         lattice = k3.from_gram(_gram_matrix(args.gram))
         payload = {

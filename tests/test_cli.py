@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from itertools import chain, permutations
 from math import isqrt
@@ -487,8 +488,29 @@ SCALARS = (
     | st.text()
     | st.text(st.characters(max_codepoint=0x1F))
 )
+# small ints, and ints beyond 2^64 of either sign
+ROW_INTS = st.integers(-9, 9) | st.integers(2**64, 2**80) | st.integers(-(2**80), -(2**64))
+
+
+@st.composite
+def int_rows(draw):
+    """0-300 int lists of one length, 0-4: the rows _json writes by one
+    format.  Then, at times, a bool among the ints, an empty list or a
+    longer row among the rows, which send the list back to the general path."""
+    width, count = draw(st.integers(0, 4)), draw(st.integers(0, 300))
+    row = st.lists(ROW_INTS, min_size=width, max_size=width)
+    rows = draw(st.lists(row, min_size=count, max_size=count))
+    odd = draw(st.sampled_from(["none", "bool", "empty", "ragged"]))
+    at = st.sampled_from([0, count]) | st.integers(0, count)  # first and last rows too
+    if rows and width and odd == "bool":
+        rows[min(draw(at), count - 1)][draw(st.integers(0, width - 1))] = draw(st.booleans())
+    elif rows and odd in ("empty", "ragged"):
+        rows.insert(draw(at), [] if odd == "empty" else rows[0] + [draw(ROW_INTS)])
+    return rows
+
+
 VALUES = st.recursive(
-    SCALARS | st.lists(st.integers()),
+    SCALARS | st.lists(st.integers()) | int_rows(),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
     max_leaves=30,
 )
@@ -503,7 +525,7 @@ def test_json_emitter_matches_json_dumps(value):
 @st.composite
 def cayley_tables(draw):
     """h rows of h indices below h, as lists; not checked to be a group."""
-    h = draw(st.integers(1, 6))
+    h = draw(st.integers(1, 1) | st.integers(1, 40))
     row = st.lists(st.integers(0, h - 1), min_size=h, max_size=h)
     return draw(st.lists(row, min_size=h, max_size=h))
 
@@ -778,6 +800,86 @@ def test_classgroup_json_bytes_are_frozen():
         assert hashlib.sha256(out.encode()).hexdigest() == digest, disc
         table = json.loads(out)["result"]["cayley"]
         assert table == [list(row) for row in classgroup.cayley(classgroup.class_group(int(disc)))]
+
+
+def test_the_largest_cayley_envelope_is_joined_without_a_further_copy():
+    # -999479 (h = 1644) writes 36.2 MB: the gathered rows, their strings and
+    # the one join of them peak near 2.6 times that under tracemalloc, and
+    # one more copy of the table would take the peak to about 3.6 times
+    class Sink:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+
+        def flush(self):
+            pass
+
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = cli.main(["classgroup", "--format", "json", "--", "-999479"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, sink.size) == (EXIT_OK, 36162306)
+    assert peak < 3 * sink.size, peak
+
+
+def _genera_by_coordinates(group):
+    """The genera, each ascending, by least member, grouped by each class's
+    coordinates mod 2 at the even invariant factors."""
+    even = [k for k, n in enumerate(group.elementary_divisors) if n % 2 == 0]
+    genera = {}
+    for i, c in enumerate(group.coords):
+        genera.setdefault(tuple(c[k] % 2 for k in even), []).append(i)
+    return list(genera.values())
+
+
+def test_classgroup_envelope_matches_json_dumps(monkeypatch):
+    # the envelope run prints, Cayley table and all, against json.dumps of
+    # the payload it builds with the table as plain lists; the genus lists
+    # and C[2] against the coordinates, as frozensets and as the text lines
+    # print them
+    emitted, emit = [], cli._emit
+
+    def recorded(args, payload, *fills):
+        emitted.append((payload, fills))
+        emit(args, payload, *fills)
+
+    monkeypatch.setattr(cli, "_emit", recorded)
+    for d in valid_discs(1000) + [-4620, -99999]:  # 2-rank 4, and h = 224
+        group = classgroup.class_group(d)
+        genera = _genera_by_coordinates(group)
+        torsion = [i for i in range(group.h) if group.mul(i, i) == 0]
+        partition = classgroup.genus_partition(group)
+        assert partition.cosets == tuple(map(frozenset, genera))
+        assert partition.principal_genus == frozenset(genera[0])
+        assert classgroup.principal_genus(group) == frozenset(genera[0])
+        assert classgroup.two_torsion(group) == frozenset(torsion)
+        code, out = run_cli(["classgroup", "--format", "json", "--", str(d)])
+        payload, fills = emitted.pop()
+        assert payload["cayley"] is _HOLE and len(fills) == 1  # the table, printed apart
+        plain = {**payload, "cayley": [list(row) for row in classgroup.cayley(group)]}
+        envelope = cli._envelope("classgroup", {"disc": d}, plain)
+        assert (code, out) == (EXIT_OK, json.dumps(envelope, sort_keys=True, indent=2) + "\n"), d
+        assert (payload["principal_genus"], payload["genus_cosets"]) == (genera[0], genera)
+        assert payload["two_torsion"] == torsion and payload["genus_count"] == len(genera)
+        code, out = run_cli(["classgroup", "--", str(d)])
+        assert emitted.pop()[1] == ()
+        lines = [
+            "k3moduli classgroup",
+            f"  {'disc':<18} {d}",
+            f"  {'class number h':<18} {group.h}",
+            f"  {'classes':<18} " + " ".join(str(c.rep.coefficients()) for c in group.classes),
+            f"  {'divisors':<18} {list(group.elementary_divisors)}",
+            f"  {'two torsion':<18} {torsion}",
+            f"  {'principal genus':<18} {genera[0]}",
+            f"  {'genus count':<18} {len(genera)}",
+            f"  {'genus order g':<18} {classgroup.genus_order(group)}",
+        ]
+        assert (code, out) == (EXIT_OK, "\n".join(lines) + "\n"), d
 
 
 def test_enumerate_bytes_are_frozen():
