@@ -101,16 +101,18 @@ class ClassGroup(Value, namedtuple("ClassGroup", "disc classes")):
 
     @cached_property
     def _genus_fibres(self) -> tuple[tuple[int, ...], ...]:
-        # the genera, each ascending, by least member: the principal genus first
+        """The genera, each ascending, in order of least member, so the
+        principal genus first: cli._classgroup_payload writes them as they
+        are, and _genus_index freezes them."""
         return fibres(self, _genera(self).__getitem__)
 
     @cached_property
-    def _genus_index(self) -> tuple[GenusPartition, dict[int, int]]:
+    def _genus_index(self) -> tuple[GenusPartition, tuple[int, ...]]:
         # the partition, and for each class the position of its genus in it
         genera = self._genus_fibres
         cosets = tuple(map(frozenset, genera))
         position = {i: k for k, genus in enumerate(genera) for i in genus}
-        return GenusPartition(cosets[0], cosets), position
+        return GenusPartition(cosets[0], cosets), tuple(map(position.__getitem__, range(self.h)))
 
     principal_index = 0
 
@@ -373,10 +375,9 @@ def two_torsion(group: ClassGroup) -> frozenset[int]:
 
 def _genera(group: ClassGroup) -> list[tuple[int, ...]]:
     """The genus of each class: its coordinates mod 2 at the even invariant
-    factors, which come last in the divisibility chain, read by columns."""
+    factors, which come last in the divisibility chain."""
     odd = sum(n % 2 for n in group.elementary_divisors)
-    columns = [[a % 2 for a in column] for column in list(zip(*group.coords))[odd:]]
-    return list(zip(*columns)) if columns else [()] * group.h
+    return [tuple(a % 2 for a in c[odd:]) for c in group.coords]
 
 
 def fibres(group: ClassGroup, key) -> tuple[tuple[int, ...], ...]:

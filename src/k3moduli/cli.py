@@ -190,7 +190,7 @@ def _report_payload(report: moduli.ModuliReport) -> dict:
 
 
 def _classgroup_payload(group: classgroup.ClassGroup) -> dict:
-    genera = group._genus_fibres  # ascending, the principal genus first
+    genera = group._genus_fibres  # in the order its docstring names
     return {
         "disc": group.disc,
         "h": group.h,
@@ -324,11 +324,11 @@ def _json(value, newline: str = "\n") -> str:
     lists and dicts, byte for byte, for a _CayleyTable as its rows in lists,
     and _HOLE as a NUL character, which no other value writes: a NUL in a
     string is written \\u0000.  A list of ints or of strings is joined in
-    one go.  A list of non-empty int lists is one join of its rows, each
-    joined once; where the rows are all of one length, as the classes and
-    the genus cosets are, the rows are one format filled by one %.  A list
-    of one object repeated is written from one text of it.  Types are
-    matched exactly: any other type, a subclass too, raises TypeError."""
+    one go, a list of int lists all of one length k >= 1 (the classes, the
+    genus cosets) is one format of its rows filled by one %, and a
+    _CayleyTable is one join of its rows, each joined once.  A list of one
+    object repeated is written from one text of it.  Types are matched
+    exactly: any other type, a subclass too, raises TypeError."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -345,13 +345,15 @@ def _json(value, newline: str = "\n") -> str:
             items = list(map(int.__repr__, value))
         elif kinds == {str}:
             items = list(map(encode_basestring_ascii, value))
-        elif kinds == {list} and all(value) and set(map(type, chain(*value))) == {int}:
-            sep, row = "," + inner + "  ", ("[" + inner + "  ", inner + "]")
-            widths = set(map(len, value))
-            if len(widths) == 1:
-                rows = [sep.join(["%d"] * widths.pop())] * len(value)
-                return _enclose(rows, newline, "[]", *row) % tuple(chain(*value))
-            return _enclose([sep.join(map(int.__repr__, x)) for x in value], newline, "[]", *row)
+        elif (
+            kinds == {list}
+            and value[0]
+            and len(set(map(len, value))) == 1
+            and set(map(type, chain(*value))) == {int}
+        ):  # rows of one length, as the classes and the genus cosets
+            sep, head, tail = _row_parts(newline)
+            rows = [sep.join(["%d"] * len(value[0]))] * len(value)
+            return _enclose(rows, newline, "[]", head, tail) % tuple(chain(*value))
         elif len(set(map(id, value))) == 1:  # the orbit of a template (_analyze_envelope)
             items = [_json(value[0], inner)] * len(value)
         else:
@@ -363,8 +365,8 @@ def _json(value, newline: str = "\n") -> str:
         ]
         return _enclose(items, newline, "{}")
     if kind is _CayleyTable:  # each row joined once, straight from its gather
-        sep, row = "," + inner + "  ", ("[" + inner + "  ", inner + "]")
-        return _enclose(list(map(sep.join, value)), newline, "[]", *row)
+        sep, head, tail = _row_parts(newline)
+        return _enclose(list(map(sep.join, value)), newline, "[]", head, tail)
     if value is _HOLE:
         return "\0"
     raise TypeError(f"{type(value).__name__} is not emitted as JSON")
@@ -386,6 +388,13 @@ def _enclose(items: list[str], newline: str, brackets: str, head: str = "", tail
     return (tail + "," + inner + head).join(items)
 
 
+def _row_parts(newline: str) -> tuple[str, str, str]:
+    """For a list of lists under newline: the separator of a row's items,
+    and the head and tail that _enclose puts around each row."""
+    inner = newline + "    "
+    return "," + inner, "[" + inner, newline + "  ]"
+
+
 def _template(value) -> str:
     """_json(value) as a format string: each _HOLE is a %d, to be filled in
     the order _json writes them, sorted-key order, and any other % doubled."""
@@ -404,19 +413,19 @@ def _envelope(command: str, input_echo: dict, payload: dict) -> dict:
     }
 
 
-def _emit(args: SimpleNamespace, payload: dict, *fills: str) -> None:
+def _emit(args: SimpleNamespace, payload: dict, table: str = "") -> None:
     """Print payload in args.format: JSON in its envelope, which echoes the
-    arguments but the command and format as its input, with each _HOLE
-    printed as the next of fills, which no enclosing level then copies; or
-    text lines."""
+    arguments but the command and format as its input, with its one _HOLE,
+    if any, printed as table, which no enclosing level then copies; or text
+    lines."""
     if args.format == "json":
         echo = {
             key: [value[:2], value[2:]] if key == "gram" else value
             for key, value in vars(args).items()
             if key not in ("command", "format")
         }
-        parts = _json(_envelope(args.command, echo, payload)).split("\0")
-        print(*chain(*zip(parts, fills)), parts[-1], sep="")
+        head, _, tail = _json(_envelope(args.command, echo, payload)).partition("\0")
+        print(head, table, tail, sep="")
     else:
         print("\n".join(_text_lines(args.command, payload)))
 
