@@ -26,17 +26,19 @@ polynomial is then checked exactly against Gross-Zagier (J. reine angew.
 Math. 355, 1985): for fundamental D the primes of its norm are at most
 3|D|/4; the field polynomial against H_D (see _check_trace).
 class_polynomial starts at class_polynomial_floor(group, n), the floor of
-the kernel n it runs (at D = 1 (mod 8), Weber's), and moduli_report at the
-higher of the floors of its two polynomials (see precision_floor); each
-refuses an input whose own floor is above MAX_DIGITS, class_polynomial by
-class_polynomial_floor(group), _class_kernel's, whatever its kernel.
+the kernel n it runs (at D = 1 (mod 8), Weber's), and refuses an input by
+class_polynomial_floor(group), _class_kernel's, whatever its kernel.  When
+h is odd, C[2] is trivial and the field polynomial is H_D: moduli_report
+takes both polynomials, and their digits, from class_polynomial (see
+_field_polynomials).  When h is even it starts at the higher of the floors
+of its two polynomials (see precision_floor) and refuses by that floor.
 
 H_D comes through one path, _class_polynomial_at, for both commands: the
 values of a class invariant of size about j^(1/n) at every class
 (_class_values), their certified product, and kernel n's exact step to
-H_D.  _class_kernel chooses n for both, in one place, so each disc0 has
-one set of certified invariant values in moduli_report; class_polynomial
-alone swaps it for Weber's at D = 1 (mod 8).  Each value is taken at a
+H_D.  _class_kernel chooses n for both, in one place, and class_polynomial
+swaps it for Weber's at D = 1 (mod 8), so each disc0 has one set of
+certified invariant values.  Each value is taken at a
 form of its class that meets kernel n's congruence condition
 (_class_point); numerics lifts that form's point to the reduced domain by
 the invariants' transformation laws, so this module picks the form and
@@ -51,18 +53,17 @@ same source): at forms with A odd and B = 1 (mod 4), its values are the
 roots of an integer polynomial W3 with about two thirds of the digits of
 H_D.  Otherwise (D even, 3 | D) the kernel is j itself (n = 1).  The coset
 traces take j back from the kernel's values (numerics.j_from_kernel), so
-moduli_report runs at the kernel's floor too, or at the field polynomial's
-where that is higher; both polynomials depend on disc0 alone, so they are
-computed once per disc0 and shared by every lattice of it.
+moduli_report at even h runs at the kernel's floor too, or at the field
+polynomial's where that is higher; both polynomials depend on disc0 alone,
+so they are computed once per disc0 and shared by every lattice of it.
 
 For D = 1 (mod 8) class_polynomial takes Weber's roots instead (Weber,
 Lehrbuch der Algebra III, 1908; Yui & Zagier, Math. Comp. 66, 1997): x =
 zeta_48^k g(tau) / sqrt 2 at the reduced forms of 4D (numerics.weber), n
 = 24, or its cube when 3 | D, n = 8, whose polynomial is about a sixth as
-tall as W or W3 and is certified at that n's own floor.
-analyze never takes Weber: that is the one exception to one set of
-invariant values per discriminant, as moduli_report's coset traces need j
-at the classes of D.
+tall as W or W3 and is certified at that n's own floor.  analyze takes
+Weber's at odd h, through class_polynomial; at even h its coset traces
+need j at the classes of D, which it takes back from _class_kernel's.
 
 Each step from a certified polynomial to H_D is one exact norm (_norm) of
 P(rho) over rho^n = q rho + r, n = 2 or 3 and q, r linear in X, read at X
@@ -237,14 +238,9 @@ def _class_values(group: ClassGroup, n: int, digits: int) -> list[BigComplex]:
 def _class_kernel(disc: int) -> int:
     """n of the invariant that class_polynomial and moduli_report evaluate: 3
     for gamma_2 when 3 does not divide disc, 2 for sqrt(disc) gamma_3 when
-    disc is odd, 1 for j otherwise (class_polynomial takes Weber's in its
-    place at disc = 1 (mod 8))."""
+    disc is odd, 1 for j otherwise (class_polynomial, and so moduli_report
+    at odd h, takes Weber's in its place at disc = 1 (mod 8))."""
     return 3 if disc % 3 else 2 if disc % 2 else 1
-
-
-def _torsion_cosets(group: ClassGroup) -> tuple[tuple[int, ...], ...]:
-    """The g cosets of C[2] in C, built once per group (ClassGroup._torsion_cosets)."""
-    return group._torsion_cosets
 
 
 def _separated_roots(js: list[BigComplex], cosets) -> list[BigComplex]:
@@ -313,8 +309,10 @@ def _height(group: ClassGroup, partition=None, n: int = 1) -> float:
 
 
 def precision_floor(group: ClassGroup) -> int:
-    """Digits at which moduli_report starts: the higher of the floors of its
-    two polynomials, so both are expected to be certified at once.
+    """Digits at which moduli_report starts when h is even, the floor of the
+    coset route: the higher of the floors of its two polynomials, so both
+    are expected to be certified at once.  When h is odd, _field_polynomials
+    takes both from class_polynomial_with_precision instead.
 
     The first is class_polynomial_floor.  The second is the field
     polynomial's.  Its roots are sums of j over the g cosets of C[2], k
@@ -328,13 +326,9 @@ def precision_floor(group: ClassGroup) -> int:
     1728 + y^2 / D, and y's error e becomes (2|y| + e) e / |D|, about
     2|gamma_3| e / sqrt|D|: 2|gamma_3| times gamma_3's own error, as e is
     sqrt|D| times that.  With |gamma_3| about |j|^(1/2) against |gamma_2|^2
-    = |j|^(2/3), it stays inside the cube's log10 3.  When h is odd, C[2] is
-    trivial and the field polynomial is H_D, so only the first floor
-    applies; on the j kernel the higher one is H_D's own."""
-    floor, cosets = class_polynomial_floor(group), _torsion_cosets(group)
-    if len(cosets) == group.h:
-        return floor
-    return max(floor, ceil(_height(group, cosets) + log10(3)) + GUARD_DIGITS)
+    = |j|^(2/3), it stays inside the cube's log10 3."""
+    field = ceil(_height(group, group._torsion_cosets) + log10(3)) + GUARD_DIGITS
+    return max(class_polynomial_floor(group), field)
 
 
 def class_polynomial_floor(group: ClassGroup, n: int | None = None) -> int:
@@ -554,8 +548,6 @@ _Polynomials = namedtuple("_Polynomials", "class_poly mq")
 def _attempt_polynomials(group: ClassGroup, cosets, digits: int) -> _Polynomials:
     n = _class_kernel(group.disc)
     class_poly, values = _class_polynomial_at(group, n, digits)
-    if len(cosets) == group.h:  # C[2] trivial (h odd): each coset is one class
-        return _Polynomials(class_poly, class_poly)
     js = [j_from_kernel(v, n, group.disc) for v in values]
     mq = _recognize_int_poly(poly_from_roots(_separated_roots(js, cosets)))
     return _Polynomials(class_poly, _check_trace(class_poly, mq))
@@ -582,8 +574,15 @@ def _escalate(disc: int, floor: int, attempt, start: int | None = None):
 
 
 def _field_polynomials(disc0: int) -> tuple[_Polynomials, int]:
+    """The class and field polynomials of disc0, and their digits: at odd h,
+    where C[2] is trivial and the field polynomial is H_D, both are
+    class_polynomial_with_precision's; else _attempt_polynomials' from
+    precision_floor up."""
     group = classgroup.class_group(disc0)
-    cosets = _torsion_cosets(group)
+    cosets = group._torsion_cosets
+    if len(cosets) == group.h:
+        hd, digits = class_polynomial_with_precision(disc0)
+        return _Polynomials(hd, hd), digits
     return _escalate(disc0, precision_floor(group), partial(_attempt_polynomials, group, cosets))
 
 

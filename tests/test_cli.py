@@ -631,8 +631,8 @@ def test_json_emitter_refuses_other_types():
 def test_analyze_json_bytes_are_frozen():
     # sha256 of the full stdout; h = 3, 3 (m = 2) and 8 (D0 = -95)
     digests = {
-        "2 1 1 12": "40015302c4170850f3335cea1bc46b7a581c4e71fde3ab97abcc4058aeb224b2",
-        "4 1 1 6": "507b475b63736fa06aee1ba0c48a3719e994569eae0e6e783da277bfc2877f99",
+        "2 1 1 12": "6a3fb4996e50a90836bc28bff51fbcbea79658d4c788529c2987cf965c9dbb78",
+        "4 1 1 6": "15af97ec763935b4d0ff7093a88e212d18c799c9dd962f988a29e200ed08d51a",
         "2 1 1 48": "434a521c138ece4bf578eed121c77df94b67aee12931a39eea8ebeeff074e41e",
     }
     for gram, digest in digests.items():

@@ -243,24 +243,26 @@ def test_kernel_values_map_to_j_within_the_bounds(sweep):
 
 
 def test_analyze_evaluates_only_the_class_kernel(monkeypatch):
-    # one set of invariant values per disc0: moduli_report evaluates the
-    # invariant of _class_kernel once at each class of b >= 0, and no other.
-    # At -39 (h = 4, two cosets of C[2]) the coset sums take j from sqrt(D)
-    # gamma_3
+    # one set of invariant values per disc0: moduli_report evaluates one
+    # invariant once at each class of b >= 0, and no other: at odd h
+    # classpoly's, Weber's x at -23 (D = 1 mod 8), at even h that of
+    # _class_kernel.  At -39 (h = 4, two cosets of C[2], D = 1 mod 8 too)
+    # the coset sums take j from sqrt(D) gamma_3
     empty_field_cache(monkeypatch)
     calls = Counter()
-    for name in ("j_invariant", "gamma2", "gamma3"):
+    for name in ("j_invariant", "gamma2", "gamma3", "weber"):
 
         def counted(point, digits, name=name, evaluate=getattr(moduli, name)):
             calls[name] += 1
             return evaluate(point, digits)
 
         monkeypatch.setattr(moduli, name, counted)
-    # (D, kernel, cosets of C[2]): h = 3, 4 and 2
-    for d, kernel, cosets in ((-23, "gamma2", 3), (-39, "gamma3", 2), (-24, "j_invariant", 1)):
-        assert {3: "gamma2", 2: "gamma3", 1: "j_invariant"}[moduli._class_kernel(d)] == kernel
+    # (D, invariant, cosets of C[2]): h = 3, 4 and 2
+    for d, kernel, cosets in ((-23, "weber", 3), (-39, "gamma3", 2), (-24, "j_invariant", 1)):
         group = classgroup.class_group(d)
-        assert len(moduli._torsion_cosets(group)) == cosets
+        if group.h % 2 == 0:
+            assert {3: "gamma2", 2: "gamma3", 1: "j_invariant"}[moduli._class_kernel(d)] == kernel
+        assert len(group._torsion_cosets) == cosets
         calls.clear()
         report = moduli_report(lattice_from_class(1, group.classes[0]))
         assert calls == {kernel: sum(cls.rep.b >= 0 for cls in group.classes)}, d
@@ -663,7 +665,7 @@ def test_report_minus_23():
     assert report.mq_is_galois is False
     assert report.class_polynomial == H23
     assert report.mq_min_poly == H23
-    assert report.precision_used == 10  # W's floor of D = -23, where h is odd
+    assert report.precision_used == 6  # Weber's floor of D = -23, where h is odd
     assert len(report.orbit) == 3
 
 
@@ -744,24 +746,25 @@ def _recognition_failing(monkeypatch, fails):
 def test_failed_certificate_doubles_the_precision(monkeypatch):
     # recognition fails at the first attempt, on every route.  At -23 and
     # -15 (D = 1 mod 8) classpoly certifies the Weber polynomial at its
-    # floor, 6 and 7 digits; analyze certifies the gamma_2 polynomial W of
-    # -23 at its floor, 10 digits, as h = 3 is odd and the field polynomial
-    # is H_D, and the gamma_3 polynomial W3 of -15 at the field
-    # polynomial's, 12.  At -35 both certify W, classpoly at its floor, 9
-    # digits, and analyze at 14; at -51 both certify W3, at 14 and 16
+    # floor, 6 and 7 digits; at -23 analyze takes classpoly's route from its
+    # start, as h = 3 is odd and the field polynomial is H_D, and at -15
+    # (h = 2) certifies the gamma_3 polynomial W3 at the field polynomial's
+    # floor, 12.  At -35 both certify W, classpoly at its floor, 9 digits,
+    # and analyze at 14; at -51 both certify W3, at 14 and 16
     attempts = _recognition_failing(monkeypatch, lambda digits: digits == attempts[0])
     h15, lattice_15 = (-121287375, 191025, 1), from_gram(((2, 1), (1, 8)))
     h35, lattice_35 = (-134217728000, 117964800, 1), from_gram(((2, 1), (1, 18)))
     h51, lattice_51 = (6262062317568, 5541101568, 1), from_gram(((2, 1), (1, 26)))
     cases = (
-        (-23, H23, LATTICE_23, (6, 10)),
+        (-23, H23, LATTICE_23, (6, 6)),
         (-15, h15, lattice_15, (7, 12)),
         (-35, h35, lattice_35, (9, 14)),
         (-51, h51, lattice_51, (14, 16)),
     )
     for d, poly, lattice, floors in cases:
         group = classgroup.class_group(d)
-        cp_floor, floor = classpoly_start(group), moduli.precision_floor(group)
+        cp_floor = classpoly_start(group)
+        floor = cp_floor if group.h % 2 else moduli.precision_floor(group)
         assert (cp_floor, floor) == floors
         attempts.clear()
         assert moduli.class_polynomial_with_precision(d) == (poly, 2 * cp_floor)
@@ -800,12 +803,12 @@ def test_doubling_stops_at_the_ceiling(monkeypatch):
 def test_precision_failure_is_not_cached(monkeypatch):
     failing = True
     _recognition_failing(monkeypatch, lambda digits: failing)
-    with pytest.raises(PrecisionError, match="forced: failed at 2560 digits"):
+    with pytest.raises(PrecisionError, match="forced: failed at 1536 digits"):
         moduli_report(LATTICE_23)
     assert moduli.field_report.cache_info().currsize == 0
     failing = False
     report = moduli_report(LATTICE_23)
-    assert (report.class_polynomial, report.precision_used) == (H23, 10)
+    assert (report.class_polynomial, report.precision_used) == (H23, 6)
 
 
 def test_coset_collision_at_the_floor_doubles_the_precision(monkeypatch):
@@ -869,7 +872,7 @@ def test_sub_floor_sweep_never_gives_a_wrong_polynomial(sweep):
     outcomes = Counter()
     for d in valid_discs(399):
         group = sweep.group(d)
-        cosets = moduli._torsion_cosets(group)
+        cosets = group._torsion_cosets
         class_poly, mq = sweep.class_polynomial(d)[0], sweep.field_polynomials(d)[0].mq
         cp_floor, floor = moduli.class_polynomial_floor(group), moduli.precision_floor(group)
         kernel = {1: "j", 2: "gamma_3", 3: "gamma_2"}[moduli._class_kernel(d)]
@@ -897,7 +900,7 @@ def test_minus_2083_settles_at_default_digits():
     assert (report.disc0, report.h, report.precision_used) == (-2083, 7, 36)
     group = classgroup.class_group(-2083)
     assert report.class_polynomial == class_poly_at(group, 200)
-    cosets = moduli._torsion_cosets(group)
+    cosets = group._torsion_cosets
     assert report.mq_min_poly == moduli._attempt_polynomials(group, cosets, 200).mq
 
 
@@ -909,38 +912,41 @@ def test_every_polynomial_settles_at_its_floor(sweep):
 
 
 def test_floors_in_order(sweep):
-    # analyze starts between classpoly's floor and H_D's own: at H_D's own
-    # exactly on the j kernel, strictly below it on the gamma_3 kernel; the
-    # field polynomial's height, with the log10 3 of the step to j, never
-    # exceeds H_D's
+    # at even h analyze starts between classpoly's floor and H_D's own: at
+    # H_D's own exactly on the j kernel, strictly below it on the gamma_3
+    # kernel; the field polynomial's height, with the log10 3 of the step to
+    # j, never exceeds H_D's (at odd h analyze starts where classpoly does)
     for d in valid_discs(3000) + [-40004, -199999, -499996, -(10**6)]:
         group = sweep.group(d)
+        cosets = group._torsion_cosets
+        if len(cosets) == group.h:
+            continue
         floor, own = moduli.precision_floor(group), hd_floor(group)
         assert moduli.class_polynomial_floor(group) <= floor <= own, d
         kernel = moduli._class_kernel(d)
         assert kernel != 1 or floor == own, d
         assert kernel != 2 or floor < own, d
-        cosets = moduli._torsion_cosets(group)
-        if len(cosets) < group.h:
-            assert moduli._height(group, cosets) + log10(3) <= moduli._height(group), d
+        assert moduli._height(group, cosets) + log10(3) <= moduli._height(group), d
 
 
 # sha256 over (d, class polynomial, field polynomial, (), digits) of every
-# |d| <= 3000, frozen at the floors of precision_floor; the () stands where
+# |d| <= 3000, frozen at the digits of field_report; the () stands where
 # the reports' warnings, always empty, were hashed when the digests were pinned
-FIELD_SWEEP_SHA256 = "02480f7082d9f85c1d6503de05ca5b26b5da316e975c3507c7b7a6f56959a62b"
+FIELD_SWEEP_SHA256 = "73c1fe0e215f75b9cc80222c2429d1cab6674daa3fe376f78df7d77c79c44088"
 # the same without the digits: a change of precision alone leaves it as it is
 POLYNOMIAL_SWEEP_SHA256 = "a414290bd8ae51511a9f1c23fec91a64b3f54458d8c63cbd1c823a4569890eab"
 
 
 def test_field_polynomials_settle_at_their_floor(sweep):
-    # every class and field polynomial is certified at precision_floor in one
-    # attempt; the polynomials are pinned with and without their digits
+    # every class and field polynomial is certified in one attempt, at
+    # precision_floor when h is even and at classpoly's start when it is odd;
+    # the polynomials are pinned with and without their digits
     digest, polynomials = hashlib.sha256(), hashlib.sha256()
     for d in valid_discs(3000):
         group = sweep.group(d)
         polys, digits = sweep.field_polynomials(d)
-        assert digits == moduli.precision_floor(group), d
+        start = classpoly_start if group.h % 2 else moduli.precision_floor
+        assert digits == start(group), d
         digest.update(repr((d, polys.class_poly, polys.mq, (), digits)).encode())
         polynomials.update(repr((d, polys.class_poly, polys.mq, ())).encode())
     assert digest.hexdigest() == FIELD_SWEEP_SHA256
@@ -997,10 +1003,24 @@ def test_odd_class_number_field_polynomial_is_class_polynomial(sweep):
         report = moduli_report(lattice_from_class(1, group.classes[0]))
         assert report.mq_min_poly == report.class_polynomial, d
         js = moduli._class_values(group, 1, hd_floor(group))
-        roots = moduli._separated_roots(js, moduli._torsion_cosets(group))
+        roots = moduli._separated_roots(js, group._torsion_cosets)
         assert moduli._recognize_int_poly(poly_from_roots(roots)) == report.class_polynomial, d
     assert odd > 50
 
+
+def test_odd_class_number_report_takes_classpolys_route(sweep):
+    # one route to H_D: at odd h field_report takes H_D, as both of its
+    # polynomials, and its digits from class_polynomial_with_precision, so
+    # D = 1 (mod 8) settles at the Weber floor
+    odd = Counter()
+    for d in valid_discs(3000):
+        if sweep.group(d).h % 2 == 0:
+            continue
+        odd[d % 8 == 1] += 1
+        fields = moduli.field_report(d)
+        assert fields.class_polynomial == fields.mq_min_poly, d
+        assert (fields.class_polynomial, fields.precision_used) == sweep.class_polynomial(d), d
+    assert min(odd.values()) > 100, odd
 
 def test_gross_zagier_checks_refuse_doctored_constant_terms():
     # H_-23(0) = (5^3 * 11 * 17)^3: no prime above 3 * 23 / 4
@@ -1124,7 +1144,7 @@ def test_field_roots_closed_under_conjugation():
     for d in (-23, -56, -84, -119):
         group = classgroup.class_group(d)
         js = moduli._class_values(group, 1, 60)
-        roots = moduli._separated_roots(js, moduli._torsion_cosets(group))
+        roots = moduli._separated_roots(js, group._torsion_cosets)
         assert Counter(roots) == Counter(conjugate(r) for r in roots)
 
 

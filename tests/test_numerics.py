@@ -789,7 +789,7 @@ def test_threads_at_different_digits_match_serial():
     def compute(d, digits):
         group = class_group(d)
         js = moduli._class_values(group, 1, digits)
-        roots = moduli._separated_roots(js, moduli._torsion_cosets(group))
+        roots = moduli._separated_roots(js, group._torsion_cosets)
         values = js + roots + poly_from_roots(js) + poly_from_roots(roots)
         return [(z.re, z.im) for z in values]
 

@@ -354,6 +354,25 @@ def _disc_residue_readers(tree: ast.Module, moduli=(2, 3)) -> set[str]:
     return found
 
 
+def _parity_readers(tree: ast.Module) -> set[str]:
+    """The top-level definitions of tree that test whether a class number h
+    (a name or an attribute) is odd: h % 2, h & 1, or len(...) against h,
+    as the cosets of C[2] against the classes."""
+    found = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mod, ast.BitAnd)):
+                sides, test = [node.left], getattr(node.right, "value", None) in (1, 2)
+            elif isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                test = any(isinstance(x, ast.Call) and getattr(x.func, "id", "") == "len" for x in sides)
+            else:
+                continue
+            if test and any(getattr(x, "id", getattr(x, "attr", "")) == "h" for x in sides):
+                found.add(getattr(top, "name", "module"))
+    return found
+
+
 def _quadratic_norms(tree: ast.Module) -> set[str]:
     """The top-level definitions of tree that compute a quadratic norm's two
     squares, x * x - (...)."""
@@ -442,8 +461,20 @@ def test_one_path_to_h_d():
     assert _callers(tree, {"j_from_kernel"}) == {"_attempt_polynomials"}
     sample = ast.parse("def f(d):\n    return d % 3\ndef g(a):\n    return a % 3, a.disc % 4")
     assert _disc_residue_readers(sample) == {"f"}
-    # Weber eligibility is read in one function, for classpoly alone
+    # Weber eligibility is read in one function, which analyze reaches at
+    # odd h: whether h is odd is read in one place, where the field
+    # polynomials take H_D from classpoly's route
     assert _disc_residue_readers(tree, (8,)) == {"class_polynomial_with_precision"}
+    assert _parity_readers(tree) == {"_field_polynomials"}
+    assert _referrers(tree, {"class_polynomial_with_precision"}) == {
+        "class_polynomial",
+        "_field_polynomials",
+    }
+    sample = ast.parse(
+        "def f(c, g):\n    return len(c) == g.h\ndef u(h):\n    return h % 2\n"
+        "def v(g):\n    return g.h & 1\ndef w(c, h):\n    return len(c) == h + 1, h % 3"
+    )
+    assert _parity_readers(sample) == {"f", "u", "v"}
 
 
 def test_traced_names_resolve():
