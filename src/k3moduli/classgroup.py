@@ -10,9 +10,12 @@ composed until one lands in the subgroup H generated so far, which gives its
 relative order e_k and a relation g_k^e_k = (exponents of g_1 .. g_(k-1)); H
 is then extended by composing with g_k, each block g_k^t H led by the power
 g_k^t the order search found.  That is h - 1 Dirichlet compositions in all,
-made on coefficient triples (a, b, c) by qforms._compose, each product
-looked up by its (a, b), which fixes c at one discriminant; the FormClass
-objects are made once, for ClassGroup.classes.  The Smith normal
+made on the group's coefficient triples (a, b, c) by qforms._compose, each
+product looked up by its (a, b), which fixes c at one discriminant.  A group
+holds those triples alone; the FormClass objects are made only when a caller
+reads ClassGroup.classes, which no classgroup or classpoly query does.  The
+ambiguous forms are scanned once per group, for the genus check, and their
+indices are kept there as C[2].  The Smith normal
 form U M V = diag(d_1, .., d_r) of the r x r relation matrix M gives the
 invariant factors, and V sends a class's exponent vector e to its coordinates
 e V mod (d_1, .., d_r), so C(D) is Z/d_1 x .. x Z/d_r with each class a point
@@ -38,7 +41,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, isqrt, lcm
 from operator import itemgetter
 
@@ -54,24 +57,35 @@ from .values import Value
 MAX_ABS_DISC = 10**6
 
 
-class ClassGroup(Value, namedtuple("ClassGroup", "disc classes")):
+class ClassGroup(Value, namedtuple("ClassGroup", "disc forms")):
     """All reduced primitive classes of one discriminant disc, as points of
-    Z/d_1 x .. x Z/d_r; classes is a tuple of FormClass sorted by (a, b).
+    Z/d_1 x .. x Z/d_r; forms holds their reduced forms as (a, b, c) int
+    tuples, sorted, and classes the same classes as FormClass objects, built
+    on first read.
 
     elementary_divisors are the invariant factors d_1 | d_2 | .. | d_r, and
-    coords[i] the coordinates of classes[i].  The principal class is
-    classes[0], at coordinates 0: (1, d mod 2, .) is the only reduced form
-    with a = 1.
+    coords[i] the coordinates of forms[i].  The principal class is forms[0],
+    at coordinates 0: (1, d mod 2, .) is the only reduced form with a = 1.
     Both are built on first read, by _coordinates, and so are the genera as
     ascending tuples, which the CLI writes, the genus partition with the
-    genus of each class, and the cosets of C[2], which moduli reads; all are
+    genus of each class, and the cosets of C[2], which moduli reads; the
+    indices of the ambiguous forms are read once, by class_group.  All are
     kept in the instance __dict__ (no __slots__ here), and a group compares
-    by disc and classes.
+    by disc and forms.
     """
 
     @property
     def h(self) -> int:
-        return len(self.classes)
+        return len(self.forms)
+
+    @cached_property
+    def classes(self) -> tuple[FormClass, ...]:
+        return tuple(FormClass(QuadForm(*f), self.disc) for f in self.forms)
+
+    @cached_property
+    def _ambiguous(self) -> tuple[int, ...]:
+        # C[2], ascending: the forms with b = 0, b = a or a = c
+        return tuple(compress(range(self.h), map(_is_ambiguous, self.forms)))
 
     @cached_property
     def _structure(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -88,7 +102,7 @@ class ClassGroup(Value, namedtuple("ClassGroup", "disc classes")):
     @cached_property
     def _index(self) -> dict[tuple[int, int], int]:
         # (a, b) fixes c at one discriminant; index_of checks the rest
-        return {(cls.rep.a, cls.rep.b): i for i, cls in enumerate(self.classes)}
+        return {(a, b): i for i, (a, b, _) in enumerate(self.forms)}
 
     @cached_property
     def _at(self) -> dict[tuple[int, ...], int]:
@@ -147,7 +161,12 @@ def check_size(d: int) -> None:
 
 
 def reduced_representatives(d: int) -> list[QuadForm]:
-    """All reduced primitive forms of discriminant d, sorted by (a, b).
+    """All reduced primitive forms of discriminant d, sorted by (a, b)."""
+    return [QuadForm(*f) for f in _reduced_triples(d)]
+
+
+def _reduced_triples(d: int) -> list[tuple[int, int, int]]:
+    """The reduced primitive forms of discriminant d as (a, b, c), sorted.
 
     b runs first (Cohen, A Course in Computational Algebraic Number Theory,
     5.3): 0 <= b <= sqrt(|d|/3), b = d (mod 2), and the reduced forms (a, +-b, c)
@@ -166,12 +185,13 @@ def reduced_representatives(d: int) -> list[QuadForm]:
                 if 0 < b < a < c:
                     found.append((a, -b, c))
     found.sort()
-    return [QuadForm(a, b, c) for a, b, c in found]
+    return found
 
 
-def _is_ambiguous(q: QuadForm) -> bool:
-    """A reduced form has order at most 2 exactly when b = 0, b = a or a = c."""
-    return q.b == 0 or q.b == q.a or q.a == q.c
+def _is_ambiguous(form: tuple[int, int, int]) -> bool:
+    """A reduced form (a, b, c) has order at most 2 exactly when b = 0, b = a or a = c."""
+    a, b, c = form
+    return b == 0 or b == a or a == c
 
 
 def _genus_count(d: int) -> int:
@@ -191,12 +211,12 @@ def class_number_and_genera(d: int) -> tuple[int, int]:
     building the group: the genera are the cosets of C^2, as many as the
     ambiguous forms (|C/C^2| = |C[2]|). Its one caller is the CLI's
     `enumerate`, once per primitive discriminant d."""
-    reps = reduced_representatives(d)
-    return len(reps), _genus_check(d, reps)
+    forms = _reduced_triples(d)
+    return len(forms), _genus_check(d, sum(map(_is_ambiguous, forms)))
 
 
 def _generators(
-    reps: list[tuple[int, int, int]], index: dict[tuple[int, int], int], d: int
+    reps: Sequence[tuple[int, int, int]], index: dict[tuple[int, int], int], d: int
 ) -> tuple[list[int], list[list[int]], list[int]]:
     """Generators by subgroup extension, walking the reduced forms (a, b, c) of
     discriminant d in order from the principal form reps[0], each looked up
@@ -277,9 +297,9 @@ def _smith_diagonal(matrix: list[list[int]]) -> tuple[list[int], list[list[int]]
     return diagonal, a[n:]
 
 
-def _genus_check(d: int, reps: list[QuadForm]) -> int:
-    """|C[2]|: the ambiguous reduced forms, which must number the 2^(mu - 1) genera."""
-    ambiguous, genera = sum(map(_is_ambiguous, reps)), _genus_count(d)
+def _genus_check(d: int, ambiguous: int) -> int:
+    """|C[2]|: the number of ambiguous reduced forms, once it is the 2^(mu - 1) genera."""
+    genera = _genus_count(d)
     if ambiguous != genera:
         raise K3ModuliError(
             f"C({d}) fails its genus check: {ambiguous} ambiguous forms, {genera} genera"
@@ -288,29 +308,29 @@ def _genus_check(d: int, reps: list[QuadForm]) -> int:
 
 
 # bounded, because a process that walks many discriminants would otherwise keep
-# every group; a group holds its classes and, once read, their coordinates,
-# 0.5 MiB at -999479 (h = 1644, tracemalloc), and 32 still serve the queries
-# that repeat a few recent discriminants, as analyze does for one lattice's orbit
+# every group; a group holds its forms, 0.2 MiB at -999479 (h = 1644,
+# tracemalloc), 0.5 MiB once its coordinates are read, and 32 still serve the
+# queries that repeat a few recent discriminants, as analyze does for one
+# lattice's orbit
 @lru_cache(maxsize=32)
 def class_group(d: int) -> ClassGroup:
-    """Enumerate C(d): its reduced classes, once their ambiguous forms number
+    """Enumerate C(d): its reduced forms, once their ambiguous forms number
     the 2^(mu - 1) genera.  The invariant factors and coordinates are built
     on first read.
 
     Refuses |d| > MAX_ABS_DISC with InputError.
     """
-    reps = reduced_representatives(d)
-    _genus_check(d, reps)
-    return ClassGroup(d, tuple(FormClass(q, d) for q in reps))
+    group = ClassGroup(d, tuple(_reduced_triples(d)))
+    _genus_check(d, len(group._ambiguous))
+    return group
 
 
 def _coordinates(group: ClassGroup) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """(coords, invariant factors) of C(d) from its reduced classes: the
+    """(coords, invariant factors) of C(d) from its reduced forms: the
     generator walk over the group's (a, b) index and the Smith form, whose
     2-rank must give the 2^(mu - 1) genera."""
     d = group.disc
-    triples = [(c.rep.a, c.rep.b, c.rep.c) for c in group.classes]
-    orders, relations, members = _generators(triples, group._index, d)
+    orders, relations, members = _generators(group.forms, group._index, d)
     matrix = [
         [-v for v in rel] + [e] + [0] * (len(orders) - k - 1)
         for k, (e, rel) in enumerate(zip(orders, relations))
@@ -369,15 +389,18 @@ def cayley(group: ClassGroup, labels: Sequence | None = None) -> tuple[tuple, ..
 
 
 def two_torsion(group: ClassGroup) -> frozenset[int]:
-    """Indices of classes with x * x principal: the ambiguous reduced forms."""
-    return frozenset(i for i, cls in enumerate(group.classes) if _is_ambiguous(cls.rep))
+    """Indices of classes with x * x principal: the ambiguous reduced forms,
+    scanned once per group by class_group."""
+    return frozenset(group._ambiguous)
 
 
 def _genera(group: ClassGroup) -> list[tuple[int, ...]]:
     """The genus of each class: its coordinates mod 2 at the even invariant
-    factors, which come last in the divisibility chain."""
+    factors, which come last in the divisibility chain; with none, every
+    class has the genus ()."""
     odd = sum(n % 2 for n in group.elementary_divisors)
-    return [tuple(a % 2 for a in c[odd:]) for c in group.coords]
+    columns = [[a % 2 for a in column] for column in list(zip(*group.coords))[odd:]]
+    return list(zip(*columns)) if columns else [()] * group.h
 
 
 def fibres(group: ClassGroup, key) -> tuple[tuple[int, ...], ...]:

@@ -194,7 +194,7 @@ def _classgroup_payload(group: classgroup.ClassGroup) -> dict:
     return {
         "disc": group.disc,
         "h": group.h,
-        "classes": [list(c.rep.coefficients()) for c in group.classes],
+        "classes": list(map(list, group.forms)),
         "elementary_divisors": list(group.elementary_divisors),
         "two_torsion": sorted(classgroup.two_torsion(group)),
         "principal_genus": list(genera[0]),

@@ -187,7 +187,7 @@ def _prime_to(r, n: int) -> tuple[int, int, int]:
     """A form (A, B, C) of r's class with n not dividing A: the first of (a,
     b, c), (c, -b, a), (a + b + c, b + 2c, c), for n = 2 or 3 prime to the
     discriminant (then n divides at most two of a, c and a + b + c)."""
-    a, b, c = r.a, r.b, r.c
+    a, b, c = r
     if a % n:
         return a, b, c
     return (c, -b, a) if c % n else (a + b + c, b + 2 * c, c)
@@ -203,7 +203,7 @@ def _class_point(r, disc: int, n: int) -> CMPoint:
     domain); else (A, B) is that of _prime_to(r, n), then B + 2Ak is made 1
     mod 4 for gamma_3 (n = 2) or 0 mod 3 for gamma_2 (n = 3)."""
     if n == 1:
-        return CMPoint(r.a, r.b, disc)
+        return CMPoint(r[0], r[1], disc)
     if n > 3:
         a, b, c = _prime_to(r, 2)
         a, b, _ = qforms._reduce(a, 2 * b, 4 * c)
@@ -230,9 +230,8 @@ def _class_values(group: ClassGroup, n: int, digits: int) -> list[BigComplex]:
             return times_sqrt(gamma3(point, digits), d)
         return (j_invariant if n == 1 else gamma2 if n == 3 else weber)(point, digits)
 
-    reps = [cls.rep for cls in group.classes]
-    upper = {(r.a, r.b): evaluate(r) for r in reps if r.b >= 0}
-    return [upper[r.a, r.b] if r.b >= 0 else conjugate(upper[r.a, -r.b]) for r in reps]
+    upper = {f[:2]: evaluate(f) for f in group.forms if f[1] >= 0}
+    return [upper[a, b] if b >= 0 else conjugate(upper[a, -b]) for a, b, _ in group.forms]
 
 
 def _class_kernel(disc: int) -> int:
@@ -302,7 +301,7 @@ def _height(group: ClassGroup, partition=None, n: int = 1) -> float:
     (n = 24), and exp(pi*sqrt|D|/(8a)) its cube (n = 8)."""
     scale = pi * sqrt(-group.disc) / log(10) / n
     lead = log10(-group.disc) / 2 if n == 2 else 0
-    a = [(_class_point(cls.rep, group.disc, n) if n > 3 else cls.rep).a for cls in group.classes]
+    a = [_class_point(f, group.disc, n).a if n > 3 else f[0] for f in group.forms]
     parts = partition or [(i,) for i in range(group.h)]
     top = sum(lead + scale / min(a[i] for i in part) + log10(len(part)) for part in parts)
     return top + log10(comb(len(parts), len(parts) // 2))

@@ -21,7 +21,7 @@ from k3moduli.errors import InputError, K3ModuliError
 from k3moduli.k3 import galois_orbit, lattice_from_class
 from k3moduli.qforms import FormClass, QuadForm, compose, form_class, inverse, principal_class
 
-from conftest import valid_discs
+from conftest import run_cli, valid_discs
 
 SMALL_DISCS = valid_discs(300)
 
@@ -203,6 +203,48 @@ def test_two_torsion_is_ambiguous_forms():
         table = cayley(group)
         squares_to_one = {i for i in range(group.h) if table[i][i] == group.principal_index}
         assert two_torsion(group) == ambiguous == squares_to_one
+
+
+def test_a_group_is_its_reduced_triples():
+    # forms are plain int triples; classes wraps the same forms, and C[2] is
+    # the forms with b = 0, b = a or a = c
+    for d in valid_discs(3000):
+        group = class_group.__wrapped__(d)
+        assert group.forms == tuple(map(tuple, reduced_representatives(d))), d
+        assert all(type(f) is tuple and len(f) == 3 for f in group.forms), d
+        assert group.classes == tuple(FormClass(QuadForm(*f), d) for f in group.forms), d
+        ambiguous = {i for i, (a, b, c) in enumerate(group.forms) if b in (0, a) or a == c}
+        assert two_torsion(group) == ambiguous, d
+
+
+def test_classgroup_and_classpoly_queries_build_no_form_classes():
+    class_group.cache_clear()
+    # Weber's x, gamma_2, sqrt(D) gamma_3 and j
+    for k, d in enumerate((-23, -56, -51, -4620, -3299), 1):
+        for command in ("classgroup", "classpoly"):
+            code, _ = run_cli([command, "--format", "json", "--", str(d)])
+            assert code == 0, (command, d)
+        group = class_group(d)
+        assert class_group.cache_info().misses == k  # both queries read this group
+        assert "classes" not in vars(group), d
+    assert group.classes and "classes" in vars(group)
+
+
+def test_ambiguous_forms_are_scanned_once_per_group(monkeypatch):
+    calls = 0
+    scan = classgroup._is_ambiguous
+
+    def counting(form):
+        nonlocal calls
+        calls += 1
+        return scan(form)
+
+    monkeypatch.setattr(classgroup, "_is_ambiguous", counting)
+    for d in (-23, -4620, -40004):
+        calls = 0
+        group = class_group.__wrapped__(d)
+        assert two_torsion(group) == two_torsion(group)
+        assert calls == group.h, d
 
 
 def test_cayley_is_latin_square():

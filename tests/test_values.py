@@ -35,7 +35,7 @@ def test_value_semantics():
     # cached_property keeps its caches in the instance, which never compares
     group = class_group(-56)
     assert group.coords and "coords" in vars(group)
-    fresh = ClassGroup(group.disc, group.classes)
+    fresh = ClassGroup(group.disc, group.forms)
     assert "coords" not in vars(fresh)
     assert group == fresh and hash(group) == hash(fresh)
     assert fresh.elementary_divisors == group.elementary_divisors == (4,)
